@@ -29,12 +29,12 @@ from .salamon import parse_salamon
 from .structures import (
     CPS,
     Endo,
+    StructureError,
     assemble_cps,
     cps_from_split,
     cps_obstructions,
     double_type,
     rotate_product,
-    validate_cps,
 )
 
 FAMILY_PARAMS = {
@@ -115,8 +115,8 @@ def family_data(family: str, params) -> tuple[LieAlgebra, Endo, Endo]:
         for pair, coeffs in _family_brackets(family, p).items()
     }
     g = LieAlgebra.from_brackets(6, br)
-    if family in ("H3R_00", "H3R_10"):
-        assert all(c == 0 for c in g.table[1][4]), "[e2, f2] must vanish"
+    if family in ("H3R_00", "H3R_10") and any(g.table[1][4]):
+        raise FamilyError("[e2, f2] must vanish")
     return g, _standard_j(), _standard_e()
 
 
@@ -267,12 +267,12 @@ def verify_witness(entry: CatalogEntry, w: Witness) -> WitnessReport:
         stage("build", False, str(exc))
         return WitnessReport(w.name, tuple(stages))
 
-    failures = validate_cps(g, j, e)
     cps = None
-    if failures:
-        stage("cps_valid", False, ",".join(failures))
-    else:
+    try:
         cps = assemble_cps(g, j, e)
+    except StructureError as exc:
+        stage("cps_valid", False, ",".join(exc.failures))
+    if cps is not None:
         if w.rotation is not None:
             try:
                 cps = assemble_cps(g, j, rotate_product(cps, w.rotation))

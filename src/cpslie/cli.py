@@ -21,16 +21,7 @@ from .connection import (
 from .hypercomplex import lift_cps, obata_connection
 from .lie import LieAlgebra, algebra_from_json, algebra_to_json
 from .salamon import SalamonError, emit_salamon, parse_salamon
-from .structures import (
-    assemble_cps,
-    double_type,
-    endo_from_json,
-    validate_cps,
-)
-
-
-class CliError(SystemExit):
-    pass
+from .structures import CPS, StructureError, assemble_cps, double_type, endo_from_json
 
 
 def _load_algebra_spec(text: str) -> LieAlgebra:
@@ -48,16 +39,33 @@ def _algebra_from_data(data) -> LieAlgebra:
     return algebra_from_json(data)
 
 
-def _load_cps_file(path: str, algebra: LieAlgebra | None):
-    with open(path) as fh:
+def _load_cps(args) -> CPS:
+    """The CPS named by --cps and --algebra, validated once.
+
+    Malformed input (either file) raises ValueError; well-formed input
+    whose J and E fail an axiom raises StructureError with the full
+    failure list.
+    """
+    with open(args.cps) as fh:
         data = json.load(fh)
-    if algebra is None:
-        if "algebra" not in data:
-            raise CliError("the CPS file has no algebra and none was given via --algebra")
-        algebra = _algebra_from_data(data["algebra"])
-    j = endo_from_json(data["J"])
-    e = endo_from_json(data["E"])
-    return algebra, j, e
+    try:
+        if args.algebra:
+            algebra = _load_algebra_spec(args.algebra)
+        elif "algebra" in data:
+            algebra = _algebra_from_data(data["algebra"])
+        else:
+            raise ValueError("the CPS file has no algebra and none was given via --algebra")
+        j = endo_from_json(data["J"])
+        e = endo_from_json(data["E"])
+    except KeyError as exc:
+        raise ValueError(f"missing entry {exc.args[0]!r} in the input") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed input: {exc}") from None
+    return assemble_cps(algebra, j, e)
+
+
+def _invalid(args, exc: StructureError) -> int:
+    return _emit(args, {"error": "invalid CPS", "failures": exc.failures}, False)
 
 
 def _emit(args, payload, ok: bool) -> int:
@@ -81,26 +89,26 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_check_structure(args) -> int:
-    algebra = _load_algebra_spec(args.algebra) if args.algebra else None
-    algebra, j, e = _load_cps_file(args.cps, algebra)
-    failures = validate_cps(algebra, j, e)
-    payload = {"valid": not failures, "failures": failures}
-    if not failures:
-        cps = assemble_cps(algebra, j, e)
-        types = double_type(cps)
-        payload["double_type"] = [types[0].value, types[1].value]
-        payload["plus"] = cps.plus.to_json()
-        payload["minus"] = cps.minus.to_json()
-    return _emit(args, payload, not failures)
+    try:
+        cps = _load_cps(args)
+    except StructureError as exc:
+        return _emit(args, {"valid": False, "failures": exc.failures}, False)
+    types = double_type(cps)
+    payload = {
+        "valid": True,
+        "failures": [],
+        "double_type": [types[0].value, types[1].value],
+        "plus": cps.plus.to_json(),
+        "minus": cps.minus.to_json(),
+    }
+    return _emit(args, payload, True)
 
 
 def _cmd_connection_report(args) -> int:
-    algebra = _load_algebra_spec(args.algebra) if args.algebra else None
-    algebra, j, e = _load_cps_file(args.cps, algebra)
-    failures = validate_cps(algebra, j, e)
-    if failures:
-        return _emit(args, {"error": "invalid CPS", "failures": failures}, False)
-    cps = assemble_cps(algebra, j, e)
+    try:
+        cps = _load_cps(args)
+    except StructureError as exc:
+        return _invalid(args, exc)
     conn = cp_connection(cps)
     rep = curvature(conn)
     cert = connection_is_complete_certificate(conn, seed=args.seed)
@@ -133,12 +141,10 @@ def _cmd_verify_catalog(args) -> int:
 
 
 def _cmd_hypercomplex(args) -> int:
-    algebra = _load_algebra_spec(args.algebra) if args.algebra else None
-    algebra, j, e = _load_cps_file(args.cps, algebra)
-    failures = validate_cps(algebra, j, e)
-    if failures:
-        return _emit(args, {"error": "invalid CPS", "failures": failures}, False)
-    cps = assemble_cps(algebra, j, e)
+    try:
+        cps = _load_cps(args)
+    except StructureError as exc:
+        return _invalid(args, exc)
     ghat, h = lift_cps(cps)
     base = cp_connection(cps)
     ob = obata_connection(ghat, h, base)
@@ -158,12 +164,10 @@ def _cmd_hypercomplex(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
-    algebra = _load_algebra_spec(args.algebra) if args.algebra else None
-    algebra, j, e = _load_cps_file(args.cps, algebra)
-    failures = validate_cps(algebra, j, e)
-    if failures:
-        return _emit(args, {"error": "invalid CPS", "failures": failures}, False)
-    cps = assemble_cps(algebra, j, e)
+    try:
+        cps = _load_cps(args)
+    except StructureError as exc:
+        return _invalid(args, exc)
     conn = cp_connection(cps)
     cert = quadratic_geodesic_certificate(conn, seed=args.seed)
     return _emit(args, cert.to_json(), cert.verdict)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite, lcm
 
 import numpy as np
 
@@ -18,14 +19,14 @@ from .lie import LieAlgebra
 from .linalg import (
     Q,
     QMatrix,
+    SparseTensor,
     Vector,
+    _matrix,
+    _unscaled,
     basis_vec,
     is_nilpotent_matrix,
-    vec,
-    vec_add,
     vec_is_zero,
     vec_sub,
-    zero_vec,
 )
 from .structures import CPS, Endo, split_coordinates
 
@@ -35,47 +36,45 @@ class TorsionError(ValueError):
 
 
 class Connection:
-    """gamma[i][j] = nabla_{e_i} e_j as a coordinate vector."""
+    """gamma[i][j] = nabla_{e_i} e_j as a coordinate vector, held as a SparseTensor."""
 
-    __slots__ = ("algebra", "gamma")
+    __slots__ = ("algebra", "tensor")
 
     def __init__(self, algebra: LieAlgebra, gamma):
-        gam = tuple(tuple(vec(v) for v in row) for row in gamma)
+        """`gamma` is a dim x dim table of dim-vectors, or a SparseTensor."""
         n = algebra.dim
-        if len(gam) != n or any(len(r) != n for r in gam) or any(
-            len(v) != n for r in gam for v in r
-        ):
+        t = gamma if isinstance(gamma, SparseTensor) else SparseTensor(n, gamma)
+        if t.dim != n:
             raise ValueError("gamma must be a dim x dim table of dim-vectors")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "gamma", gam)
+        object.__setattr__(self, "tensor", t)
 
     def __setattr__(self, name, value):
         raise AttributeError("Connection is immutable")
 
+    @property
+    def gamma(self) -> tuple[tuple[Vector, ...], ...]:
+        return self.tensor.table
+
     def nabla(self, i: int) -> QMatrix:
         """Matrix of nabla_{e_i} (columns are images of basis vectors)."""
-        return QMatrix.from_cols(self.gamma[i])
+        return self.tensor.slice_matrix(basis_vec(self.algebra.dim, i))
 
     def nabla_vector(self, x) -> QMatrix:
-        xv = vec(x)
-        out = QMatrix.zeros(self.algebra.dim, self.algebra.dim)
-        for i, a in enumerate(xv):
-            if a != 0:
-                out = out + self.nabla(i).scale(a)
-        return out
+        return self.tensor.slice_matrix(x)
 
     def apply(self, x, y) -> Vector:
-        return self.nabla_vector(x).apply(vec(y))
+        return self.tensor.contract(x, y)
 
     def __eq__(self, other):
         return (
             isinstance(other, Connection)
             and self.algebra == other.algebra
-            and self.gamma == other.gamma
+            and self.tensor == other.tensor
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.gamma))
+        return hash((self.algebra, self.tensor))
 
 
 def cp_connection(cps: CPS) -> Connection:
@@ -88,36 +87,16 @@ def cp_connection(cps: CPS) -> Connection:
         nabla_{x-} y- = -pi- J [x-, J y-]      nabla_{x-} y+ = pi+ [x-, y+]
     """
     g, j = cps.algebra, cps.j
-    n = g.dim
     _, pip, pim = split_coordinates(cps)
-
-    def nabla_pair(x: Vector, y: Vector, x_plus: bool, y_plus: bool) -> Vector:
-        if x_plus and y_plus:
-            return tuple(-a for a in pip.apply(j.apply(g.bracket(x, j.apply(y)))))
-        if not x_plus and not y_plus:
-            return tuple(-a for a in pim.apply(j.apply(g.bracket(x, j.apply(y)))))
-        if x_plus:
-            return pim.apply(g.bracket(x, y))
-        return pip.apply(g.bracket(x, y))
-
-    basis = [basis_vec(n, i) for i in range(n)]
-    xplus = [pip.apply(b) for b in basis]
-    xminus = [pim.apply(b) for b in basis]
-    gamma = []
-    for i in range(n):
-        row = []
-        for jdx in range(n):
-            total = zero_vec(n)
-            for xpart, xp in ((xplus[i], True), (xminus[i], False)):
-                if vec_is_zero(xpart):
-                    continue
-                for ypart, yp in ((xplus[jdx], True), (xminus[jdx], False)):
-                    if vec_is_zero(ypart):
-                        continue
-                    total = vec_add(total, nabla_pair(xpart, ypart, xp, yp))
-            row.append(total)
-        gamma.append(row)
-    conn = Connection(g, gamma)
+    # nabla_{e_i} y for x+- = pi+- e_i and y+- = pi+- y, as matrices in y
+    lp, rp = -(pip @ j), j @ pip
+    lm, rm = -(pim @ j), j @ pim
+    nablas = []
+    for i in range(g.dim):
+        ap = g.ad_vector(pip.col(i))
+        am = g.ad_vector(pim.col(i))
+        nablas.append(lp @ ap @ rp + pim @ ap @ pim + lm @ am @ rm + pip @ am @ pip)
+    conn = Connection(g, SparseTensor.from_slices(nablas))
     # defining properties, re-verified (sign bugs die here, not downstream)
     if torsion_defect(conn):
         raise AssertionError("cp connection came out with torsion")
@@ -129,12 +108,14 @@ def cp_connection(cps: CPS) -> Connection:
 def torsion_defect(conn: Connection) -> list[tuple[int, int, Vector]]:
     """Pairs where nabla_x y - nabla_y x != [x, y]."""
     g = conn.algebra
+    gam, gden = conn.tensor.dense(), conn.tensor.den
+    br, bden = g.structure.dense(), g.structure.den
     out = []
     for i in range(g.dim):
         for jdx in range(i + 1, g.dim):
-            d = vec_sub(vec_sub(conn.gamma[i][jdx], conn.gamma[jdx][i]), g.table[i][jdx])
-            if not vec_is_zero(d):
-                out.append((i, jdx, d))
+            d = [(a - b) * bden - c * gden for a, b, c in zip(gam[i][jdx], gam[jdx][i], br[i][jdx])]
+            if any(d):
+                out.append((i, jdx, _unscaled(d, gden * bden)))
     return out
 
 
@@ -175,9 +156,8 @@ class CurvatureReport:
         for (i, j), m in sorted(self.r.items()):
             for k in range(m.cols):
                 for l in range(m.rows):
-                    v = m.entry(l, k)
-                    if v != 0:
-                        out.append({"x": i + 1, "y": j + 1, "z": k + 1, "w": l + 1, "value": str(v)})
+                    if m.num[l][k]:
+                        out.append({"x": i + 1, "y": j + 1, "z": k + 1, "w": l + 1, "value": str(m.entry(l, k))})
         return out
 
 
@@ -189,26 +169,22 @@ def curvature(conn: Connection) -> CurvatureReport:
     r = {}
     for i in range(n):
         for jdx in range(i + 1, n):
-            m = nablas[i] @ nablas[jdx] - nablas[jdx] @ nablas[i]
-            for k, coeff in enumerate(g.table[i][jdx]):
-                if coeff != 0:
-                    m = m - nablas[k].scale(coeff)
-            r[(i, jdx)] = m
+            r[(i, jdx)] = (
+                nablas[i] @ nablas[jdx] - nablas[jdx] @ nablas[i] - conn.nabla_vector(g.table[i][jdx])
+            )
     is_flat = all(m.is_zero() for m in r.values())
+    # ric(e_i, e_j) = tr(z -> R(z, e_i) e_j): row i sums row z of R(e_z, e_i)
+    den = lcm(*[m.den for m in r.values()])
     ricci_rows = []
     for i in range(n):
-        row = []
-        for jdx in range(n):
-            total = Q(0)
-            for z in range(n):
-                if z == i:
-                    continue
+        acc = [0] * n
+        for z in range(n):
+            if z != i:
                 m = r[(z, i)] if z < i else r[(i, z)]
-                v = m.entry(z, jdx)
-                total += v if z < i else -v
-            row.append(total)
-        ricci_rows.append(row)
-    ricci = QMatrix(ricci_rows, cols=n)
+                f = den // m.den if z < i else -(den // m.den)
+                acc = [a + f * b for a, b in zip(acc, m.num[z])]
+        ricci_rows.append(acc)
+    ricci = _matrix(ricci_rows, den, n)
     return CurvatureReport(
         r=r,
         ricci=ricci,
@@ -243,12 +219,13 @@ def ricci_via_trace_identity(conn: Connection) -> QMatrix:
 class LSAProduct:
     """Left-symmetric product x . y on a Lie algebra, stored like a connection."""
 
-    __slots__ = ("algebra", "gamma")
+    __slots__ = ("algebra", "tensor")
 
     def __init__(self, algebra: LieAlgebra, gamma, check: bool = True):
-        gam = tuple(tuple(vec(v) for v in row) for row in gamma)
+        """`gamma` is a dim x dim table of dim-vectors, or a SparseTensor."""
+        t = gamma if isinstance(gamma, SparseTensor) else SparseTensor(algebra.dim, gamma)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "gamma", gam)
+        object.__setattr__(self, "tensor", t)
         if check:
             bad = lsa_defects(self)
             if bad["left_symmetry"] or bad["compatibility"]:
@@ -257,19 +234,15 @@ class LSAProduct:
     def __setattr__(self, name, value):
         raise AttributeError("LSAProduct is immutable")
 
+    @property
+    def gamma(self) -> tuple[tuple[Vector, ...], ...]:
+        return self.tensor.table
+
     def product(self, x, y) -> Vector:
-        xv, yv = vec(x), vec(y)
-        out = zero_vec(self.algebra.dim)
-        for i, a in enumerate(xv):
-            if a == 0:
-                continue
-            for jdx, b in enumerate(yv):
-                if b != 0:
-                    out = vec_add(out, tuple(a * b * c for c in self.gamma[i][jdx]))
-        return out
+        return self.tensor.contract(x, y)
 
     def left_mult(self, i: int) -> QMatrix:
-        return QMatrix.from_cols(self.gamma[i])
+        return self.tensor.slice_matrix(basis_vec(self.algebra.dim, i))
 
     def right_mult(self, j: int) -> QMatrix:
         return QMatrix.from_cols([self.gamma[i][j] for i in range(self.algebra.dim)])
@@ -297,7 +270,7 @@ def lsa_defects(p: LSAProduct) -> dict:
 
 def connection_as_lsa(conn: Connection) -> LSAProduct:
     """Reinterpret a flat torsion-free connection as a left-symmetric product."""
-    return LSAProduct(conn.algebra, conn.gamma)
+    return LSAProduct(conn.algebra, conn.tensor)
 
 
 def restrict_to_lsa(cps: CPS, side: str) -> LSAProduct:
@@ -331,7 +304,8 @@ def lsa_is_complete(p: LSAProduct) -> bool:
     rights = [p.right_mult(j) for j in range(n)]
     complete = all(r.trace() == 0 for r in rights)
     basis_right_nilpotent = all(is_nilpotent_matrix(r) for r in rights)
-    assert basis_right_nilpotent == complete, "trace and nilpotency certificates disagree"
+    if basis_right_nilpotent != complete:
+        raise AssertionError("trace and nilpotency certificates disagree")
     from .lie import is_nilpotent
 
     if complete and is_nilpotent(p.algebra):
@@ -400,11 +374,14 @@ def quadratic_geodesic_certificate(conn: Connection, seed: int = 0) -> Completen
 
     Integrates over t in [0, t_max] and fits each coordinate with a
     quadratic; passes when the relative residual stays within tolerance.
+    Fails closed: a non-finite residual (a trajectory that blew up) makes
+    the verdict false and reports `max_relative_residual` as null.
     """
     n = conn.algebra.dim
     initial = _geodesic_initial_conditions(n, seed)
     times, values = integrate_geodesics(conn, initial)
     worst = 0.0
+    finite = True
     for b in range(len(initial)):
         for k in range(n):
             series = values[:, b, k]
@@ -412,13 +389,17 @@ def quadratic_geodesic_certificate(conn: Connection, seed: int = 0) -> Completen
             fitted = np.polynomial.polynomial.polyval(times, coeffs)
             resid = float(np.max(np.abs(series - fitted)))
             scale = max(1.0, float(np.max(np.abs(series))))
-            worst = max(worst, resid / scale)
-    verdict = worst <= GEODESIC_REL_TOL
+            r = resid / scale
+            if isfinite(r):
+                worst = max(worst, r)
+            else:
+                finite = False
+    verdict = finite and worst <= GEODESIC_REL_TOL
     return CompletenessReport(
         method="quadratic-geodesic",
         verdict=verdict,
         details={
-            "max_relative_residual": worst,
+            "max_relative_residual": worst if finite else None,
             "tolerance": GEODESIC_REL_TOL,
             "step": GEODESIC_STEP,
             "t_max": GEODESIC_T_MAX,

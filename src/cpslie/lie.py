@@ -12,16 +12,14 @@ from typing import Mapping, Sequence
 from .linalg import (
     Q,
     QMatrix,
+    SparseTensor,
     Subspace,
     Vector,
+    _unscaled,
     basis_vec,
     q,
     qstr,
-    vec,
-    vec_add,
     vec_is_zero,
-    vec_neg,
-    vec_scale,
     zero_vec,
 )
 
@@ -36,22 +34,22 @@ class JacobiError(ValueError):
 
 
 class LieAlgebra:
-    """dim plus the antisymmetric table of basis brackets."""
+    """dim plus the antisymmetric structure constants, held as a SparseTensor."""
 
-    __slots__ = ("dim", "table")
+    __slots__ = ("dim", "structure")
 
     def __init__(self, dim: int, table, check: bool = True):
-        tab = tuple(tuple(vec(v) for v in row) for row in table)
-        if len(tab) != dim or any(len(row) != dim for row in tab):
+        """`table` is a dim x dim table of bracket vectors, or a SparseTensor."""
+        t = table if isinstance(table, SparseTensor) else SparseTensor(dim, table)
+        if t.dim != dim:
             raise ValueError("table shape must be dim x dim")
-        for i in range(dim):
-            for j in range(dim):
-                if len(tab[i][j]) != dim:
-                    raise ValueError("bracket vectors must have length dim")
-                if tab[i][j] != vec_neg(tab[j][i]):
+        pairs = [dict(row) for row in t.terms]
+        for i, row in enumerate(pairs):
+            for j, w in row.items():
+                if pairs[j].get(i) != tuple((k, -c) for k, c in w):
                     raise ValueError(f"antisymmetry fails on pair ({i},{j})")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "structure", t)
         if check:
             defects = jacobi_defect(self)
             if defects:
@@ -59,6 +57,11 @@ class LieAlgebra:
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
+
+    @property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """table[i][j] = [e_i, e_j] as a Fraction vector."""
+        return self.structure.table
 
     @classmethod
     def from_brackets(
@@ -83,65 +86,49 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear antisymmetric product from the structure constants."""
-        xv, yv = vec(x), vec(y)
-        if len(xv) != self.dim or len(yv) != self.dim:
-            raise ValueError("vector length must equal dim")
-        out = zero_vec(self.dim)
-        for i, a in enumerate(xv):
-            if a == 0:
-                continue
-            row = self.table[i]
-            for j, b in enumerate(yv):
-                if b == 0:
-                    continue
-                w = row[j]
-                if not vec_is_zero(w):
-                    out = vec_add(out, vec_scale(a * b, w))
-        return out
+        return self.structure.contract(x, y)
 
     def ad(self, i: int) -> QMatrix:
         """Matrix of ad(e_i): y -> [e_i, y]."""
-        return QMatrix.from_cols([self.table[i][j] for j in range(self.dim)])
+        return self.structure.slice_matrix(basis_vec(self.dim, i))
 
     def ad_vector(self, x: Sequence) -> QMatrix:
-        xv = vec(x)
-        cols = [self.bracket(xv, basis_vec(self.dim, j)) for j in range(self.dim)]
-        return QMatrix.from_cols(cols)
+        return self.structure.slice_matrix(x)
 
     def is_abelian(self) -> bool:
-        return all(
-            vec_is_zero(self.table[i][j]) for i in range(self.dim) for j in range(i + 1, self.dim)
-        )
+        return not any(self.structure.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LieAlgebra) and self.dim == other.dim and self.table == other.table
+        return isinstance(other, LieAlgebra) and self.structure == other.structure
 
     def __hash__(self):
-        return hash((self.dim, self.table))
+        return hash(self.structure)
 
     def __repr__(self):
-        nonzero = sum(
-            1 for i in range(self.dim) for j in range(i + 1, self.dim) if not vec_is_zero(self.table[i][j])
-        )
+        nonzero = sum(1 for i, row in enumerate(self.structure.terms) for j, _ in row if i < j)
         return f"LieAlgebra(dim={self.dim}, {nonzero} nonzero basis brackets)"
 
 
 def jacobi_defect(g: LieAlgebra) -> list[tuple[int, int, int, Vector]]:
     """Basis triples where [[x,y],z] + [[y,z],x] + [[z,x],y] != 0."""
-    out = []
     n = g.dim
+    pairs = [dict(row) for row in g.structure.terms]
+
+    def nested(i, j, k):
+        # [[e_i, e_j], e_k], numerators over den^2
+        acc = [0] * n
+        for m, c in pairs[i].get(j, ()):
+            for l, d in pairs[m].get(k, ()):
+                acc[l] += c * d
+        return acc
+
+    out = []
     for i in range(n):
-        ei = basis_vec(n, i)
         for j in range(i + 1, n):
-            ej = basis_vec(n, j)
             for k in range(j + 1, n):
-                ek = basis_vec(n, k)
-                s = vec_add(
-                    vec_add(g.bracket(g.table[i][j], ek), g.bracket(g.table[j][k], ei)),
-                    g.bracket(g.table[k][i], ej),
-                )
-                if not vec_is_zero(s):
-                    out.append((i, j, k, s))
+                s = [a + b + c for a, b, c in zip(nested(i, j, k), nested(j, k, i), nested(k, i, j))]
+                if any(s):
+                    out.append((i, j, k, _unscaled(s, g.structure.den ** 2)))
     return out
 
 
@@ -167,10 +154,6 @@ def is_nilpotent(g: LieAlgebra) -> bool:
     return lower_central_series(g)[-1].is_zero()
 
 
-def derived_subalgebra(g: LieAlgebra) -> Subspace:
-    return bracket_subspaces(g, Subspace.full(g.dim), Subspace.full(g.dim))
-
-
 def center(g: LieAlgebra) -> Subspace:
     """Intersection of the kernels of ad(e_i) over the basis."""
     from .linalg import intersect, kernel
@@ -179,10 +162,6 @@ def center(g: LieAlgebra) -> Subspace:
     for i in range(g.dim):
         out = intersect(out, kernel(g.ad(i)))
     return out
-
-
-def is_subalgebra(g: LieAlgebra, v: Subspace) -> bool:
-    return v.contains_subspace(bracket_subspaces(g, v, v))
 
 
 def is_ideal(g: LieAlgebra, v: Subspace) -> bool:
@@ -253,14 +232,6 @@ class Representation:
                     out.append((i, j))
         return out
 
-    def act_vector(self, x: Sequence) -> QMatrix:
-        xv = vec(x)
-        out = QMatrix.zeros(self.space_dim, self.space_dim)
-        for a, m in zip(xv, self.action):
-            if a != 0:
-                out = out + m.scale(a)
-        return out
-
 
 def semidirect_product(h: LieAlgebra, rho: Representation) -> LieAlgebra:
     """h acting on an abelian V: [(x,u),(y,v)] = ([x,y], rho(x)v - rho(y)u)."""
@@ -317,15 +288,9 @@ def change_basis(g: LieAlgebra, p: QMatrix) -> LieAlgebra:
     if p.rows != g.dim or p.cols != g.dim:
         raise ValueError("basis-change matrix must be dim x dim")
     pinv = p.inverse()
-    n = g.dim
-    cols = [p.col(i) for i in range(n)]
-    table = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = pinv.apply(g.bracket(cols[i], cols[j]))
-            table[i][j] = w
-            table[j][i] = vec_neg(w)
-    return LieAlgebra(n, table)
+    # column j of P^-1 ad(P e_i) P is [e_i, e_j] in the new basis
+    slices = [pinv @ g.ad_vector(p.col(i)) @ p for i in range(g.dim)]
+    return LieAlgebra(g.dim, SparseTensor.from_slices(slices))
 
 
 def algebra_to_json(g: LieAlgebra) -> dict:

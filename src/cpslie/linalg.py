@@ -1,18 +1,40 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction, matrices are immutable tuples of row
-tuples, and subspaces are kept in reduced row-echelon form with unit
-pivots so that equal subspaces compare (and hash) identically.
+Vectors are tuples of Fraction.  A QMatrix is held in one canonical
+integer form: a positive common denominator `den` and rows `num` of
+Python-int numerators, with the gcd of all numerators and `den` divided
+out, so equal matrices have equal fields and equal hashes.  Products,
+sums, scaling, applications to vectors, traces and comparisons work on
+those integers.  The Fraction rows of `.entries` are built lazily, once
+per matrix, when a caller reads them.  Python ints cannot overflow, so
+there is no fixed-width path and no fallback.
+
+A SparseTensor holds an n x n table of rational n-vectors (structure
+constants, connection coefficients) the same way: the nonzero entries
+as integers over one least common denominator.  Bilinear contraction
+and slice matrices run on those integers.
+
+Subspaces are kept in reduced row-echelon form with unit pivots so that
+equal subspaces compare (and hash) identically; the row reduction itself
+is fraction free.
+
+Outside input goes through `q`, which accepts ints, strings and
+Fractions and rejects everything else (floats in particular).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Q = Fraction
 
 Vector = tuple[Q, ...]
+
+_ZERO = Q(0)
 
 
 def q(x) -> Q:
@@ -33,17 +55,8 @@ def vec(entries) -> Vector:
     return tuple(q(e) for e in entries)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = q(c)
-    return tuple(c * a for a in v)
 
 
 def vec_neg(v: Vector) -> Vector:
@@ -62,14 +75,47 @@ def basis_vec(n: int, i: int, scale=1) -> Vector:
     return tuple(q(scale) if j == i else Q(0) for j in range(n))
 
 
+def _scaled(v) -> tuple[list[int], int]:
+    """(numerators, d) with v = numerators / d and d the least common denominator.
+
+    Ints and Fractions are read directly; anything else goes through `q`.
+    """
+    try:
+        d = lcm(*[x.denominator for x in v])
+        return [x.numerator * (d // x.denominator) for x in v], d
+    except AttributeError:
+        return _scaled(vec(v))
+
+
+def _unscaled(nums: Iterable[int], d: int) -> Vector:
+    """The Fraction vector nums / d, for d > 0."""
+    return tuple(Q(a, d) if a else _ZERO for a in nums)
+
+
 class SingularMatrixError(ValueError):
     pass
 
 
-class QMatrix:
-    """Immutable rational matrix."""
+def _matrix(num, den: int, cols: int) -> "QMatrix":
+    """QMatrix with entries num / den (den > 0), brought to canonical form."""
+    if den > 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g > 1:
+            num = [[x // g for x in r] for r in num]
+            den //= g
+    m = object.__new__(QMatrix)
+    object.__setattr__(m, "num", tuple(map(tuple, num)))
+    object.__setattr__(m, "den", den)
+    object.__setattr__(m, "rows", len(num))
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "_entries", None)
+    return m
 
-    __slots__ = ("rows", "cols", "entries")
+
+class QMatrix:
+    """Immutable rational matrix in canonical integer form (see the module doc)."""
+
+    __slots__ = ("rows", "cols", "num", "den", "_entries")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         rows = tuple(tuple(q(x) for x in row) for row in entries)
@@ -83,159 +129,149 @@ class QMatrix:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
             ncols = cols
-        object.__setattr__(self, "entries", rows)
+        # the least common denominator of reduced fractions leaves no
+        # common factor in the numerators, so this form is canonical
+        den = lcm(*[x.denominator for r in rows for x in r])
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
+        object.__setattr__(self, "_entries", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The rows as Fraction tuples, built on first use."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(_unscaled(r, self.den) for r in self.num))
+        return self._entries
+
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return _matrix([[0] * cols for _ in range(rows)], 1, cols)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _matrix([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Vector]) -> "QMatrix":
         n = len(cols[0])
-        return cls([[q(c[i]) for c in cols] for i in range(n)])
+        return cls([[c[i] for c in cols] for i in range(n)])
 
     @classmethod
     def diag_blocks(cls, *blocks: "QMatrix") -> "QMatrix":
-        n = sum(b.rows for b in blocks)
-        m = sum(b.cols for b in blocks)
-        out = [[Q(0)] * m for _ in range(n)]
-        r = c = 0
-        for b in blocks:
-            for i in range(b.rows):
-                out[r + i][c : c + b.cols] = list(b.entries[i])
-            r += b.rows
-            c += b.cols
-        return cls(out, cols=m)
+        return cls.block(
+            [[b if k == r else cls.zeros(blocks[r].rows, b.cols) for k, b in enumerate(blocks)]
+             for r in range(len(blocks))]
+        )
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["QMatrix"]]) -> "QMatrix":
+        den = lcm(*[b.den for row_of_blocks in grid for b in row_of_blocks])
         out = []
         for row_of_blocks in grid:
-            height = row_of_blocks[0].rows
-            for i in range(height):
-                out.append([x for b in row_of_blocks for x in b.entries[i]])
-        return cls(out, cols=len(out[0]) if out else 0)
+            for i in range(row_of_blocks[0].rows):
+                out.append([x * (den // b.den) for b in row_of_blocks for x in b.num[i]])
+        return _matrix(out, den, len(out[0]) if out else 0)
 
     def entry(self, i: int, j: int) -> Q:
-        return self.entries[i][j]
+        return Q(self.num[i][j], self.den)
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
     def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
+        return _unscaled([r[j] for r in self.num], self.den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
+        return not any(map(any, self.num))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den, self.num))
 
     def __repr__(self):
         body = "; ".join(" ".join(qstr(x) for x in r) for r in self.entries)
         return f"QMatrix({self.rows}x{self.cols}: {body})"
 
+    def _combine(self, other: "QMatrix", sign: int) -> "QMatrix":
+        """self + sign * other."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in matrix sum")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        num = [[x * a + y * b for x, y in zip(r, s)] for r, s in zip(self.num, other.num)]
+        return _matrix(num, den, self.cols)
+
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(
-            [vec_add(a, b) for a, b in zip(self.entries, other.entries, strict=True)],
-            cols=self.cols,
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(
-            [vec_sub(a, b) for a, b in zip(self.entries, other.entries, strict=True)],
-            cols=self.cols,
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix([vec_neg(r) for r in self.entries], cols=self.cols)
+        return _matrix([[-x for x in r] for r in self.num], self.den, self.cols)
 
     def scale(self, c) -> "QMatrix":
         c = q(c)
-        return QMatrix([[c * x for x in r] for r in self.entries], cols=self.cols)
+        a = c.numerator
+        return _matrix([[a * x for x in r] for r in self.num], self.den * c.denominator, self.cols)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        ocols = other.cols
-        orows = other.entries
-        zero = Q(0)
-        out = []
-        for arow in self.entries:
-            acc = [zero] * ocols
-            for k, a in enumerate(arow):
-                if a == 0:
-                    continue
-                brow = orows[k]
-                for j in range(ocols):
-                    b = brow[j]
-                    if b != 0:
-                        acc[j] += a * b
-            out.append(acc)
-        return QMatrix(out, cols=ocols)
+        zero = [0] * other.cols
+        num = []
+        for r in self.num:
+            acc = zero
+            for a, brow in zip(r, other.num):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, brow)]
+            num.append(acc)
+        return _matrix(num, self.den * other.den, other.cols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector."""
-        if len(v) != self.cols:
+        xs, d = _scaled(v)
+        if len(xs) != self.cols:
             raise ValueError("vector length mismatch")
-        zero = Q(0)
-        out = []
-        for row in self.entries:
-            acc = zero
-            for a, x in zip(row, v):
-                if a != 0 and x != 0:
-                    acc += a * x
-            out.append(acc)
-        return tuple(out)
+        return _unscaled([sum(map(mul, r, xs)) for r in self.num], self.den * d)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return _matrix(list(zip(*self.num)) if self.rows else [], self.den, self.rows)
 
     def trace(self) -> Q:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Q(0))
+        return Q(sum(self.num[i][i] for i in range(self.rows)), self.den)
 
     def inverse(self) -> "QMatrix":
         if not self.is_square():
             raise SingularMatrixError("only square matrices can be inverted")
         n = self.rows
-        aug = [list(self.entries[i]) + [Q(1) if j == i else Q(0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrixError("singular matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return QMatrix([row[n:] for row in aug], cols=n)
+        # (num / den)^-1 = den * num^-1; reduce [num | Id] to [diag(p) | X]
+        aug = [list(r) + [int(j == i) for j in range(n)] for i, r in enumerate(self.num)]
+        reduced, pivots = _rref(aug, n)
+        if pivots != list(range(n)):
+            raise SingularMatrixError("singular matrix")
+        den = lcm(*[r[i] for i, r in enumerate(reduced)])
+        num = [[self.den * (den // r[i]) * x for x in r[n:]] for i, r in enumerate(reduced)]
+        return _matrix(num, den, n)
 
     def to_json(self) -> list[list[str]]:
         return [[qstr(x) for x in r] for r in self.entries]
@@ -245,33 +281,163 @@ class QMatrix:
         return cls(data, cols=cols)
 
 
-def _rref(rows: list[list[Q]], cols: int) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
+class SparseTensor:
+    """An n x n table of rational n-vectors T[i][j], kept sparse on integers.
+
+    `terms[i]` lists `(j, ((k, c), ...))` for every j with T[i][j] != 0,
+    both in index order, with T[i][j][k] = c / den and `den` the least
+    common denominator; so equal tensors have equal fields.  The Fraction
+    table is built lazily, once.
+    """
+
+    __slots__ = ("dim", "den", "terms", "_table")
+
+    def __init__(self, dim: int, table):
+        rows = tuple(tuple(vec(v) for v in row) for row in table)
+        if len(rows) != dim or any(len(r) != dim for r in rows) or any(
+            len(v) != dim for r in rows for v in r
+        ):
+            raise ValueError("the table must be dim x dim with vectors of length dim")
+        den = lcm(*[x.denominator for r in rows for v in r for x in v])
+        terms = tuple(
+            tuple(
+                (j, tuple((k, x.numerator * (den // x.denominator)) for k, x in enumerate(v) if x))
+                for j, v in enumerate(r)
+                if any(v)
+            )
+            for r in rows
+        )
+        self._set(dim, den, terms, rows)
+
+    def _set(self, dim, den, terms, table):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_table", table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseTensor is immutable")
+
+    @classmethod
+    def from_slices(cls, mats: Sequence[QMatrix]) -> "SparseTensor":
+        """The tensor with T[i][j] = column j of mats[i]."""
+        den = lcm(*[m.den for m in mats])
+        dense = [[[x * (den // m.den) for x in col] for col in zip(*m.num)] for m in mats]
+        g = gcd(den, *chain.from_iterable(chain.from_iterable(dense)))
+        if g > 1:
+            dense = [[[x // g for x in v] for v in r] for r in dense]
+            den //= g
+        terms = tuple(
+            tuple((j, tuple((k, c) for k, c in enumerate(v) if c)) for j, v in enumerate(r) if any(v))
+            for r in dense
+        )
+        t = object.__new__(cls)
+        t._set(len(mats), den, terms, None)
+        return t
+
+    def dense(self) -> list[list[list[int]]]:
+        """The integer numerators of every entry, over `den`."""
+        n = self.dim
+        out = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i, row in enumerate(self.terms):
+            for j, w in row:
+                v = out[i][j]
+                for k, c in w:
+                    v[k] = c
+        return out
+
+    @property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """T as a dim x dim tuple of Fraction vectors, built on first use."""
+        if self._table is None:
+            object.__setattr__(
+                self, "_table", tuple(tuple(_unscaled(v, self.den) for v in r) for r in self.dense())
+            )
+        return self._table
+
+    def contract(self, x, y) -> Vector:
+        """sum_ij x_i y_j T[i][j]."""
+        xs, dx = _scaled(x)
+        ys, dy = _scaled(y)
+        if len(xs) != self.dim or len(ys) != self.dim:
+            raise ValueError("vector length must equal dim")
+        out = [0] * self.dim
+        for a, row in zip(xs, self.terms):
+            if a:
+                for j, w in row:
+                    b = ys[j]
+                    if b:
+                        ab = a * b
+                        for k, c in w:
+                            out[k] += ab * c
+        return _unscaled(out, dx * dy * self.den)
+
+    def slice_matrix(self, x) -> QMatrix:
+        """Matrix of y -> sum_ij x_i y_j T[i][j]."""
+        xs, dx = _scaled(x)
+        if len(xs) != self.dim:
+            raise ValueError("vector length must equal dim")
+        n = self.dim
+        num = [[0] * n for _ in range(n)]
+        for a, row in zip(xs, self.terms):
+            if a:
+                for j, w in row:
+                    for k, c in w:
+                        num[k][j] += a * c
+        return _matrix(num, dx * self.den, n)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SparseTensor)
+            and self.dim == other.dim
+            and self.den == other.den
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.dim, self.den, self.terms))
+
+
+def _rref(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of integer rows.
+
+    Pivots are searched in the first `cols` columns; row operations act on
+    whole rows.  Returns the nonzero rows, each primitive with a positive
+    pivot entry, and the pivot columns: row r divided by its pivot entry
+    is row r of the usual RREF with unit pivots.
+    """
     mat = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        prow = mat[r]
+        p = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                new = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                mat[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    out = []
+    for row, c in zip(mat[:r], pivots):
+        g = gcd(*row)
+        if row[c] < 0:
+            g = -g
+        out.append([x // g for x in row])
+    return out, pivots
 
 
 def rank(m: QMatrix) -> int:
     """Row rank over the rationals."""
-    _, pivots = _rref([list(r) for r in m.entries], m.cols)
-    return len(pivots)
+    return len(_rref(m.num, m.cols)[1])
 
 
 def is_nilpotent_matrix(m: QMatrix) -> bool:
@@ -290,27 +456,32 @@ def is_nilpotent_matrix(m: QMatrix) -> bool:
 class Subspace:
     """Linear subspace of Q^n held as a canonical RREF row basis."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, basis: QMatrix):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(
+            self, "pivots", tuple(next(j for j, x in enumerate(r) if x) for r in basis.num)
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        rows = [[q(x) for x in v] for v in vectors]
+        rows = [_scaled(v)[0] for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        reduced, _ = _rref(rows, ambient_dim)
-        return cls(ambient_dim, QMatrix(reduced, cols=ambient_dim))
+        reduced, pivots = _rref(rows, ambient_dim)
+        den = lcm(*[r[p] for r, p in zip(reduced, pivots)])
+        num = [[x * (den // r[p]) for x in r] for r, p in zip(reduced, pivots)]
+        return cls(ambient_dim, _matrix(num, den, ambient_dim))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, QMatrix([], cols=n))
+        return cls(n, QMatrix.zeros(0, n))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
@@ -330,32 +501,27 @@ class Subspace:
         return self.basis.entries
 
     def contains(self, v: Sequence) -> bool:
-        w = vec(v)
-        if len(w) != self.ambient_dim:
+        xs, _ = _scaled(v)
+        if len(xs) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        residual = list(w)
-        pivots = [next(j for j, x in enumerate(row) if x != 0) for row in self.basis.entries]
-        for row, p in zip(self.basis.entries, pivots):
-            f = residual[p]
-            if f != 0:
-                for j in range(self.ambient_dim):
-                    residual[j] -= f * row[j]
-        return all(x == 0 for x in residual)
+        # basis row r is num[r] / den with num[r][pivot] == den
+        den = self.basis.den
+        residual = [x * den for x in xs]
+        for row, p in zip(self.basis.num, self.pivots):
+            f = xs[p]
+            if f:
+                residual = [a - f * b for a, b in zip(residual, row)]
+        return not any(residual)
 
     def coordinates(self, v: Sequence) -> Vector:
         """Coefficients of v in the RREF basis; raises if v is outside."""
         w = vec(v)
-        pivots = [next(j for j, x in enumerate(row) if x != 0) for row in self.basis.entries]
-        coeffs = tuple(w[p] for p in pivots)
-        rebuilt = zero_vec(self.ambient_dim)
-        for c, row in zip(coeffs, self.basis.entries):
-            rebuilt = vec_add(rebuilt, vec_scale(c, row))
-        if rebuilt != w:
+        if len(w) != self.ambient_dim or not self.contains(w):
             raise ValueError("vector not in subspace")
-        return coeffs
+        return tuple(w[p] for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
+        return all(self.contains(r) for r in other.basis.num)
 
     def __eq__(self, other) -> bool:
         return (
@@ -376,36 +542,28 @@ class Subspace:
 
 def kernel(m: QMatrix) -> Subspace:
     """Canonical basis of the null space; dim kernel + rank = cols."""
-    reduced, pivots = _rref([list(r) for r in m.entries], m.cols)
-    free = [j for j in range(m.cols) if j not in pivots]
+    reduced, pivots = _rref(m.num, m.cols)
+    pivot_set = set(pivots)
     gens = []
-    for f in free:
-        v = [Q(0)] * m.cols
-        v[f] = Q(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        # x_f = scale, x_p = -row[f] / row[p] * scale for each pivot row
+        scale = lcm(*[r[p] for r, p in zip(reduced, pivots) if r[f]])
+        v = [0] * m.cols
+        v[f] = scale
+        for r, p in zip(reduced, pivots):
+            if r[f]:
+                v[p] = -r[f] * (scale // r[p])
         gens.append(v)
     return Subspace.from_spanning(gens, m.cols)
-
-
-def image(m: QMatrix) -> Subspace:
-    """Column space, canonicalized."""
-    return Subspace.from_spanning(m.transpose().entries, m.rows)
 
 
 def map_subspace(m: QMatrix, v: Subspace) -> Subspace:
     """Image of a subspace under a linear map."""
     if m.cols != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.from_spanning([m.apply(r) for r in v.basis.entries], m.rows)
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.from_spanning(
-        list(u.basis.entries) + list(v.basis.entries), u.ambient_dim
-    )
+    return Subspace.from_spanning((v.basis @ m.transpose()).num, m.rows)
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -416,22 +574,13 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     if u.is_zero() or v.is_zero():
         return Subspace.zero(n)
     k, m = u.dim, v.dim
-    # columns: coefficients (a, b) with a^T U = b^T V
-    mat = QMatrix(
-        [
-            [u.basis.entries[c][r] for c in range(k)]
-            + [-v.basis.entries[c][r] for c in range(m)]
-            for r in range(n)
-        ],
-        cols=k + m,
-    )
-    gens = []
-    for w in kernel(mat).basis.entries:
-        x = zero_vec(n)
-        for c in range(k):
-            if w[c] != 0:
-                x = vec_add(x, vec_scale(w[c], u.basis.entries[c]))
-        gens.append(x)
+    ub, vb = u.basis.num, v.basis.num
+    # columns: coefficients (a, b) with a^T U = b^T V on the integer rows
+    mat = _matrix([[ub[c][r] for c in range(k)] + [-vb[c][r] for c in range(m)] for r in range(n)], 1, k + m)
+    gens = [
+        [sum(w[c] * ub[c][col] for c in range(k)) for col in range(n)]
+        for w in kernel(mat).basis.num
+    ]
     return Subspace.from_spanning(gens, n)
 
 

@@ -15,34 +15,29 @@ from .linalg import (
     QMatrix,
     Subspace,
     Vector,
-    basis_vec,
+    annihilator,
     intersect,
     kernel,
+    map_subspace,
     preimage,
     q,
-    vec_add,
     vec_is_zero,
-    vec_sub,
 )
 
 Endo = QMatrix
 
 
 class StructureError(ValueError):
-    def __init__(self, code: str, message: str):
+    """`code` names the first failed axiom; `failures` lists every one."""
+
+    def __init__(self, code: str, message: str, failures: list[str] | None = None):
         self.code = code
+        self.failures = list(failures) if failures else [code]
         super().__init__(f"{code}: {message}")
 
 
 def is_almost_complex(j: Endo) -> bool:
     return j.is_square() and (j @ j) == QMatrix.identity(j.rows).scale(-1)
-
-
-def is_almost_product(e: Endo) -> bool:
-    if not e.is_square():
-        return False
-    ident = QMatrix.identity(e.rows)
-    return (e @ e) == ident and e != ident and e != ident.scale(-1)
 
 
 def _require_almost_complex(j: Endo):
@@ -58,54 +53,42 @@ def _require_almost_product(e: Endo):
         raise StructureError("E_identity", "E = +/-Id is excluded")
 
 
+def _integrability_defect(g: LieAlgebra, a: Endo, sign: int) -> list[tuple[int, int, Vector]]:
+    """Pairs violating A[x,y] = [Ax,y] + [x,Ay] + sign * A[Ax,Ay].
+
+    Column y of A ad(e_i) - ad(A e_i) - ad(e_i) A - sign * A ad(A e_i) A is
+    the defect on the pair (e_i, e_y).
+    """
+    out = []
+    n = g.dim
+    for i in range(n):
+        ad_i = g.ad(i)
+        ad_ai = g.ad_vector(a.col(i))
+        d = a @ ad_i - ad_ai - ad_i @ a - (a @ ad_ai @ a).scale(sign)
+        if not d.is_zero():
+            out.extend((i, b, d.col(b)) for b in range(i + 1, n) if any(r[b] for r in d.num))
+    return out
+
+
 def complex_integrability_defect(g: LieAlgebra, j: Endo) -> list[tuple[int, int, Vector]]:
     """Pairs violating J[x,y] = [Jx,y] + [x,Jy] + J[Jx,Jy]."""
     _require_almost_complex(j)
-    out = []
-    n = g.dim
-    jcols = [j.col(i) for i in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            lhs = j.apply(g.table[a][b])
-            rhs = vec_add(
-                vec_add(g.bracket(jcols[a], basis_vec(n, b)), g.bracket(basis_vec(n, a), jcols[b])),
-                j.apply(g.bracket(jcols[a], jcols[b])),
-            )
-            d = vec_sub(lhs, rhs)
-            if not vec_is_zero(d):
-                out.append((a, b, d))
-    return out
+    return _integrability_defect(g, j, 1)
 
 
 def product_integrability_defect(g: LieAlgebra, e: Endo) -> list[tuple[int, int, Vector]]:
     """Pairs violating E[x,y] = [Ex,y] + [x,Ey] - E[Ex,Ey]."""
     _require_almost_product(e)
-    out = []
-    n = g.dim
-    ecols = [e.col(i) for i in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            lhs = e.apply(g.table[a][b])
-            rhs = vec_sub(
-                vec_add(g.bracket(ecols[a], basis_vec(n, b)), g.bracket(basis_vec(n, a), ecols[b])),
-                e.apply(g.bracket(ecols[a], ecols[b])),
-            )
-            d = vec_sub(lhs, rhs)
-            if not vec_is_zero(d):
-                out.append((a, b, d))
-    return out
+    return _integrability_defect(g, e, -1)
 
 
 def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:
     """[Jx, Jy] = [x, y] on all basis pairs (implies integrability)."""
     _require_almost_complex(j)
-    n = g.dim
-    jcols = [j.col(i) for i in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if g.bracket(jcols[a], jcols[b]) != g.table[a][b]:
-                return False
-    assert not complex_integrability_defect(g, j)
+    if any(g.ad_vector(j.col(i)) @ j != g.ad(i) for i in range(g.dim)):
+        return False
+    if complex_integrability_defect(g, j):
+        raise StructureError("J_integrability", "an abelian J must be integrable")
     return True
 
 
@@ -115,13 +98,6 @@ def eigenspaces(e: Endo) -> tuple[Subspace, Subspace]:
         raise StructureError("E_square", "E^2 = Id fails")
     ident = QMatrix.identity(e.rows)
     return kernel(e - ident), kernel(e + ident)
-
-
-@dataclass(frozen=True)
-class DoubleLieAlgebra:
-    algebra: LieAlgebra
-    plus: Subspace
-    minus: Subspace
 
 
 class CPS:
@@ -138,10 +114,6 @@ class CPS:
 
     def __setattr__(self, name, value):
         raise AttributeError("CPS is immutable")
-
-    @property
-    def double(self) -> DoubleLieAlgebra:
-        return DoubleLieAlgebra(self.algebra, self.plus, self.minus)
 
     def __repr__(self):
         return f"CPS(dim={self.algebra.dim}, split {self.plus.dim}+{self.minus.dim})"
@@ -171,18 +143,20 @@ def validate_cps(g: LieAlgebra, j: Endo, e: Endo) -> list[str]:
     plus, minus = eigenspaces(e)
     if plus.dim != minus.dim:
         failures.append("eigen_dim")
-    from .linalg import map_subspace
-
     if map_subspace(j, plus) != minus:
         failures.append("minus_is_J_plus")
     return failures
 
 
 def assemble_cps(g: LieAlgebra, j: Endo, e: Endo) -> CPS:
-    """Validate all CPS axioms and bundle the result."""
+    """Validate all CPS axioms, once, and bundle the result.
+
+    This is the only way to a validated CPS.  On failure the
+    StructureError's `failures` holds every failure code of `validate_cps`.
+    """
     failures = validate_cps(g, j, e)
     if failures:
-        raise StructureError(failures[0], f"CPS invalid: {failures}")
+        raise StructureError(failures[0], f"CPS invalid: {failures}", failures)
     plus, minus = eigenspaces(e)
     return CPS(g, j, e, plus, minus)
 
@@ -235,8 +209,6 @@ def ascending_series(g: LieAlgebra, j: Endo) -> list[Subspace]:
     if complex_integrability_defect(g, j):
         raise StructureError("J_integrability", "J is not a complex structure")
     n = g.dim
-    from .linalg import annihilator
-
     series = [Subspace.zero(n)]
     while True:
         prev = series[-1]
@@ -248,9 +220,9 @@ def ascending_series(g: LieAlgebra, j: Endo) -> list[Subspace]:
         for jdx in range(n):
             # x -> [x, e_j] as a matrix in x
             b = g.ad(jdx).scale(-1)
-            conditions.extend((ann.basis @ b).entries)
-            conditions.extend((ann.basis @ b @ j).entries)
-        nxt = kernel(QMatrix(conditions, cols=n))
+            conditions.append([ann.basis @ b])
+            conditions.append([ann.basis @ b @ j])
+        nxt = kernel(QMatrix.block(conditions))
         if nxt == prev:
             break
         series.append(nxt)
@@ -270,7 +242,8 @@ def find_central_invariant_ideal(cps: CPS) -> Subspace | None:
             break
         w = nxt
     if w.dim >= 2:
-        assert is_ideal(cps.algebra, w)
+        if not is_ideal(cps.algebra, w):
+            raise StructureError("central_ideal", "a J- and E-invariant central subspace must be an ideal")
         return w
     return None
 
@@ -369,10 +342,6 @@ def h3x2_constant(cps: CPS) -> Q:
     if Subspace.from_spanning([jz], g.dim) != Subspace.from_spanning([z_minus], g.dim):
         raise ValueError("J z_+ is not proportional to z_-")
     return c
-
-
-def endo_to_json(a: Endo) -> dict:
-    return {"matrix": a.to_json()}
 
 
 def endo_from_json(data) -> Endo:

@@ -147,3 +147,64 @@ def test_verify_catalog_command(capsys):
     assert row["admits"] == {"R3xR3": False, "H3xR3": True, "H3xH3": True}
     assert row["flat_class"] == "FlatOnly" and row["witnesses_verified"]
     assert by_name["(0,0,0,12,14,24)"]["flat_class"] == "NonFlatOnly"
+
+
+def _strict_json(text):
+    """Parse JSON, refusing the bare NaN and Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "defect",
+    ["float_entry", "no_J", "no_E"],
+)
+def test_malformed_cps_file_gives_json_error(capsys, tmp_path, cps_file, defect):
+    with open(cps_file) as fh:
+        data = json.load(fh)
+    if defect == "float_entry":
+        data["J"]["matrix"][0][1] = 1.0
+    else:
+        del data[defect[-1]]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    for command in ("check-structure", "connection-report", "hypercomplex", "geodesic"):
+        code, out = run_cli(capsys, command, "--cps", str(path))
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 1
+        assert set(_strict_json(lines[0])) == {"error"}
+
+
+def test_malformed_algebra_file_gives_json_error(capsys, tmp_path, cps_file):
+    with open(cps_file) as fh:
+        data = json.load(fh)
+    del data["algebra"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(data))
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps({"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": 0.5}}]}))
+    code, out = run_cli(capsys, "check-structure", "--algebra", str(algebra), "--cps", str(bare))
+    assert code == 1
+    assert set(_strict_json(out)) == {"error"}
+
+
+def test_geodesic_command_fails_closed_on_blow_up(capsys, cps_file, monkeypatch):
+    import cpslie.connection as connection
+
+    real = connection.integrate_geodesics
+
+    def blow_up(conn, initial, **kwargs):
+        times, values = real(conn, initial, **kwargs)
+        values[len(times) // 2 :, 0, :] = float("inf")
+        return times, values
+
+    monkeypatch.setattr(connection, "integrate_geodesics", blow_up)
+    code, out = run_cli(capsys, "geodesic", "--cps", cps_file)
+    assert code == 1
+    data = _strict_json(out)
+    assert data["verdict"] is False
+    assert data["details"]["max_relative_residual"] is None

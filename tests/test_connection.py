@@ -375,3 +375,33 @@ def test_left_right_nilpotency_equivalence():
                 left = all(is_nilpotent_matrix(p.left_mult(i)) for i in range(3))
                 right = all(is_nilpotent_matrix(p.right_mult(i)) for i in range(3))
                 assert left and right and lsa_is_complete(p)
+
+
+def test_quadratic_geodesic_certificate_fails_closed_on_non_finite(monkeypatch):
+    import json
+
+    import numpy as np
+
+    import cpslie.connection as connection
+
+    zero = Connection(LieAlgebra.abelian(2), [[(0, 0)] * 2 for _ in range(2)])
+    finite = connection.quadratic_geodesic_certificate(zero)
+    assert finite.verdict is True
+    assert 0 <= finite.details["max_relative_residual"] <= connection.GEODESIC_REL_TOL
+
+    real = connection.integrate_geodesics
+    for bad in (np.inf, np.nan):
+
+        def blow_up(conn, initial, bad=bad, **kwargs):
+            times, values = real(conn, initial, **kwargs)
+            values[len(times) // 2 :, 0, 0] = bad
+            return times, values
+
+        monkeypatch.setattr(connection, "integrate_geodesics", blow_up)
+        rep = connection.quadratic_geodesic_certificate(zero)
+        assert rep.verdict is False
+        assert rep.details["max_relative_residual"] is None
+        json.dumps(rep.to_json(), allow_nan=False)
+        assert {k: v for k, v in rep.details.items() if k != "max_relative_residual"} == {
+            k: v for k, v in finite.details.items() if k != "max_relative_residual"
+        }
