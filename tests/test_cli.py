@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -208,3 +209,46 @@ def test_geodesic_command_fails_closed_on_blow_up(capsys, cps_file, monkeypatch)
     data = _strict_json(out)
     assert data["verdict"] is False
     assert data["details"]["max_relative_residual"] is None
+
+
+# sha256 of the default JSON of each command on the `cps_file` fixture (and
+# on a copy whose E commutes with J), pinned so that refactors of the CLI
+# plumbing keep the output byte-identical.  The geodesic residual depends on
+# the LAPACK build, so it is dropped before hashing.
+INVALID_CPS = "0761f4fee4aa14f2a3a75bd82f9923c59280fc03d39fa7bbe524a5c2a917a7ff"
+GOLDEN = {
+    "parse": "728991c7482c886d8f9cd73d2d37667cd9ebf9c088638d253b6917dd8e8ca01c",
+    "check-structure": "66d247a0b0e7fafa75034f513b78183e7aef6f3f4e89010e612ac355000ca27f",
+    "connection-report": "5546e13c48a57ef5ce4e78d02ce9e542154bfb7b34d89c55c3d9d5a50c4964b6",
+    "hypercomplex": "d90d97b82f9b36e376c88192841481afa52134d91ace79d24a1616670c928c34",
+    "geodesic": "1b7dc9547d45771fa53bcf6987107e4c37294e8e25a2d853dea82328fdd9aa7e",
+    "check-structure-invalid": "3850b19bc4ae78010c05e743bae158f8d158aef9e386e5d1dc7116ee08630d83",
+    "connection-report-invalid": INVALID_CPS,
+    "hypercomplex-invalid": INVALID_CPS,
+    "geodesic-invalid": INVALID_CPS,
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_default_json_is_pinned(capsys, tmp_path, cps_file, case):
+    command = case.removesuffix("-invalid")
+    invalid = command != case
+    path = cps_file
+    if invalid:
+        with open(cps_file) as fh:
+            data = json.load(fh)
+        signs = [1, 1, 1, -1, -1, -1]
+        data["E"]["matrix"] = [[str(signs[i]) if i == j else "0" for j in range(6)] for i in range(6)]
+        path = tmp_path / "commuting.json"
+        path.write_text(json.dumps(data))
+    argv = [command, "(0,0,0,12,13,14)"] if command == "parse" else [command, "--cps", str(path)]
+    code, out = run_cli(capsys, *argv)
+    assert code == int(invalid)
+    target = tmp_path / "out.json"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (code, "")
+    assert target.read_text() == out
+    if command == "geodesic" and not invalid:
+        data = json.loads(out)
+        del data["details"]["max_relative_residual"]
+        out = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case], out
