@@ -95,14 +95,11 @@ def _family_brackets(family: str, p: dict) -> dict:
     raise FamilyError(f"unknown family {family!r}")
 
 
-def _standard_j() -> Endo:
-    z = QMatrix.zeros(3, 3)
-    i3 = QMatrix.identity(3)
-    return QMatrix.block([[z, i3.scale(-1)], [i3, z]])
-
-
-def _standard_e() -> Endo:
-    return QMatrix.diag_blocks(QMatrix.identity(3), QMatrix.identity(3).scale(-1))
+def _standard_cps(m: int) -> tuple[Endo, Endo]:
+    """J e_i = e_(m+i) and E = Id on the first m basis vectors, -Id on the last m."""
+    z = QMatrix.zeros(m, m)
+    ident = QMatrix.identity(m)
+    return QMatrix.block([[z, -ident], [ident, z]]), QMatrix.diag_blocks(ident, -ident)
 
 
 def family_data(family: str, params) -> tuple[LieAlgebra, Endo, Endo]:
@@ -117,7 +114,7 @@ def family_data(family: str, params) -> tuple[LieAlgebra, Endo, Endo]:
     g = LieAlgebra.from_brackets(6, br)
     if family in ("H3R_00", "H3R_10") and any(g.table[1][4]):
         raise FamilyError("[e2, f2] must vanish")
-    return g, _standard_j(), _standard_e()
+    return (g, *_standard_cps(3))
 
 
 def build_family(family: str, params) -> tuple[LieAlgebra, CPS]:
@@ -218,17 +215,44 @@ def excluded_entries() -> list[CatalogEntry]:
     return [e for e in load_catalog() if e.flat_class == "NoCPS"]
 
 
+def _build_witness(w: Witness, stage) -> tuple[LieAlgebra | None, CPS | None]:
+    """Algebra and the CPS the witness claims, with the rotation applied if any.
+
+    Reports the "build" and "cps_valid" steps to `stage(name, ok, detail)`
+    and stops at the first that fails; what it could not build is None.
+    """
+    try:
+        if w.family == "Explicit":
+            g, j, e = parse_salamon(w.target), w.explicit_j, w.explicit_e
+        else:
+            g, j, e = family_data(w.family, w.params)
+    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        stage("build", False, str(exc))
+        return None, None
+    stage("build", True)
+    try:
+        cps = assemble_cps(g, j, e)
+    except StructureError as exc:
+        stage("cps_valid", False, ",".join(exc.failures))
+        return g, None
+    if w.rotation is not None:
+        try:
+            cps = assemble_cps(g, j, rotate_product(cps, w.rotation))
+        except Exception as exc:  # noqa: BLE001
+            stage("cps_valid", False, f"rotation: {exc}")
+            return g, None
+    stage("cps_valid", True)
+    return g, cps
+
+
 def witness_structure(w: Witness) -> tuple[LieAlgebra, CPS]:
     """Algebra plus the CPS the witness claims (rotation applied if any)."""
-    if w.family == "Explicit":
-        g = parse_salamon(w.target)
-        j, e = w.explicit_j, w.explicit_e
-    else:
-        g, j, e = family_data(w.family, w.params)
-    cps = assemble_cps(g, j, e)
-    if w.rotation is not None:
-        cps = assemble_cps(g, j, rotate_product(cps, w.rotation))
-    return g, cps
+
+    def require(name, ok, detail=""):
+        if not ok:
+            raise ValueError(f"witness {w.name!r} fails {name}: {detail}")
+
+    return _build_witness(w, require)
 
 
 @dataclass(frozen=True)
@@ -256,31 +280,9 @@ def verify_witness(entry: CatalogEntry, w: Witness) -> WitnessReport:
         stages.append((name, bool(ok), detail))
         return ok
 
-    try:
-        if w.family == "Explicit":
-            g = parse_salamon(w.target)
-            j, e = w.explicit_j, w.explicit_e
-        else:
-            g, j, e = family_data(w.family, w.params)
-        stage("build", True)
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        stage("build", False, str(exc))
+    g, cps = _build_witness(w, stage)
+    if g is None:
         return WitnessReport(w.name, tuple(stages))
-
-    cps = None
-    try:
-        cps = assemble_cps(g, j, e)
-    except StructureError as exc:
-        stage("cps_valid", False, ",".join(exc.failures))
-    if cps is not None:
-        if w.rotation is not None:
-            try:
-                cps = assemble_cps(g, j, rotate_product(cps, w.rotation))
-            except Exception as exc:  # noqa: BLE001
-                cps = None
-                stage("cps_valid", False, f"rotation: {exc}")
-        if cps is not None:
-            stage("cps_valid", True)
 
     try:
         if w.target != entry.salamon:
@@ -588,11 +590,7 @@ def eight_dim_example():
     n4, lsa = fried_example()
     rho = Representation(n4, 4, [lsa.left_mult(i) for i in range(4)])
     g = semidirect_product(n4, rho)
-    z = QMatrix.zeros(4, 4)
-    i4 = QMatrix.identity(4)
-    j = QMatrix.block([[z, i4.scale(-1)], [i4, z]])
-    e = QMatrix.diag_blocks(i4, i4.scale(-1))
-    return g, assemble_cps(g, j, e)
+    return g, assemble_cps(g, *_standard_cps(4))
 
 
 def heisenberg_complex_examples():

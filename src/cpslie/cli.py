@@ -8,6 +8,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from .catalog import nonexistence_report, verify_table
 from .connection import (
@@ -64,10 +66,6 @@ def _load_cps(args) -> CPS:
     return assemble_cps(algebra, j, e)
 
 
-def _invalid(args, exc: StructureError) -> int:
-    return _emit(args, {"error": "invalid CPS", "failures": exc.failures}, False)
-
-
 def _emit(args, payload, ok: bool) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -78,21 +76,17 @@ def _emit(args, payload, ok: bool) -> int:
     return 0 if ok else 1
 
 
-def _cmd_parse(args) -> int:
+def _parse(salamon: str, seed: int):
     try:
-        g = parse_salamon(args.salamon)
+        g = parse_salamon(salamon)
     except SalamonError as exc:
-        return _emit(args, {"error": str(exc), "position": exc.position}, False)
+        return {"error": str(exc), "position": exc.position}, False
     payload = algebra_to_json(g)
     payload["salamon"] = emit_salamon(g)
-    return _emit(args, payload, True)
+    return payload, True
 
 
-def _cmd_check_structure(args) -> int:
-    try:
-        cps = _load_cps(args)
-    except StructureError as exc:
-        return _emit(args, {"valid": False, "failures": exc.failures}, False)
+def _check_structure(cps: CPS, seed: int):
     types = double_type(cps)
     payload = {
         "valid": True,
@@ -101,17 +95,13 @@ def _cmd_check_structure(args) -> int:
         "plus": cps.plus.to_json(),
         "minus": cps.minus.to_json(),
     }
-    return _emit(args, payload, True)
+    return payload, True
 
 
-def _cmd_connection_report(args) -> int:
-    try:
-        cps = _load_cps(args)
-    except StructureError as exc:
-        return _invalid(args, exc)
+def _connection_report(cps: CPS, seed: int):
     conn = cp_connection(cps)
     rep = curvature(conn)
-    cert = connection_is_complete_certificate(conn, seed=args.seed)
+    cert = connection_is_complete_certificate(conn, seed=seed)
     payload = {
         "torsion_free": not torsion_defect(conn),
         "parallel": {
@@ -132,19 +122,15 @@ def _cmd_connection_report(args) -> int:
         and payload["traceless"]
         and cert.verdict
     )
-    return _emit(args, payload, ok)
+    return payload, ok
 
 
-def _cmd_verify_catalog(args) -> int:
-    report = verify_table(seed=args.seed)
-    return _emit(args, report.to_json(), report.passed)
+def _verify_catalog(_, seed: int):
+    report = verify_table(seed=seed)
+    return report.to_json(), report.passed
 
 
-def _cmd_hypercomplex(args) -> int:
-    try:
-        cps = _load_cps(args)
-    except StructureError as exc:
-        return _invalid(args, exc)
+def _hypercomplex(cps: CPS, seed: int):
     ghat, h = lift_cps(cps)
     base = cp_connection(cps)
     ob = obata_connection(ghat, h, base)
@@ -159,26 +145,50 @@ def _cmd_hypercomplex(args) -> int:
         "obata_flat": ob_rep.is_flat,
         "obata_ricci_flat": ob_rep.is_ricci_flat,
     }
-    ok = ob_rep.is_ricci_flat and (ob_rep.is_flat == base_rep.is_flat)
-    return _emit(args, payload, ok)
+    return payload, ob_rep.is_ricci_flat and (ob_rep.is_flat == base_rep.is_flat)
 
 
-def _cmd_geodesic(args) -> int:
+def _geodesic(cps: CPS, seed: int):
+    cert = quadratic_geodesic_certificate(cp_connection(cps), seed=seed)
+    return cert.to_json(), cert.verdict
+
+
+def _nonexistence(salamon: str, seed: int):
     try:
-        cps = _load_cps(args)
-    except StructureError as exc:
-        return _invalid(args, exc)
-    conn = cp_connection(cps)
-    cert = quadratic_geodesic_certificate(conn, seed=args.seed)
-    return _emit(args, cert.to_json(), cert.verdict)
-
-
-def _cmd_nonexistence(args) -> int:
-    try:
-        report = nonexistence_report(args.salamon, seed=args.seed)
+        report = nonexistence_report(salamon, seed=seed)
     except ValueError as exc:
-        return _emit(args, {"error": str(exc)}, False)
-    return _emit(args, report.to_json(), report.passed)
+        return {"error": str(exc)}, False
+    return report.to_json(), report.passed
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: `run(subject, seed)` returns (payload, ok).
+
+    The subject is the positional tuple string ("salamon"), the validated
+    CPS named by --cps and --algebra ("cps"), or None.  A CPS that fails
+    validation is reported as `invalid` plus its "failures".
+    """
+
+    help: str
+    run: Callable
+    subject: str | None = None
+    invalid: dict | None = None
+
+
+INVALID_CPS = {"error": "invalid CPS"}
+
+COMMANDS = {
+    "parse": Command("parse a tuple string and print the bracket table", _parse, "salamon"),
+    "check-structure": Command("validate a CPS", _check_structure, "cps", {"valid": False}),
+    "connection-report": Command(
+        "torsion, parallelism, curvature, completeness", _connection_report, "cps", INVALID_CPS
+    ),
+    "verify-catalog": Command("verify the full classification table", _verify_catalog),
+    "hypercomplex": Command("lift a CPS to the doubled algebra", _hypercomplex, "cps", INVALID_CPS),
+    "geodesic": Command("numeric quadratic-geodesic certificate", _geodesic, "cps", INVALID_CPS),
+    "nonexistence": Command("obstruction report for an excluded algebra", _nonexistence, "salamon"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,56 +197,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify complex product structures on nilpotent Lie algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, cps_required=True):
-        p.add_argument("--algebra", help="tuple string or JSON algebra file")
-        p.add_argument("--cps", required=cps_required, help="JSON file with J and E matrices")
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.subject == "salamon":
+            p.add_argument("salamon")
+        elif cmd.subject == "cps":
+            p.add_argument("--algebra", help="tuple string or JSON algebra file")
+            p.add_argument("--cps", required=True, help="JSON file with J and E matrices")
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", default=True, help=argparse.SUPPRESS)
-
-    p = sub.add_parser("parse", help="parse a tuple string and print the bracket table")
-    p.add_argument("salamon")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", default=True, help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("check-structure", help="validate a CPS")
-    common(p)
-    p.set_defaults(func=_cmd_check_structure)
-
-    p = sub.add_parser("connection-report", help="torsion, parallelism, curvature, completeness")
-    common(p)
-    p.set_defaults(func=_cmd_connection_report)
-
-    p = sub.add_parser("verify-catalog", help="verify the full classification table")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", default=True, help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_verify_catalog)
-
-    p = sub.add_parser("hypercomplex", help="lift a CPS to the doubled algebra")
-    common(p)
-    p.set_defaults(func=_cmd_hypercomplex)
-
-    p = sub.add_parser("geodesic", help="numeric quadratic-geodesic certificate")
-    common(p)
-    p.set_defaults(func=_cmd_geodesic)
-
-    p = sub.add_parser("nonexistence", help="obstruction report for an excluded algebra")
-    p.add_argument("salamon")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", default=True, help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_nonexistence)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.command]
     try:
-        return args.func(args)
+        if cmd.subject == "cps":
+            try:
+                subject = _load_cps(args)
+            except StructureError as exc:
+                return _emit(args, {**cmd.invalid, "failures": exc.failures}, False)
+        else:
+            subject = getattr(args, cmd.subject) if cmd.subject else None
+        return _emit(args, *cmd.run(subject, args.seed))
     except (SalamonError, ValueError, OSError) as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
         return 1

@@ -36,7 +36,11 @@ class TorsionError(ValueError):
 
 
 class Connection:
-    """gamma[i][j] = nabla_{e_i} e_j as a coordinate vector, held as a SparseTensor."""
+    """gamma[i][j] = nabla_{e_i} e_j as a coordinate vector, held as a SparseTensor.
+
+    A flat torsion-free connection is a left-symmetric product
+    x . y = nabla_x y; `product`, `left_mult` and `right_mult` give that view.
+    """
 
     __slots__ = ("algebra", "tensor")
 
@@ -50,7 +54,7 @@ class Connection:
         object.__setattr__(self, "tensor", t)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Connection is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def gamma(self) -> tuple[tuple[Vector, ...], ...]:
@@ -65,6 +69,13 @@ class Connection:
 
     def apply(self, x, y) -> Vector:
         return self.tensor.contract(x, y)
+
+    product = apply
+    left_mult = nabla
+
+    def right_mult(self, j: int) -> QMatrix:
+        """Matrix of x -> x . e_j."""
+        return QMatrix.from_cols([self.gamma[i][j] for i in range(self.algebra.dim)])
 
     def __eq__(self, other):
         return (
@@ -216,39 +227,20 @@ def ricci_via_trace_identity(conn: Connection) -> QMatrix:
     return QMatrix(rows, cols=n)
 
 
-class LSAProduct:
-    """Left-symmetric product x . y on a Lie algebra, stored like a connection."""
+class LSAProduct(Connection):
+    """A Connection whose constructor also checks the left-symmetric algebra axioms."""
 
-    __slots__ = ("algebra", "tensor")
+    __slots__ = ()
 
     def __init__(self, algebra: LieAlgebra, gamma, check: bool = True):
-        """`gamma` is a dim x dim table of dim-vectors, or a SparseTensor."""
-        t = gamma if isinstance(gamma, SparseTensor) else SparseTensor(algebra.dim, gamma)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "tensor", t)
+        super().__init__(algebra, gamma)
         if check:
             bad = lsa_defects(self)
             if bad["left_symmetry"] or bad["compatibility"]:
                 raise ValueError(f"not a left-symmetric product: {bad}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LSAProduct is immutable")
 
-    @property
-    def gamma(self) -> tuple[tuple[Vector, ...], ...]:
-        return self.tensor.table
-
-    def product(self, x, y) -> Vector:
-        return self.tensor.contract(x, y)
-
-    def left_mult(self, i: int) -> QMatrix:
-        return self.tensor.slice_matrix(basis_vec(self.algebra.dim, i))
-
-    def right_mult(self, j: int) -> QMatrix:
-        return QMatrix.from_cols([self.gamma[i][j] for i in range(self.algebra.dim)])
-
-
-def lsa_defects(p: LSAProduct) -> dict:
+def lsa_defects(p: Connection) -> dict:
     """Left-symmetry and bracket-compatibility defects on basis triples/pairs."""
     g = p.algebra
     n = g.dim
@@ -292,7 +284,7 @@ def restrict_to_lsa(cps: CPS, side: str) -> LSAProduct:
     return LSAProduct(little, gamma)
 
 
-def lsa_is_complete(p: LSAProduct) -> bool:
+def lsa_is_complete(p: Connection) -> bool:
     """Completeness via the right-multiplication trace criterion.
 
     All right multiplications are nilpotent iff tr(y -> y.x) = 0 for
@@ -417,12 +409,7 @@ def connection_is_complete_certificate(conn: Connection, seed: int = 0) -> Compl
     """
     rep = curvature(conn)
     if rep.is_flat and rep.torsion_free:
-        p = connection_as_lsa(conn)
-        n = conn.algebra.dim
-        rights = [p.right_mult(j) for j in range(n)]
-        verdict = all(r.trace() == 0 for r in rights) and all(
-            is_nilpotent_matrix(r) for r in rights
-        )
+        verdict = lsa_is_complete(connection_as_lsa(conn))
         return CompletenessReport(
             method="segal-trace",
             verdict=verdict,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .connection import Connection, parallel_defect, torsion_defect
 from .lie import LieAlgebra, complexify_realified
-from .linalg import QMatrix, SparseTensor
+from .linalg import QMatrix
 from .structures import (
     CPS,
     Endo,
@@ -84,11 +84,7 @@ def obata_connection(g_hat: LieAlgebra, h: HypercomplexStructure, base: Connecti
     n = base.algebra.dim
     if g_hat.dim != 2 * n:
         raise ValueError("doubled algebra does not match the base connection")
-    zero = QMatrix.zeros(n, n)
-    nablas = [base.nabla(i) for i in range(n)]
-    plain = [QMatrix.block([[m, zero], [zero, m]]) for m in nablas]
-    hatted = [QMatrix.block([[zero, -m], [m, zero]]) for m in nablas]
-    conn = Connection(g_hat, SparseTensor.from_slices(plain + hatted))
+    conn = Connection(g_hat, base.tensor.realified_double())
     if torsion_defect(conn):
         raise LiftError("extended connection has torsion")
     for name, j in (("J1", h.j1), ("J2", h.j2), ("J3", h.j3)):

@@ -73,6 +73,8 @@ class LieAlgebra:
             if not 0 <= i < j < dim:
                 raise ValueError(f"bracket pair ({i},{j}) must satisfy 0 <= i < j < dim")
             for k, c in coeffs.items():
+                if not 0 <= k < dim:
+                    raise ValueError(f"coefficient index {k} of pair ({i},{j}) must satisfy 0 <= k < dim")
                 table[i][j][k] += q(c)
                 table[j][i][k] -= q(c)
         return cls(dim, table, check=check)
@@ -260,27 +262,7 @@ def complexify_realified(g: LieAlgebra) -> LieAlgebra:
 
     [x, y] is as in g, [x^, y^] = -[x, y], and [x^, y] = [x, y^] = ([x, y])^.
     """
-    n = g.dim
-    brackets: dict[tuple[int, int], dict[int, Q]] = {}
-
-    def put(i, j, coeffs):
-        if i == j or not coeffs:
-            return
-        if i < j:
-            brackets[(i, j)] = coeffs
-        else:
-            brackets[(j, i)] = {k: -c for k, c in coeffs.items()}
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = g.table[i][j]
-            plain = {k: c for k, c in enumerate(w) if c != 0}
-            hatted = {n + k: c for k, c in enumerate(w) if c != 0}
-            put(i, j, dict(plain))
-            put(n + i, n + j, {k: -c for k, c in plain.items()})
-            put(n + i, j, dict(hatted))
-            put(i, n + j, dict(hatted))
-    return LieAlgebra.from_brackets(2 * n, brackets)
+    return LieAlgebra(2 * g.dim, g.structure.realified_double())
 
 
 def change_basis(g: LieAlgebra, p: QMatrix) -> LieAlgebra:
@@ -304,10 +286,16 @@ def algebra_to_json(g: LieAlgebra) -> dict:
     return {"dim": g.dim, "brackets": items}
 
 
+def _json_int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
 def algebra_from_json(data: Mapping) -> LieAlgebra:
-    dim = int(data["dim"])
+    dim = _json_int(data["dim"], "dim")
     brackets: dict[tuple[int, int], dict[int, Q]] = {}
     for item in data.get("brackets", []):
-        i, j = int(item["i"]) - 1, int(item["j"]) - 1
+        i, j = _json_int(item["i"], "i") - 1, _json_int(item["j"], "j") - 1
         brackets[(i, j)] = {int(k) - 1: q(v) for k, v in item["coeffs"].items()}
     return LieAlgebra.from_brackets(dim, brackets)

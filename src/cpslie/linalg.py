@@ -335,6 +335,31 @@ class SparseTensor:
         t._set(len(mats), den, terms, None)
         return t
 
+    def realified_double(self) -> "SparseTensor":
+        """The 2n tensor whose slice i is diag(M_i, M_i) and slice n+i is
+        [[0, -M_i], [M_i, 0]], for M_i = slice_matrix(e_i).
+
+        On a Lie bracket this is the complexification viewed as a real
+        algebra on {e_i} + {e_i^}; on a connection it is the blockwise
+        extension to that algebra.
+        """
+        n = self.dim
+
+        def hat(w):
+            return tuple((k + n, c) for k, c in w)
+
+        def neg(w):
+            return tuple((k, -c) for k, c in w)
+
+        plain = tuple(row + tuple((n + j, hat(w)) for j, w in row) for row in self.terms)
+        hatted = tuple(
+            tuple((j, hat(w)) for j, w in row) + tuple((n + j, neg(w)) for j, w in row)
+            for row in self.terms
+        )
+        t = object.__new__(SparseTensor)
+        t._set(2 * n, self.den, plain + hatted, None)
+        return t
+
     def dense(self) -> list[list[list[int]]]:
         """The integer numerators of every entry, over `den`."""
         n = self.dim

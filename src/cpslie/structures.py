@@ -229,10 +229,6 @@ def ascending_series(g: LieAlgebra, j: Endo) -> list[Subspace]:
     return series
 
 
-def is_nilpotent_complex_structure(g: LieAlgebra, j: Endo) -> bool:
-    return ascending_series(g, j)[-1].is_full()
-
-
 def find_central_invariant_ideal(cps: CPS) -> Subspace | None:
     """Largest J- and E-invariant subspace of the center, if dim >= 2."""
     w = center(cps.algebra)
@@ -278,14 +274,13 @@ def cps_obstructions(g: LieAlgebra) -> list[Obstruction]:
 
 
 def split_coordinates(cps: CPS) -> tuple[QMatrix, QMatrix, QMatrix]:
-    """(S, pi_plus, pi_minus): S columns are plus then minus basis vectors."""
-    n = cps.algebra.dim
-    p, m = cps.plus.dim, cps.minus.dim
+    """(S, pi_plus, pi_minus): S columns are plus then minus basis vectors.
+
+    E^2 = Id makes the projections onto the eigenspaces (Id +- E) / 2.
+    """
     s = QMatrix.from_cols(list(cps.plus.basis_vectors()) + list(cps.minus.basis_vectors()))
-    sinv = s.inverse()
-    dplus = QMatrix.diag_blocks(QMatrix.identity(p), QMatrix.zeros(m, m))
-    dminus = QMatrix.diag_blocks(QMatrix.zeros(p, p), QMatrix.identity(m))
-    return s, s @ dplus @ sinv, s @ dminus @ sinv
+    ident = QMatrix.identity(cps.algebra.dim)
+    return s, (ident + cps.e).scale(Q(1, 2)), (ident - cps.e).scale(Q(1, 2))
 
 
 def rho_matrix(cps: CPS, x: Vector) -> QMatrix:

@@ -161,6 +161,33 @@ def test_verify_witness_rejects_singular_basis_change():
     assert not report.passed
 
 
+def test_witness_build_failures_name_their_stage(monkeypatch):
+    import dataclasses
+
+    import cpslie.catalog as catalog
+    from cpslie.structures import StructureError
+
+    row = next(e for e in table_rows() if e.salamon == "(0,0,0,0,12,13)")
+    w = next(w for w in row.witnesses if w.rotation is not None)
+
+    broken = dataclasses.replace(w, family="Nope")
+    report = verify_witness(row, broken)
+    assert [(s, ok) for s, ok, _ in report.stages] == [("build", False)]
+    with pytest.raises(ValueError, match="fails build"):
+        witness_structure(broken)
+
+    def no_rotation(cps, c):
+        raise StructureError("E_integrability", "rotated product is not integrable")
+
+    monkeypatch.setattr(catalog, "rotate_product", no_rotation)
+    stages = {s: (ok, d) for s, ok, d in verify_witness(row, w).stages}
+    assert stages["build"] == (True, "")
+    assert stages["cps_valid"] == (False, "rotation: E_integrability: rotated product is not integrable")
+    assert stages["flatness"] == (False, "no CPS to inspect")
+    with pytest.raises(ValueError, match="fails cps_valid: rotation"):
+        witness_structure(w)
+
+
 def test_verify_table_passes():
     report = verify_table()
     assert report.passed

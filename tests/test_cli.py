@@ -180,14 +180,25 @@ def test_malformed_cps_file_gives_json_error(capsys, tmp_path, cps_file, defect)
         assert set(_strict_json(lines[0])) == {"error"}
 
 
-def test_malformed_algebra_file_gives_json_error(capsys, tmp_path, cps_file):
+@pytest.mark.parametrize(
+    "algebra_data",
+    [
+        {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": 0.5}}]},
+        {"dim": 6.7, "brackets": []},
+        {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"0": "1"}}]},
+        {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"99": "1"}}]},
+        {"dim": 6, "brackets": [{"i": 1, "j": 2.5, "coeffs": {"4": "1"}}]},
+    ],
+    ids=["float_coeff", "fractional_dim", "coeff_index_0", "coeff_index_99", "fractional_pair"],
+)
+def test_malformed_algebra_file_gives_json_error(capsys, tmp_path, cps_file, algebra_data):
     with open(cps_file) as fh:
         data = json.load(fh)
     del data["algebra"]
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(data))
     algebra = tmp_path / "algebra.json"
-    algebra.write_text(json.dumps({"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": 0.5}}]}))
+    algebra.write_text(json.dumps(algebra_data))
     code, out = run_cli(capsys, "check-structure", "--algebra", str(algebra), "--cps", str(bare))
     assert code == 1
     assert set(_strict_json(out)) == {"error"}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cpslie.connection import Connection
 from cpslie.lie import LieAlgebra
-from cpslie.linalg import QMatrix, SingularMatrixError
+from cpslie.linalg import QMatrix, SingularMatrixError, SparseTensor
 
 # ----------------------------------------------------------------------
 # reference loops
@@ -216,3 +216,24 @@ def test_connection_apply_matches_reference(table, x, y):
     assert conn.nabla_vector(x).apply(y) == out
     assert conn.gamma == tuple(tuple(tuple(v) for v in row) for row in table)
     assert conn == Connection(LieAlgebra.abelian(3), [[[str(c) for c in v] for v in row] for row in table])
+
+
+def ref_realified_double(table):
+    """T[i][j] for x in g, x^ in the hatted copy: [x^, y^] = -[x, y], [x^, y] = [x, y^] = [x, y]^."""
+    n = len(table)
+    zero = [Q(0)] * n
+    out = [[None] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            v = list(table[i][j])
+            out[i][j] = v + zero
+            out[i][n + j] = out[n + i][j] = zero + v
+            out[n + i][n + j] = [-x for x in v] + zero
+    return out
+
+
+@given(tables(3, antisymmetric=False))
+@settings(max_examples=20, deadline=None)
+def test_realified_double_matches_reference(table):
+    doubled = SparseTensor(3, table).realified_double()
+    assert doubled == SparseTensor(6, ref_realified_double(table))

@@ -310,6 +310,19 @@ def test_rho_iterates_as_projected_ad_powers():
                         assert coords == expected
 
 
+def test_split_projections_match_basis_change():
+    # pi_+- = S diag(Id, 0) S^-1 and S diag(0, Id) S^-1 on every stored witness
+    from cpslie.structures import split_coordinates
+
+    for entry in load_catalog():
+        for w in entry.witnesses:
+            _, cps = witness_structure(w)
+            s, pip, pim = split_coordinates(cps)
+            z, i3 = QMatrix.zeros(3, 3), QMatrix.identity(3)
+            assert pip == s @ QMatrix.diag_blocks(i3, z) @ s.inverse()
+            assert pim == s @ QMatrix.diag_blocks(z, i3) @ s.inverse()
+
+
 def test_heisenberg_derived_lands_in_center():
     # when an eigenspace subalgebra is Heisenberg, its derived line is central
     from cpslie.lie import bracket_subspaces
