@@ -18,7 +18,6 @@ from .connection import (
     curvature,
     parallel_defect,
     quadratic_geodesic_certificate,
-    torsion_defect,
 )
 from .hypercomplex import lift_cps, obata_connection
 from .lie import LieAlgebra, algebra_from_json, algebra_to_json
@@ -103,7 +102,7 @@ def _connection_report(cps: CPS, seed: int):
     rep = curvature(conn)
     cert = connection_is_complete_certificate(conn, seed=seed)
     payload = {
-        "torsion_free": not torsion_defect(conn),
+        "torsion_free": rep.torsion_free,
         "parallel": {
             "J": not parallel_defect(conn, cps.j),
             "E": not parallel_defect(conn, cps.e),
@@ -191,8 +190,15 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises on a usage error, so `main` reports it as JSON; subparsers inherit this."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cpslie",
         description="verify complex product structures on nilpotent Lie algebras",
     )
@@ -210,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cmd = COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        cmd = COMMANDS[args.command]
         if cmd.subject == "cps":
             try:
                 subject = _load_cps(args)

@@ -204,7 +204,7 @@ class Representation:
 
     __slots__ = ("algebra", "space_dim", "action")
 
-    def __init__(self, algebra: LieAlgebra, space_dim: int, action: Sequence[QMatrix], check: bool = True):
+    def __init__(self, algebra: LieAlgebra, space_dim: int, action: Sequence[QMatrix]):
         if len(action) != algebra.dim:
             raise ValueError("one action matrix per basis vector required")
         for a in action:
@@ -213,10 +213,9 @@ class Representation:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "space_dim", space_dim)
         object.__setattr__(self, "action", tuple(action))
-        if check:
-            bad = self.defects()
-            if bad:
-                raise ValueError(f"not a representation; identity fails on pairs {bad[:4]}")
+        bad = self.defects()
+        if bad:
+            raise ValueError(f"not a representation; identity fails on pairs {bad[:4]}")
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
@@ -296,6 +295,13 @@ def algebra_from_json(data: Mapping) -> LieAlgebra:
     dim = _json_int(data["dim"], "dim")
     brackets: dict[tuple[int, int], dict[int, Q]] = {}
     for item in data.get("brackets", []):
-        i, j = _json_int(item["i"], "i") - 1, _json_int(item["j"], "j") - 1
-        brackets[(i, j)] = {int(k) - 1: q(v) for k, v in item["coeffs"].items()}
+        i, j = _json_int(item["i"], "i"), _json_int(item["j"], "j")
+        if not 1 <= i < j <= dim:
+            raise ValueError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
+        coeffs = {}
+        for k, v in item["coeffs"].items():
+            if not 1 <= int(k) <= dim:
+                raise ValueError(f"coefficient index {k} of pair ({i},{j}) must satisfy 1 <= k <= dim")
+            coeffs[int(k) - 1] = q(v)
+        brackets[(i - 1, j - 1)] = coeffs
     return LieAlgebra.from_brackets(dim, brackets)

@@ -18,7 +18,6 @@ from .linalg import (
     annihilator,
     intersect,
     kernel,
-    map_subspace,
     preimage,
     q,
     vec_is_zero,
@@ -140,10 +139,12 @@ def validate_cps(g: LieAlgebra, j: Endo, e: Endo) -> list[str]:
         failures.append("J_integrability")
     if product_integrability_defect(g, e):
         failures.append("E_integrability")
-    plus, minus = eigenspaces(e)
-    if plus.dim != minus.dim:
+    # As E^2 = Id, tr E = dim g+ - dim g-, and Id + E has image g+ and kernel g-,
+    # so J g+ = g- iff the dimensions agree and (Id + E) J (Id + E) = 0
+    unequal = e.trace() != 0
+    if unequal:
         failures.append("eigen_dim")
-    if map_subspace(j, plus) != minus:
+    if unequal or not ((ident + e) @ j @ (ident + e)).is_zero():
         failures.append("minus_is_J_plus")
     return failures
 
@@ -191,17 +192,11 @@ def rotate_product(cps: CPS, c) -> Endo:
 
 
 def rotate_product_rational_angle(cps: CPS, p, qq) -> Endo:
-    """pE + qJE for an exact circle point p^2 + q^2 = 1."""
+    """pE + qJE for an exact circle point p^2 + q^2 = 1; `assemble_cps` validates it."""
     p, qq = q(p), q(qq)
     if p * p + qq * qq != 1:
         raise StructureError("circle", f"p^2 + q^2 = {p * p + qq * qq} != 1")
-    e = cps.e.scale(p) + (cps.j @ cps.e).scale(qq)
-    _require_almost_product(e)
-    if (cps.j @ e) != (e @ cps.j).scale(-1):
-        raise StructureError("anticommute", "rotated product fails to anticommute with J")
-    if product_integrability_defect(cps.algebra, e):
-        raise StructureError("E_integrability", "rotated product is not integrable")
-    return e
+    return cps.e.scale(p) + (cps.j @ cps.e).scale(qq)
 
 
 def ascending_series(g: LieAlgebra, j: Endo) -> list[Subspace]:

@@ -204,6 +204,53 @@ def test_malformed_algebra_file_gives_json_error(capsys, tmp_path, cps_file, alg
     assert set(_strict_json(out)) == {"error"}
 
 
+@pytest.mark.parametrize(
+    "bracket, message",
+    [
+        ({"i": 1, "j": 2, "coeffs": {"0": "1"}}, "coefficient index 0 of pair (1,2)"),
+        ({"i": 2, "j": 1, "coeffs": {"4": "1"}}, "bracket pair (2,1)"),
+    ],
+    ids=["coeff_index_0", "descending_pair"],
+)
+def test_algebra_file_errors_name_one_based_indices(capsys, tmp_path, cps_file, bracket, message):
+    with open(cps_file) as fh:
+        data = json.load(fh)
+    data["algebra"] = {"dim": 6, "brackets": [bracket]}
+    path = tmp_path / "cps.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "check-structure", "--cps", str(path))
+    assert code == 1
+    assert message in _strict_json(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["check-structure"],
+        ["parse", "--json", "(0,0,12)"],
+        ["verify-catalog", "--seed", "x"],
+        ["bogus"],
+    ],
+    ids=["no_command", "no_cps", "unknown_flag", "non_integer_seed", "unknown_command"],
+)
+def test_argument_errors_give_json(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert set(_strict_json(lines[0])) == {"error"}
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: cpslie" in capsys.readouterr().out
+
+
 def test_geodesic_command_fails_closed_on_blow_up(capsys, cps_file, monkeypatch):
     import cpslie.connection as connection
 

@@ -29,7 +29,8 @@ from cpslie.connection import (
     torsion_defect,
 )
 from cpslie.lie import LieAlgebra, ThreeDimType, center, lower_central_series
-from cpslie.linalg import QMatrix, basis_vec, vec
+from cpslie.linalg import QMatrix, basis_vec, vec, vec_sub
+from cpslie.salamon import parse_salamon
 from cpslie.structures import assemble_cps, rotate_product_rational_angle
 
 PARAMS = {"A": 2, "B": 3, "C": 5, "D": 7, "E": 11, "F": 13}
@@ -359,8 +360,57 @@ def test_lsa_constructor_rejects_non_left_symmetric_product():
     gamma = [[(0, 1), (1, 0)], [(1, 0), z]]  # symmetric, so torsion-free
     with pytest.raises(ValueError, match="left-symmetric"):
         LSAProduct(g, gamma)
-    p = LSAProduct(g, gamma, check=False)
+    p = Connection(g, gamma)
     assert lsa_defects(p)["left_symmetry"]
+
+
+def lsa_defects_by_products(p):
+    """Reference: the LSA axioms evaluated product by product on basis triples."""
+    n = p.algebra.dim
+    e = [basis_vec(n, i) for i in range(n)]
+    left = []
+    for i in range(n):
+        for jdx in range(n):
+            for k in range(n):
+                lhs = vec_sub(p.apply(e[i], p.apply(e[jdx], e[k])), p.apply(p.apply(e[i], e[jdx]), e[k]))
+                rhs = vec_sub(p.apply(e[jdx], p.apply(e[i], e[k])), p.apply(p.apply(e[jdx], e[i]), e[k]))
+                if lhs != rhs:
+                    left.append((i, jdx, k))
+    compat = [
+        (i, jdx)
+        for i in range(n)
+        for jdx in range(i + 1, n)
+        if vec_sub(p.apply(e[i], e[jdx]), p.apply(e[jdx], e[i])) != p.algebra.bracket(e[i], e[jdx])
+    ]
+    return {"left_symmetry": left, "compatibility": compat}
+
+
+def test_lsa_defects_match_product_reference():
+    rng = random.Random(2006)
+    algebras = [LieAlgebra.abelian(3), parse_salamon("(0,0,12)"), parse_salamon("(0,0,12,13)")]
+
+    def entry():
+        return Q(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.2 else Q(0)
+
+    seen = set()
+    for trial in range(120):
+        g = algebras[trial % len(algebras)]
+        n = g.dim
+        gamma = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        if trial % 2:
+            # make it torsion-free: e_j . e_i = e_i . e_j - [e_i, e_j]
+            for i in range(n):
+                for jdx in range(i + 1, n):
+                    gamma[jdx][i] = list(vec_sub(gamma[i][jdx], g.table[i][jdx]))
+        p = Connection(g, gamma)
+        expected = lsa_defects_by_products(p)
+        assert lsa_defects(p) == expected
+        seen.add((bool(expected["compatibility"]), bool(expected["left_symmetry"])))
+    # both outcomes of each axiom occur among the random connections
+    assert {c for c, _ in seen} == {l for _, l in seen} == {False, True}
+    lsas = [fried_example()[1]] + [restrict_to_lsa(cps, "plus") for _, cps in heisenberg_complex_examples()]
+    for p in lsas:
+        assert lsa_defects(p) == lsa_defects_by_products(p) == {"left_symmetry": [], "compatibility": []}
 
 
 def test_left_right_nilpotency_equivalence():

@@ -3,6 +3,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cpslie.catalog import (
     eight_dim_example,
@@ -11,7 +13,7 @@ from cpslie.catalog import (
     witness_structure,
 )
 from cpslie.lie import LieAlgebra, ThreeDimType, center
-from cpslie.linalg import QMatrix, Subspace, basis_vec, intersect, map_subspace
+from cpslie.linalg import QMatrix, Subspace, basis_vec, intersect, map_subspace, rank
 from cpslie.salamon import parse_salamon
 from cpslie.structures import (
     StructureError,
@@ -185,6 +187,45 @@ def test_assemble_cps_rejects_commuting_pair():
     with pytest.raises(StructureError):
         assemble_cps(g, j_commuting, e)
     assert validate_cps(g, j, e) == []
+
+
+def eigen_failures_by_subspaces(j, e):
+    """Reference: the eigen-conditions decided on the eigenspaces themselves."""
+    plus, minus = eigenspaces(e)
+    out = []
+    if plus.dim != minus.dim:
+        out.append("eigen_dim")
+    if map_subspace(j, plus) != minus:
+        out.append("minus_is_J_plus")
+    return out
+
+
+@st.composite
+def conjugated_pairs(draw):
+    """A standard J and a +-1-diagonal E other than +-Id, conjugated by one
+    random invertible P (both, or only one of them), so J^2 = -Id and
+    E^2 = Id still hold."""
+    m = draw(st.integers(1, 3))
+    n = 2 * m
+    plus = draw(st.integers(1, n - 1))
+    signs = draw(st.permutations([1] * plus + [-1] * (n - plus)))
+    entry = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    p = QMatrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    assume(rank(p) == n)
+    pinv = p.inverse()
+    j = block_j(m)
+    e = QMatrix([[signs[i] if i == k else 0 for k in range(n)] for i in range(n)])
+    conj_j, conj_e = draw(st.sampled_from(((True, True), (True, False), (False, True))))
+    return (p @ j @ pinv if conj_j else j), (p @ e @ pinv if conj_e else e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjugated_pairs())
+def test_eigen_conditions_match_subspace_reference(pair):
+    j, e = pair
+    failures = validate_cps(LieAlgebra.abelian(j.rows), j, e)
+    eigen = [f for f in failures if f in ("eigen_dim", "minus_is_J_plus")]
+    assert eigen == eigen_failures_by_subspaces(j, e)
 
 
 def test_rotate_product_formulas():
