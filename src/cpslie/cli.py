@@ -16,7 +16,6 @@ from .connection import (
     connection_is_complete_certificate,
     cp_connection,
     curvature,
-    parallel_defect,
     quadratic_geodesic_certificate,
 )
 from .hypercomplex import lift_cps, obata_connection
@@ -98,30 +97,19 @@ def _check_structure(cps: CPS, seed: int):
 
 
 def _connection_report(cps: CPS, seed: int):
-    conn = cp_connection(cps)
-    rep = curvature(conn)
-    cert = connection_is_complete_certificate(conn, seed=seed)
+    # cp_connection raises unless the connection is torsion-free with J and E parallel
+    rep = curvature(cp_connection(cps))
+    cert = connection_is_complete_certificate(rep, seed=seed)
     payload = {
-        "torsion_free": rep.torsion_free,
-        "parallel": {
-            "J": not parallel_defect(conn, cps.j),
-            "E": not parallel_defect(conn, cps.e),
-        },
+        "torsion_free": True,
+        "parallel": {"J": True, "E": True},
         "flat": rep.is_flat,
         "ricci_flat": rep.is_ricci_flat,
         "traceless": rep.traceless,
         "curvature_nonzero_entries": rep.nonzero_entries(),
         "completeness": cert.to_json(),
     }
-    ok = (
-        payload["torsion_free"]
-        and payload["parallel"]["J"]
-        and payload["parallel"]["E"]
-        and payload["ricci_flat"]
-        and payload["traceless"]
-        and cert.verdict
-    )
-    return payload, ok
+    return payload, rep.is_ricci_flat and rep.traceless and cert.verdict
 
 
 def _verify_catalog(_, seed: int):

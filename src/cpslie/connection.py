@@ -96,6 +96,9 @@ def cp_connection(cps: CPS) -> Connection:
 
         nabla_{x+} y+ = -pi+ J [x+, J y+]      nabla_{x+} y- = pi- [x+, y-]
         nabla_{x-} y- = -pi- J [x-, J y-]      nabla_{x-} y+ = pi+ [x-, y+]
+
+    Torsion-freeness and parallelism of J and E are checked here, once,
+    and a failure raises, so callers rely on them without checking again.
     """
     g, j = cps.algebra, cps.j
     _, pip, pim = split_coordinates(cps)
@@ -108,11 +111,11 @@ def cp_connection(cps: CPS) -> Connection:
         am = g.ad_vector(pim.col(i))
         nablas.append(lp @ ap @ rp + pim @ ap @ pim + lm @ am @ rm + pip @ am @ pip)
     conn = Connection(g, SparseTensor.from_slices(nablas))
-    # defining properties, re-verified (sign bugs die here, not downstream)
+    # sign bugs die here, not downstream
     if torsion_defect(conn):
-        raise AssertionError("cp connection came out with torsion")
+        raise TorsionError("cp connection came out with torsion")
     if parallel_defect(conn, cps.j) or parallel_defect(conn, cps.e):
-        raise AssertionError("cp connection fails to parallelize J or E")
+        raise ValueError("cp connection fails to parallelize J or E")
     return conn
 
 
@@ -148,12 +151,12 @@ def parallel_defect(conn: Connection, a: Endo) -> list[tuple[int, int, Vector]]:
 
 @dataclass(frozen=True)
 class CurvatureReport:
+    connection: Connection
     r: dict  # {(i, j): QMatrix} for i < j; R(e_j, e_i) = -R(e_i, e_j)
     ricci: QMatrix
     is_flat: bool
     is_ricci_flat: bool
     traceless: bool
-    torsion_free: bool
 
     def operator(self, i: int, j: int) -> QMatrix:
         if i == j:
@@ -197,12 +200,12 @@ def curvature(conn: Connection) -> CurvatureReport:
         ricci_rows.append(acc)
     ricci = _matrix(ricci_rows, den, n)
     return CurvatureReport(
+        connection=conn,
         r=r,
         ricci=ricci,
         is_flat=is_flat,
         is_ricci_flat=ricci.is_zero(),
         traceless=all(m.trace() == 0 for m in nablas),
-        torsion_free=not torsion_defect(conn),
     )
 
 
@@ -392,14 +395,14 @@ def quadratic_geodesic_certificate(conn: Connection, seed: int = 0) -> Completen
     )
 
 
-def connection_is_complete_certificate(conn: Connection, seed: int = 0) -> CompletenessReport:
-    """Completeness certificate for a cp connection.
+def connection_is_complete_certificate(rep: CurvatureReport, seed: int = 0) -> CompletenessReport:
+    """Completeness certificate for the connection of a curvature report.
 
-    Flat connections get the exact trace argument (they are LSA
-    structures); non-flat ones get the numeric quadratic-geodesic fit.
+    Flat torsion-free connections get the exact trace argument (they are
+    LSA structures); the others get the numeric quadratic-geodesic fit.
     """
-    rep = curvature(conn)
-    if rep.is_flat and rep.torsion_free:
+    conn = rep.connection
+    if rep.is_flat and not torsion_defect(conn):
         verdict = lsa_is_complete(conn)
         return CompletenessReport(
             method="segal-trace",

@@ -13,15 +13,10 @@ from dataclasses import dataclass
 from .connection import Connection, parallel_defect, torsion_defect
 from .lie import LieAlgebra, complexify_realified
 from .linalg import QMatrix
-from .structures import (
-    CPS,
-    Endo,
-    complex_integrability_defect,
-    is_abelian_complex,
-)
+from .structures import CPS, Endo, _integrability_defect, is_abelian_complex
 
 
-class LiftError(AssertionError):
+class LiftError(ValueError):
     """A lift invariant failed; this signals a sign-convention bug."""
 
 
@@ -50,7 +45,7 @@ def validate_hypercomplex(g: LieAlgebra, j1: Endo, j2: Endo, j3: Endo) -> list[s
     if (j2 @ j1) != j3.scale(-1):
         failures.append("anticommute")
     for name, j in squares_ok:
-        if complex_integrability_defect(g, j):
+        if _integrability_defect(g, j, 1):
             failures.append(f"{name}_integrability")
     return failures
 

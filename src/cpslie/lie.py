@@ -298,6 +298,8 @@ def algebra_from_json(data: Mapping) -> LieAlgebra:
         i, j = _json_int(item["i"], "i"), _json_int(item["j"], "j")
         if not 1 <= i < j <= dim:
             raise ValueError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
+        if not isinstance(item["coeffs"], dict):
+            raise ValueError(f"coeffs of pair ({i},{j}) must be an object mapping indices to values")
         coeffs = {}
         for k, v in item["coeffs"].items():
             if not 1 <= int(k) <= dim:

@@ -19,7 +19,7 @@ equal subspaces compare (and hash) identically; the row reduction itself
 is fraction free.
 
 Outside input goes through `q`, which accepts ints, strings and
-Fractions and rejects everything else (floats in particular).
+Fractions and rejects everything else (floats and bools in particular).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def q(x) -> Q:
     """Coerce an int, string ("p/q" or "p"), or Fraction to Fraction."""
     if isinstance(x, Q):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Q(x)
     raise TypeError(f"not a rational scalar: {x!r}")
 
@@ -278,6 +278,8 @@ class QMatrix:
 
     @classmethod
     def from_json(cls, data, cols: int | None = None) -> "QMatrix":
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise TypeError("a JSON matrix must be a list of row lists")
         return cls(data, cols=cols)
 
 

@@ -35,12 +35,8 @@ class StructureError(ValueError):
         super().__init__(f"{code}: {message}")
 
 
-def is_almost_complex(j: Endo) -> bool:
-    return j.is_square() and (j @ j) == QMatrix.identity(j.rows).scale(-1)
-
-
 def _require_almost_complex(j: Endo):
-    if not is_almost_complex(j):
+    if not j.is_square() or (j @ j) != QMatrix.identity(j.rows).scale(-1):
         raise StructureError("J_square", "J^2 = -Id fails")
 
 
@@ -55,6 +51,7 @@ def _require_almost_product(e: Endo):
 def _integrability_defect(g: LieAlgebra, a: Endo, sign: int) -> list[tuple[int, int, Vector]]:
     """Pairs violating A[x,y] = [Ax,y] + [x,Ay] + sign * A[Ax,Ay].
 
+    A must already satisfy A^2 = -sign * Id; this routine does not check it.
     Column y of A ad(e_i) - ad(A e_i) - ad(e_i) A - sign * A ad(A e_i) A is
     the defect on the pair (e_i, e_y).
     """
@@ -86,7 +83,7 @@ def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:
     _require_almost_complex(j)
     if any(g.ad_vector(j.col(i)) @ j != g.ad(i) for i in range(g.dim)):
         return False
-    if complex_integrability_defect(g, j):
+    if _integrability_defect(g, j, 1):
         raise StructureError("J_integrability", "an abelian J must be integrable")
     return True
 
@@ -135,9 +132,9 @@ def validate_cps(g: LieAlgebra, j: Endo, e: Endo) -> list[str]:
         return failures
     if (j @ e) != (e @ j).scale(-1):
         failures.append("anticommute")
-    if complex_integrability_defect(g, j):
+    if _integrability_defect(g, j, 1):
         failures.append("J_integrability")
-    if product_integrability_defect(g, e):
+    if _integrability_defect(g, e, -1):
         failures.append("E_integrability")
     # As E^2 = Id, tr E = dim g+ - dim g-, and Id + E has image g+ and kernel g-,
     # so J g+ = g- iff the dimensions agree and (Id + E) J (Id + E) = 0
@@ -158,8 +155,8 @@ def assemble_cps(g: LieAlgebra, j: Endo, e: Endo) -> CPS:
     failures = validate_cps(g, j, e)
     if failures:
         raise StructureError(failures[0], f"CPS invalid: {failures}", failures)
-    plus, minus = eigenspaces(e)
-    return CPS(g, j, e, plus, minus)
+    ident = QMatrix.identity(g.dim)
+    return CPS(g, j, e, kernel(e - ident), kernel(e + ident))
 
 
 def cps_from_split(g: LieAlgebra, j: Endo, plus_vectors, minus_vectors) -> CPS:

@@ -161,13 +161,17 @@ def _strict_json(text):
 
 @pytest.mark.parametrize(
     "defect",
-    ["float_entry", "no_J", "no_E"],
+    ["float_entry", "no_J", "no_E", "bool_entry", "string_row"],
 )
 def test_malformed_cps_file_gives_json_error(capsys, tmp_path, cps_file, defect):
     with open(cps_file) as fh:
         data = json.load(fh)
     if defect == "float_entry":
         data["J"]["matrix"][0][1] = 1.0
+    elif defect == "bool_entry":
+        data["E"]["matrix"] = [[True if x == "1" else x for x in row] for row in data["E"]["matrix"]]
+    elif defect == "string_row":
+        data["E"]["matrix"][0] = "".join(data["E"]["matrix"][0])
     else:
         del data[defect[-1]]
     path = tmp_path / "malformed.json"
@@ -188,8 +192,18 @@ def test_malformed_cps_file_gives_json_error(capsys, tmp_path, cps_file, defect)
         {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"0": "1"}}]},
         {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"99": "1"}}]},
         {"dim": 6, "brackets": [{"i": 1, "j": 2.5, "coeffs": {"4": "1"}}]},
+        {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": [1]}]},
+        {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": "12"}]},
     ],
-    ids=["float_coeff", "fractional_dim", "coeff_index_0", "coeff_index_99", "fractional_pair"],
+    ids=[
+        "float_coeff",
+        "fractional_dim",
+        "coeff_index_0",
+        "coeff_index_99",
+        "fractional_pair",
+        "coeffs_list",
+        "coeffs_string",
+    ],
 )
 def test_malformed_algebra_file_gives_json_error(capsys, tmp_path, cps_file, algebra_data):
     with open(cps_file) as fh:
@@ -310,3 +324,107 @@ def test_default_json_is_pinned(capsys, tmp_path, cps_file, case):
         del data["details"]["max_relative_residual"]
         out = json.dumps(data, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case], out
+
+
+@pytest.mark.parametrize(
+    "command, target, stub",
+    [
+        ("connection-report", "cpslie.connection.torsion_defect", lambda conn: [(0, 1, (0,) * 6)]),
+        ("hypercomplex", "cpslie.hypercomplex.torsion_defect", lambda conn: [(0, 1, (0,) * 12)]),
+        ("hypercomplex", "cpslie.hypercomplex.validate_hypercomplex", lambda g, *js: ["J1_square"]),
+    ],
+    ids=["cp_connection", "obata_connection", "lift_cps"],
+)
+def test_failed_construction_check_gives_json_error(capsys, cps_file, monkeypatch, command, target, stub):
+    monkeypatch.setattr(target, stub)
+    code, out = run_cli(capsys, command, "--cps", cps_file)
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert set(_strict_json(lines[0])) == {"error"}
+
+
+@pytest.fixture
+def nonflat_cps_file(tmp_path):
+    """The stored non-flat (0,0,0,12,14,24) witness as a CPS file."""
+    from cpslie.catalog import load_catalog, witness_structure
+    from cpslie.lie import algebra_to_json
+
+    entry = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,14,24)")
+    g, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
+    path = tmp_path / "nonflat.json"
+    path.write_text(
+        json.dumps(
+            {"algebra": algebra_to_json(g), "J": {"matrix": cps.j.to_json()}, "E": {"matrix": cps.e.to_json()}}
+        )
+    )
+    return str(path)
+
+
+# Work per command: (squarings, curvature, torsion_defect, parallel_defect)
+# calls.  A squaring is a product of J, E or a lifted J1, J2, J3 with itself:
+# `validate_cps` squares J and E once and `validate_hypercomplex` each Jk
+# once.  Torsion and parallelism are checked only when `cp_connection` and
+# `obata_connection` build a connection; the one extra torsion check of
+# connection-report guards the exact completeness certificate and runs only
+# on a flat connection.
+WORK = {
+    "check-structure": (2, 0, 0, 0),
+    "connection-report": (2, 1, 1, 2),
+    "hypercomplex": (5, 2, 2, 5),
+    "geodesic": (2, 0, 1, 2),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WORK))
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "nonflat"])
+def test_each_identity_is_checked_once(capsys, monkeypatch, request, command, flat):
+    import sys
+
+    import cpslie.connection as connection
+    from cpslie.cli import _algebra_from_data
+    from cpslie.hypercomplex import lift_cps
+    from cpslie.linalg import QMatrix
+    from cpslie.structures import assemble_cps
+
+    path = request.getfixturevalue("cps_file" if flat else "nonflat_cps_file")
+    with open(path) as fh:
+        data = json.load(fh)
+    j, e = (QMatrix.from_json(data[k]["matrix"]) for k in "JE")
+    _, h = lift_cps(assemble_cps(_algebra_from_data(data["algebra"]), j, e))
+    squared = {j, e, h.j1, h.j2, h.j3}
+
+    counts = dict.fromkeys(("squarings", "curvature", "torsion_defect", "parallel_defect"), 0)
+    matmul = QMatrix.__matmul__
+
+    def counted_matmul(a, b):
+        if a == b and a in squared:
+            counts["squarings"] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(QMatrix, "__matmul__", counted_matmul)
+    # a short RK4 horizon keeps the test fast; the integration does none of the counted work
+    integrate = connection.integrate_geodesics
+    monkeypatch.setattr(connection, "integrate_geodesics", lambda conn, initial: integrate(conn, initial, t_max=0.1))
+    for name in ("curvature", "torsion_defect", "parallel_defect"):
+        real = getattr(connection, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "cpslie" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+
+    code, _ = run_cli(capsys, command, "--cps", path)
+    assert code == 0
+    squarings, curvatures, torsions, parallels = WORK[command]
+    if command == "connection-report" and flat:
+        torsions += 1
+    assert counts == {
+        "squarings": squarings,
+        "curvature": curvatures,
+        "torsion_defect": torsions,
+        "parallel_defect": parallels,
+    }

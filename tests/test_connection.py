@@ -205,7 +205,14 @@ def test_curvature_still_computed_with_torsion():
     h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
     zero_conn = Connection(h3, [[(0, 0, 0)] * 3 for _ in range(3)])
     rep = curvature(zero_conn)
-    assert rep.is_flat and not rep.torsion_free
+    assert rep.is_flat and torsion_defect(zero_conn)
+
+
+def test_flat_connection_with_torsion_gets_the_geodesic_certificate():
+    # a flat connection is an LSA only when torsion-free, so the exact branch is guarded
+    h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
+    zero_conn = Connection(h3, [[(0, 0, 0)] * 3 for _ in range(3)])
+    assert connection_is_complete_certificate(curvature(zero_conn)).method == "quadratic-geodesic"
 
 
 def test_abelian_cps_on_two_step_algebras_is_flat():
@@ -269,18 +276,18 @@ def test_lsa_completeness_counterexample():
 def test_completeness_certificates_by_case():
     # flat quotient-R4 witness: exact trace argument
     _, cps = build_family("R4_10", {"A1": 1, "C2": 2})
-    cert = connection_is_complete_certificate(cp_connection(cps))
+    cert = connection_is_complete_certificate(curvature(cp_connection(cps)))
     assert cert.method == "segal-trace" and cert.verdict
 
     # non-flat (110) witness: numeric quadratic fit
     _, cps = build_family("H3R_10", {"A": 1, "F": 1})
-    cert = connection_is_complete_certificate(cp_connection(cps))
+    cert = connection_is_complete_certificate(curvature(cp_connection(cps)))
     assert cert.method == "quadratic-geodesic" and cert.verdict
     assert cert.details["max_relative_residual"] <= 1e-6
 
     # flat (100) slice AF = CE: exact certificate again
     _, cps = build_family("H3R_00", {"A": 2, "F": 3, "C": 2, "E": 3})
-    cert = connection_is_complete_certificate(cp_connection(cps))
+    cert = connection_is_complete_certificate(curvature(cp_connection(cps)))
     assert cert.method == "segal-trace" and cert.verdict
 
 
