@@ -15,7 +15,7 @@ Grammar (whitespace ignored between tokens):
 
 from __future__ import annotations
 
-from .lie import LieAlgebra
+from .lie import JacobiError, LieAlgebra
 from .linalg import Q
 
 
@@ -118,7 +118,14 @@ def parse_salamon(text: str) -> LieAlgebra:
         pair: {k: c for k, c in coeffs.items() if c != 0}
         for pair, coeffs in brackets.items()
     }
-    return LieAlgebra.from_brackets(dim, brackets)
+    try:
+        return LieAlgebra.from_brackets(dim, brackets)
+    except JacobiError as exc:
+        # (d d e^k)(x, y, z) = e^k(Jacobiator(x, y, z)), so the lowest coordinate
+        # a defect reaches is the first slot whose entry breaks d^2 = 0
+        k = min(m for *_, v in exc.defects for m, c in enumerate(v) if c)
+        _, _, _, at = entries[k][0]
+        raise SalamonError(f"{exc}; d d e^{k + 1} != 0", at) from None
 
 
 def emit_salamon(g: LieAlgebra) -> str:

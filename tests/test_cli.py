@@ -283,6 +283,33 @@ def test_geodesic_command_fails_closed_on_blow_up(capsys, cps_file, monkeypatch)
     assert data["details"]["max_relative_residual"] is None
 
 
+def test_exact_commands_do_not_import_numpy(cps_file):
+    """numpy is loaded only by the commands that integrate geodesics."""
+    import os
+    import subprocess
+    import sys
+
+    import cpslie
+
+    script = f"""
+import contextlib, io, sys
+import cpslie, cpslie.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cpslie.cli.main(["check-structure", "--cps", {cps_file!r}]),
+        cpslie.cli.main(["hypercomplex", "--cps", {cps_file!r}]),
+        cpslie.cli.main(["nonexistence", "(0,0,0,12,23,14-35)"]),
+        cpslie.cli.main(["verify-catalog"]),
+    ]
+assert codes == [0, 0, 0, 0], codes
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    src = os.path.dirname(os.path.dirname(cpslie.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # sha256 of the default JSON of each command on the `cps_file` fixture (and
 # on a copy whose E commutes with J), pinned so that refactors of the CLI
 # plumbing keep the output byte-identical.  The geodesic residual depends on
@@ -332,8 +359,11 @@ def test_default_json_is_pinned(capsys, tmp_path, cps_file, case):
         ("connection-report", "cpslie.connection.torsion_defect", lambda conn: [(0, 1, (0,) * 6)]),
         ("hypercomplex", "cpslie.hypercomplex.torsion_defect", lambda conn: [(0, 1, (0,) * 12)]),
         ("hypercomplex", "cpslie.hypercomplex.validate_hypercomplex", lambda g, *js: ["J1_square"]),
+        # the flat fixture's right multiplications have zero trace, so the
+        # completeness certificates of lsa_is_complete disagree
+        ("connection-report", "cpslie.connection.is_nilpotent_matrix", lambda m: False),
     ],
-    ids=["cp_connection", "obata_connection", "lift_cps"],
+    ids=["cp_connection", "obata_connection", "lift_cps", "lsa_is_complete"],
 )
 def test_failed_construction_check_gives_json_error(capsys, cps_file, monkeypatch, command, target, stub):
     monkeypatch.setattr(target, stub)

@@ -1,6 +1,8 @@
 """Tuple-notation parser and printer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpslie.lie import LieAlgebra, is_nilpotent
 from cpslie.linalg import vec
@@ -75,8 +77,10 @@ def test_parse_triangularity():
 
 def test_parse_jacobi_failure():
     # d e6 = e4 ^ e5 with d e4, d e5 nonzero breaks d^2 = 0
-    with pytest.raises(ValueError, match="Jacobi"):
-        parse_salamon("(0,0,12,13,23,45)")
+    s = "(0,0,12,13,23,45)"
+    with pytest.raises(SalamonError, match="Jacobi") as err:
+        parse_salamon(s)
+    assert err.value.position == s.index("45")
 
 
 def test_emit_abelian_and_h3():
@@ -117,3 +121,36 @@ def test_emit_canonicalizes_whitespace_and_minus():
 @pytest.mark.parametrize("s", CATALOG_STRINGS + EXCLUDED_STRINGS)
 def test_parsed_algebras_are_nilpotent(s):
     assert is_nilpotent(parse_salamon(s))
+
+
+@st.composite
+def triangular_tuples(draw):
+    """Tuple strings whose slot k holds distinct pairs of indices below k,
+    each written in either order with either sign (coefficients +-1)."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    entries = []
+    for k in range(1, n + 1):
+        pairs = [(i, j) for i in range(1, k) for j in range(i + 1, k)]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
+        terms = [
+            draw(st.sampled_from("+-")) + (f"{j}{i}" if draw(st.booleans()) else f"{i}{j}")
+            for i, j in chosen
+        ]
+        entries.append("".join(terms).removeprefix("+") or "0")
+    return "(" + ",".join(entries) + ")"
+
+
+@settings(max_examples=200, deadline=None)
+@given(triangular_tuples())
+def test_parse_emit_round_trip_on_random_tuples(s):
+    try:
+        g = parse_salamon(s)
+    except SalamonError as exc:
+        # only d^2 != 0 can fail here; it points at the first term of the
+        # first slot that breaks it, so the slots before that one parse
+        assert "Jacobi" in str(exc)
+        assert exc.position is not None and s[exc.position : exc.position + 2].isdigit()
+        slot = s[: exc.position].count(",")
+        parse_salamon("(" + ",".join(s[1:-1].split(",")[:slot]) + ")")
+        return
+    assert parse_salamon(emit_salamon(g)) == g
