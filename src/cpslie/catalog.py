@@ -9,11 +9,11 @@ computationally.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .connection import cp_connection, curvature
 from .lie import (
@@ -37,12 +37,17 @@ from .structures import (
     rotate_product,
 )
 
+if TYPE_CHECKING:
+    from .poly import Poly
+
 FAMILY_PARAMS = {
     "H3R_00": ("A", "B", "C", "D", "E", "F"),
     "H3R_10": ("A", "B", "C", "D", "E", "F"),
     "R4_00": ("A1", "A2", "B1", "B2", "D1", "D2"),
     "R4_10": ("A1", "A2", "C1", "C2", "D1", "D2"),
 }
+
+BASIS = ("e1", "e2", "e3", "f1", "f2", "f3")
 
 COLUMN_LABELS = ("R3xR3", "H3xR3", "H3xH3")
 COLUMN_TYPES = (
@@ -63,11 +68,12 @@ class FamilyError(ValueError):
 
 
 def _family_brackets(family: str, p: dict) -> dict:
-    """Sparse brackets on the ordered basis e1,e2,e3,f1,f2,f3 (0..5)."""
+    """Sparse brackets on the ordered basis e1,e2,e3,f1,f2,f3 (0..5).
+
+    The parameter values `p` may be rationals or Polys.
+    """
     e1, e2, e3, f1, f2, f3 = range(6)
     if family in ("H3R_00", "H3R_10"):
-        if p["A"] ** 2 + p["C"] ** 2 == 0:
-            raise FamilyError("side condition A^2 + C^2 != 0 violated")
         alpha = 1 if family == "H3R_10" else 0
         br = {
             (e1, f1): {e2: p["A"], e3: p["B"], f2: p["C"], f3: p["D"]},
@@ -107,6 +113,8 @@ def family_data(family: str, params) -> tuple[LieAlgebra, Endo, Endo]:
     if family not in FAMILY_PARAMS:
         raise FamilyError(f"unknown family {family!r}")
     p = {name: q(params.get(name, 0)) for name in FAMILY_PARAMS[family]}
+    if family in ("H3R_00", "H3R_10") and p["A"] ** 2 + p["C"] ** 2 == 0:
+        raise FamilyError("side condition A^2 + C^2 != 0 violated")
     br = {
         pair: {k: c for k, c in coeffs.items() if c != 0}
         for pair, coeffs in _family_brackets(family, p).items()
@@ -123,16 +131,113 @@ def build_family(family: str, params) -> tuple[LieAlgebra, CPS]:
     return g, assemble_cps(g, j, e)
 
 
-def family_flatness_value(family: str, params) -> Q:
-    """The closed-form quantity whose vanishing is flatness of the cp connection."""
+def _family_variables(family: str) -> dict[str, Poly]:
+    # cpslie.poly is loaded here, on first use, so that commands that
+    # prove no family flatness do not pay for compiling it at start-up
+    from .poly import Poly
+
     if family not in FAMILY_PARAMS:
         raise FamilyError(f"unknown family {family!r}")
-    p = {name: q(params.get(name, 0)) for name in FAMILY_PARAMS[family]}
+    names = FAMILY_PARAMS[family]
+    return {name: Poly.var(names, name) for name in names}
+
+
+def flatness_closed_form(family: str) -> Poly:
+    """The polynomial in the family parameters whose vanishing is flatness of the cp connection.
+
+    `prove_family_flatness` derives the curvature and certifies this form.
+    """
+    v = _family_variables(family)
     if family == "H3R_00":
-        return p["A"] * p["F"] - p["C"] * p["E"]
+        return v["A"] * v["F"] - v["C"] * v["E"]
     if family == "H3R_10":
-        return p["A"] * (2 * p["F"] + 1) - 2 * p["C"] * p["E"]
-    return Q(0)  # the quotient-R4 families are flat throughout
+        return v["A"] * (2 * v["F"] + 1) - 2 * v["C"] * v["E"]
+    return 0 * v["A1"]  # the quotient-R4 families are flat throughout
+
+
+def family_flatness_value(family: str, params) -> Q:
+    """The closed form at one parameter point (absent parameters are 0)."""
+    form = flatness_closed_form(family)
+    return form.subs({name: q(params.get(name, 0)) for name in form.names}).value()
+
+
+def prove_family_flatness(family: str) -> Poly:
+    """Certify the flatness closed form of a family as polynomial identities.
+
+    The structure constants and the connection Gamma of the standard pair
+    (J e_i = f_i, E = +-Id) are built with polynomial entries in the
+    parameters.  Jacobi, torsion-freeness and nabla J = nabla E = 0 are
+    checked identically; the torsion-free connection with J and E parallel
+    is unique, so Gamma is `cp_connection` of every instance and no
+    instance needs building.  Every nonzero curvature entry must then be a
+    constant times the closed form, and one a nonzero constant unless the
+    form is zero: the curvature vanishes exactly where the form does.
+    Returns the closed form; a failed identity raises FamilyError naming it.
+    """
+    from .poly import matmul
+
+    v = _family_variables(family)
+    form = flatness_closed_form(family)
+    n, zero = 6, form * 0
+    ad = [[[zero] * n for _ in range(n)] for _ in range(n)]  # ad[i][k][j]: e_k in [e_i, e_j]
+    for (i, j), coeffs in _family_brackets(family, v).items():
+        for k, c in coeffs.items():
+            ad[i][k][j] += c
+            ad[j][k][i] -= c
+
+    def combination(coeffs, mats):
+        out = [[zero] * n for _ in range(n)]
+        for c, m in zip(coeffs, mats):
+            if c:
+                out = [[a + c * b if b else a for a, b in zip(ro, rm)] for ro, rm in zip(out, m)]
+        return out
+
+    def commutator(a, b):
+        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(matmul(a, b), matmul(b, a))]
+
+    def col(m, j):
+        return [r[j] for r in m]
+
+    def fail(what, where):
+        raise FamilyError(f"{family}: {what} fails at {where}")
+
+    pairs = [(i, jdx) for i in range(n) for jdx in range(i + 1, n)]
+    for i, jdx in pairs:
+        if commutator(ad[i], ad[jdx]) != combination(col(ad[i], jdx), ad):
+            fail("Jacobi ([ad x, ad y] = ad [x, y])", f"x, y = {BASIS[i]}, {BASIS[jdx]}")
+
+    j_mat, e_mat = (m.num for m in _standard_cps(3))
+    pip, pim = ([[int(r == c and (r < 3) == plus) for c in range(n)] for r in range(n)] for plus in (True, False))
+    # cp_connection's formula on the basis: e_i lies in g+ for i < 3, in g- after
+    sides = (
+        (matmul(pip, j_mat), matmul(j_mat, pip), pim),
+        (matmul(pim, j_mat), matmul(j_mat, pim), pip),
+    )
+    nablas = []
+    for i in range(n):
+        pj, jp, other = sides[i >= 3]
+        same = matmul(matmul(pj, ad[i]), jp)
+        cross = matmul(matmul(other, ad[i]), other)
+        nablas.append([[b - a for a, b in zip(rs, rc)] for rs, rc in zip(same, cross)])
+    for i, jdx in pairs:
+        if [a - b for a, b in zip(col(nablas[i], jdx), col(nablas[jdx], i))] != col(ad[i], jdx):
+            fail("torsion-freeness", f"({BASIS[i]}, {BASIS[jdx]})")
+    for i in range(n):
+        for m in (j_mat, e_mat):
+            if matmul(nablas[i], m) != matmul(m, nablas[i]):
+                fail("parallelism of J and E", f"nabla_{BASIS[i]}")
+
+    curved = False
+    for i, jdx in pairs:
+        r = commutator(nablas[i], nablas[jdx])
+        bracket = combination(col(ad[i], jdx), nablas)
+        for x in (a - b for ra, rb in zip(r, bracket) for a, b in zip(ra, rb)):
+            if x and (not form or x.multiple_of(form) is None):
+                fail(f"closed form {form} (curvature entry {x})", f"R({BASIS[i]}, {BASIS[jdx]})")
+            curved = curved or bool(x)
+    if form and not curved:
+        fail(f"closed form {form} (the curvature vanishes identically)", "every pair")
+    return form
 
 
 @dataclass(frozen=True)
@@ -145,7 +250,7 @@ class Witness:
     double_type: tuple[ThreeDimType, ThreeDimType]
     flat: bool
     rotation: Q | None = None
-    slice_spec: dict | None = None
+    slices: tuple[dict, ...] = ()
     explicit_j: Endo | None = None
     explicit_e: Endo | None = None
 
@@ -162,7 +267,6 @@ class CatalogEntry:
 
 def _witness_from_json(data: dict) -> Witness:
     rotation = None if data.get("rotation") is None else q(data["rotation"])
-    slice_spec = data.get("slice")
     explicit_j = explicit_e = None
     if data.get("explicit"):
         explicit_j = QMatrix.from_json(data["explicit"]["J"])
@@ -176,7 +280,7 @@ def _witness_from_json(data: dict) -> Witness:
         double_type=(ThreeDimType(data["double_type"][0]), ThreeDimType(data["double_type"][1])),
         flat=bool(data["flat"]),
         rotation=rotation,
-        slice_spec=slice_spec,
+        slices=tuple(data.get("slices", ())),
         explicit_j=explicit_j,
         explicit_e=explicit_e,
     )
@@ -312,43 +416,70 @@ def verify_witness(entry: CatalogEntry, w: Witness) -> WitnessReport:
     return WitnessReport(w.name, tuple(stages))
 
 
-SLICE_SAMPLE_VALUES = (Q(1), Q(-1), Q(2), Q(1, 2), Q(-3))
-SLICE_BUILD_LIMIT = 3
+def _equations(spec: dict, names) -> list[tuple[Poly, Poly]]:
+    """The slice's equations "m = p" (m a monomial) as (m, p) pairs."""
+    from .poly import Poly
+
+    return [
+        tuple(Poly.monomial(names, side) for side in equation.split("="))
+        for equation in spec.get("equations", ())
+    ]
 
 
-def slice_flatness_check(w: Witness, expect_flat: bool) -> tuple[bool, str]:
-    """Sample the witness's parameter slice and test the flatness condition.
+def _restrict(form: Poly, spec: dict) -> Poly:
+    """The form on a slice: the fixed values and 0 for every parameter that
+    is not free, then each equation m = p used as the rewrite m -> p."""
+    free = spec.get("free", ())
+    values = {name: q(spec.get("fixed", {}).get(name, 0)) for name in form.names if name not in free}
+    out = form.subs(values)
+    for lhs, rhs in _equations(spec, form.names):
+        out = out.rewrite(lhs.subs(values), rhs.subs(values))
+    return out
 
-    expect_flat=True demands the closed-form value vanish identically on
-    the slice; False demands it never vanish there.  A few instances are
-    also built and their actual curvature compared with the value.
+
+def _on_slice(params: dict, spec: dict, names) -> bool:
+    point = {name: params.get(name, Q(0)) for name in names}
+    fixed, free = spec.get("fixed", {}), spec.get("free", ())
+    return (
+        all(point[name] == q(fixed.get(name, 0)) for name in names if name not in free)
+        and all(point[name] != 0 for name in spec.get("nonzero", ()))
+        and all((lhs - rhs).subs(point).is_zero() for lhs, rhs in _equations(spec, names))
+    )
+
+
+def _never_vanishes(value: Poly, nonzero) -> bool:
+    """A nonzero constant times a product of the parameters that are nonzero on the slice."""
+    return len(value.terms) == 1 and all(
+        name in nonzero for name, k in zip(value.names, next(iter(value.terms))) if k
+    )
+
+
+def slice_flatness_check(w: Witness, expect_flat: bool, proofs: dict | None = None) -> tuple[bool, str]:
+    """Restrict the family's certified flatness closed form to the witness's slices.
+
+    expect_flat=True demands the form restrict to the zero polynomial on
+    every recorded slice; False demands it restrict to a nonzero constant
+    times a product of the slice's `nonzero` parameters, so it never
+    vanishes there.  The witness's own parameters must lie on a slice.
+    `proofs` caches `prove_family_flatness` per family for one catalog pass.
     """
-    if w.slice_spec is None or w.family == "Explicit":
+    if not w.slices or w.family == "Explicit":
         return True, "no slice recorded"
-    fixed = {k: q(v) for k, v in w.slice_spec.get("fixed", {}).items()}
-    free = list(w.slice_spec.get("free", []))
-    nonzero = set(w.slice_spec.get("nonzero", []))
-    built = 0
-    for combo in itertools.product(SLICE_SAMPLE_VALUES, repeat=len(free)):
-        params = dict(fixed)
-        params.update({name: value for name, value in zip(free, combo)})
-        if any(params.get(name, Q(0)) == 0 for name in nonzero):
-            continue
+    proofs = {} if proofs is None else proofs
+    if w.family not in proofs:
         try:
-            value = family_flatness_value(w.family, params)
-        except FamilyError:
-            continue
-        if (value == 0) != expect_flat:
-            return False, f"flatness value {value} at {params}"
-        if built < SLICE_BUILD_LIMIT:
-            try:
-                _, cps = build_family(w.family, params)
-            except FamilyError:
-                continue
-            rep = curvature(cp_connection(cps))
-            if rep.is_flat != (value == 0):
-                return False, f"closed form disagrees with curvature at {params}"
-            built += 1
+            proofs[w.family] = prove_family_flatness(w.family)
+        except FamilyError as exc:
+            proofs[w.family] = exc
+    form = proofs[w.family]
+    if isinstance(form, FamilyError):
+        return False, str(form)
+    if not any(_on_slice(w.params, spec, form.names) for spec in w.slices):
+        return False, "witness parameters lie on no recorded slice"
+    for spec in w.slices:
+        value = _restrict(form, spec)
+        if not (value.is_zero() if expect_flat else _never_vanishes(value, spec.get("nonzero", ()))):
+            return False, f"flatness value {value} on slice {spec}"
     return True, "slice consistent"
 
 
@@ -382,7 +513,9 @@ class RowReport:
         }
 
 
-def verify_row(entry: CatalogEntry) -> RowReport:
+def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> RowReport:
+    """Check a row's cells and flat class; `proofs` as in `slice_flatness_check`."""
+    proofs = {} if proofs is None else proofs
     reports = [verify_witness(entry, w) for w in entry.witnesses]
     checks: list[tuple[str, bool, str]] = []
 
@@ -407,13 +540,13 @@ def verify_row(entry: CatalogEntry) -> RowReport:
     if entry.flat_class == "FlatOnly":
         check("flat_class", bool(flats) and not nonflats)
         for w, _ in pairs:
-            ok, detail = slice_flatness_check(w, expect_flat=True)
+            ok, detail = slice_flatness_check(w, True, proofs)
             check(f"slice_{w.name}", ok, detail)
     elif entry.flat_class == "NonFlatOnly":
         check("flat_class", bool(nonflats) and not flats)
         check("nonflat_argument", entry.nonflat_argument is not None)
         for w, _ in pairs:
-            ok, detail = slice_flatness_check(w, expect_flat=False)
+            ok, detail = slice_flatness_check(w, False, proofs)
             check(f"slice_{w.name}", ok, detail)
     elif entry.flat_class == "Both":
         check(
@@ -451,7 +584,8 @@ class TableReport:
 
 def verify_table(seed: int = 0) -> TableReport:
     """Verify all fifteen admitting rows and the three excluded algebras."""
-    rows = tuple(verify_row(entry) for entry in table_rows())
+    proofs: dict = {}  # family certificates, proven once per pass
+    rows = tuple(verify_row(entry, proofs) for entry in table_rows())
     excluded = tuple(nonexistence_report(entry.salamon, seed=seed) for entry in excluded_entries())
     return TableReport(rows, excluded)
 

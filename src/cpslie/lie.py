@@ -25,11 +25,15 @@ from .linalg import (
 
 
 class JacobiError(ValueError):
-    """Raised when a would-be Lie algebra violates the Jacobi identity."""
+    """Raised when a would-be Lie algebra violates the Jacobi identity.
+
+    `defects` holds 0-based triples; the message names them 1-based, as
+    the tuple notation does.
+    """
 
     def __init__(self, defects):
         self.defects = defects
-        triples = ", ".join(f"({i},{j},{k})" for i, j, k, _ in defects[:4])
+        triples = ", ".join(f"({i + 1},{j + 1},{k + 1})" for i, j, k, _ in defects[:4])
         super().__init__(f"Jacobi identity fails on basis triples {triples}")
 
 

@@ -113,11 +113,10 @@ def parse_salamon(text: str) -> LieAlgebra:
             # d e^k contains sign * e^a ^ e^b, so [e_a, e_b] gets -sign * e_k
             i, j, s = (a, b, sign) if a < b else (b, a, -sign)
             coeffs = brackets.setdefault((i - 1, j - 1), {})
-            coeffs[k - 1] = coeffs.get(k - 1, Q(0)) - s
-    brackets = {
-        pair: {k: c for k, c in coeffs.items() if c != 0}
-        for pair, coeffs in brackets.items()
-    }
+            if k - 1 in coeffs:
+                # every coefficient stays a unit, so emit_salamon prints what parses
+                raise SalamonError(f"pair {a}{b} repeats the 2-form e^{i}^e^{j} in slot {k}", at)
+            coeffs[k - 1] = Q(-s)
     try:
         return LieAlgebra.from_brackets(dim, brackets)
     except JacobiError as exc:

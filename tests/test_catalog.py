@@ -1,5 +1,6 @@
 """Catalog rows, witnesses, families, and the encoded nonexistence proofs."""
 
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -12,10 +13,13 @@ from cpslie.catalog import (
     eight_dim_example,
     family_data,
     family_flatness_value,
+    flatness_closed_form,
     fried_example,
     heisenberg_complex_examples,
     nonexistence_report,
+    prove_family_flatness,
     table_rows,
+    verify_row,
     verify_table,
     verify_witness,
     witness_structure,
@@ -23,6 +27,7 @@ from cpslie.catalog import (
 from cpslie.connection import cp_connection, lsa_is_complete, restrict_to_lsa
 from cpslie.lie import ThreeDimType, center, change_basis, iso_type_3d
 from cpslie.linalg import QMatrix, Subspace, basis_vec
+from cpslie.poly import Poly
 from cpslie.salamon import parse_salamon
 from cpslie.structures import (
     ascending_series,
@@ -318,3 +323,124 @@ def test_heisenberg_examples_list():
 
 def test_column_labels_stable():
     assert COLUMN_LABELS == ("R3xR3", "H3xR3", "H3xH3")
+
+
+def _row(salamon):
+    return next(e for e in table_rows() if e.salamon == salamon)
+
+
+def _slice_checks(report):
+    return {c: (ok, d) for c, ok, d in report.checks if c.startswith("slice_")}
+
+
+@pytest.mark.parametrize("family", ["H3R_00", "H3R_10", "R4_00", "R4_10"])
+def test_family_flatness_is_proven(family):
+    form = prove_family_flatness(family)
+    assert form == flatness_closed_form(family)
+    assert form.is_zero() == family.startswith("R4")
+
+
+def test_slice_check_builds_no_instance(monkeypatch):
+    import cpslie.catalog as catalog
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the slice check must not build an instance")
+
+    for name in ("build_family", "family_data", "assemble_cps", "cp_connection", "curvature"):
+        monkeypatch.setattr(catalog, name, forbidden)
+    proofs = {}
+    for entry in table_rows():
+        for w in entry.witnesses:
+            if w.slices:
+                ok, detail = catalog.slice_flatness_check(w, w.flat, proofs)
+                assert (ok, detail) == (True, "slice consistent"), (entry.salamon, w.name)
+    assert set(proofs) == {"H3R_10", "R4_00", "R4_10"}
+
+
+def test_second_realizing_slice_reduces_to_A():
+    import cpslie.catalog as catalog
+
+    w = _row("(0,0,0,12,13,24)").witnesses[0]
+    first, second = w.slices
+    assert second["equations"] == ["C*E = A*F"]
+    form = prove_family_flatness("H3R_10")
+    c, e = (Poly.var(form.names, n) for n in "CE")
+    assert catalog._restrict(form, first) == -2 * c * e
+    assert catalog._restrict(form, second) == Poly.var(form.names, "A")
+
+
+def test_planted_wrong_flat_class_fails_the_row():
+    for salamon, planted in (("(0,0,0,12,13,23)", "NonFlatOnly"), ("(0,0,0,12,14,24)", "FlatOnly")):
+        entry = dataclasses.replace(_row(salamon), flat_class=planted, nonflat_argument="planted")
+        report = verify_row(entry)
+        assert not report.passed
+        checks = {c: ok for c, ok, _ in report.checks}
+        assert not checks["flat_class"]
+        assert not any(ok for ok, _ in _slice_checks(report).values())
+
+
+def test_planted_nonflat_slice_fails_a_flatonly_row():
+    # A = 1 instead of 0 turns A(2F+1) - 2CE into 2F+1 on the slice
+    entry = _row("(0,0,0,12,13,14+23)")
+    w = entry.witnesses[0]
+    (spec,) = w.slices
+    planted = {**spec, "fixed": {**spec["fixed"], "A": "1"}}
+    for slices, detail in (
+        ((spec, planted), "flatness value 2*F + 1 on slice"),
+        ((planted,), "witness parameters lie on no recorded slice"),
+    ):
+        moved = dataclasses.replace(w, slices=slices)
+        report = verify_row(dataclasses.replace(entry, witnesses=(moved,) + entry.witnesses[1:]))
+        assert not report.passed
+        ok, got = _slice_checks(report)[f"slice_{w.name}"]
+        assert not ok and got.startswith(detail), got
+
+
+@pytest.mark.parametrize(
+    "family, salamon, planted",
+    [
+        ("H3R_10", "(0,0,0,12,13,24)", lambda v: v["A"] * (2 * v["F"] + 1) - 3 * v["C"] * v["E"]),
+        ("H3R_10", "(0,0,0,12,13,14+23)", lambda v: v["A"] * (2 * v["F"] + 1) - 2 * v["C"] * v["E"] + v["B"]),
+        ("R4_10", "(0,0,0,0,12,13)", lambda v: v["A1"]),
+    ],
+)
+def test_planted_wrong_closed_form_fails_the_row(monkeypatch, family, salamon, planted):
+    import cpslie.catalog as catalog
+
+    true_form = catalog.flatness_closed_form
+
+    def wrong(f):
+        return planted(catalog._family_variables(f)) if f == family else true_form(f)
+
+    monkeypatch.setattr(catalog, "flatness_closed_form", wrong)
+    with pytest.raises(FamilyError, match="closed form"):
+        prove_family_flatness(family)
+    report = verify_row(_row(salamon))
+    assert not report.passed
+    for ok, detail in _slice_checks(report).values():
+        assert not ok and detail.startswith(f"{family}: closed form"), detail
+
+
+@pytest.mark.parametrize(
+    "family, pair, value, failure",
+    [
+        # [e2, e3] = e1 breaks Jacobi with [e1, e2] = e3
+        ("H3R_10", (1, 2), {0: 1}, "Jacobi"),
+        # [e1, e2] = f3 is central, so Jacobi holds, but J is not integrable:
+        # no torsion-free connection has J and E parallel
+        ("R4_00", (0, 1), {5: 1}, "torsion-freeness"),
+    ],
+)
+def test_planted_bracket_fails_the_certificate(monkeypatch, family, pair, value, failure):
+    import cpslie.catalog as catalog
+
+    true_brackets = catalog._family_brackets
+
+    def broken(f, p):
+        br = true_brackets(f, p)
+        br[pair] = value
+        return br
+
+    monkeypatch.setattr(catalog, "_family_brackets", broken)
+    with pytest.raises(FamilyError, match=failure):
+        prove_family_flatness(family)

@@ -4,6 +4,8 @@ Each stored witness is conjugated by a random invertible rational P: the
 algebra goes through `change_basis` and J, E become P^-1 J P, P^-1 E P.
 CPS validity, the double type, flatness and Ricci-flatness of the cp
 connection, and the Heisenberg x Heisenberg constant must not change.
+The Obata connection of the moved structure's hypercomplex lift must be
+Ricci-flat, and flat iff the cp connection is.
 """
 
 from fractions import Fraction as Q
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from cpslie.catalog import load_catalog, witness_structure
 from cpslie.connection import cp_connection, curvature
+from cpslie.hypercomplex import lift_cps, obata_connection
 from cpslie.lie import ThreeDimType, change_basis
 from cpslie.linalg import QMatrix, rank
 from cpslie.structures import assemble_cps, double_type, h3x2_constant, validate_cps
@@ -30,14 +33,21 @@ def invertible(draw, n=6):
     return p
 
 
-def invariants(g, j, e):
+def invariants(g, j, e, lift=False):
     """What the classification reads off (g, J, E), plus the failure codes
-    of the rotated pair {J, JE}, which need not be a CPS."""
+    of the rotated pair {J, JE}, which need not be a CPS; with `lift`, also
+    flatness and Ricci-flatness of the Obata connection of the lift."""
     cps = assemble_cps(g, j, e)
     types = double_type(cps)
-    rep = curvature(cp_connection(cps))
+    conn = cp_connection(cps)
+    rep = curvature(conn)
     constant = h3x2_constant(cps) if types == H3XH3 else None
-    return types, rep.is_flat, rep.is_ricci_flat, constant, validate_cps(g, j, j @ e)
+    out = (types, rep.is_flat, rep.is_ricci_flat, constant, validate_cps(g, j, j @ e))
+    if lift:
+        g_hat, h = lift_cps(cps)
+        lifted = curvature(obata_connection(g_hat, h, conn))
+        out += ((lifted.is_flat, lifted.is_ricci_flat),)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -48,6 +58,7 @@ def invariants(g, j, e):
 def test_witness_invariants_survive_a_change_of_basis(salamon, witness, p):
     g, cps = witness_structure(witness)
     pinv = p.inverse()
-    moved = invariants(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
-    assert moved == invariants(g, cps.j, cps.e)
+    moved = invariants(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p, lift=True)
+    assert moved[:-1] == invariants(g, cps.j, cps.e)
     assert moved[:2] == (witness.double_type, witness.flat)
+    assert moved[-1] == (witness.flat, True)

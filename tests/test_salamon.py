@@ -83,6 +83,22 @@ def test_parse_jacobi_failure():
     assert err.value.position == s.index("45")
 
 
+@pytest.mark.parametrize(
+    "s, repeat",
+    [("(0,0,12+12)", "+12"), ("(0,0,12-21)", "-21"), ("(0,0,12+21)", "+21"), ("(0,0,0,-13+12-31)", "-31")],
+)
+def test_parse_rejects_a_repeated_two_form(s, repeat):
+    # 12+12 would parse to [e1,e2] = -2 e3, which emit_salamon cannot print
+    with pytest.raises(SalamonError, match="repeats the 2-form") as err:
+        parse_salamon(s)
+    assert err.value.position == s.rindex(repeat) + 1
+
+
+def test_jacobi_error_names_triples_one_based():
+    with pytest.raises(SalamonError, match=r"basis triples \(1,3,5\), \(2,3,4\);"):
+        parse_salamon("(0,0,12,13,23,45)")
+
+
 def test_emit_abelian_and_h3():
     assert emit_salamon(LieAlgebra.abelian(6)) == "(0,0,0,0,0,0)"
     h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: -1}})  # [e1,e2] = -e3
@@ -124,14 +140,14 @@ def test_parsed_algebras_are_nilpotent(s):
 
 
 @st.composite
-def triangular_tuples(draw):
-    """Tuple strings whose slot k holds distinct pairs of indices below k,
-    each written in either order with either sign (coefficients +-1)."""
+def triangular_tuples(draw, unique=True):
+    """Tuple strings whose slot k holds pairs of indices below k (distinct
+    pairs if `unique`), each written in either order with either sign."""
     n = draw(st.integers(min_value=1, max_value=9))
     entries = []
     for k in range(1, n + 1):
         pairs = [(i, j) for i in range(1, k) for j in range(i + 1, k)]
-        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=unique, max_size=3)) if pairs else []
         terms = [
             draw(st.sampled_from("+-")) + (f"{j}{i}" if draw(st.booleans()) else f"{i}{j}")
             for i, j in chosen
@@ -152,5 +168,17 @@ def test_parse_emit_round_trip_on_random_tuples(s):
         assert exc.position is not None and s[exc.position : exc.position + 2].isdigit()
         slot = s[: exc.position].count(",")
         parse_salamon("(" + ",".join(s[1:-1].split(",")[:slot]) + ")")
+        return
+    assert parse_salamon(emit_salamon(g)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(triangular_tuples(unique=False))
+def test_parse_then_emit_is_total(s):
+    # whatever parses, emit_salamon prints, and the print parses back
+    try:
+        g = parse_salamon(s)
+    except SalamonError as exc:
+        assert exc.position is not None
         return
     assert parse_salamon(emit_salamon(g)) == g
