@@ -24,7 +24,7 @@ from .lie import (
     change_basis,
     semidirect_product,
 )
-from .linalg import Q, QMatrix, Subspace, basis_vec, kernel, q, vec, vec_neg
+from .linalg import Q, QMatrix, Subspace, basis_vec, q, vec, vec_neg
 from .salamon import parse_salamon
 from .structures import (
     CPS,
@@ -119,10 +119,7 @@ def family_data(family: str, params) -> tuple[LieAlgebra, Endo, Endo]:
         pair: {k: c for k, c in coeffs.items() if c != 0}
         for pair, coeffs in _family_brackets(family, p).items()
     }
-    g = LieAlgebra.from_brackets(6, br)
-    if family in ("H3R_00", "H3R_10") and any(g.table[1][4]):
-        raise FamilyError("[e2, f2] must vanish")
-    return (g, *_standard_cps(3))
+    return (LieAlgebra.from_brackets(6, br), *_standard_cps(3))
 
 
 def build_family(family: str, params) -> tuple[LieAlgebra, CPS]:
@@ -651,29 +648,28 @@ def _encoded_proof_report(g: LieAlgebra, salamon: str, seed: int) -> Nonexistenc
         )
     )
 
-    # (b) generic commuting partner with y1 = y2 = 0 is forced central
+    # (b) generic commuting partner with y1 = y2 = 0 is forced central.  On
+    # the y3..y6 columns of ad x, the y3, y4 columns have determinant
+    # x1^2 + x2^2 in rows 5, 6; once that is nonzero, the kernel is
+    # {y3 = y4 = 0} iff the y5 and y6 columns vanish
     rng = random.Random(seed)
     samples = 0
     ok_b = True
     detail_b = ""
-    expected_kernel = Subspace.from_spanning(
-        [(0, 0, 1, 0), (0, 0, 0, 1)], 4
-    )  # coordinates (y3, y4, y5, y6)
     while samples < 200:
         x = vec([Q(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)])
-        if x[0] ** 2 + x[1] ** 2 == 0:
+        norm = x[0] ** 2 + x[1] ** 2
+        if norm == 0:
             continue
         samples += 1
         adx = g.ad_vector(x)
-        restricted = QMatrix([[adx.entry(r, c) for c in range(2, 6)] for r in range(n)], cols=4)
-        block = QMatrix([[restricted.entry(4, 0), restricted.entry(4, 1)],
-                         [restricted.entry(5, 0), restricted.entry(5, 1)]])
-        det = block.entry(0, 0) * block.entry(1, 1) - block.entry(0, 1) * block.entry(1, 0)
-        if det != x[0] ** 2 + x[1] ** 2:
+        a = adx.num
+        det = Q(a[4][2] * a[5][3] - a[4][3] * a[5][2], adx.den**2)
+        if det != norm:
             ok_b = False
             detail_b = f"2x2 block determinant {det} != x1^2+x2^2 at sample {samples}"
             break
-        if kernel(restricted) != expected_kernel:
+        if any(row[4] or row[5] for row in a):
             ok_b = False
             detail_b = f"kernel not {{y3=y4=0}} at sample {samples}"
             break

@@ -1,6 +1,7 @@
 """Catalog rows, witnesses, families, and the encoded nonexistence proofs."""
 
 import dataclasses
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -9,6 +10,7 @@ from cpslie.catalog import (
     COLUMN_LABELS,
     EXCLUDED,
     FamilyError,
+    _encoded_proof_report,
     build_family,
     eight_dim_example,
     family_data,
@@ -25,8 +27,8 @@ from cpslie.catalog import (
     witness_structure,
 )
 from cpslie.connection import cp_connection, lsa_is_complete, restrict_to_lsa
-from cpslie.lie import ThreeDimType, center, change_basis, iso_type_3d
-from cpslie.linalg import QMatrix, Subspace, basis_vec
+from cpslie.lie import LieAlgebra, ThreeDimType, center, change_basis, iso_type_3d
+from cpslie.linalg import QMatrix, Subspace, basis_vec, kernel, vec
 from cpslie.poly import Poly
 from cpslie.salamon import parse_salamon
 from cpslie.structures import (
@@ -289,6 +291,60 @@ def test_nonexistence_encoded_proof():
         "generic_pair_forces_center",
         "central_ideal_contradiction",
     ]
+
+
+def sampled_pair_stage(g, seed):
+    """Reference for stage (b) of the encoded proof: per sample, the 2x2
+    determinant and the kernel of the y3..y6 columns of ad x, each built
+    as a QMatrix."""
+    rng = random.Random(seed)
+    samples = 0
+    ok, detail = True, ""
+    expected = Subspace.from_spanning([(0, 0, 1, 0), (0, 0, 0, 1)], 4)
+    while samples < 200:
+        x = vec([Q(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(g.dim)])
+        if x[0] ** 2 + x[1] ** 2 == 0:
+            continue
+        samples += 1
+        adx = g.ad_vector(x)
+        restricted = QMatrix([[adx.entry(r, c) for c in range(2, 6)] for r in range(g.dim)], cols=4)
+        block = QMatrix([[restricted.entry(4, 0), restricted.entry(4, 1)],
+                         [restricted.entry(5, 0), restricted.entry(5, 1)]])
+        det = block.entry(0, 0) * block.entry(1, 1) - block.entry(0, 1) * block.entry(1, 0)
+        if det != x[0] ** 2 + x[1] ** 2:
+            ok, detail = False, f"2x2 block determinant {det} != x1^2+x2^2 at sample {samples}"
+            break
+        if kernel(restricted) != expected:
+            ok, detail = False, f"kernel not {{y3=y4=0}} at sample {samples}"
+            break
+    return "generic_pair_forces_center", ok, detail or f"200 seeded samples (seed={seed}) all force y3=y4=0"
+
+
+def test_encoded_proof_pair_stage_matches_sampled_reference():
+    """Stage (b) read off the integer numerators of ad x gives the triple
+    the QMatrix determinant-and-kernel loop gives, on the excluded algebra
+    and on perturbations: [e1, e4] = -2 e6 breaks the determinant, and a
+    planted [e1, e5] = e6 or [e1, e6] = e5 (no Lie algebra) breaks the
+    kernel."""
+    g = parse_salamon(EXCLUDED[2])
+    brackets = {
+        (i, j): {k: c for k, c in enumerate(g.table[i][j]) if c}
+        for i in range(6)
+        for j in range(i + 1, 6)
+        if any(g.table[i][j])
+    }
+    wrong_det = {**brackets, (0, 3): {k: 2 * c for k, c in brackets[(0, 3)].items()}}
+    cases = [
+        (g, True, ""),
+        (LieAlgebra.from_brackets(6, wrong_det), False, "determinant"),
+        (LieAlgebra.from_brackets(6, {**brackets, (0, 4): {5: 1}}, check=False), False, "kernel"),
+        (LieAlgebra.from_brackets(6, {**brackets, (0, 5): {4: 1}}, check=False), False, "kernel"),
+    ]
+    for algebra, ok, word in cases:
+        for seed in (0, 7):
+            stages = _encoded_proof_report(algebra, EXCLUDED[2], seed).stages
+            assert stages[1] == sampled_pair_stage(algebra, seed)
+            assert stages[1][1] is ok and word in stages[1][2]
 
 
 def test_nonexistence_rejects_other_algebras():

@@ -265,6 +265,7 @@ def test_help_still_exits_zero(capsys):
     assert "usage: cpslie" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_geodesic_command_fails_closed_on_blow_up(capsys, cps_file, monkeypatch):
     import cpslie.connection as connection
 

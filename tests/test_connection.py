@@ -1,5 +1,6 @@
 """Canonical connection, curvature, LSA structures, completeness."""
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -407,6 +408,91 @@ def test_rk4_matches_einsum_reference_on_dense_connections(dense, seed):
     assert np.allclose(values, reference, rtol=1e-12, atol=1e-12)
 
 
+def circle_connection():
+    """Symmetric gamma on the abelian R^3 with x1' = -x2 x3, x2' = x1 x3,
+    x3' = 0: every geodesic is a circle, finite and not quadratic."""
+    half = Q(1, 2)
+    gamma = [[(0, 0, 0)] * 3 for _ in range(3)]
+    gamma[1][2] = gamma[2][1] = (half, 0, 0)
+    gamma[0][2] = gamma[2][0] = (0, -half, 0)
+    return Connection(LieAlgebra.abelian(3), gamma)
+
+
+def test_quadratic_geodesic_certificate_rejects_finite_circles():
+    rep = quadratic_geodesic_certificate(circle_connection())
+    residual = rep.details["max_relative_residual"]
+    assert rep.verdict is False
+    assert residual is not None and math.isfinite(residual)
+    assert residual == pytest.approx(1.33130988090621, rel=1e-9)
+
+
+def polyfit_residual(times, values):
+    """Reference for the fit of `quadratic_geodesic_certificate`: one
+    polyfit and polyval per coordinate series; None when a relative
+    residual is not finite."""
+    import numpy as np
+
+    worst = 0.0
+    for b in range(values.shape[1]):
+        for k in range(values.shape[2]):
+            series = values[:, b, k]
+            coeffs = np.polynomial.polynomial.polyfit(times, series, 2)
+            fitted = np.polynomial.polynomial.polyval(times, coeffs)
+            r = float(np.max(np.abs(series - fitted))) / max(1.0, float(np.max(np.abs(series))))
+            if not math.isfinite(r):
+                return None
+            worst = max(worst, r)
+    return worst
+
+
+def test_quadratic_fit_matches_polyfit_reference(monkeypatch):
+    """The orthonormal-basis projection sums in another order than the
+    per-series least squares, so residuals agree up to rounding: to 1e-12
+    on the exactly quadratic witness geodesics and to 1e-9 relative on the
+    circles, with the same verdicts.  Each connection is integrated once
+    from the initial conditions of all its seeds, and the certificate is
+    handed the rows of its own seed."""
+    import cpslie.connection as connection
+
+    real = connection.integrate_geodesics
+    shared = {}
+
+    def share(conn, seeds):
+        row = {}
+        for seed in seeds:
+            for v in _geodesic_initial_conditions(conn.algebra.dim, seed):
+                row.setdefault(v, len(row))
+        shared[conn] = (*real(conn, list(row)), row)
+
+    def integrate_once(conn, initial, **kwargs):
+        times, values, row = shared[conn]
+        return times, values[:, [row[v] for v in initial], :]
+
+    def certificate_and_reference(conn, seed):
+        rep = quadratic_geodesic_certificate(conn, seed=seed)
+        initial = _geodesic_initial_conditions(conn.algebra.dim, seed)
+        return rep, polyfit_residual(*integrate_once(conn, initial))
+
+    monkeypatch.setattr(connection, "integrate_geodesics", integrate_once)
+    tensors = {}
+    for entry in load_catalog():
+        for w in entry.witnesses:
+            if not w.flat:
+                tensors.setdefault(cp_connection(witness_structure(w)[1]), w.name)
+    assert len(tensors) == 7
+    for conn in tensors:
+        share(conn, range(3))
+        for seed in range(3):
+            rep, reference = certificate_and_reference(conn, seed)
+            assert rep.verdict is (reference <= connection.GEODESIC_REL_TOL)
+            assert abs(rep.details["max_relative_residual"] - reference) <= 1e-12
+    circle = circle_connection()
+    share(circle, [0])
+    rep, reference = certificate_and_reference(circle, 0)
+    assert rep.verdict is False and reference > connection.GEODESIC_REL_TOL
+    assert rep.details["max_relative_residual"] == pytest.approx(reference, rel=1e-9)
+
+
 def test_ricci_against_brute_force_on_nonvanishing_example():
     # symmetric random gamma on an abelian algebra is torsion-free but
     # generically neither flat nor Ricci-flat; the direct trace definition
@@ -515,6 +601,7 @@ def test_left_right_nilpotency_equivalence():
                 assert left and right and lsa_is_complete(p)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_quadratic_geodesic_certificate_fails_closed_on_non_finite(monkeypatch):
     import json
 
