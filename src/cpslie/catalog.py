@@ -718,7 +718,7 @@ def fried_example():
 def eight_dim_example():
     """n4 acting on itself by the Fried product: an 8-dimensional CPS."""
     n4, lsa = fried_example()
-    rho = Representation(n4, 4, [lsa.left_mult(i) for i in range(4)])
+    rho = Representation(n4, 4, lsa.nablas())
     g = semidirect_product(n4, rho)
     return g, assemble_cps(g, *_standard_cps(4))
 

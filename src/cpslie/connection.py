@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import isfinite, lcm
 
 from .lie import LieAlgebra
@@ -20,11 +21,12 @@ from .linalg import (
     SparseTensor,
     Vector,
     _matrix,
-    _unscaled,
     basis_vec,
+    block_columns,
     is_nilpotent_matrix,
-    vec_is_zero,
-    vec_sub,
+    reshaped,
+    right_product,
+    swapped,
 )
 from .structures import CPS, Endo, split_coordinates
 
@@ -66,6 +68,11 @@ class Connection:
         """Matrix of nabla_{e_i} (columns are images of basis vectors)."""
         return self.tensor.slice_matrix(basis_vec(self.algebra.dim, i))
 
+    def nablas(self) -> list[QMatrix]:
+        """Every nabla_{e_i}, cut from the flat layout."""
+        n, den = self.algebra.dim, self.tensor.den
+        return [_matrix([r[s:s + n] for s in range(0, n * n, n)], den, n) for r in swapped(self.tensor.side).num]
+
     def nabla_vector(self, x) -> QMatrix:
         return self.tensor.slice_matrix(x)
 
@@ -76,8 +83,9 @@ class Connection:
     left_mult = nabla
 
     def right_mult(self, j: int) -> QMatrix:
-        """Matrix of x -> x . e_j."""
-        return QMatrix.from_cols([self.gamma[i][j] for i in range(self.algebra.dim)])
+        """Matrix of x -> x . e_j: columns j, n + j, 2n + j, ... of the side-by-side layout."""
+        side = self.tensor.side
+        return _matrix([r[j::self.algebra.dim] for r in side.num], side.den, self.algebra.dim)
 
     def __eq__(self, other):
         return (
@@ -107,12 +115,14 @@ def cp_connection(cps: CPS) -> Connection:
     # nabla_{e_i} y for x+- = pi+- e_i and y+- = pi+- y, as matrices in y
     lp, rp = -(pip @ j), j @ pip
     lm, rm = -(pim @ j), j @ pim
-    nablas = []
-    for i in range(g.dim):
-        ap = g.ad_vector(pip.col(i))
-        am = g.ad_vector(pim.col(i))
-        nablas.append(lp @ ap @ rp + pim @ ap @ pim + lm @ am @ rm + pip @ am @ pip)
-    conn = Connection(g, SparseTensor.from_slices(nablas))
+    # nabla_{e_i} = lp ap_i rp + pim ap_i pim + lm am_i rm + pip am_i pip with
+    # ap_i = ad(pi+ e_i), am_i = ad(pi- e_i), for all i at once on the layouts
+    ap, am = g.ad_columns(pip), g.ad_columns(pim)
+    terms = ((lp, ap, rp), (pim, ap, pim), (lm, am, rm), (pip, am, pip))
+    side = QMatrix.zeros(g.dim, g.dim**2)
+    for left, ads, right in terms:
+        side = side + left @ swapped(right_product(ads, right))
+    conn = Connection(g, SparseTensor.from_side_by_side(side))
     # sign bugs die here, not downstream
     if torsion_defect(conn):
         raise TorsionError("cp connection came out with torsion")
@@ -121,33 +131,43 @@ def cp_connection(cps: CPS) -> Connection:
     return conn
 
 
+def _skew(side: QMatrix) -> QMatrix:
+    """Column i*n + j minus column j*n + i of a side-by-side layout, at column i*n + j."""
+    n = side.rows
+    return _matrix([[r[i * n + j] - r[j * n + i] for i in range(n) for j in range(n)] for r in side.num], side.den, n * n)
+
+
 def torsion_defect(conn: Connection) -> list[tuple[int, int, Vector]]:
     """Pairs where nabla_x y - nabla_y x != [x, y]."""
-    g = conn.algebra
-    gam, gden = conn.tensor.dense(), conn.tensor.den
-    br, bden = g.structure.dense(), g.structure.den
-    out = []
-    for i in range(g.dim):
-        for jdx in range(i + 1, g.dim):
-            d = [(a - b) * bden - c * gden for a, b, c in zip(gam[i][jdx], gam[jdx][i], br[i][jdx])]
-            if any(d):
-                out.append((i, jdx, _unscaled(d, gden * bden)))
-    return out
+    d = _skew(conn.tensor.side) - conn.algebra.structure.side
+    return [(i, j, v) for i, j, v in block_columns(d) if j > i]
 
 
 def parallel_defect(conn: Connection, a: Endo) -> list[tuple[int, int, Vector]]:
     """Pairs where nabla_x (A y) != A nabla_x y."""
-    g = conn.algebra
-    out = []
-    nablas = [conn.nabla(i) for i in range(g.dim)]
-    for i in range(g.dim):
-        na = nablas[i] @ a
-        an = a @ nablas[i]
-        if na != an:
-            for jdx in range(g.dim):
-                d = vec_sub(na.col(jdx), an.col(jdx))
-                if not vec_is_zero(d):
-                    out.append((i, jdx, d))
+    side = conn.tensor.side
+    return block_columns(right_product(side, a) - a @ side)
+
+
+def _commutator_defects(t: SparseTensor, bracket: QMatrix) -> dict:
+    """{(i, j): [M_i, M_j] - M_b for i < j}, over the slices M of t and b the
+    column i*n + j of `bracket` (side by side); one product gives every M_i M_j."""
+    n, side = t.dim, t.side
+    flat = swapped(side)  # row k is M_k read row by row
+    prod = reshaped(flat, n * n) @ side  # block (i, j) is M_i M_j
+    den = lcm(prod.den, side.den * bracket.den)
+    f, h = den // prod.den, den // (side.den * bracket.den)
+    rows = [prod.num[s:s + n] for s in range(0, n * n, n)]
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            ij = chain.from_iterable(r[j * n:(j + 1) * n] for r in rows[i])
+            ji = chain.from_iterable(r[i * n:(i + 1) * n] for r in rows[j])
+            d = [f * (a - b) for a, b in zip(ij, ji)]
+            for k, row in enumerate(bracket.num):
+                if c := h * row[i * n + j]:
+                    d = [x - c * y for x, y in zip(d, flat.num[k])]
+            out[i, j] = _matrix([d[s:s + n] for s in range(0, n * n, n)], den, n)
     return out
 
 
@@ -181,13 +201,7 @@ def curvature(conn: Connection) -> CurvatureReport:
     """R(x,y) = [nabla_x, nabla_y] - nabla_[x,y], plus Ricci and flags."""
     g = conn.algebra
     n = g.dim
-    nablas = [conn.nabla(i) for i in range(n)]
-    r = {}
-    for i in range(n):
-        for jdx in range(i + 1, n):
-            r[(i, jdx)] = (
-                nablas[i] @ nablas[jdx] - nablas[jdx] @ nablas[i] - conn.nabla_vector(g.table[i][jdx])
-            )
+    r = _commutator_defects(conn.tensor, g.structure.side)
     is_flat = all(m.is_zero() for m in r.values())
     # ric(e_i, e_j) = tr(z -> R(z, e_i) e_j): row i sums row z of R(e_z, e_i)
     den = lcm(*[m.den for m in r.values()])
@@ -207,8 +221,14 @@ def curvature(conn: Connection) -> CurvatureReport:
         ricci=ricci,
         is_flat=is_flat,
         is_ricci_flat=ricci.is_zero(),
-        traceless=all(m.trace() == 0 for m in nablas),
+        traceless=_traces(conn.tensor).is_zero(),
     )
+
+
+def _traces(t: SparseTensor) -> QMatrix:
+    """The row (tr M_0, ..., tr M_{n-1}) over the slices M_i of t."""
+    n, side = t.dim, t.side
+    return _matrix([[sum(side.num[l][i * n + l] for l in range(n)) for i in range(n)]], side.den, n)
 
 
 def ricci_via_trace_identity(conn: Connection) -> QMatrix:
@@ -218,9 +238,8 @@ def ricci_via_trace_identity(conn: Connection) -> QMatrix:
         raise TorsionError("the trace identity needs a torsion-free connection")
     g = conn.algebra
     n = g.dim
-    # column j of ad(e_i) is [e_i, e_j], so row i is ad(e_i)^T t / 4
-    traces = tuple(conn.nabla(i).trace() for i in range(n))
-    return QMatrix([g.ad(i).transpose().apply(traces) for i in range(n)], cols=n).scale(Q(1, 4))
+    # entry (i, j) is t . [e_i, e_j] / 4: entry i*n + j of t^T [ad(e_0) | ...] / 4
+    return reshaped(_traces(conn.tensor).scale(Q(1, 4)) @ g.structure.side, n)
 
 
 class LSAProduct(Connection):
@@ -244,13 +263,10 @@ def lsa_defects(p: Connection) -> dict:
     x.y - y.x = [x, y], is torsion-freeness.
     """
     n = p.algebra.dim
-    lefts = [p.nabla(i) for i in range(n)]
     bad_cols = {}
-    for i in range(n):
-        for jdx in range(i + 1, n):
-            commutator = lefts[i] @ lefts[jdx] - lefts[jdx] @ lefts[i]
-            d = commutator - p.nabla_vector(vec_sub(p.gamma[i][jdx], p.gamma[jdx][i]))
-            bad_cols[i, jdx] = bad_cols[jdx, i] = [k for k in range(n) if any(r[k] for r in d.num)]
+    # column i*n + j of the skew layout is e_i . e_j - e_j . e_i
+    for (i, jdx), d in _commutator_defects(p.tensor, _skew(p.tensor.side)).items():
+        bad_cols[i, jdx] = bad_cols[jdx, i] = [k for k in range(n) if any(r[k] for r in d.num)]
     left = [(i, jdx, k) for i in range(n) for jdx in range(n) for k in bad_cols.get((i, jdx), ())]
     compat = [(i, jdx) for i, jdx, _ in torsion_defect(p)]
     return {"left_symmetry": left, "compatibility": compat}
@@ -297,7 +313,7 @@ def lsa_is_complete(p: Connection) -> bool:
     from .lie import is_nilpotent
 
     if complete and is_nilpotent(p.algebra):
-        if not all(is_nilpotent_matrix(p.left_mult(i)) for i in range(n)):
+        if not all(is_nilpotent_matrix(m) for m in p.nablas()):
             raise CertificateError(
                 "complete LSA on a nilpotent algebra with non-nilpotent left multiplication"
             )

@@ -19,6 +19,9 @@ from .linalg import (
     basis_vec,
     q,
     qstr,
+    reshaped,
+    right_product,
+    swapped,
     vec_is_zero,
     zero_vec,
 )
@@ -101,6 +104,11 @@ class LieAlgebra:
     def ad_vector(self, x: Sequence) -> QMatrix:
         return self.structure.slice_matrix(x)
 
+    def ad_columns(self, a: QMatrix) -> QMatrix:
+        """Row i is ad(A e_i) read row by row: one product on the flat layout,
+        whose row k is ad(e_k)."""
+        return a.transpose() @ swapped(self.structure.side)
+
     def is_abelian(self) -> bool:
         return not any(self.structure.terms)
 
@@ -161,13 +169,11 @@ def is_nilpotent(g: LieAlgebra) -> bool:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """Intersection of the kernels of ad(e_i) over the basis."""
-    from .linalg import intersect, kernel
+    """Intersection of the kernels of ad(e_i) over the basis: the kernel of
+    the stacked [ad(e_0); ...; ad(e_{n-1})]."""
+    from .linalg import kernel
 
-    out = Subspace.full(g.dim)
-    for i in range(g.dim):
-        out = intersect(out, kernel(g.ad(i)))
-    return out
+    return kernel(reshaped(swapped(g.structure.side), g.dim**2))
 
 
 def is_ideal(g: LieAlgebra, v: Subspace) -> bool:
@@ -272,10 +278,9 @@ def change_basis(g: LieAlgebra, p: QMatrix) -> LieAlgebra:
     """Same bracket in the basis given by the columns of P (old coordinates)."""
     if p.rows != g.dim or p.cols != g.dim:
         raise ValueError("basis-change matrix must be dim x dim")
-    pinv = p.inverse()
     # column j of P^-1 ad(P e_i) P is [e_i, e_j] in the new basis
-    slices = [pinv @ g.ad_vector(p.col(i)) @ p for i in range(g.dim)]
-    return LieAlgebra(g.dim, SparseTensor.from_slices(slices))
+    side = p.inverse() @ swapped(right_product(g.ad_columns(p), p))
+    return LieAlgebra(g.dim, SparseTensor.from_side_by_side(side))
 
 
 def algebra_to_json(g: LieAlgebra) -> dict:

@@ -10,9 +10,11 @@ per matrix, when a caller reads them.  Python ints cannot overflow, so
 there is no fixed-width path and no fallback.
 
 A SparseTensor holds an n x n table of rational n-vectors (structure
-constants, connection coefficients) the same way: the nonzero entries
-as integers over one least common denominator.  Bilinear contraction
-and slice matrices run on those integers.
+constants, connection coefficients) the same way: its n slice matrices
+side by side as one QMatrix, plus the nonzero entries as integers over
+the same denominator.  Bilinear contraction and slice matrices run on
+those integers; an identity over all n slices runs as a few products
+on the side-by-side layout and its re-cuts.
 
 Subspaces are kept in reduced row-echelon form with unit pivots so that
 equal subspaces compare (and hash) identically; the row reduction itself
@@ -42,7 +44,10 @@ def q(x) -> Q:
     if isinstance(x, Q):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
-        return Q(x)
+        try:
+            return Q(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
@@ -284,15 +289,18 @@ class QMatrix:
 
 
 class SparseTensor:
-    """An n x n table of rational n-vectors T[i][j], kept sparse on integers.
+    """An n x n table of rational n-vectors T[i][j], kept on integers.
 
-    `terms[i]` lists `(j, ((k, c), ...))` for every j with T[i][j] != 0,
-    both in index order, with T[i][j][k] = c / den and `den` the least
-    common denominator; so equal tensors have equal fields.  The Fraction
-    table is built lazily, once.
+    `side` is the n x n^2 QMatrix [M_0 | ... | M_{n-1}] of the slices
+    M_i = slice_matrix(e_i): column i*n + j holds T[i][j].  Identities
+    over all slices run as a few products on it and its re-cuts
+    (`swapped`, `transposed_blocks`, `reshaped`).  `terms[i]` lists
+    `(j, ((k, c), ...))` for every j with T[i][j] != 0, both in index
+    order, with T[i][j][k] = c / den; so equal tensors have equal fields.
+    The Fraction table is built lazily, once.
     """
 
-    __slots__ = ("dim", "den", "terms", "_table")
+    __slots__ = ("dim", "den", "terms", "side", "_table")
 
     def __init__(self, dim: int, table):
         rows = tuple(tuple(vec(v) for v in row) for row in table)
@@ -300,41 +308,25 @@ class SparseTensor:
             len(v) != dim for r in rows for v in r
         ):
             raise ValueError("the table must be dim x dim with vectors of length dim")
-        den = lcm(*[x.denominator for r in rows for v in r for x in v])
-        terms = tuple(
-            tuple(
-                (j, tuple((k, x.numerator * (den // x.denominator)) for k, x in enumerate(v) if x))
-                for j, v in enumerate(r)
-                if any(v)
-            )
-            for r in rows
-        )
-        self._set(dim, den, terms, rows)
+        self._set(QMatrix([[v[k] for r in rows for v in r] for k in range(dim)], cols=dim * dim), rows)
 
-    def _set(self, dim, den, terms, table):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_table", table)
+    def _set(self, side: QMatrix, table=None):
+        n, cols = side.rows, list(zip(*side.num))
+        terms = tuple(
+            tuple((j, w) for j in range(n) if (w := tuple((k, c) for k, c in enumerate(cols[i * n + j]) if c)))
+            for i in range(n)
+        )
+        for name, value in (("dim", n), ("den", side.den), ("terms", terms), ("side", side), ("_table", table)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseTensor is immutable")
 
     @classmethod
-    def from_slices(cls, mats: Sequence[QMatrix]) -> "SparseTensor":
-        """The tensor with T[i][j] = column j of mats[i]."""
-        den = lcm(*[m.den for m in mats])
-        dense = [[[x * (den // m.den) for x in col] for col in zip(*m.num)] for m in mats]
-        g = gcd(den, *chain.from_iterable(chain.from_iterable(dense)))
-        if g > 1:
-            dense = [[[x // g for x in v] for v in r] for r in dense]
-            den //= g
-        terms = tuple(
-            tuple((j, tuple((k, c) for k, c in enumerate(v) if c)) for j, v in enumerate(r) if any(v))
-            for r in dense
-        )
+    def from_side_by_side(cls, side: QMatrix) -> "SparseTensor":
+        """The tensor with the given `side` layout."""
         t = object.__new__(cls)
-        t._set(len(mats), den, terms, None)
+        t._set(side)
         return t
 
     def realified_double(self) -> "SparseTensor":
@@ -345,41 +337,21 @@ class SparseTensor:
         algebra on {e_i} + {e_i^}; on a connection it is the blockwise
         extension to that algebra.
         """
-        n = self.dim
-
-        def hat(w):
-            return tuple((k + n, c) for k, c in w)
-
-        def neg(w):
-            return tuple((k, -c) for k, c in w)
-
-        plain = tuple(row + tuple((n + j, hat(w)) for j, w in row) for row in self.terms)
-        hatted = tuple(
-            tuple((j, hat(w)) for j, w in row) + tuple((n + j, neg(w)) for j, w in row)
-            for row in self.terms
-        )
-        t = object.__new__(SparseTensor)
-        t._set(2 * n, self.den, plain + hatted, None)
-        return t
-
-    def dense(self) -> list[list[list[int]]]:
-        """The integer numerators of every entry, over `den`."""
-        n = self.dim
-        out = [[[0] * n for _ in range(n)] for _ in range(n)]
-        for i, row in enumerate(self.terms):
-            for j, w in row:
-                v = out[i][j]
-                for k, c in w:
-                    v[k] = c
-        return out
+        n, z = self.dim, (0,) * self.dim
+        plain, hatted = [], []
+        for r in self.side.num:
+            row_k = [r[i * n:(i + 1) * n] for i in range(n)]
+            plain.append([*chain(*[m + z for m in row_k]), *chain(*[z + tuple(-x for x in m) for m in row_k])])
+            hatted.append([*chain(*[z + m for m in row_k]), *chain(*[m + z for m in row_k])])
+        return SparseTensor.from_side_by_side(_matrix(plain + hatted, self.den, 4 * n * n))
 
     @property
     def table(self) -> tuple[tuple[Vector, ...], ...]:
         """T as a dim x dim tuple of Fraction vectors, built on first use."""
         if self._table is None:
-            object.__setattr__(
-                self, "_table", tuple(tuple(_unscaled(v, self.den) for v in r) for r in self.dense())
-            )
+            n = self.dim
+            cols = [_unscaled(c, self.den) for c in zip(*self.side.num)]
+            object.__setattr__(self, "_table", tuple(tuple(cols[i * n:(i + 1) * n]) for i in range(n)))
         return self._table
 
     def contract(self, x, y) -> Vector:
@@ -423,6 +395,41 @@ class SparseTensor:
 
     def __hash__(self):
         return hash((self.dim, self.den, self.terms))
+
+
+def swapped(m: QMatrix) -> QMatrix:
+    """X[b][a][c] for m read as X[a][b][c] = m[a][b*n + c], n = m.rows.
+
+    Takes the side-by-side layout of square blocks, X[p][i][y] = B_i[p][y],
+    to the flat one, X[i][p][y], whose row i is B_i read row by row, and back.
+    """
+    n = m.rows
+    return _matrix([list(chain.from_iterable(r[b * n:(b + 1) * n] for r in m.num)) for b in range(n)], m.den, n * n)
+
+
+def transposed_blocks(m: QMatrix) -> QMatrix:
+    """X[c][b][a] for m read as X[a][b][c] = m[a][b*n + c]: [B_0^T | B_1^T | ...]
+    from the side-by-side [B_0 | B_1 | ...]."""
+    n, cols = m.rows, list(zip(*m.num))
+    return _matrix([list(chain.from_iterable(cols[c::n])) for c in range(n)], m.den, n * n)
+
+
+def right_product(m: QMatrix, a: QMatrix) -> QMatrix:
+    """Every square block of m times A, in m's layout (side by side or flat):
+    one product on the layout that puts the blocks' column index first."""
+    return transposed_blocks(a.transpose() @ transposed_blocks(m))
+
+
+def reshaped(m: QMatrix, rows: int) -> QMatrix:
+    """The same entries read row by row into `rows` rows."""
+    flat, cols = list(chain.from_iterable(m.num)), m.rows * m.cols // rows
+    return _matrix([flat[s:s + cols] for s in range(0, len(flat), cols)], m.den, cols)
+
+
+def block_columns(m: QMatrix) -> list[tuple[int, int, Vector]]:
+    """(i, j, column j of B_i) for every nonzero column of a side-by-side [B_0 | B_1 | ...]."""
+    n, cols = m.rows, list(zip(*m.num))
+    return [(i, j, _unscaled(cols[i * n + j], m.den)) for i in range(n) for j in range(n) if any(cols[i * n + j])]
 
 
 def _rref(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:

@@ -16,10 +16,15 @@ from .linalg import (
     Subspace,
     Vector,
     annihilator,
+    block_columns,
     intersect,
     kernel,
     preimage,
     q,
+    reshaped,
+    right_product,
+    swapped,
+    transposed_blocks,
     vec_is_zero,
 )
 
@@ -53,17 +58,15 @@ def _integrability_defect(g: LieAlgebra, a: Endo, sign: int) -> list[tuple[int, 
 
     A must already satisfy A^2 = -sign * Id; this routine does not check it.
     Column y of A ad(e_i) - ad(A e_i) - ad(e_i) A - sign * A ad(A e_i) A is
-    the defect on the pair (e_i, e_y).
+    the defect on the pair (e_i, e_y).  With G the flat layout of the
+    ad(A e_i), ad(e_i) A comes free from (ad(e_k) A) e_y = -[A e_y, e_k], so
+    all n of them take three products.
     """
-    out = []
-    n = g.dim
-    for i in range(n):
-        ad_i = g.ad(i)
-        ad_ai = g.ad_vector(a.col(i))
-        d = a @ ad_i - ad_ai - ad_i @ a - (a @ ad_ai @ a).scale(sign)
-        if not d.is_zero():
-            out.extend((i, b, d.col(b)) for b in range(i + 1, n) if any(r[b] for r in d.num))
-    return out
+    ad_a = g.ad_columns(a)
+    # side by side: block i of swapped(transposed_blocks(G)) is -ad(e_i) A
+    d = a @ (g.structure.side - swapped(right_product(ad_a, a)).scale(sign))
+    d = d + swapped(transposed_blocks(ad_a) - ad_a)
+    return [(i, b, v) for i, b, v in block_columns(d) if b > i]
 
 
 def complex_integrability_defect(g: LieAlgebra, j: Endo) -> list[tuple[int, int, Vector]]:
@@ -81,7 +84,7 @@ def product_integrability_defect(g: LieAlgebra, e: Endo) -> list[tuple[int, int,
 def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:
     """[Jx, Jy] = [x, y] on all basis pairs (implies integrability)."""
     _require_almost_complex(j)
-    if any(g.ad_vector(j.col(i)) @ j != g.ad(i) for i in range(g.dim)):
+    if right_product(g.ad_columns(j), j) != swapped(g.structure.side):
         return False
     if _integrability_defect(g, j, 1):
         raise StructureError("J_integrability", "an abelian J must be integrable")
@@ -208,13 +211,10 @@ def ascending_series(g: LieAlgebra, j: Endo) -> list[Subspace]:
         if ann.is_zero():
             # previous term is everything; the chain is stable
             break
-        conditions = []
-        for jdx in range(n):
-            # x -> [x, e_j] as a matrix in x
-            b = g.ad(jdx).scale(-1)
-            conditions.append([ann.basis @ b])
-            conditions.append([ann.basis @ b @ j])
-        nxt = kernel(QMatrix.block(conditions))
+        # ann [x, e_j] = 0 and ann [Jx, e_j] = 0 for every j: row (a, j) of
+        # ann_ad is row a of ann ad(e_j)
+        ann_ad = reshaped(ann.basis @ g.structure.side, ann.dim * n)
+        nxt = kernel(QMatrix.block([[ann_ad], [ann_ad @ j]]))
         if nxt == prev:
             break
         series.append(nxt)

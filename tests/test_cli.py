@@ -237,6 +237,25 @@ def test_algebra_file_errors_name_one_based_indices(capsys, tmp_path, cps_file, 
     assert message in _strict_json(out)["error"]
 
 
+@pytest.mark.parametrize("where", ["J", "E", "bracket"])
+def test_zero_denominator_gives_json_error(capsys, tmp_path, cps_file, where):
+    with open(cps_file) as fh:
+        data = json.load(fh)
+    if where == "bracket":
+        data["algebra"] = {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": "1/0"}}]}
+    else:
+        data[where]["matrix"][0][1] = "1/0"
+    path = tmp_path / "zero_denominator.json"
+    path.write_text(json.dumps(data))
+    code = main(["check-structure", "--cps", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert "zero denominator" in _strict_json(lines[0])["error"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
