@@ -58,12 +58,13 @@ def _integrability_defect(g: LieAlgebra, a: Endo, sign: int) -> list[tuple[int, 
 
     A must already satisfy A^2 = -sign * Id; this routine does not check it.
     Column y of A ad(e_i) - ad(A e_i) - ad(e_i) A - sign * A ad(A e_i) A is
-    the defect on the pair (e_i, e_y).  With G the flat layout of the
-    ad(A e_i), ad(e_i) A comes free from (ad(e_k) A) e_y = -[A e_y, e_k], so
-    all n of them take three products.
+    the defect on the pair (e_i, e_y).  One product gives every ad(A e_i);
+    antisymmetry, (ad(e_k) A) e_y = -[A e_y, e_k], gives every ad(e_k) A
+    from them without a product; `right_product` gives every ad(A e_i) A;
+    a last product applies A on the left.
     """
     ad_a = g.ad_columns(a)
-    # side by side: block i of swapped(transposed_blocks(G)) is -ad(e_i) A
+    # side by side: block k of swapped(transposed_blocks(ad_a)) is -ad(e_k) A
     d = a @ (g.structure.side - swapped(right_product(ad_a, a)).scale(sign))
     d = d + swapped(transposed_blocks(ad_a) - ad_a)
     return [(i, b, v) for i, b, v in block_columns(d) if b > i]
