@@ -33,7 +33,6 @@ from .hypercomplex import (
 )
 from .lie import (
     LieAlgebra,
-    Representation,
     ThreeDimType,
     center,
     change_basis,

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 from .connection import cp_connection, curvature
 from .lie import (
     LieAlgebra,
-    Representation,
     ThreeDimType,
     center,
     change_basis,
@@ -718,8 +717,7 @@ def fried_example():
 def eight_dim_example():
     """n4 acting on itself by the Fried product: an 8-dimensional CPS."""
     n4, lsa = fried_example()
-    rho = Representation(n4, 4, lsa.nablas())
-    g = semidirect_product(n4, rho)
+    g = semidirect_product(n4, lsa.nablas())
     return g, assemble_cps(g, *_standard_cps(4))
 
 

@@ -398,26 +398,31 @@ def quadratic_geodesic_certificate(conn: Connection, seed: int = 0) -> Completen
     quadratic by least squares: with Q an orthonormal basis of the
     quadratics sampled at the times, the residual of a series y is
     y - Q Q^T y.  Passes when the relative residual stays within tolerance.
-    Fails closed: a non-finite residual (a trajectory that blew up) makes
-    the verdict false and reports `max_relative_residual` as null.
+    Fails closed: a trajectory that blew up or a coefficient beyond the
+    float range makes the verdict false and `max_relative_residual` null.
     """
     import numpy as np
 
     n = conn.algebra.dim
     initial = _geodesic_initial_conditions(n, seed)
-    times, values = integrate_geodesics(conn, initial)
-    basis = np.linalg.qr(np.polynomial.polynomial.polyvander(times, 2))[0]
-    rel = []
-    with np.errstate(all="ignore"):
-        # one (steps+1, n) block per initial condition keeps the scratch arrays small
-        for b in range(len(initial)):
-            block = values[:, b, :]
-            # constants lie in the span, so fitting block - block[0] leaves the
-            # residual unchanged and fits a constant coordinate without rounding
-            shifted = block - block[0]
-            resid = np.abs(shifted - basis @ (basis.T @ shifted)).max(axis=0)
-            rel.append(resid / np.maximum(1.0, np.abs(block).max(axis=0)))
-    worst = float(np.max(rel))
+    try:
+        times, values = integrate_geodesics(conn, initial)
+    except OverflowError:
+        # a coefficient beyond the float range leaves no trajectory to fit
+        worst = np.inf
+    else:
+        basis = np.linalg.qr(np.polynomial.polynomial.polyvander(times, 2))[0]
+        rel = []
+        with np.errstate(all="ignore"):
+            # one (steps+1, n) block per initial condition keeps the scratch arrays small
+            for b in range(len(initial)):
+                block = values[:, b, :]
+                # constants lie in the span, so fitting block - block[0] leaves the
+                # residual unchanged and fits a constant coordinate without rounding
+                shifted = block - block[0]
+                resid = np.abs(shifted - basis @ (basis.T @ shifted)).max(axis=0)
+                rel.append(resid / np.maximum(1.0, np.abs(block).max(axis=0)))
+        worst = float(np.max(rel))
     finite = isfinite(worst)
     verdict = finite and worst <= GEODESIC_REL_TOL
     return CompletenessReport(

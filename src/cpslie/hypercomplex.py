@@ -8,12 +8,12 @@ to the unique torsion-free connection parallelizing the whole triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .connection import Connection, parallel_defect, torsion_defect
 from .lie import LieAlgebra, complexify_realified
 from .linalg import QMatrix
-from .structures import CPS, Endo, _integrability_defect, is_abelian_complex
+from .structures import CPS, Endo, _integrability_defect, is_abelian_complex, square_failures
 
 
 class LiftError(ValueError):
@@ -22,30 +22,28 @@ class LiftError(ValueError):
 
 @dataclass(frozen=True)
 class HypercomplexStructure:
+    """(J1, J2) on `algebra`; J3 = J1 J2 by definition, formed once here."""
+
     algebra: LieAlgebra
     j1: Endo
     j2: Endo
-    j3: Endo
+    j3: Endo = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "j3", self.j1 @ self.j2)
 
 
-def validate_hypercomplex(g: LieAlgebra, j1: Endo, j2: Endo, j3: Endo) -> list[str]:
-    failures = []
-    n = g.dim
-    if n % 4:
-        failures.append("dimension")
-    minus_ident = QMatrix.identity(n).scale(-1)
-    squares_ok = []
-    for name, j in (("J1", j1), ("J2", j2), ("J3", j3)):
-        if (j @ j) != minus_ident:
-            failures.append(f"{name}_square")
-        else:
-            squares_ok.append((name, j))
-    if (j1 @ j2) != j3:
-        failures.append("J1J2_is_J3")
-    if (j2 @ j1) != j3.scale(-1):
+def validate_hypercomplex(h: HypercomplexStructure) -> list[str]:
+    """Failure codes for the hypercomplex axioms; empty means valid."""
+    g = h.algebra
+    failures = ["dimension"] if g.dim % 4 else []
+    triple = (("J1", h.j1), ("J2", h.j2), ("J3", h.j3))
+    squares = [square_failures(j, 1, name) for name, j in triple]
+    failures += [code for codes in squares for code in codes]
+    if (h.j2 @ h.j1) != -h.j3:
         failures.append("anticommute")
-    for name, j in squares_ok:
-        if _integrability_defect(g, j, 1):
+    for (name, j), square in zip(triple, squares):
+        if not square and _integrability_defect(g, j, 1):
             failures.append(f"{name}_integrability")
     return failures
 
@@ -61,12 +59,11 @@ def lift_cps(cps: CPS) -> tuple[LieAlgebra, HypercomplexStructure]:
     ghat = complexify_realified(g)
     zero = QMatrix.zeros(n, n)
     j1 = QMatrix.block([[zero, cps.e.scale(-1)], [cps.e, zero]])
-    j2 = QMatrix.diag_blocks(cps.j, cps.j)
-    j3 = j1 @ j2
-    failures = validate_hypercomplex(ghat, j1, j2, j3)
+    h = HypercomplexStructure(ghat, j1, QMatrix.diag_blocks(cps.j, cps.j))
+    failures = validate_hypercomplex(h)
     if failures:
         raise LiftError(f"hypercomplex lift invalid: {failures}")
-    return ghat, HypercomplexStructure(ghat, j1, j2, j3)
+    return ghat, h
 
 
 def obata_connection(g_hat: LieAlgebra, h: HypercomplexStructure, base: Connection) -> Connection:

@@ -209,47 +209,18 @@ def iso_type_3d(g: LieAlgebra, v: Subspace) -> ThreeDimType:
     return ThreeDimType.OTHER
 
 
-class Representation:
-    """Linear action of a Lie algebra on Q^m given per basis vector."""
+def semidirect_product(h: LieAlgebra, action: Sequence[QMatrix]) -> LieAlgebra:
+    """h acting on an abelian V = Q^s by rho(e_i) = action[i]:
+    [(x,u),(y,v)] = ([x,y], rho(x)v - rho(y)u).
 
-    __slots__ = ("algebra", "space_dim", "action")
-
-    def __init__(self, algebra: LieAlgebra, space_dim: int, action: Sequence[QMatrix]):
-        if len(action) != algebra.dim:
-            raise ValueError("one action matrix per basis vector required")
-        for a in action:
-            if a.rows != space_dim or a.cols != space_dim:
-                raise ValueError("action matrices must be space_dim x space_dim")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "space_dim", space_dim)
-        object.__setattr__(self, "action", tuple(action))
-        bad = self.defects()
-        if bad:
-            raise ValueError(f"not a representation; identity fails on pairs {bad[:4]}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Representation is immutable")
-
-    def defects(self) -> list[tuple[int, int]]:
-        g, act = self.algebra, self.action
-        out = []
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                lhs = QMatrix.zeros(self.space_dim, self.space_dim)
-                for k, coeff in enumerate(g.table[i][j]):
-                    if coeff != 0:
-                        lhs = lhs + act[k].scale(coeff)
-                if lhs != act[i] @ act[j] - act[j] @ act[i]:
-                    out.append((i, j))
-        return out
-
-
-def semidirect_product(h: LieAlgebra, rho: Representation) -> LieAlgebra:
-    """h acting on an abelian V: [(x,u),(y,v)] = ([x,y], rho(x)v - rho(y)u)."""
-    if rho.algebra != h:
-        raise ValueError("representation is not over the given algebra")
-    m, s = h.dim, rho.space_dim
-    n = m + s
+    Only the shapes are checked here.  The Jacobi identity of the result
+    on (e_i, e_j, v) is rho([e_i,e_j]) = [rho(e_i), rho(e_j)], so the
+    construction raises JacobiError exactly when rho is not a representation.
+    """
+    m = h.dim
+    s = action[0].rows if action else 0
+    if len(action) != m or any(a.rows != s or a.cols != s for a in action):
+        raise ValueError("one s x s action matrix per basis vector of h required")
     brackets: dict[tuple[int, int], dict[int, Q]] = {}
     for i in range(m):
         for j in range(i + 1, m):
@@ -257,13 +228,11 @@ def semidirect_product(h: LieAlgebra, rho: Representation) -> LieAlgebra:
             if coeffs:
                 brackets[(i, j)] = coeffs
     for i in range(m):
-        act = rho.action[i]
         for j in range(s):
-            col = act.col(j)
-            coeffs = {m + k: c for k, c in enumerate(col) if c != 0}
+            coeffs = {m + k: c for k, c in enumerate(action[i].col(j)) if c != 0}
             if coeffs:
                 brackets[(i, m + j)] = coeffs
-    return LieAlgebra.from_brackets(n, brackets)
+    return LieAlgebra.from_brackets(m + s, brackets)
 
 
 def complexify_realified(g: LieAlgebra) -> LieAlgebra:

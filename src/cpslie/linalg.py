@@ -20,12 +20,14 @@ Subspaces are kept in reduced row-echelon form with unit pivots so that
 equal subspaces compare (and hash) identically; the row reduction itself
 is fraction free.
 
-Outside input goes through `q`, which accepts ints, strings and
-Fractions and rejects everything else (floats and bools in particular).
+Outside input goes through `q`, which accepts ints, Fractions and
+"p" or "p/q" strings of decimal digits, and rejects everything else
+(floats, bools and exponent notation in particular).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -39,10 +41,16 @@ Vector = tuple[Q, ...]
 _ZERO = Q(0)
 
 
+# digits only: the eight bytes "1e999999" would cost minutes of big-integer work
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def q(x) -> Q:
-    """Coerce an int, string ("p/q" or "p"), or Fraction to Fraction."""
+    """Coerce an int, a string "p" or "p/q" of decimal digits, or a Fraction to Fraction."""
     if isinstance(x, Q):
         return x
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise ValueError(f"not a rational literal (an integer or p/q): {x!r}")
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Q(x)
@@ -181,7 +189,7 @@ class QMatrix:
         for row_of_blocks in grid:
             for i in range(row_of_blocks[0].rows):
                 out.append([x * (den // b.den) for b in row_of_blocks for x in b.num[i]])
-        return _matrix(out, den, len(out[0]) if out else 0)
+        return _matrix(out, den, sum(b.cols for b in grid[0]))
 
     def entry(self, i: int, j: int) -> Q:
         return Q(self.num[i][j], self.den)
@@ -601,21 +609,10 @@ def map_subspace(m: QMatrix, v: Subspace) -> Subspace:
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Canonical basis of the intersection of two subspaces."""
+    """Canonical basis of the intersection: the kernel of the stacked annihilators."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    n = u.ambient_dim
-    if u.is_zero() or v.is_zero():
-        return Subspace.zero(n)
-    k, m = u.dim, v.dim
-    ub, vb = u.basis.num, v.basis.num
-    # columns: coefficients (a, b) with a^T U = b^T V on the integer rows
-    mat = _matrix([[ub[c][r] for c in range(k)] + [-vb[c][r] for c in range(m)] for r in range(n)], 1, k + m)
-    gens = [
-        [sum(w[c] * ub[c][col] for c in range(k)) for col in range(n)]
-        for w in kernel(mat).basis.num
-    ]
-    return Subspace.from_spanning(gens, n)
+    return kernel(QMatrix.block([[annihilator(u).basis], [annihilator(v).basis]]))
 
 
 def annihilator(v: Subspace) -> Subspace:
@@ -627,7 +624,4 @@ def preimage(m: QMatrix, v: Subspace) -> Subspace:
     """{x : Mx in V}, canonical form."""
     if m.rows != v.ambient_dim:
         raise ValueError("matrix size does not match ambient dimension")
-    ann = annihilator(v)
-    if ann.is_zero():
-        return Subspace.full(m.cols)
-    return kernel(ann.basis @ m)
+    return kernel(annihilator(v).basis @ m)

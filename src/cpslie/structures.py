@@ -40,17 +40,25 @@ class StructureError(ValueError):
         super().__init__(f"{code}: {message}")
 
 
-def _require_almost_complex(j: Endo):
-    if not j.is_square() or (j @ j) != QMatrix.identity(j.rows).scale(-1):
-        raise StructureError("J_square", "J^2 = -Id fails")
+def square_failures(a: Endo, sign: int, name: str) -> list[str]:
+    """[] if A^2 = -sign * Id, else the one failure code: "{name}_square", or
+    "{name}_identity" for a product structure (sign -1) equal to +/-Id."""
+    ident = QMatrix.identity(a.rows)
+    if not a.is_square() or (a @ a) != ident.scale(-sign):
+        return [f"{name}_square"]
+    if sign < 0 and (a == ident or a == ident.scale(-1)):
+        return [f"{name}_identity"]
+    return []
 
 
-def _require_almost_product(e: Endo):
-    if not e.is_square() or (e @ e) != QMatrix.identity(e.rows):
-        raise StructureError("E_square", "E^2 = Id fails")
-    ident = QMatrix.identity(e.rows)
-    if e == ident or e == ident.scale(-1):
-        raise StructureError("E_identity", "E = +/-Id is excluded")
+_REQUIRED = {"J_square": "J^2 = -Id fails", "E_square": "E^2 = Id fails", "E_identity": "E = +/-Id is excluded"}
+
+
+def _require(a: Endo, sign: int, name: str):
+    """Raise StructureError naming the failure of `square_failures`, if any."""
+    failures = square_failures(a, sign, name)
+    if failures:
+        raise StructureError(failures[0], _REQUIRED[failures[0]])
 
 
 def _integrability_defect(g: LieAlgebra, a: Endo, sign: int) -> list[tuple[int, int, Vector]]:
@@ -72,19 +80,19 @@ def _integrability_defect(g: LieAlgebra, a: Endo, sign: int) -> list[tuple[int, 
 
 def complex_integrability_defect(g: LieAlgebra, j: Endo) -> list[tuple[int, int, Vector]]:
     """Pairs violating J[x,y] = [Jx,y] + [x,Jy] + J[Jx,Jy]."""
-    _require_almost_complex(j)
+    _require(j, 1, "J")
     return _integrability_defect(g, j, 1)
 
 
 def product_integrability_defect(g: LieAlgebra, e: Endo) -> list[tuple[int, int, Vector]]:
     """Pairs violating E[x,y] = [Ex,y] + [x,Ey] - E[Ex,Ey]."""
-    _require_almost_product(e)
+    _require(e, -1, "E")
     return _integrability_defect(g, e, -1)
 
 
 def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:
     """[Jx, Jy] = [x, y] on all basis pairs (implies integrability)."""
-    _require_almost_complex(j)
+    _require(j, 1, "J")
     if right_product(g.ad_columns(j), j) != swapped(g.structure.side):
         return False
     if _integrability_defect(g, j, 1):
@@ -93,9 +101,8 @@ def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:
 
 
 def eigenspaces(e: Endo) -> tuple[Subspace, Subspace]:
-    """(+1 eigenspace, -1 eigenspace) of a product structure."""
-    if not e.is_square() or (e @ e) != QMatrix.identity(e.rows):
-        raise StructureError("E_square", "E^2 = Id fails")
+    """(+1 eigenspace, -1 eigenspace) of a product structure E != +/-Id."""
+    _require(e, -1, "E")
     ident = QMatrix.identity(e.rows)
     return kernel(e - ident), kernel(e + ident)
 
@@ -121,19 +128,13 @@ class CPS:
 
 def validate_cps(g: LieAlgebra, j: Endo, e: Endo) -> list[str]:
     """Failure codes for the CPS axioms; empty means valid."""
-    failures = []
     n = g.dim
-    ident = QMatrix.identity(n)
     if j.rows != n or j.cols != n or e.rows != n or e.cols != n:
         return ["shape"]
-    if (j @ j) != ident.scale(-1):
-        failures.append("J_square")
-    if (e @ e) != ident:
-        failures.append("E_square")
-    elif e == ident or e == ident.scale(-1):
-        failures.append("E_identity")
+    failures = square_failures(j, 1, "J") + square_failures(e, -1, "E")
     if failures:
         return failures
+    ident = QMatrix.identity(n)
     if (j @ e) != (e @ j).scale(-1):
         failures.append("anticommute")
     if _integrability_defect(g, j, 1):

@@ -312,7 +312,7 @@ def test_criterion_09_hypercomplex():
     for entry, w, g, cps, conn in all_connections():
         gh, h = lift_cps(cps)
         assert jacobi_defect(gh) == []
-        assert validate_hypercomplex(gh, h.j1, h.j2, h.j3) == []
+        assert validate_hypercomplex(h) == []
         ob = obata_connection(gh, h, conn)
         rep = curvature(ob)
         assert rep.is_ricci_flat, (entry.salamon, w.name)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cpslie.cli import main
+from cpslie.cli import COMMANDS, main
 
 
 def run_cli(capsys, *argv):
@@ -478,3 +478,97 @@ def test_each_identity_is_checked_once(capsys, monkeypatch, request, command, fl
         "torsion_defect": torsions,
         "parallel_defect": parallels,
     }
+
+
+@pytest.fixture
+def overflow_cps_file(tmp_path):
+    """The non-flat h3r3 witness conjugated by P = diag(10^400, 1, ..., 1).
+
+    A valid CPS whose connection coefficients lie beyond the float range.
+    """
+    from cpslie.catalog import load_catalog, witness_structure
+    from cpslie.lie import algebra_to_json, change_basis
+    from cpslie.linalg import QMatrix
+
+    entry = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,14,24)")
+    g, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
+    p = QMatrix.diag_blocks(QMatrix([[10**400]]), QMatrix.identity(5))
+    p_inv = p.inverse()
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        json.dumps(
+            {
+                "algebra": algebra_to_json(change_basis(g, p)),
+                "J": {"matrix": (p_inv @ cps.j @ p).to_json()},
+                "E": {"matrix": (p_inv @ cps.e @ p).to_json()},
+            }
+        )
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["connection-report", "geodesic"])
+def test_float_overflow_fails_closed(capsys, overflow_cps_file, command):
+    code = main([command, "--cps", overflow_cps_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    data = _strict_json(captured.out)
+    cert = data["completeness"] if command == "connection-report" else data
+    assert cert["method"] == "quadratic-geodesic"
+    assert cert["verdict"] is False
+    assert cert["details"]["max_relative_residual"] is None
+
+
+def _with_entry(tmp_path, cps_file, where, text):
+    """A copy of the CPS file with `text` as one entry of J or E, or as a bracket coefficient."""
+    with open(cps_file) as fh:
+        data = json.load(fh)
+    if where == "bracket":
+        data["algebra"] = {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": text}}]}
+    else:
+        data[where]["matrix"][0][1] = text
+    path = tmp_path / f"{where}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("where", ["J", "E", "bracket"])
+def test_exponent_literal_gives_json_error_at_once(capsys, tmp_path, cps_file, where):
+    import time
+
+    path = _with_entry(tmp_path, cps_file, where, "1e999999")
+    start = time.perf_counter()
+    code = main(["check-structure", "--cps", path])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert "not a rational literal" in _strict_json(lines[0])["error"]
+    assert elapsed < 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_bad_input_never_gives_a_traceback(capsys, tmp_path, cps_file, overflow_cps_file, command):
+    """Every command, on inputs that once raised or hung: one JSON document, nothing on stderr."""
+    subject = COMMANDS[command].subject
+    if subject == "cps":
+        runs = [
+            ["--cps", _with_entry(tmp_path, cps_file, "J", "1e999999")],
+            ["--cps", _with_entry(tmp_path, cps_file, "J", "nan")],
+            ["--cps", _with_entry(tmp_path, cps_file, "E", "1/0")],
+            ["--cps", overflow_cps_file],
+        ]
+    elif subject == "salamon":
+        runs = [["(0,0,12"], ["(0,0,1e3)"]]
+    else:
+        runs = [["--seed", "1e3"]]
+    for argv in runs:
+        code = main([command, *argv])
+        captured = capsys.readouterr()
+        assert code in (0, 1), argv
+        assert captured.err == "", argv
+        _strict_json(captured.out)  # exactly one JSON document

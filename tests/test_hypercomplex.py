@@ -12,6 +12,7 @@ from cpslie.catalog import (
 )
 from cpslie.connection import cp_connection, curvature
 from cpslie.hypercomplex import (
+    HypercomplexStructure,
     is_abelian_hypercomplex,
     lift_cps,
     obata_connection,
@@ -88,7 +89,16 @@ def test_lift_quaternion_relations_fail_loudly():
     assert h.j3 @ h.j3 == minus_ident
     assert h.j1 @ h.j2 == h.j3
     assert h.j2 @ h.j1 == h.j3.scale(-1)
-    assert validate_hypercomplex(ghat, h.j1, h.j2, h.j3) == []
+    assert validate_hypercomplex(h) == []
+
+
+def test_lift_forms_j3_once(monkeypatch):
+    _, cps = witness_structure(_explicit_row9_witnesses()["split-flat"])
+    products = []
+    matmul = QMatrix.__matmul__
+    monkeypatch.setattr(QMatrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b))
+    _, h = lift_cps(cps)
+    assert products.count((h.j1, h.j2)) == 1
 
 
 def test_lift_of_trivial_cps_on_r2():
@@ -134,8 +144,8 @@ def test_validate_hypercomplex_detects_broken_triple():
     w = _explicit_row9_witnesses()["split-flat"]
     _, cps = witness_structure(w)
     ghat, h = lift_cps(cps)
-    assert "J1J2_is_J3" in validate_hypercomplex(ghat, h.j1, h.j2, h.j3.scale(-1))
-    assert "J1_square" in validate_hypercomplex(ghat, h.j1.scale(2), h.j2, h.j3)
+    assert "anticommute" in validate_hypercomplex(HypercomplexStructure(ghat, h.j1, h.j1))
+    assert "J1_square" in validate_hypercomplex(HypercomplexStructure(ghat, h.j1.scale(2), h.j2))
 
 
 def test_obata_rejects_wrong_base():

@@ -6,8 +6,8 @@ from fractions import Fraction as Q
 import pytest
 
 from cpslie.lie import (
+    JacobiError,
     LieAlgebra,
-    Representation,
     ThreeDimType,
     algebra_from_json,
     algebra_to_json,
@@ -135,18 +135,48 @@ def test_iso_type_3d_examples():
         iso_type_3d(g, Subspace.from_spanning([E(0)], 6))
 
 
+def _h3_table():
+    return [[list(v) for v in row] for row in H3.table]
+
+
+def test_table_must_be_antisymmetric():
+    table = _h3_table()
+    table[1][0] = [0, 0, 0]  # [e1,e2] = e3 but [e2,e1] = 0
+    with pytest.raises(ValueError, match=r"antisymmetry fails on pair \(0,1\)"):
+        LieAlgebra(3, table)
+
+
+def test_table_diagonal_must_vanish():
+    table = _h3_table()
+    table[1][1] = [1, 0, 0]  # [e2,e2] = e1
+    with pytest.raises(ValueError, match=r"antisymmetry fails on pair \(1,1\)"):
+        LieAlgebra(3, table)
+
+
 def test_semidirect_with_zero_action_is_abelian():
     h = LieAlgebra.abelian(2)
-    rho = Representation(h, 3, [QMatrix.zeros(3, 3)] * 2)
-    g = semidirect_product(h, rho)
+    g = semidirect_product(h, [QMatrix.zeros(3, 3)] * 2)
     assert g.dim == 5 and g.is_abelian()
 
 
 def test_semidirect_rejects_non_representation():
     h = H3
     bad = [QMatrix.identity(2), QMatrix.identity(2), QMatrix.identity(2)]
-    with pytest.raises(ValueError):
-        Representation(h, 2, bad)
+    # rho([e1,e2]) = Id but [rho(e1), rho(e2)] = 0: the Jacobi check of
+    # the product on (e1, e2, v) rejects it
+    with pytest.raises(JacobiError):
+        semidirect_product(h, bad)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [[QMatrix.identity(2)] * 2, [QMatrix.identity(2), QMatrix.identity(2), QMatrix.identity(3)]],
+    ids=["too_few", "mixed_sizes"],
+)
+def test_semidirect_checks_action_shapes(action):
+    with pytest.raises(ValueError, match="action matrix") as exc:
+        semidirect_product(H3, action)
+    assert not isinstance(exc.value, JacobiError)
 
 
 def test_semidirect_fried_center():

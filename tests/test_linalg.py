@@ -14,6 +14,7 @@ from cpslie.linalg import (
     is_nilpotent_matrix,
     kernel,
     preimage,
+    q,
     rank,
 )
 
@@ -83,6 +84,31 @@ def test_intersect_examples():
         [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)], 6
     )
     assert intersect(a, b) == Subspace.from_spanning([(0, 0, 0, 0, 1, 0)], 6)
+
+
+def test_intersect_full_and_zero():
+    full, zero = Subspace.full(3), Subspace.zero(3)
+    assert intersect(full, full) == full
+    assert intersect(full, zero) == zero
+    assert intersect(zero, full) == zero
+    assert intersect(zero, zero) == zero
+
+
+def test_block_of_zero_row_blocks_keeps_its_columns():
+    m = QMatrix.block([[QMatrix.zeros(0, 2), QMatrix.zeros(0, 3)], [QMatrix.zeros(0, 2), QMatrix.zeros(0, 3)]])
+    assert (m.rows, m.cols) == (0, 5)
+    assert kernel(m) == Subspace.full(5)
+
+
+@pytest.mark.parametrize("text, value", [("7", Q(7)), ("-3/4", Q(-3, 4)), ("+2", Q(2)), ("0/5", Q(0))])
+def test_q_reads_integers_and_fractions(text, value):
+    assert q(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e999999", "1E3", "1.5", ".5", " 1", "1_000", "nan", "inf", "1/-2", "", "١"])
+def test_q_refuses_other_notation(text):
+    with pytest.raises(ValueError, match="not a rational literal"):
+        q(text)
 
 
 def test_intersect_dimension_mismatch():

@@ -108,6 +108,29 @@ def test_product_integrability_rejects_identity():
         product_integrability_defect(g, QMatrix.identity(4).scale(-1))
 
 
+R4 = LieAlgebra.abelian(4)
+I4 = QMatrix.identity(4)
+
+
+@pytest.mark.parametrize(
+    "guard, a, message",
+    [
+        (lambda a: complex_integrability_defect(R4, a), I4, "J_square: J^2 = -Id fails"),
+        (lambda a: is_abelian_complex(R4, a), QMatrix.zeros(4, 3), "J_square: J^2 = -Id fails"),
+        (lambda a: product_integrability_defect(R4, a), I4.scale(2), "E_square: E^2 = Id fails"),
+        (lambda a: product_integrability_defect(R4, a), I4, "E_identity: E = +/-Id is excluded"),
+        (eigenspaces, I4.scale(2), "E_square: E^2 = Id fails"),
+        (eigenspaces, I4.scale(-1), "E_identity: E = +/-Id is excluded"),
+    ],
+    ids=["complex", "abelian_non_square", "product", "product_identity", "eigenspaces", "eigenspaces_identity"],
+)
+def test_public_guards_raise_the_square_failure(guard, a, message):
+    with pytest.raises(StructureError) as exc:
+        guard(a)
+    assert str(exc.value) == message
+    assert exc.value.failures == [message.partition(":")[0]]
+
+
 def test_paracomplex_structure_on_excluded_algebra():
     # the excluded algebra admits product structures even though it has no CPS
     g = parse_salamon("(0,0,0,12,13+42,14+23)")
