@@ -24,13 +24,26 @@ from .salamon import SalamonError, emit_salamon, parse_salamon
 from .structures import CPS, StructureError, assemble_cps, double_type, endo_from_json
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice is an error, not overwritten."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} appears twice in one JSON object")
+        out[key] = value
+    return out
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
 def _load_algebra_spec(text: str) -> LieAlgebra:
     """Inline tuple string, or a path to a JSON algebra file."""
     if text.strip().startswith("("):
         return parse_salamon(text)
-    with open(text) as fh:
-        data = json.load(fh)
-    return _algebra_from_data(data)
+    return _algebra_from_data(_read_json(text))
 
 
 def _algebra_from_data(data) -> LieAlgebra:
@@ -46,8 +59,7 @@ def _load_cps(args) -> CPS:
     whose J and E fail an axiom raises StructureError with the full
     failure list.
     """
-    with open(args.cps) as fh:
-        data = json.load(fh)
+    data = _read_json(args.cps)
     try:
         if args.algebra:
             algebra = _load_algebra_spec(args.algebra)
@@ -75,10 +87,7 @@ def _emit(args, payload, ok: bool) -> int:
 
 
 def _parse(salamon: str, seed: int):
-    try:
-        g = parse_salamon(salamon)
-    except SalamonError as exc:
-        return {"error": str(exc), "position": exc.position}, False
+    g = parse_salamon(salamon)
     payload = algebra_to_json(g)
     payload["salamon"] = emit_salamon(g)
     return payload, True
@@ -99,7 +108,7 @@ def _check_structure(cps: CPS, seed: int):
 def _connection_report(cps: CPS, seed: int):
     # cp_connection raises unless the connection is torsion-free with J and E parallel
     rep = curvature(cp_connection(cps))
-    cert = connection_is_complete_certificate(rep, seed=seed)
+    cert = connection_is_complete_certificate(rep)
     payload = {
         "torsion_free": True,
         "parallel": {"J": True, "E": True},
@@ -141,10 +150,7 @@ def _geodesic(cps: CPS, seed: int):
 
 
 def _nonexistence(salamon: str, seed: int):
-    try:
-        report = nonexistence_report(salamon, seed=seed)
-    except ValueError as exc:
-        return {"error": str(exc)}, False
+    report = nonexistence_report(salamon, seed=seed)
     return report.to_json(), report.passed
 
 
@@ -216,7 +222,10 @@ def main(argv=None) -> int:
             subject = getattr(args, cmd.subject) if cmd.subject else None
         return _emit(args, *cmd.run(subject, args.seed))
     except (SalamonError, ValueError, OSError) as exc:
-        sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
+        error = {"error": str(exc)}
+        if isinstance(exc, SalamonError):
+            error["position"] = exc.position
+        sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
         return 1
 
 

@@ -1,9 +1,11 @@
 """The torsion-free connection of a CPS and everything derived from it.
 
 The connection, curvature, Ricci form and the induced left-symmetric
-products are all exact rational tensors.  The only floating point in
-the package lives in the quadratic-geodesic completeness certificate at
-the bottom of this module.
+products are all exact rational tensors, and so are both completeness
+certificates that `connection_is_complete_certificate` chooses between.
+The only floating point in the package is the numeric quadratic-geodesic
+certificate (`integrate_geodesics`, `quadratic_geodesic_certificate`),
+which only the `geodesic` command runs.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from math import isfinite, lcm
 
 from .lie import LieAlgebra
@@ -322,7 +324,7 @@ def lsa_is_complete(p: Connection) -> bool:
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    method: str  # "segal-trace" or "quadratic-geodesic"
+    method: str  # "segal-trace", "exact-quadratic-geodesic" or "quadratic-geodesic"
     verdict: bool
     details: dict = field(default_factory=dict)
 
@@ -406,7 +408,9 @@ def quadratic_geodesic_certificate(conn: Connection, seed: int = 0) -> Completen
     n = conn.algebra.dim
     initial = _geodesic_initial_conditions(n, seed)
     try:
-        times, values = integrate_geodesics(conn, initial)
+        # a trajectory that blows up becomes inf/nan and fails below, without warnings
+        with np.errstate(all="ignore"):
+            times, values = integrate_geodesics(conn, initial)
     except OverflowError:
         # a coefficient beyond the float range leaves no trajectory to fit
         worst = np.inf
@@ -439,11 +443,86 @@ def quadratic_geodesic_certificate(conn: Connection, seed: int = 0) -> Completen
     )
 
 
-def connection_is_complete_certificate(rep: CurvatureReport, seed: int = 0) -> CompletenessReport:
+# {a in N^n : |a| = 6}, the principal lattice of order 6 on the simplex, is
+# unisolvent for polynomials of degree <= 6, so a homogeneous polynomial of
+# degree <= 6 that vanishes on it is zero
+GRID_ORDER = 6
+
+
+def _on_grid(pairs, x, y) -> list[list[int]]:
+    """sum_ij x_i y_j C[ij] at every grid point at once.
+
+    x, y and the result hold one list of values over the points per
+    coordinate; `pairs` lists (i, j, ((k, C[ij][k]), ...)) for the nonzero C[ij].
+    """
+    live_x, live_y = [any(u) for u in x], [any(v) for v in y]
+    out = [None] * len(x)
+    for i, j, col in pairs:
+        if live_x[i] and live_y[j]:
+            uv = [a * b for a, b in zip(x[i], y[j])]
+            for k, c in col:
+                acc = out[k]
+                out[k] = [c * p for p in uv] if acc is None else [s + c * p for s, p in zip(acc, uv)]
+    zero = [0] * len(x[0])
+    return [zero if o is None else o for o in out]
+
+
+def exact_quadratic_geodesic_certificate(conn: Connection) -> CompletenessReport:
+    """Prove in integers that every geodesic is quadratic in t, hence complete.
+
+    With B(x,y) = (nabla_x y + nabla_y x)/2 the body velocity of a
+    geodesic solves x' = -B(x,x).  For x1 = -B(x0,x0) and x2 = -B(x0,x1),
+    x0 + t x1 + t^2 x2 is the solution, defined for all t, exactly when
+
+        P4 = B(x1,x1) + 2B(x0,x2),  P5 = B(x1,x2),  P6 = B(x2,x2)
+
+    vanish; P_d is homogeneous of degree d in x0.  They are evaluated on
+    the integer tensor C = 2 den B at every point of the order-6 grid,
+    where y1 = C(a,a) and y2 = C(a,y1) are multiples of x1 and x2, so
+    C(y1,y1) + 2C(a,y2), C(y1,y2) and C(y2,y2) are nonzero multiples of
+    P4, P5 and P6.  A false verdict means no certificate, not a proof of
+    incompleteness.
+    """
+    n, side = conn.algebra.dim, conn.tensor.side
+    cols = list(zip(*side.num))  # column i*n + j holds den * nabla_{e_i} e_j
+    full = []
+    for i in range(n):
+        for j in range(n):
+            col = tuple((k, a + b) for k, (a, b) in enumerate(zip(cols[i * n + j], cols[j * n + i])) if a + b)
+            if col:
+                full.append((i, j, col))
+    # C is symmetric, so C(x,x) needs only the pairs i <= j, doubled off the diagonal
+    sym = [(i, j, col if i == j else tuple((k, 2 * c) for k, c in col)) for i, j, col in full if i <= j]
+    # a multiset of GRID_ORDER indices is a grid point, a_i counting index i;
+    # the points are held as one list of values per coordinate
+    points = [[p.count(i) for i in range(n)] for p in combinations_with_replacement(range(n), GRID_ORDER)]
+    a = [list(c) for c in zip(*points)]
+    y1 = _on_grid(sym, a, a)
+    y2 = _on_grid(full, a, y1)
+    p4 = zip(chain.from_iterable(_on_grid(sym, y1, y1)), chain.from_iterable(_on_grid(full, a, y2)))
+    vanishing = {
+        "P4": not any(s + 2 * t for s, t in p4),
+        "P5": not any(chain.from_iterable(_on_grid(full, y1, y2))),
+        "P6": not any(chain.from_iterable(_on_grid(sym, y2, y2))),
+    }
+    return CompletenessReport(
+        method="exact-quadratic-geodesic",
+        verdict=all(vanishing.values()),
+        details={
+            "equation": "x' = -B(x,x), B(x,y) = (nabla_x y + nabla_y x)/2, x1 = -B(x0,x0), x2 = -B(x0,x1)",
+            "identities": {"P4": "B(x1,x1) + 2B(x0,x2)", "P5": "B(x1,x2)", "P6": "B(x2,x2)"},
+            "vanishing": vanishing,
+            "grid": {"order": GRID_ORDER, "points": len(points)},
+        },
+    )
+
+
+def connection_is_complete_certificate(rep: CurvatureReport) -> CompletenessReport:
     """Completeness certificate for the connection of a curvature report.
 
-    Flat torsion-free connections get the exact trace argument (they are
-    LSA structures); the others get the numeric quadratic-geodesic fit.
+    Both branches are exact.  Flat torsion-free connections get the trace
+    argument (they are LSA structures); the others get the integer proof
+    that every geodesic is quadratic.
     """
     conn = rep.connection
     if rep.is_flat and not torsion_defect(conn):
@@ -455,4 +534,4 @@ def connection_is_complete_certificate(rep: CurvatureReport, seed: int = 0) -> C
             if verdict
             else {},
         )
-    return quadratic_geodesic_certificate(conn, seed=seed)
+    return exact_quadratic_geodesic_certificate(conn)

@@ -6,6 +6,7 @@ format is 1-based and lists only i<j brackets.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -269,6 +270,11 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+# a coefficient index as a JSON key: ASCII digits without sign, spaces,
+# underscores or leading zeros, so that each index has exactly one key
+_INDEX_KEY = re.compile(r"0|[1-9][0-9]*")
+
+
 def algebra_from_json(data: Mapping) -> LieAlgebra:
     dim = _json_int(data["dim"], "dim")
     brackets: dict[tuple[int, int], dict[int, Q]] = {}
@@ -276,10 +282,14 @@ def algebra_from_json(data: Mapping) -> LieAlgebra:
         i, j = _json_int(item["i"], "i"), _json_int(item["j"], "j")
         if not 1 <= i < j <= dim:
             raise ValueError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
+        if (i - 1, j - 1) in brackets:
+            raise ValueError(f"bracket pair ({i},{j}) is given twice")
         if not isinstance(item["coeffs"], dict):
             raise ValueError(f"coeffs of pair ({i},{j}) must be an object mapping indices to values")
         coeffs = {}
         for k, v in item["coeffs"].items():
+            if not (isinstance(k, str) and _INDEX_KEY.fullmatch(k)):
+                raise ValueError(f"coefficient index {k!r} of pair ({i},{j}) must be a decimal integer like \"4\"")
             if not 1 <= int(k) <= dim:
                 raise ValueError(f"coefficient index {k} of pair ({i},{j}) must satisfy 1 <= k <= dim")
             coeffs[int(k) - 1] = q(v)

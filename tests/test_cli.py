@@ -194,6 +194,12 @@ def test_malformed_cps_file_gives_json_error(capsys, tmp_path, cps_file, defect)
         {"dim": 6, "brackets": [{"i": 1, "j": 2.5, "coeffs": {"4": "1"}}]},
         {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": [1]}]},
         {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": "12"}]},
+        {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"0_4": "1", " 5": "1"}}]},
+        {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"+4": "1"}}]},
+        {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"\u0664": "1"}}]},
+        {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": "1", "04": "1"}}]},
+        '{"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": "1", "4": "2"}}]}',
+        {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": "1"}}, {"i": 1, "j": 2, "coeffs": {"5": "1"}}]},
     ],
     ids=[
         "float_coeff",
@@ -203,6 +209,12 @@ def test_malformed_cps_file_gives_json_error(capsys, tmp_path, cps_file, defect)
         "fractional_pair",
         "coeffs_list",
         "coeffs_string",
+        "coeff_key_underscore_and_space",
+        "coeff_key_sign",
+        "coeff_key_non_ascii_digit",
+        "coeff_key_leading_zero_duplicate",
+        "coeff_key_twice",
+        "bracket_pair_twice",
     ],
 )
 def test_malformed_algebra_file_gives_json_error(capsys, tmp_path, cps_file, algebra_data):
@@ -212,7 +224,8 @@ def test_malformed_algebra_file_gives_json_error(capsys, tmp_path, cps_file, alg
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(data))
     algebra = tmp_path / "algebra.json"
-    algebra.write_text(json.dumps(algebra_data))
+    # a string is raw JSON text, for objects that repeat a key
+    algebra.write_text(algebra_data if isinstance(algebra_data, str) else json.dumps(algebra_data))
     code, out = run_cli(capsys, "check-structure", "--algebra", str(algebra), "--cps", str(bare))
     assert code == 1
     assert set(_strict_json(out)) == {"error"}
@@ -303,8 +316,8 @@ def test_geodesic_command_fails_closed_on_blow_up(capsys, cps_file, monkeypatch)
     assert data["details"]["max_relative_residual"] is None
 
 
-def test_exact_commands_do_not_import_numpy(cps_file):
-    """numpy is loaded only by the commands that integrate geodesics."""
+def test_exact_commands_do_not_import_numpy(cps_file, nonflat_cps_file):
+    """numpy is loaded only by the `geodesic` command, which integrates geodesics."""
     import os
     import subprocess
     import sys
@@ -318,10 +331,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         cpslie.cli.main(["check-structure", "--cps", {cps_file!r}]),
         cpslie.cli.main(["hypercomplex", "--cps", {cps_file!r}]),
+        cpslie.cli.main(["connection-report", "--cps", {cps_file!r}]),
+        cpslie.cli.main(["connection-report", "--cps", {nonflat_cps_file!r}]),
         cpslie.cli.main(["nonexistence", "(0,0,0,12,23,14-35)"]),
         cpslie.cli.main(["verify-catalog"]),
     ]
-assert codes == [0, 0, 0, 0], codes
+assert codes == [0, 0, 0, 0, 0, 0], codes
 assert "numpy" not in sys.modules, "numpy was imported"
 """
     src = os.path.dirname(os.path.dirname(cpslie.__file__))
@@ -511,13 +526,18 @@ def overflow_cps_file(tmp_path):
 def test_float_overflow_fails_closed(capsys, overflow_cps_file, command):
     code = main([command, "--cps", overflow_cps_file])
     captured = capsys.readouterr()
-    assert code == 1
     assert captured.err == ""
     data = _strict_json(captured.out)
-    cert = data["completeness"] if command == "connection-report" else data
-    assert cert["method"] == "quadratic-geodesic"
-    assert cert["verdict"] is False
-    assert cert["details"]["max_relative_residual"] is None
+    if command == "connection-report":
+        # the exact certificate reads the integer tensor, so no coefficient is out of range
+        assert code == 0
+        assert data["completeness"]["method"] == "exact-quadratic-geodesic"
+        assert data["completeness"]["verdict"] is True
+        return
+    assert code == 1
+    assert data["method"] == "quadratic-geodesic"
+    assert data["verdict"] is False
+    assert data["details"]["max_relative_residual"] is None
 
 
 def _with_entry(tmp_path, cps_file, where, text):
@@ -550,9 +570,28 @@ def test_exponent_literal_gives_json_error_at_once(capsys, tmp_path, cps_file, w
     assert elapsed < 1.0
 
 
+@pytest.fixture
+def affine_line_cps_file(tmp_path):
+    """aff(R), [e1, e2] = e2, with J = [[0, -1], [1, 0]] and E = diag(1, -1): a
+    valid CPS whose geodesics leave the float range within the integration."""
+    path = tmp_path / "aff.json"
+    path.write_text(
+        json.dumps(
+            {
+                "algebra": {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]},
+                "J": {"matrix": [["0", "-1"], ["1", "0"]]},
+                "E": {"matrix": [["1", "0"], ["0", "-1"]]},
+            }
+        )
+    )
+    return str(path)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_bad_input_never_gives_a_traceback(capsys, tmp_path, cps_file, overflow_cps_file, command):
+def test_bad_input_never_gives_a_traceback(
+    capsys, tmp_path, cps_file, overflow_cps_file, affine_line_cps_file, command
+):
     """Every command, on inputs that once raised or hung: one JSON document, nothing on stderr."""
     subject = COMMANDS[command].subject
     if subject == "cps":
@@ -561,6 +600,7 @@ def test_bad_input_never_gives_a_traceback(capsys, tmp_path, cps_file, overflow_
             ["--cps", _with_entry(tmp_path, cps_file, "J", "nan")],
             ["--cps", _with_entry(tmp_path, cps_file, "E", "1/0")],
             ["--cps", overflow_cps_file],
+            ["--cps", affine_line_cps_file],
         ]
     elif subject == "salamon":
         runs = [["(0,0,12"], ["(0,0,1e3)"]]
@@ -572,3 +612,6 @@ def test_bad_input_never_gives_a_traceback(capsys, tmp_path, cps_file, overflow_
         assert code in (0, 1), argv
         assert captured.err == "", argv
         _strict_json(captured.out)  # exactly one JSON document
+        if subject == "salamon":
+            # every input here is malformed, and an error is one line
+            assert code == 1 and len(captured.out.splitlines()) == 1, argv

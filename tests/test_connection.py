@@ -25,6 +25,7 @@ from cpslie.connection import (
     connection_is_complete_certificate,
     cp_connection,
     curvature,
+    exact_quadratic_geodesic_certificate,
     integrate_geodesics,
     lsa_defects,
     lsa_is_complete,
@@ -35,7 +36,7 @@ from cpslie.connection import (
     torsion_defect,
 )
 from cpslie.lie import LieAlgebra, ThreeDimType, center, lower_central_series
-from cpslie.linalg import QMatrix, basis_vec, vec, vec_sub
+from cpslie.linalg import QMatrix, basis_vec, rank, vec, vec_sub
 from cpslie.salamon import parse_salamon
 from cpslie.structures import assemble_cps, rotate_product_rational_angle
 
@@ -214,11 +215,13 @@ def test_curvature_still_computed_with_torsion():
     assert rep.is_flat and torsion_defect(zero_conn)
 
 
-def test_flat_connection_with_torsion_gets_the_geodesic_certificate():
-    # a flat connection is an LSA only when torsion-free, so the exact branch is guarded
+def test_flat_connection_with_torsion_gets_the_exact_geodesic_certificate():
+    # a flat connection is an LSA only when torsion-free, so the trace branch is guarded
     h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
     zero_conn = Connection(h3, [[(0, 0, 0)] * 3 for _ in range(3)])
-    assert connection_is_complete_certificate(curvature(zero_conn)).method == "quadratic-geodesic"
+    cert = connection_is_complete_certificate(curvature(zero_conn))
+    # the zero connection's geodesics are straight lines
+    assert cert.method == "exact-quadratic-geodesic" and cert.verdict
 
 
 def test_abelian_cps_on_two_step_algebras_is_flat():
@@ -285,11 +288,13 @@ def test_completeness_certificates_by_case():
     cert = connection_is_complete_certificate(curvature(cp_connection(cps)))
     assert cert.method == "segal-trace" and cert.verdict
 
-    # non-flat (110) witness: numeric quadratic fit
+    # non-flat (110) witness: exact quadratic geodesics, and the numeric fit agrees
     _, cps = build_family("H3R_10", {"A": 1, "F": 1})
-    cert = connection_is_complete_certificate(curvature(cp_connection(cps)))
-    assert cert.method == "quadratic-geodesic" and cert.verdict
-    assert cert.details["max_relative_residual"] <= 1e-6
+    conn = cp_connection(cps)
+    cert = connection_is_complete_certificate(curvature(conn))
+    assert cert.method == "exact-quadratic-geodesic" and cert.verdict
+    numeric = quadratic_geodesic_certificate(conn)
+    assert numeric.verdict and numeric.details["max_relative_residual"] <= 1e-6
 
     # flat (100) slice AF = CE: exact certificate again
     _, cps = build_family("H3R_00", {"A": 2, "F": 3, "C": 2, "E": 3})
@@ -630,3 +635,147 @@ def test_quadratic_geodesic_certificate_fails_closed_on_non_finite(monkeypatch):
         assert {k: v for k, v in rep.details.items() if k != "max_relative_residual"} == {
             k: v for k, v in finite.details.items() if k != "max_relative_residual"
         }
+
+
+def load_bench_workloads():
+    """The benchmark's input generator, `bench/workloads.py`, loaded by path."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        # registered before it runs, since its dataclasses look their module up
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.fixture(scope="module")
+def numeric_verdict():
+    """The numeric certificate's verdict, computed once per connection tensor."""
+    verdicts = {}
+
+    def verdict(conn):
+        if conn not in verdicts:
+            verdicts[conn] = quadratic_geodesic_certificate(conn).verdict
+        return verdicts[conn]
+
+    return verdict
+
+
+def nonflat_witness_structures():
+    return [witness_structure(w) for entry in load_catalog() for w in entry.witnesses if not w.flat]
+
+
+def exact_reference(conn, points):
+    """P4, P5 and P6 at the given rational points, from B(x,y) = (nabla_x y + nabla_y x)/2 in Fractions."""
+
+    def b(x, y):
+        return tuple((u + v) / 2 for u, v in zip(conn.apply(x, y), conn.apply(y, x)))
+
+    def neg(x):
+        return tuple(-c for c in x)
+
+    values = []
+    for x0 in points:
+        x1 = neg(b(x0, x0))
+        x2 = neg(b(x0, x1))
+        p4 = tuple(u + 2 * v for u, v in zip(b(x1, x1), b(x0, x2)))
+        values.append((p4, b(x1, x2), b(x2, x2)))
+    return values
+
+
+def test_exact_and_numeric_completeness_agree_on_witnesses(numeric_verdict):
+    structures = nonflat_witness_structures()
+    assert len({cp_connection(cps) for _, cps in structures}) == 7
+    rng = random.Random(11)
+    points = [vec(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)) for _ in range(4)]
+    for _, cps in structures:
+        conn = cp_connection(cps)
+        cert = exact_quadratic_geodesic_certificate(conn)
+        assert cert.method == "exact-quadratic-geodesic"
+        assert cert.verdict is numeric_verdict(conn) is True
+        assert cert.details["vanishing"] == {"P4": True, "P5": True, "P6": True}
+        assert cert.details["grid"] == {"order": 6, "points": 462}
+        assert all(not any(values) for p in exact_reference(conn, points) for values in p)
+        assert connection_is_complete_certificate(curvature(conn)) == cert
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_exact_and_numeric_completeness_agree_on_benchmark_inputs(capsys, tmp_path, numeric_verdict, seed):
+    """connection-report's verdict on the `completeness` workload inputs equals the numeric one."""
+    import json
+
+    from cpslie.cli import main
+    from cpslie.lie import algebra_from_json
+    from cpslie.structures import endo_from_json
+
+    inputs = load_bench_workloads().generate("completeness", seed, tmp_path)
+    reports = [c for c in inputs.commands if c.kind == "connection-report"]
+    assert len(reports) == 7
+    for command in reports:
+        assert main(list(command.argv)) == 0
+        completeness = json.loads(capsys.readouterr().out)["completeness"]
+        assert completeness["method"] == "exact-quadratic-geodesic"
+        with open(command.argv[command.argv.index("--cps") + 1]) as fh:
+            data = json.load(fh)
+        cps = assemble_cps(algebra_from_json(data["algebra"]), endo_from_json(data["J"]), endo_from_json(data["E"]))
+        assert completeness["verdict"] is numeric_verdict(cp_connection(cps)) is True
+
+
+def blow_up_connection():
+    """Gamma_11 = e_1 on the abelian R^3: x1' = -x1^2 blows up in finite time."""
+    gamma = [[(0, 0, 0)] * 3 for _ in range(3)]
+    gamma[0][0] = (1, 0, 0)
+    return Connection(LieAlgebra.abelian(3), gamma)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [circle_connection, blow_up_connection], ids=["circles", "blow_up"])
+def test_exact_and_numeric_completeness_agree_on_controls(numeric_verdict, make):
+    conn = make()
+    cert = exact_quadratic_geodesic_certificate(conn)
+    assert cert.verdict is numeric_verdict(conn) is False
+    assert cert.details["grid"] == {"order": 6, "points": 28}
+    vanishing = [cert.details["vanishing"][p] for p in ("P4", "P5", "P6")]
+    rng = random.Random(5)
+    points = [vec(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)) for _ in range(4)]
+    reference = exact_reference(conn, points)
+    assert vanishing == [all(not any(v[d]) for v in reference) for d in range(3)]
+
+
+def test_one_entry_perturbation_fails_the_exact_certificate(numeric_verdict):
+    entry = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,14,24)")
+    _, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
+    conn = cp_connection(cps)
+    assert exact_quadratic_geodesic_certificate(conn).verdict
+    # nabla_{e1} e2 gains an e2 component
+    gamma = [list(row) for row in conn.gamma]
+    gamma[0][1] = tuple(c + (k == 1) for k, c in enumerate(gamma[0][1]))
+    perturbed = Connection(conn.algebra, gamma)
+    cert = exact_quadratic_geodesic_certificate(perturbed)
+    assert cert.verdict is numeric_verdict(perturbed) is False
+    assert cert.details["vanishing"] == {"P4": False, "P5": True, "P6": True}
+
+
+def test_exact_certificate_is_invariant_under_dense_basis_changes():
+    """Each non-flat tensor, conjugated by three seeded dense P, still has quadratic geodesics."""
+    from cpslie.lie import change_basis
+
+    structures = {}
+    for g, cps in nonflat_witness_structures():
+        structures.setdefault(cp_connection(cps), (g, cps))
+    rng = random.Random(2006)
+    for g, cps in structures.values():
+        for _ in range(3):
+            p = QMatrix([[rng.choice((-2, -1, 1, 2)) for _ in range(6)] for _ in range(6)])
+            while rank(p) < 6:
+                p = QMatrix([[rng.choice((-2, -1, 1, 2)) for _ in range(6)] for _ in range(6)])
+            p_inv = p.inverse()
+            conj = assemble_cps(change_basis(g, p), p_inv @ cps.j @ p, p_inv @ cps.e @ p)
+            conn = cp_connection(conj)
+            assert conn != cp_connection(cps)
+            assert exact_quadratic_geodesic_certificate(conn).verdict
