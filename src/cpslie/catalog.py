@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
+from itertools import chain
 from typing import TYPE_CHECKING
 
-from .connection import cp_connection, curvature
+from .connection import Connection, cp_connection, curvature
 from .lie import (
     LieAlgebra,
     ThreeDimType,
@@ -23,7 +25,7 @@ from .lie import (
     change_basis,
     semidirect_product,
 )
-from .linalg import Q, QMatrix, Subspace, basis_vec, q, vec, vec_neg
+from .linalg import Q, QMatrix, SparseTensor, Subspace, _matrix, basis_vec, q, vec, vec_neg
 from .salamon import parse_salamon
 from .structures import (
     CPS,
@@ -80,7 +82,7 @@ def _family_brackets(family: str, p: dict) -> dict:
             (e1, f2): {e3: p["E"], f3: p["F"] + alpha},
         }
         if alpha:
-            br[(e1, e2)] = {e3: Q(1)}
+            br[(e1, e2)] = {e3: 1}
         return br
     if family == "R4_00":
         return {
@@ -91,7 +93,7 @@ def _family_brackets(family: str, p: dict) -> dict:
         }
     if family == "R4_10":
         return {
-            (e1, e2): {e3: Q(1)},
+            (e1, e2): {e3: 1},
             (e1, f1): {e3: p["A1"], f3: p["A2"]},
             (e2, f1): {e3: p["C1"], f3: p["C2"]},
             (e1, f2): {e3: p["C1"], f3: p["C2"] + 1},
@@ -107,11 +109,19 @@ def _standard_cps(m: int) -> tuple[Endo, Endo]:
     return QMatrix.block([[z, -ident], [ident, z]]), QMatrix.diag_blocks(ident, -ident)
 
 
-def family_data(family: str, params) -> tuple[LieAlgebra, Endo, Endo]:
-    """Algebra and the standard J, E of a parameterized bracket family."""
+def _family_point(family: str, params) -> dict[str, Q]:
+    """Every family parameter at `params`, absent ones 0; FamilyError on a name the family lacks."""
     if family not in FAMILY_PARAMS:
         raise FamilyError(f"unknown family {family!r}")
-    p = {name: q(params.get(name, 0)) for name in FAMILY_PARAMS[family]}
+    names = FAMILY_PARAMS[family]
+    if unknown := sorted(set(params) - set(names)):
+        raise FamilyError(f"{family} has no parameter {', '.join(map(repr, unknown))}; its parameters are {names}")
+    return {name: q(params.get(name, 0)) for name in names}
+
+
+def family_data(family: str, params) -> tuple[LieAlgebra, Endo, Endo]:
+    """Algebra and the standard J, E of a parameterized bracket family."""
+    p = _family_point(family, params)
     if family in ("H3R_00", "H3R_10") and p["A"] ** 2 + p["C"] ** 2 == 0:
         raise FamilyError("side condition A^2 + C^2 != 0 violated")
     br = {
@@ -143,96 +153,69 @@ def flatness_closed_form(family: str) -> Poly:
 
     `prove_family_flatness` derives the curvature and certifies this form.
     """
+    from .poly import Poly
+
     v = _family_variables(family)
     if family == "H3R_00":
         return v["A"] * v["F"] - v["C"] * v["E"]
     if family == "H3R_10":
         return v["A"] * (2 * v["F"] + 1) - 2 * v["C"] * v["E"]
-    return 0 * v["A1"]  # the quotient-R4 families are flat throughout
+    return Poly(FAMILY_PARAMS[family])  # the quotient-R4 families are flat throughout
 
 
 def family_flatness_value(family: str, params) -> Q:
     """The closed form at one parameter point (absent parameters are 0)."""
-    form = flatness_closed_form(family)
-    return form.subs({name: q(params.get(name, 0)) for name in form.names}).value()
+    point = _family_point(family, params)
+    return flatness_closed_form(family).subs(point).value()
+
+
+def family_connection(family: str) -> Connection:
+    """The cp connection of the family's standard pair, with `Poly` entries.
+
+    Built by the code every instance runs: `LieAlgebra` checks Jacobi,
+    `assemble_cps` every CPS axiom, `cp_connection` torsion-freeness and
+    nabla J = nabla E = 0.  All of it is exact in Q[parameters], so each
+    zero test is a polynomial identity.  Every denominator stays 1 (J, E
+    and (Id +- E)/2 are integer matrices), so no Poly is divided by a gcd.
+    A failed identity raises FamilyError.
+    """
+    n, v = 6, _family_variables(family)
+    side = [[0] * n * n for _ in range(n)]  # column i*n + j holds [e_i, e_j]
+    for (i, j), coeffs in _family_brackets(family, v).items():
+        for k, c in coeffs.items():
+            side[k][i * n + j] += c
+            side[k][j * n + i] -= c
+    try:
+        g = LieAlgebra(n, SparseTensor.from_side_by_side(_matrix(side, 1, n * n)))
+        return cp_connection(assemble_cps(g, *_standard_cps(3)))
+    except ValueError as exc:
+        raise FamilyError(f"{family}: {exc}") from exc
 
 
 def prove_family_flatness(family: str) -> Poly:
     """Certify the flatness closed form of a family as polynomial identities.
 
-    The structure constants and the connection Gamma of the standard pair
-    (J e_i = f_i, E = +-Id) are built with polynomial entries in the
-    parameters.  Jacobi, torsion-freeness and nabla J = nabla E = 0 are
-    checked identically; the torsion-free connection with J and E parallel
-    is unique, so Gamma is `cp_connection` of every instance and no
-    instance needs building.  Every nonzero curvature entry must then be a
-    constant times the closed form, and one a nonzero constant unless the
-    form is zero: the curvature vanishes exactly where the form does.
-    Returns the closed form; a failed identity raises FamilyError naming it.
+    The torsion-free connection with J and E parallel is unique, so the
+    `curvature` of `family_connection` (Poly scalars; ints for an instance)
+    is that of every instance, and none needs building.  Every nonzero
+    curvature entry must be a constant times the closed form, and one a
+    nonzero constant unless the form is zero: the curvature vanishes
+    exactly where the form does.  Returns the closed form; a failed
+    identity raises FamilyError naming it.
     """
-    from .poly import matmul
+    from .poly import Poly
 
-    v = _family_variables(family)
     form = flatness_closed_form(family)
-    n, zero = 6, form * 0
-    ad = [[[zero] * n for _ in range(n)] for _ in range(n)]  # ad[i][k][j]: e_k in [e_i, e_j]
-    for (i, j), coeffs in _family_brackets(family, v).items():
-        for k, c in coeffs.items():
-            ad[i][k][j] += c
-            ad[j][k][i] -= c
-
-    def combination(coeffs, mats):
-        out = [[zero] * n for _ in range(n)]
-        for c, m in zip(coeffs, mats):
-            if c:
-                out = [[a + c * b if b else a for a, b in zip(ro, rm)] for ro, rm in zip(out, m)]
-        return out
-
-    def commutator(a, b):
-        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(matmul(a, b), matmul(b, a))]
-
-    def col(m, j):
-        return [r[j] for r in m]
-
-    def fail(what, where):
-        raise FamilyError(f"{family}: {what} fails at {where}")
-
-    pairs = [(i, jdx) for i in range(n) for jdx in range(i + 1, n)]
-    for i, jdx in pairs:
-        if commutator(ad[i], ad[jdx]) != combination(col(ad[i], jdx), ad):
-            fail("Jacobi ([ad x, ad y] = ad [x, y])", f"x, y = {BASIS[i]}, {BASIS[jdx]}")
-
-    j_mat, e_mat = (m.num for m in _standard_cps(3))
-    pip, pim = ([[int(r == c and (r < 3) == plus) for c in range(n)] for r in range(n)] for plus in (True, False))
-    # cp_connection's formula on the basis: e_i lies in g+ for i < 3, in g- after
-    sides = (
-        (matmul(pip, j_mat), matmul(j_mat, pip), pim),
-        (matmul(pim, j_mat), matmul(j_mat, pim), pip),
-    )
-    nablas = []
-    for i in range(n):
-        pj, jp, other = sides[i >= 3]
-        same = matmul(matmul(pj, ad[i]), jp)
-        cross = matmul(matmul(other, ad[i]), other)
-        nablas.append([[b - a for a, b in zip(rs, rc)] for rs, rc in zip(same, cross)])
-    for i, jdx in pairs:
-        if [a - b for a, b in zip(col(nablas[i], jdx), col(nablas[jdx], i))] != col(ad[i], jdx):
-            fail("torsion-freeness", f"({BASIS[i]}, {BASIS[jdx]})")
-    for i in range(n):
-        for m in (j_mat, e_mat):
-            if matmul(nablas[i], m) != matmul(m, nablas[i]):
-                fail("parallelism of J and E", f"nabla_{BASIS[i]}")
-
+    zero = Poly(form.names)  # an entry no parameter reached is an int; zero + x is a Poly
     curved = False
-    for i, jdx in pairs:
-        r = commutator(nablas[i], nablas[jdx])
-        bracket = combination(col(ad[i], jdx), nablas)
-        for x in (a - b for ra, rb in zip(r, bracket) for a, b in zip(ra, rb)):
-            if x and (not form or x.multiple_of(form) is None):
-                fail(f"closed form {form} (curvature entry {x})", f"R({BASIS[i]}, {BASIS[jdx]})")
+    for (i, j), m in curvature(family_connection(family)).r.items():
+        for x in chain.from_iterable(m.num):
+            if x and (not form or (zero + x).multiple_of(form) is None):
+                where = f"R({BASIS[i]}, {BASIS[j]})"
+                raise FamilyError(f"{family}: closed form {form} (curvature entry {x}) fails at {where}")
             curved = curved or bool(x)
     if form and not curved:
-        fail(f"closed form {form} (the curvature vanishes identically)", "every pair")
+        raise FamilyError(f"{family}: closed form {form} (the curvature vanishes identically) fails at every pair")
     return form
 
 
@@ -315,7 +298,7 @@ def excluded_entries() -> list[CatalogEntry]:
     return [e for e in load_catalog() if e.flat_class == "NoCPS"]
 
 
-def _build_witness(w: Witness, stage) -> tuple[LieAlgebra | None, CPS | None]:
+def _build_witness(w: Witness, stage, parse=parse_salamon) -> tuple[LieAlgebra | None, CPS | None]:
     """Algebra and the CPS the witness claims, with the rotation applied if any.
 
     Reports the "build" and "cps_valid" steps to `stage(name, ok, detail)`
@@ -323,7 +306,7 @@ def _build_witness(w: Witness, stage) -> tuple[LieAlgebra | None, CPS | None]:
     """
     try:
         if w.family == "Explicit":
-            g, j, e = parse_salamon(w.target), w.explicit_j, w.explicit_e
+            g, j, e = parse(w.target), w.explicit_j, w.explicit_e
         else:
             g, j, e = family_data(w.family, w.params)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
@@ -372,15 +355,15 @@ class WitnessReport:
         }
 
 
-def verify_witness(entry: CatalogEntry, w: Witness) -> WitnessReport:
-    """Replays the witness certificate against the row, stage by stage."""
+def verify_witness(entry: CatalogEntry, w: Witness, parse=parse_salamon) -> WitnessReport:
+    """Replays the witness certificate against the row, stage by stage; tuples are read with `parse`."""
     stages: list[tuple[str, bool, str]] = []
 
     def stage(name, ok, detail=""):
         stages.append((name, bool(ok), detail))
         return ok
 
-    g, cps = _build_witness(w, stage)
+    g, cps = _build_witness(w, stage, parse)
     if g is None:
         return WitnessReport(w.name, tuple(stages))
 
@@ -388,7 +371,7 @@ def verify_witness(entry: CatalogEntry, w: Witness) -> WitnessReport:
         if w.target != entry.salamon:
             raise ValueError("witness target differs from the row")
         moved = change_basis(g, w.basis_change)
-        ok = moved == parse_salamon(entry.salamon)
+        ok = moved == parse(entry.salamon)
         stage("basis_change", ok, "" if ok else "structure constants differ after basis change")
     except Exception as exc:  # noqa: BLE001
         stage("basis_change", False, str(exc))
@@ -512,7 +495,8 @@ class RowReport:
 def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> RowReport:
     """Check a row's cells and flat class; `proofs` as in `slice_flatness_check`."""
     proofs = {} if proofs is None else proofs
-    reports = [verify_witness(entry, w) for w in entry.witnesses]
+    parse = cache(parse_salamon)  # algebras are immutable: the row's witnesses share one parse
+    reports = [verify_witness(entry, w, parse) for w in entry.witnesses]
     checks: list[tuple[str, bool, str]] = []
 
     def check(name, ok, detail=""):

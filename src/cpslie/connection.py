@@ -481,7 +481,9 @@ def exact_quadratic_geodesic_certificate(conn: Connection) -> CompletenessReport
     where y1 = C(a,a) and y2 = C(a,y1) are multiples of x1 and x2, so
     C(y1,y1) + 2C(a,y2), C(y1,y2) and C(y2,y2) are nonzero multiples of
     P4, P5 and P6.  A false verdict means no certificate, not a proof of
-    incompleteness.
+    incompleteness.  The scalars are ints for an instance and Polys for a
+    family's connection (`catalog.family_connection`), where the zero
+    tests are identities in the parameters.
     """
     n, side = conn.algebra.dim, conn.tensor.side
     cols = list(zip(*side.num))  # column i*n + j holds den * nabla_{e_i} e_j

@@ -100,9 +100,12 @@ def _scaled(v) -> tuple[list[int], int]:
         return _scaled(vec(v))
 
 
-def _unscaled(nums: Iterable[int], d: int) -> Vector:
-    """The Fraction vector nums / d, for d > 0."""
-    return tuple(Q(a, d) if a else _ZERO for a in nums)
+def _unscaled(nums: Sequence, d: int) -> Vector:
+    """The Fraction vector nums / d, for d > 0; Poly numerators (a family's layouts) stay Polys."""
+    try:
+        return tuple(Q(a, d) if a else _ZERO for a in nums)
+    except TypeError:
+        return tuple(a * Q(1, d) if a else _ZERO for a in nums)
 
 
 class SingularMatrixError(ValueError):

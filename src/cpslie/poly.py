@@ -6,7 +6,8 @@ tuples to nonzero Python-int numerators, and one positive common
 denominator, with the gcd of all numerators and the denominator divided
 out.  Equal polynomials therefore have equal fields and equal hashes.
 
-Ints and Fractions mix with Polys in +, - , * and ==, as constants.
+Ints and Fractions mix with Polys in +, - , * and ==, as constants; a
+product by the int 0 is the int 0, as in a matrix of ints and Polys.
 Substitution of rational values (`subs`) and of a monomial by a
 polynomial (`rewrite`) keep the variable names; a substituted variable
 simply no longer occurs.
@@ -27,10 +28,11 @@ class Poly:
     def __init__(self, names, terms=None, den: int = 1):
         """`terms` maps exponent tuples to int numerators, all over `den` > 0."""
         terms = {e: c for e, c in (terms or {}).items() if c}
-        g = gcd(den, *terms.values())
-        if g > 1:
-            terms = {e: c // g for e, c in terms.items()}
-            den //= g
+        if den > 1:
+            g = gcd(den, *terms.values())
+            if g > 1:
+                terms = {e: c // g for e, c in terms.items()}
+                den //= g
         object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "den", den if terms else 1)
@@ -75,6 +77,10 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other if sign > 0 else -other
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
         terms = {e: c * fa for e, c in self.terms.items()}
@@ -98,10 +104,16 @@ class Poly:
 
     def __mul__(self, other):
         if type(other) is int:
+            if not other:
+                return 0
+            if other == 1 or not self.terms:
+                return self
             return Poly(self.names, {e: c * other for e, c in self.terms.items()}, self.den)
         other = self._coerce(other)
         if other is NotImplemented:
             return other
+        if not self.terms:
+            return self
         terms: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -187,17 +199,3 @@ class Poly:
                 parts.append(f"{coeff}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
-
-def matmul(a, b):
-    """Product of dense matrices (lists of rows) whose entries are Polys or rationals.
-
-    Zero entries of `a` are skipped, so sparse factors cost little.
-    """
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                acc = [s + x * y if y else s for s, y in zip(acc, brow)]
-        out.append(acc)
-    return out

@@ -9,10 +9,12 @@ import pytest
 from cpslie.catalog import (
     COLUMN_LABELS,
     EXCLUDED,
+    FAMILY_PARAMS,
     FamilyError,
     _encoded_proof_report,
     build_family,
     eight_dim_example,
+    family_connection,
     family_data,
     family_flatness_value,
     flatness_closed_form,
@@ -26,9 +28,15 @@ from cpslie.catalog import (
     verify_witness,
     witness_structure,
 )
-from cpslie.connection import cp_connection, lsa_is_complete, restrict_to_lsa
+from cpslie.connection import (
+    Connection,
+    cp_connection,
+    exact_quadratic_geodesic_certificate,
+    lsa_is_complete,
+    restrict_to_lsa,
+)
 from cpslie.lie import LieAlgebra, ThreeDimType, center, change_basis, iso_type_3d
-from cpslie.linalg import QMatrix, Subspace, basis_vec, kernel, vec
+from cpslie.linalg import QMatrix, SparseTensor, Subspace, _matrix, basis_vec, kernel, vec
 from cpslie.poly import Poly
 from cpslie.salamon import parse_salamon
 from cpslie.structures import (
@@ -112,6 +120,21 @@ def test_build_family_side_condition():
         family_flatness_value("NoSuchFamily", {})
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: family_flatness_value("H3R_10", {"A": 1, "f": 3}),
+        lambda: family_data("H3R_00", {"A": 1, "Z": 7}),
+        lambda: build_family("R4_00", {"A1": 1, "C1": 2}),
+    ],
+    ids=["family_flatness_value", "family_data", "build_family"],
+)
+def test_unknown_family_parameter_is_rejected(call):
+    # a misspelt or foreign parameter used to be read as 0
+    with pytest.raises(FamilyError, match="has no parameter '(f|Z|C1)'"):
+        call()
+
+
 def test_build_family_verifies_cps():
     g, cps = build_family("H3R_10", {"A": 1, "C": 2, "E": Q(1, 3)})
     assert cps.plus == Subspace.from_spanning([basis_vec(6, i) for i in range(3)], 6)
@@ -127,9 +150,7 @@ def test_family_constraint_identity():
             if family.startswith("H3R")
             else {"A1": 2, "A2": 1, "B1": 3, "B2": 1, "C1": 3, "C2": 1, "D1": 2, "D2": 5}
         )
-        params = {
-            k: v for k, v in params.items() if k in dict.fromkeys(("A", "B", "C", "D", "E", "F", "A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2"))
-        }
+        params = {k: v for k, v in params.items() if k in FAMILY_PARAMS[family]}
         g, _, _ = family_data(family, params)
         e1, e2 = basis_vec(6, 0), basis_vec(6, 1)
         f1, f2 = basis_vec(6, 3), basis_vec(6, 4)
@@ -154,6 +175,26 @@ def test_verify_witness_row4_pair():
     for w in (nonflat, flat):
         report = verify_witness(row, w)
         assert report.passed, report.to_json()
+
+
+def test_verify_row_parses_its_tuple_once(monkeypatch):
+    import cpslie.catalog as catalog
+
+    calls = []
+    parse = catalog.parse_salamon
+    monkeypatch.setattr(catalog, "parse_salamon", lambda text: calls.append(text) or parse(text))
+    rows = table_rows()
+    assert all(verify_row(entry).passed for entry in rows)
+    assert sorted(calls) == sorted(entry.salamon for entry in rows)
+
+    # a row tuple that does not parse fails each witness's basis change, and raises nothing
+    entry = _row("(0,0,0,0,12,14+25)")
+    bad = dataclasses.replace(
+        entry, salamon="(0,0,1x)", witnesses=tuple(dataclasses.replace(w, target="(0,0,1x)") for w in entry.witnesses)
+    )
+    for report in verify_row(bad).witness_reports:
+        stages = {name: (ok, detail) for name, ok, detail in report.stages}
+        assert not stages["basis_change"][0] and stages["basis_change"][1], report.to_json()
 
 
 def test_verify_witness_rejects_singular_basis_change():
@@ -402,8 +443,28 @@ def test_slice_check_builds_no_instance(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the slice check must not build an instance")
 
-    for name in ("build_family", "family_data", "assemble_cps", "cp_connection", "curvature"):
+    for name in ("build_family", "family_data"):
         monkeypatch.setattr(catalog, name, forbidden)
+
+    # the family proofs run the production path, but only on Poly layouts
+    def variables(layout):
+        return next((x.names for r in layout.num for x in r if isinstance(x, Poly)), None)
+
+    connections = []
+
+    def on_family(name, real, algebra_of):
+        def wrapped(arg, *rest):
+            names = variables(algebra_of(arg).structure.side)
+            assert names is not None, f"{name} saw a rational instance"
+            if name == "cp_connection":
+                connections.append(names)
+            return real(arg, *rest)
+
+        monkeypatch.setattr(catalog, name, wrapped)
+
+    on_family("assemble_cps", catalog.assemble_cps, lambda g: g)
+    on_family("cp_connection", catalog.cp_connection, lambda cps: cps.algebra)
+    on_family("curvature", catalog.curvature, lambda conn: conn.algebra)
     proofs = {}
     for entry in table_rows():
         for w in entry.witnesses:
@@ -411,6 +472,7 @@ def test_slice_check_builds_no_instance(monkeypatch):
                 ok, detail = catalog.slice_flatness_check(w, w.flat, proofs)
                 assert (ok, detail) == (True, "slice consistent"), (entry.salamon, w.name)
     assert set(proofs) == {"H3R_10", "R4_00", "R4_10"}
+    assert sorted(connections) == sorted(FAMILY_PARAMS[f] for f in proofs)
 
 
 def test_second_realizing_slice_reduces_to_A():
@@ -484,7 +546,7 @@ def test_planted_wrong_closed_form_fails_the_row(monkeypatch, family, salamon, p
         ("H3R_10", (1, 2), {0: 1}, "Jacobi"),
         # [e1, e2] = f3 is central, so Jacobi holds, but J is not integrable:
         # no torsion-free connection has J and E parallel
-        ("R4_00", (0, 1), {5: 1}, "torsion-freeness"),
+        ("R4_00", (0, 1), {5: 1}, "J_integrability"),
     ],
 )
 def test_planted_bracket_fails_the_certificate(monkeypatch, family, pair, value, failure):
@@ -500,3 +562,36 @@ def test_planted_bracket_fails_the_certificate(monkeypatch, family, pair, value,
     monkeypatch.setattr(catalog, "_family_brackets", broken)
     with pytest.raises(FamilyError, match=failure):
         prove_family_flatness(family)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_every_family_member_has_quadratic_geodesics(family):
+    # the grid evaluation over Poly scalars proves P4 = P5 = P6 = 0 identically
+    # in the parameters, for every member of the family at once
+    conn = family_connection(family)
+    report = exact_quadratic_geodesic_certificate(conn)
+    assert report.verdict and report.details["vanishing"] == {"P4": True, "P5": True, "P6": True}
+
+    # nabla_{e1} e1 += (first parameter) e1 breaks all three
+    side = [list(r) for r in conn.tensor.side.num]
+    side[0][0] += Poly.var(FAMILY_PARAMS[family], FAMILY_PARAMS[family][0])
+    planted = Connection(conn.algebra, SparseTensor.from_side_by_side(_matrix(side, 1, 36)))
+    report = exact_quadratic_geodesic_certificate(planted)
+    assert not report.verdict and not any(report.details["vanishing"].values())
+
+
+def test_family_connection_specializes_to_every_instance():
+    # the Poly connection at a witness's parameters is the witness family's cp connection
+    connections = {f: family_connection(f) for f in FAMILY_PARAMS}
+    checked = 0
+    for entry in table_rows():
+        for w in entry.witnesses:
+            if w.family == "Explicit":
+                continue
+            point = {name: w.params.get(name, Q(0)) for name in FAMILY_PARAMS[w.family]}
+            side = connections[w.family].tensor.side
+            values = [[x.subs(point).value() if isinstance(x, Poly) else Q(x) for x in r] for r in side.num]
+            expected = cp_connection(build_family(w.family, w.params)[1]).tensor
+            assert SparseTensor.from_side_by_side(QMatrix(values)) == expected, w.name
+            checked += 1
+    assert checked == 33

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpslie.poly import Poly, matmul
+from cpslie.poly import Poly
 
 NAMES = ("x", "y", "z")
 
@@ -111,9 +111,3 @@ def test_value_and_variable_checks():
     with pytest.raises(ValueError, match="involves"):
         x.rewrite(Poly.monomial(NAMES, "x*y"), x)
 
-
-def test_matmul_matches_entrywise_products():
-    x, y = Poly.var(NAMES, "x"), Poly.var(NAMES, "y")
-    a = [[x, 0], [1, y]]
-    b = [[y, 2], [0, x]]
-    assert matmul(a, b) == [[x * y, 2 * x], [y, 2 + x * y]]
