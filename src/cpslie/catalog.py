@@ -25,7 +25,7 @@ from .lie import (
     change_basis,
     semidirect_product,
 )
-from .linalg import Q, QMatrix, SparseTensor, Subspace, _matrix, basis_vec, q, vec, vec_neg
+from .linalg import Q, QMatrix, Subspace, basis_vec, q, vec, vec_neg
 from .salamon import parse_salamon
 from .structures import (
     CPS,
@@ -124,11 +124,7 @@ def family_data(family: str, params) -> tuple[LieAlgebra, Endo, Endo]:
     p = _family_point(family, params)
     if family in ("H3R_00", "H3R_10") and p["A"] ** 2 + p["C"] ** 2 == 0:
         raise FamilyError("side condition A^2 + C^2 != 0 violated")
-    br = {
-        pair: {k: c for k, c in coeffs.items() if c != 0}
-        for pair, coeffs in _family_brackets(family, p).items()
-    }
-    return (LieAlgebra.from_brackets(6, br), *_standard_cps(3))
+    return (LieAlgebra.from_brackets(6, _family_brackets(family, p)), *_standard_cps(3))
 
 
 def build_family(family: str, params) -> tuple[LieAlgebra, CPS]:
@@ -179,14 +175,8 @@ def family_connection(family: str) -> Connection:
     and (Id +- E)/2 are integer matrices), so no Poly is divided by a gcd.
     A failed identity raises FamilyError.
     """
-    n, v = 6, _family_variables(family)
-    side = [[0] * n * n for _ in range(n)]  # column i*n + j holds [e_i, e_j]
-    for (i, j), coeffs in _family_brackets(family, v).items():
-        for k, c in coeffs.items():
-            side[k][i * n + j] += c
-            side[k][j * n + i] -= c
     try:
-        g = LieAlgebra(n, SparseTensor.from_side_by_side(_matrix(side, 1, n * n)))
+        g = LieAlgebra.from_brackets(6, _family_brackets(family, _family_variables(family)))
         return cp_connection(assemble_cps(g, *_standard_cps(3)))
     except ValueError as exc:
         raise FamilyError(f"{family}: {exc}") from exc

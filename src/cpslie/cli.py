@@ -205,7 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--algebra", help="tuple string or JSON algebra file")
             p.add_argument("--cps", required=True, help="JSON file with J and E matrices")
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help=(
+            "seed of the sampled checks; only verify-catalog, nonexistence and geodesic"
+            " read it, the other commands accept it and ignore it"
+        ))
     return parser
 
 

@@ -358,8 +358,10 @@ def integrate_geodesics(conn: Connection, initial: list[Vector], t_max=GEODESIC_
     # product of the (b, n*n) outer products y_i y_j with this matrix.  The
     # doubled copy gives stages 2 and 3 as 2k exactly, so their stage inputs
     # scale by h/4 and h/2 and the weighted sum is three adds, bit for bit
-    # the classical k1 + 2 k2 + 2 k3 + k4
-    neg_gam = np.array([[-float(c) for c in conn.gamma[i][j]] for i in range(n) for j in range(n)])
+    # the classical k1 + 2 k2 + 2 k3 + k4.  The int quotient num / den is
+    # correctly rounded, so each entry has the bits of -float(Fraction)
+    side = conn.tensor.side
+    neg_gam = np.array([[-(x / side.den) for x in col] for col in zip(*side.num)])
     neg_gam2 = 2.0 * neg_gam
     x = np.array([[float(c) for c in v] for v in initial])
     steps = int(round(t_max / step))

@@ -16,6 +16,8 @@ from .linalg import (
     SparseTensor,
     Subspace,
     Vector,
+    _matrix,
+    _scaled,
     _unscaled,
     basis_vec,
     q,
@@ -24,7 +26,6 @@ from .linalg import (
     right_product,
     swapped,
     vec_is_zero,
-    zero_vec,
 )
 
 
@@ -75,24 +76,38 @@ class LieAlgebra:
     def from_brackets(
         cls, dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]], check: bool = True
     ) -> "LieAlgebra":
-        """Build from a sparse {(i, j): {k: coeff}} description, i < j."""
-        table = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), coeffs in brackets.items():
-            if not 0 <= i < j < dim:
+        """Build from a sparse {(i, j): {k: coeff}} description, i < j; `brackets` reads it back.
+
+        The only way from such a description into the side-by-side layout:
+        the coefficients (rationals, or Polys in a family's parameters) go
+        through `linalg._scaled` once, onto one common denominator.
+        """
+        n, cells, coeffs = dim, [], []
+        for (i, j), row in brackets.items():
+            if not 0 <= i < j < n:
                 raise ValueError(f"bracket pair ({i},{j}) must satisfy 0 <= i < j < dim")
-            for k, c in coeffs.items():
-                if not 0 <= k < dim:
+            for k, c in row.items():
+                if not 0 <= k < n:
                     raise ValueError(f"coefficient index {k} of pair ({i},{j}) must satisfy 0 <= k < dim")
-                table[i][j][k] += q(c)
-                table[j][i][k] -= q(c)
-        return cls(dim, table, check=check)
+                cells.append((k, i * n + j, j * n + i))
+                coeffs.append(c)
+        nums, den = _scaled(coeffs)
+        side = [[0] * n * n for _ in range(n)]  # column i*n + j holds [e_i, e_j]
+        for (k, ij, ji), x in zip(cells, nums):
+            side[k][ij], side[k][ji] = x, -x
+        return cls(n, SparseTensor.from_side_by_side(_matrix(side, den, n * n)), check=check)
 
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
         return cls.from_brackets(dim, {})
 
-    def c(self, i: int, j: int, k: int) -> Q:
-        return self.table[i][j][k]
+    def brackets(self) -> dict[tuple[int, int], dict[int, Q]]:
+        """{(i, j): {k: coeff}} for every i < j and nonzero coeff, in index
+        order: the only way back from the layout to `from_brackets`' form."""
+        den = self.structure.den
+        return {
+            (i, j): {k: Q(c, den) for k, c in w} for i, row in enumerate(self.structure.terms) for j, w in row if i < j
+        }
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear antisymmetric product from the structure constants."""
@@ -222,12 +237,7 @@ def semidirect_product(h: LieAlgebra, action: Sequence[QMatrix]) -> LieAlgebra:
     s = action[0].rows if action else 0
     if len(action) != m or any(a.rows != s or a.cols != s for a in action):
         raise ValueError("one s x s action matrix per basis vector of h required")
-    brackets: dict[tuple[int, int], dict[int, Q]] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            coeffs = {k: c for k, c in enumerate(h.table[i][j]) if c != 0}
-            if coeffs:
-                brackets[(i, j)] = coeffs
+    brackets = h.brackets()
     for i in range(m):
         for j in range(s):
             coeffs = {m + k: c for k, c in enumerate(action[i].col(j)) if c != 0}
@@ -255,12 +265,10 @@ def change_basis(g: LieAlgebra, p: QMatrix) -> LieAlgebra:
 
 def algebra_to_json(g: LieAlgebra) -> dict:
     """1-indexed sparse JSON form listing only i<j nonzero brackets."""
-    items = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            coeffs = {str(k + 1): qstr(c) for k, c in enumerate(g.table[i][j]) if c != 0}
-            if coeffs:
-                items.append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
+    items = [
+        {"i": i + 1, "j": j + 1, "coeffs": {str(k + 1): qstr(c) for k, c in coeffs.items()}}
+        for (i, j), coeffs in g.brackets().items()
+    ]
     return {"dim": g.dim, "brackets": items}
 
 

@@ -20,9 +20,10 @@ Subspaces are kept in reduced row-echelon form with unit pivots so that
 equal subspaces compare (and hash) identically; the row reduction itself
 is fraction free.
 
-Outside input goes through `q`, which accepts ints, Fractions and
-"p" or "p/q" strings of decimal digits, and rejects everything else
-(floats, bools and exponent notation in particular).
+Outside input enters the integer form through `_scaled`, which reads
+ints and Fractions directly and sends everything else through `q`: that
+accepts "p" or "p/q" strings of decimal digits and rejects everything
+else (floats, bools and exponent notation in particular).
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-def zero_vec(n: int) -> Vector:
-    return (Q(0),) * n
-
-
 def basis_vec(n: int, i: int, scale=1) -> Vector:
     return tuple(q(scale) if j == i else Q(0) for j in range(n))
 
@@ -91,13 +88,18 @@ def basis_vec(n: int, i: int, scale=1) -> Vector:
 def _scaled(v) -> tuple[list[int], int]:
     """(numerators, d) with v = numerators / d and d the least common denominator.
 
-    Ints and Fractions are read directly; anything else goes through `q`.
+    Ints and Fractions (and Polys, whose numerators stay Polys) are read
+    directly; anything else goes through `q`, bools too, though they have
+    a denominator.  For reduced entries the form is canonical: no common
+    factor is left in d and the numerators.
     """
-    try:
-        d = lcm(*[x.denominator for x in v])
-        return [x.numerator * (d // x.denominator) for x in v], d
-    except AttributeError:
-        return _scaled(vec(v))
+    if bool not in map(type, v):
+        try:
+            d = lcm(*[x.denominator for x in v])
+            return [x.numerator * (d // x.denominator) for x in v], d
+        except AttributeError:
+            pass
+    return _scaled(vec(v))
 
 
 def _unscaled(nums: Sequence, d: int) -> Vector:
@@ -134,7 +136,8 @@ class QMatrix:
     __slots__ = ("rows", "cols", "num", "den", "_entries")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
-        rows = tuple(tuple(q(x) for x in row) for row in entries)
+        rows = [tuple(r) for r in entries]
+        flat, den = _scaled([x for r in rows for x in r])
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -145,15 +148,11 @@ class QMatrix:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
             ncols = cols
-        # the least common denominator of reduced fractions leaves no
-        # common factor in the numerators, so this form is canonical
-        den = lcm(*[x.denominator for r in rows for x in r])
-        num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows)
-        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "num", tuple(tuple(flat[r * ncols:(r + 1) * ncols]) for r in range(len(rows))))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "_entries", rows)
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
@@ -196,9 +195,6 @@ class QMatrix:
 
     def entry(self, i: int, j: int) -> Q:
         return Q(self.num[i][j], self.den)
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def col(self, j: int) -> Vector:
         return _unscaled([r[j] for r in self.num], self.den)
@@ -314,20 +310,22 @@ class SparseTensor:
     __slots__ = ("dim", "den", "terms", "side", "_table")
 
     def __init__(self, dim: int, table):
-        rows = tuple(tuple(vec(v) for v in row) for row in table)
+        rows = [[tuple(v) for v in row] for row in table]
+        flat, den = _scaled([x for r in rows for v in r for x in v])
         if len(rows) != dim or any(len(r) != dim for r in rows) or any(
             len(v) != dim for r in rows for v in r
         ):
             raise ValueError("the table must be dim x dim with vectors of length dim")
-        self._set(QMatrix([[v[k] for r in rows for v in r] for k in range(dim)], cols=dim * dim), rows)
+        # flat[(i*n + j)*n + k] is T[i][j][k], the entry of side[k] in column i*n + j
+        self._set(_matrix([flat[k::dim] for k in range(dim)], den, dim * dim))
 
-    def _set(self, side: QMatrix, table=None):
+    def _set(self, side: QMatrix):
         n, cols = side.rows, list(zip(*side.num))
         terms = tuple(
             tuple((j, w) for j in range(n) if (w := tuple((k, c) for k, c in enumerate(cols[i * n + j]) if c)))
             for i in range(n)
         )
-        for name, value in (("dim", n), ("den", side.den), ("terms", terms), ("side", side), ("_table", table)):
+        for name, value in (("dim", n), ("den", side.den), ("terms", terms), ("side", side), ("_table", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

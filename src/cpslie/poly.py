@@ -40,6 +40,16 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    # numerator / denominator, as on a Fraction, so that `linalg` reads a
+    # Poly bracket coefficient into its integer layouts as it reads a rational
+    @property
+    def numerator(self) -> "Poly":
+        return self if self.den == 1 else Poly(self.names, self.terms)
+
+    @property
+    def denominator(self) -> int:
+        return self.den
+
     @classmethod
     def const(cls, names, c) -> "Poly":
         c = Fraction(c)

@@ -116,7 +116,7 @@ def parse_salamon(text: str) -> LieAlgebra:
             if k - 1 in coeffs:
                 # every coefficient stays a unit, so emit_salamon prints what parses
                 raise SalamonError(f"pair {a}{b} repeats the 2-form e^{i}^e^{j} in slot {k}", at)
-            coeffs[k - 1] = Q(-s)
+            coeffs[k - 1] = -s
     try:
         return LieAlgebra.from_brackets(dim, brackets)
     except JacobiError as exc:
@@ -133,48 +133,33 @@ def emit_salamon(g: LieAlgebra) -> str:
     Negative unit coefficients are written as reversed positive pairs
     ("42" rather than "-24"); terms are sorted as written.
     """
-    n = g.dim
     entries = []
-    for k in range(n):
+    for k, form in enumerate(differential(g)):
         terms = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = g.c(i, j, k)
-                if c == 0:
-                    continue
-                if i >= k or j >= k:
-                    raise SalamonError(
-                        f"not triangular: [e_{i+1}, e_{j+1}] hits e_{k+1}"
-                    )
-                s = -c
-                if s == 1:
-                    terms.append((i + 1, j + 1))
-                elif s == -1:
-                    terms.append((j + 1, i + 1))
-                else:
-                    raise SalamonError(
-                        f"coefficient {s} of e^{i+1}^e^{j+1} in d e^{k+1} is not a unit;"
-                        " change basis before emitting"
-                    )
-        if not terms:
-            entries.append("0")
-        else:
-            terms.sort()
-            entries.append("+".join(f"{a}{b}" for a, b in terms))
+        for (i, j), s in form.items():
+            if i >= k or j >= k:
+                raise SalamonError(
+                    f"not triangular: [e_{i+1}, e_{j+1}] hits e_{k+1}"
+                )
+            if s == 1:
+                terms.append((i + 1, j + 1))
+            elif s == -1:
+                terms.append((j + 1, i + 1))
+            else:
+                raise SalamonError(
+                    f"coefficient {s} of e^{i+1}^e^{j+1} in d e^{k+1} is not a unit;"
+                    " change basis before emitting"
+                )
+        entries.append("+".join(f"{a}{b}" for a, b in sorted(terms)) or "0")
     return "(" + ",".join(entries) + ")"
 
 
 def differential(g: LieAlgebra) -> list[dict[tuple[int, int], Q]]:
-    """d e^k as {(i, j): coeff} with i < j, for each k (0-based)."""
-    out = []
-    for k in range(g.dim):
-        form = {}
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                c = g.c(i, j, k)
-                if c != 0:
-                    form[(i, j)] = -c
-        out.append(form)
+    """d e^k as {(i, j): coeff} with i < j, for each k (0-based), in index order."""
+    out: list[dict[tuple[int, int], Q]] = [{} for _ in range(g.dim)]
+    for pair, coeffs in g.brackets().items():
+        for k, c in coeffs.items():
+            out[k][pair] = -c
     return out
 
 

@@ -161,7 +161,7 @@ def _strict_json(text):
 
 @pytest.mark.parametrize(
     "defect",
-    ["float_entry", "no_J", "no_E", "bool_entry", "string_row"],
+    ["float_entry", "no_J", "no_E", "bool_entry", "bool_only", "string_row"],
 )
 def test_malformed_cps_file_gives_json_error(capsys, tmp_path, cps_file, defect):
     with open(cps_file) as fh:
@@ -170,6 +170,9 @@ def test_malformed_cps_file_gives_json_error(capsys, tmp_path, cps_file, defect)
         data["J"]["matrix"][0][1] = 1.0
     elif defect == "bool_entry":
         data["E"]["matrix"] = [[True if x == "1" else x for x in row] for row in data["E"]["matrix"]]
+    elif defect == "bool_only":
+        # JSON true, 0 and -1 only: no string entry to reject the matrix for
+        data["E"]["matrix"] = [[{"1": True, "0": 0, "-1": -1}[x] for x in row] for row in data["E"]["matrix"]]
     elif defect == "string_row":
         data["E"]["matrix"][0] = "".join(data["E"]["matrix"][0])
     else:
@@ -316,8 +319,8 @@ def test_geodesic_command_fails_closed_on_blow_up(capsys, cps_file, monkeypatch)
     assert data["details"]["max_relative_residual"] is None
 
 
-def test_exact_commands_do_not_import_numpy(cps_file, nonflat_cps_file):
-    """numpy is loaded only by the `geodesic` command, which integrates geodesics."""
+def _modules_loaded_by(*argvs):
+    """Run the command lines in one fresh interpreter, each expecting exit 0; the modules it loaded."""
     import os
     import subprocess
     import sys
@@ -325,24 +328,52 @@ def test_exact_commands_do_not_import_numpy(cps_file, nonflat_cps_file):
     import cpslie
 
     script = f"""
-import contextlib, io, sys
+import contextlib, io, json, sys
 import cpslie, cpslie.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        cpslie.cli.main(["check-structure", "--cps", {cps_file!r}]),
-        cpslie.cli.main(["hypercomplex", "--cps", {cps_file!r}]),
-        cpslie.cli.main(["connection-report", "--cps", {cps_file!r}]),
-        cpslie.cli.main(["connection-report", "--cps", {nonflat_cps_file!r}]),
-        cpslie.cli.main(["nonexistence", "(0,0,0,12,23,14-35)"]),
-        cpslie.cli.main(["verify-catalog"]),
-    ]
-assert codes == [0, 0, 0, 0, 0, 0], codes
-assert "numpy" not in sys.modules, "numpy was imported"
+    codes = [cpslie.cli.main(argv) for argv in {list(argvs)!r}]
+assert codes == [0] * len(codes), codes
+print(json.dumps(sorted(sys.modules)))
 """
     src = os.path.dirname(os.path.dirname(cpslie.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_exact_commands_do_not_import_numpy(cps_file, nonflat_cps_file):
+    """numpy is loaded only by the `geodesic` command, which integrates geodesics."""
+    loaded = _modules_loaded_by(
+        ["check-structure", "--cps", cps_file],
+        ["hypercomplex", "--cps", cps_file],
+        ["connection-report", "--cps", cps_file],
+        ["connection-report", "--cps", nonflat_cps_file],
+        ["nonexistence", "(0,0,0,12,23,14-35)"],
+        ["verify-catalog"],
+    )
+    assert "numpy" not in loaded, "numpy was imported"
+
+
+def test_commands_without_family_proofs_do_not_import_poly(cps_file, nonflat_cps_file):
+    """cpslie.poly is loaded only to prove the family identities (`verify-catalog`)."""
+    loaded = _modules_loaded_by(
+        ["check-structure", "--cps", nonflat_cps_file],
+        ["hypercomplex", "--cps", cps_file],
+        ["connection-report", "--cps", cps_file],
+        ["connection-report", "--cps", nonflat_cps_file],
+        ["nonexistence", "(0,0,0,12,23,14-35)"],
+        ["parse", "(0,0,0,12,14,24)"],
+    )
+    assert "cpslie.poly" not in loaded, "cpslie.poly was imported"
+
+
+def test_seed_does_not_change_commands_that_draw_nothing(capsys, cps_file, nonflat_cps_file):
+    """Only verify-catalog, nonexistence and geodesic read --seed; the other --cps commands ignore it."""
+    for command in ("check-structure", "hypercomplex", "connection-report"):
+        for path in (cps_file, nonflat_cps_file):
+            outs = {run_cli(capsys, command, "--cps", path, "--seed", seed) for seed in ("1", "2")}
+            assert len(outs) == 1, (command, path)
 
 
 # sha256 of the default JSON of each command on the `cps_file` fixture (and

@@ -21,7 +21,7 @@ from cpslie.lie import (
     lower_central_series,
     semidirect_product,
 )
-from cpslie.linalg import QMatrix, Subspace, basis_vec, vec
+from cpslie.linalg import QMatrix, SparseTensor, Subspace, basis_vec, vec
 from cpslie.salamon import d_squared_is_zero, parse_salamon
 
 E = lambda i: basis_vec(6, i)  # noqa: E731
@@ -281,6 +281,51 @@ def test_json_round_trip():
     assert algebra_from_json(data) == g
     assert data["dim"] == 6
     assert {"i": 1, "j": 2, "coeffs": {"4": "-1"}} in data["brackets"]
+
+
+def _round_trip_cases():
+    from cpslie.catalog import load_catalog, witness_structure
+
+    entries = load_catalog()
+    yield from ((entry.salamon, parse_salamon(entry.salamon)) for entry in entries)
+    yield from ((w.name, witness_structure(w)[0]) for entry in entries for w in entry.witnesses)
+    rng = random.Random(11)
+    while True:
+        p = QMatrix([[Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)] for _ in range(6)])
+        try:
+            yield "dense conjugate", change_basis(parse_salamon("(0,0,0,12,14,13+42)"), p)
+            return
+        except ValueError:  # singular P
+            continue
+
+
+def test_brackets_is_the_inverse_of_from_brackets():
+    cases = list(_round_trip_cases())
+    assert len(cases) > 18
+    for name, g in cases:
+        br = g.brackets()
+        assert LieAlgebra.from_brackets(g.dim, br) == g, name
+        # only i < j pairs with nonzero coefficients, both in index order
+        assert list(br) == sorted(br) and all(i < j for i, j in br), name
+        assert all(list(c) == sorted(c) and all(c.values()) for c in br.values()), name
+        assert all(g.table[i][j][k] == c for (i, j), coeffs in br.items() for k, c in coeffs.items()), name
+    assert any(c.denominator > 1 for c in cases[-1][1].brackets()[(0, 1)].values())
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: QMatrix([[x]]),
+        lambda x: SparseTensor(1, [[[x]]]),
+        lambda x: LieAlgebra.from_brackets(3, {(0, 1): {2: x}}),
+    ],
+    ids=["QMatrix", "SparseTensor", "from_brackets"],
+)
+def test_builders_refuse_bool_and_float_entries(build, bad):
+    """A bool has a denominator, but is not a rational scalar."""
+    with pytest.raises(TypeError):
+        build(bad)
 
 
 def test_nilpotency_predicate():
