@@ -25,7 +25,7 @@ from .lie import (
     change_basis,
     semidirect_product,
 )
-from .linalg import Q, QMatrix, Subspace, basis_vec, q, vec, vec_neg
+from .linalg import Q, QMatrix, SparseTensor, Subspace, basis_vec, q, vec, vec_neg
 from .salamon import parse_salamon
 from .structures import (
     CPS,
@@ -682,10 +682,9 @@ def fried_example():
     from .connection import LSAProduct
 
     n4 = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
-    mats = [QMatrix(rows) for rows in FRIED_NABLA]
-    gamma = [[m.col(j) for j in range(4)] for m in mats]
-    lsa = LSAProduct(n4, gamma)  # axioms re-verified by the constructor
-    return n4, lsa
+    # row k of the side layout is row k of every nabla_i, side by side
+    side = QMatrix([[x for nabla in FRIED_NABLA for x in nabla[k]] for k in range(4)])
+    return n4, LSAProduct(n4, SparseTensor(side))  # axioms re-verified by the constructor
 
 
 def eight_dim_example():

@@ -129,7 +129,7 @@ def _verify_catalog(_, seed: int):
 def _hypercomplex(cps: CPS, seed: int):
     ghat, h = lift_cps(cps)
     base = cp_connection(cps)
-    ob = obata_connection(ghat, h, base)
+    ob = obata_connection(h, base)
     base_rep = curvature(base)
     ob_rep = curvature(ob)
     payload = {

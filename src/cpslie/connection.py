@@ -42,29 +42,22 @@ class CertificateError(ValueError):
 
 
 class Connection:
-    """gamma[i][j] = nabla_{e_i} e_j as a coordinate vector, held as a SparseTensor.
+    """nabla_{e_i} e_j as a coordinate vector, held in column i*n + j of a SparseTensor's layout.
 
     A flat torsion-free connection is a left-symmetric product
-    x . y = nabla_x y; `product`, `left_mult` and `right_mult` give that view.
+    x . y = nabla_x y; `apply`, `nabla` and `right_mult` give that view.
     """
 
     __slots__ = ("algebra", "tensor")
 
-    def __init__(self, algebra: LieAlgebra, gamma):
-        """`gamma` is a dim x dim table of dim-vectors, or a SparseTensor."""
-        n = algebra.dim
-        t = gamma if isinstance(gamma, SparseTensor) else SparseTensor(n, gamma)
-        if t.dim != n:
-            raise ValueError("gamma must be a dim x dim table of dim-vectors")
+    def __init__(self, algebra: LieAlgebra, tensor: SparseTensor):
+        if tensor.dim != algebra.dim:
+            raise ValueError("the connection tensor must have the algebra's dimension")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "tensor", t)
+        object.__setattr__(self, "tensor", tensor)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def gamma(self) -> tuple[tuple[Vector, ...], ...]:
-        return self.tensor.table
 
     def nabla(self, i: int) -> QMatrix:
         """Matrix of nabla_{e_i} (columns are images of basis vectors)."""
@@ -75,14 +68,8 @@ class Connection:
         n, den = self.algebra.dim, self.tensor.den
         return [_matrix([r[s:s + n] for s in range(0, n * n, n)], den, n) for r in swapped(self.tensor.side).num]
 
-    def nabla_vector(self, x) -> QMatrix:
-        return self.tensor.slice_matrix(x)
-
     def apply(self, x, y) -> Vector:
         return self.tensor.contract(x, y)
-
-    product = apply
-    left_mult = nabla
 
     def right_mult(self, j: int) -> QMatrix:
         """Matrix of x -> x . e_j: columns j, n + j, 2n + j, ... of the side-by-side layout."""
@@ -124,7 +111,7 @@ def cp_connection(cps: CPS) -> Connection:
     side = QMatrix.zeros(g.dim, g.dim**2)
     for left, ads, right in terms:
         side = side + left @ swapped(right_product(ads, right))
-    conn = Connection(g, SparseTensor.from_side_by_side(side))
+    conn = Connection(g, SparseTensor(side))
     # sign bugs die here, not downstream
     if torsion_defect(conn):
         raise TorsionError("cp connection came out with torsion")
@@ -249,8 +236,8 @@ class LSAProduct(Connection):
 
     __slots__ = ()
 
-    def __init__(self, algebra: LieAlgebra, gamma):
-        super().__init__(algebra, gamma)
+    def __init__(self, algebra: LieAlgebra, tensor: SparseTensor):
+        super().__init__(algebra, tensor)
         bad = lsa_defects(self)
         if bad["left_symmetry"] or bad["compatibility"]:
             raise ValueError(f"not a left-symmetric product: {bad}")
@@ -274,28 +261,20 @@ def lsa_defects(p: Connection) -> dict:
     return {"left_symmetry": left, "compatibility": compat}
 
 
-def connection_as_lsa(conn: Connection) -> LSAProduct:
-    """Reinterpret a flat torsion-free connection as a left-symmetric product."""
-    return LSAProduct(conn.algebra, conn.tensor)
-
-
 def restrict_to_lsa(cps: CPS, side: str) -> LSAProduct:
     """The flat LSA induced on one eigenspace subalgebra by the cp connection."""
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
     sub = cps.plus if side == "plus" else cps.minus
     conn = cp_connection(cps)
-    g = cps.algebra
-    basis = sub.basis_vectors()
-    m = sub.dim
-    sub_table = [[None] * m for _ in range(m)]
-    gamma = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            sub_table[a][b] = sub.coordinates(g.bracket(basis[a], basis[b]))
-            gamma[a][b] = sub.coordinates(conn.apply(basis[a], basis[b]))
-    little = LieAlgebra(m, sub_table)
-    return LSAProduct(little, gamma)
+    g, basis, m = cps.algebra, sub.basis_vectors(), sub.dim
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    little = LieAlgebra.from_brackets(
+        m, {(a, b): dict(enumerate(sub.coordinates(g.bracket(basis[a], basis[b])))) for a, b in pairs}
+    )
+    # column a*m + b holds the coordinates of basis[a] . basis[b]
+    products = [sub.coordinates(conn.apply(x, y)) for x in basis for y in basis]
+    return LSAProduct(little, SparseTensor(QMatrix.from_cols(products)))
 
 
 def lsa_is_complete(p: Connection) -> bool:

@@ -66,7 +66,7 @@ def lift_cps(cps: CPS) -> tuple[LieAlgebra, HypercomplexStructure]:
     return ghat, h
 
 
-def obata_connection(g_hat: LieAlgebra, h: HypercomplexStructure, base: Connection) -> Connection:
+def obata_connection(h: HypercomplexStructure, base: Connection) -> Connection:
     """Blockwise extension of the base connection to the doubled algebra.
 
     nabla_x y is the base value; nabla_x y^ = nabla_{x^} y = (nabla_x y)^
@@ -74,9 +74,9 @@ def obata_connection(g_hat: LieAlgebra, h: HypercomplexStructure, base: Connecti
     the triple certify it as the Obata connection.
     """
     n = base.algebra.dim
-    if g_hat.dim != 2 * n:
+    if h.algebra.dim != 2 * n:
         raise ValueError("doubled algebra does not match the base connection")
-    conn = Connection(g_hat, base.tensor.realified_double())
+    conn = Connection(h.algebra, base.tensor.realified_double())
     if torsion_defect(conn):
         raise LiftError("extended connection has torsion")
     for name, j in (("J1", h.j1), ("J2", h.j2), ("J3", h.j3)):

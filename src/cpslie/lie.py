@@ -21,7 +21,6 @@ from .linalg import (
     _unscaled,
     basis_vec,
     q,
-    qstr,
     reshaped,
     right_product,
     swapped,
@@ -47,18 +46,16 @@ class LieAlgebra:
 
     __slots__ = ("dim", "structure")
 
-    def __init__(self, dim: int, table, check: bool = True):
-        """`table` is a dim x dim table of bracket vectors, or a SparseTensor."""
-        t = table if isinstance(table, SparseTensor) else SparseTensor(dim, table)
-        if t.dim != dim:
-            raise ValueError("table shape must be dim x dim")
-        pairs = [dict(row) for row in t.terms]
+    def __init__(self, structure: SparseTensor, check: bool = True):
+        """Column i*n + j of `structure.side` holds [e_i, e_j]; `from_brackets`
+        builds the algebra from a bracket description instead."""
+        pairs = [dict(row) for row in structure.terms]
         for i, row in enumerate(pairs):
             for j, w in row.items():
                 if pairs[j].get(i) != tuple((k, -c) for k, c in w):
                     raise ValueError(f"antisymmetry fails on pair ({i},{j})")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "structure", t)
+        object.__setattr__(self, "dim", structure.dim)
+        object.__setattr__(self, "structure", structure)
         if check:
             defects = jacobi_defect(self)
             if defects:
@@ -66,11 +63,6 @@ class LieAlgebra:
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
-
-    @property
-    def table(self) -> tuple[tuple[Vector, ...], ...]:
-        """table[i][j] = [e_i, e_j] as a Fraction vector."""
-        return self.structure.table
 
     @classmethod
     def from_brackets(
@@ -95,7 +87,7 @@ class LieAlgebra:
         side = [[0] * n * n for _ in range(n)]  # column i*n + j holds [e_i, e_j]
         for (k, ij, ji), x in zip(cells, nums):
             side[k][ij], side[k][ji] = x, -x
-        return cls(n, SparseTensor.from_side_by_side(_matrix(side, den, n * n)), check=check)
+        return cls(SparseTensor(_matrix(side, den, n * n)), check=check)
 
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
@@ -251,7 +243,7 @@ def complexify_realified(g: LieAlgebra) -> LieAlgebra:
 
     [x, y] is as in g, [x^, y^] = -[x, y], and [x^, y] = [x, y^] = ([x, y])^.
     """
-    return LieAlgebra(2 * g.dim, g.structure.realified_double())
+    return LieAlgebra(g.structure.realified_double())
 
 
 def change_basis(g: LieAlgebra, p: QMatrix) -> LieAlgebra:
@@ -260,13 +252,13 @@ def change_basis(g: LieAlgebra, p: QMatrix) -> LieAlgebra:
         raise ValueError("basis-change matrix must be dim x dim")
     # column j of P^-1 ad(P e_i) P is [e_i, e_j] in the new basis
     side = p.inverse() @ swapped(right_product(g.ad_columns(p), p))
-    return LieAlgebra(g.dim, SparseTensor.from_side_by_side(side))
+    return LieAlgebra(SparseTensor(side))
 
 
 def algebra_to_json(g: LieAlgebra) -> dict:
     """1-indexed sparse JSON form listing only i<j nonzero brackets."""
     items = [
-        {"i": i + 1, "j": j + 1, "coeffs": {str(k + 1): qstr(c) for k, c in coeffs.items()}}
+        {"i": i + 1, "j": j + 1, "coeffs": {str(k + 1): str(c) for k, c in coeffs.items()}}
         for (i, j), coeffs in g.brackets().items()
     ]
     return {"dim": g.dim, "brackets": items}

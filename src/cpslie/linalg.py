@@ -60,11 +60,6 @@ def q(x) -> Q:
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
-def qstr(x: Q) -> str:
-    """Serialize as "p/q", omitting the denominator when it is 1."""
-    return str(x)
-
-
 def vec(entries) -> Vector:
     return tuple(q(e) for e in entries)
 
@@ -115,9 +110,13 @@ class SingularMatrixError(ValueError):
 
 
 def _matrix(num, den: int, cols: int) -> "QMatrix":
-    """QMatrix with entries num / den (den > 0), brought to canonical form."""
+    """QMatrix with entries num / den (den > 0), brought to canonical form;
+    Poly numerators (a family's layouts) are left unreduced."""
     if den > 1:
-        g = gcd(den, *chain.from_iterable(num))
+        try:
+            g = gcd(den, *chain.from_iterable(num))
+        except TypeError:
+            g = 1
         if g > 1:
             num = [[x // g for x in r] for r in num]
             den //= g
@@ -218,7 +217,7 @@ class QMatrix:
         return hash((self.rows, self.cols, self.den, self.num))
 
     def __repr__(self):
-        body = "; ".join(" ".join(qstr(x) for x in r) for r in self.entries)
+        body = "; ".join(" ".join(str(x) for x in r) for r in self.entries)
         return f"QMatrix({self.rows}x{self.cols}: {body})"
 
     def _combine(self, other: "QMatrix", sign: int) -> "QMatrix":
@@ -286,7 +285,7 @@ class QMatrix:
         return _matrix(num, den, n)
 
     def to_json(self) -> list[list[str]]:
-        return [[qstr(x) for x in r] for r in self.entries]
+        return [[str(x) for x in r] for r in self.entries]
 
     @classmethod
     def from_json(cls, data, cols: int | None = None) -> "QMatrix":
@@ -304,39 +303,26 @@ class SparseTensor:
     (`swapped`, `transposed_blocks`, `reshaped`).  `terms[i]` lists
     `(j, ((k, c), ...))` for every j with T[i][j] != 0, both in index
     order, with T[i][j][k] = c / den; so equal tensors have equal fields.
-    The Fraction table is built lazily, once.
+    The layout is the only way in: `LieAlgebra.from_brackets` builds one
+    from a bracket description.
     """
 
-    __slots__ = ("dim", "den", "terms", "side", "_table")
+    __slots__ = ("dim", "den", "terms", "side")
 
-    def __init__(self, dim: int, table):
-        rows = [[tuple(v) for v in row] for row in table]
-        flat, den = _scaled([x for r in rows for v in r for x in v])
-        if len(rows) != dim or any(len(r) != dim for r in rows) or any(
-            len(v) != dim for r in rows for v in r
-        ):
-            raise ValueError("the table must be dim x dim with vectors of length dim")
-        # flat[(i*n + j)*n + k] is T[i][j][k], the entry of side[k] in column i*n + j
-        self._set(_matrix([flat[k::dim] for k in range(dim)], den, dim * dim))
-
-    def _set(self, side: QMatrix):
-        n, cols = side.rows, list(zip(*side.num))
+    def __init__(self, side: QMatrix):
+        n = side.rows
+        if side.cols != n * n:
+            raise ValueError(f"a tensor layout must be n x n^2, not {n} x {side.cols}")
+        cols = list(zip(*side.num))
         terms = tuple(
             tuple((j, w) for j in range(n) if (w := tuple((k, c) for k, c in enumerate(cols[i * n + j]) if c)))
             for i in range(n)
         )
-        for name, value in (("dim", n), ("den", side.den), ("terms", terms), ("side", side), ("_table", None)):
+        for name, value in (("dim", n), ("den", side.den), ("terms", terms), ("side", side)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseTensor is immutable")
-
-    @classmethod
-    def from_side_by_side(cls, side: QMatrix) -> "SparseTensor":
-        """The tensor with the given `side` layout."""
-        t = object.__new__(cls)
-        t._set(side)
-        return t
 
     def realified_double(self) -> "SparseTensor":
         """The 2n tensor whose slice i is diag(M_i, M_i) and slice n+i is
@@ -352,16 +338,7 @@ class SparseTensor:
             row_k = [r[i * n:(i + 1) * n] for i in range(n)]
             plain.append([*chain(*[m + z for m in row_k]), *chain(*[z + tuple(-x for x in m) for m in row_k])])
             hatted.append([*chain(*[z + m for m in row_k]), *chain(*[m + z for m in row_k])])
-        return SparseTensor.from_side_by_side(_matrix(plain + hatted, self.den, 4 * n * n))
-
-    @property
-    def table(self) -> tuple[tuple[Vector, ...], ...]:
-        """T as a dim x dim tuple of Fraction vectors, built on first use."""
-        if self._table is None:
-            n = self.dim
-            cols = [_unscaled(c, self.den) for c in zip(*self.side.num)]
-            object.__setattr__(self, "_table", tuple(tuple(cols[i * n:(i + 1) * n]) for i in range(n)))
-        return self._table
+        return SparseTensor(_matrix(plain + hatted, self.den, 4 * n * n))
 
     def contract(self, x, y) -> Vector:
         """sum_ij x_i y_j T[i][j]."""

@@ -21,7 +21,7 @@ from cpslie.catalog import (
 )
 from cpslie.connection import (
     GEODESIC_REL_TOL,
-    connection_as_lsa,
+    LSAProduct,
     cp_connection,
     curvature,
     lsa_defects,
@@ -225,16 +225,16 @@ def test_criterion_07_completeness():
             bad = lsa_defects(p)
             assert bad == {"left_symmetry": [], "compatibility": []}
             assert lsa_is_complete(p), (entry.salamon, w.name, side)
-            lefts = all(is_nilpotent_matrix(p.left_mult(i)) for i in range(3))
+            lefts = all(is_nilpotent_matrix(p.nabla(i)) for i in range(3))
             rights = all(is_nilpotent_matrix(p.right_mult(i)) for i in range(3))
             assert lefts == rights is True
     # numeric certificate, once per distinct non-flat connection tensor
     seen = set()
     checked = 0
     for entry, w, g, cps, conn in all_connections():
-        if curvature(conn).is_flat or conn.gamma in seen:
+        if curvature(conn).is_flat or conn.tensor in seen:
             continue
-        seen.add(conn.gamma)
+        seen.add(conn.tensor)
         cert = quadratic_geodesic_certificate(conn, seed=0)
         assert cert.verdict, (entry.salamon, w.name, cert.details)
         assert cert.details["max_relative_residual"] <= GEODESIC_REL_TOL
@@ -245,7 +245,7 @@ def test_criterion_07_completeness():
     for entry, w, g, cps, conn in all_connections():
         if not curvature(conn).is_flat:
             continue
-        p = connection_as_lsa(conn)
+        p = LSAProduct(conn.algebra, conn.tensor)
         assert all(p.right_mult(j).trace() == 0 for j in range(6))
 
 
@@ -261,7 +261,7 @@ def test_criterion_08_rotation_invariance():
     assert len(points) == 10
     seen = set()
     for entry, w, g, cps, conn in all_connections():
-        key = (id(g), conn.gamma)
+        key = (id(g), conn.tensor)
         if key in seen:
             continue
         seen.add(key)
@@ -286,12 +286,13 @@ def test_criterion_09_hypercomplex():
     hat = lambda i: basis_vec(12, 6 + i)  # noqa: E731
     plain = lambda i: basis_vec(12, i)  # noqa: E731
     neg = lambda v: tuple(-x for x in v)  # noqa: E731
-    assert ghat.table[0][1] == neg(plain(3)) and ghat.table[6][7] == plain(3)
-    assert ghat.table[0][2] == neg(plain(4)) and ghat.table[6][8] == plain(4)
-    assert ghat.table[0][3] == neg(plain(5)) and ghat.table[6][9] == plain(5)
-    assert ghat.table[6][1] == neg(hat(3)) and ghat.table[0][7] == neg(hat(3))
-    assert ghat.table[6][2] == neg(hat(4)) and ghat.table[0][8] == neg(hat(4))
-    assert ghat.table[6][3] == neg(hat(5)) and ghat.table[0][9] == neg(hat(5))
+    br = lambda i, j: ghat.bracket(plain(i), plain(j))  # noqa: E731
+    assert br(0, 1) == neg(plain(3)) and br(6, 7) == plain(3)
+    assert br(0, 2) == neg(plain(4)) and br(6, 8) == plain(4)
+    assert br(0, 3) == neg(plain(5)) and br(6, 9) == plain(5)
+    assert br(6, 1) == neg(hat(3)) and br(0, 7) == neg(hat(3))
+    assert br(6, 2) == neg(hat(4)) and br(0, 8) == neg(hat(4))
+    assert br(6, 3) == neg(hat(5)) and br(0, 9) == neg(hat(5))
     for i, sign in ((0, 1), (2, 1), (4, 1), (1, -1), (3, -1), (5, -1)):
         assert h1.j1.col(i) == tuple(Q(sign) * x for x in hat(i))
     for i in (0, 2, 4):  # J e1 = -e2 and so on, on both copies
@@ -302,8 +303,8 @@ def test_criterion_09_hypercomplex():
         assert h2.j1.col(i) == tuple(Q(sign) * x for x in hat(i))
     # Obata verdicts for the two explicit structures
     verdicts = {}
-    for name, (gh, h, cps) in lifts.items():
-        ob = obata_connection(gh, h, cp_connection(cps))
+    for name, (_, h, cps) in lifts.items():
+        ob = obata_connection(h, cp_connection(cps))
         rep = curvature(ob)
         assert rep.is_ricci_flat
         verdicts[name] = rep.is_flat
@@ -313,7 +314,7 @@ def test_criterion_09_hypercomplex():
         gh, h = lift_cps(cps)
         assert jacobi_defect(gh) == []
         assert validate_hypercomplex(h) == []
-        ob = obata_connection(gh, h, conn)
+        ob = obata_connection(h, conn)
         rep = curvature(ob)
         assert rep.is_ricci_flat, (entry.salamon, w.name)
         assert rep.is_flat == curvature(conn).is_flat
@@ -324,7 +325,7 @@ def test_criterion_10_examples():
     n4, lsa = fried_example()
     assert lsa_defects(lsa) == {"left_symmetry": [], "compatibility": []}
     assert lsa_is_complete(lsa)
-    assert not lsa.left_mult(3).is_zero()
+    assert not lsa.nabla(3).is_zero()
     g8, cps8 = eight_dim_example()
     assert center(g8).dim == 1
     assert jacobi_defect(g8) == []

@@ -10,6 +10,7 @@ from cpslie.catalog import (
     COLUMN_LABELS,
     EXCLUDED,
     FAMILY_PARAMS,
+    FRIED_NABLA,
     FamilyError,
     _encoded_proof_report,
     build_family,
@@ -306,7 +307,7 @@ def test_heisenberg_side_lsa_complete_with_central_kernel():
                 m = QMatrix.zeros(3, 3)
                 for i, c in enumerate(zv):
                     if c != 0:
-                        m = m + p.left_mult(i).scale(c)
+                        m = m + p.nabla(i).scale(c)
                 assert m.is_zero()
 
 
@@ -368,11 +369,12 @@ def test_encoded_proof_pair_stage_matches_sampled_reference():
     planted [e1, e5] = e6 or [e1, e6] = e5 (no Lie algebra) breaks the
     kernel."""
     g = parse_salamon(EXCLUDED[2])
+    e = lambda i: basis_vec(6, i)  # noqa: E731
     brackets = {
-        (i, j): {k: c for k, c in enumerate(g.table[i][j]) if c}
+        (i, j): {k: c for k, c in enumerate(g.bracket(e(i), e(j))) if c}
         for i in range(6)
         for j in range(i + 1, 6)
-        if any(g.table[i][j])
+        if any(g.bracket(e(i), e(j)))
     }
     wrong_det = {**brackets, (0, 3): {k: 2 * c for k, c in brackets[(0, 3)].items()}}
     cases = [
@@ -395,9 +397,11 @@ def test_nonexistence_rejects_other_algebras():
 
 def test_fried_example_values():
     n4, lsa = fried_example()
-    assert lsa.product(basis_vec(4, 1), basis_vec(4, 3)) == (-1, 0, 0, 0)
-    assert lsa.product(basis_vec(4, 0), basis_vec(4, 1)) == (0, 0, 1, 0)
+    assert lsa.apply(basis_vec(4, 1), basis_vec(4, 3)) == (-1, 0, 0, 0)
+    assert lsa.apply(basis_vec(4, 0), basis_vec(4, 1)) == (0, 0, 1, 0)
     assert lsa_is_complete(lsa)
+    for i, rows in enumerate(FRIED_NABLA):
+        assert lsa.nabla(i) == QMatrix(rows)
 
 
 def test_eight_dim_example_properties():
@@ -575,7 +579,7 @@ def test_every_family_member_has_quadratic_geodesics(family):
     # nabla_{e1} e1 += (first parameter) e1 breaks all three
     side = [list(r) for r in conn.tensor.side.num]
     side[0][0] += Poly.var(FAMILY_PARAMS[family], FAMILY_PARAMS[family][0])
-    planted = Connection(conn.algebra, SparseTensor.from_side_by_side(_matrix(side, 1, 36)))
+    planted = Connection(conn.algebra, SparseTensor(_matrix(side, 1, 36)))
     report = exact_quadratic_geodesic_certificate(planted)
     assert not report.verdict and not any(report.details["vanishing"].values())
 
@@ -592,6 +596,6 @@ def test_family_connection_specializes_to_every_instance():
             side = connections[w.family].tensor.side
             values = [[x.subs(point).value() if isinstance(x, Poly) else Q(x) for x in r] for r in side.num]
             expected = cp_connection(build_family(w.family, w.params)[1]).tensor
-            assert SparseTensor.from_side_by_side(QMatrix(values)) == expected, w.name
+            assert SparseTensor(QMatrix(values)) == expected, w.name
             checked += 1
     assert checked == 33

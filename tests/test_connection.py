@@ -39,6 +39,7 @@ from cpslie.lie import LieAlgebra, ThreeDimType, center, lower_central_series
 from cpslie.linalg import QMatrix, basis_vec, rank, vec, vec_sub
 from cpslie.salamon import parse_salamon
 from cpslie.structures import assemble_cps, rotate_product_rational_angle
+from table_helper import tensor_from_table
 
 PARAMS = {"A": 2, "B": 3, "C": 5, "D": 7, "E": 11, "F": 13}
 
@@ -108,7 +109,7 @@ def test_r4_connections_land_in_central_ideal():
         u_coords = {2, 5}
         for i in range(6):
             for jdx in range(6):
-                w = conn.gamma[i][jdx]
+                w = conn.apply(basis_vec(6, i), basis_vec(6, jdx))
                 assert all(w[k] == 0 for k in range(6) if k not in u_coords)
         assert conn.nabla(2).is_zero() and conn.nabla(5).is_zero()
 
@@ -118,11 +119,11 @@ def test_torsion_defect_examples():
     assert torsion_defect(conn) == []
 
     h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
-    zero_conn = Connection(h3, [[(0, 0, 0)] * 3 for _ in range(3)])
+    zero_conn = Connection(h3, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))
     assert torsion_defect(zero_conn)
 
     ab = LieAlgebra.abelian(3)
-    assert torsion_defect(Connection(ab, [[(0, 0, 0)] * 3 for _ in range(3)])) == []
+    assert torsion_defect(Connection(ab, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))) == []
 
 
 def test_parallelism_including_rotations():
@@ -203,14 +204,14 @@ def test_ricci_vanishes_and_matches_trace_identity():
 
 def test_ricci_trace_identity_rejects_torsion():
     h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
-    zero_conn = Connection(h3, [[(0, 0, 0)] * 3 for _ in range(3)])
+    zero_conn = Connection(h3, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))
     with pytest.raises(TorsionError):
         ricci_via_trace_identity(zero_conn)
 
 
 def test_curvature_still_computed_with_torsion():
     h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
-    zero_conn = Connection(h3, [[(0, 0, 0)] * 3 for _ in range(3)])
+    zero_conn = Connection(h3, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))
     rep = curvature(zero_conn)
     assert rep.is_flat and torsion_defect(zero_conn)
 
@@ -218,7 +219,7 @@ def test_curvature_still_computed_with_torsion():
 def test_flat_connection_with_torsion_gets_the_exact_geodesic_certificate():
     # a flat connection is an LSA only when torsion-free, so the trace branch is guarded
     h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
-    zero_conn = Connection(h3, [[(0, 0, 0)] * 3 for _ in range(3)])
+    zero_conn = Connection(h3, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))
     cert = connection_is_complete_certificate(curvature(zero_conn))
     # the zero connection's geodesics are straight lines
     assert cert.method == "exact-quadratic-geodesic" and cert.verdict
@@ -252,33 +253,51 @@ def test_restrict_to_lsa_heisenberg_side_kills_center():
         m = QMatrix.zeros(3, 3)
         for i, c in enumerate(zv):
             if c != 0:
-                m = m + p.left_mult(i).scale(c)
+                m = m + p.nabla(i).scale(c)
         assert m.is_zero()
     assert lsa_is_complete(p)
+
+
+def test_restrict_to_lsa_matches_per_pair_coordinates():
+    """On every witness and both sides, the little algebra and the LSA tensor
+    hold the eigenspace coordinates of [x_a, x_b] and x_a . x_b, pair by pair."""
+    for entry in load_catalog():
+        for w in entry.witnesses:
+            g, cps = witness_structure(w)
+            conn = cp_connection(cps)
+            for side, sub in (("plus", cps.plus), ("minus", cps.minus)):
+                p = restrict_to_lsa(cps, side)
+                basis, m = sub.basis_vectors(), sub.dim
+                assert p.algebra.dim == m
+                for a in range(m):
+                    for b in range(m):
+                        ea, eb = basis_vec(m, a), basis_vec(m, b)
+                        assert p.algebra.bracket(ea, eb) == sub.coordinates(g.bracket(basis[a], basis[b]))
+                        assert p.apply(ea, eb) == sub.coordinates(conn.apply(basis[a], basis[b]))
 
 
 def test_fried_lsa_table():
     n4, lsa = fried_example()
     e = lambda i: basis_vec(4, i)  # noqa: E731
-    assert lsa.product(e(1), e(3)) == vec((-1, 0, 0, 0))
-    assert lsa.product(e(0), e(1)) == vec((0, 0, 1, 0))
+    assert lsa.apply(e(1), e(3)) == vec((-1, 0, 0, 0))
+    assert lsa.apply(e(0), e(1)) == vec((0, 0, 1, 0))
     for i in range(4):
         for jdx in range(4):
             lhs = vec(
                 tuple(
                     x - y
-                    for x, y in zip(lsa.product(e(i), e(jdx)), lsa.product(e(jdx), e(i)))
+                    for x, y in zip(lsa.apply(e(i), e(jdx)), lsa.apply(e(jdx), e(i)))
                 )
             )
-            assert lhs == n4.table[i][jdx]
+            assert lhs == n4.bracket(e(i), e(jdx))
     assert lsa_is_complete(lsa)
-    assert not lsa.left_mult(3).is_zero()
+    assert not lsa.nabla(3).is_zero()
 
 
 def test_lsa_completeness_counterexample():
     # x . y = x on a 1-dimensional algebra: right multiplication is the identity
     one = LieAlgebra.abelian(1)
-    p = LSAProduct(one, [[(1,)]])
+    p = LSAProduct(one, tensor_from_table([[(1,)]]))
     assert not lsa_is_complete(p)
 
 
@@ -343,7 +362,8 @@ def einsum_rk4(conn, initial, t_max, step=GEODESIC_STEP):
     import numpy as np
 
     n = conn.algebra.dim
-    gam = np.array([[[float(c) for c in conn.gamma[i][j]] for j in range(n)] for i in range(n)])
+    e = lambda i: basis_vec(n, i)  # noqa: E731
+    gam = np.array([[[float(c) for c in conn.apply(e(i), e(j))] for j in range(n)] for i in range(n)])
     x = np.array([[float(c) for c in v] for v in initial])
     steps = int(round(t_max / step))
     values = np.empty((steps + 1, *x.shape))
@@ -405,7 +425,7 @@ def test_rk4_matches_einsum_reference_on_dense_connections(dense, seed):
     n, numerators = dense
     entries = [Q(a, 12) for a in numerators]
     gamma = [[entries[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-    conn = Connection(LieAlgebra.abelian(n), gamma)
+    conn = Connection(LieAlgebra.abelian(n), tensor_from_table(gamma))
     initial = _geodesic_initial_conditions(n, seed)
     _, values = integrate_geodesics(conn, initial, t_max=0.05)
     reference = einsum_rk4(conn, initial, t_max=0.05)
@@ -420,7 +440,7 @@ def circle_connection():
     gamma = [[(0, 0, 0)] * 3 for _ in range(3)]
     gamma[1][2] = gamma[2][1] = (half, 0, 0)
     gamma[0][2] = gamma[2][0] = (0, -half, 0)
-    return Connection(LieAlgebra.abelian(3), gamma)
+    return Connection(LieAlgebra.abelian(3), tensor_from_table(gamma))
 
 
 def test_quadratic_geodesic_certificate_rejects_finite_circles():
@@ -510,7 +530,7 @@ def test_ricci_against_brute_force_on_nonvanishing_example():
             w = tuple(Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(4))
             gamma[i][jdx] = w
             gamma[jdx][i] = w
-    conn = Connection(g, gamma)
+    conn = Connection(g, tensor_from_table(gamma))
     assert torsion_defect(conn) == []
     rep = curvature(conn)
     assert not rep.is_flat and not rep.is_ricci_flat
@@ -538,8 +558,8 @@ def test_lsa_constructor_rejects_non_left_symmetric_product():
     z = (Q(0), Q(0))
     gamma = [[(0, 1), (1, 0)], [(1, 0), z]]  # symmetric, so torsion-free
     with pytest.raises(ValueError, match="left-symmetric"):
-        LSAProduct(g, gamma)
-    p = Connection(g, gamma)
+        LSAProduct(g, tensor_from_table(gamma))
+    p = Connection(g, tensor_from_table(gamma))
     assert lsa_defects(p)["left_symmetry"]
 
 
@@ -580,8 +600,8 @@ def test_lsa_defects_match_product_reference():
             # make it torsion-free: e_j . e_i = e_i . e_j - [e_i, e_j]
             for i in range(n):
                 for jdx in range(i + 1, n):
-                    gamma[jdx][i] = list(vec_sub(gamma[i][jdx], g.table[i][jdx]))
-        p = Connection(g, gamma)
+                    gamma[jdx][i] = list(vec_sub(gamma[i][jdx], g.bracket(basis_vec(n, i), basis_vec(n, jdx))))
+        p = Connection(g, tensor_from_table(gamma))
         expected = lsa_defects_by_products(p)
         assert lsa_defects(p) == expected
         seen.add((bool(expected["compatibility"]), bool(expected["left_symmetry"])))
@@ -601,7 +621,7 @@ def test_left_right_nilpotency_equivalence():
             _, cps = witness_structure(w)
             for side in ("plus", "minus"):
                 p = restrict_to_lsa(cps, side)
-                left = all(is_nilpotent_matrix(p.left_mult(i)) for i in range(3))
+                left = all(is_nilpotent_matrix(p.nabla(i)) for i in range(3))
                 right = all(is_nilpotent_matrix(p.right_mult(i)) for i in range(3))
                 assert left and right and lsa_is_complete(p)
 
@@ -614,7 +634,7 @@ def test_quadratic_geodesic_certificate_fails_closed_on_non_finite(monkeypatch):
 
     import cpslie.connection as connection
 
-    zero = Connection(LieAlgebra.abelian(2), [[(0, 0)] * 2 for _ in range(2)])
+    zero = Connection(LieAlgebra.abelian(2), tensor_from_table([[(0, 0)] * 2 for _ in range(2)]))
     finite = connection.quadratic_geodesic_certificate(zero)
     assert finite.verdict is True
     assert 0 <= finite.details["max_relative_residual"] <= connection.GEODESIC_REL_TOL
@@ -730,7 +750,7 @@ def blow_up_connection():
     """Gamma_11 = e_1 on the abelian R^3: x1' = -x1^2 blows up in finite time."""
     gamma = [[(0, 0, 0)] * 3 for _ in range(3)]
     gamma[0][0] = (1, 0, 0)
-    return Connection(LieAlgebra.abelian(3), gamma)
+    return Connection(LieAlgebra.abelian(3), tensor_from_table(gamma))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -753,9 +773,10 @@ def test_one_entry_perturbation_fails_the_exact_certificate(numeric_verdict):
     conn = cp_connection(cps)
     assert exact_quadratic_geodesic_certificate(conn).verdict
     # nabla_{e1} e2 gains an e2 component
-    gamma = [list(row) for row in conn.gamma]
+    e = lambda i: basis_vec(6, i)  # noqa: E731
+    gamma = [[conn.apply(e(i), e(j)) for j in range(6)] for i in range(6)]
     gamma[0][1] = tuple(c + (k == 1) for k, c in enumerate(gamma[0][1]))
-    perturbed = Connection(conn.algebra, gamma)
+    perturbed = Connection(conn.algebra, tensor_from_table(gamma))
     cert = exact_quadratic_geodesic_certificate(perturbed)
     assert cert.verdict is numeric_verdict(perturbed) is False
     assert cert.details["vanishing"] == {"P4": False, "P5": True, "P6": True}

@@ -71,10 +71,10 @@ def test_lift_bracket_table_matches_doubling_rules():
     }
     targets = {(0, 1): 3, (6, 7): 3, (0, 2): 4, (6, 8): 4, (0, 3): 5, (6, 9): 5}
     for (i, j), sign in expected.items():
-        assert ghat.table[i][j] == tuple(Q(sign) * x for x in plain(targets[(i, j)]))
+        assert ghat.bracket(plain(i), plain(j)) == tuple(Q(sign) * x for x in plain(targets[(i, j)]))
     hatted = {(6, 1): 3, (0, 7): 3, (6, 2): 4, (0, 8): 4, (6, 3): 5, (0, 9): 5}
     for (i, j), k in hatted.items():
-        assert ghat.table[i][j] == tuple(-x for x in hat(k))
+        assert ghat.bracket(plain(i), plain(j)) == tuple(-x for x in hat(k))
 
 
 def test_lift_quaternion_relations_fail_loudly():
@@ -116,9 +116,9 @@ def test_obata_flat_iff_base_flat_on_explicit_pair():
     verdicts = {}
     for name, w in ws.items():
         _, cps = witness_structure(w)
-        ghat, h = lift_cps(cps)
+        _, h = lift_cps(cps)
         base = cp_connection(cps)
-        ob = obata_connection(ghat, h, base)
+        ob = obata_connection(h, base)
         rep = curvature(ob)
         base_rep = curvature(base)
         assert rep.is_flat == base_rep.is_flat
@@ -151,17 +151,17 @@ def test_validate_hypercomplex_detects_broken_triple():
 def test_obata_rejects_wrong_base():
     w = _explicit_row9_witnesses()["split-flat"]
     _, cps = witness_structure(w)
-    ghat, h = lift_cps(cps)
+    _, h = lift_cps(cps)
     # wrong dimension
     g2 = LieAlgebra.abelian(2)
     j2 = QMatrix([[0, -1], [1, 0]])
     e2 = QMatrix([[1, 0], [0, -1]])
     small = cp_connection(assemble_cps(g2, j2, e2))
     with pytest.raises(ValueError):
-        obata_connection(ghat, h, small)
+        obata_connection(h, small)
     # right dimension, wrong connection: fails the torsion check
     from cpslie.hypercomplex import LiftError
 
     _, other = build_family("R4_00", {"A1": 1})
     with pytest.raises(LiftError):
-        obata_connection(ghat, h, cp_connection(other))
+        obata_connection(h, cp_connection(other))

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from cpslie.connection import Connection
 from cpslie.lie import LieAlgebra
-from cpslie.linalg import QMatrix, SingularMatrixError, SparseTensor
+from cpslie.linalg import QMatrix, SingularMatrixError, SparseTensor, basis_vec
+from table_helper import tensor_from_table
 
 # ----------------------------------------------------------------------
 # reference loops
@@ -199,23 +200,29 @@ def test_outside_input_still_rejects_floats():
 @given(tables(4, antisymmetric=True), vectors(4), vectors(4))
 @settings(max_examples=20, deadline=None)
 def test_bracket_matches_reference(table, x, y):
-    g = LieAlgebra(4, table, check=False)
+    g = LieAlgebra(tensor_from_table(table), check=False)
     out = g.bracket(x, y)
     assert out == ref_contract(table, x, y)
     assert all(type(c) is Q for c in out)
-    assert g.table == tuple(tuple(tuple(v) for v in row) for row in table)
+    assert SparseTensor(g.structure.side) == g.structure
+    assert [[g.bracket(basis_vec(4, i), basis_vec(4, j)) for j in range(4)] for i in range(4)] == [
+        [tuple(v) for v in row] for row in table
+    ]
     assert g.ad_vector(x).apply(y) == out
 
 
 @given(tables(3, antisymmetric=False), vectors(3), vectors(3))
 @settings(max_examples=20, deadline=None)
 def test_connection_apply_matches_reference(table, x, y):
-    conn = Connection(LieAlgebra.abelian(3), table)
+    conn = Connection(LieAlgebra.abelian(3), tensor_from_table(table))
     out = conn.apply(x, y)
     assert out == ref_contract(table, x, y)
-    assert conn.nabla_vector(x).apply(y) == out
-    assert conn.gamma == tuple(tuple(tuple(v) for v in row) for row in table)
-    assert conn == Connection(LieAlgebra.abelian(3), [[[str(c) for c in v] for v in row] for row in table])
+    assert conn.tensor.slice_matrix(x).apply(y) == out
+    assert SparseTensor(conn.tensor.side) == conn.tensor
+    assert [[conn.apply(basis_vec(3, i), basis_vec(3, j)) for j in range(3)] for i in range(3)] == [
+        [tuple(v) for v in row] for row in table
+    ]
+    assert conn == Connection(LieAlgebra.abelian(3), tensor_from_table([[[str(c) for c in v] for v in row] for row in table]))
 
 
 def ref_realified_double(table):
@@ -235,5 +242,5 @@ def ref_realified_double(table):
 @given(tables(3, antisymmetric=False))
 @settings(max_examples=20, deadline=None)
 def test_realified_double_matches_reference(table):
-    doubled = SparseTensor(3, table).realified_double()
-    assert doubled == SparseTensor(6, ref_realified_double(table))
+    doubled = tensor_from_table(table).realified_double()
+    assert doubled == tensor_from_table(ref_realified_double(table))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cpslie.linalg import (
     QMatrix,
+    SparseTensor,
     Subspace,
     intersect,
     is_nilpotent_matrix,
@@ -68,9 +69,15 @@ def test_nilpotency_fried_matrix_cubes_to_zero():
     from cpslie.catalog import fried_example
 
     _, lsa = fried_example()
-    m = lsa.left_mult(0)
+    m = lsa.nabla(0)
     assert (m @ m @ m).is_zero()  # independent of the squaring route
     assert is_nilpotent_matrix(m)
+
+
+def test_tensor_layout_must_be_n_by_n_squared():
+    assert SparseTensor(QMatrix.zeros(3, 9)).dim == 3
+    with pytest.raises(ValueError, match="n x n"):
+        SparseTensor(QMatrix.zeros(3, 8))
 
 
 def test_intersect_examples():

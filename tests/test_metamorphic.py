@@ -44,8 +44,8 @@ def invariants(g, j, e, lift=False):
     constant = h3x2_constant(cps) if types == H3XH3 else None
     out = (types, rep.is_flat, rep.is_ricci_flat, constant, validate_cps(g, j, j @ e))
     if lift:
-        g_hat, h = lift_cps(cps)
-        lifted = curvature(obata_connection(g_hat, h, conn))
+        _, h = lift_cps(cps)
+        lifted = curvature(obata_connection(h, conn))
         out += ((lifted.is_flat, lifted.is_ricci_flat),)
     return out
 

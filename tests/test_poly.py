@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpslie.lie import LieAlgebra
+from cpslie.linalg import basis_vec
 from cpslie.poly import Poly
 
 NAMES = ("x", "y", "z")
@@ -111,3 +113,12 @@ def test_value_and_variable_checks():
     with pytest.raises(ValueError, match="involves"):
         x.rewrite(Poly.monomial(NAMES, "x*y"), x)
 
+
+
+def test_poly_bracket_over_a_denominator_enters_the_layout_unreduced():
+    """A Poly coefficient over 2 keeps its layout over den 2: the gcd that
+    brings a rational layout to canonical form is skipped for Poly numerators."""
+    a_half = Poly.var(("A",), "A") * Q(1, 2)
+    g = LieAlgebra.from_brackets(3, {(0, 1): {2: a_half}})
+    assert g.structure.den == 2
+    assert g.bracket(basis_vec(3, 0), basis_vec(3, 1)) == (0, 0, a_half)

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpslie.lie import LieAlgebra, is_nilpotent
-from cpslie.linalg import vec
+from cpslie.linalg import basis_vec, vec
 from cpslie.salamon import SalamonError, emit_salamon, parse_salamon
+
+E = lambda i: basis_vec(6, i)  # noqa: E731
 
 CATALOG_STRINGS = [
     "(0,0,0,0,0,0)",
@@ -34,9 +36,9 @@ EXCLUDED_STRINGS = [
 
 def test_parse_worked_example():
     g = parse_salamon("(0,0,0,0,12,14+23)")
-    assert g.table[0][1] == vec((0, 0, 0, 0, -1, 0))
-    assert g.table[0][3] == vec((0, 0, 0, 0, 0, -1))
-    assert g.table[1][2] == vec((0, 0, 0, 0, 0, -1))
+    assert g.bracket(E(0), E(1)) == vec((0, 0, 0, 0, -1, 0))
+    assert g.bracket(E(0), E(3)) == vec((0, 0, 0, 0, 0, -1))
+    assert g.bracket(E(1), E(2)) == vec((0, 0, 0, 0, 0, -1))
 
 
 def test_parse_abelian():
@@ -45,10 +47,10 @@ def test_parse_abelian():
 
 def test_parse_minus_term():
     g = parse_salamon("(0,0,0,12,23,14-35)")
-    assert g.table[0][1] == vec((0, 0, 0, -1, 0, 0))
-    assert g.table[1][2] == vec((0, 0, 0, 0, -1, 0))
-    assert g.table[0][3] == vec((0, 0, 0, 0, 0, -1))
-    assert g.table[2][4] == vec((0, 0, 0, 0, 0, 1))
+    assert g.bracket(E(0), E(1)) == vec((0, 0, 0, -1, 0, 0))
+    assert g.bracket(E(1), E(2)) == vec((0, 0, 0, 0, -1, 0))
+    assert g.bracket(E(0), E(3)) == vec((0, 0, 0, 0, 0, -1))
+    assert g.bracket(E(2), E(4)) == vec((0, 0, 0, 0, 0, 1))
 
 
 def test_parse_ignores_whitespace():

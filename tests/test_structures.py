@@ -74,7 +74,7 @@ def test_half_bracket_complex_structure_on_complex_heisenberg():
     assert complex_integrability_defect(g, j) == []
     for a in range(6):
         for b in range(6):
-            assert j.apply(g.table[a][b]) == g.bracket(j.col(a), E6(b))
+            assert j.apply(g.bracket(E6(a), E6(b))) == g.bracket(j.col(a), E6(b))
 
 
 def test_complex_integrability_requires_almost_complex():
