@@ -49,7 +49,6 @@ from .structures import (
     ascending_series,
     assemble_cps,
     complex_integrability_defect,
-    cps_obstructions,
     eigenspaces,
     find_central_invariant_ideal,
     is_abelian_complex,

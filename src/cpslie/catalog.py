@@ -33,7 +33,6 @@ from .structures import (
     StructureError,
     assemble_cps,
     cps_from_split,
-    cps_obstructions,
     double_type,
     rotate_product,
 )
@@ -171,9 +170,8 @@ def family_connection(family: str) -> Connection:
     Built by the code every instance runs: `LieAlgebra` checks Jacobi,
     `assemble_cps` every CPS axiom, `cp_connection` torsion-freeness and
     nabla J = nabla E = 0.  All of it is exact in Q[parameters], so each
-    zero test is a polynomial identity.  Every denominator stays 1 (J, E
-    and (Id +- E)/2 are integer matrices), so no Poly is divided by a gcd.
-    A failed identity raises FamilyError.
+    zero test is a polynomial identity.  A failed identity raises
+    FamilyError.
     """
     try:
         g = LieAlgebra.from_brackets(6, _family_brackets(family, _family_variables(family)))
@@ -255,29 +253,21 @@ def _witness_from_json(data: dict) -> Witness:
     )
 
 
-_CATALOG_CACHE: list[CatalogEntry] | None = None
-
-
+@cache
 def load_catalog() -> list[CatalogEntry]:
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is None:
-        raw = json.loads(
-            resources.files("cpslie").joinpath("data/witnesses.json").read_text()
+    """The stored catalog, read once; every call returns the same list."""
+    raw = json.loads(resources.files("cpslie").joinpath("data/witnesses.json").read_text())
+    return [
+        CatalogEntry(
+            salamon=row["salamon"],
+            admits=tuple(bool(x) for x in row["admits"]),
+            flat_class=row["flat_class"],
+            witnesses=tuple(_witness_from_json(w) for w in row.get("witnesses", [])),
+            obstruction=row.get("obstruction"),
+            nonflat_argument=row.get("nonflat_argument"),
         )
-        entries = []
-        for row in raw["entries"]:
-            entries.append(
-                CatalogEntry(
-                    salamon=row["salamon"],
-                    admits=tuple(bool(x) for x in row["admits"]),
-                    flat_class=row["flat_class"],
-                    witnesses=tuple(_witness_from_json(w) for w in row.get("witnesses", [])),
-                    obstruction=row.get("obstruction"),
-                    nonflat_argument=row.get("nonflat_argument"),
-                )
-            )
-        _CATALOG_CACHE = entries
-    return _CATALOG_CACHE
+        for row in raw["entries"]
+    ]
 
 
 def table_rows() -> list[CatalogEntry]:
@@ -288,11 +278,28 @@ def excluded_entries() -> list[CatalogEntry]:
     return [e for e in load_catalog() if e.flat_class == "NoCPS"]
 
 
-def _build_witness(w: Witness, stage, parse=parse_salamon) -> tuple[LieAlgebra | None, CPS | None]:
+class Checks(list):
+    """The named checks `(name, ok, detail)` of one verdict, in the order they ran."""
+
+    def __call__(self, name: str, ok, detail: str = "") -> bool:
+        """Record one check; returns whether it passed."""
+        self.append((name, bool(ok), detail))
+        return bool(ok)
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok, _ in self)
+
+    def to_json(self, key: str) -> list[dict]:
+        """One object per check, its name under `key` ("stage" or "check")."""
+        return [{key: name, "ok": ok, "detail": detail} for name, ok, detail in self]
+
+
+def _build_witness(w: Witness, checks: Checks, parse=parse_salamon) -> tuple[LieAlgebra | None, CPS | None]:
     """Algebra and the CPS the witness claims, with the rotation applied if any.
 
-    Reports the "build" and "cps_valid" steps to `stage(name, ok, detail)`
-    and stops at the first that fails; what it could not build is None.
+    Records the "build" and "cps_valid" checks and stops at the first
+    that fails; what it could not build is None.
     """
     try:
         if w.family == "Explicit":
@@ -300,62 +307,53 @@ def _build_witness(w: Witness, stage, parse=parse_salamon) -> tuple[LieAlgebra |
         else:
             g, j, e = family_data(w.family, w.params)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        stage("build", False, str(exc))
+        checks("build", False, str(exc))
         return None, None
-    stage("build", True)
+    checks("build", True)
     try:
         cps = assemble_cps(g, j, e)
     except StructureError as exc:
-        stage("cps_valid", False, ",".join(exc.failures))
+        checks("cps_valid", False, ",".join(exc.failures))
         return g, None
     if w.rotation is not None:
         try:
             cps = assemble_cps(g, j, rotate_product(cps, w.rotation))
         except Exception as exc:  # noqa: BLE001
-            stage("cps_valid", False, f"rotation: {exc}")
+            checks("cps_valid", False, f"rotation: {exc}")
             return g, None
-    stage("cps_valid", True)
+    checks("cps_valid", True)
     return g, cps
 
 
 def witness_structure(w: Witness) -> tuple[LieAlgebra, CPS]:
     """Algebra plus the CPS the witness claims (rotation applied if any)."""
-
-    def require(name, ok, detail=""):
-        if not ok:
-            raise ValueError(f"witness {w.name!r} fails {name}: {detail}")
-
-    return _build_witness(w, require)
+    checks = Checks()
+    g, cps = _build_witness(w, checks)
+    if not checks.passed:
+        name, _, detail = checks[-1]
+        raise ValueError(f"witness {w.name!r} fails {name}: {detail}")
+    return g, cps
 
 
 @dataclass(frozen=True)
 class WitnessReport:
     name: str
-    stages: tuple[tuple[str, bool, str], ...]
+    stages: Checks
 
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.stages)
+        return self.stages.passed
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "stages": [{"stage": s, "ok": ok, "detail": d} for s, ok, d in self.stages],
-        }
+        return {"name": self.name, "passed": self.passed, "stages": self.stages.to_json("stage")}
 
 
 def verify_witness(entry: CatalogEntry, w: Witness, parse=parse_salamon) -> WitnessReport:
     """Replays the witness certificate against the row, stage by stage; tuples are read with `parse`."""
-    stages: list[tuple[str, bool, str]] = []
-
-    def stage(name, ok, detail=""):
-        stages.append((name, bool(ok), detail))
-        return ok
-
+    stage = Checks()
     g, cps = _build_witness(w, stage, parse)
     if g is None:
-        return WitnessReport(w.name, tuple(stages))
+        return WitnessReport(w.name, stage)
 
     try:
         if w.target != entry.salamon:
@@ -382,7 +380,7 @@ def verify_witness(entry: CatalogEntry, w: Witness, parse=parse_salamon) -> Witn
     else:
         stage("double_type", False, "no CPS to inspect")
         stage("flatness", False, "no CPS to inspect")
-    return WitnessReport(w.name, tuple(stages))
+    return WitnessReport(w.name, stage)
 
 
 def _equations(spec: dict, names) -> list[tuple[Poly, Poly]]:
@@ -459,11 +457,11 @@ class RowReport:
     flat_class: str
     obstruction: str | None
     witness_reports: tuple[WitnessReport, ...]
-    checks: tuple[tuple[str, bool, str], ...]
+    checks: Checks
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.witness_reports) and all(ok for _, ok, _ in self.checks)
+        return self.witnesses_verified and self.checks.passed
 
     @property
     def witnesses_verified(self) -> bool:
@@ -478,7 +476,7 @@ class RowReport:
             "witnesses_verified": self.witnesses_verified,
             "passed": self.passed,
             "witnesses": [r.to_json() for r in self.witness_reports],
-            "checks": [{"check": c, "ok": ok, "detail": d} for c, ok, d in self.checks],
+            "checks": self.checks.to_json("check"),
         }
 
 
@@ -487,11 +485,7 @@ def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> RowReport:
     proofs = {} if proofs is None else proofs
     parse = cache(parse_salamon)  # algebras are immutable: the row's witnesses share one parse
     reports = [verify_witness(entry, w, parse) for w in entry.witnesses]
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name, ok, detail=""):
-        checks.append((name, bool(ok), detail))
-
+    check = Checks()
     pairs = list(zip(entry.witnesses, reports))
     for idx, flag in enumerate(entry.admits):
         col = COLUMN_LABELS[idx]
@@ -509,15 +503,9 @@ def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> RowReport:
     nonflats = [(w, r) for w, r in pairs if not w.flat]
     if entry.flat_class == "FlatOnly":
         check("flat_class", bool(flats) and not nonflats)
-        for w, _ in pairs:
-            ok, detail = slice_flatness_check(w, True, proofs)
-            check(f"slice_{w.name}", ok, detail)
     elif entry.flat_class == "NonFlatOnly":
         check("flat_class", bool(nonflats) and not flats)
         check("nonflat_argument", entry.nonflat_argument is not None)
-        for w, _ in pairs:
-            ok, detail = slice_flatness_check(w, False, proofs)
-            check(f"slice_{w.name}", ok, detail)
     elif entry.flat_class == "Both":
         check(
             "flat_class",
@@ -525,14 +513,10 @@ def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> RowReport:
         )
     else:
         check("flat_class", False, f"unexpected class {entry.flat_class}")
-    return RowReport(
-        entry.salamon,
-        entry.admits,
-        entry.flat_class,
-        entry.obstruction,
-        tuple(reports),
-        tuple(checks),
-    )
+    if entry.flat_class in ("FlatOnly", "NonFlatOnly"):
+        for w in entry.witnesses:
+            check(f"slice_{w.name}", *slice_flatness_check(w, entry.flat_class == "FlatOnly", proofs))
+    return RowReport(entry.salamon, entry.admits, entry.flat_class, entry.obstruction, tuple(reports), check)
 
 
 @dataclass(frozen=True)
@@ -564,48 +548,35 @@ def verify_table(seed: int = 0) -> TableReport:
 class NonexistenceReport:
     salamon: str
     kind: str
-    stages: tuple[tuple[str, bool, str], ...]
+    stages: Checks
 
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.stages)
+        return self.stages.passed
 
     def to_json(self) -> dict:
-        return {
-            "salamon": self.salamon,
-            "kind": self.kind,
-            "passed": self.passed,
-            "stages": [{"stage": s, "ok": ok, "detail": d} for s, ok, d in self.stages],
-        }
+        stages = self.stages.to_json("stage")
+        return {"salamon": self.salamon, "kind": self.kind, "passed": self.passed, "stages": stages}
 
 
 def nonexistence_report(salamon: str, seed: int = 0) -> NonexistenceReport:
-    """Obstruction certificate for one of the three excluded algebras."""
+    """The nonexistence certificate of one of the three excluded algebras."""
     normalized = salamon.replace(" ", "")
     if normalized not in EXCLUDED:
         raise ValueError(f"{salamon!r} is not one of the excluded algebras")
     g = parse_salamon(normalized)
     if normalized != EXCLUDED[2]:
-        obs = cps_obstructions(g)
+        # every CPS has a 2-dimensional J,E-invariant central ideal
         z = center(g)
-        stages = (
-            (
-                "center_dimension",
-                z.dim == 1,
-                f"center has dimension {z.dim}",
-            ),
-            (
-                "obstruction_raised",
-                any(o.kind == "CenterTooSmall" for o in obs),
-                "",
-            ),
-        )
-        return NonexistenceReport(normalized, "CenterTooSmall", stages)
+        stage = Checks()
+        stage("center_dimension", z.dim == 1, f"center has dimension {z.dim}")
+        stage("obstruction_raised", z.dim < 2)
+        return NonexistenceReport(normalized, "CenterTooSmall", stage)
     return _encoded_proof_report(g, normalized, seed)
 
 
 def _encoded_proof_report(g: LieAlgebra, salamon: str, seed: int) -> NonexistenceReport:
-    stages: list[tuple[str, bool, str]] = []
+    stage = Checks()
     n = g.dim
     e = [basis_vec(n, i) for i in range(n)]
 
@@ -613,12 +584,10 @@ def _encoded_proof_report(g: LieAlgebra, salamon: str, seed: int) -> Nonexistenc
     b1 = g.bracket(e[0], e[1])
     b2 = g.bracket(e[0], b1)
     span = Subspace.from_spanning([e[0], e[1], b1, b2], n)
-    stages.append(
-        (
-            "plus_side_dimension_overflow",
-            span.dim == 4,
-            f"e1, e2, [e1,e2], [e1,[e1,e2]] span dimension {span.dim} > 3",
-        )
+    stage(
+        "plus_side_dimension_overflow",
+        span.dim == 4,
+        f"e1, e2, [e1,e2], [e1,[e1,e2]] span dimension {span.dim} > 3",
     )
 
     # (b) generic commuting partner with y1 = y2 = 0 is forced central.  On
@@ -627,9 +596,8 @@ def _encoded_proof_report(g: LieAlgebra, salamon: str, seed: int) -> Nonexistenc
     # {y3 = y4 = 0} iff the y5 and y6 columns vanish
     rng = random.Random(seed)
     samples = 0
-    ok_b = True
-    detail_b = ""
-    while samples < 200:
+    failure = ""
+    while samples < 200 and not failure:
         x = vec([Q(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)])
         norm = x[0] ** 2 + x[1] ** 2
         if norm == 0:
@@ -639,34 +607,24 @@ def _encoded_proof_report(g: LieAlgebra, salamon: str, seed: int) -> Nonexistenc
         a = adx.num
         det = Q(a[4][2] * a[5][3] - a[4][3] * a[5][2], adx.den**2)
         if det != norm:
-            ok_b = False
-            detail_b = f"2x2 block determinant {det} != x1^2+x2^2 at sample {samples}"
-            break
-        if any(row[4] or row[5] for row in a):
-            ok_b = False
-            detail_b = f"kernel not {{y3=y4=0}} at sample {samples}"
-            break
-    stages.append(
-        (
-            "generic_pair_forces_center",
-            ok_b,
-            detail_b or f"200 seeded samples (seed={seed}) all force y3=y4=0",
-        )
+            failure = f"2x2 block determinant {det} != x1^2+x2^2 at sample {samples}"
+        elif any(row[4] or row[5] for row in a):
+            failure = f"kernel not {{y3=y4=0}} at sample {samples}"
+    stage(
+        "generic_pair_forces_center",
+        not failure,
+        failure or f"200 seeded samples (seed={seed}) all force y3=y4=0",
     )
 
     # (c) the center would sit inside g-, contradicting J-invariance of u
-    z = center(g)
-    ok_c = z.dim == 2
-    stages.append(
-        (
-            "central_ideal_contradiction",
-            ok_c,
-            "center = the unique 2-dim central subspace; stages (a)+(b) push it into "
-            "g-, but a J-invariant u inside g- satisfies u = J u within J g- = g+, "
-            "forcing u = 0 and contradicting dim u = 2",
-        )
+    stage(
+        "central_ideal_contradiction",
+        center(g).dim == 2,
+        "center = the unique 2-dim central subspace; stages (a)+(b) push it into "
+        "g-, but a J-invariant u inside g- satisfies u = J u within J g- = g+, "
+        "forcing u = 0 and contradicting dim u = 2",
     )
-    return NonexistenceReport(salamon, "EncodedProof", tuple(stages))
+    return NonexistenceReport(salamon, "EncodedProof", stage)
 
 
 FRIED_NABLA = (

@@ -127,13 +127,13 @@ def _verify_catalog(_, seed: int):
 
 
 def _hypercomplex(cps: CPS, seed: int):
-    ghat, h = lift_cps(cps)
+    h = lift_cps(cps)
     base = cp_connection(cps)
     ob = obata_connection(h, base)
     base_rep = curvature(base)
     ob_rep = curvature(ob)
     payload = {
-        "lifted_algebra": algebra_to_json(ghat),
+        "lifted_algebra": algebra_to_json(h.algebra),
         "J1": h.j1.to_json(),
         "J2": h.j2.to_json(),
         "J3": h.j3.to_json(),

@@ -100,7 +100,7 @@ def cp_connection(cps: CPS) -> Connection:
     and a failure raises, so callers rely on them without checking again.
     """
     g, j = cps.algebra, cps.j
-    _, pip, pim = split_coordinates(cps)
+    pip, pim = split_coordinates(cps)
     # nabla_{e_i} y for x+- = pi+- e_i and y+- = pi+- y, as matrices in y
     lp, rp = -(pip @ j), j @ pip
     lm, rm = -(pim @ j), j @ pim

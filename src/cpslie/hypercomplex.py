@@ -48,22 +48,20 @@ def validate_hypercomplex(h: HypercomplexStructure) -> list[str]:
     return failures
 
 
-def lift_cps(cps: CPS) -> tuple[LieAlgebra, HypercomplexStructure]:
-    """Double the algebra and lift {J, E} to a hypercomplex triple.
+def lift_cps(cps: CPS) -> HypercomplexStructure:
+    """Double the algebra and lift {J, E} to a hypercomplex triple on `h.algebra`.
 
     J1 x = (E x)^ and J1 x^ = -E x, so vectors in the + eigenspace go to
     their hatted copies; J2 acts as J on both copies.
     """
-    g = cps.algebra
-    n = g.dim
-    ghat = complexify_realified(g)
+    n = cps.algebra.dim
     zero = QMatrix.zeros(n, n)
     j1 = QMatrix.block([[zero, cps.e.scale(-1)], [cps.e, zero]])
-    h = HypercomplexStructure(ghat, j1, QMatrix.diag_blocks(cps.j, cps.j))
+    h = HypercomplexStructure(complexify_realified(cps.algebra), j1, QMatrix.diag_blocks(cps.j, cps.j))
     failures = validate_hypercomplex(h)
     if failures:
         raise LiftError(f"hypercomplex lift invalid: {failures}")
-    return ghat, h
+    return h
 
 
 def obata_connection(h: HypercomplexStructure, base: Connection) -> Connection:

@@ -111,12 +111,13 @@ class SingularMatrixError(ValueError):
 
 def _matrix(num, den: int, cols: int) -> "QMatrix":
     """QMatrix with entries num / den (den > 0), brought to canonical form;
-    Poly numerators (a family's layouts) are left unreduced."""
+    a Poly numerator (a family's layouts) enters the gcd with its integer coefficients."""
     if den > 1:
         try:
             g = gcd(den, *chain.from_iterable(num))
         except TypeError:
-            g = 1
+            coefficients = ((x,) if type(x) is int else x.terms.values() for x in chain.from_iterable(num))
+            g = gcd(den, *chain.from_iterable(coefficients))
         if g > 1:
             num = [[x // g for x in r] for r in num]
             den //= g

@@ -133,6 +133,10 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, k: int) -> "Poly":
+        """self / k, exact for any int k > 0: `linalg` divides a numerator by its gcd with `//`."""
+        return Poly(self.names, self.terms, self.den * k)
+
     def __eq__(self, other) -> bool:
         if type(other) is int and not other:
             return not self.terms

@@ -7,8 +7,6 @@ an integrable product structure E with JE = -EJ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lie import LieAlgebra, ThreeDimType, center, is_ideal, iso_type_3d
 from .linalg import (
     Q,
@@ -238,43 +236,13 @@ def find_central_invariant_ideal(cps: CPS) -> Subspace | None:
     return None
 
 
-@dataclass(frozen=True)
-class Obstruction:
-    kind: str
-    detail: str
+def split_coordinates(cps: CPS) -> tuple[QMatrix, QMatrix]:
+    """(pi_plus, pi_minus), the projections onto the eigenspaces along each other.
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail}
-
-
-def cps_obstructions(g: LieAlgebra) -> list[Obstruction]:
-    """Sound necessary-condition failures for admitting any CPS."""
-    from .lie import is_nilpotent
-
-    if g.dim != 6:
-        raise ValueError("obstruction checks are specific to dimension 6")
-    if not is_nilpotent(g):
-        raise ValueError("obstruction checks expect a nilpotent algebra")
-    out = []
-    z = center(g)
-    if z.dim < 2:
-        out.append(
-            Obstruction(
-                "CenterTooSmall",
-                f"center has dimension {z.dim}; a CPS needs a 2-dimensional central ideal",
-            )
-        )
-    return out
-
-
-def split_coordinates(cps: CPS) -> tuple[QMatrix, QMatrix, QMatrix]:
-    """(S, pi_plus, pi_minus): S columns are plus then minus basis vectors.
-
-    E^2 = Id makes the projections onto the eigenspaces (Id +- E) / 2.
+    E^2 = Id makes them (Id +- E) / 2.
     """
-    s = QMatrix.from_cols(list(cps.plus.basis_vectors()) + list(cps.minus.basis_vectors()))
     ident = QMatrix.identity(cps.algebra.dim)
-    return s, (ident + cps.e).scale(Q(1, 2)), (ident - cps.e).scale(Q(1, 2))
+    return (ident + cps.e).scale(Q(1, 2)), (ident - cps.e).scale(Q(1, 2))
 
 
 def rho_matrix(cps: CPS, x: Vector) -> QMatrix:
@@ -282,7 +250,7 @@ def rho_matrix(cps: CPS, x: Vector) -> QMatrix:
     if not cps.plus.contains(x):
         raise ValueError("x must lie in the + eigenspace")
     g = cps.algebra
-    _, _, pim = split_coordinates(cps)
+    _, pim = split_coordinates(cps)
     cols = []
     for b in cps.minus.basis_vectors():
         w = pim.apply(g.bracket(x, b))
@@ -295,7 +263,7 @@ def mu_matrix(cps: CPS, xp: Vector) -> QMatrix:
     if not cps.minus.contains(xp):
         raise ValueError("x' must lie in the - eigenspace")
     g = cps.algebra
-    _, pip, _ = split_coordinates(cps)
+    pip, _ = split_coordinates(cps)
     cols = []
     for b in cps.plus.basis_vectors():
         w = pip.apply(g.bracket(b, xp))

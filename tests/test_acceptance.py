@@ -280,13 +280,12 @@ def test_criterion_09_hypercomplex():
     lifts = {}
     for name, w in explicit.items():
         _, cps = witness_structure(w)
-        ghat, h = lift_cps(cps)
-        lifts[name] = (ghat, h, cps)
-    ghat, h1, cps1 = lifts["split-flat"]
+        lifts[name] = (lift_cps(cps), cps)
+    h1, _ = lifts["split-flat"]
     hat = lambda i: basis_vec(12, 6 + i)  # noqa: E731
     plain = lambda i: basis_vec(12, i)  # noqa: E731
     neg = lambda v: tuple(-x for x in v)  # noqa: E731
-    br = lambda i, j: ghat.bracket(plain(i), plain(j))  # noqa: E731
+    br = lambda i, j: h1.algebra.bracket(plain(i), plain(j))  # noqa: E731
     assert br(0, 1) == neg(plain(3)) and br(6, 7) == plain(3)
     assert br(0, 2) == neg(plain(4)) and br(6, 8) == plain(4)
     assert br(0, 3) == neg(plain(5)) and br(6, 9) == plain(5)
@@ -298,12 +297,12 @@ def test_criterion_09_hypercomplex():
     for i in (0, 2, 4):  # J e1 = -e2 and so on, on both copies
         assert h1.j2.col(i) == neg(plain(i + 1))
         assert h1.j2.col(6 + i) == neg(hat(i + 1))
-    _, h2, _ = lifts["split-nonflat"]
+    h2, _ = lifts["split-nonflat"]
     for i, sign in ((0, 1), (3, 1), (5, 1), (1, -1), (2, -1), (4, -1)):
         assert h2.j1.col(i) == tuple(Q(sign) * x for x in hat(i))
     # Obata verdicts for the two explicit structures
     verdicts = {}
-    for name, (_, h, cps) in lifts.items():
+    for name, (h, cps) in lifts.items():
         ob = obata_connection(h, cp_connection(cps))
         rep = curvature(ob)
         assert rep.is_ricci_flat
@@ -311,8 +310,8 @@ def test_criterion_09_hypercomplex():
     assert verdicts == {"split-flat": True, "split-nonflat": False}
     # every witness lift: quaternion relations, integrability, Ricci-flat
     for entry, w, g, cps, conn in all_connections():
-        gh, h = lift_cps(cps)
-        assert jacobi_defect(gh) == []
+        h = lift_cps(cps)
+        assert jacobi_defect(h.algebra) == []
         assert validate_hypercomplex(h) == []
         ob = obata_connection(h, conn)
         rep = curvature(ob)

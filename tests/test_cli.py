@@ -1,7 +1,10 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
 import hashlib
+import importlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -419,6 +422,27 @@ def test_default_json_is_pinned(capsys, tmp_path, cps_file, case):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case], out
 
 
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's oracle, bench/workloads.py, imported by path."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_catalog_json_matches_the_benchmark_digests(capsys, workloads, seed):
+    """verify-catalog and the three nonexistence reports print the bytes the benchmark pins."""
+    pinned = [(("verify-catalog",), workloads.CATALOG_DIGEST)]
+    pinned += [(("nonexistence", salamon), workloads.NONEXISTENCE_DIGESTS[salamon]) for salamon, _ in workloads.EXCLUDED]
+    for argv, digest in pinned:
+        code, out = run_cli(capsys, *argv, "--seed", str(seed))
+        assert code == 0
+        assert workloads.normalized_digest(out, seed) == digest, argv
+
+
 @pytest.mark.parametrize(
     "command, target, stub",
     [
@@ -487,7 +511,7 @@ def test_each_identity_is_checked_once(capsys, monkeypatch, request, command, fl
     with open(path) as fh:
         data = json.load(fh)
     j, e = (QMatrix.from_json(data[k]["matrix"]) for k in "JE")
-    _, h = lift_cps(assemble_cps(_algebra_from_data(data["algebra"]), j, e))
+    h = lift_cps(assemble_cps(_algebra_from_data(data["algebra"]), j, e))
     squared = {j, e, h.j1, h.j2, h.j3}
 
     counts = dict.fromkeys(("squarings", "curvature", "torsion_defect", "parallel_defect"), 0)

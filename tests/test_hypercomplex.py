@@ -39,8 +39,8 @@ def plain(i):
 def test_lift_reproduces_flat_structure_table():
     w = _explicit_row9_witnesses()["split-flat"]
     _, cps = witness_structure(w)
-    ghat, h = lift_cps(cps)
-    assert ghat.dim == 12
+    h = lift_cps(cps)
+    assert h.algebra.dim == 12
     # I1 e1 = hat e1, I1 e2 = -hat e2, paired signs on (e3,e4), (e5,e6)
     for i, sign in ((0, 1), (1, -1), (2, 1), (3, -1), (4, 1), (5, -1)):
         assert h.j1.col(i) == tuple(Q(sign) * x for x in hat(i))
@@ -54,7 +54,7 @@ def test_lift_reproduces_flat_structure_table():
 def test_lift_reproduces_nonflat_structure_table():
     w = _explicit_row9_witnesses()["split-nonflat"]
     _, cps = witness_structure(w)
-    _, h = lift_cps(cps)
+    h = lift_cps(cps)
     for i, sign in ((0, 1), (3, 1), (5, 1), (1, -1), (2, -1), (4, -1)):
         assert h.j1.col(i) == tuple(Q(sign) * x for x in hat(i))
 
@@ -62,7 +62,7 @@ def test_lift_reproduces_nonflat_structure_table():
 def test_lift_bracket_table_matches_doubling_rules():
     w = _explicit_row9_witnesses()["split-flat"]
     _, cps = witness_structure(w)
-    ghat, _ = lift_cps(cps)
+    ghat = lift_cps(cps).algebra
     # twelve displayed relations of the doubled algebra
     expected = {
         (0, 1): -1, (6, 7): 1,   # [e1,e2] = -e4 = -[^e1,^e2]
@@ -82,7 +82,7 @@ def test_lift_quaternion_relations_fail_loudly():
 
     w = _explicit_row9_witnesses()["split-flat"]
     _, cps = witness_structure(w)
-    ghat, h = lift_cps(cps)
+    h = lift_cps(cps)
     minus_ident = QMatrix.identity(12).scale(-1)
     assert h.j1 @ h.j1 == minus_ident
     assert h.j2 @ h.j2 == minus_ident
@@ -97,7 +97,7 @@ def test_lift_forms_j3_once(monkeypatch):
     products = []
     matmul = QMatrix.__matmul__
     monkeypatch.setattr(QMatrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b))
-    _, h = lift_cps(cps)
+    h = lift_cps(cps)
     assert products.count((h.j1, h.j2)) == 1
 
 
@@ -106,8 +106,8 @@ def test_lift_of_trivial_cps_on_r2():
     j = QMatrix([[0, -1], [1, 0]])
     e = QMatrix([[1, 0], [0, -1]])
     cps = assemble_cps(g, j, e)
-    ghat, h = lift_cps(cps)
-    assert ghat.dim == 4 and ghat.is_abelian()
+    h = lift_cps(cps)
+    assert h.algebra.dim == 4 and h.algebra.is_abelian()
     assert is_abelian_hypercomplex(h)
 
 
@@ -116,7 +116,7 @@ def test_obata_flat_iff_base_flat_on_explicit_pair():
     verdicts = {}
     for name, w in ws.items():
         _, cps = witness_structure(w)
-        _, h = lift_cps(cps)
+        h = lift_cps(cps)
         base = cp_connection(cps)
         ob = obata_connection(h, base)
         rep = curvature(ob)
@@ -129,29 +129,29 @@ def test_obata_flat_iff_base_flat_on_explicit_pair():
 
 def test_abelian_lift_of_abelian_cps():
     g, cps = heisenberg_complex_examples()[0]
-    _, h = lift_cps(cps)
+    h = lift_cps(cps)
     assert is_abelian_hypercomplex(h)
 
 
 def test_nonabelian_lift_of_nonabelian_cps():
     w = _explicit_row9_witnesses()["split-flat"]
     _, cps = witness_structure(w)
-    _, h = lift_cps(cps)
+    h = lift_cps(cps)
     assert not is_abelian_hypercomplex(h)
 
 
 def test_validate_hypercomplex_detects_broken_triple():
     w = _explicit_row9_witnesses()["split-flat"]
     _, cps = witness_structure(w)
-    ghat, h = lift_cps(cps)
-    assert "anticommute" in validate_hypercomplex(HypercomplexStructure(ghat, h.j1, h.j1))
-    assert "J1_square" in validate_hypercomplex(HypercomplexStructure(ghat, h.j1.scale(2), h.j2))
+    h = lift_cps(cps)
+    assert "anticommute" in validate_hypercomplex(HypercomplexStructure(h.algebra, h.j1, h.j1))
+    assert "J1_square" in validate_hypercomplex(HypercomplexStructure(h.algebra, h.j1.scale(2), h.j2))
 
 
 def test_obata_rejects_wrong_base():
     w = _explicit_row9_witnesses()["split-flat"]
     _, cps = witness_structure(w)
-    _, h = lift_cps(cps)
+    h = lift_cps(cps)
     # wrong dimension
     g2 = LieAlgebra.abelian(2)
     j2 = QMatrix([[0, -1], [1, 0]])

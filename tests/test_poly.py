@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpslie.lie import LieAlgebra
-from cpslie.linalg import basis_vec
+from cpslie.linalg import QMatrix, basis_vec
 from cpslie.poly import Poly
 
 NAMES = ("x", "y", "z")
@@ -114,11 +114,16 @@ def test_value_and_variable_checks():
         x.rewrite(Poly.monomial(NAMES, "x*y"), x)
 
 
-
-def test_poly_bracket_over_a_denominator_enters_the_layout_unreduced():
-    """A Poly coefficient over 2 keeps its layout over den 2: the gcd that
-    brings a rational layout to canonical form is skipped for Poly numerators."""
-    a_half = Poly.var(("A",), "A") * Q(1, 2)
-    g = LieAlgebra.from_brackets(3, {(0, 1): {2: a_half}})
+def test_poly_layouts_over_a_denominator_are_canonical():
+    """The gcd that brings a rational layout to canonical form takes in the
+    integer coefficients of Poly numerators: a Poly coefficient over 2 keeps
+    its layout over den 2, and a product whose numerators share the
+    denominator's factor is reduced, so equal matrices compare and hash equal."""
+    a = Poly.var(("A",), "A")
+    g = LieAlgebra.from_brackets(3, {(0, 1): {2: a * Q(1, 2)}})
     assert g.structure.den == 2
-    assert g.bracket(basis_vec(3, 0), basis_vec(3, 1)) == (0, 0, a_half)
+    assert g.bracket(basis_vec(3, 0), basis_vec(3, 1)) == (0, 0, a * Q(1, 2))
+
+    product = QMatrix([[a * Q(1, 2), Q(1, 2)]]) @ QMatrix([[2], [0]])
+    assert (product.den, product.num) == (1, ((a,),))
+    assert product == QMatrix([[a]]) and hash(product) == hash(QMatrix([[a]]))

@@ -20,7 +20,6 @@ from cpslie.structures import (
     ascending_series,
     assemble_cps,
     complex_integrability_defect,
-    cps_obstructions,
     double_type,
     eigenspaces,
     find_central_invariant_ideal,
@@ -311,18 +310,6 @@ def test_find_central_invariant_ideal_invariances():
             assert map_subspace(cps.e, u) == u
 
 
-def test_cps_obstructions():
-    assert [o.kind for o in cps_obstructions(parse_salamon("(0,0,0,12,23,14-35)"))] == [
-        "CenterTooSmall"
-    ]
-    assert [o.kind for o in cps_obstructions(parse_salamon("(0,0,12,13,23,14+25)"))] == [
-        "CenterTooSmall"
-    ]
-    assert cps_obstructions(parse_salamon("(0,0,0,12,13+42,14+23)")) == []
-    with pytest.raises(ValueError):
-        cps_obstructions(LieAlgebra.abelian(4))
-
-
 def test_abelian_center_splitting_lemma():
     # for abelian CPS with nontrivial center: z = (z \cap g+) + (z \cap g-)
     # and J exchanges the two pieces
@@ -361,7 +348,7 @@ def test_rho_iterates_as_projected_ad_powers():
     for entry in load_catalog():
         for w in entry.witnesses[:1]:
             g, cps = witness_structure(w)
-            _, _, pim = split_coordinates(cps)
+            _, pim = split_coordinates(cps)
             for x in cps.plus.basis_vectors():
                 rho = rho_matrix(cps, x)
                 for xp in cps.minus.basis_vectors():
@@ -381,7 +368,8 @@ def test_split_projections_match_basis_change():
     for entry in load_catalog():
         for w in entry.witnesses:
             _, cps = witness_structure(w)
-            s, pip, pim = split_coordinates(cps)
+            s = QMatrix.from_cols(cps.plus.basis_vectors() + cps.minus.basis_vectors())
+            pip, pim = split_coordinates(cps)
             z, i3 = QMatrix.zeros(3, 3), QMatrix.identity(3)
             assert pip == s @ QMatrix.diag_blocks(i3, z) @ s.inverse()
             assert pim == s @ QMatrix.diag_blocks(z, i3) @ s.inverse()
