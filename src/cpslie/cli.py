@@ -16,7 +16,7 @@ from .connection import (
     connection_is_complete_certificate,
     cp_connection,
     curvature,
-    quadratic_geodesic_certificate,
+    exact_polynomial_geodesic_certificate,
 )
 from .hypercomplex import lift_cps, obata_connection
 from .lie import LieAlgebra, algebra_from_json, algebra_to_json
@@ -145,7 +145,7 @@ def _hypercomplex(cps: CPS, seed: int):
 
 
 def _geodesic(cps: CPS, seed: int):
-    cert = quadratic_geodesic_certificate(cp_connection(cps), seed=seed)
+    cert = exact_polynomial_geodesic_certificate(cp_connection(cps))
     return cert.to_json(), cert.verdict
 
 
@@ -179,7 +179,7 @@ COMMANDS = {
     ),
     "verify-catalog": Command("verify the full classification table", _verify_catalog),
     "hypercomplex": Command("lift a CPS to the doubled algebra", _hypercomplex, "cps", INVALID_CPS),
-    "geodesic": Command("numeric quadratic-geodesic certificate", _geodesic, "cps", INVALID_CPS),
+    "geodesic": Command("least polynomial degree of the geodesics, proven exactly", _geodesic, "cps", INVALID_CPS),
     "nonexistence": Command("obstruction report for an excluded algebra", _nonexistence, "salamon"),
 }
 
@@ -206,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cps", required=True, help="JSON file with J and E matrices")
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--seed", type=int, default=0, help=(
-            "seed of the sampled checks; only verify-catalog, nonexistence and geodesic"
-            " read it, the other commands accept it and ignore it"
+            "seed of the sampled checks; only verify-catalog and nonexistence read it,"
+            " the other commands accept it and ignore it"
         ))
     return parser
 

@@ -1,20 +1,17 @@
 """The torsion-free connection of a CPS and everything derived from it.
 
 The connection, curvature, Ricci form and the induced left-symmetric
-products are all exact rational tensors, and so are both completeness
-certificates that `connection_is_complete_certificate` chooses between.
-The only floating point in the package is the numeric quadratic-geodesic
-certificate (`integrate_geodesics`, `quadratic_geodesic_certificate`),
-which only the `geodesic` command runs.
+products are all exact rational tensors, and so is every completeness
+certificate: the trace argument for flat connections and the integer
+grid proofs that every geodesic is a polynomial in time.  The package
+has no floating point.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, combinations_with_replacement
-from math import isfinite, lcm
+from math import comb, lcm
 
 from .lie import LieAlgebra
 from .linalg import (
@@ -303,7 +300,7 @@ def lsa_is_complete(p: Connection) -> bool:
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    method: str  # "segal-trace", "exact-quadratic-geodesic" or "quadratic-geodesic"
+    method: str  # "segal-trace", "exact-quadratic-geodesic" or "exact-polynomial-geodesic"
     verdict: bool
     details: dict = field(default_factory=dict)
 
@@ -311,127 +308,44 @@ class CompletenessReport:
         return {"method": self.method, "verdict": self.verdict, "details": self.details}
 
 
-GEODESIC_STEP = 1e-3
-GEODESIC_T_MAX = 10.0
-GEODESIC_REL_TOL = 1e-6
-
-
-def _geodesic_initial_conditions(n: int, seed: int) -> list[Vector]:
-    """Signed coordinate vectors plus 10 seeded rational points in [-2, 2]."""
-    out = [basis_vec(n, i, s) for i in range(n) for s in (1, -1)]
-    rng = random.Random(seed)
-    for _ in range(10):
-        out.append(tuple(Fraction(rng.randint(-8, 8), 4) for _ in range(n)))
-    return out
-
-
-def integrate_geodesics(conn: Connection, initial: list[Vector], t_max=GEODESIC_T_MAX, step=GEODESIC_STEP):
-    """RK4 trajectories of x' = -nabla_x x from each initial condition.
-
-    Returns (times, values) with values of shape (steps+1, len(initial), dim).
-    """
-    import numpy as np
-
-    n = conn.algebra.dim
-    # row i*n + j holds -nabla_{e_i} e_j, so each stage's -nabla_y y is one
-    # product of the (b, n*n) outer products y_i y_j with this matrix.  The
-    # doubled copy gives stages 2 and 3 as 2k exactly, so their stage inputs
-    # scale by h/4 and h/2 and the weighted sum is three adds, bit for bit
-    # the classical k1 + 2 k2 + 2 k3 + k4.  The int quotient num / den is
-    # correctly rounded, so each entry has the bits of -float(Fraction)
-    side = conn.tensor.side
-    neg_gam = np.array([[-(x / side.den) for x in col] for col in zip(*side.num)])
-    neg_gam2 = 2.0 * neg_gam
-    x = np.array([[float(c) for c in v] for v in initial])
-    steps = int(round(t_max / step))
-    times = np.linspace(0.0, steps * step, steps + 1)
-    values = np.empty((steps + 1, *x.shape))
-    values[0] = x
-    y, k1, k2, k3, k4 = (np.empty_like(x) for _ in range(5))
-    outer = np.empty((len(initial), n, n))
-    outer_rows = outer.reshape(len(initial), n * n)
-    x_i, x_j, y_i, y_j = x[:, :, None], x[:, None, :], y[:, :, None], y[:, None, :]
-
-    def stage(k, scale, gam, out):
-        np.multiply(k, scale, out=y)
-        np.add(x, y, out=y)
-        np.multiply(y_i, y_j, out=outer)
-        np.matmul(outer_rows, gam, out=out)
-
-    half, quarter, sixth = 0.5 * step, 0.25 * step, step / 6.0
-    for s in range(steps):
-        np.multiply(x_i, x_j, out=outer)
-        np.matmul(outer_rows, neg_gam, out=k1)
-        stage(k1, half, neg_gam2, k2)
-        stage(k2, quarter, neg_gam2, k3)
-        stage(k3, half, neg_gam, k4)
-        np.add(k1, k2, out=k1)
-        np.add(k1, k3, out=k1)
-        np.add(k1, k4, out=k1)
-        np.multiply(k1, sixth, out=k1)
-        np.add(x, k1, out=x)
-        values[s + 1] = x
-    return times, values
-
-
-def quadratic_geodesic_certificate(conn: Connection, seed: int = 0) -> CompletenessReport:
-    """Check every geodesic coordinate is a polynomial of degree <= 2.
-
-    Integrates over t in [0, t_max] and fits each coordinate with a
-    quadratic by least squares: with Q an orthonormal basis of the
-    quadratics sampled at the times, the residual of a series y is
-    y - Q Q^T y.  Passes when the relative residual stays within tolerance.
-    Fails closed: a trajectory that blew up or a coefficient beyond the
-    float range makes the verdict false and `max_relative_residual` null.
-    """
-    import numpy as np
-
-    n = conn.algebra.dim
-    initial = _geodesic_initial_conditions(n, seed)
-    try:
-        # a trajectory that blows up becomes inf/nan and fails below, without warnings
-        with np.errstate(all="ignore"):
-            times, values = integrate_geodesics(conn, initial)
-    except OverflowError:
-        # a coefficient beyond the float range leaves no trajectory to fit
-        worst = np.inf
-    else:
-        basis = np.linalg.qr(np.polynomial.polynomial.polyvander(times, 2))[0]
-        rel = []
-        with np.errstate(all="ignore"):
-            # one (steps+1, n) block per initial condition keeps the scratch arrays small
-            for b in range(len(initial)):
-                block = values[:, b, :]
-                # constants lie in the span, so fitting block - block[0] leaves the
-                # residual unchanged and fits a constant coordinate without rounding
-                shifted = block - block[0]
-                resid = np.abs(shifted - basis @ (basis.T @ shifted)).max(axis=0)
-                rel.append(resid / np.maximum(1.0, np.abs(block).max(axis=0)))
-        worst = float(np.max(rel))
-    finite = isfinite(worst)
-    verdict = finite and worst <= GEODESIC_REL_TOL
-    return CompletenessReport(
-        method="quadratic-geodesic",
-        verdict=verdict,
-        details={
-            "max_relative_residual": worst if finite else None,
-            "tolerance": GEODESIC_REL_TOL,
-            "step": GEODESIC_STEP,
-            "t_max": GEODESIC_T_MAX,
-            "seed": seed,
-            "initial_conditions": len(initial),
-        },
-    )
-
-
-# {a in N^n : |a| = 6}, the principal lattice of order 6 on the simplex, is
-# unisolvent for polynomials of degree <= 6, so a homogeneous polynomial of
-# degree <= 6 that vanishes on it is zero
+# {a in N^n : |a| = N}, the principal lattice of order N on the simplex, is
+# unisolvent for polynomials of degree <= N, so a homogeneous polynomial of
+# degree <= N that vanishes on it is zero
 GRID_ORDER = 6
+# The polynomial certificate tries degrees 2, 3, ... up to GEODESIC_MAX_DEGREE,
+# and stops before a grid of more than GEODESIC_POINT_BUDGET points above
+# degree 2: the 8-dimensional example needs degree 4, on 19,448 points.
+GEODESIC_MAX_DEGREE = 4
+GEODESIC_POINT_BUDGET = 20_000
 
 
-def _on_grid(pairs, x, y) -> list[list[int]]:
-    """sum_ij x_i y_j C[ij] at every grid point at once.
+def _symmetrized(conn: Connection) -> tuple[list, list]:
+    """The nonzero C[ij] of C = 2 den B, as (i, j, ((k, C[ij][k]), ...)): every
+    pair, and the pairs i <= j with the entries off the diagonal doubled."""
+    n, side = conn.algebra.dim, conn.tensor.side
+    cols = list(zip(*side.num))  # column i*n + j holds den * nabla_{e_i} e_j
+    full = []
+    for i in range(n):
+        for j in range(n):
+            col = tuple((k, a + b) for k, (a, b) in enumerate(zip(cols[i * n + j], cols[j * n + i])) if a + b)
+            if col:
+                full.append((i, j, col))
+    # C is symmetric, so C(x,x) needs only the pairs i <= j, doubled off the diagonal
+    sym = [(i, j, col if i == j else tuple((k, 2 * c) for k, c in col)) for i, j, col in full if i <= j]
+    return full, sym
+
+
+def _grid(n: int, order: int) -> list[list[int]]:
+    """The order-`order` grid as one list of values over the points per coordinate.
+
+    A multiset of `order` indices is a grid point, a_i counting index i.
+    """
+    points = [[p.count(i) for i in range(n)] for p in combinations_with_replacement(range(n), order)]
+    return [list(c) for c in zip(*points)]
+
+
+def _on_grid(pairs, x, y, scale=1) -> list[list[int]]:
+    """scale * sum_ij x_i y_j C[ij] at every grid point at once.
 
     x, y and the result hold one list of values over the points per
     coordinate; `pairs` lists (i, j, ((k, C[ij][k]), ...)) for the nonzero C[ij].
@@ -442,6 +356,7 @@ def _on_grid(pairs, x, y) -> list[list[int]]:
         if live_x[i] and live_y[j]:
             uv = [a * b for a, b in zip(x[i], y[j])]
             for k, c in col:
+                c *= scale
                 acc = out[k]
                 out[k] = [c * p for p in uv] if acc is None else [s + c * p for s, p in zip(acc, uv)]
     zero = [0] * len(x[0])
@@ -466,20 +381,8 @@ def exact_quadratic_geodesic_certificate(conn: Connection) -> CompletenessReport
     family's connection (`catalog.family_connection`), where the zero
     tests are identities in the parameters.
     """
-    n, side = conn.algebra.dim, conn.tensor.side
-    cols = list(zip(*side.num))  # column i*n + j holds den * nabla_{e_i} e_j
-    full = []
-    for i in range(n):
-        for j in range(n):
-            col = tuple((k, a + b) for k, (a, b) in enumerate(zip(cols[i * n + j], cols[j * n + i])) if a + b)
-            if col:
-                full.append((i, j, col))
-    # C is symmetric, so C(x,x) needs only the pairs i <= j, doubled off the diagonal
-    sym = [(i, j, col if i == j else tuple((k, 2 * c) for k, c in col)) for i, j, col in full if i <= j]
-    # a multiset of GRID_ORDER indices is a grid point, a_i counting index i;
-    # the points are held as one list of values per coordinate
-    points = [[p.count(i) for i in range(n)] for p in combinations_with_replacement(range(n), GRID_ORDER)]
-    a = [list(c) for c in zip(*points)]
+    full, sym = _symmetrized(conn)
+    a = _grid(conn.algebra.dim, GRID_ORDER)
     y1 = _on_grid(sym, a, a)
     y2 = _on_grid(full, a, y1)
     p4 = zip(chain.from_iterable(_on_grid(sym, y1, y1)), chain.from_iterable(_on_grid(full, a, y2)))
@@ -495,7 +398,83 @@ def exact_quadratic_geodesic_certificate(conn: Connection) -> CompletenessReport
             "equation": "x' = -B(x,x), B(x,y) = (nabla_x y + nabla_y x)/2, x1 = -B(x0,x0), x2 = -B(x0,x1)",
             "identities": {"P4": "B(x1,x1) + 2B(x0,x2)", "P5": "B(x1,x2)", "P6": "B(x2,x2)"},
             "vanishing": vanishing,
-            "grid": {"order": GRID_ORDER, "points": len(points)},
+            "grid": {"order": GRID_ORDER, "points": len(a[0])},
+        },
+    )
+
+
+def _vanishing_coefficients(full, sym, a, d: int) -> list[bool] | None:
+    """Whether each of y_1, ..., y_{2d+1} vanishes on the grid `a`, y_0 = a;
+    None as soon as one of y_{d+1}, ... does not.
+
+    The y_k here are (-1)^k times those of the recursion, which drops its
+    sign: y_{k+1} = sum_i binom(k,i) C(y_i, y_{k-i}).  C is symmetric, so
+    the terms i and k - i are equal: C runs once per pair, through `sym` on
+    the middle term, and not at all on a vanishing factor.
+    """
+    ys, zero = [a], [False]
+    for k in range(2 * d + 1):
+        y = None
+        for i in range(k // 2 + 1):
+            if zero[i] or zero[k - i]:
+                continue
+            middle = 2 * i == k
+            term = _on_grid(sym if middle else full, ys[i], ys[k - i], comb(k, i) * (1 if middle else 2))
+            y = term if y is None else [[s + t for s, t in zip(r, q)] for r, q in zip(y, term)]
+        vanishes = y is None or not any(chain.from_iterable(y))
+        if k >= d and not vanishes:
+            return None
+        ys.append(y)
+        zero.append(vanishes)
+    return zero[1:]
+
+
+def exact_polynomial_geodesic_certificate(conn: Connection, max_degree: int = GEODESIC_MAX_DEGREE) -> CompletenessReport:
+    """Prove in integers that every geodesic is a polynomial in t, and find its least degree.
+
+    With B as in `exact_quadratic_geodesic_certificate`, D = 2 den and
+    C = D B, the Taylor coefficients of a geodesic are x_k = y_k / (D^k k!)
+    with y_0 = x(0) and y_{k+1} = -sum_i binom(k,i) C(y_i, y_{k-i}); y_k is
+    homogeneous of degree k + 1 in x(0).  Every geodesic has degree <= d
+    exactly when y_{d+1}, ..., y_{2d+1} vanish: every term of a later y_k
+    has a factor of index above d.  They are evaluated on the order-(2d+2)
+    grid, which proves the vanishing, for d = 2, 3, ..., max_degree; the
+    first that passes also holds the least degree, since degree <= e < d
+    is the same test on fewer coefficients.  Degree 2 is always tried, as
+    `connection-report` tries it; a higher degree whose grid has more than
+    GEODESIC_POINT_BUDGET points is not, and `degree_reached` is the last
+    degree tried.  A false verdict means no certificate up to that degree,
+    not a proof of incompleteness.
+    """
+    n = conn.algebra.dim
+    full, sym = _symmetrized(conn)
+    degree = reached = grid = None
+    for d in range(2, max_degree + 1):
+        order = 2 * d + 2
+        points = comb(n + order - 1, order)
+        if d > 2 and points > GEODESIC_POINT_BUDGET:
+            break
+        reached, grid = d, {"order": order, "points": points}
+        zero = _vanishing_coefficients(full, sym, _grid(n, order), d)
+        if zero is not None:
+            # zero[k - 1] tells whether y_k vanishes
+            degree = next(e for e in range(d + 1) if all(zero[e:2 * e + 1]))
+            break
+    return CompletenessReport(
+        method="exact-polynomial-geodesic",
+        verdict=degree is not None,
+        details={
+            "equation": "x' = -B(x,x), B(x,y) = (nabla_x y + nabla_y x)/2",
+            "recursion": (
+                "x(t) = sum_k y_k t^k / (D^k k!), D = 2 den, C = D B:"
+                " y_0 = x(0), y_(k+1) = -sum_i binom(k,i) C(y_i, y_(k-i))"
+            ),
+            "criterion": "degree <= d iff y_(d+1), ..., y_(2d+1) vanish on the order-(2d+2) grid",
+            "degree": degree,
+            "degree_reached": reached,
+            "max_degree": max_degree,
+            "point_budget": GEODESIC_POINT_BUDGET,
+            "grid": grid,
         },
     )
 
@@ -503,9 +482,10 @@ def exact_quadratic_geodesic_certificate(conn: Connection) -> CompletenessReport
 def connection_is_complete_certificate(rep: CurvatureReport) -> CompletenessReport:
     """Completeness certificate for the connection of a curvature report.
 
-    Both branches are exact.  Flat torsion-free connections get the trace
+    Every branch is exact.  Flat torsion-free connections get the trace
     argument (they are LSA structures); the others get the integer proof
-    that every geodesic is quadratic.
+    that every geodesic is quadratic, and where that fails, the search for
+    a higher polynomial degree (which repeats degree 2 in its own form).
     """
     conn = rep.connection
     if rep.is_flat and not torsion_defect(conn):
@@ -517,4 +497,5 @@ def connection_is_complete_certificate(rep: CurvatureReport) -> CompletenessRepo
             if verdict
             else {},
         )
-    return exact_quadratic_geodesic_certificate(conn)
+    quadratic = exact_quadratic_geodesic_certificate(conn)
+    return quadratic if quadratic.verdict else exact_polynomial_geodesic_certificate(conn)

@@ -2,7 +2,8 @@
 
 Each test prints a single pass/fail line (run with -s to see them).
 All algebraic checks are exact; the only tolerance is the relative
-1e-6 of the numeric quadratic-geodesic certificate.
+1e-6 of the test-side RK4 reference (`geodesic_reference`) that
+criterion 07 cross-checks the exact geodesic certificates against.
 """
 
 import functools
@@ -20,14 +21,14 @@ from cpslie.catalog import (
     witness_structure,
 )
 from cpslie.connection import (
-    GEODESIC_REL_TOL,
     LSAProduct,
+    connection_is_complete_certificate,
     cp_connection,
     curvature,
+    exact_polynomial_geodesic_certificate,
     lsa_defects,
     lsa_is_complete,
     parallel_defect,
-    quadratic_geodesic_certificate,
     restrict_to_lsa,
     ricci_via_trace_identity,
     torsion_defect,
@@ -43,6 +44,7 @@ from cpslie.structures import (
     rotate_product_rational_angle,
 )
 from cpslie.linalg import map_subspace
+from geodesic_reference import GEODESIC_REL_TOL, polynomial_fit_certificate
 
 FLAT_ONLY = {
     "(0,0,0,0,0,0)",
@@ -228,19 +230,23 @@ def test_criterion_07_completeness():
             lefts = all(is_nilpotent_matrix(p.nabla(i)) for i in range(3))
             rights = all(is_nilpotent_matrix(p.right_mult(i)) for i in range(3))
             assert lefts == rights is True
-    # numeric certificate, once per distinct non-flat connection tensor
+    # exact geodesic certificates, once per distinct non-flat connection
+    # tensor, and the RK4 fit of the test-side reference agrees
     seen = set()
-    checked = 0
     for entry, w, g, cps, conn in all_connections():
-        if curvature(conn).is_flat or conn.tensor in seen:
+        rep = curvature(conn)
+        if rep.is_flat or conn.tensor in seen:
             continue
         seen.add(conn.tensor)
-        cert = quadratic_geodesic_certificate(conn, seed=0)
-        assert cert.verdict, (entry.salamon, w.name, cert.details)
-        assert cert.details["max_relative_residual"] <= GEODESIC_REL_TOL
-        assert cert.details["t_max"] == 10.0
-        checked += 1
-    assert checked >= 6
+        cert = connection_is_complete_certificate(rep)
+        assert cert.method == "exact-quadratic-geodesic" and cert.verdict, (entry.salamon, w.name)
+        poly = exact_polynomial_geodesic_certificate(conn)
+        assert poly.verdict and poly.details["degree"] == 2, (entry.salamon, w.name, poly.details)
+        numeric = polynomial_fit_certificate(conn, seed=0)
+        assert numeric.verdict, (entry.salamon, w.name, numeric.details)
+        assert numeric.details["max_relative_residual"] <= GEODESIC_REL_TOL
+        assert numeric.details["t_max"] == 10.0
+    assert len(seen) == 7
     # flat connections carry the exact trace certificate
     for entry, w, g, cps, conn in all_connections():
         if not curvature(conn).is_flat:

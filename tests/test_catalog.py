@@ -32,6 +32,7 @@ from cpslie.catalog import (
 from cpslie.connection import (
     Connection,
     cp_connection,
+    exact_polynomial_geodesic_certificate,
     exact_quadratic_geodesic_certificate,
     lsa_is_complete,
     restrict_to_lsa,
@@ -575,6 +576,10 @@ def test_every_family_member_has_quadratic_geodesics(family):
     conn = family_connection(family)
     report = exact_quadratic_geodesic_certificate(conn)
     assert report.verdict and report.details["vanishing"] == {"P4": True, "P5": True, "P6": True}
+    # the general recursion over Poly scalars: the R4 families' geodesics are
+    # linear in t for every parameter value, the H3R families' quadratic
+    least = exact_polynomial_geodesic_certificate(conn).details["degree"]
+    assert least == (2 if family.startswith("H3R") else 1)
 
     # nabla_{e1} e1 += (first parameter) e1 breaks all three
     side = [list(r) for r in conn.tensor.side.num]

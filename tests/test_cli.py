@@ -97,9 +97,9 @@ def test_geodesic_command(capsys, cps_file):
     code, out = run_cli(capsys, "geodesic", "--cps", cps_file, "--seed", "3")
     assert code == 0
     data = json.loads(out)
-    assert data["method"] == "quadratic-geodesic" and data["verdict"]
-    assert data["details"]["seed"] == 3
-    assert data["details"]["step"] == 0.001
+    assert data["method"] == "exact-polynomial-geodesic" and data["verdict"]
+    assert (data["details"]["degree"], data["details"]["degree_reached"]) == (2, 2)
+    assert data["details"]["grid"] == {"order": 6, "points": 462}
 
 
 def test_hypercomplex_command(capsys, cps_file):
@@ -303,23 +303,56 @@ def test_help_still_exits_zero(capsys):
     assert "usage: cpslie" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_geodesic_command_fails_closed_on_blow_up(capsys, cps_file, monkeypatch):
-    import cpslie.connection as connection
+def test_geodesic_command_fails_closed_on_blow_up(capsys, affine_line_cps_file):
+    """The geodesics of aff(R) blow up in finite time: no degree up to the cap
+    passes, which is no certificate (exit 1), not a verdict of incompleteness."""
+    from cpslie.connection import GEODESIC_MAX_DEGREE
 
-    real = connection.integrate_geodesics
+    code, out = run_cli(capsys, "geodesic", "--cps", affine_line_cps_file)
+    assert code == 1
+    data = _strict_json(out)
+    assert data["method"] == "exact-polynomial-geodesic" and data["verdict"] is False
+    assert (data["details"]["degree"], data["details"]["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
 
-    def blow_up(conn, initial, **kwargs):
-        times, values = real(conn, initial, **kwargs)
-        values[len(times) // 2 :, 0, :] = float("inf")
-        return times, values
 
-    monkeypatch.setattr(connection, "integrate_geodesics", blow_up)
-    code, out = run_cli(capsys, "geodesic", "--cps", cps_file)
+@pytest.fixture
+def oversized_cps_file(tmp_path):
+    """The 8-dimensional example times an abelian R^4 with the standard CPS:
+    12-dimensional, with geodesics of degree 4."""
+    from cpslie.catalog import eight_dim_example
+    from cpslie.lie import algebra_to_json
+    from cpslie.linalg import QMatrix
+
+    g, cps = eight_dim_example()
+    j = QMatrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    e = QMatrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    path = tmp_path / "oversized.json"
+    path.write_text(
+        json.dumps(
+            {
+                "algebra": {"dim": 12, "brackets": algebra_to_json(g)["brackets"]},
+                "J": {"matrix": QMatrix.diag_blocks(cps.j, j).to_json()},
+                "E": {"matrix": QMatrix.diag_blocks(cps.e, e).to_json()},
+            }
+        )
+    )
+    return str(path)
+
+
+def test_geodesic_command_stops_at_the_point_budget(capsys, oversized_cps_file):
+    """Degree 2 fails on 12,376 points; degree 3 would take 75,582 and degree
+    4 352,716, beyond the budget, so the search stops at degree 2, at once."""
+    import time
+
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "geodesic", "--cps", oversized_cps_file)
+    elapsed = time.perf_counter() - start
     assert code == 1
     data = _strict_json(out)
     assert data["verdict"] is False
-    assert data["details"]["max_relative_residual"] is None
+    assert (data["details"]["degree"], data["details"]["degree_reached"]) == (None, 2)
+    assert data["details"]["grid"] == {"order": 6, "points": 12376}
+    assert elapsed < 2.0
 
 
 def _modules_loaded_by(*argvs):
@@ -346,16 +379,39 @@ print(json.dumps(sorted(sys.modules)))
 
 
 def test_exact_commands_do_not_import_numpy(cps_file, nonflat_cps_file):
-    """numpy is loaded only by the `geodesic` command, which integrates geodesics."""
-    loaded = _modules_loaded_by(
-        ["check-structure", "--cps", cps_file],
-        ["hypercomplex", "--cps", cps_file],
-        ["connection-report", "--cps", cps_file],
-        ["connection-report", "--cps", nonflat_cps_file],
-        ["nonexistence", "(0,0,0,12,23,14-35)"],
-        ["verify-catalog"],
-    )
+    """No command loads numpy: every entry of COMMANDS runs, `geodesic` included."""
+    argvs = {
+        "parse": [["parse", "(0,0,0,12,14,24)"]],
+        "check-structure": [["check-structure", "--cps", cps_file]],
+        "connection-report": [["connection-report", "--cps", path] for path in (cps_file, nonflat_cps_file)],
+        "verify-catalog": [["verify-catalog"]],
+        "hypercomplex": [["hypercomplex", "--cps", cps_file]],
+        "geodesic": [["geodesic", "--cps", path] for path in (cps_file, nonflat_cps_file)],
+        "nonexistence": [["nonexistence", "(0,0,0,12,23,14-35)"]],
+    }
+    assert set(argvs) == set(COMMANDS)
+    loaded = _modules_loaded_by(*(argv for runs in argvs.values() for argv in runs))
     assert "numpy" not in loaded, "numpy was imported"
+
+
+def test_no_module_of_the_package_imports_numpy():
+    """No `import numpy` anywhere in src/cpslie, function-local imports included."""
+    import ast
+
+    import cpslie
+
+    checked = 0
+    for path in sorted(Path(cpslie.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.partition(".")[0] == "numpy" for name in names), (path.name, node.lineno)
+        checked += 1
+    assert checked >= 10
 
 
 def test_commands_without_family_proofs_do_not_import_poly(cps_file, nonflat_cps_file):
@@ -372,8 +428,8 @@ def test_commands_without_family_proofs_do_not_import_poly(cps_file, nonflat_cps
 
 
 def test_seed_does_not_change_commands_that_draw_nothing(capsys, cps_file, nonflat_cps_file):
-    """Only verify-catalog, nonexistence and geodesic read --seed; the other --cps commands ignore it."""
-    for command in ("check-structure", "hypercomplex", "connection-report"):
+    """Only verify-catalog and nonexistence read --seed; the --cps commands ignore it."""
+    for command in ("check-structure", "hypercomplex", "connection-report", "geodesic"):
         for path in (cps_file, nonflat_cps_file):
             outs = {run_cli(capsys, command, "--cps", path, "--seed", seed) for seed in ("1", "2")}
             assert len(outs) == 1, (command, path)
@@ -381,15 +437,14 @@ def test_seed_does_not_change_commands_that_draw_nothing(capsys, cps_file, nonfl
 
 # sha256 of the default JSON of each command on the `cps_file` fixture (and
 # on a copy whose E commutes with J), pinned so that refactors of the CLI
-# plumbing keep the output byte-identical.  The geodesic residual depends on
-# the LAPACK build, so it is dropped before hashing.
+# plumbing keep the output byte-identical.
 INVALID_CPS = "0761f4fee4aa14f2a3a75bd82f9923c59280fc03d39fa7bbe524a5c2a917a7ff"
 GOLDEN = {
     "parse": "728991c7482c886d8f9cd73d2d37667cd9ebf9c088638d253b6917dd8e8ca01c",
     "check-structure": "66d247a0b0e7fafa75034f513b78183e7aef6f3f4e89010e612ac355000ca27f",
     "connection-report": "5546e13c48a57ef5ce4e78d02ce9e542154bfb7b34d89c55c3d9d5a50c4964b6",
     "hypercomplex": "d90d97b82f9b36e376c88192841481afa52134d91ace79d24a1616670c928c34",
-    "geodesic": "1b7dc9547d45771fa53bcf6987107e4c37294e8e25a2d853dea82328fdd9aa7e",
+    "geodesic": "ff4f4b6ae5e2796783504794d693974ae6b99ab1640baee30ff7e2049036e0fb",
     "check-structure-invalid": "3850b19bc4ae78010c05e743bae158f8d158aef9e386e5d1dc7116ee08630d83",
     "connection-report-invalid": INVALID_CPS,
     "hypercomplex-invalid": INVALID_CPS,
@@ -415,10 +470,6 @@ def test_default_json_is_pinned(capsys, tmp_path, cps_file, case):
     target = tmp_path / "out.json"
     assert run_cli(capsys, *argv, "--out", str(target)) == (code, "")
     assert target.read_text() == out
-    if command == "geodesic" and not invalid:
-        data = json.loads(out)
-        del data["details"]["max_relative_residual"]
-        out = json.dumps(data, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case], out
 
 
@@ -523,9 +574,6 @@ def test_each_identity_is_checked_once(capsys, monkeypatch, request, command, fl
         return matmul(a, b)
 
     monkeypatch.setattr(QMatrix, "__matmul__", counted_matmul)
-    # a short RK4 horizon keeps the test fast; the integration does none of the counted work
-    integrate = connection.integrate_geodesics
-    monkeypatch.setattr(connection, "integrate_geodesics", lambda conn, initial: integrate(conn, initial, t_max=0.1))
     for name in ("curvature", "torsion_defect", "parallel_defect"):
         real = getattr(connection, name)
 
@@ -583,16 +631,14 @@ def test_float_overflow_fails_closed(capsys, overflow_cps_file, command):
     captured = capsys.readouterr()
     assert captured.err == ""
     data = _strict_json(captured.out)
+    # the exact certificates read the integer tensor, so no coefficient is out of range
+    assert code == 0
     if command == "connection-report":
-        # the exact certificate reads the integer tensor, so no coefficient is out of range
-        assert code == 0
         assert data["completeness"]["method"] == "exact-quadratic-geodesic"
         assert data["completeness"]["verdict"] is True
         return
-    assert code == 1
-    assert data["method"] == "quadratic-geodesic"
-    assert data["verdict"] is False
-    assert data["details"]["max_relative_residual"] is None
+    assert data["method"] == "exact-polynomial-geodesic"
+    assert data["verdict"] is True and data["details"]["degree"] == 2
 
 
 def _with_entry(tmp_path, cps_file, where, text):
@@ -628,7 +674,7 @@ def test_exponent_literal_gives_json_error_at_once(capsys, tmp_path, cps_file, w
 @pytest.fixture
 def affine_line_cps_file(tmp_path):
     """aff(R), [e1, e2] = e2, with J = [[0, -1], [1, 0]] and E = diag(1, -1): a
-    valid CPS whose geodesics leave the float range within the integration."""
+    valid CPS whose geodesics blow up in finite time."""
     path = tmp_path / "aff.json"
     path.write_text(
         json.dumps(

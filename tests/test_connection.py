@@ -10,27 +10,27 @@ from hypothesis import strategies as st
 
 from cpslie.catalog import (
     build_family,
+    eight_dim_example,
     family_flatness_value,
     fried_example,
     heisenberg_complex_examples,
     load_catalog,
     witness_structure,
 )
+import geodesic_reference
 from cpslie.connection import (
-    GEODESIC_STEP,
+    GEODESIC_MAX_DEGREE,
     Connection,
     LSAProduct,
     TorsionError,
-    _geodesic_initial_conditions,
     connection_is_complete_certificate,
     cp_connection,
     curvature,
+    exact_polynomial_geodesic_certificate,
     exact_quadratic_geodesic_certificate,
-    integrate_geodesics,
     lsa_defects,
     lsa_is_complete,
     parallel_defect,
-    quadratic_geodesic_certificate,
     restrict_to_lsa,
     ricci_via_trace_identity,
     torsion_defect,
@@ -39,6 +39,14 @@ from cpslie.lie import LieAlgebra, ThreeDimType, center, lower_central_series
 from cpslie.linalg import QMatrix, basis_vec, rank, vec, vec_sub
 from cpslie.salamon import parse_salamon
 from cpslie.structures import assemble_cps, rotate_product_rational_angle
+from geodesic_reference import (
+    GEODESIC_REL_TOL,
+    GEODESIC_STEP,
+    fit_residual,
+    initial_conditions,
+    integrate_geodesics,
+    polynomial_fit_certificate,
+)
 from table_helper import tensor_from_table
 
 PARAMS = {"A": 2, "B": 3, "C": 5, "D": 7, "E": 11, "F": 13}
@@ -312,7 +320,7 @@ def test_completeness_certificates_by_case():
     conn = cp_connection(cps)
     cert = connection_is_complete_certificate(curvature(conn))
     assert cert.method == "exact-quadratic-geodesic" and cert.verdict
-    numeric = quadratic_geodesic_certificate(conn)
+    numeric = polynomial_fit_certificate(conn)
     assert numeric.verdict and numeric.details["max_relative_residual"] <= 1e-6
 
     # flat (100) slice AF = CE: exact certificate again
@@ -351,13 +359,13 @@ def test_geodesic_vector_field_matches_displayed_system():
 def test_geodesic_certificate_deterministic():
     _, cps = build_family("H3R_10", {"A": 1, "C": 1})
     conn = cp_connection(cps)
-    c1 = quadratic_geodesic_certificate(conn, seed=0)
-    c2 = quadratic_geodesic_certificate(conn, seed=0)
+    c1 = polynomial_fit_certificate(conn, seed=0)
+    c2 = polynomial_fit_certificate(conn, seed=0)
     assert c1 == c2
 
 
 def einsum_rk4(conn, initial, t_max, step=GEODESIC_STEP):
-    """Reference RK4 for `integrate_geodesics`: the right-hand side is one
+    """Reference for the RK4 of `integrate_geodesics`: the right-hand side is one
     three-operand einsum over the gamma tensor, x' = -sum_ij x_i x_j gamma_ij."""
     import numpy as np
 
@@ -396,7 +404,7 @@ def test_rk4_is_bit_identical_to_einsum_reference_on_witnesses():
             if not w.flat:
                 tensors.setdefault(cp_connection(witness_structure(w)[1]), w.name)
     assert len(tensors) == 7
-    initial = _geodesic_initial_conditions(6, 0)
+    initial = initial_conditions(6, 0)
     for conn in tensors:
         times, values = integrate_geodesics(conn, initial, t_max=0.5)
         assert values.shape == (501, len(initial), 6)
@@ -426,7 +434,7 @@ def test_rk4_matches_einsum_reference_on_dense_connections(dense, seed):
     entries = [Q(a, 12) for a in numerators]
     gamma = [[entries[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
     conn = Connection(LieAlgebra.abelian(n), tensor_from_table(gamma))
-    initial = _geodesic_initial_conditions(n, seed)
+    initial = initial_conditions(n, seed)
     _, values = integrate_geodesics(conn, initial, t_max=0.05)
     reference = einsum_rk4(conn, initial, t_max=0.05)
     assert np.all(np.isfinite(reference))
@@ -444,7 +452,7 @@ def circle_connection():
 
 
 def test_quadratic_geodesic_certificate_rejects_finite_circles():
-    rep = quadratic_geodesic_certificate(circle_connection())
+    rep = polynomial_fit_certificate(circle_connection())
     residual = rep.details["max_relative_residual"]
     assert rep.verdict is False
     assert residual is not None and math.isfinite(residual)
@@ -452,7 +460,7 @@ def test_quadratic_geodesic_certificate_rejects_finite_circles():
 
 
 def polyfit_residual(times, values):
-    """Reference for the fit of `quadratic_geodesic_certificate`: one
+    """Reference for the fit of `polynomial_fit_certificate`: one
     polyfit and polyval per coordinate series; None when a relative
     residual is not finite."""
     import numpy as np
@@ -477,15 +485,13 @@ def test_quadratic_fit_matches_polyfit_reference(monkeypatch):
     circles, with the same verdicts.  Each connection is integrated once
     from the initial conditions of all its seeds, and the certificate is
     handed the rows of its own seed."""
-    import cpslie.connection as connection
-
-    real = connection.integrate_geodesics
+    real = geodesic_reference.integrate_geodesics
     shared = {}
 
     def share(conn, seeds):
         row = {}
         for seed in seeds:
-            for v in _geodesic_initial_conditions(conn.algebra.dim, seed):
+            for v in initial_conditions(conn.algebra.dim, seed):
                 row.setdefault(v, len(row))
         shared[conn] = (*real(conn, list(row)), row)
 
@@ -494,11 +500,11 @@ def test_quadratic_fit_matches_polyfit_reference(monkeypatch):
         return times, values[:, [row[v] for v in initial], :]
 
     def certificate_and_reference(conn, seed):
-        rep = quadratic_geodesic_certificate(conn, seed=seed)
-        initial = _geodesic_initial_conditions(conn.algebra.dim, seed)
+        rep = polynomial_fit_certificate(conn, seed=seed)
+        initial = initial_conditions(conn.algebra.dim, seed)
         return rep, polyfit_residual(*integrate_once(conn, initial))
 
-    monkeypatch.setattr(connection, "integrate_geodesics", integrate_once)
+    monkeypatch.setattr(geodesic_reference, "integrate_geodesics", integrate_once)
     tensors = {}
     for entry in load_catalog():
         for w in entry.witnesses:
@@ -509,12 +515,12 @@ def test_quadratic_fit_matches_polyfit_reference(monkeypatch):
         share(conn, range(3))
         for seed in range(3):
             rep, reference = certificate_and_reference(conn, seed)
-            assert rep.verdict is (reference <= connection.GEODESIC_REL_TOL)
+            assert rep.verdict is (reference <= GEODESIC_REL_TOL)
             assert abs(rep.details["max_relative_residual"] - reference) <= 1e-12
     circle = circle_connection()
     share(circle, [0])
     rep, reference = certificate_and_reference(circle, 0)
-    assert rep.verdict is False and reference > connection.GEODESIC_REL_TOL
+    assert rep.verdict is False and reference > GEODESIC_REL_TOL
     assert rep.details["max_relative_residual"] == pytest.approx(reference, rel=1e-9)
 
 
@@ -632,14 +638,12 @@ def test_quadratic_geodesic_certificate_fails_closed_on_non_finite(monkeypatch):
 
     import numpy as np
 
-    import cpslie.connection as connection
-
     zero = Connection(LieAlgebra.abelian(2), tensor_from_table([[(0, 0)] * 2 for _ in range(2)]))
-    finite = connection.quadratic_geodesic_certificate(zero)
+    finite = polynomial_fit_certificate(zero)
     assert finite.verdict is True
-    assert 0 <= finite.details["max_relative_residual"] <= connection.GEODESIC_REL_TOL
+    assert 0 <= finite.details["max_relative_residual"] <= GEODESIC_REL_TOL
 
-    real = connection.integrate_geodesics
+    real = geodesic_reference.integrate_geodesics
     for bad in (np.inf, np.nan):
 
         def blow_up(conn, initial, bad=bad, **kwargs):
@@ -647,8 +651,8 @@ def test_quadratic_geodesic_certificate_fails_closed_on_non_finite(monkeypatch):
             values[len(times) // 2 :, 0, 0] = bad
             return times, values
 
-        monkeypatch.setattr(connection, "integrate_geodesics", blow_up)
-        rep = connection.quadratic_geodesic_certificate(zero)
+        monkeypatch.setattr(geodesic_reference, "integrate_geodesics", blow_up)
+        rep = polynomial_fit_certificate(zero)
         assert rep.verdict is False
         assert rep.details["max_relative_residual"] is None
         json.dumps(rep.to_json(), allow_nan=False)
@@ -674,16 +678,27 @@ def load_bench_workloads():
 
 
 @pytest.fixture(scope="module")
-def numeric_verdict():
-    """The numeric certificate's verdict, computed once per connection tensor."""
-    verdicts = {}
+def fit_residuals():
+    """Per connection tensor, integrated once: the relative residual of the
+    degree-d fit of its RK4 geodesics at seed 0, for d = 0, ..., GEODESIC_MAX_DEGREE."""
+    import numpy as np
 
-    def verdict(conn):
-        if conn not in verdicts:
-            verdicts[conn] = quadratic_geodesic_certificate(conn).verdict
-        return verdicts[conn]
+    residuals = {}
 
-    return verdict
+    def of(conn):
+        if conn not in residuals:
+            with np.errstate(all="ignore"):
+                times, values = integrate_geodesics(conn, initial_conditions(conn.algebra.dim, 0))
+            residuals[conn] = [fit_residual(times, values, d) for d in range(GEODESIC_MAX_DEGREE + 1)]
+        return residuals[conn]
+
+    return of
+
+
+@pytest.fixture(scope="module")
+def numeric_verdict(fit_residuals):
+    """The verdict `polynomial_fit_certificate` gives at seed 0 and degree 2."""
+    return lambda conn: fit_residuals(conn)[2] <= GEODESIC_REL_TOL
 
 
 def nonflat_witness_structures():
@@ -765,6 +780,10 @@ def test_exact_and_numeric_completeness_agree_on_controls(numeric_verdict, make)
     points = [vec(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)) for _ in range(4)]
     reference = exact_reference(conn, points)
     assert vanishing == [all(not any(v[d]) for v in reference) for d in range(3)]
+    # circles are not polynomials, and x1 = 1/(t + 1/x1(0)) is not either
+    poly = exact_polynomial_geodesic_certificate(conn)
+    assert poly.verdict is False
+    assert (poly.details["degree"], poly.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
 
 
 def test_one_entry_perturbation_fails_the_exact_certificate(numeric_verdict):
@@ -780,6 +799,12 @@ def test_one_entry_perturbation_fails_the_exact_certificate(numeric_verdict):
     cert = exact_quadratic_geodesic_certificate(perturbed)
     assert cert.verdict is numeric_verdict(perturbed) is False
     assert cert.details["vanishing"] == {"P4": False, "P5": True, "P6": True}
+    # no degree up to the cap passes, and connection-report reports that search
+    poly = exact_polynomial_geodesic_certificate(perturbed)
+    assert poly.method == "exact-polynomial-geodesic" and poly.verdict is False
+    assert (poly.details["degree"], poly.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
+    assert poly.details["grid"] == {"order": 2 * GEODESIC_MAX_DEGREE + 2, "points": 3003}
+    assert connection_is_complete_certificate(curvature(perturbed)) == poly
 
 
 def test_exact_certificate_is_invariant_under_dense_basis_changes():
@@ -800,3 +825,60 @@ def test_exact_certificate_is_invariant_under_dense_basis_changes():
             conn = cp_connection(conj)
             assert conn != cp_connection(cps)
             assert exact_quadratic_geodesic_certificate(conn).verdict
+
+
+def test_least_degree_agrees_with_the_rk4_reference(fit_residuals):
+    """On each non-flat tensor the exact least degree is 2, and so is the
+    least degree whose polynomial fit matches the integrated geodesics."""
+    tensors = {cp_connection(cps) for _, cps in nonflat_witness_structures()}
+    assert len(tensors) == 7
+    for conn in tensors:
+        cert = exact_polynomial_geodesic_certificate(conn)
+        assert cert.verdict and cert.details["grid"] == {"order": 6, "points": 462}
+        fitted = next(d for d, r in enumerate(fit_residuals(conn)) if r <= GEODESIC_REL_TOL)
+        assert cert.details["degree"] == fitted == 2
+
+
+def quartic_examples():
+    _, cps = eight_dim_example()
+    return {"fried_n4": fried_example()[1], "eight_dim": cp_connection(cps)}
+
+
+@pytest.mark.parametrize("name", ["fried_n4", "eight_dim"])
+def test_fried_and_eight_dim_geodesics_have_degree_four(fit_residuals, name):
+    """Degrees 2 and 3 fail and 4 passes, as the RK4 reference's fits agree;
+    the 8-dimensional example is the complete connection that the degree-2
+    fit, once the `geodesic` command, rejected (relative residual 0.137)."""
+    conn = quartic_examples()[name]
+    assert not exact_quadratic_geodesic_certificate(conn).verdict
+    below = exact_polynomial_geodesic_certificate(conn, max_degree=3)
+    assert below.verdict is False
+    assert (below.details["degree"], below.details["degree_reached"]) == (None, 3)
+    cert = exact_polynomial_geodesic_certificate(conn)
+    assert cert.verdict is True
+    assert (cert.details["degree"], cert.details["degree_reached"]) == (4, 4)
+    n = conn.algebra.dim
+    assert cert.details["grid"] == {"order": 10, "points": math.comb(n + 9, 10)}
+    assert next(d for d, r in enumerate(fit_residuals(conn)) if r <= GEODESIC_REL_TOL) == 4
+
+
+def test_polynomial_certificate_stops_at_the_point_budget():
+    """The 8-dimensional example plus an abelian R^k still has quartic
+    geodesics, but from dimension 11 on the grid of degree 3 is over the
+    budget (at dimension 12 it has 75,582 points): degree 2 fails, and the
+    search stops there with no certificate.  Degree 2 runs even when its
+    own grid is over the budget (27,132 points at dimension 14), as it
+    does in connection-report."""
+    from cpslie.connection import GEODESIC_POINT_BUDGET
+
+    eight = quartic_examples()["eight_dim"]
+    e = lambda i: basis_vec(8, i)  # noqa: E731
+    for n, points in ((12, 12376), (14, 27132)):
+        pad = (0,) * (n - 8)
+        gamma = [[tuple(eight.apply(e(i), e(j))) + pad if max(i, j) < 8 else (0,) * n for j in range(n)] for i in range(n)]
+        conn = Connection(LieAlgebra.from_brackets(n, eight.algebra.brackets()), tensor_from_table(gamma))
+        cert = exact_polynomial_geodesic_certificate(conn)
+        assert cert.verdict is False
+        assert (cert.details["degree"], cert.details["degree_reached"]) == (None, 2)
+        assert cert.details["grid"] == {"order": 6, "points": points}
+        assert math.comb(n + 7, 8) > GEODESIC_POINT_BUDGET == cert.details["point_budget"]

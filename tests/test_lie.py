@@ -21,7 +21,7 @@ from cpslie.lie import (
     lower_central_series,
     semidirect_product,
 )
-from cpslie.linalg import QMatrix, SparseTensor, Subspace, basis_vec, vec
+from cpslie.linalg import QMatrix, SparseTensor, Subspace, basis_vec, rank, vec
 from cpslie.salamon import d_squared_is_zero, parse_salamon
 from table_helper import tensor_from_table
 
@@ -211,6 +211,28 @@ def test_complexify_hat_bracket_signs():
 def test_complexify_abelian():
     gh = complexify_realified(LieAlgebra.abelian(3))
     assert gh.dim == 6 and gh.is_abelian()
+
+
+def test_double_satisfies_jacobi_exactly_when_the_algebra_does():
+    """The Jacobi check that complexify_realified runs on the double repeats
+    the one of g: it finds nothing on the double of every catalog witness and
+    of a dense conjugate, and rejects the double of a g built unchecked
+    without the identity."""
+    from cpslie.catalog import load_catalog, witness_structure
+
+    rng = random.Random(16)
+    for entry in load_catalog():
+        for w in entry.witnesses:
+            g, _ = witness_structure(w)
+            p = QMatrix([[rng.choice((-2, -1, 1, 2)) for _ in range(6)] for _ in range(6)])
+            while rank(p) < 6:
+                p = QMatrix([[rng.choice((-2, -1, 1, 2)) for _ in range(6)] for _ in range(6)])
+            for h in (g, change_basis(g, p)):
+                assert jacobi_defect(complexify_realified(h)) == [], w.name
+    bad = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: 1}}, check=False)
+    assert jacobi_defect(bad)
+    with pytest.raises(JacobiError):
+        complexify_realified(bad)
 
 
 def test_change_basis_identity_and_swap():
