@@ -310,11 +310,10 @@ class CompletenessReport:
 
 # {a in N^n : |a| = N}, the principal lattice of order N on the simplex, is
 # unisolvent for polynomials of degree <= N, so a homogeneous polynomial of
-# degree <= N that vanishes on it is zero
-GRID_ORDER = 6
-# The polynomial certificate tries degrees 2, 3, ... up to GEODESIC_MAX_DEGREE,
-# and stops before a grid of more than GEODESIC_POINT_BUDGET points above
-# degree 2: the 8-dimensional example needs degree 4, on 19,448 points.
+# degree <= N that vanishes on it is zero.  The polynomial certificate tries
+# degrees 2, 3, ... up to GEODESIC_MAX_DEGREE, and stops before a grid of more
+# than GEODESIC_POINT_BUDGET points: the 8-dimensional example needs degree
+# 4, on 19,448 points.
 GEODESIC_MAX_DEGREE = 4
 GEODESIC_POINT_BUDGET = 20_000
 
@@ -363,56 +362,17 @@ def _on_grid(pairs, x, y, scale=1) -> list[list[int]]:
     return [zero if o is None else o for o in out]
 
 
-def exact_quadratic_geodesic_certificate(conn: Connection) -> CompletenessReport:
-    """Prove in integers that every geodesic is quadratic in t, hence complete.
-
-    With B(x,y) = (nabla_x y + nabla_y x)/2 the body velocity of a
-    geodesic solves x' = -B(x,x).  For x1 = -B(x0,x0) and x2 = -B(x0,x1),
-    x0 + t x1 + t^2 x2 is the solution, defined for all t, exactly when
-
-        P4 = B(x1,x1) + 2B(x0,x2),  P5 = B(x1,x2),  P6 = B(x2,x2)
-
-    vanish; P_d is homogeneous of degree d in x0.  They are evaluated on
-    the integer tensor C = 2 den B at every point of the order-6 grid,
-    where y1 = C(a,a) and y2 = C(a,y1) are multiples of x1 and x2, so
-    C(y1,y1) + 2C(a,y2), C(y1,y2) and C(y2,y2) are nonzero multiples of
-    P4, P5 and P6.  A false verdict means no certificate, not a proof of
-    incompleteness.  The scalars are ints for an instance and Polys for a
-    family's connection (`catalog.family_connection`), where the zero
-    tests are identities in the parameters.
-    """
-    full, sym = _symmetrized(conn)
-    a = _grid(conn.algebra.dim, GRID_ORDER)
-    y1 = _on_grid(sym, a, a)
-    y2 = _on_grid(full, a, y1)
-    p4 = zip(chain.from_iterable(_on_grid(sym, y1, y1)), chain.from_iterable(_on_grid(full, a, y2)))
-    vanishing = {
-        "P4": not any(s + 2 * t for s, t in p4),
-        "P5": not any(chain.from_iterable(_on_grid(full, y1, y2))),
-        "P6": not any(chain.from_iterable(_on_grid(sym, y2, y2))),
-    }
-    return CompletenessReport(
-        method="exact-quadratic-geodesic",
-        verdict=all(vanishing.values()),
-        details={
-            "equation": "x' = -B(x,x), B(x,y) = (nabla_x y + nabla_y x)/2, x1 = -B(x0,x0), x2 = -B(x0,x1)",
-            "identities": {"P4": "B(x1,x1) + 2B(x0,x2)", "P5": "B(x1,x2)", "P6": "B(x2,x2)"},
-            "vanishing": vanishing,
-            "grid": {"order": GRID_ORDER, "points": len(a[0])},
-        },
-    )
-
-
-def _vanishing_coefficients(full, sym, a, d: int) -> list[bool] | None:
-    """Whether each of y_1, ..., y_{2d+1} vanishes on the grid `a`, y_0 = a;
-    None as soon as one of y_{d+1}, ... does not.
+def _least_degree(full, sym, n: int, d: int) -> int | None:
+    """The least degree of every geodesic if it is at most d, proven on the
+    order-(2d+2) grid; None as soon as one of y_{d+1}, ..., y_{2d+1} does
+    not vanish there.
 
     The y_k here are (-1)^k times those of the recursion, which drops its
     sign: y_{k+1} = sum_i binom(k,i) C(y_i, y_{k-i}).  C is symmetric, so
     the terms i and k - i are equal: C runs once per pair, through `sym` on
     the middle term, and not at all on a vanishing factor.
     """
-    ys, zero = [a], [False]
+    ys, zero = [_grid(n, 2 * d + 2)], [False]  # zero[k] tells whether y_k vanishes
     for k in range(2 * d + 1):
         y = None
         for i in range(k // 2 + 1):
@@ -426,39 +386,23 @@ def _vanishing_coefficients(full, sym, a, d: int) -> list[bool] | None:
             return None
         ys.append(y)
         zero.append(vanishes)
-    return zero[1:]
+    return next(e for e in range(d + 1) if all(zero[e + 1:2 * e + 2]))
 
 
-def exact_polynomial_geodesic_certificate(conn: Connection, max_degree: int = GEODESIC_MAX_DEGREE) -> CompletenessReport:
-    """Prove in integers that every geodesic is a polynomial in t, and find its least degree.
+def _grid_size(n: int, d: int) -> dict:
+    return {"order": 2 * d + 2, "points": comb(n + 2 * d + 1, 2 * d + 2)}
 
-    With B as in `exact_quadratic_geodesic_certificate`, D = 2 den and
-    C = D B, the Taylor coefficients of a geodesic are x_k = y_k / (D^k k!)
-    with y_0 = x(0) and y_{k+1} = -sum_i binom(k,i) C(y_i, y_{k-i}); y_k is
-    homogeneous of degree k + 1 in x(0).  Every geodesic has degree <= d
-    exactly when y_{d+1}, ..., y_{2d+1} vanish: every term of a later y_k
-    has a factor of index above d.  They are evaluated on the order-(2d+2)
-    grid, which proves the vanishing, for d = 2, 3, ..., max_degree; the
-    first that passes also holds the least degree, since degree <= e < d
-    is the same test on fewer coefficients.  Degree 2 is always tried, as
-    `connection-report` tries it; a higher degree whose grid has more than
-    GEODESIC_POINT_BUDGET points is not, and `degree_reached` is the last
-    degree tried.  A false verdict means no certificate up to that degree,
-    not a proof of incompleteness.
-    """
-    n = conn.algebra.dim
-    full, sym = _symmetrized(conn)
-    degree = reached = grid = None
-    for d in range(2, max_degree + 1):
-        order = 2 * d + 2
-        points = comb(n + order - 1, order)
-        if d > 2 and points > GEODESIC_POINT_BUDGET:
+
+def _escalate(full, sym, n: int, first: int, reached: int | None = None) -> CompletenessReport:
+    """The polynomial certificate over degrees first, ..., GEODESIC_MAX_DEGREE,
+    up to the first grid over the point budget; `reached` is the last degree
+    tried before `first`."""
+    degree = None
+    for d in range(first, GEODESIC_MAX_DEGREE + 1):
+        if _grid_size(n, d)["points"] > GEODESIC_POINT_BUDGET:
             break
-        reached, grid = d, {"order": order, "points": points}
-        zero = _vanishing_coefficients(full, sym, _grid(n, order), d)
-        if zero is not None:
-            # zero[k - 1] tells whether y_k vanishes
-            degree = next(e for e in range(d + 1) if all(zero[e:2 * e + 1]))
+        reached = d
+        if (degree := _least_degree(full, sym, n, d)) is not None:
             break
     return CompletenessReport(
         method="exact-polynomial-geodesic",
@@ -472,20 +416,48 @@ def exact_polynomial_geodesic_certificate(conn: Connection, max_degree: int = GE
             "criterion": "degree <= d iff y_(d+1), ..., y_(2d+1) vanish on the order-(2d+2) grid",
             "degree": degree,
             "degree_reached": reached,
-            "max_degree": max_degree,
+            "max_degree": GEODESIC_MAX_DEGREE,
             "point_budget": GEODESIC_POINT_BUDGET,
-            "grid": grid,
+            "grid": None if reached is None else _grid_size(n, reached),
         },
     )
+
+
+def exact_polynomial_geodesic_certificate(conn: Connection) -> CompletenessReport:
+    """Prove in integers that every geodesic is a polynomial in t, and find its least degree.
+
+    With B(x,y) = (nabla_x y + nabla_y x)/2 the body velocity of a geodesic
+    solves x' = -B(x,x).  With D = 2 den and C = D B, an integer tensor,
+    its Taylor coefficients are x_k = y_k / (D^k k!) with y_0 = x(0) and
+    y_{k+1} = -sum_i binom(k,i) C(y_i, y_{k-i}); y_k is homogeneous of
+    degree k + 1 in x(0).  Every geodesic has degree <= d exactly when
+    y_{d+1}, ..., y_{2d+1} vanish: every term of a later y_k has a factor
+    of index above d.  They are evaluated on the order-(2d+2) grid, which
+    proves the vanishing, for d = 2, 3, ..., GEODESIC_MAX_DEGREE; the first
+    that passes also holds the least degree, since degree <= e < d is the
+    same test on fewer coefficients.  A degree whose grid has more than
+    GEODESIC_POINT_BUDGET points is not tried, and `degree_reached` is the
+    last degree tried (null if none was).  A false verdict means no
+    certificate up to that degree, not a proof of incompleteness.  The
+    scalars are ints for an instance and Polys for a family's connection
+    (`catalog.family_connection`), where the zero tests are identities in
+    the parameters.
+    """
+    return _escalate(*_symmetrized(conn), conn.algebra.dim, 2)
 
 
 def connection_is_complete_certificate(rep: CurvatureReport) -> CompletenessReport:
     """Completeness certificate for the connection of a curvature report.
 
     Every branch is exact.  Flat torsion-free connections get the trace
-    argument (they are LSA structures); the others get the integer proof
-    that every geodesic is quadratic, and where that fails, the search for
-    a higher polynomial degree (which repeats degree 2 in its own form).
+    argument (they are LSA structures).  The others get the integer proof
+    that every geodesic is quadratic, on the order-6 grid whatever its size:
+    with x1 = -B(x0,x0) and x2 = -B(x0,x1), x0 + t x1 + t^2 x2 is the
+    geodesic exactly when P4 = B(x1,x1) + 2B(x0,x2), P5 = B(x1,x2) and
+    P6 = B(x2,x2) vanish, and once the earlier ones vanish these are
+    nonzero multiples of y_3, y_4 and y_5 of the recursion in
+    `exact_polynomial_geodesic_certificate`.  Where degree 2 fails, that
+    certificate's search goes on from degree 3.
     """
     conn = rep.connection
     if rep.is_flat and not torsion_defect(conn):
@@ -497,5 +469,17 @@ def connection_is_complete_certificate(rep: CurvatureReport) -> CompletenessRepo
             if verdict
             else {},
         )
-    quadratic = exact_quadratic_geodesic_certificate(conn)
-    return quadratic if quadratic.verdict else exact_polynomial_geodesic_certificate(conn)
+    n = conn.algebra.dim
+    full, sym = _symmetrized(conn)
+    if _least_degree(full, sym, n, 2) is None:
+        return _escalate(full, sym, n, 3, reached=2)
+    return CompletenessReport(
+        method="exact-quadratic-geodesic",
+        verdict=True,
+        details={
+            "equation": "x' = -B(x,x), B(x,y) = (nabla_x y + nabla_y x)/2, x1 = -B(x0,x0), x2 = -B(x0,x1)",
+            "identities": {"P4": "B(x1,x1) + 2B(x0,x2)", "P5": "B(x1,x2)", "P6": "B(x2,x2)"},
+            "vanishing": {"P4": True, "P5": True, "P6": True},
+            "grid": _grid_size(n, 2),
+        },
+    )

@@ -317,20 +317,20 @@ def test_geodesic_command_fails_closed_on_blow_up(capsys, affine_line_cps_file):
 
 @pytest.fixture
 def oversized_cps_file(tmp_path):
-    """The 8-dimensional example times an abelian R^4 with the standard CPS:
-    12-dimensional, with geodesics of degree 4."""
+    """The 8-dimensional example times an abelian R^6 with the standard CPS:
+    14-dimensional, with geodesics of degree 4."""
     from cpslie.catalog import eight_dim_example
     from cpslie.lie import algebra_to_json
     from cpslie.linalg import QMatrix
 
     g, cps = eight_dim_example()
-    j = QMatrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    e = QMatrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    j = QMatrix.diag_blocks(*[QMatrix([[0, -1], [1, 0]])] * 3)
+    e = QMatrix.diag_blocks(*[QMatrix([[1, 0], [0, -1]])] * 3)
     path = tmp_path / "oversized.json"
     path.write_text(
         json.dumps(
             {
-                "algebra": {"dim": 12, "brackets": algebra_to_json(g)["brackets"]},
+                "algebra": {"dim": 14, "brackets": algebra_to_json(g)["brackets"]},
                 "J": {"matrix": QMatrix.diag_blocks(cps.j, j).to_json()},
                 "E": {"matrix": QMatrix.diag_blocks(cps.e, e).to_json()},
             }
@@ -339,20 +339,20 @@ def oversized_cps_file(tmp_path):
     return str(path)
 
 
-def test_geodesic_command_stops_at_the_point_budget(capsys, oversized_cps_file):
-    """Degree 2 fails on 12,376 points; degree 3 would take 75,582 and degree
-    4 352,716, beyond the budget, so the search stops at degree 2, at once."""
-    import time
+def test_geodesic_command_stops_at_the_point_budget(capsys, monkeypatch, oversized_cps_file):
+    """Even the degree-2 grid has 27,132 points in dimension 14, over the
+    budget, so no degree is tried: no certificate, and no grid is built."""
+    from cpslie import connection
 
-    start = time.perf_counter()
+    built = []
+    monkeypatch.setattr(connection, "_grid", lambda n, order: built.append(order))
     code, out = run_cli(capsys, "geodesic", "--cps", oversized_cps_file)
-    elapsed = time.perf_counter() - start
+    assert built == []
     assert code == 1
     data = _strict_json(out)
     assert data["verdict"] is False
-    assert (data["details"]["degree"], data["details"]["degree_reached"]) == (None, 2)
-    assert data["details"]["grid"] == {"order": 6, "points": 12376}
-    assert elapsed < 2.0
+    assert (data["details"]["degree"], data["details"]["degree_reached"]) == (None, None)
+    assert data["details"]["grid"] is None
 
 
 def _modules_loaded_by(*argvs):

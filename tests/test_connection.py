@@ -27,7 +27,6 @@ from cpslie.connection import (
     cp_connection,
     curvature,
     exact_polynomial_geodesic_certificate,
-    exact_quadratic_geodesic_certificate,
     lsa_defects,
     lsa_is_complete,
     parallel_defect,
@@ -730,13 +729,12 @@ def test_exact_and_numeric_completeness_agree_on_witnesses(numeric_verdict):
     points = [vec(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)) for _ in range(4)]
     for _, cps in structures:
         conn = cp_connection(cps)
-        cert = exact_quadratic_geodesic_certificate(conn)
+        cert = connection_is_complete_certificate(curvature(conn))
         assert cert.method == "exact-quadratic-geodesic"
         assert cert.verdict is numeric_verdict(conn) is True
         assert cert.details["vanishing"] == {"P4": True, "P5": True, "P6": True}
         assert cert.details["grid"] == {"order": 6, "points": 462}
         assert all(not any(values) for p in exact_reference(conn, points) for values in p)
-        assert connection_is_complete_certificate(curvature(conn)) == cert
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -772,36 +770,34 @@ def blow_up_connection():
 @pytest.mark.parametrize("make", [circle_connection, blow_up_connection], ids=["circles", "blow_up"])
 def test_exact_and_numeric_completeness_agree_on_controls(numeric_verdict, make):
     conn = make()
-    cert = exact_quadratic_geodesic_certificate(conn)
-    assert cert.verdict is numeric_verdict(conn) is False
-    assert cert.details["grid"] == {"order": 6, "points": 28}
-    vanishing = [cert.details["vanishing"][p] for p in ("P4", "P5", "P6")]
-    rng = random.Random(5)
-    points = [vec(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)) for _ in range(4)]
-    reference = exact_reference(conn, points)
-    assert vanishing == [all(not any(v[d]) for v in reference) for d in range(3)]
     # circles are not polynomials, and x1 = 1/(t + 1/x1(0)) is not either
     poly = exact_polynomial_geodesic_certificate(conn)
-    assert poly.verdict is False
+    assert poly.verdict is numeric_verdict(conn) is False
     assert (poly.details["degree"], poly.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
+    assert poly.details["grid"] == {"order": 2 * GEODESIC_MAX_DEGREE + 2, "points": 66}
+    # degree 2 fails in the Fraction reference too: some P_d is nonzero
+    rng = random.Random(5)
+    points = [vec(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)) for _ in range(4)]
+    assert any(any(values) for p in exact_reference(conn, points) for values in p)
 
 
 def test_one_entry_perturbation_fails_the_exact_certificate(numeric_verdict):
     entry = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,14,24)")
     _, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
     conn = cp_connection(cps)
-    assert exact_quadratic_geodesic_certificate(conn).verdict
+    assert connection_is_complete_certificate(curvature(conn)).method == "exact-quadratic-geodesic"
     # nabla_{e1} e2 gains an e2 component
     e = lambda i: basis_vec(6, i)  # noqa: E731
     gamma = [[conn.apply(e(i), e(j)) for j in range(6)] for i in range(6)]
     gamma[0][1] = tuple(c + (k == 1) for k, c in enumerate(gamma[0][1]))
     perturbed = Connection(conn.algebra, tensor_from_table(gamma))
-    cert = exact_quadratic_geodesic_certificate(perturbed)
-    assert cert.verdict is numeric_verdict(perturbed) is False
-    assert cert.details["vanishing"] == {"P4": False, "P5": True, "P6": True}
+    # P4 is nonzero in the Fraction reference, so degree 2 fails
+    rng = random.Random(3)
+    points = [vec(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)) for _ in range(4)]
+    assert any(any(p4) for p4, _, _ in exact_reference(perturbed, points))
     # no degree up to the cap passes, and connection-report reports that search
     poly = exact_polynomial_geodesic_certificate(perturbed)
-    assert poly.method == "exact-polynomial-geodesic" and poly.verdict is False
+    assert poly.method == "exact-polynomial-geodesic" and poly.verdict is numeric_verdict(perturbed) is False
     assert (poly.details["degree"], poly.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
     assert poly.details["grid"] == {"order": 2 * GEODESIC_MAX_DEGREE + 2, "points": 3003}
     assert connection_is_complete_certificate(curvature(perturbed)) == poly
@@ -824,7 +820,7 @@ def test_exact_certificate_is_invariant_under_dense_basis_changes():
             conj = assemble_cps(change_basis(g, p), p_inv @ cps.j @ p, p_inv @ cps.e @ p)
             conn = cp_connection(conj)
             assert conn != cp_connection(cps)
-            assert exact_quadratic_geodesic_certificate(conn).verdict
+            assert exact_polynomial_geodesic_certificate(conn).details["degree"] == 2
 
 
 def test_least_degree_agrees_with_the_rk4_reference(fit_residuals):
@@ -846,14 +842,11 @@ def quartic_examples():
 
 @pytest.mark.parametrize("name", ["fried_n4", "eight_dim"])
 def test_fried_and_eight_dim_geodesics_have_degree_four(fit_residuals, name):
-    """Degrees 2 and 3 fail and 4 passes, as the RK4 reference's fits agree;
-    the 8-dimensional example is the complete connection that the degree-2
-    fit, once the `geodesic` command, rejected (relative residual 0.137)."""
+    """The least degree is 4, so degrees 2 and 3 fail, as the RK4
+    reference's fits agree; the 8-dimensional example is the complete
+    connection that the degree-2 fit, once the `geodesic` command, rejected
+    (relative residual 0.137)."""
     conn = quartic_examples()[name]
-    assert not exact_quadratic_geodesic_certificate(conn).verdict
-    below = exact_polynomial_geodesic_certificate(conn, max_degree=3)
-    assert below.verdict is False
-    assert (below.details["degree"], below.details["degree_reached"]) == (None, 3)
     cert = exact_polynomial_geodesic_certificate(conn)
     assert cert.verdict is True
     assert (cert.details["degree"], cert.details["degree_reached"]) == (4, 4)
@@ -863,22 +856,20 @@ def test_fried_and_eight_dim_geodesics_have_degree_four(fit_residuals, name):
 
 
 def test_polynomial_certificate_stops_at_the_point_budget():
-    """The 8-dimensional example plus an abelian R^k still has quartic
-    geodesics, but from dimension 11 on the grid of degree 3 is over the
-    budget (at dimension 12 it has 75,582 points): degree 2 fails, and the
-    search stops there with no certificate.  Degree 2 runs even when its
-    own grid is over the budget (27,132 points at dimension 14), as it
-    does in connection-report."""
+    """The 8-dimensional example plus an abelian R^4 still has quartic
+    geodesics, but at dimension 12 the grid of degree 3 has 75,582 points,
+    over the budget: degree 2 fails on 12,376 points, and the search stops
+    there with no certificate.
+    (At dimension 14 even degree 2 is over the budget; `test_cli` runs it.)"""
     from cpslie.connection import GEODESIC_POINT_BUDGET
 
     eight = quartic_examples()["eight_dim"]
     e = lambda i: basis_vec(8, i)  # noqa: E731
-    for n, points in ((12, 12376), (14, 27132)):
-        pad = (0,) * (n - 8)
-        gamma = [[tuple(eight.apply(e(i), e(j))) + pad if max(i, j) < 8 else (0,) * n for j in range(n)] for i in range(n)]
-        conn = Connection(LieAlgebra.from_brackets(n, eight.algebra.brackets()), tensor_from_table(gamma))
-        cert = exact_polynomial_geodesic_certificate(conn)
-        assert cert.verdict is False
-        assert (cert.details["degree"], cert.details["degree_reached"]) == (None, 2)
-        assert cert.details["grid"] == {"order": 6, "points": points}
-        assert math.comb(n + 7, 8) > GEODESIC_POINT_BUDGET == cert.details["point_budget"]
+    n, pad = 12, (0,) * 4
+    gamma = [[tuple(eight.apply(e(i), e(j))) + pad if max(i, j) < 8 else (0,) * n for j in range(n)] for i in range(n)]
+    conn = Connection(LieAlgebra.from_brackets(n, eight.algebra.brackets()), tensor_from_table(gamma))
+    cert = exact_polynomial_geodesic_certificate(conn)
+    assert cert.verdict is False
+    assert (cert.details["degree"], cert.details["degree_reached"]) == (None, 2)
+    assert cert.details["grid"] == {"order": 6, "points": 12376}
+    assert math.comb(n + 7, 8) > GEODESIC_POINT_BUDGET == cert.details["point_budget"]
