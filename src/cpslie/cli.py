@@ -36,7 +36,10 @@ def _unique_keys(pairs) -> dict:
 
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_algebra_spec(text: str) -> LieAlgebra:

@@ -300,7 +300,7 @@ def lsa_is_complete(p: Connection) -> bool:
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    method: str  # "segal-trace", "exact-quadratic-geodesic" or "exact-polynomial-geodesic"
+    method: str  # "segal-trace" or "exact-polynomial-geodesic"
     verdict: bool
     details: dict = field(default_factory=dict)
 
@@ -393,12 +393,29 @@ def _grid_size(n: int, d: int) -> dict:
     return {"order": 2 * d + 2, "points": comb(n + 2 * d + 1, 2 * d + 2)}
 
 
-def _escalate(full, sym, n: int, first: int, reached: int | None = None) -> CompletenessReport:
-    """The polynomial certificate over degrees first, ..., GEODESIC_MAX_DEGREE,
-    up to the first grid over the point budget; `reached` is the last degree
-    tried before `first`."""
-    degree = None
-    for d in range(first, GEODESIC_MAX_DEGREE + 1):
+def exact_polynomial_geodesic_certificate(conn: Connection) -> CompletenessReport:
+    """Prove in integers that every geodesic is a polynomial in t, and find its least degree.
+
+    With B(x,y) = (nabla_x y + nabla_y x)/2 the body velocity of a geodesic
+    solves x' = -B(x,x).  With D = 2 den and C = D B, an integer tensor,
+    its Taylor coefficients are x_k = y_k / (D^k k!) with y_0 = x(0) and
+    y_{k+1} = -sum_i binom(k,i) C(y_i, y_{k-i}); y_k is homogeneous of
+    degree k + 1 in x(0).  Every geodesic has degree <= d exactly when
+    y_{d+1}, ..., y_{2d+1} vanish: every term of a later y_k has a factor
+    of index above d.  They are evaluated on the order-(2d+2) grid, which
+    proves the vanishing, for d = 2, 3, ..., GEODESIC_MAX_DEGREE; the first
+    that passes also holds the least degree, since degree <= e < d is the
+    same test on fewer coefficients.  A degree whose grid has more than
+    GEODESIC_POINT_BUDGET points is not tried, and `degree_reached` is the
+    last degree tried (null if none was).  A false verdict means no
+    certificate up to that degree, not a proof of incompleteness.  The
+    scalars are ints for an instance and Polys for a family's connection
+    (`catalog.family_connection`), where the zero tests are identities in
+    the parameters.
+    """
+    full, sym = _symmetrized(conn)
+    n, degree, reached = conn.algebra.dim, None, None
+    for d in range(2, GEODESIC_MAX_DEGREE + 1):
         if _grid_size(n, d)["points"] > GEODESIC_POINT_BUDGET:
             break
         reached = d
@@ -423,41 +440,13 @@ def _escalate(full, sym, n: int, first: int, reached: int | None = None) -> Comp
     )
 
 
-def exact_polynomial_geodesic_certificate(conn: Connection) -> CompletenessReport:
-    """Prove in integers that every geodesic is a polynomial in t, and find its least degree.
-
-    With B(x,y) = (nabla_x y + nabla_y x)/2 the body velocity of a geodesic
-    solves x' = -B(x,x).  With D = 2 den and C = D B, an integer tensor,
-    its Taylor coefficients are x_k = y_k / (D^k k!) with y_0 = x(0) and
-    y_{k+1} = -sum_i binom(k,i) C(y_i, y_{k-i}); y_k is homogeneous of
-    degree k + 1 in x(0).  Every geodesic has degree <= d exactly when
-    y_{d+1}, ..., y_{2d+1} vanish: every term of a later y_k has a factor
-    of index above d.  They are evaluated on the order-(2d+2) grid, which
-    proves the vanishing, for d = 2, 3, ..., GEODESIC_MAX_DEGREE; the first
-    that passes also holds the least degree, since degree <= e < d is the
-    same test on fewer coefficients.  A degree whose grid has more than
-    GEODESIC_POINT_BUDGET points is not tried, and `degree_reached` is the
-    last degree tried (null if none was).  A false verdict means no
-    certificate up to that degree, not a proof of incompleteness.  The
-    scalars are ints for an instance and Polys for a family's connection
-    (`catalog.family_connection`), where the zero tests are identities in
-    the parameters.
-    """
-    return _escalate(*_symmetrized(conn), conn.algebra.dim, 2)
-
-
 def connection_is_complete_certificate(rep: CurvatureReport) -> CompletenessReport:
     """Completeness certificate for the connection of a curvature report.
 
-    Every branch is exact.  Flat torsion-free connections get the trace
-    argument (they are LSA structures).  The others get the integer proof
-    that every geodesic is quadratic, on the order-6 grid whatever its size:
-    with x1 = -B(x0,x0) and x2 = -B(x0,x1), x0 + t x1 + t^2 x2 is the
-    geodesic exactly when P4 = B(x1,x1) + 2B(x0,x2), P5 = B(x1,x2) and
-    P6 = B(x2,x2) vanish, and once the earlier ones vanish these are
-    nonzero multiples of y_3, y_4 and y_5 of the recursion in
-    `exact_polynomial_geodesic_certificate`.  Where degree 2 fails, that
-    certificate's search goes on from degree 3.
+    Both branches are exact.  Flat torsion-free connections get the trace
+    argument (they are LSA structures); every other connection gets
+    `exact_polynomial_geodesic_certificate`, the `geodesic` command's
+    search under the point budget.
     """
     conn = rep.connection
     if rep.is_flat and not torsion_defect(conn):
@@ -469,17 +458,4 @@ def connection_is_complete_certificate(rep: CurvatureReport) -> CompletenessRepo
             if verdict
             else {},
         )
-    n = conn.algebra.dim
-    full, sym = _symmetrized(conn)
-    if _least_degree(full, sym, n, 2) is None:
-        return _escalate(full, sym, n, 3, reached=2)
-    return CompletenessReport(
-        method="exact-quadratic-geodesic",
-        verdict=True,
-        details={
-            "equation": "x' = -B(x,x), B(x,y) = (nabla_x y + nabla_y x)/2, x1 = -B(x0,x0), x2 = -B(x0,x1)",
-            "identities": {"P4": "B(x1,x1) + 2B(x0,x2)", "P5": "B(x1,x2)", "P6": "B(x2,x2)"},
-            "vanishing": {"P4": True, "P5": True, "P6": True},
-            "grid": _grid_size(n, 2),
-        },
-    )
+    return exact_polynomial_geodesic_certificate(conn)

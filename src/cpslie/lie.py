@@ -41,6 +41,12 @@ class JacobiError(ValueError):
         super().__init__(f"Jacobi identity fails on basis triples {triples}")
 
 
+# The largest dimension read from a bracket description: the layout takes
+# n^3 integers and the Jacobi check n^3 / 6 triples.  Doubles for the
+# hypercomplex lift are built from a layout and are not bounded by it.
+MAX_DIM = 16
+
+
 class LieAlgebra:
     """dim plus the antisymmetric structure constants, held as a SparseTensor."""
 
@@ -72,8 +78,11 @@ class LieAlgebra:
 
         The only way from such a description into the side-by-side layout:
         the coefficients (rationals, or Polys in a family's parameters) go
-        through `linalg._scaled` once, onto one common denominator.
+        through `linalg._scaled` once, onto one common denominator.  A
+        dimension over MAX_DIM is refused before anything is allocated.
         """
+        if dim > MAX_DIM:
+            raise ValueError(f"dimension {dim} is over the maximum of {MAX_DIM}")
         n, cells, coeffs = dim, [], []
         for (i, j), row in brackets.items():
             if not 0 <= i < j < n:

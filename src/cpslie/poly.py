@@ -6,8 +6,9 @@ tuples to nonzero Python-int numerators, and one positive common
 denominator, with the gcd of all numerators and the denominator divided
 out.  Equal polynomials therefore have equal fields and equal hashes.
 
-Ints and Fractions mix with Polys in +, - , * and ==, as constants; a
-product by the int 0 is the int 0, as in a matrix of ints and Polys.
+Ints and Fractions mix with Polys in +, - , * and ==, as constants, and
+a constant Poly hashes as the number it equals; a product by the int 0
+is the int 0, as in a matrix of ints and Polys.
 Substitution of rational values (`subs`) and of a monomial by a
 polynomial (`rewrite`) keep the variable names; a substituted variable
 simply no longer occurs.
@@ -146,6 +147,8 @@ class Poly:
         return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
+        if not any(any(e) for e in self.terms):
+            return hash(self.value())
         return hash((self.names, self.den, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:

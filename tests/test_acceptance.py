@@ -239,7 +239,8 @@ def test_criterion_07_completeness():
             continue
         seen.add(conn.tensor)
         cert = connection_is_complete_certificate(rep)
-        assert cert.method == "exact-quadratic-geodesic" and cert.verdict, (entry.salamon, w.name)
+        assert cert.method == "exact-polynomial-geodesic" and cert.verdict, (entry.salamon, w.name)
+        assert cert.details["degree"] <= 2, (entry.salamon, w.name, cert.details)
         poly = exact_polynomial_geodesic_certificate(conn)
         assert poly.verdict and poly.details["degree"] == 2, (entry.salamon, w.name, poly.details)
         numeric = polynomial_fit_certificate(conn, seed=0)

@@ -275,6 +275,44 @@ def test_zero_denominator_gives_json_error(capsys, tmp_path, cps_file, where):
     assert "zero denominator" in _strict_json(lines[0])["error"]
 
 
+@pytest.mark.parametrize("flag", ["--cps", "--algebra"])
+def test_deeply_nested_json_gives_json_error(capsys, tmp_path, cps_file, flag):
+    """A file nested 100,000 brackets deep exhausts the JSON decoder's recursion."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["--cps", str(deep)] if flag == "--cps" else ["--algebra", str(deep), "--cps", cps_file]
+    code = main(["check-structure", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert "nested too deeply" in _strict_json(lines[0])["error"]
+
+
+@pytest.mark.parametrize("where", ["tuple", "algebra_file"])
+def test_dimension_over_the_maximum_gives_json_error(capsys, tmp_path, cps_file, where):
+    """A 10,000-entry tuple and a claimed dimension of 10^9 are refused before
+    the n x n^2 layout is allocated; MAX_DIM itself still parses."""
+    from cpslie.lie import MAX_DIM
+
+    if where == "tuple":
+        argv = ["parse", "(" + ",".join(["0"] * 10_000) + ")"]
+    else:
+        algebra = tmp_path / "algebra.json"
+        algebra.write_text(json.dumps({"dim": 10**9, "brackets": []}))
+        argv = ["check-structure", "--algebra", str(algebra), "--cps", cps_file]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert f"over the maximum of {MAX_DIM}" in _strict_json(lines[0])["error"]
+    code, out = run_cli(capsys, "parse", "(" + ",".join(["0"] * MAX_DIM) + ")")
+    assert code == 0 and json.loads(out)["dim"] == MAX_DIM
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -317,15 +355,16 @@ def test_geodesic_command_fails_closed_on_blow_up(capsys, affine_line_cps_file):
 
 @pytest.fixture
 def oversized_cps_file(tmp_path):
-    """The 8-dimensional example times an abelian R^6 with the standard CPS:
-    14-dimensional, with geodesics of degree 4."""
-    from cpslie.catalog import eight_dim_example
+    """The non-flat h3r3 witness of (0,0,0,12,14,24) times an abelian R^8 with
+    the standard CPS: 14-dimensional, non-flat, with quadratic geodesics."""
+    from cpslie.catalog import load_catalog, witness_structure
     from cpslie.lie import algebra_to_json
     from cpslie.linalg import QMatrix
 
-    g, cps = eight_dim_example()
-    j = QMatrix.diag_blocks(*[QMatrix([[0, -1], [1, 0]])] * 3)
-    e = QMatrix.diag_blocks(*[QMatrix([[1, 0], [0, -1]])] * 3)
+    entry = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,14,24)")
+    g, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
+    j = QMatrix.diag_blocks(*[QMatrix([[0, -1], [1, 0]])] * 4)
+    e = QMatrix.diag_blocks(*[QMatrix([[1, 0], [0, -1]])] * 4)
     path = tmp_path / "oversized.json"
     path.write_text(
         json.dumps(
@@ -339,18 +378,23 @@ def oversized_cps_file(tmp_path):
     return str(path)
 
 
-def test_geodesic_command_stops_at_the_point_budget(capsys, monkeypatch, oversized_cps_file):
+@pytest.mark.parametrize("command", ["connection-report", "geodesic"])
+def test_geodesic_command_stops_at_the_point_budget(capsys, monkeypatch, oversized_cps_file, command):
     """Even the degree-2 grid has 27,132 points in dimension 14, over the
-    budget, so no degree is tried: no certificate, and no grid is built."""
+    budget, so no degree is tried: no certificate, and no grid is built.
+    connection-report runs the same search on a non-flat connection."""
     from cpslie import connection
 
     built = []
     monkeypatch.setattr(connection, "_grid", lambda n, order: built.append(order))
-    code, out = run_cli(capsys, "geodesic", "--cps", oversized_cps_file)
+    code, out = run_cli(capsys, command, "--cps", oversized_cps_file)
     assert built == []
     assert code == 1
     data = _strict_json(out)
-    assert data["verdict"] is False
+    if command == "connection-report":
+        assert data["flat"] is False
+        data = data["completeness"]
+    assert data["method"] == "exact-polynomial-geodesic" and data["verdict"] is False
     assert (data["details"]["degree"], data["details"]["degree_reached"]) == (None, None)
     assert data["details"]["grid"] is None
 
@@ -634,9 +678,7 @@ def test_float_overflow_fails_closed(capsys, overflow_cps_file, command):
     # the exact certificates read the integer tensor, so no coefficient is out of range
     assert code == 0
     if command == "connection-report":
-        assert data["completeness"]["method"] == "exact-quadratic-geodesic"
-        assert data["completeness"]["verdict"] is True
-        return
+        data = data["completeness"]
     assert data["method"] == "exact-polynomial-geodesic"
     assert data["verdict"] is True and data["details"]["degree"] == 2
 

@@ -229,7 +229,7 @@ def test_flat_connection_with_torsion_gets_the_exact_geodesic_certificate():
     zero_conn = Connection(h3, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))
     cert = connection_is_complete_certificate(curvature(zero_conn))
     # the zero connection's geodesics are straight lines
-    assert cert.method == "exact-quadratic-geodesic" and cert.verdict
+    assert cert.method == "exact-polynomial-geodesic" and cert.verdict and cert.details["degree"] <= 2
 
 
 def test_abelian_cps_on_two_step_algebras_is_flat():
@@ -318,7 +318,7 @@ def test_completeness_certificates_by_case():
     _, cps = build_family("H3R_10", {"A": 1, "F": 1})
     conn = cp_connection(cps)
     cert = connection_is_complete_certificate(curvature(conn))
-    assert cert.method == "exact-quadratic-geodesic" and cert.verdict
+    assert cert.method == "exact-polynomial-geodesic" and cert.verdict and cert.details["degree"] <= 2
     numeric = polynomial_fit_certificate(conn)
     assert numeric.verdict and numeric.details["max_relative_residual"] <= 1e-6
 
@@ -730,16 +730,17 @@ def test_exact_and_numeric_completeness_agree_on_witnesses(numeric_verdict):
     for _, cps in structures:
         conn = cp_connection(cps)
         cert = connection_is_complete_certificate(curvature(conn))
-        assert cert.method == "exact-quadratic-geodesic"
+        assert cert.method == "exact-polynomial-geodesic"
         assert cert.verdict is numeric_verdict(conn) is True
-        assert cert.details["vanishing"] == {"P4": True, "P5": True, "P6": True}
+        assert cert.details["degree"] <= 2
         assert cert.details["grid"] == {"order": 6, "points": 462}
         assert all(not any(values) for p in exact_reference(conn, points) for values in p)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_exact_and_numeric_completeness_agree_on_benchmark_inputs(capsys, tmp_path, numeric_verdict, seed):
-    """connection-report's verdict on the `completeness` workload inputs equals the numeric one."""
+    """connection-report's verdict on the `completeness` workload inputs equals
+    the numeric one, and its `completeness` is the `geodesic` payload."""
     import json
 
     from cpslie.cli import main
@@ -752,7 +753,9 @@ def test_exact_and_numeric_completeness_agree_on_benchmark_inputs(capsys, tmp_pa
     for command in reports:
         assert main(list(command.argv)) == 0
         completeness = json.loads(capsys.readouterr().out)["completeness"]
-        assert completeness["method"] == "exact-quadratic-geodesic"
+        assert completeness["method"] == "exact-polynomial-geodesic" and completeness["details"]["degree"] <= 2
+        assert main(["geodesic", *command.argv[1:]]) == 0
+        assert completeness == json.loads(capsys.readouterr().out)
         with open(command.argv[command.argv.index("--cps") + 1]) as fh:
             data = json.load(fh)
         cps = assemble_cps(algebra_from_json(data["algebra"]), endo_from_json(data["J"]), endo_from_json(data["E"]))
@@ -785,7 +788,8 @@ def test_one_entry_perturbation_fails_the_exact_certificate(numeric_verdict):
     entry = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,14,24)")
     _, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
     conn = cp_connection(cps)
-    assert connection_is_complete_certificate(curvature(conn)).method == "exact-quadratic-geodesic"
+    cert = connection_is_complete_certificate(curvature(conn))
+    assert cert.method == "exact-polynomial-geodesic" and cert.details["degree"] <= 2
     # nabla_{e1} e2 gains an e2 component
     e = lambda i: basis_vec(6, i)  # noqa: E731
     gamma = [[conn.apply(e(i), e(j)) for j in range(6)] for i in range(6)]

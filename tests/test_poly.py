@@ -127,3 +127,13 @@ def test_poly_layouts_over_a_denominator_are_canonical():
     product = QMatrix([[a * Q(1, 2), Q(1, 2)]]) @ QMatrix([[2], [0]])
     assert (product.den, product.num) == (1, ((a,),))
     assert product == QMatrix([[a]]) and hash(product) == hash(QMatrix([[a]]))
+
+
+def test_a_constant_hashes_as_the_number_it_equals():
+    """Equal values hash equal across Poly, int and Fraction, so a set of
+    Poly matrices holds each matrix once."""
+    a = Poly.var(NAMES, "x")
+    assert a - a == 0 and hash(a - a) == hash(0)
+    assert Poly.const(NAMES, 3) == 3 and hash(Poly.const(NAMES, 3)) == hash(3)
+    assert Poly.const(NAMES, Q(1, 2)) == Q(1, 2) and hash(Poly.const(NAMES, Q(1, 2))) == hash(Q(1, 2))
+    assert len({QMatrix([[a - a, 1]]), QMatrix([[0, 1]])}) == 1
