@@ -17,7 +17,7 @@ from importlib import resources
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from .connection import Connection, cp_connection, curvature
+from .connection import Connection, LSAProduct, cp_connection, curvature
 from .lie import (
     LieAlgebra,
     ThreeDimType,
@@ -70,7 +70,7 @@ class FamilyError(ValueError):
 def _family_brackets(family: str, p: dict) -> dict:
     """Sparse brackets on the ordered basis e1,e2,e3,f1,f2,f3 (0..5).
 
-    The parameter values `p` may be rationals or Polys.
+    `p` is a point from `_family_point`: rationals, or the family's Polys.
     """
     e1, e2, e3, f1, f2, f3 = range(6)
     if family in ("H3R_00", "H3R_10"):
@@ -90,15 +90,13 @@ def _family_brackets(family: str, p: dict) -> dict:
             (e2, f1): {e3: p["B1"], f3: p["B2"]},
             (e2, f2): {e3: p["D1"], f3: p["D2"]},
         }
-    if family == "R4_10":
-        return {
-            (e1, e2): {e3: 1},
-            (e1, f1): {e3: p["A1"], f3: p["A2"]},
-            (e2, f1): {e3: p["C1"], f3: p["C2"]},
-            (e1, f2): {e3: p["C1"], f3: p["C2"] + 1},
-            (e2, f2): {e3: p["D1"], f3: p["D2"]},
-        }
-    raise FamilyError(f"unknown family {family!r}")
+    return {  # R4_10
+        (e1, e2): {e3: 1},
+        (e1, f1): {e3: p["A1"], f3: p["A2"]},
+        (e2, f1): {e3: p["C1"], f3: p["C2"]},
+        (e1, f2): {e3: p["C1"], f3: p["C2"] + 1},
+        (e2, f2): {e3: p["D1"], f3: p["D2"]},
+    }
 
 
 def _standard_cps(m: int) -> tuple[Endo, Endo]:
@@ -108,26 +106,29 @@ def _standard_cps(m: int) -> tuple[Endo, Endo]:
     return QMatrix.block([[z, -ident], [ident, z]]), QMatrix.diag_blocks(ident, -ident)
 
 
-def _family_point(family: str, params) -> dict[str, Q]:
-    """Every family parameter at `params`, absent ones 0; FamilyError on a name the family lacks."""
+def _family_point(family: str, params) -> dict:
+    """Every family parameter at `params`, absent ones 0; a `Poly` in the family's own variables
+    passes as it is, any other value goes through `q`.  The one FamilyError for a family or a name."""
     if family not in FAMILY_PARAMS:
         raise FamilyError(f"unknown family {family!r}")
     names = FAMILY_PARAMS[family]
     if unknown := sorted(set(params) - set(names)):
         raise FamilyError(f"{family} has no parameter {', '.join(map(repr, unknown))}; its parameters are {names}")
-    return {name: q(params.get(name, 0)) for name in names}
+    values = ((name, params.get(name, 0)) for name in names)
+    return {name: x if getattr(x, "names", None) == names else q(x) for name, x in values}
 
 
 def family_data(family: str, params) -> tuple[LieAlgebra, Endo, Endo]:
-    """Algebra and the standard J, E of a parameterized bracket family."""
+    """Algebra and the standard J, E of a bracket family, at a rational point or over its variables."""
     p = _family_point(family, params)
-    if family in ("H3R_00", "H3R_10") and p["A"] ** 2 + p["C"] ** 2 == 0:
+    # A*A: Poly has no **; over the variables the sum is never the zero polynomial
+    if family in ("H3R_00", "H3R_10") and p["A"] * p["A"] + p["C"] * p["C"] == 0:
         raise FamilyError("side condition A^2 + C^2 != 0 violated")
     return (LieAlgebra.from_brackets(6, _family_brackets(family, p)), *_standard_cps(3))
 
 
 def build_family(family: str, params) -> tuple[LieAlgebra, CPS]:
-    """Build a family instance and its (re-verified) CPS."""
+    """Build a family instance, or the family over `_family_variables`, and its (re-verified) CPS."""
     g, j, e = family_data(family, params)
     return g, assemble_cps(g, j, e)
 
@@ -137,9 +138,7 @@ def _family_variables(family: str) -> dict[str, Poly]:
     # prove no family flatness do not pay for compiling it at start-up
     from .poly import Poly
 
-    if family not in FAMILY_PARAMS:
-        raise FamilyError(f"unknown family {family!r}")
-    names = FAMILY_PARAMS[family]
+    names = tuple(_family_point(family, {}))
     return {name: Poly.var(names, name) for name in names}
 
 
@@ -167,15 +166,13 @@ def family_flatness_value(family: str, params) -> Q:
 def family_connection(family: str) -> Connection:
     """The cp connection of the family's standard pair, with `Poly` entries.
 
-    Built by the code every instance runs: `LieAlgebra` checks Jacobi,
-    `assemble_cps` every CPS axiom, `cp_connection` torsion-freeness and
-    nabla J = nabla E = 0.  All of it is exact in Q[parameters], so each
-    zero test is a polynomial identity.  A failed identity raises
-    FamilyError.
+    `build_family` over the family's variables runs what every instance
+    runs: Jacobi, every CPS axiom, then torsion-freeness and nabla J =
+    nabla E = 0 in `cp_connection`.  Each zero test is a polynomial
+    identity; a failed one raises FamilyError.
     """
     try:
-        g = LieAlgebra.from_brackets(6, _family_brackets(family, _family_variables(family)))
-        return cp_connection(assemble_cps(g, *_standard_cps(3)))
+        return cp_connection(build_family(family, _family_variables(family))[1])
     except ValueError as exc:
         raise FamilyError(f"{family}: {exc}") from exc
 
@@ -561,7 +558,7 @@ class NonexistenceReport:
 
 def nonexistence_report(salamon: str, seed: int = 0) -> NonexistenceReport:
     """The nonexistence certificate of one of the three excluded algebras."""
-    normalized = salamon.replace(" ", "")
+    normalized = "".join(salamon.split())
     if normalized not in EXCLUDED:
         raise ValueError(f"{salamon!r} is not one of the excluded algebras")
     g = parse_salamon(normalized)
@@ -637,8 +634,6 @@ FRIED_NABLA = (
 
 def fried_example():
     """The complete left-symmetric structure on the filiform algebra n4."""
-    from .connection import LSAProduct
-
     n4 = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
     # row k of the side layout is row k of every nabla_i, side by side
     side = QMatrix([[x for nabla in FRIED_NABLA for x in nabla[k]] for k in range(4)])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
 from math import comb, lcm
 
-from .lie import LieAlgebra
+from .lie import LieAlgebra, is_nilpotent
 from .linalg import (
     Q,
     QMatrix,
@@ -288,8 +288,6 @@ def lsa_is_complete(p: Connection) -> bool:
     basis_right_nilpotent = all(is_nilpotent_matrix(r) for r in rights)
     if basis_right_nilpotent != complete:
         raise CertificateError("trace and nilpotency certificates disagree")
-    from .lie import is_nilpotent
-
     if complete and is_nilpotent(p.algebra):
         if not all(is_nilpotent_matrix(m) for m in p.nablas()):
             raise CertificateError(

@@ -20,6 +20,7 @@ from .linalg import (
     _scaled,
     _unscaled,
     basis_vec,
+    kernel,
     q,
     reshaped,
     right_product,
@@ -188,8 +189,6 @@ def is_nilpotent(g: LieAlgebra) -> bool:
 def center(g: LieAlgebra) -> Subspace:
     """Intersection of the kernels of ad(e_i) over the basis: the kernel of
     the stacked [ad(e_0); ...; ad(e_{n-1})]."""
-    from .linalg import kernel
-
     return kernel(reshaped(swapped(g.structure.side), g.dim**2))
 
 

@@ -289,10 +289,10 @@ class QMatrix:
         return [[str(x) for x in r] for r in self.entries]
 
     @classmethod
-    def from_json(cls, data, cols: int | None = None) -> "QMatrix":
+    def from_json(cls, data) -> "QMatrix":
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise TypeError("a JSON matrix must be a list of row lists")
-        return cls(data, cols=cols)
+        return cls(data)
 
 
 class SparseTensor:

@@ -8,7 +8,8 @@ out.  Equal polynomials therefore have equal fields and equal hashes.
 
 Ints and Fractions mix with Polys in +, - , * and ==, as constants, and
 a constant Poly hashes as the number it equals; a product by the int 0
-is the int 0, as in a matrix of ints and Polys.
+is the int 0, as in a matrix of ints and Polys.  Polys in different
+variables do not mix in +, - and *; under == only equal constants match.
 Substitution of rational values (`subs`) and of a monomial by a
 polynomial (`rewrite`) keep the variable names; a substituted variable
 simply no longer occurs.
@@ -17,6 +18,7 @@ simply no longer occurs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 
@@ -141,6 +143,8 @@ class Poly:
     def __eq__(self, other) -> bool:
         if type(other) is int and not other:
             return not self.terms
+        if isinstance(other, Poly) and other.names != self.names:  # equal only as one constant, as they hash
+            return not any(map(any, chain(self.terms, other.terms))) and self.value() == other.value()
         other = self._coerce(other)
         if other is NotImplemented:
             return other

@@ -13,6 +13,7 @@ from cpslie.catalog import (
     FRIED_NABLA,
     FamilyError,
     _encoded_proof_report,
+    _family_variables,
     build_family,
     eight_dim_example,
     family_connection,
@@ -34,12 +35,14 @@ from cpslie.connection import (
     _least_degree,
     _symmetrized,
     cp_connection,
+    curvature,
     exact_polynomial_geodesic_certificate,
     lsa_is_complete,
     restrict_to_lsa,
 )
 from cpslie.lie import LieAlgebra, ThreeDimType, center, change_basis, iso_type_3d
-from cpslie.linalg import QMatrix, SparseTensor, Subspace, _matrix, basis_vec, kernel, vec
+from cpslie.hypercomplex import lift_cps, obata_connection
+from cpslie.linalg import QMatrix, SparseTensor, Subspace, _matrix, basis_vec, kernel, map_subspace, vec
 from cpslie.poly import Poly
 from cpslie.salamon import parse_salamon
 from cpslie.structures import (
@@ -446,11 +449,19 @@ def test_family_flatness_is_proven(family):
 def test_slice_check_builds_no_instance(monkeypatch):
     import cpslie.catalog as catalog
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the slice check must not build an instance")
+    # the family builders run, but only over the family's own variables
+    built = []
+
+    def only_variables(name, real):
+        def wrapped(family, params):
+            assert params and all(isinstance(x, Poly) for x in params.values()), f"{name} built an instance"
+            built.append((name, family))
+            return real(family, params)
+
+        monkeypatch.setattr(catalog, name, wrapped)
 
     for name in ("build_family", "family_data"):
-        monkeypatch.setattr(catalog, name, forbidden)
+        only_variables(name, getattr(catalog, name))
 
     # the family proofs run the production path, but only on Poly layouts
     def variables(layout):
@@ -479,6 +490,7 @@ def test_slice_check_builds_no_instance(monkeypatch):
                 assert (ok, detail) == (True, "slice consistent"), (entry.salamon, w.name)
     assert set(proofs) == {"H3R_10", "R4_00", "R4_10"}
     assert sorted(connections) == sorted(FAMILY_PARAMS[f] for f in proofs)
+    assert sorted(built) == sorted((name, f) for f in proofs for name in ("build_family", "family_data"))
 
 
 def test_second_realizing_slice_reduces_to_A():
@@ -603,3 +615,28 @@ def test_family_connection_specializes_to_every_instance():
             assert SparseTensor(QMatrix(values)) == expected, w.name
             checked += 1
     assert checked == 33
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_family_criteria_hold_as_identities(family):
+    """Criteria 02, 04 and 09 on the family over its own variables, so at every member at once."""
+    g, cps = build_family(family, _family_variables(family))
+    e = [basis_vec(6, i) for i in range(6)]
+    # 02: span(e3, f3) is central, J e3 = f3, and it is J- and E-invariant
+    assert not any(any(g.bracket(e[c], x)) for c in (2, 5) for x in e)
+    assert cps.j.col(2) == e[5]
+    u = Subspace.from_spanning([e[2], e[5]], 6)
+    assert map_subspace(cps.j, u) == u and map_subspace(cps.e, u) == u
+    # 04: the cp connection is Ricci-flat and traceless
+    conn = cp_connection(cps)
+    rep = curvature(conn)
+    assert rep.is_ricci_flat and rep.traceless
+    # 09: the Obata connection is Ricci-flat, and every nonzero curvature
+    # entry is a constant times the flatness closed form of the cp connection
+    obata = curvature(obata_connection(lift_cps(cps), conn))
+    assert obata.is_ricci_flat
+    form = flatness_closed_form(family)
+    entries = [x for m in obata.r.values() for r in m.num for x in r if x]
+    assert len(entries) == (16 if family.startswith("H3R") else 0)
+    assert all(x.multiple_of(form) is not None for x in entries)
+    assert rep.is_flat == obata.is_flat == form.is_zero()

@@ -120,6 +120,14 @@ def test_nonexistence_command(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("spacing", [" ", "\t", "\n", " \t\n "])
+def test_nonexistence_ignores_whitespace_as_parse_does(capsys, spacing):
+    canonical = "(0,0,0,12,23,14-35)"
+    spaced = canonical.replace(",", "," + spacing).replace("-", spacing + "-")
+    assert run_cli(capsys, "parse", spaced)[0] == 0
+    assert run_cli(capsys, "nonexistence", spaced) == run_cli(capsys, "nonexistence", canonical)
+
+
 def test_algebra_flag_overrides_file(capsys, tmp_path, cps_file):
     with open(cps_file) as fh:
         data = json.load(fh)
@@ -494,6 +502,23 @@ GOLDEN = {
     "hypercomplex-invalid": INVALID_CPS,
     "geodesic-invalid": INVALID_CPS,
 }
+
+
+# The same on the non-flat fixture, whose connection takes the curved
+# branches of connection-report, hypercomplex and geodesic.
+NONFLAT_GOLDEN = {
+    "check-structure": "c0fd8b238d286a8c39fa165f77a063432aacdbd13e6052d7c27f2e584855494d",
+    "connection-report": "ff394da02464142eee32f47154334653f8e2844a2b242f59da1a30f3eb920da0",
+    "hypercomplex": "15e96d7f3eb12086197d97257fc7f6bec0a6fe3bef5ce5e33ee6f466f512eb56",
+    "geodesic": "ff4f4b6ae5e2796783504794d693974ae6b99ab1640baee30ff7e2049036e0fb",
+}
+
+
+@pytest.mark.parametrize("command", sorted(NONFLAT_GOLDEN))
+def test_nonflat_default_json_is_pinned(capsys, nonflat_cps_file, command):
+    code, out = run_cli(capsys, command, "--cps", nonflat_cps_file)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NONFLAT_GOLDEN[command], out
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

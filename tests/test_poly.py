@@ -137,3 +137,18 @@ def test_a_constant_hashes_as_the_number_it_equals():
     assert Poly.const(NAMES, 3) == 3 and hash(Poly.const(NAMES, 3)) == hash(3)
     assert Poly.const(NAMES, Q(1, 2)) == Q(1, 2) and hash(Poly.const(NAMES, Q(1, 2))) == hash(Q(1, 2))
     assert len({QMatrix([[a - a, 1]]), QMatrix([[0, 1]])}) == 1
+
+
+def test_equality_across_variable_tuples_compares_constants():
+    """== across variable tuples holds only between equal constants, as the
+    hashes do; a set or a matrix comparison of such Polys never raises."""
+    x3, y3 = Poly.const(("x",), 3), Poly.const(("y",), 3)
+    assert x3 == y3 and hash(x3) == hash(y3) and len({x3, y3}) == 1
+    assert QMatrix([[x3]]) == QMatrix([[y3]])
+    assert x3 != Poly.const(("y",), 4)
+    assert Poly.var(("x",), "x") != Poly.var(("y",), "y")
+    assert Poly.var(("x", "y"), "x") != Poly.var(("x",), "x")
+    assert x3 != Poly.var(("y",), "y") and Poly.var(("y",), "y") != x3
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="differ"):
+            op(x3, y3)
