@@ -10,12 +10,11 @@ computationally.
 from __future__ import annotations
 
 import json
+import os
 import random
-from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .connection import Connection, LSAProduct, cp_connection, curvature
 from .lie import (
@@ -204,8 +203,7 @@ def prove_family_flatness(family: str) -> Poly:
     return form
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     name: str
     family: str
     params: dict
@@ -219,8 +217,7 @@ class Witness:
     explicit_e: Endo | None = None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     salamon: str
     admits: tuple[bool, bool, bool]
     flat_class: str  # FlatOnly | NonFlatOnly | Both | NoCPS
@@ -253,7 +250,8 @@ def _witness_from_json(data: dict) -> Witness:
 @cache
 def load_catalog() -> list[CatalogEntry]:
     """The stored catalog, read once; every call returns the same list."""
-    raw = json.loads(resources.files("cpslie").joinpath("data/witnesses.json").read_text())
+    with open(os.path.join(os.path.dirname(__file__), "data", "witnesses.json"), encoding="utf-8") as f:
+        raw = json.load(f)
     return [
         CatalogEntry(
             salamon=row["salamon"],
@@ -332,8 +330,7 @@ def witness_structure(w: Witness) -> tuple[LieAlgebra, CPS]:
     return g, cps
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     name: str
     stages: Checks
 
@@ -447,8 +444,7 @@ def slice_flatness_check(w: Witness, expect_flat: bool, proofs: dict | None = No
     return True, "slice consistent"
 
 
-@dataclass(frozen=True)
-class RowReport:
+class RowReport(NamedTuple):
     salamon: str
     admits: tuple[bool, bool, bool]
     flat_class: str
@@ -516,8 +512,7 @@ def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> RowReport:
     return RowReport(entry.salamon, entry.admits, entry.flat_class, entry.obstruction, tuple(reports), check)
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     rows: tuple[RowReport, ...]
     excluded: tuple["NonexistenceReport", ...]
 
@@ -541,8 +536,7 @@ def verify_table(seed: int = 0) -> TableReport:
     return TableReport(rows, excluded)
 
 
-@dataclass(frozen=True)
-class NonexistenceReport:
+class NonexistenceReport(NamedTuple):
     salamon: str
     kind: str
     stages: Checks

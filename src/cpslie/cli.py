@@ -8,8 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .catalog import nonexistence_report, verify_table
 from .connection import (
@@ -157,8 +156,7 @@ def _nonexistence(salamon: str, seed: int):
     return report.to_json(), report.passed
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand: `run(subject, seed)` returns (payload, ok).
 
     The subject is the positional tuple string ("salamon"), the validated

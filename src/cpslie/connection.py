@@ -9,9 +9,9 @@ has no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
 from math import comb, lcm
+from typing import NamedTuple
 
 from .lie import LieAlgebra, is_nilpotent
 from .linalg import (
@@ -157,8 +157,7 @@ def _commutator_defects(t: SparseTensor, bracket: QMatrix) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     connection: Connection
     r: dict  # {(i, j): QMatrix} for i < j; R(e_j, e_i) = -R(e_i, e_j)
     ricci: QMatrix
@@ -296,11 +295,10 @@ def lsa_is_complete(p: Connection) -> bool:
     return complete
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     method: str  # "segal-trace" or "exact-polynomial-geodesic"
     verdict: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_json(self) -> dict:
         return {"method": self.method, "verdict": self.verdict, "details": self.details}

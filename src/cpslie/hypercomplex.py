@@ -8,8 +8,6 @@ to the unique torsion-free connection parallelizing the whole triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .connection import Connection, parallel_defect, torsion_defect
 from .lie import LieAlgebra, complexify_realified
 from .linalg import QMatrix
@@ -20,17 +18,26 @@ class LiftError(ValueError):
     """A lift invariant failed; this signals a sign-convention bug."""
 
 
-@dataclass(frozen=True)
 class HypercomplexStructure:
-    """(J1, J2) on `algebra`; J3 = J1 J2 by definition, formed once here."""
+    """The triple (J1, J2, J3) on `algebra`; J3 = J1 J2 is formed once, here.
 
-    algebra: LieAlgebra
-    j1: Endo
-    j2: Endo
-    j3: Endo = field(init=False)
+    Construction does not validate: `lift_cps` checks the axioms with
+    `validate_hypercomplex`.  Immutable, like `CPS`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "j3", self.j1 @ self.j2)
+    __slots__ = ("algebra", "j1", "j2", "j3")
+
+    def __init__(self, algebra: LieAlgebra, j1: Endo, j2: Endo):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "j1", j1)
+        object.__setattr__(self, "j2", j2)
+        object.__setattr__(self, "j3", j1 @ j2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HypercomplexStructure is immutable")
+
+    def __repr__(self):
+        return f"HypercomplexStructure(dim={self.algebra.dim})"
 
 
 def validate_hypercomplex(h: HypercomplexStructure) -> list[str]:

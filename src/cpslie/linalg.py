@@ -50,13 +50,16 @@ def q(x) -> Q:
     """Coerce an int, a string "p" or "p/q" of decimal digits, or a Fraction to Fraction."""
     if isinstance(x, Q):
         return x
-    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
-        raise ValueError(f"not a rational literal (an integer or p/q): {x!r}")
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"not a rational literal (an integer or p/q): {x!r}")
+        num, _, den = x.partition("/")  # ASCII digits only, so int() reads what matched
         try:
-            return Q(x)
+            return Q(int(num), int(den or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Q(x)
     raise TypeError(f"not a rational scalar: {x!r}")
 
 

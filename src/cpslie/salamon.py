@@ -39,10 +39,10 @@ def _tokenize(text: str):
             tokens.append((ch, i))
             i += 1
             continue
-        if ch.isdigit():
-            if i + 1 < len(text) and text[i + 1].isdigit():
+        if ch in "123456789":  # ASCII only: str.isdigit() also admits superscripts and Arabic-Indic digits
+            if i + 1 < len(text) and text[i + 1] in "0123456789":
                 a, b = int(ch), int(text[i + 1])
-                if a == 0 or b == 0:
+                if b == 0:
                     raise SalamonError("term digits must be in 1..9", i)
                 tokens.append((("term", a, b), i))
                 i += 2

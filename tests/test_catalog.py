@@ -1,6 +1,5 @@
 """Catalog rows, witnesses, families, and the encoded nonexistence proofs."""
 
-import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -195,9 +194,7 @@ def test_verify_row_parses_its_tuple_once(monkeypatch):
 
     # a row tuple that does not parse fails each witness's basis change, and raises nothing
     entry = _row("(0,0,0,0,12,14+25)")
-    bad = dataclasses.replace(
-        entry, salamon="(0,0,1x)", witnesses=tuple(dataclasses.replace(w, target="(0,0,1x)") for w in entry.witnesses)
-    )
+    bad = entry._replace(salamon="(0,0,1x)", witnesses=tuple(w._replace(target="(0,0,1x)") for w in entry.witnesses))
     for report in verify_row(bad).witness_reports:
         stages = {name: (ok, detail) for name, ok, detail in report.stages}
         assert not stages["basis_change"][0] and stages["basis_change"][1], report.to_json()
@@ -206,9 +203,7 @@ def test_verify_row_parses_its_tuple_once(monkeypatch):
 def test_verify_witness_rejects_singular_basis_change():
     row = next(e for e in table_rows() if e.salamon == "(0,0,0,0,0,12)")
     w = row.witnesses[0]
-    import dataclasses
-
-    broken = dataclasses.replace(w, basis_change=QMatrix.zeros(6, 6))
+    broken = w._replace(basis_change=QMatrix.zeros(6, 6))
     report = verify_witness(row, broken)
     stages = dict((s, ok) for s, ok, _ in report.stages)
     assert not stages["basis_change"]
@@ -216,15 +211,13 @@ def test_verify_witness_rejects_singular_basis_change():
 
 
 def test_witness_build_failures_name_their_stage(monkeypatch):
-    import dataclasses
-
     import cpslie.catalog as catalog
     from cpslie.structures import StructureError
 
     row = next(e for e in table_rows() if e.salamon == "(0,0,0,0,12,13)")
     w = next(w for w in row.witnesses if w.rotation is not None)
 
-    broken = dataclasses.replace(w, family="Nope")
+    broken = w._replace(family="Nope")
     report = verify_witness(row, broken)
     assert [(s, ok) for s, ok, _ in report.stages] == [("build", False)]
     with pytest.raises(ValueError, match="fails build"):
@@ -507,7 +500,7 @@ def test_second_realizing_slice_reduces_to_A():
 
 def test_planted_wrong_flat_class_fails_the_row():
     for salamon, planted in (("(0,0,0,12,13,23)", "NonFlatOnly"), ("(0,0,0,12,14,24)", "FlatOnly")):
-        entry = dataclasses.replace(_row(salamon), flat_class=planted, nonflat_argument="planted")
+        entry = _row(salamon)._replace(flat_class=planted, nonflat_argument="planted")
         report = verify_row(entry)
         assert not report.passed
         checks = {c: ok for c, ok, _ in report.checks}
@@ -525,8 +518,8 @@ def test_planted_nonflat_slice_fails_a_flatonly_row():
         ((spec, planted), "flatness value 2*F + 1 on slice"),
         ((planted,), "witness parameters lie on no recorded slice"),
     ):
-        moved = dataclasses.replace(w, slices=slices)
-        report = verify_row(dataclasses.replace(entry, witnesses=(moved,) + entry.witnesses[1:]))
+        moved = w._replace(slices=slices)
+        report = verify_row(entry._replace(witnesses=(moved,) + entry.witnesses[1:]))
         assert not report.passed
         ok, got = _slice_checks(report)[f"slice_{w.name}"]
         assert not ok and got.startswith(detail), got

@@ -430,8 +430,8 @@ print(json.dumps(sorted(sys.modules)))
     return set(json.loads(proc.stdout))
 
 
-def test_exact_commands_do_not_import_numpy(cps_file, nonflat_cps_file):
-    """No command loads numpy: every entry of COMMANDS runs, `geodesic` included."""
+def _every_command_loads(cps_file, nonflat_cps_file):
+    """The modules one fresh interpreter loads running every entry of COMMANDS."""
     argvs = {
         "parse": [["parse", "(0,0,0,12,14,24)"]],
         "check-structure": [["check-structure", "--cps", cps_file]],
@@ -442,8 +442,19 @@ def test_exact_commands_do_not_import_numpy(cps_file, nonflat_cps_file):
         "nonexistence": [["nonexistence", "(0,0,0,12,23,14-35)"]],
     }
     assert set(argvs) == set(COMMANDS)
-    loaded = _modules_loaded_by(*(argv for runs in argvs.values() for argv in runs))
-    assert "numpy" not in loaded, "numpy was imported"
+    return _modules_loaded_by(*(argv for runs in argvs.values() for argv in runs))
+
+
+def test_exact_commands_do_not_import_numpy(cps_file, nonflat_cps_file):
+    """No command loads numpy: every entry of COMMANDS runs, `geodesic` included."""
+    assert "numpy" not in _every_command_loads(cps_file, nonflat_cps_file), "numpy was imported"
+
+
+def test_commands_do_not_import_dataclasses(cps_file, nonflat_cps_file):
+    """The records are NamedTuples and slots classes: no command pays for
+    `dataclasses`, or for the `inspect` it imports, at start-up."""
+    loaded = _every_command_loads(cps_file, nonflat_cps_file)
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})
 
 
 def test_no_module_of_the_package_imports_numpy():

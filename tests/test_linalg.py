@@ -112,9 +112,38 @@ def test_q_reads_integers_and_fractions(text, value):
     assert q(text) == value
 
 
-@pytest.mark.parametrize("text", ["1e999999", "1E3", "1.5", ".5", " 1", "1_000", "nan", "inf", "1/-2", "", "١"])
+# " 1", "1_000" and "١٢" are accepted by Fraction(str) and int(), but are not literals here
+@pytest.mark.parametrize(
+    "text",
+    ["1e999999", "1E3", "1.5", ".5", " 1", "1 ", "1\n", "1_000", "nan", "inf", "1/-2", "1/+2", "1/ 2", "", "١", "١٢", "²"],
+)
 def test_q_refuses_other_notation(text):
     with pytest.raises(ValueError, match="not a rational literal"):
+        q(text)
+
+
+WIDE = "123456789012345678901234567890"  # 30 digits
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "-0", "+0", "7", "-7", "+7", "007", "-007/010", "0/5", "-0/3", "+12/8", "6/4", "-6/4",
+     WIDE, "-" + WIDE, WIDE + "/7", "-" + WIDE + "/" + WIDE, "1/" + WIDE],
+)
+def test_q_agrees_with_fraction_parsing(text):
+    value = q(text)
+    assert type(value) is Q and value == Q(text)
+
+
+@given(st.from_regex(r"[+-]?[0-9]{1,30}(/0*[1-9][0-9]{0,29})?", fullmatch=True))
+@settings(max_examples=200, deadline=None)
+def test_q_agrees_with_fraction_parsing_on_random_literals(text):
+    assert q(text) == Q(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-5/000", "0/0", WIDE + "/0"])
+def test_q_reports_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
         q(text)
 
 

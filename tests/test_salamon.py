@@ -65,6 +65,22 @@ def test_parse_syntax_error_carries_position():
     assert err.value.position is not None
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(0,0,²²)", "unexpected character"),
+        ("(0,0,١٢)", "unexpected character"),
+        ("(0,0,٣4)", "unexpected character"),
+        ("(0,0,1²)", "a term needs exactly two digits"),
+    ],
+)
+def test_parse_accepts_ascii_digits_only(text, message):
+    """str.isdigit() holds for these digits, but a term is two ASCII digits."""
+    with pytest.raises(SalamonError, match=message) as err:
+        parse_salamon(text)
+    assert err.value.position == 5
+
+
 def test_parse_rejects_zero_digit_terms():
     with pytest.raises(SalamonError):
         parse_salamon("(0,0,10)")
