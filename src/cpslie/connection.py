@@ -27,7 +27,7 @@ from .linalg import (
     right_product,
     swapped,
 )
-from .structures import CPS, Endo, split_coordinates
+from .structures import CPS, Endo
 
 
 class TorsionError(ValueError):
@@ -93,21 +93,19 @@ def cp_connection(cps: CPS) -> Connection:
         nabla_{x+} y+ = -pi+ J [x+, J y+]      nabla_{x+} y- = pi- [x+, y-]
         nabla_{x-} y- = -pi- J [x-, J y-]      nabla_{x-} y+ = pi+ [x-, y+]
 
+    The mixed terms together are W(x, y) = pi- [x+, y-] + pi+ [x-, y+],
+    which is 1/4 ([x,y] - [Ex,Ey] - E[Ex,y] + E[x,Ey]) for all x, y.  As
+    J anticommutes with E, J pi- = pi+ J, so the other two terms are
+    -J W(x, J y), and nabla_x y = W(x, y) - J W(x, J y).
+
     Torsion-freeness and parallelism of J and E are checked here, once,
     and a failure raises, so callers rely on them without checking again.
     """
-    g, j = cps.algebra, cps.j
-    pip, pim = split_coordinates(cps)
-    # nabla_{e_i} y for x+- = pi+- e_i and y+- = pi+- y, as matrices in y
-    lp, rp = -(pip @ j), j @ pip
-    lm, rm = -(pim @ j), j @ pim
-    # nabla_{e_i} = lp ap_i rp + pim ap_i pim + lm am_i rm + pip am_i pip with
-    # ap_i = ad(pi+ e_i), am_i = ad(pi- e_i), for all i at once on the layouts
-    ap, am = g.ad_columns(pip), g.ad_columns(pim)
-    terms = ((lp, ap, rp), (pim, ap, pim), (lm, am, rm), (pip, am, pip))
-    side = QMatrix.zeros(g.dim, g.dim**2)
-    for left, ads, right in terms:
-        side = side + left @ swapped(right_product(ads, right))
+    g, j, e = cps.algebra, cps.j, cps.e
+    # both on the side-by-side layout: block i of s is ad(e_i), of se ad(E e_i)
+    s, se = g.structure.side, swapped(g.ad_columns(e))
+    w = (s - right_product(se, e) - e @ (se - right_product(s, e))).scale(Q(1, 4))
+    side = w - j @ right_product(w, j)
     conn = Connection(g, SparseTensor(side))
     # sign bugs die here, not downstream
     if torsion_defect(conn):

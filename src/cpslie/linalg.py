@@ -6,8 +6,19 @@ Python-int numerators, with the gcd of all numerators and `den` divided
 out, so equal matrices have equal fields and equal hashes.  Products,
 sums, scaling, applications to vectors, traces and comparisons work on
 those integers.  The Fraction rows of `.entries` are built lazily, once
-per matrix, when a caller reads them.  Python ints cannot overflow, so
-there is no fixed-width path and no fallback.
+per matrix, when a caller reads them.
+
+A product runs row by row.  A row a of the left factor with more than
+two nonzero entries is multiplied on packed rows (Kronecker
+substitution): each row of the right factor B is packed once into one
+int, entry j in slot j of 64 bits, two's complement, little-endian, so
+the result row is the one big-integer sum_k a_k * packed(B_k), read back
+slot by slot with `struct`.  That is exact while sum_k |a_k| * max |B|
+< 2**63, as then every entry of the result fits its signed slot.  A
+sparser row, a row over that bound, or a Poly on either side keeps the
+loop that adds one row of B per nonzero a_k: on the sparse rows of the
+catalog's products the loop is faster, and Python ints cannot overflow
+there.
 
 A SparseTensor holds an n x n table of rational n-vectors (structure
 constants, connection coefficients) the same way: its n slice matrices
@@ -29,6 +40,7 @@ else (floats, bools and exponent notation in particular).
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -112,6 +124,56 @@ class SingularMatrixError(ValueError):
     pass
 
 
+# A product row takes the packed path when it has more than this many nonzero
+# entries: on the sparser rows of the catalog's products the loop is faster.
+_PACK_MIN_TERMS = 2
+# Every entry of a packed product must fit a signed 64-bit slot.
+_SLOT_LIMIT = 1 << 63
+_TOP_BIT = bytes(7) + b"\x80"  # 2**63 in one little-endian slot
+# (struct layout, slot bias) per number of slots
+_SLOT_LAYOUTS: dict[int, tuple[struct.Struct, int]] = {}
+
+
+class _PackedRows:
+    """The rows of an integer matrix, each packed into one int with entry j in
+    the signed 64-bit slot j (Kronecker substitution), so that a combination
+    sum_k a_k B_k of the rows is one big-integer `sum(map(mul, a, rows))`.
+    It is exact while sum_k |a_k| * bound < 2**63, `bound` being the largest
+    |entry|: then no slot of the sum overflows into the next."""
+
+    __slots__ = ("rows", "bound", "layout", "bias")
+
+    @classmethod
+    def of(cls, m: "QMatrix") -> "_PackedRows | bool":
+        """m's rows packed, or False if an entry is a Poly or does not fit a slot."""
+        try:
+            bound = max(map(abs, chain.from_iterable(m.num)), default=0)
+        except TypeError:  # a Poly has no abs
+            return False
+        if bound >= _SLOT_LIMIT:
+            return False
+        if m.cols not in _SLOT_LAYOUTS:
+            _SLOT_LAYOUTS[m.cols] = (struct.Struct(f"<{m.cols}q"), int.from_bytes(_TOP_BIT * m.cols, "little"))
+        layout, bias = _SLOT_LAYOUTS[m.cols]
+        packed = cls()
+        packed.layout, packed.bias, packed.bound = layout, bias, bound
+        # two's-complement slots to one signed sum: flip each top bit, then take it off again
+        packed.rows = [(int.from_bytes(layout.pack(*r), "little") ^ bias) - bias for r in m.num]
+        return packed
+
+    def fits(self, a: Sequence) -> bool:
+        """Whether sum_k a_k B_k is exact on the slots: false for a row holding a Poly."""
+        try:
+            return sum(map(abs, a)) * self.bound < _SLOT_LIMIT
+        except TypeError:  # a Poly has no abs
+            return False
+
+    def times(self, a: Sequence[int]) -> tuple[int, ...]:
+        """The row sum_k a_k B_k, for sum_k |a_k| * bound < 2**63."""
+        s = sum(map(mul, a, self.rows)) + self.bias  # every slot now holds its entry + 2**63 >= 0
+        return self.layout.unpack((s ^ self.bias).to_bytes(self.layout.size, "little"))
+
+
 def _matrix(num, den: int, cols: int) -> "QMatrix":
     """QMatrix with entries num / den (den > 0), brought to canonical form;
     a Poly numerator (a family's layouts) enters the gcd with its integer coefficients."""
@@ -189,12 +251,18 @@ class QMatrix:
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["QMatrix"]]) -> "QMatrix":
+        cols = sum(b.cols for b in grid[0])
+        for row_of_blocks in grid:
+            if len({b.rows for b in row_of_blocks}) != 1:
+                raise ValueError("the blocks of a block row differ in row count")
+            if sum(b.cols for b in row_of_blocks) != cols:
+                raise ValueError("the block rows differ in column count")
         den = lcm(*[b.den for row_of_blocks in grid for b in row_of_blocks])
         out = []
         for row_of_blocks in grid:
             for i in range(row_of_blocks[0].rows):
                 out.append([x * (den // b.den) for b in row_of_blocks for x in b.num[i]])
-        return _matrix(out, den, sum(b.cols for b in grid[0]))
+        return _matrix(out, den, cols)
 
     def entry(self, i: int, j: int) -> Q:
         return Q(self.num[i][j], self.den)
@@ -252,7 +320,15 @@ class QMatrix:
             raise ValueError("shape mismatch in matrix product")
         zero = [0] * other.cols
         num = []
+        packed = None
+        zeros_below = self.cols - _PACK_MIN_TERMS  # a row with fewer zeros packs
         for r in self.num:
+            if r.count(0) < zeros_below:
+                if packed is None:
+                    packed = _PackedRows.of(other)
+                if packed and packed.fits(r):
+                    num.append(packed.times(r))
+                    continue
             acc = zero
             for a, brow in zip(r, other.num):
                 if a:

@@ -5,15 +5,21 @@ lists, the way the kernels worked before they moved to integers; every
 kernel result must equal them exactly.
 """
 
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpslie.connection import Connection
-from cpslie.lie import LieAlgebra
+import cpslie.linalg as linalg
+from cpslie.catalog import load_catalog, witness_structure
+from cpslie.connection import Connection, cp_connection, curvature
+from cpslie.hypercomplex import lift_cps, obata_connection
+from cpslie.lie import LieAlgebra, change_basis
 from cpslie.linalg import QMatrix, SingularMatrixError, SparseTensor, basis_vec
+from cpslie.poly import Poly
+from cpslie.structures import assemble_cps
 from table_helper import tensor_from_table
 
 # ----------------------------------------------------------------------
@@ -118,6 +124,101 @@ def test_matmul_matches_reference(a, b):
     m = QMatrix(a) @ QMatrix(b)
     assert rows_of(m) == ref_matmul(a, b)
     assert is_fraction_matrix(m)
+
+
+# ----------------------------------------------------------------------
+# integer products: the packed rows against the reference
+
+# (rows, inner, cols) of the products the workloads make most
+TRAFFIC_SHAPES = [(6, 6, 6), (6, 6, 36), (12, 12, 144)]
+
+
+def int_rows(rows, cols, bits):
+    """Integer rows with entries up to 2**bits in size, each with 0..cols nonzero entries."""
+
+    def place(t):
+        values, nonzero, order = t
+        row = [0] * cols
+        for k in order[:nonzero]:
+            row[k] = values[k] or 1
+        return row
+
+    row = st.tuples(
+        st.lists(st.integers(-(2**bits), 2**bits), min_size=cols, max_size=cols),
+        st.integers(0, cols),
+        st.permutations(range(cols)),
+    ).map(place)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@pytest.fixture
+def packed_rows(monkeypatch):
+    """The number of product rows that took the packed path so far."""
+    rows = []
+    times = linalg._PackedRows.times
+    monkeypatch.setattr(linalg._PackedRows, "times", lambda self, a: rows.append(1) or times(self, a))
+    return rows
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_int_matmul_matches_reference(data):
+    """Rows of every density and size, on either side of the 64-bit slot bound."""
+    n, k, m = data.draw(st.sampled_from(TRAFFIC_SHAPES))
+    a = data.draw(int_rows(n, k, data.draw(st.integers(0, 40))))
+    b = data.draw(int_rows(k, m, data.draw(st.integers(0, 40))))
+    assert rows_of(QMatrix(a) @ QMatrix(b)) == ref_matmul(a, b)
+
+
+@pytest.mark.parametrize(
+    "row, bound, packed",
+    [((1, -1, 5), (2**63 - 1) // 7, 1), ((1, -2, 5), 2**60, 0)],
+    ids=["2**63-1", "2**63"],
+)
+def test_rows_at_the_slot_bound(packed_rows, row, bound, packed):
+    """sum |a| * max |b| = 2**63 - 1 packs, with result entries +-(2**63 - 1);
+    2**63 would overflow a slot and takes the loop."""
+    b = [[bound, -bound], [-bound, bound], [bound, -bound]]
+    m = QMatrix([row]) @ QMatrix(b)
+    assert rows_of(m) == ref_matmul([row], b)
+    assert abs(m.num[0][0]) == sum(map(abs, row)) * bound
+    assert len(packed_rows) == packed
+
+
+@pytest.mark.parametrize("a, b", [((0, 3), (3, 4)), ((2, 0), (0, 3)), ((2, 3), (3, 0))], ids=["rows", "inner", "cols"])
+def test_empty_products(a, b):
+    left = QMatrix([[1, 2, 3][: a[1]] for _ in range(a[0])], cols=a[1])
+    right = QMatrix([[1, -1, 2, 5][: b[1]] for _ in range(b[0])], cols=b[1])
+    m = left @ right
+    assert (m.rows, m.cols) == (a[0], b[1])
+    assert m == QMatrix.zeros(a[0], b[1])
+
+
+def test_poly_operands_take_the_loop(packed_rows):
+    names = ("A", "B")
+    a, b = Poly.var(names, "A"), Poly.var(names, "B")
+    ints = QMatrix([[1, 0], [0, 1], [1, 1]])
+    assert (QMatrix([[a, b, a + b]]) @ ints).num == ((2 * a + b, a + 2 * b),)
+    assert (QMatrix([[1, 2, 3]]) @ QMatrix([[a, 0], [0, b], [b, a]])).num == ((a + 3 * b, 2 * b + 3 * a),)
+    assert (QMatrix([[a, b, a + b]]) @ QMatrix([[a], [b], [1]])).num == ((a * a + b * b + a + b,),)
+    assert not packed_rows
+
+
+def test_the_dense_lift_packs_its_product_rows(packed_rows):
+    """The 12-dim lift of a dense conjugate: its curvature products take the packed path."""
+    witness = next(w for entry in load_catalog() for w in entry.witnesses if w.name == "split-nonflat")
+    g, cps = witness_structure(witness)
+    rng = random.Random(0)
+    while True:
+        p = QMatrix([[rng.choice((-2, -1, 1, 2)) for _ in range(6)] for _ in range(6)])
+        if linalg.rank(p) == 6:
+            break
+    pinv = p.inverse()
+    moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
+    obata = obata_connection(lift_cps(moved), cp_connection(moved))
+    packed_rows.clear()
+    curvature(obata)
+    assert len(packed_rows) > 100
 
 
 @given(fraction_rows(4, 4), vectors(4))

@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cpslie.catalog import load_catalog, witness_structure
+from cpslie.catalog import FAMILY_PARAMS, _family_variables, build_family, load_catalog, witness_structure
 from cpslie.connection import (
     Connection,
     cp_connection,
@@ -255,6 +255,13 @@ def test_dense_lift_identities_equal_the_references():
     assert_connection_identities(obata, (h.j1, planted_j(h.j2)))
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_family_cp_connection_equals_the_reference(family):
+    """The same formula on the family's Poly layouts, where no product packs its rows."""
+    _, cps = build_family(family, _family_variables(family))
+    assert cp_connection(cps) == ref_cp_connection(cps)
+
+
 def test_layout_recuts_match_the_slices():
     rng = random.Random(7)
     n = 4
@@ -290,3 +297,16 @@ def test_work_per_identity_does_not_grow_with_the_dimension(monkeypatch):
     small = (count(curvature, conn), count(_integrability_defect, g, cps.j, 1), count(parallel_defect, conn, cps.j))
     large = (count(curvature, obata), count(_integrability_defect, h.algebra, h.j1, 1), count(parallel_defect, obata, h.j1))
     assert small == large == (1, 3, 2)
+
+
+def test_cp_connection_is_ten_products(monkeypatch):
+    """Six products build the connection and four check that J and E are parallel,
+    on a witness and on a family's Poly CPS alike."""
+    calls = []
+    product = QMatrix.__matmul__
+    monkeypatch.setattr(QMatrix, "__matmul__", lambda a, b: calls.append(1) or product(a, b))
+    salamon, witness = next((s, w) for s, w in WITNESSES if w.name == "split-nonflat")
+    for _, cps in (witness_structure(witness), build_family("H3R_10", _family_variables("H3R_10"))):
+        calls.clear()
+        cp_connection(cps)
+        assert len(calls) == 10

@@ -107,6 +107,16 @@ def test_block_of_zero_row_blocks_keeps_its_columns():
     assert kernel(m) == Subspace.full(5)
 
 
+def test_block_rejects_blocks_of_different_heights_in_one_block_row():
+    with pytest.raises(ValueError, match="row count"):
+        QMatrix.block([[QMatrix.identity(2), QMatrix.zeros(3, 1)]])
+
+
+def test_block_rejects_block_rows_of_different_widths():
+    with pytest.raises(ValueError, match="column count"):
+        QMatrix.block([[QMatrix.identity(2)], [QMatrix.zeros(1, 3)]])
+
+
 @pytest.mark.parametrize("text, value", [("7", Q(7)), ("-3/4", Q(-3, 4)), ("+2", Q(2)), ("0/5", Q(0))])
 def test_q_reads_integers_and_fractions(text, value):
     assert q(text) == value
