@@ -80,8 +80,11 @@ class LieAlgebra:
         The only way from such a description into the side-by-side layout:
         the coefficients (rationals, or Polys in a family's parameters) go
         through `linalg._scaled` once, onto one common denominator.  A
-        dimension over MAX_DIM is refused before anything is allocated.
+        negative dimension or one over MAX_DIM is refused before anything is
+        allocated.
         """
+        if dim < 0:
+            raise ValueError(f"dimension {dim} is negative")
         if dim > MAX_DIM:
             raise ValueError(f"dimension {dim} is over the maximum of {MAX_DIM}")
         n, cells, coeffs = dim, [], []

@@ -5,8 +5,6 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cpslie.catalog import (
     build_family,
@@ -17,7 +15,6 @@ from cpslie.catalog import (
     load_catalog,
     witness_structure,
 )
-import geodesic_reference
 from cpslie.connection import (
     GEODESIC_MAX_DEGREE,
     Connection,
@@ -38,14 +35,7 @@ from cpslie.lie import LieAlgebra, ThreeDimType, center, lower_central_series
 from cpslie.linalg import QMatrix, basis_vec, rank, vec, vec_sub
 from cpslie.salamon import parse_salamon
 from cpslie.structures import assemble_cps, rotate_product_rational_angle
-from geodesic_reference import (
-    GEODESIC_REL_TOL,
-    GEODESIC_STEP,
-    fit_residual,
-    initial_conditions,
-    integrate_geodesics,
-    polynomial_fit_certificate,
-)
+from geodesic_reference import taylor_least_degree
 from table_helper import tensor_from_table
 
 PARAMS = {"A": 2, "B": 3, "C": 5, "D": 7, "E": 11, "F": 13}
@@ -314,13 +304,12 @@ def test_completeness_certificates_by_case():
     cert = connection_is_complete_certificate(curvature(cp_connection(cps)))
     assert cert.method == "segal-trace" and cert.verdict
 
-    # non-flat (110) witness: exact quadratic geodesics, and the numeric fit agrees
+    # non-flat (110) witness: exact quadratic geodesics, and the Taylor reference agrees
     _, cps = build_family("H3R_10", {"A": 1, "F": 1})
     conn = cp_connection(cps)
     cert = connection_is_complete_certificate(curvature(conn))
     assert cert.method == "exact-polynomial-geodesic" and cert.verdict and cert.details["degree"] <= 2
-    numeric = polynomial_fit_certificate(conn)
-    assert numeric.verdict and numeric.details["max_relative_residual"] <= 1e-6
+    assert taylor_least_degree(conn) == cert.details["degree"]
 
     # flat (100) slice AF = CE: exact certificate again
     _, cps = build_family("H3R_00", {"A": 2, "F": 3, "C": 2, "E": 3})
@@ -353,174 +342,6 @@ def test_geodesic_vector_field_matches_displayed_system():
             )
         )
         assert rhs == expected
-
-
-def test_geodesic_certificate_deterministic():
-    _, cps = build_family("H3R_10", {"A": 1, "C": 1})
-    conn = cp_connection(cps)
-    c1 = polynomial_fit_certificate(conn, seed=0)
-    c2 = polynomial_fit_certificate(conn, seed=0)
-    assert c1 == c2
-
-
-def einsum_rk4(conn, initial, t_max, step=GEODESIC_STEP):
-    """Reference for the RK4 of `integrate_geodesics`: the right-hand side is one
-    three-operand einsum over the gamma tensor, x' = -sum_ij x_i x_j gamma_ij."""
-    import numpy as np
-
-    n = conn.algebra.dim
-    e = lambda i: basis_vec(n, i)  # noqa: E731
-    gam = np.array([[[float(c) for c in conn.apply(e(i), e(j))] for j in range(n)] for i in range(n)])
-    x = np.array([[float(c) for c in v] for v in initial])
-    steps = int(round(t_max / step))
-    values = np.empty((steps + 1, *x.shape))
-    values[0] = x
-
-    def f(y):
-        return -np.einsum("bi,bj,ijk->bk", y, y, gam)
-
-    h = step
-    for s in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        values[s + 1] = x
-    return values
-
-
-def test_rk4_is_bit_identical_to_einsum_reference_on_witnesses():
-    """The non-flat witness tensors are sparse and their coefficients are
-    signed powers of two, so every product x_i x_j gamma_ijk is exact and
-    the matrix product, which may fuse each multiply with its add, rounds
-    as the einsum does: the trajectories agree bit for bit."""
-    import numpy as np
-
-    tensors = {}
-    for entry in load_catalog():
-        for w in entry.witnesses:
-            if not w.flat:
-                tensors.setdefault(cp_connection(witness_structure(w)[1]), w.name)
-    assert len(tensors) == 7
-    initial = initial_conditions(6, 0)
-    for conn in tensors:
-        times, values = integrate_geodesics(conn, initial, t_max=0.5)
-        assert values.shape == (501, len(initial), 6)
-        assert np.array_equal(times, np.linspace(0.0, 0.5, 501))
-        assert np.array_equal(values, einsum_rk4(conn, initial, t_max=0.5))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=3, max_value=6).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.integers(min_value=-12, max_value=12).filter(bool), min_size=n**3, max_size=n**3),
-        )
-    ),
-    st.integers(min_value=0, max_value=2**16),
-)
-def test_rk4_matches_einsum_reference_on_dense_connections(dense, seed):
-    """On a dense tensor with coefficients such as 1/12 the matrix product
-    does not round each product x_i x_j gamma_ijk on its own, so the
-    trajectories agree with the einsum only up to rounding: with OpenBLAS,
-    none of 200 random draws agreed bit for bit, and the worst relative
-    difference was 1.4e-13."""
-    import numpy as np
-
-    n, numerators = dense
-    entries = [Q(a, 12) for a in numerators]
-    gamma = [[entries[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-    conn = Connection(LieAlgebra.abelian(n), tensor_from_table(gamma))
-    initial = initial_conditions(n, seed)
-    _, values = integrate_geodesics(conn, initial, t_max=0.05)
-    reference = einsum_rk4(conn, initial, t_max=0.05)
-    assert np.all(np.isfinite(reference))
-    assert np.allclose(values, reference, rtol=1e-12, atol=1e-12)
-
-
-def circle_connection():
-    """Symmetric gamma on the abelian R^3 with x1' = -x2 x3, x2' = x1 x3,
-    x3' = 0: every geodesic is a circle, finite and not quadratic."""
-    half = Q(1, 2)
-    gamma = [[(0, 0, 0)] * 3 for _ in range(3)]
-    gamma[1][2] = gamma[2][1] = (half, 0, 0)
-    gamma[0][2] = gamma[2][0] = (0, -half, 0)
-    return Connection(LieAlgebra.abelian(3), tensor_from_table(gamma))
-
-
-def test_quadratic_geodesic_certificate_rejects_finite_circles():
-    rep = polynomial_fit_certificate(circle_connection())
-    residual = rep.details["max_relative_residual"]
-    assert rep.verdict is False
-    assert residual is not None and math.isfinite(residual)
-    assert residual == pytest.approx(1.33130988090621, rel=1e-9)
-
-
-def polyfit_residual(times, values):
-    """Reference for the fit of `polynomial_fit_certificate`: one
-    polyfit and polyval per coordinate series; None when a relative
-    residual is not finite."""
-    import numpy as np
-
-    worst = 0.0
-    for b in range(values.shape[1]):
-        for k in range(values.shape[2]):
-            series = values[:, b, k]
-            coeffs = np.polynomial.polynomial.polyfit(times, series, 2)
-            fitted = np.polynomial.polynomial.polyval(times, coeffs)
-            r = float(np.max(np.abs(series - fitted))) / max(1.0, float(np.max(np.abs(series))))
-            if not math.isfinite(r):
-                return None
-            worst = max(worst, r)
-    return worst
-
-
-def test_quadratic_fit_matches_polyfit_reference(monkeypatch):
-    """The orthonormal-basis projection sums in another order than the
-    per-series least squares, so residuals agree up to rounding: to 1e-12
-    on the exactly quadratic witness geodesics and to 1e-9 relative on the
-    circles, with the same verdicts.  Each connection is integrated once
-    from the initial conditions of all its seeds, and the certificate is
-    handed the rows of its own seed."""
-    real = geodesic_reference.integrate_geodesics
-    shared = {}
-
-    def share(conn, seeds):
-        row = {}
-        for seed in seeds:
-            for v in initial_conditions(conn.algebra.dim, seed):
-                row.setdefault(v, len(row))
-        shared[conn] = (*real(conn, list(row)), row)
-
-    def integrate_once(conn, initial, **kwargs):
-        times, values, row = shared[conn]
-        return times, values[:, [row[v] for v in initial], :]
-
-    def certificate_and_reference(conn, seed):
-        rep = polynomial_fit_certificate(conn, seed=seed)
-        initial = initial_conditions(conn.algebra.dim, seed)
-        return rep, polyfit_residual(*integrate_once(conn, initial))
-
-    monkeypatch.setattr(geodesic_reference, "integrate_geodesics", integrate_once)
-    tensors = {}
-    for entry in load_catalog():
-        for w in entry.witnesses:
-            if not w.flat:
-                tensors.setdefault(cp_connection(witness_structure(w)[1]), w.name)
-    assert len(tensors) == 7
-    for conn in tensors:
-        share(conn, range(3))
-        for seed in range(3):
-            rep, reference = certificate_and_reference(conn, seed)
-            assert rep.verdict is (reference <= GEODESIC_REL_TOL)
-            assert abs(rep.details["max_relative_residual"] - reference) <= 1e-12
-    circle = circle_connection()
-    share(circle, [0])
-    rep, reference = certificate_and_reference(circle, 0)
-    assert rep.verdict is False and reference > GEODESIC_REL_TOL
-    assert rep.details["max_relative_residual"] == pytest.approx(reference, rel=1e-9)
 
 
 def test_ricci_against_brute_force_on_nonvanishing_example():
@@ -631,123 +452,33 @@ def test_left_right_nilpotency_equivalence():
                 assert left and right and lsa_is_complete(p)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_quadratic_geodesic_certificate_fails_closed_on_non_finite(monkeypatch):
-    import json
-
-    import numpy as np
-
-    zero = Connection(LieAlgebra.abelian(2), tensor_from_table([[(0, 0)] * 2 for _ in range(2)]))
-    finite = polynomial_fit_certificate(zero)
-    assert finite.verdict is True
-    assert 0 <= finite.details["max_relative_residual"] <= GEODESIC_REL_TOL
-
-    real = geodesic_reference.integrate_geodesics
-    for bad in (np.inf, np.nan):
-
-        def blow_up(conn, initial, bad=bad, **kwargs):
-            times, values = real(conn, initial, **kwargs)
-            values[len(times) // 2 :, 0, 0] = bad
-            return times, values
-
-        monkeypatch.setattr(geodesic_reference, "integrate_geodesics", blow_up)
-        rep = polynomial_fit_certificate(zero)
-        assert rep.verdict is False
-        assert rep.details["max_relative_residual"] is None
-        json.dumps(rep.to_json(), allow_nan=False)
-        assert {k: v for k, v in rep.details.items() if k != "max_relative_residual"} == {
-            k: v for k, v in finite.details.items() if k != "max_relative_residual"
-        }
-
-
-def load_bench_workloads():
-    """The benchmark's input generator, `bench/workloads.py`, loaded by path."""
-    import importlib.util
-    import sys
-    from pathlib import Path
-
-    name = "bench_workloads"
-    if name not in sys.modules:
-        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        # registered before it runs, since its dataclasses look their module up
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
-@pytest.fixture(scope="module")
-def fit_residuals():
-    """Per connection tensor, integrated once: the relative residual of the
-    degree-d fit of its RK4 geodesics at seed 0, for d = 0, ..., GEODESIC_MAX_DEGREE."""
-    import numpy as np
-
-    residuals = {}
-
-    def of(conn):
-        if conn not in residuals:
-            with np.errstate(all="ignore"):
-                times, values = integrate_geodesics(conn, initial_conditions(conn.algebra.dim, 0))
-            residuals[conn] = [fit_residual(times, values, d) for d in range(GEODESIC_MAX_DEGREE + 1)]
-        return residuals[conn]
-
-    return of
-
-
-@pytest.fixture(scope="module")
-def numeric_verdict(fit_residuals):
-    """The verdict `polynomial_fit_certificate` gives at seed 0 and degree 2."""
-    return lambda conn: fit_residuals(conn)[2] <= GEODESIC_REL_TOL
-
-
 def nonflat_witness_structures():
     return [witness_structure(w) for entry in load_catalog() for w in entry.witnesses if not w.flat]
 
 
-def exact_reference(conn, points):
-    """P4, P5 and P6 at the given rational points, from B(x,y) = (nabla_x y + nabla_y x)/2 in Fractions."""
-
-    def b(x, y):
-        return tuple((u + v) / 2 for u, v in zip(conn.apply(x, y), conn.apply(y, x)))
-
-    def neg(x):
-        return tuple(-c for c in x)
-
-    values = []
-    for x0 in points:
-        x1 = neg(b(x0, x0))
-        x2 = neg(b(x0, x1))
-        p4 = tuple(u + 2 * v for u, v in zip(b(x1, x1), b(x0, x2)))
-        values.append((p4, b(x1, x2), b(x2, x2)))
-    return values
-
-
-def test_exact_and_numeric_completeness_agree_on_witnesses(numeric_verdict):
+def test_exact_and_numeric_completeness_agree_on_witnesses():
+    """The grid proof and the Taylor coefficients at numeric starts give degree 2 on every non-flat witness."""
     structures = nonflat_witness_structures()
     assert len({cp_connection(cps) for _, cps in structures}) == 7
-    rng = random.Random(11)
-    points = [vec(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)) for _ in range(4)]
     for _, cps in structures:
         conn = cp_connection(cps)
         cert = connection_is_complete_certificate(curvature(conn))
-        assert cert.method == "exact-polynomial-geodesic"
-        assert cert.verdict is numeric_verdict(conn) is True
-        assert cert.details["degree"] <= 2
+        assert cert.method == "exact-polynomial-geodesic" and cert.verdict is True
+        assert cert.details["degree"] == taylor_least_degree(conn, seed=11) == 2
         assert cert.details["grid"] == {"order": 6, "points": 462}
-        assert all(not any(values) for p in exact_reference(conn, points) for values in p)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_exact_and_numeric_completeness_agree_on_benchmark_inputs(capsys, tmp_path, numeric_verdict, seed):
-    """connection-report's verdict on the `completeness` workload inputs equals
-    the numeric one, and its `completeness` is the `geodesic` payload."""
+def test_exact_and_numeric_completeness_agree_on_benchmark_inputs(capsys, tmp_path, workloads, seed):
+    """connection-report's degree on the `completeness` workload inputs equals
+    the Taylor reference's, and its `completeness` is the `geodesic` payload."""
     import json
 
     from cpslie.cli import main
     from cpslie.lie import algebra_from_json
     from cpslie.structures import endo_from_json
 
-    inputs = load_bench_workloads().generate("completeness", seed, tmp_path)
+    inputs = workloads.generate("completeness", seed, tmp_path)
     reports = [c for c in inputs.commands if c.kind == "connection-report"]
     assert len(reports) == 7
     for command in reports:
@@ -759,7 +490,18 @@ def test_exact_and_numeric_completeness_agree_on_benchmark_inputs(capsys, tmp_pa
         with open(command.argv[command.argv.index("--cps") + 1]) as fh:
             data = json.load(fh)
         cps = assemble_cps(algebra_from_json(data["algebra"]), endo_from_json(data["J"]), endo_from_json(data["E"]))
-        assert completeness["verdict"] is numeric_verdict(cp_connection(cps)) is True
+        assert completeness["verdict"] is True
+        assert completeness["details"]["degree"] == taylor_least_degree(cp_connection(cps), seed=seed) == 2
+
+
+def circle_connection():
+    """Symmetric gamma on the abelian R^3 with x1' = -x2 x3, x2' = x1 x3,
+    x3' = 0: every geodesic is a circle, finite and not quadratic."""
+    half = Q(1, 2)
+    gamma = [[(0, 0, 0)] * 3 for _ in range(3)]
+    gamma[1][2] = gamma[2][1] = (half, 0, 0)
+    gamma[0][2] = gamma[2][0] = (0, -half, 0)
+    return Connection(LieAlgebra.abelian(3), tensor_from_table(gamma))
 
 
 def blow_up_connection():
@@ -769,39 +511,33 @@ def blow_up_connection():
     return Connection(LieAlgebra.abelian(3), tensor_from_table(gamma))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("make", [circle_connection, blow_up_connection], ids=["circles", "blow_up"])
-def test_exact_and_numeric_completeness_agree_on_controls(numeric_verdict, make):
+def test_exact_and_numeric_completeness_agree_on_controls(make):
     conn = make()
-    # circles are not polynomials, and x1 = 1/(t + 1/x1(0)) is not either
+    # circles are not polynomials, and x1 = 1/(t + 1/x1(0)) is not either:
+    # no degree up to the cap passes, on the grid or at the numeric starts
     poly = exact_polynomial_geodesic_certificate(conn)
-    assert poly.verdict is numeric_verdict(conn) is False
+    assert poly.verdict is False and taylor_least_degree(conn) is None
     assert (poly.details["degree"], poly.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
     assert poly.details["grid"] == {"order": 2 * GEODESIC_MAX_DEGREE + 2, "points": 66}
-    # degree 2 fails in the Fraction reference too: some P_d is nonzero
-    rng = random.Random(5)
-    points = [vec(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)) for _ in range(4)]
-    assert any(any(values) for p in exact_reference(conn, points) for values in p)
 
 
-def test_one_entry_perturbation_fails_the_exact_certificate(numeric_verdict):
+def test_one_entry_perturbation_fails_the_exact_certificate():
     entry = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,14,24)")
     _, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
     conn = cp_connection(cps)
     cert = connection_is_complete_certificate(curvature(conn))
-    assert cert.method == "exact-polynomial-geodesic" and cert.details["degree"] <= 2
+    assert cert.method == "exact-polynomial-geodesic" and cert.details["degree"] == taylor_least_degree(conn) == 2
     # nabla_{e1} e2 gains an e2 component
     e = lambda i: basis_vec(6, i)  # noqa: E731
     gamma = [[conn.apply(e(i), e(j)) for j in range(6)] for i in range(6)]
     gamma[0][1] = tuple(c + (k == 1) for k, c in enumerate(gamma[0][1]))
     perturbed = Connection(conn.algebra, tensor_from_table(gamma))
-    # P4 is nonzero in the Fraction reference, so degree 2 fails
-    rng = random.Random(3)
-    points = [vec(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)) for _ in range(4)]
-    assert any(any(p4) for p4, _, _ in exact_reference(perturbed, points))
-    # no degree up to the cap passes, and connection-report reports that search
+    # no degree up to the cap passes, on the grid or at the numeric starts,
+    # and connection-report reports that search
     poly = exact_polynomial_geodesic_certificate(perturbed)
-    assert poly.method == "exact-polynomial-geodesic" and poly.verdict is numeric_verdict(perturbed) is False
+    assert poly.method == "exact-polynomial-geodesic" and poly.verdict is False
+    assert taylor_least_degree(perturbed) is None
     assert (poly.details["degree"], poly.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
     assert poly.details["grid"] == {"order": 2 * GEODESIC_MAX_DEGREE + 2, "points": 3003}
     assert connection_is_complete_certificate(curvature(perturbed)) == poly
@@ -827,16 +563,15 @@ def test_exact_certificate_is_invariant_under_dense_basis_changes():
             assert exact_polynomial_geodesic_certificate(conn).details["degree"] == 2
 
 
-def test_least_degree_agrees_with_the_rk4_reference(fit_residuals):
-    """On each non-flat tensor the exact least degree is 2, and so is the
-    least degree whose polynomial fit matches the integrated geodesics."""
+def test_least_degree_agrees_with_the_taylor_reference():
+    """On each non-flat tensor the least degree the grid proves is 2, and so
+    is the least degree of the Taylor coefficients at three seeded starts."""
     tensors = {cp_connection(cps) for _, cps in nonflat_witness_structures()}
     assert len(tensors) == 7
     for conn in tensors:
         cert = exact_polynomial_geodesic_certificate(conn)
         assert cert.verdict and cert.details["grid"] == {"order": 6, "points": 462}
-        fitted = next(d for d, r in enumerate(fit_residuals(conn)) if r <= GEODESIC_REL_TOL)
-        assert cert.details["degree"] == fitted == 2
+        assert cert.details["degree"] == taylor_least_degree(conn) == 2
 
 
 def quartic_examples():
@@ -845,18 +580,17 @@ def quartic_examples():
 
 
 @pytest.mark.parametrize("name", ["fried_n4", "eight_dim"])
-def test_fried_and_eight_dim_geodesics_have_degree_four(fit_residuals, name):
-    """The least degree is 4, so degrees 2 and 3 fail, as the RK4
-    reference's fits agree; the 8-dimensional example is the complete
-    connection that the degree-2 fit, once the `geodesic` command, rejected
-    (relative residual 0.137)."""
+def test_fried_and_eight_dim_geodesics_have_degree_four(name):
+    """The least degree is 4, so degrees 2 and 3 fail, as the Taylor
+    reference agrees; the 8-dimensional example is the complete connection
+    that a degree-2 polynomial fit, once the `geodesic` command, rejected."""
     conn = quartic_examples()[name]
     cert = exact_polynomial_geodesic_certificate(conn)
     assert cert.verdict is True
     assert (cert.details["degree"], cert.details["degree_reached"]) == (4, 4)
     n = conn.algebra.dim
     assert cert.details["grid"] == {"order": 10, "points": math.comb(n + 9, 10)}
-    assert next(d for d, r in enumerate(fit_residuals(conn)) if r <= GEODESIC_REL_TOL) == 4
+    assert taylor_least_degree(conn) == 4
 
 
 def test_polynomial_certificate_stops_at_the_point_budget():
