@@ -5,7 +5,6 @@ from .catalog import (
     eight_dim_example,
     family_flatness_value,
     fried_example,
-    heisenberg_complex_examples,
     load_catalog,
     nonexistence_report,
     verify_table,
@@ -27,7 +26,6 @@ from .connection import (
 )
 from .hypercomplex import (
     HypercomplexStructure,
-    is_abelian_hypercomplex,
     lift_cps,
     obata_connection,
 )
@@ -49,12 +47,9 @@ from .structures import (
     ascending_series,
     assemble_cps,
     complex_integrability_defect,
-    eigenspaces,
     find_central_invariant_ideal,
-    is_abelian_complex,
     product_integrability_defect,
     rotate_product,
-    rotate_product_rational_angle,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,14 +24,13 @@ from .lie import (
     change_basis,
     semidirect_product,
 )
-from .linalg import Q, QMatrix, SparseTensor, Subspace, basis_vec, q, vec, vec_neg
+from .linalg import Q, QMatrix, SparseTensor, Subspace, basis_vec, q, vec
 from .salamon import parse_salamon
 from .structures import (
     CPS,
     Endo,
     StructureError,
     assemble_cps,
-    cps_from_split,
     double_type,
     rotate_product,
 )
@@ -640,35 +639,3 @@ def eight_dim_example():
     g = semidirect_product(n4, lsa.nablas())
     return g, assemble_cps(g, *_standard_cps(4))
 
-
-def heisenberg_complex_examples():
-    """Three CPS on the realified complex Heisenberg algebra.
-
-    Double types: (abelian, abelian), (abelian, Heisenberg), and
-    (Heisenberg, Heisenberg).
-    """
-    g = parse_salamon("(0,0,0,0,13+42,14+23)")
-    e = [basis_vec(6, i) for i in range(6)]
-
-    j1 = QMatrix.from_cols([e[2], e[3], vec_neg(e[0]), vec_neg(e[1]), e[5], vec_neg(e[4])])
-    cps1 = cps_from_split(g, j1, [e[0], e[1], e[4]], [e[2], e[3], e[5]])
-
-    # J e1 = e2 - e4, J e2 = -(e1 + e3); squares to -Id
-    j2 = QMatrix.from_cols(
-        [
-            vec(( 0, 1, 0, -1, 0, 0)),
-            vec((-1, 0, -1, 0, 0, 0)),
-            vec(( 0, 0, 0, 1, 0, 0)),
-            vec(( 0, 0, -1, 0, 0, 0)),
-            e[5],
-            vec_neg(e[4]),
-        ]
-    )
-    plus2 = [e[0], e[1], e[4]]
-    minus2 = [vec((1, 0, 1, 0, 0, 0)), vec((0, -1, 0, 1, 0, 0)), e[5]]
-    cps2 = cps_from_split(g, j2, plus2, minus2)
-
-    plus3 = [vec((1, 1, 1, 0, 0, 0)), vec((1, -1, 0, 1, 0, 0)), vec((0, 0, 0, 0, 1, -1))]
-    minus3 = [vec((-1, 1, -1, 0, 0, 0)), vec((1, 1, 0, -1, 0, 0)), vec((0, 0, 0, 0, 1, 1))]
-    cps3 = cps_from_split(g, j2, plus3, minus3)
-    return [(g, cps1), (g, cps2), (g, cps3)]

@@ -63,7 +63,7 @@ def _load_cps(args) -> CPS:
     """
     data = _read_json(args.cps)
     try:
-        if args.algebra:
+        if args.algebra is not None:
             algebra = _load_algebra_spec(args.algebra)
         elif "algebra" in data:
             algebra = _algebra_from_data(data["algebra"])
@@ -96,11 +96,12 @@ def _parse(salamon: str, seed: int):
 
 
 def _check_structure(cps: CPS, seed: int):
-    types = double_type(cps)
+    # iso_type_3d classifies 3-dimensional subalgebras only
+    types = [t.value for t in double_type(cps)] if cps.plus.dim == cps.minus.dim == 3 else None
     payload = {
         "valid": True,
         "failures": [],
-        "double_type": [types[0].value, types[1].value],
+        "double_type": types,
         "plus": cps.plus.to_json(),
         "minus": cps.minus.to_json(),
     }

@@ -163,13 +163,6 @@ class CurvatureReport(NamedTuple):
     is_ricci_flat: bool
     traceless: bool
 
-    def operator(self, i: int, j: int) -> QMatrix:
-        if i == j:
-            return QMatrix.zeros(self.ricci.rows, self.ricci.cols)
-        if i < j:
-            return self.r[(i, j)]
-        return self.r[(j, i)].scale(-1)
-
     def nonzero_entries(self):
         out = []
         for (i, j), m in sorted(self.r.items()):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .connection import Connection, parallel_defect, torsion_defect
 from .lie import LieAlgebra, complexify_realified
 from .linalg import QMatrix
-from .structures import CPS, Endo, _integrability_defect, is_abelian_complex, square_failures
+from .structures import CPS, Endo, _integrability_defect, square_failures
 
 
 class LiftError(ValueError):
@@ -89,7 +89,3 @@ def obata_connection(h: HypercomplexStructure, base: Connection) -> Connection:
             raise LiftError(f"extended connection does not parallelize {name}")
     return conn
 
-
-def is_abelian_hypercomplex(h: HypercomplexStructure) -> bool:
-    """True iff each of J1, J2, J3 satisfies [Jx, Jy] = [x, y]."""
-    return all(is_abelian_complex(h.algebra, j) for j in (h.j1, h.j2, h.j3))

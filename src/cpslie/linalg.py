@@ -556,10 +556,9 @@ def is_nilpotent_matrix(m: QMatrix) -> bool:
 class Subspace:
     """Linear subspace of Q^n held as a canonical RREF row basis."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("basis", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: QMatrix):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
+    def __init__(self, basis: QMatrix):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(
             self, "pivots", tuple(next(j for j, x in enumerate(r) if x) for r in basis.num)
@@ -577,15 +576,19 @@ class Subspace:
         reduced, pivots = _rref(rows, ambient_dim)
         den = lcm(*[r[p] for r, p in zip(reduced, pivots)])
         num = [[x * (den // r[p]) for x in r] for r, p in zip(reduced, pivots)]
-        return cls(ambient_dim, _matrix(num, den, ambient_dim))
+        return cls(_matrix(num, den, ambient_dim))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, QMatrix.zeros(0, n))
+        return cls(QMatrix.zeros(0, n))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, QMatrix.identity(n))
+        return cls(QMatrix.identity(n))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     @property
     def dim(self) -> int:
@@ -624,14 +627,10 @@ class Subspace:
         return all(self.contains(r) for r in other.basis.num)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash(self.basis)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from .lie import LieAlgebra, ThreeDimType, center, is_ideal, iso_type_3d
 from .linalg import (
-    Q,
     QMatrix,
     Subspace,
     Vector,
@@ -23,7 +22,6 @@ from .linalg import (
     right_product,
     swapped,
     transposed_blocks,
-    vec_is_zero,
 )
 
 Endo = QMatrix
@@ -88,23 +86,6 @@ def product_integrability_defect(g: LieAlgebra, e: Endo) -> list[tuple[int, int,
     return _integrability_defect(g, e, -1)
 
 
-def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:
-    """[Jx, Jy] = [x, y] on all basis pairs (implies integrability)."""
-    _require(j, 1, "J")
-    if right_product(g.ad_columns(j), j) != swapped(g.structure.side):
-        return False
-    if _integrability_defect(g, j, 1):
-        raise StructureError("J_integrability", "an abelian J must be integrable")
-    return True
-
-
-def eigenspaces(e: Endo) -> tuple[Subspace, Subspace]:
-    """(+1 eigenspace, -1 eigenspace) of a product structure E != +/-Id."""
-    _require(e, -1, "E")
-    ident = QMatrix.identity(e.rows)
-    return kernel(e - ident), kernel(e + ident)
-
-
 class CPS:
     """Validated complex product structure {J, E} on a Lie algebra."""
 
@@ -162,41 +143,19 @@ def assemble_cps(g: LieAlgebra, j: Endo, e: Endo) -> CPS:
     return CPS(g, j, e, kernel(e - ident), kernel(e + ident))
 
 
-def cps_from_split(g: LieAlgebra, j: Endo, plus_vectors, minus_vectors) -> CPS:
-    """Build E = +Id/-Id on a given splitting and assemble the CPS."""
-    n = g.dim
-    cols = [list(v) for v in plus_vectors] + [list(v) for v in minus_vectors]
-    if len(cols) != n:
-        raise ValueError("splitting must cover the whole space")
-    s = QMatrix.from_cols([tuple(q(x) for x in c) for c in cols])
-    d = QMatrix.diag_blocks(
-        QMatrix.identity(len(plus_vectors)),
-        QMatrix.identity(len(minus_vectors)).scale(-1),
-    )
-    e = s @ d @ s.inverse()
-    return assemble_cps(g, j, e)
-
-
 def double_type(cps: CPS) -> tuple[ThreeDimType, ThreeDimType]:
     return iso_type_3d(cps.algebra, cps.plus), iso_type_3d(cps.algebra, cps.minus)
 
 
 def rotate_product(cps: CPS, c) -> Endo:
-    """E' = pE + qJE with p = (c^2-1)/(c^2+1), q = 2c/(c^2+1).
+    """E' = pE + qJE with p = (c^2-1)/(c^2+1), q = 2c/(c^2+1); `assemble_cps` validates it.
 
-    c = 0 returns -E; c = 1 returns JE.
+    Every circle point (p, q) other than (1, 0) is c = q/(1-p).  c = 0
+    returns -E; c = 1 returns JE.
     """
     c = q(c)
     denom = c * c + 1
-    return rotate_product_rational_angle(cps, (c * c - 1) / denom, 2 * c / denom)
-
-
-def rotate_product_rational_angle(cps: CPS, p, qq) -> Endo:
-    """pE + qJE for an exact circle point p^2 + q^2 = 1; `assemble_cps` validates it."""
-    p, qq = q(p), q(qq)
-    if p * p + qq * qq != 1:
-        raise StructureError("circle", f"p^2 + q^2 = {p * p + qq * qq} != 1")
-    return cps.e.scale(p) + (cps.j @ cps.e).scale(qq)
+    return cps.e.scale((c * c - 1) / denom) + (cps.j @ cps.e).scale(2 * c / denom)
 
 
 def ascending_series(g: LieAlgebra, j: Endo) -> list[Subspace]:
@@ -234,71 +193,6 @@ def find_central_invariant_ideal(cps: CPS) -> Subspace | None:
             raise StructureError("central_ideal", "a J- and E-invariant central subspace must be an ideal")
         return w
     return None
-
-
-def split_coordinates(cps: CPS) -> tuple[QMatrix, QMatrix]:
-    """(pi_plus, pi_minus), the projections onto the eigenspaces along each other.
-
-    E^2 = Id makes them (Id +- E) / 2.
-    """
-    ident = QMatrix.identity(cps.algebra.dim)
-    return (ident + cps.e).scale(Q(1, 2)), (ident - cps.e).scale(Q(1, 2))
-
-
-def rho_matrix(cps: CPS, x: Vector) -> QMatrix:
-    """rho(x): minus -> minus, the minus-component of [x, .], for x in plus."""
-    if not cps.plus.contains(x):
-        raise ValueError("x must lie in the + eigenspace")
-    g = cps.algebra
-    _, pim = split_coordinates(cps)
-    cols = []
-    for b in cps.minus.basis_vectors():
-        w = pim.apply(g.bracket(x, b))
-        cols.append(cps.minus.coordinates(w))
-    return QMatrix.from_cols(cols)
-
-
-def mu_matrix(cps: CPS, xp: Vector) -> QMatrix:
-    """mu(x'): plus -> plus, via [x, x'] = -mu(x')x + rho(x)x'."""
-    if not cps.minus.contains(xp):
-        raise ValueError("x' must lie in the - eigenspace")
-    g = cps.algebra
-    pip, _ = split_coordinates(cps)
-    cols = []
-    for b in cps.plus.basis_vectors():
-        w = pip.apply(g.bracket(b, xp))
-        cols.append(cps.plus.coordinates(tuple(-a for a in w)))
-    return QMatrix.from_cols(cols)
-
-
-def h3x2_constant(cps: CPS) -> Q:
-    """The scalar c with J z_+ = c z_- for a Heisenberg x Heisenberg CPS.
-
-    z_+ = [u1, u2] for a basis u1, u2 complementing the derived line of
-    the + side, and z_- = [J u1, J u2]; c does not depend on the choice.
-    """
-    types = double_type(cps)
-    if types != (ThreeDimType.HEISENBERG3, ThreeDimType.HEISENBERG3):
-        raise ValueError("both eigenspace subalgebras must be Heisenberg")
-    g = cps.algebra
-    basis = cps.plus.basis_vectors()
-    pair = next(
-        (a, b)
-        for a in range(3)
-        for b in range(a + 1, 3)
-        if not vec_is_zero(g.bracket(basis[a], basis[b]))
-    )
-    u1, u2 = basis[pair[0]], basis[pair[1]]
-    z_plus = g.bracket(u1, u2)
-    z_minus = g.bracket(cps.j.apply(u1), cps.j.apply(u2))
-    jz = cps.j.apply(z_plus)
-    ratios = {jz[k] / z_minus[k] for k in range(g.dim) if z_minus[k] != 0}
-    if len(ratios) != 1:
-        raise ValueError("J z_+ is not proportional to z_-")
-    c = ratios.pop()
-    if Subspace.from_spanning([jz], g.dim) != Subspace.from_spanning([z_minus], g.dim):
-        raise ValueError("J z_+ is not proportional to z_-")
-    return c
 
 
 def endo_from_json(data) -> Endo:

@@ -1,0 +1,99 @@
+"""Test-only fixtures: example structures and checks that no command uses.
+
+The Heisenberg examples, the Heisenberg x Heisenberg constant and the
+abelian check live here rather than in the package, since only the tests
+read them.
+"""
+
+from cpslie.lie import LieAlgebra, ThreeDimType
+from cpslie.linalg import Q, QMatrix, Subspace, basis_vec, q, right_product, swapped, vec, vec_is_zero, vec_neg
+from cpslie.salamon import parse_salamon
+from cpslie.structures import CPS, Endo, StructureError, _integrability_defect, _require, assemble_cps, double_type
+
+
+def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:
+    """[Jx, Jy] = [x, y] on all basis pairs (implies integrability)."""
+    _require(j, 1, "J")
+    if right_product(g.ad_columns(j), j) != swapped(g.structure.side):
+        return False
+    if _integrability_defect(g, j, 1):
+        raise StructureError("J_integrability", "an abelian J must be integrable")
+    return True
+
+
+def cps_from_split(g: LieAlgebra, j: Endo, plus_vectors, minus_vectors) -> CPS:
+    """Build E = +Id/-Id on a given splitting and assemble the CPS."""
+    n = g.dim
+    cols = [list(v) for v in plus_vectors] + [list(v) for v in minus_vectors]
+    if len(cols) != n:
+        raise ValueError("splitting must cover the whole space")
+    s = QMatrix.from_cols([tuple(q(x) for x in c) for c in cols])
+    d = QMatrix.diag_blocks(
+        QMatrix.identity(len(plus_vectors)),
+        QMatrix.identity(len(minus_vectors)).scale(-1),
+    )
+    e = s @ d @ s.inverse()
+    return assemble_cps(g, j, e)
+
+
+def h3x2_constant(cps: CPS) -> Q:
+    """The scalar c with J z_+ = c z_- for a Heisenberg x Heisenberg CPS.
+
+    z_+ = [u1, u2] for a basis u1, u2 complementing the derived line of
+    the + side, and z_- = [J u1, J u2]; c does not depend on the choice.
+    """
+    types = double_type(cps)
+    if types != (ThreeDimType.HEISENBERG3, ThreeDimType.HEISENBERG3):
+        raise ValueError("both eigenspace subalgebras must be Heisenberg")
+    g = cps.algebra
+    basis = cps.plus.basis_vectors()
+    pair = next(
+        (a, b)
+        for a in range(3)
+        for b in range(a + 1, 3)
+        if not vec_is_zero(g.bracket(basis[a], basis[b]))
+    )
+    u1, u2 = basis[pair[0]], basis[pair[1]]
+    z_plus = g.bracket(u1, u2)
+    z_minus = g.bracket(cps.j.apply(u1), cps.j.apply(u2))
+    jz = cps.j.apply(z_plus)
+    ratios = {jz[k] / z_minus[k] for k in range(g.dim) if z_minus[k] != 0}
+    if len(ratios) != 1:
+        raise ValueError("J z_+ is not proportional to z_-")
+    c = ratios.pop()
+    if Subspace.from_spanning([jz], g.dim) != Subspace.from_spanning([z_minus], g.dim):
+        raise ValueError("J z_+ is not proportional to z_-")
+    return c
+
+
+def heisenberg_complex_examples():
+    """Three CPS on the realified complex Heisenberg algebra.
+
+    Double types: (abelian, abelian), (abelian, Heisenberg), and
+    (Heisenberg, Heisenberg).
+    """
+    g = parse_salamon("(0,0,0,0,13+42,14+23)")
+    e = [basis_vec(6, i) for i in range(6)]
+
+    j1 = QMatrix.from_cols([e[2], e[3], vec_neg(e[0]), vec_neg(e[1]), e[5], vec_neg(e[4])])
+    cps1 = cps_from_split(g, j1, [e[0], e[1], e[4]], [e[2], e[3], e[5]])
+
+    # J e1 = e2 - e4, J e2 = -(e1 + e3); squares to -Id
+    j2 = QMatrix.from_cols(
+        [
+            vec(( 0, 1, 0, -1, 0, 0)),
+            vec((-1, 0, -1, 0, 0, 0)),
+            vec(( 0, 0, 0, 1, 0, 0)),
+            vec(( 0, 0, -1, 0, 0, 0)),
+            e[5],
+            vec_neg(e[4]),
+        ]
+    )
+    plus2 = [e[0], e[1], e[4]]
+    minus2 = [vec((1, 0, 1, 0, 0, 0)), vec((0, -1, 0, 1, 0, 0)), e[5]]
+    cps2 = cps_from_split(g, j2, plus2, minus2)
+
+    plus3 = [vec((1, 1, 1, 0, 0, 0)), vec((1, -1, 0, 1, 0, 0)), vec((0, 0, 0, 0, 1, -1))]
+    minus3 = [vec((-1, 1, -1, 0, 0, 0)), vec((1, 1, 0, -1, 0, 0)), vec((0, 0, 0, 0, 1, 1))]
+    cps3 = cps_from_split(g, j2, plus3, minus3)
+    return [(g, cps1), (g, cps2), (g, cps3)]

@@ -41,7 +41,7 @@ from cpslie.structures import (
     ascending_series,
     assemble_cps,
     find_central_invariant_ideal,
-    rotate_product_rational_angle,
+    rotate_product,
 )
 from cpslie.linalg import map_subspace
 from geodesic_reference import taylor_least_degree
@@ -180,7 +180,7 @@ def test_criterion_05_flatness_criteria():
                 coeff = -2 * (a * f - c * e)
             else:
                 coeff = -(2 * (a * f - c * e) + a)
-            op = rep.operator(0, 3)
+            op = rep.r[0, 3]
             assert op.apply(basis_vec(6, 0)) == vec((0, 0, coeff, 0, 0, 0))
             assert op.apply(basis_vec(6, 3)) == vec((0, 0, 0, 0, 0, coeff))
         assert flats >= 4 and flats < len(grid)
@@ -258,22 +258,16 @@ CIRCLE_CONSTANTS = (Q(1), Q(2), Q(3), Q(1, 2), Q(-1), Q(-2), Q(5), Q(2, 3), Q(-1
 
 @criterion(8, "the connection does not move under rational rotations of E")
 def test_criterion_08_rotation_invariance():
-    points = []
-    for c in CIRCLE_CONSTANTS:
-        d = c * c + 1
-        points.append(((c * c - 1) / d, 2 * c / d))
-    assert len(points) == 10
+    assert len(set(CIRCLE_CONSTANTS)) == 10
     seen = set()
     for entry, w, g, cps, conn in all_connections():
         key = (id(g), conn.tensor)
         if key in seen:
             continue
         seen.add(key)
-        for p, qq in points:
-            assert p * p + qq * qq == 1
-            e_theta = rotate_product_rational_angle(cps, p, qq)
-            rotated = assemble_cps(g, cps.j, e_theta)
-            assert cp_connection(rotated) == conn, (entry.salamon, w.name, (p, qq))
+        for c in CIRCLE_CONSTANTS:
+            rotated = assemble_cps(g, cps.j, rotate_product(cps, c))
+            assert cp_connection(rotated) == conn, (entry.salamon, w.name, c)
 
 
 @criterion(9, "hypercomplex lifts: doubled tables, Obata verdicts, quaternions")

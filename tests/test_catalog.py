@@ -20,7 +20,6 @@ from cpslie.catalog import (
     family_flatness_value,
     flatness_closed_form,
     fried_example,
-    heisenberg_complex_examples,
     nonexistence_report,
     prove_family_flatness,
     table_rows,
@@ -49,9 +48,9 @@ from cpslie.structures import (
     assemble_cps,
     double_type,
     find_central_invariant_ideal,
-    h3x2_constant,
     rotate_product,
 )
+from examples import h3x2_constant, heisenberg_complex_examples
 
 TABLE = {
     "(0,0,0,0,0,0)": (True, False, False),

@@ -137,6 +137,58 @@ def test_algebra_flag_overrides_file(capsys, tmp_path, cps_file):
     assert json.loads(out)["valid"]
 
 
+def test_empty_algebra_flag_is_not_ignored(capsys, tmp_path, cps_file):
+    """--algebra "" is loaded like any other spec and fails, with or without an
+    algebra in the CPS file; it neither falls back to the file's algebra nor
+    reports that no algebra was given."""
+    with open(cps_file) as fh:
+        data = json.load(fh)
+    del data["algebra"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(data))
+    for path in (cps_file, str(bare)):
+        code = main(["check-structure", "--algebra", "", "--cps", path])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        error = _strict_json(lines[0])["error"]
+        assert "no algebra" not in error, path
+
+
+def _cps_json(path, g, cps):
+    """Write (g, J, E) as a CPS file at `path`; return the path as a string."""
+    from cpslie.lie import algebra_to_json
+
+    path.write_text(
+        json.dumps({"algebra": algebra_to_json(g), "J": {"matrix": cps.j.to_json()}, "E": {"matrix": cps.e.to_json()}})
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check-structure", "connection-report", "hypercomplex", "geodesic"])
+@pytest.mark.parametrize("example", ["eight_dim", "trivial_r2"])
+def test_cps_commands_accept_a_dimension_other_than_six(capsys, tmp_path, example, command):
+    """A valid CPS on the 8-dimensional example or on R^2 passes every --cps
+    command; check-structure reports no double type, which is defined for
+    two 3-dimensional eigenspaces only."""
+    from cpslie.catalog import eight_dim_example
+    from cpslie.lie import LieAlgebra
+    from cpslie.linalg import QMatrix
+    from cpslie.structures import assemble_cps
+
+    if example == "eight_dim":
+        g, cps = eight_dim_example()
+    else:
+        g = LieAlgebra.abelian(2)
+        cps = assemble_cps(g, QMatrix([[0, -1], [1, 0]]), QMatrix([[1, 0], [0, -1]]))
+    code, out = run_cli(capsys, command, "--cps", _cps_json(tmp_path / "cps.json", g, cps))
+    assert code == 0, out
+    if command == "check-structure":
+        data = json.loads(out)
+        assert data["valid"] is True and data["double_type"] is None
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code = main(["parse", "(0,0,12)", "--out", str(target)])
@@ -609,17 +661,10 @@ def test_failed_construction_check_gives_json_error(capsys, cps_file, monkeypatc
 def nonflat_cps_file(tmp_path):
     """The stored non-flat (0,0,0,12,14,24) witness as a CPS file."""
     from cpslie.catalog import load_catalog, witness_structure
-    from cpslie.lie import algebra_to_json
 
     entry = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,14,24)")
     g, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
-    path = tmp_path / "nonflat.json"
-    path.write_text(
-        json.dumps(
-            {"algebra": algebra_to_json(g), "J": {"matrix": cps.j.to_json()}, "E": {"matrix": cps.e.to_json()}}
-        )
-    )
-    return str(path)
+    return _cps_json(tmp_path / "nonflat.json", g, cps)
 
 
 # Work per command: (squarings, curvature, torsion_defect, parallel_defect)

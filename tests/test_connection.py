@@ -11,7 +11,6 @@ from cpslie.catalog import (
     eight_dim_example,
     family_flatness_value,
     fried_example,
-    heisenberg_complex_examples,
     load_catalog,
     witness_structure,
 )
@@ -34,7 +33,8 @@ from cpslie.connection import (
 from cpslie.lie import LieAlgebra, ThreeDimType, center, lower_central_series
 from cpslie.linalg import QMatrix, basis_vec, rank, vec, vec_sub
 from cpslie.salamon import parse_salamon
-from cpslie.structures import assemble_cps, rotate_product_rational_angle
+from cpslie.structures import assemble_cps, rotate_product
+from examples import heisenberg_complex_examples
 from geodesic_reference import taylor_least_degree
 from table_helper import tensor_from_table
 
@@ -127,7 +127,7 @@ def test_parallelism_including_rotations():
     g, cps, conn = family_connection("H3R_10", PARAMS)
     assert parallel_defect(conn, cps.j) == []
     assert parallel_defect(conn, cps.e) == []
-    e_theta = rotate_product_rational_angle(cps, Q(3, 5), Q(4, 5))
+    e_theta = rotate_product(cps, 2)  # the circle point (3/5, 4/5)
     assert parallel_defect(conn, e_theta) == []
 
 
@@ -136,7 +136,7 @@ def test_curvature_closed_form_family_100():
     _, _, conn = family_connection("H3R_00", PARAMS)
     rep = curvature(conn)
     coeff = -2 * (a * f - c * e)
-    r_e1_f1 = rep.operator(0, 3)
+    r_e1_f1 = rep.r[0, 3]
     assert r_e1_f1.apply(basis_vec(6, 0)) == vec((0, 0, coeff, 0, 0, 0))
     assert r_e1_f1.apply(basis_vec(6, 3)) == vec((0, 0, 0, 0, 0, coeff))
     # every other curvature operator vanishes
@@ -150,7 +150,7 @@ def test_curvature_closed_form_family_110():
     _, _, conn = family_connection("H3R_10", PARAMS)
     rep = curvature(conn)
     coeff = -(2 * (a * f - c * e) + a)
-    r_e1_f1 = rep.operator(0, 3)
+    r_e1_f1 = rep.r[0, 3]
     assert r_e1_f1.apply(basis_vec(6, 0)) == vec((0, 0, coeff, 0, 0, 0))
     assert r_e1_f1.apply(basis_vec(6, 3)) == vec((0, 0, 0, 0, 0, coeff))
 

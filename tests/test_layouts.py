@@ -43,7 +43,8 @@ from cpslie.linalg import (
     vec_is_zero,
     vec_sub,
 )
-from cpslie.structures import _integrability_defect, assemble_cps, is_abelian_complex, split_coordinates
+from cpslie.structures import _integrability_defect, assemble_cps
+from examples import is_abelian_complex
 from table_helper import tensor_from_table
 
 WITNESSES = [(entry.salamon, w) for entry in load_catalog() for w in entry.witnesses]
@@ -99,7 +100,8 @@ def ref_curvature(conn):
 
 def ref_cp_connection(cps):
     g, j = cps.algebra, cps.j
-    pip, pim = split_coordinates(cps)
+    ident = QMatrix.identity(g.dim)
+    pip, pim = (ident + cps.e).scale(Q(1, 2)), (ident - cps.e).scale(Q(1, 2))
     lp, rp = -(pip @ j), j @ pip
     lm, rm = -(pim @ j), j @ pim
     nablas = []

@@ -19,7 +19,8 @@ from cpslie.connection import cp_connection, curvature
 from cpslie.hypercomplex import lift_cps, obata_connection
 from cpslie.lie import ThreeDimType, change_basis
 from cpslie.linalg import QMatrix, rank
-from cpslie.structures import assemble_cps, double_type, h3x2_constant, validate_cps
+from cpslie.structures import assemble_cps, double_type, validate_cps
+from examples import h3x2_constant
 
 WITNESSES = [(entry.salamon, w) for entry in load_catalog() for w in entry.witnesses]
 H3XH3 = (ThreeDimType.HEISENBERG3, ThreeDimType.HEISENBERG3)

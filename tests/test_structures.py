@@ -6,14 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpslie.catalog import (
-    eight_dim_example,
-    heisenberg_complex_examples,
-    load_catalog,
-    witness_structure,
-)
+from cpslie.catalog import eight_dim_example, load_catalog, witness_structure
+from cpslie.connection import cp_connection
 from cpslie.lie import LieAlgebra, ThreeDimType, center
-from cpslie.linalg import QMatrix, Subspace, basis_vec, intersect, map_subspace, rank
+from cpslie.linalg import QMatrix, Subspace, basis_vec, intersect, kernel, map_subspace, rank
 from cpslie.salamon import parse_salamon
 from cpslie.structures import (
     StructureError,
@@ -21,17 +17,13 @@ from cpslie.structures import (
     assemble_cps,
     complex_integrability_defect,
     double_type,
-    eigenspaces,
     find_central_invariant_ideal,
-    is_abelian_complex,
-    mu_matrix,
     product_integrability_defect,
-    rho_matrix,
     rotate_product,
-    rotate_product_rational_angle,
     validate_cps,
 )
 from cpslie.linalg import is_nilpotent_matrix
+from examples import h3x2_constant, heisenberg_complex_examples, is_abelian_complex
 
 E6 = lambda i: basis_vec(6, i)  # noqa: E731
 
@@ -118,10 +110,8 @@ I4 = QMatrix.identity(4)
         (lambda a: is_abelian_complex(R4, a), QMatrix.zeros(4, 3), "J_square: J^2 = -Id fails"),
         (lambda a: product_integrability_defect(R4, a), I4.scale(2), "E_square: E^2 = Id fails"),
         (lambda a: product_integrability_defect(R4, a), I4, "E_identity: E = +/-Id is excluded"),
-        (eigenspaces, I4.scale(2), "E_square: E^2 = Id fails"),
-        (eigenspaces, I4.scale(-1), "E_identity: E = +/-Id is excluded"),
     ],
-    ids=["complex", "abelian_non_square", "product", "product_identity", "eigenspaces", "eigenspaces_identity"],
+    ids=["complex", "abelian_non_square", "product", "product_identity"],
 )
 def test_public_guards_raise_the_square_failure(guard, a, message):
     with pytest.raises(StructureError) as exc:
@@ -164,14 +154,17 @@ def test_is_abelian_complex_examples():
 
 def test_eigenspaces_diagonal():
     e = QMatrix.diag_blocks(QMatrix.identity(3), QMatrix.identity(3).scale(-1))
-    plus, minus = eigenspaces(e)
+    cps = assemble_cps(LieAlgebra.abelian(6), block_j(3), e)
+    plus, minus = cps.plus, cps.minus
     assert plus == Subspace.from_spanning([E6(0), E6(1), E6(2)], 6)
     assert minus == Subspace.from_spanning([E6(3), E6(4), E6(5)], 6)
 
 
 def test_eigenspaces_rotation_family_at_theta_zero():
     e_theta = QMatrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
-    plus, minus = eigenspaces(e_theta)
+    j = QMatrix.diag_blocks(block_j(1), block_j(1))
+    cps = assemble_cps(LieAlgebra.abelian(4), j, e_theta)
+    plus, minus = cps.plus, cps.minus
     assert plus == Subspace.from_spanning([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
     assert minus == Subspace.from_spanning([(0, 1, 0, 0), (0, 0, 0, 1)], 4)
 
@@ -180,7 +173,8 @@ def test_rotation_by_one_swaps_to_diagonal_split():
     g, cps = heisenberg_complex_examples()[0]
     e2 = rotate_product(cps, 1)
     assert e2 == cps.j @ cps.e
-    plus, minus = eigenspaces(e2)
+    rotated = assemble_cps(g, cps.j, e2)
+    plus, minus = rotated.plus, rotated.minus
     assert plus == Subspace.from_spanning(
         [(1, 0, 1, 0, 0, 0), (0, 1, 0, 1, 0, 0), (0, 0, 0, 0, 1, 1)], 6
     )
@@ -213,7 +207,8 @@ def test_assemble_cps_rejects_commuting_pair():
 
 def eigen_failures_by_subspaces(j, e):
     """Reference: the eigen-conditions decided on the eigenspaces themselves."""
-    plus, minus = eigenspaces(e)
+    ident = QMatrix.identity(e.rows)
+    plus, minus = kernel(e - ident), kernel(e + ident)
     out = []
     if plus.dim != minus.dim:
         out.append("eigen_dim")
@@ -258,12 +253,11 @@ def test_rotate_product_formulas():
 
 
 def test_rotate_product_rational_angle():
+    # the circle point (p, q) = (3/5, 4/5) is c = q / (1 - p) = 2
     g, cps = heisenberg_complex_examples()[0]
-    assert rotate_product_rational_angle(cps, 1, 0) == cps.e
-    e2 = rotate_product_rational_angle(cps, Q(3, 5), Q(4, 5))
+    e2 = rotate_product(cps, Q(4, 5) / (1 - Q(3, 5)))
+    assert e2 == cps.e.scale(Q(3, 5)) + (cps.j @ cps.e).scale(Q(4, 5))
     assert product_integrability_defect(g, e2) == []
-    with pytest.raises(StructureError, match="circle"):
-        rotate_product_rational_angle(cps, 1, 1)
 
 
 def test_ascending_series_abelian():
@@ -331,26 +325,32 @@ def test_abelian_center_splitting_lemma():
     assert seen >= 5
 
 
+def restricted_nabla(conn, x, side):
+    """nabla_x on the subspace `side`, in its basis: rho(x) for x in g+ and
+    side g-, mu(x') for x' in g- and side g+."""
+    return QMatrix.from_cols([side.coordinates(conn.apply(x, b)) for b in side.basis_vectors()])
+
+
 def test_rho_mu_nilpotency_lemma():
     for entry in load_catalog():
         for w in entry.witnesses[:2]:
             g, cps = witness_structure(w)
+            conn = cp_connection(cps)
             for x in cps.plus.basis_vectors():
-                assert is_nilpotent_matrix(rho_matrix(cps, x))
+                assert is_nilpotent_matrix(restricted_nabla(conn, x, cps.minus))
             for xp in cps.minus.basis_vectors():
-                assert is_nilpotent_matrix(mu_matrix(cps, xp))
+                assert is_nilpotent_matrix(restricted_nabla(conn, xp, cps.plus))
 
 
 def test_rho_iterates_as_projected_ad_powers():
     # pi_-((ad x)^n x') = rho(x)^n x' for x in g+, x' in g-
-    from cpslie.structures import rho_matrix, split_coordinates
-
     for entry in load_catalog():
         for w in entry.witnesses[:1]:
             g, cps = witness_structure(w)
-            _, pim = split_coordinates(cps)
+            conn = cp_connection(cps)
+            pim = (QMatrix.identity(g.dim) - cps.e).scale(Q(1, 2))
             for x in cps.plus.basis_vectors():
-                rho = rho_matrix(cps, x)
+                rho = restricted_nabla(conn, x, cps.minus)
                 for xp in cps.minus.basis_vectors():
                     iterate = xp
                     coords = cps.minus.coordinates(xp)
@@ -359,20 +359,6 @@ def test_rho_iterates_as_projected_ad_powers():
                         coords = rho.apply(coords)
                         expected = cps.minus.coordinates(pim.apply(iterate))
                         assert coords == expected
-
-
-def test_split_projections_match_basis_change():
-    # pi_+- = S diag(Id, 0) S^-1 and S diag(0, Id) S^-1 on every stored witness
-    from cpslie.structures import split_coordinates
-
-    for entry in load_catalog():
-        for w in entry.witnesses:
-            _, cps = witness_structure(w)
-            s = QMatrix.from_cols(cps.plus.basis_vectors() + cps.minus.basis_vectors())
-            pip, pim = split_coordinates(cps)
-            z, i3 = QMatrix.zeros(3, 3), QMatrix.identity(3)
-            assert pip == s @ QMatrix.diag_blocks(i3, z) @ s.inverse()
-            assert pim == s @ QMatrix.diag_blocks(z, i3) @ s.inverse()
 
 
 def test_heisenberg_derived_lands_in_center():
@@ -401,7 +387,6 @@ def test_abelian_cps_iff_both_sides_abelian():
 def _normal_form_h3x2(cps):
     """Change basis so that [e1,e2]=e3, [f1,f2]=f3, Je1=f1, Je2=f2, Je3=c f3."""
     from cpslie.lie import change_basis
-    from cpslie.structures import h3x2_constant
 
     g = cps.algebra
     basis = cps.plus.basis_vectors()
@@ -439,8 +424,8 @@ def test_rotation_eigenspaces_in_h3x2_normal_form():
             _, cps = witness_structure(w)
             nf, c = _normal_form_h3x2(cps)
             assert nf.j.col(2) == tuple(c * x for x in basis_vec(6, 5))
-            e_rot = rotate_product(nf, c)
-            plus, minus = eigenspaces(e_rot)
+            rotated = assemble_cps(nf.algebra, nf.j, rotate_product(nf, c))
+            plus, minus = rotated.plus, rotated.minus
             expected_plus = Subspace.from_spanning(
                 [(c, 0, 0, 1, 0, 0), (0, c, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)], 6
             )
