@@ -165,9 +165,9 @@ def family_connection(family: str) -> Connection:
     """The cp connection of the family's standard pair, with `Poly` entries.
 
     `build_family` over the family's variables runs what every instance
-    runs: Jacobi, every CPS axiom, then torsion-freeness and nabla J =
-    nabla E = 0 in `cp_connection`.  Each zero test is a polynomial
-    identity; a failed one raises FamilyError.
+    runs: Jacobi and every CPS axiom, integrability as torsion-freeness
+    and nabla J = nabla E = 0 in `assemble_cps`.  Each zero test is a
+    polynomial identity; a failed one raises FamilyError.
     """
     try:
         return cp_connection(build_family(family, _family_variables(family))[1])

@@ -109,7 +109,7 @@ def _check_structure(cps: CPS, seed: int):
 
 
 def _connection_report(cps: CPS, seed: int):
-    # cp_connection raises unless the connection is torsion-free with J and E parallel
+    # assemble_cps certified the connection torsion-free with J and E parallel
     rep = curvature(cp_connection(cps))
     cert = connection_is_complete_certificate(rep)
     payload = {
@@ -193,13 +193,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `command` only, if it names one, else with every subparser."""
     parser = _ArgumentParser(
         prog="cpslie",
         description="verify complex product structures on nilpotent Lie algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in COMMANDS.items():
+    for name, cmd in ({command: COMMANDS[command]} if command in COMMANDS else COMMANDS).items():
         p = sub.add_parser(name, help=cmd.help)
         if cmd.subject == "salamon":
             p.add_argument("salamon")
@@ -215,8 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # a known command needs only its own subparser; anything else gets the full usage
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         cmd = COMMANDS[args.command]
         if cmd.subject == "cps":
             try:

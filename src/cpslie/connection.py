@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations_with_replacement
 from math import comb, lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .lie import LieAlgebra, is_nilpotent
 from .linalg import (
@@ -27,7 +27,9 @@ from .linalg import (
     right_product,
     swapped,
 )
-from .structures import CPS, Endo
+
+if TYPE_CHECKING:
+    from .structures import CPS
 
 
 class TorsionError(ValueError):
@@ -85,34 +87,8 @@ class Connection:
 
 
 def cp_connection(cps: CPS) -> Connection:
-    """The unique torsion-free connection with parallel J and E.
-
-    Case-wise on the eigenspace splitting, for x,y in the respective
-    eigenspaces:
-
-        nabla_{x+} y+ = -pi+ J [x+, J y+]      nabla_{x+} y- = pi- [x+, y-]
-        nabla_{x-} y- = -pi- J [x-, J y-]      nabla_{x-} y+ = pi+ [x-, y+]
-
-    The mixed terms together are W(x, y) = pi- [x+, y-] + pi+ [x-, y+],
-    which is 1/4 ([x,y] - [Ex,Ey] - E[Ex,y] + E[x,Ey]) for all x, y.  As
-    J anticommutes with E, J pi- = pi+ J, so the other two terms are
-    -J W(x, J y), and nabla_x y = W(x, y) - J W(x, J y).
-
-    Torsion-freeness and parallelism of J and E are checked here, once,
-    and a failure raises, so callers rely on them without checking again.
-    """
-    g, j, e = cps.algebra, cps.j, cps.e
-    # both on the side-by-side layout: block i of s is ad(e_i), of se ad(E e_i)
-    s, se = g.structure.side, swapped(g.ad_columns(e))
-    w = (s - right_product(se, e) - e @ (se - right_product(s, e))).scale(Q(1, 4))
-    side = w - j @ right_product(w, j)
-    conn = Connection(g, SparseTensor(side))
-    # sign bugs die here, not downstream
-    if torsion_defect(conn):
-        raise TorsionError("cp connection came out with torsion")
-    if parallel_defect(conn, cps.j) or parallel_defect(conn, cps.e):
-        raise ValueError("cp connection fails to parallelize J or E")
-    return conn
+    """The unique torsion-free connection with parallel J and E, built and checked by `assemble_cps`."""
+    return cps.connection
 
 
 def _skew(side: QMatrix) -> QMatrix:
@@ -127,7 +103,7 @@ def torsion_defect(conn: Connection) -> list[tuple[int, int, Vector]]:
     return [(i, j, v) for i, j, v in block_columns(d) if j > i]
 
 
-def parallel_defect(conn: Connection, a: Endo) -> list[tuple[int, int, Vector]]:
+def parallel_defect(conn: Connection, a: QMatrix) -> list[tuple[int, int, Vector]]:
     """Pairs where nabla_x (A y) != A nabla_x y."""
     side = conn.tensor.side
     return block_columns(right_product(side, a) - a @ side)

@@ -7,9 +7,12 @@ an integrable product structure E with JE = -EJ.
 
 from __future__ import annotations
 
+from .connection import CertificateError, Connection, parallel_defect, torsion_defect
 from .lie import LieAlgebra, ThreeDimType, center, is_ideal, iso_type_3d
 from .linalg import (
+    Q,
     QMatrix,
+    SparseTensor,
     Subspace,
     Vector,
     annihilator,
@@ -87,16 +90,17 @@ def product_integrability_defect(g: LieAlgebra, e: Endo) -> list[tuple[int, int,
 
 
 class CPS:
-    """Validated complex product structure {J, E} on a Lie algebra."""
+    """Validated complex product structure {J, E} on a Lie algebra, with its cp connection."""
 
-    __slots__ = ("algebra", "j", "e", "plus", "minus")
+    __slots__ = ("algebra", "j", "e", "plus", "minus", "connection")
 
-    def __init__(self, algebra: LieAlgebra, j: Endo, e: Endo, plus: Subspace, minus: Subspace):
+    def __init__(self, algebra: LieAlgebra, j: Endo, e: Endo, plus: Subspace, minus: Subspace, connection: Connection):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "minus", minus)
+        object.__setattr__(self, "connection", connection)
 
     def __setattr__(self, name, value):
         raise AttributeError("CPS is immutable")
@@ -106,41 +110,74 @@ class CPS:
 
 
 def validate_cps(g: LieAlgebra, j: Endo, e: Endo) -> list[str]:
-    """Failure codes for the CPS axioms; empty means valid."""
-    n = g.dim
-    if j.rows != n or j.cols != n or e.rows != n or e.cols != n:
-        return ["shape"]
-    failures = square_failures(j, 1, "J") + square_failures(e, -1, "E")
-    if failures:
-        return failures
-    ident = QMatrix.identity(n)
-    if (j @ e) != (e @ j).scale(-1):
-        failures.append("anticommute")
-    if _integrability_defect(g, j, 1):
-        failures.append("J_integrability")
-    if _integrability_defect(g, e, -1):
-        failures.append("E_integrability")
-    # As E^2 = Id, tr E = dim g+ - dim g-, and Id + E has image g+ and kernel g-,
-    # so J g+ = g- iff the dimensions agree and (Id + E) J (Id + E) = 0
-    unequal = e.trace() != 0
-    if unequal:
-        failures.append("eigen_dim")
-    if unequal or not ((ident + e) @ j @ (ident + e)).is_zero():
-        failures.append("minus_is_J_plus")
-    return failures
+    """Failure codes for the CPS axioms, in `assemble_cps`'s order; empty means valid."""
+    try:
+        assemble_cps(g, j, e)
+    except StructureError as exc:
+        return exc.failures
+    return []
+
+
+def _integrability_failures(g: LieAlgebra, named) -> list[str]:
+    """"{name}_integrability" for each (name, A, sign) of `named` whose A has a defect."""
+    return [f"{name}_integrability" for name, a, sign in named if _integrability_defect(g, a, sign)]
 
 
 def assemble_cps(g: LieAlgebra, j: Endo, e: Endo) -> CPS:
-    """Validate all CPS axioms, once, and bundle the result.
+    """Validate all CPS axioms, once, and bundle the result with its cp connection.
 
     This is the only way to a validated CPS.  On failure the
-    StructureError's `failures` holds every failure code of `validate_cps`.
+    StructureError's `failures` lists every failure code, in the order
+    shape, squares, anticommute, J and E integrability, eigen_dim,
+    minus_is_J_plus; a failed shape or square check stops there.
+
+    The last two say J g+ = g-: tr E = dim g+ - dim g- = 0, and Id + E,
+    with image g+ and kernel g-, has (Id + E) J (Id + E) = 0.  Both follow
+    from J^2 = -Id, E^2 = Id and JE = -EJ, so they can fail only with
+    anticommute.  The cp connection, the unique torsion-free connection
+    with parallel J and E, is then, for x, y in the respective eigenspaces,
+
+        nabla_{x+} y+ = -pi+ J [x+, J y+]      nabla_{x+} y- = pi- [x+, y-]
+        nabla_{x-} y- = -pi- J [x-, J y-]      nabla_{x-} y+ = pi+ [x-, y+]
+
+    The mixed terms together are W(x, y) = pi- [x+, y-] + pi+ [x-, y+],
+    which is 1/4 ([x,y] - [Ex,Ey] - E[Ex,y] + E[x,Ey]) for all x, y.  As
+    J anticommutes with E, J pi- = pi+ J, so the other two terms are
+    -J W(x, J y), and nabla_x y = W(x, y) - J W(x, J y): six products.
+    Four more check that J and E are parallel, and a skew sum that nabla
+    is torsion-free.  These exact zero tests prove N_J = N_E = 0: by
+    [u, v] = nabla_u v - nabla_v u and nabla_u (A v) = A nabla_u v,
+
+        N_A(x, y) = [Ax, Ay] - A[Ax, y] - A[x, Ay] + A^2 [x, y]
+                  = (A nabla_{Ax} y - A nabla_{Ay} x) - (A nabla_{Ax} y - A^2 nabla_y x)
+                    - (A^2 nabla_x y - A nabla_{Ay} x) + (A^2 nabla_x y - A^2 nabla_y x) = 0,
+
+    and N_A is A times the `_integrability_defect` of A.  The defects run
+    only when a check fails, to name J or E; if neither has one, the
+    connection and the defects disagree: CertificateError.
     """
-    failures = validate_cps(g, j, e)
-    if failures:
-        raise StructureError(failures[0], f"CPS invalid: {failures}", failures)
-    ident = QMatrix.identity(g.dim)
-    return CPS(g, j, e, kernel(e - ident), kernel(e + ident))
+    n = g.dim
+    shaped = (j.rows, j.cols, e.rows, e.cols) == (n,) * 4
+    failures = square_failures(j, 1, "J") + square_failures(e, -1, "E") if shaped else ["shape"]
+    if not failures:
+        ident = QMatrix.identity(n)
+        named = (("J", j, 1), ("E", e, -1))
+        if (j @ e) == (e @ j).scale(-1):
+            # both on the side-by-side layout: block i of s is ad(e_i), of se ad(E e_i)
+            s, se = g.structure.side, swapped(g.ad_columns(e))
+            w = (s - right_product(se, e) - e @ (se - right_product(s, e))).scale(Q(1, 4))
+            conn = Connection(g, SparseTensor(w - j @ right_product(w, j)))
+            if not (torsion_defect(conn) or parallel_defect(conn, j) or parallel_defect(conn, e)):
+                return CPS(g, j, e, kernel(e - ident), kernel(e + ident), conn)
+            failures = _integrability_failures(g, named)
+            if not failures:
+                raise CertificateError("the cp connection fails its checks, but J and E are integrable")
+        else:
+            unequal = e.trace() != 0
+            failures = ["anticommute", *_integrability_failures(g, named)] + ["eigen_dim"] * unequal
+            if unequal or not ((ident + e) @ j @ (ident + e)).is_zero():
+                failures.append("minus_is_J_plus")
+    raise StructureError(failures[0], f"CPS invalid: {failures}", failures)
 
 
 def double_type(cps: CPS) -> tuple[ThreeDimType, ThreeDimType]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cpslie.cli import COMMANDS, main
+from cpslie.cli import COMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -639,7 +639,7 @@ def test_catalog_json_matches_the_benchmark_digests(capsys, workloads, seed):
 @pytest.mark.parametrize(
     "command, target, stub",
     [
-        ("connection-report", "cpslie.connection.torsion_defect", lambda conn: [(0, 1, (0,) * 6)]),
+        ("connection-report", "cpslie.structures.torsion_defect", lambda conn: [(0, 1, (0,) * 6)]),
         ("hypercomplex", "cpslie.hypercomplex.torsion_defect", lambda conn: [(0, 1, (0,) * 12)]),
         ("hypercomplex", "cpslie.hypercomplex.validate_hypercomplex", lambda g, *js: ["J1_square"]),
         # the flat fixture's right multiplications have zero trace, so the
@@ -657,6 +657,69 @@ def test_failed_construction_check_gives_json_error(capsys, cps_file, monkeypatc
     assert set(_strict_json(lines[0])) == {"error"}
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_command_parser_reads_as_the_full_parser(capsys, command):
+    """`main` builds only the subparser of a known command; its help, its
+    usage errors and what it parses are those of the full parser."""
+
+    def outcome(parser, argv):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr().out
+        except ValueError as exc:
+            return str(exc)
+
+    assert "{%s}" % command in build_parser(command).format_usage()
+    for argv in ([command, "-h"], [command, "--bogus"], [command], [command, "--seed", "x"]):
+        assert outcome(build_parser(command), argv) == outcome(build_parser(), argv)
+
+
+SIGN_BUG = """
+import sys
+import cpslie.cli, cpslie.connection, {module}
+from cpslie.linalg import SparseTensor
+real = cpslie.connection.Connection
+{module}.Connection = lambda g, t: real(g, SparseTensor(t.side.scale(-1)))
+sys.exit(cpslie.cli.main({argv!r}))
+"""
+
+
+@pytest.mark.parametrize("command, module", [("check-structure", "cpslie.structures"), ("hypercomplex", "cpslie.hypercomplex")])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_connection_contradicting_the_defects_gives_json_error(cps_file, command, module, flags):
+    """A sign bug planted in a connection builder: the connection fails its
+    checks while J and E, or J1, J2 and J3, are integrable.  The command
+    prints one line of JSON and exits 1, also under python -O."""
+    import os
+    import subprocess
+    import sys
+
+    import cpslie
+
+    script = SIGN_BUG.format(module=module, argv=[command, "--cps", cps_file])
+    src = os.path.dirname(os.path.dirname(cpslie.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert "integrable" in _strict_json(lines[0])["error"]
+
+
+@pytest.mark.parametrize("command", ["connection-report", "hypercomplex", "geodesic", "verify-catalog"])
+def test_valid_input_runs_no_integrability_defect(capsys, monkeypatch, nonflat_cps_file, command):
+    """The cp and Obata connections certify integrability, so no defect runs."""
+    import cpslie.structures as structures
+
+    calls = []
+    real = structures._integrability_defect
+    monkeypatch.setattr(structures, "_integrability_defect", lambda g, a, sign: calls.append(g.dim) or real(g, a, sign))
+    argv = [command] if command == "verify-catalog" else [command, "--cps", nonflat_cps_file]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == []
+
+
 @pytest.fixture
 def nonflat_cps_file(tmp_path):
     """The stored non-flat (0,0,0,12,14,24) witness as a CPS file."""
@@ -669,13 +732,14 @@ def nonflat_cps_file(tmp_path):
 
 # Work per command: (squarings, curvature, torsion_defect, parallel_defect)
 # calls.  A squaring is a product of J, E or a lifted J1, J2, J3 with itself:
-# `validate_cps` squares J and E once and `validate_hypercomplex` each Jk
-# once.  Torsion and parallelism are checked only when `cp_connection` and
-# `obata_connection` build a connection; the one extra torsion check of
-# connection-report guards the exact completeness certificate and runs only
-# on a flat connection.
+# `assemble_cps` squares J and E once and `validate_hypercomplex` each Jk
+# once.  Torsion and parallelism are checked once per connection, where
+# `assemble_cps` and `lift_cps` build it: that certifies integrability, so
+# no integrability defect runs on valid input.  The one extra torsion check
+# of connection-report guards the exact completeness certificate and runs
+# only on a flat connection.
 WORK = {
-    "check-structure": (2, 0, 0, 0),
+    "check-structure": (2, 0, 1, 2),
     "connection-report": (2, 1, 1, 2),
     "hypercomplex": (5, 2, 2, 5),
     "geodesic": (2, 0, 1, 2),

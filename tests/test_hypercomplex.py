@@ -159,9 +159,12 @@ def test_obata_rejects_wrong_base():
     small = cp_connection(assemble_cps(g2, j2, e2))
     with pytest.raises(ValueError):
         obata_connection(h, small)
-    # right dimension, wrong connection: fails the torsion check
+    # right dimension, wrong connection: not the base the lift extended
     from cpslie.hypercomplex import LiftError
 
     _, other = build_family("R4_00", {"A1": 1})
     with pytest.raises(LiftError):
         obata_connection(h, cp_connection(other))
+    # an equal base from a second assembly is the base the lift extended
+    again = cp_connection(assemble_cps(cps.algebra, cps.j, cps.e))
+    assert again is not cp_connection(cps) and obata_connection(h, again) is h.connection

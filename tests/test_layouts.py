@@ -18,6 +18,7 @@ import pytest
 
 from cpslie.catalog import FAMILY_PARAMS, _family_variables, build_family, load_catalog, witness_structure
 from cpslie.connection import (
+    CertificateError,
     Connection,
     cp_connection,
     curvature,
@@ -43,7 +44,7 @@ from cpslie.linalg import (
     vec_is_zero,
     vec_sub,
 )
-from cpslie.structures import _integrability_defect, assemble_cps
+from cpslie.structures import _integrability_defect, assemble_cps, validate_cps
 from examples import is_abelian_complex
 from table_helper import tensor_from_table
 
@@ -303,12 +304,82 @@ def test_work_per_identity_does_not_grow_with_the_dimension(monkeypatch):
 
 def test_cp_connection_is_ten_products(monkeypatch):
     """Six products build the connection and four check that J and E are parallel,
-    on a witness and on a family's Poly CPS alike."""
+    all inside `assemble_cps`, after two squarings and two for JE = -EJ;
+    `cp_connection` takes none.  On a witness and on a family's Poly CPS alike."""
     calls = []
     product = QMatrix.__matmul__
     monkeypatch.setattr(QMatrix, "__matmul__", lambda a, b: calls.append(1) or product(a, b))
     salamon, witness = next((s, w) for s, w in WITNESSES if w.name == "split-nonflat")
     for _, cps in (witness_structure(witness), build_family("H3R_10", _family_variables("H3R_10"))):
         calls.clear()
-        cp_connection(cps)
-        assert len(calls) == 10
+        again = assemble_cps(cps.algebra, cps.j, cps.e)
+        assert len(calls) == 4 + 10
+        calls.clear()
+        assert cp_connection(again) == cp_connection(cps)
+        assert calls == []
+
+
+def keeping(rng, a, sign):
+    """I + (M + sign A M A)/2 for a random single-entry M, invertible and not I.
+    It commutes with A (sign 1 for A = E, -1 for A = J), so conjugating by
+    it moves only the other structure."""
+    n, ident = a.rows, QMatrix.identity(a.rows)
+    while True:
+        r, c = rng.randrange(n), rng.randrange(n)
+        m = QMatrix([[rng.choice((-2, -1, 1, 2)) if (i, k) == (r, c) else 0 for k in range(n)] for i in range(n)])
+        p = ident + (m + (a @ m @ a).scale(sign)).scale(Q(1, 2))
+        if p != ident and rank(p) == n:
+            return p
+
+
+def test_connection_certificate_agrees_with_the_defects():
+    """P^-1 J P and P^-1 E P keep J^2 = -Id, E^2 = Id and JE = -EJ, but mostly
+    not integrability.  For seeded dense P, and for P that keep E or J, the
+    codes of `validate_cps`, which tests torsion and parallelism of the cp
+    connection, are those of the two integrability defects; on valid draws
+    the carried connection is the reference's."""
+    seen = set()
+    for k, (salamon, witness) in enumerate(WITNESSES):
+        rng = random.Random(k)
+        g, cps = witness_structure(witness)
+        draws = [dense_conjugator(rng, g.dim) for _ in range(4)]
+        draws += [keeping(rng, cps.e, 1) for _ in range(4)] + [keeping(rng, cps.j, -1) for _ in range(4)]
+        for p in draws:
+            pinv = p.inverse()
+            j, e = pinv @ cps.j @ p, pinv @ cps.e @ p
+            codes = ["J_integrability"] * bool(_integrability_defect(g, j, 1))
+            codes += ["E_integrability"] * bool(_integrability_defect(g, e, -1))
+            assert validate_cps(g, j, e) == codes, (salamon, witness.name)
+            if not codes:
+                moved = assemble_cps(g, j, e)
+                assert moved.connection == ref_cp_connection(moved)
+            seen.add(tuple(codes))
+    assert seen == {(), ("J_integrability",), ("E_integrability",), ("J_integrability", "E_integrability")}
+
+
+def test_valid_structures_and_lifts_run_no_integrability_defect(monkeypatch):
+    """The connections certify integrability: no defect runs on a witness, a
+    dense conjugate of one, or their 12-dimensional lifts."""
+    calls = []
+    spy = lambda g, a, sign: calls.append(g.dim) or _integrability_defect(g, a, sign)  # noqa: E731
+    monkeypatch.setattr("cpslie.structures._integrability_defect", spy)
+    rng = random.Random(3)
+    for salamon, witness in WITNESSES:
+        g, cps = witness_structure(witness)
+        p = dense_conjugator(rng, g.dim)
+        pinv = p.inverse()
+        moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
+        lift_cps(cps), lift_cps(moved)
+    assert calls == []
+
+
+@pytest.mark.parametrize("build", ["assemble_cps", "lift_cps"])
+def test_a_negated_connection_contradicts_the_defects(monkeypatch, build):
+    """A sign bug in a connection builder fails the torsion check while every
+    structure is integrable: CertificateError, not a failure code."""
+    salamon, witness = next((s, w) for s, w in WITNESSES if w.name == "split-nonflat")
+    g, cps = witness_structure(witness)
+    module = "structures" if build == "assemble_cps" else "hypercomplex"
+    monkeypatch.setattr(f"cpslie.{module}.Connection", lambda alg, t: Connection(alg, SparseTensor(t.side.scale(-1))))
+    with pytest.raises(CertificateError, match="integrable"):
+        assemble_cps(g, cps.j, cps.e) if build == "assemble_cps" else lift_cps(cps)
