@@ -24,11 +24,7 @@ from .connection import (
     ricci_via_trace_identity,
     torsion_defect,
 )
-from .hypercomplex import (
-    HypercomplexStructure,
-    lift_cps,
-    obata_connection,
-)
+from .hypercomplex import HypercomplexStructure, lift_cps
 from .lie import (
     LieAlgebra,
     ThreeDimType,

@@ -17,7 +17,7 @@ from .connection import (
     curvature,
     exact_polynomial_geodesic_certificate,
 )
-from .hypercomplex import lift_cps, obata_connection
+from .hypercomplex import lift_cps
 from .lie import LieAlgebra, algebra_from_json, algebra_to_json
 from .salamon import SalamonError, emit_salamon, parse_salamon
 from .structures import CPS, StructureError, assemble_cps, double_type, endo_from_json
@@ -131,10 +131,8 @@ def _verify_catalog(_, seed: int):
 
 def _hypercomplex(cps: CPS, seed: int):
     h = lift_cps(cps)
-    base = cp_connection(cps)
-    ob = obata_connection(h, base)
-    base_rep = curvature(base)
-    ob_rep = curvature(ob)
+    base_rep = curvature(cp_connection(cps))
+    ob_rep = curvature(h.connection)
     payload = {
         "lifted_algebra": algebra_to_json(h.algebra),
         "J1": h.j1.to_json(),

@@ -7,6 +7,8 @@ an integrable product structure E with JE = -EJ.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .connection import CertificateError, Connection, parallel_defect, torsion_defect
 from .lie import LieAlgebra, ThreeDimType, center, is_ideal, iso_type_3d
 from .linalg import (
@@ -89,38 +91,32 @@ def product_integrability_defect(g: LieAlgebra, e: Endo) -> list[tuple[int, int,
     return _integrability_defect(g, e, -1)
 
 
-class CPS:
-    """Validated complex product structure {J, E} on a Lie algebra, with its cp connection."""
+class CPS(NamedTuple):
+    """Validated complex product structure {J, E} with its cp connection; only `assemble_cps` builds one."""
 
-    __slots__ = ("algebra", "j", "e", "plus", "minus", "connection")
-
-    def __init__(self, algebra: LieAlgebra, j: Endo, e: Endo, plus: Subspace, minus: Subspace, connection: Connection):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
-        object.__setattr__(self, "connection", connection)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CPS is immutable")
-
-    def __repr__(self):
-        return f"CPS(dim={self.algebra.dim}, split {self.plus.dim}+{self.minus.dim})"
-
-
-def validate_cps(g: LieAlgebra, j: Endo, e: Endo) -> list[str]:
-    """Failure codes for the CPS axioms, in `assemble_cps`'s order; empty means valid."""
-    try:
-        assemble_cps(g, j, e)
-    except StructureError as exc:
-        return exc.failures
-    return []
+    algebra: LieAlgebra
+    j: Endo
+    e: Endo
+    plus: Subspace
+    minus: Subspace
+    connection: Connection
 
 
 def _integrability_failures(g: LieAlgebra, named) -> list[str]:
     """"{name}_integrability" for each (name, A, sign) of `named` whose A has a defect."""
     return [f"{name}_integrability" for name, a, sign in named if _integrability_defect(g, a, sign)]
+
+
+def _certified_failures(conn: Connection, named) -> list[str]:
+    """[] if `conn` is torsion-free with each A of `named` parallel, which proves A integrable;
+    else `_integrability_failures`, or CertificateError if no A has a defect."""
+    if not (torsion_defect(conn) or any(parallel_defect(conn, a) for _, a, _ in named)):
+        return []
+    failures = _integrability_failures(conn.algebra, named)
+    if not failures:
+        names = ", ".join(name for name, _, _ in named)
+        raise CertificateError(f"the connection fails its checks, but {names} are integrable")
+    return failures
 
 
 def assemble_cps(g: LieAlgebra, j: Endo, e: Endo) -> CPS:
@@ -167,11 +163,9 @@ def assemble_cps(g: LieAlgebra, j: Endo, e: Endo) -> CPS:
             s, se = g.structure.side, swapped(g.ad_columns(e))
             w = (s - right_product(se, e) - e @ (se - right_product(s, e))).scale(Q(1, 4))
             conn = Connection(g, SparseTensor(w - j @ right_product(w, j)))
-            if not (torsion_defect(conn) or parallel_defect(conn, j) or parallel_defect(conn, e)):
-                return CPS(g, j, e, kernel(e - ident), kernel(e + ident), conn)
-            failures = _integrability_failures(g, named)
+            failures = _certified_failures(conn, named)
             if not failures:
-                raise CertificateError("the cp connection fails its checks, but J and E are integrable")
+                return CPS(g, j, e, kernel(e - ident), kernel(e + ident), conn)
         else:
             unequal = e.trace() != 0
             failures = ["anticommute", *_integrability_failures(g, named)] + ["eigen_dim"] * unequal

@@ -1,14 +1,23 @@
 """Test-only fixtures: example structures and checks that no command uses.
 
-The Heisenberg examples, the Heisenberg x Heisenberg constant and the
-abelian check live here rather than in the package, since only the tests
-read them.
+The Heisenberg examples, the Heisenberg x Heisenberg constant, the
+abelian check and the failure codes of `assemble_cps` live here rather
+than in the package, since only the tests read them.
 """
 
 from cpslie.lie import LieAlgebra, ThreeDimType
 from cpslie.linalg import Q, QMatrix, Subspace, basis_vec, q, right_product, swapped, vec, vec_is_zero, vec_neg
 from cpslie.salamon import parse_salamon
 from cpslie.structures import CPS, Endo, StructureError, _integrability_defect, _require, assemble_cps, double_type
+
+
+def validate_cps(g: LieAlgebra, j: Endo, e: Endo) -> list[str]:
+    """Failure codes for the CPS axioms, in `assemble_cps`'s order; empty means valid."""
+    try:
+        assemble_cps(g, j, e)
+    except StructureError as exc:
+        return exc.failures
+    return []
 
 
 def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:

@@ -39,7 +39,7 @@ from cpslie.connection import (
     restrict_to_lsa,
 )
 from cpslie.lie import LieAlgebra, ThreeDimType, center, change_basis, iso_type_3d
-from cpslie.hypercomplex import lift_cps, obata_connection
+from cpslie.hypercomplex import lift_cps
 from cpslie.linalg import QMatrix, SparseTensor, Subspace, _matrix, basis_vec, kernel, map_subspace, vec
 from cpslie.poly import Poly
 from cpslie.salamon import parse_salamon
@@ -625,7 +625,7 @@ def test_family_criteria_hold_as_identities(family):
     assert rep.is_ricci_flat and rep.traceless
     # 09: the Obata connection is Ricci-flat, and every nonzero curvature
     # entry is a constant times the flatness closed form of the cp connection
-    obata = curvature(obata_connection(lift_cps(cps), conn))
+    obata = curvature(lift_cps(cps).connection)
     assert obata.is_ricci_flat
     form = flatness_closed_form(family)
     entries = [x for m in obata.r.values() for r in m.num for x in r if x]

@@ -4,14 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cpslie.catalog import build_family, load_catalog, witness_structure
+from cpslie.catalog import load_catalog, witness_structure
 from cpslie.connection import cp_connection, curvature
-from cpslie.hypercomplex import (
-    HypercomplexStructure,
-    lift_cps,
-    obata_connection,
-    validate_hypercomplex,
-)
+from cpslie.hypercomplex import LiftError, lift_cps
 from cpslie.lie import LieAlgebra
 from cpslie.linalg import QMatrix, basis_vec
 from cpslie.structures import assemble_cps
@@ -78,8 +73,6 @@ def test_lift_bracket_table_matches_doubling_rules():
 
 
 def test_lift_quaternion_relations_fail_loudly():
-    from cpslie.hypercomplex import LiftError  # noqa: F401
-
     w = _explicit_row9_witnesses()["split-flat"]
     _, cps = witness_structure(w)
     h = lift_cps(cps)
@@ -89,7 +82,6 @@ def test_lift_quaternion_relations_fail_loudly():
     assert h.j3 @ h.j3 == minus_ident
     assert h.j1 @ h.j2 == h.j3
     assert h.j2 @ h.j1 == h.j3.scale(-1)
-    assert validate_hypercomplex(h) == []
 
 
 def test_lift_forms_j3_once(monkeypatch):
@@ -117,10 +109,8 @@ def test_obata_flat_iff_base_flat_on_explicit_pair():
     for name, w in ws.items():
         _, cps = witness_structure(w)
         h = lift_cps(cps)
-        base = cp_connection(cps)
-        ob = obata_connection(h, base)
-        rep = curvature(ob)
-        base_rep = curvature(base)
+        rep = curvature(h.connection)
+        base_rep = curvature(cp_connection(cps))
         assert rep.is_flat == base_rep.is_flat
         assert rep.is_ricci_flat
         verdicts[name] = rep.is_flat
@@ -140,31 +130,12 @@ def test_nonabelian_lift_of_nonabelian_cps():
     assert not is_abelian_hypercomplex(h)
 
 
-def test_validate_hypercomplex_detects_broken_triple():
+def test_lift_cps_rejects_a_broken_record():
+    """A CPS record built without `assemble_cps` is checked by `lift_cps`:
+    E = J squares to +Id in J1 and commutes with J2; a doubled E fails J1^2."""
     w = _explicit_row9_witnesses()["split-flat"]
     _, cps = witness_structure(w)
-    h = lift_cps(cps)
-    assert "anticommute" in validate_hypercomplex(HypercomplexStructure(h.algebra, h.j1, h.j1))
-    assert "J1_square" in validate_hypercomplex(HypercomplexStructure(h.algebra, h.j1.scale(2), h.j2))
-
-
-def test_obata_rejects_wrong_base():
-    w = _explicit_row9_witnesses()["split-flat"]
-    _, cps = witness_structure(w)
-    h = lift_cps(cps)
-    # wrong dimension
-    g2 = LieAlgebra.abelian(2)
-    j2 = QMatrix([[0, -1], [1, 0]])
-    e2 = QMatrix([[1, 0], [0, -1]])
-    small = cp_connection(assemble_cps(g2, j2, e2))
-    with pytest.raises(ValueError):
-        obata_connection(h, small)
-    # right dimension, wrong connection: not the base the lift extended
-    from cpslie.hypercomplex import LiftError
-
-    _, other = build_family("R4_00", {"A1": 1})
-    with pytest.raises(LiftError):
-        obata_connection(h, cp_connection(other))
-    # an equal base from a second assembly is the base the lift extended
-    again = cp_connection(assemble_cps(cps.algebra, cps.j, cps.e))
-    assert again is not cp_connection(cps) and obata_connection(h, again) is h.connection
+    with pytest.raises(LiftError, match="anticommute"):
+        lift_cps(cps._replace(e=cps.j))
+    with pytest.raises(LiftError, match="J1_square"):
+        lift_cps(cps._replace(e=cps.e.scale(2)))

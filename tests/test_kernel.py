@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import cpslie.linalg as linalg
 from cpslie.catalog import load_catalog, witness_structure
-from cpslie.connection import Connection, cp_connection, curvature
-from cpslie.hypercomplex import lift_cps, obata_connection
+from cpslie.connection import Connection, curvature
+from cpslie.hypercomplex import lift_cps
 from cpslie.lie import LieAlgebra, change_basis
 from cpslie.linalg import QMatrix, SingularMatrixError, SparseTensor, basis_vec
 from cpslie.poly import Poly
@@ -215,7 +215,7 @@ def test_the_dense_lift_packs_its_product_rows(packed_rows):
             break
     pinv = p.inverse()
     moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
-    obata = obata_connection(lift_cps(moved), cp_connection(moved))
+    obata = lift_cps(moved).connection
     packed_rows.clear()
     curvature(obata)
     assert len(packed_rows) > 100

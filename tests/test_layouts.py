@@ -27,7 +27,7 @@ from cpslie.connection import (
     ricci_via_trace_identity,
     torsion_defect,
 )
-from cpslie.hypercomplex import lift_cps, obata_connection
+from cpslie.hypercomplex import lift_cps
 from cpslie.lie import LieAlgebra, center, change_basis
 from cpslie.linalg import (
     QMatrix,
@@ -44,8 +44,8 @@ from cpslie.linalg import (
     vec_is_zero,
     vec_sub,
 )
-from cpslie.structures import _integrability_defect, assemble_cps, validate_cps
-from examples import is_abelian_complex
+from cpslie.structures import _integrability_defect, assemble_cps
+from examples import is_abelian_complex, validate_cps
 from table_helper import tensor_from_table
 
 WITNESSES = [(entry.salamon, w) for entry in load_catalog() for w in entry.witnesses]
@@ -241,8 +241,7 @@ def test_lifted_identities_equal_the_references(salamon, witness):
     h = lift_cps(cps)
     for a in (h.j1, h.j2, h.j3):
         assert _integrability_defect(h.algebra, a, 1) == ref_integrability_defect(h.algebra, a, 1)
-    obata = obata_connection(h, cp_connection(cps))
-    assert_connection_identities(obata, (h.j1, h.j2, h.j3, planted_j(h.j1)))
+    assert_connection_identities(h.connection, (h.j1, h.j2, h.j3, planted_j(h.j1)))
 
 
 def test_dense_lift_identities_equal_the_references():
@@ -254,8 +253,7 @@ def test_dense_lift_identities_equal_the_references():
     moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
     h = lift_cps(moved)
     assert _integrability_defect(h.algebra, h.j3, 1) == ref_integrability_defect(h.algebra, h.j3, 1)
-    obata = obata_connection(h, cp_connection(moved))
-    assert_connection_identities(obata, (h.j1, planted_j(h.j2)))
+    assert_connection_identities(h.connection, (h.j1, planted_j(h.j2)))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
@@ -296,7 +294,7 @@ def test_work_per_identity_does_not_grow_with_the_dimension(monkeypatch):
     g, cps = witness_structure(witness)
     conn = cp_connection(cps)
     h = lift_cps(cps)
-    obata = obata_connection(h, conn)
+    obata = h.connection
     small = (count(curvature, conn), count(_integrability_defect, g, cps.j, 1), count(parallel_defect, conn, cps.j))
     large = (count(curvature, obata), count(_integrability_defect, h.algebra, h.j1, 1), count(parallel_defect, obata, h.j1))
     assert small == large == (1, 3, 2)

@@ -20,10 +20,9 @@ from cpslie.structures import (
     find_central_invariant_ideal,
     product_integrability_defect,
     rotate_product,
-    validate_cps,
 )
 from cpslie.linalg import is_nilpotent_matrix
-from examples import h3x2_constant, heisenberg_complex_examples, is_abelian_complex
+from examples import h3x2_constant, heisenberg_complex_examples, is_abelian_complex, validate_cps
 
 E6 = lambda i: basis_vec(6, i)  # noqa: E731
 
