@@ -1,10 +1,11 @@
 """The classification table of 6-dimensional nilpotent algebras with CPS.
 
 Eighteen catalog entries: fifteen rows that admit complex product
-structures (each "yes" cell backed by a stored witness: family
-parameters plus an exact basis change onto the row's tuple form) and
-the three excluded algebras, whose nonexistence arguments are replayed
-computationally.
+structures and the three excluded algebras, whose nonexistence
+arguments are replayed computationally.  Each "yes" cell is backed by a
+stored witness: a point of one of the four bracket families with its
+standard J and E, the rotation of E if one is recorded, and an exact
+basis change onto the row's tuple form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cache
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
-from .connection import Connection, LSAProduct, cp_connection, curvature
+from .connection import Connection, LSAProduct, curvature
 from .lie import (
     LieAlgebra,
     ThreeDimType,
@@ -170,7 +171,7 @@ def family_connection(family: str) -> Connection:
     polynomial identity; a failed one raises FamilyError.
     """
     try:
-        return cp_connection(build_family(family, _family_variables(family))[1])
+        return build_family(family, _family_variables(family))[1].connection
     except ValueError as exc:
         raise FamilyError(f"{family}: {exc}") from exc
 
@@ -207,13 +208,10 @@ class Witness(NamedTuple):
     family: str
     params: dict
     basis_change: QMatrix
-    target: str
     double_type: tuple[ThreeDimType, ThreeDimType]
     flat: bool
     rotation: Q | None = None
     slices: tuple[dict, ...] = ()
-    explicit_j: Endo | None = None
-    explicit_e: Endo | None = None
 
 
 class CatalogEntry(NamedTuple):
@@ -227,22 +225,15 @@ class CatalogEntry(NamedTuple):
 
 def _witness_from_json(data: dict) -> Witness:
     rotation = None if data.get("rotation") is None else q(data["rotation"])
-    explicit_j = explicit_e = None
-    if data.get("explicit"):
-        explicit_j = QMatrix.from_json(data["explicit"]["J"])
-        explicit_e = QMatrix.from_json(data["explicit"]["E"])
     return Witness(
         name=data["name"],
         family=data["family"],
         params={k: q(v) for k, v in data.get("params", {}).items()},
         basis_change=QMatrix.from_json(data["basis_change"]),
-        target=data["target"],
         double_type=(ThreeDimType(data["double_type"][0]), ThreeDimType(data["double_type"][1])),
         flat=bool(data["flat"]),
         rotation=rotation,
         slices=tuple(data.get("slices", ())),
-        explicit_j=explicit_j,
-        explicit_e=explicit_e,
     )
 
 
@@ -289,17 +280,17 @@ class Checks(list):
         return [{key: name, "ok": ok, "detail": detail} for name, ok, detail in self]
 
 
-def _build_witness(w: Witness, checks: Checks, parse=parse_salamon) -> tuple[LieAlgebra | None, CPS | None]:
-    """Algebra and the CPS the witness claims, with the rotation applied if any.
+def _build_witness(w: Witness, checks: Checks) -> tuple[LieAlgebra | None, CPS | None]:
+    """The family algebra and the CPS the witness claims: the family's standard
+    pair, with E rotated if a rotation is recorded.
 
     Records the "build" and "cps_valid" checks and stops at the first
     that fails; what it could not build is None.
     """
     try:
-        if w.family == "Explicit":
-            g, j, e = parse(w.target), w.explicit_j, w.explicit_e
-        else:
-            g, j, e = family_data(w.family, w.params)
+        g, j, e = family_data(w.family, w.params)
+        if w.rotation is not None:
+            e = rotate_product(j, e, w.rotation)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         checks("build", False, str(exc))
         return None, None
@@ -309,12 +300,6 @@ def _build_witness(w: Witness, checks: Checks, parse=parse_salamon) -> tuple[Lie
     except StructureError as exc:
         checks("cps_valid", False, ",".join(exc.failures))
         return g, None
-    if w.rotation is not None:
-        try:
-            cps = assemble_cps(g, j, rotate_product(cps, w.rotation))
-        except Exception as exc:  # noqa: BLE001
-            checks("cps_valid", False, f"rotation: {exc}")
-            return g, None
     checks("cps_valid", True)
     return g, cps
 
@@ -344,13 +329,11 @@ class WitnessReport(NamedTuple):
 def verify_witness(entry: CatalogEntry, w: Witness, parse=parse_salamon) -> WitnessReport:
     """Replays the witness certificate against the row, stage by stage; tuples are read with `parse`."""
     stage = Checks()
-    g, cps = _build_witness(w, stage, parse)
+    g, cps = _build_witness(w, stage)
     if g is None:
         return WitnessReport(w.name, stage)
 
     try:
-        if w.target != entry.salamon:
-            raise ValueError("witness target differs from the row")
         moved = change_basis(g, w.basis_change)
         ok = moved == parse(entry.salamon)
         stage("basis_change", ok, "" if ok else "structure constants differ after basis change")
@@ -364,7 +347,7 @@ def verify_witness(entry: CatalogEntry, w: Witness, parse=parse_salamon) -> Witn
             types == w.double_type,
             f"found ({types[0].value},{types[1].value})",
         )
-        rep = curvature(cp_connection(cps))
+        rep = curvature(cps.connection)
         stage(
             "flatness",
             rep.is_flat == w.flat,
@@ -421,10 +404,11 @@ def slice_flatness_check(w: Witness, expect_flat: bool, proofs: dict | None = No
     every recorded slice; False demands it restrict to a nonzero constant
     times a product of the slice's `nonzero` parameters, so it never
     vanishes there.  The witness's own parameters must lie on a slice.
-    `proofs` caches `prove_family_flatness` per family for one catalog pass.
+    A witness with no slice fails.  `proofs` caches `prove_family_flatness`
+    per family for one catalog pass.
     """
-    if not w.slices or w.family == "Explicit":
-        return True, "no slice recorded"
+    if not w.slices:
+        return False, "no slice recorded"
     proofs = {} if proofs is None else proofs
     if w.family not in proofs:
         try:

@@ -13,7 +13,6 @@ from typing import Callable, NamedTuple
 from .catalog import nonexistence_report, verify_table
 from .connection import (
     connection_is_complete_certificate,
-    cp_connection,
     curvature,
     exact_polynomial_geodesic_certificate,
 )
@@ -110,7 +109,7 @@ def _check_structure(cps: CPS, seed: int):
 
 def _connection_report(cps: CPS, seed: int):
     # assemble_cps certified the connection torsion-free with J and E parallel
-    rep = curvature(cp_connection(cps))
+    rep = curvature(cps.connection)
     cert = connection_is_complete_certificate(rep)
     payload = {
         "torsion_free": True,
@@ -131,7 +130,7 @@ def _verify_catalog(_, seed: int):
 
 def _hypercomplex(cps: CPS, seed: int):
     h = lift_cps(cps)
-    base_rep = curvature(cp_connection(cps))
+    base_rep = curvature(cps.connection)
     ob_rep = curvature(h.connection)
     payload = {
         "lifted_algebra": algebra_to_json(h.algebra),
@@ -146,7 +145,7 @@ def _hypercomplex(cps: CPS, seed: int):
 
 
 def _geodesic(cps: CPS, seed: int):
-    cert = exact_polynomial_geodesic_certificate(cp_connection(cps))
+    cert = exact_polynomial_geodesic_certificate(cps.connection)
     return cert.to_json(), cert.verdict
 
 

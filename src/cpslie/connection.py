@@ -229,7 +229,7 @@ def restrict_to_lsa(cps: CPS, side: str) -> LSAProduct:
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
     sub = cps.plus if side == "plus" else cps.minus
-    conn = cp_connection(cps)
+    conn = cps.connection
     g, basis, m = cps.algebra, sub.basis_vectors(), sub.dim
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     little = LieAlgebra.from_brackets(

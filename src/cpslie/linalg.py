@@ -91,8 +91,8 @@ def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-def basis_vec(n: int, i: int, scale=1) -> Vector:
-    return tuple(q(scale) if j == i else Q(0) for j in range(n))
+def basis_vec(n: int, i: int) -> Vector:
+    return tuple(Q(1) if j == i else Q(0) for j in range(n))
 
 
 def _scaled(v) -> tuple[list[int], int]:

@@ -178,7 +178,7 @@ def double_type(cps: CPS) -> tuple[ThreeDimType, ThreeDimType]:
     return iso_type_3d(cps.algebra, cps.plus), iso_type_3d(cps.algebra, cps.minus)
 
 
-def rotate_product(cps: CPS, c) -> Endo:
+def rotate_product(j: Endo, e: Endo, c) -> Endo:
     """E' = pE + qJE with p = (c^2-1)/(c^2+1), q = 2c/(c^2+1); `assemble_cps` validates it.
 
     Every circle point (p, q) other than (1, 0) is c = q/(1-p).  c = 0
@@ -186,7 +186,7 @@ def rotate_product(cps: CPS, c) -> Endo:
     """
     c = q(c)
     denom = c * c + 1
-    return cps.e.scale((c * c - 1) / denom) + (cps.j @ cps.e).scale(2 * c / denom)
+    return e.scale((c * c - 1) / denom) + (j @ e).scale(2 * c / denom)
 
 
 def ascending_series(g: LieAlgebra, j: Endo) -> list[Subspace]:

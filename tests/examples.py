@@ -1,14 +1,32 @@
 """Test-only fixtures: example structures and checks that no command uses.
 
-The Heisenberg examples, the Heisenberg x Heisenberg constant, the
-abelian check and the failure codes of `assemble_cps` live here rather
-than in the package, since only the tests read them.
+The Heisenberg examples, the paper's split pairs on (0,0,0,12,13,14),
+the Heisenberg x Heisenberg constant, the abelian check and the failure
+codes of `assemble_cps` live here rather than in the package, since only
+the tests read them.
 """
 
 from cpslie.lie import LieAlgebra, ThreeDimType
 from cpslie.linalg import Q, QMatrix, Subspace, basis_vec, q, right_product, swapped, vec, vec_is_zero, vec_neg
 from cpslie.salamon import parse_salamon
 from cpslie.structures import CPS, Endo, StructureError, _integrability_defect, _require, assemble_cps, double_type
+
+
+# The paper's two split pairs on (0,0,0,12,13,14), in the row basis:
+# J e1 = -e2, J e3 = -e4, J e5 = -e6, and E = +/-Id on basis vectors.  The
+# catalog stores them as H3R_10 points with a basis change onto the row.
+SPLIT_ROW = "(0,0,0,12,13,14)"
+SPLIT_J = QMatrix.diag_blocks(*[QMatrix([[0, 1], [-1, 0]])] * 3)
+SPLIT_E = {
+    name: QMatrix([[sign if i == k else 0 for k in range(6)] for i, sign in enumerate(signs)])
+    for name, signs in (("split-flat", (1, -1, 1, -1, 1, -1)), ("split-nonflat", (1, -1, -1, 1, -1, 1)))
+}
+
+
+def split_cps(name: str) -> tuple[LieAlgebra, CPS]:
+    """The row algebra and the named split pair on it, assembled."""
+    g = parse_salamon(SPLIT_ROW)
+    return g, assemble_cps(g, SPLIT_J, SPLIT_E[name])
 
 
 def validate_cps(g: LieAlgebra, j: Endo, e: Endo) -> list[str]:

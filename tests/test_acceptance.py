@@ -44,6 +44,7 @@ from cpslie.structures import (
     rotate_product,
 )
 from cpslie.linalg import map_subspace
+from examples import SPLIT_E, split_cps
 from geodesic_reference import taylor_least_degree
 
 FLAT_ONLY = {
@@ -266,19 +267,14 @@ def test_criterion_08_rotation_invariance():
             continue
         seen.add(key)
         for c in CIRCLE_CONSTANTS:
-            rotated = assemble_cps(g, cps.j, rotate_product(cps, c))
+            rotated = assemble_cps(g, cps.j, rotate_product(cps.j, cps.e, c))
             assert cp_connection(rotated) == conn, (entry.salamon, w.name, c)
 
 
 @criterion(9, "hypercomplex lifts: doubled tables, Obata verdicts, quaternions")
 def test_criterion_09_hypercomplex():
     # the doubled (0,0,0,12,13,14) tables, verbatim
-    row9 = next(e for e in table_rows() if e.salamon == "(0,0,0,12,13,14)")
-    explicit = {w.name: w for w in row9.witnesses if w.family == "Explicit"}
-    lifts = {}
-    for name, w in explicit.items():
-        _, cps = witness_structure(w)
-        lifts[name] = lift_cps(cps)
+    lifts = {name: lift_cps(split_cps(name)[1]) for name in SPLIT_E}
     h1 = lifts["split-flat"]
     hat = lambda i: basis_vec(12, 6 + i)  # noqa: E731
     plain = lambda i: basis_vec(12, i)  # noqa: E731
@@ -298,7 +294,7 @@ def test_criterion_09_hypercomplex():
     h2 = lifts["split-nonflat"]
     for i, sign in ((0, 1), (3, 1), (5, 1), (1, -1), (2, -1), (4, -1)):
         assert h2.j1.col(i) == tuple(Q(sign) * x for x in hat(i))
-    # Obata verdicts for the two explicit structures
+    # Obata verdicts for the two split pairs
     verdicts = {}
     for name, h in lifts.items():
         rep = curvature(h.connection)

@@ -1,5 +1,7 @@
 """Catalog rows, witnesses, families, and the encoded nonexistence proofs."""
 
+import json
+import os
 import random
 from fractions import Fraction as Q
 
@@ -7,10 +9,12 @@ import pytest
 
 from cpslie.catalog import (
     COLUMN_LABELS,
+    CatalogEntry,
     EXCLUDED,
     FAMILY_PARAMS,
     FRIED_NABLA,
     FamilyError,
+    Witness,
     _encoded_proof_report,
     _family_variables,
     build_family,
@@ -50,7 +54,7 @@ from cpslie.structures import (
     find_central_invariant_ideal,
     rotate_product,
 )
-from examples import h3x2_constant, heisenberg_complex_examples
+from examples import SPLIT_E, SPLIT_J, SPLIT_ROW, h3x2_constant, heisenberg_complex_examples
 
 TABLE = {
     "(0,0,0,0,0,0)": (True, False, False),
@@ -193,7 +197,7 @@ def test_verify_row_parses_its_tuple_once(monkeypatch):
 
     # a row tuple that does not parse fails each witness's basis change, and raises nothing
     entry = _row("(0,0,0,0,12,14+25)")
-    bad = entry._replace(salamon="(0,0,1x)", witnesses=tuple(w._replace(target="(0,0,1x)") for w in entry.witnesses))
+    bad = entry._replace(salamon="(0,0,1x)")
     for report in verify_row(bad).witness_reports:
         stages = {name: (ok, detail) for name, ok, detail in report.stages}
         assert not stages["basis_change"][0] and stages["basis_change"][1], report.to_json()
@@ -211,7 +215,6 @@ def test_verify_witness_rejects_singular_basis_change():
 
 def test_witness_build_failures_name_their_stage(monkeypatch):
     import cpslie.catalog as catalog
-    from cpslie.structures import StructureError
 
     row = next(e for e in table_rows() if e.salamon == "(0,0,0,0,12,13)")
     w = next(w for w in row.witnesses if w.rotation is not None)
@@ -222,16 +225,56 @@ def test_witness_build_failures_name_their_stage(monkeypatch):
     with pytest.raises(ValueError, match="fails build"):
         witness_structure(broken)
 
-    def no_rotation(cps, c):
-        raise StructureError("E_integrability", "rotated product is not integrable")
+    def no_product(j, e, c):
+        return e.scale(2)
 
-    monkeypatch.setattr(catalog, "rotate_product", no_rotation)
+    monkeypatch.setattr(catalog, "rotate_product", no_product)
     stages = {s: (ok, d) for s, ok, d in verify_witness(row, w).stages}
     assert stages["build"] == (True, "")
-    assert stages["cps_valid"] == (False, "rotation: E_integrability: rotated product is not integrable")
+    assert stages["cps_valid"] == (False, "E_square")
     assert stages["flatness"] == (False, "no CPS to inspect")
-    with pytest.raises(ValueError, match="fails cps_valid: rotation"):
+    with pytest.raises(ValueError, match="fails cps_valid: E_square"):
         witness_structure(w)
+
+
+def test_verify_table_assembles_each_witness_once(monkeypatch):
+    import cpslie.catalog as catalog
+
+    # one assemble_cps per witness, its rotation included, and one per family proof
+    calls = []
+    assemble = catalog.assemble_cps
+    monkeypatch.setattr(catalog, "assemble_cps", lambda *args: calls.append(args) or assemble(*args))
+    assert verify_table().passed
+    assert sum(len(entry.witnesses) for entry in table_rows()) == 35
+    assert len(calls) == 38
+
+
+def test_split_witnesses_are_the_split_pairs_on_the_row():
+    # each H3R_10 point, moved by its basis change B, is the row algebra with the paper's pair
+    row = _row(SPLIT_ROW)
+    for name, e in SPLIT_E.items():
+        w = next(w for w in row.witnesses if w.name == name)
+        g, cps = witness_structure(w)
+        b = w.basis_change
+        assert w.family == "H3R_10"
+        assert change_basis(g, b) == parse_salamon(SPLIT_ROW)
+        assert b.inverse() @ cps.j @ b == SPLIT_J
+        assert b.inverse() @ cps.e @ b == e
+
+
+def test_catalog_data_file_has_only_keys_the_loader_reads():
+    # the loader ignores unknown keys, so a leftover or misspelt one would be dropped silently
+    import cpslie.catalog as catalog
+
+    with open(os.path.join(os.path.dirname(catalog.__file__), "data", "witnesses.json"), encoding="utf-8") as f:
+        raw = json.load(f)
+    for row in raw["entries"]:
+        assert set(row) <= set(CatalogEntry._fields), row["salamon"]
+        for w in row.get("witnesses", ()):
+            where = (row["salamon"], w.get("name"))
+            assert set(w) <= set(Witness._fields), where
+            assert w["family"] in FAMILY_PARAMS, where
+            assert set(w.get("params", {})) <= set(FAMILY_PARAMS[w["family"]]), where
 
 
 def test_verify_table_passes():
@@ -267,7 +310,7 @@ def test_h3h3_witnesses_rotate_back_to_h3r3():
                 continue
             g, cps = witness_structure(w)
             c = h3x2_constant(cps)
-            e2 = rotate_product(cps, c)
+            e2 = rotate_product(cps.j, cps.e, c)
             back = assemble_cps(g, cps.j, e2)
             assert double_type(back) == (ThreeDimType.HEISENBERG3, ThreeDimType.ABELIAN3)
             seen += 1
@@ -279,10 +322,8 @@ def test_h3r3_witnesses_rotate_forward_to_h3h3():
         for w in entry.witnesses:
             if w.double_type != (ThreeDimType.HEISENBERG3, ThreeDimType.ABELIAN3):
                 continue
-            if w.family == "Explicit":
-                continue
             g, cps = witness_structure(w)
-            flipped = assemble_cps(g, cps.j, rotate_product(cps, 1))
+            flipped = assemble_cps(g, cps.j, rotate_product(cps.j, cps.e, 1))
             assert double_type(flipped) == (
                 ThreeDimType.HEISENBERG3,
                 ThreeDimType.HEISENBERG3,
@@ -465,14 +506,13 @@ def test_slice_check_builds_no_instance(monkeypatch):
         def wrapped(arg, *rest):
             names = variables(algebra_of(arg).structure.side)
             assert names is not None, f"{name} saw a rational instance"
-            if name == "cp_connection":
+            if name == "assemble_cps":
                 connections.append(names)
             return real(arg, *rest)
 
         monkeypatch.setattr(catalog, name, wrapped)
 
     on_family("assemble_cps", catalog.assemble_cps, lambda g: g)
-    on_family("cp_connection", catalog.cp_connection, lambda cps: cps.algebra)
     on_family("curvature", catalog.curvature, lambda conn: conn.algebra)
     proofs = {}
     for entry in table_rows():
@@ -483,6 +523,16 @@ def test_slice_check_builds_no_instance(monkeypatch):
     assert set(proofs) == {"H3R_10", "R4_00", "R4_10"}
     assert sorted(connections) == sorted(FAMILY_PARAMS[f] for f in proofs)
     assert sorted(built) == sorted((name, f) for f in proofs for name in ("build_family", "family_data"))
+
+
+def test_witness_without_slices_fails_its_row():
+    # a FlatOnly and a NonFlatOnly row: a witness whose slices are deleted fails closed
+    for salamon in ("(0,0,0,0,0,0)", "(0,0,0,12,14,24)"):
+        entry = _row(salamon)
+        w = entry.witnesses[0]
+        report = verify_row(entry._replace(witnesses=(w._replace(slices=()),) + entry.witnesses[1:]))
+        assert not report.passed, salamon
+        assert _slice_checks(report)[f"slice_{w.name}"] == (False, "no slice recorded")
 
 
 def test_second_realizing_slice_reduces_to_A():
@@ -598,15 +648,13 @@ def test_family_connection_specializes_to_every_instance():
     checked = 0
     for entry in table_rows():
         for w in entry.witnesses:
-            if w.family == "Explicit":
-                continue
             point = {name: w.params.get(name, Q(0)) for name in FAMILY_PARAMS[w.family]}
             side = connections[w.family].tensor.side
             values = [[x.subs(point).value() if isinstance(x, Poly) else Q(x) for x in r] for r in side.num]
             expected = cp_connection(build_family(w.family, w.params)[1]).tensor
             assert SparseTensor(QMatrix(values)) == expected, w.name
             checked += 1
-    assert checked == 33
+    assert checked == 35
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))

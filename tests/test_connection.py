@@ -127,7 +127,7 @@ def test_parallelism_including_rotations():
     g, cps, conn = family_connection("H3R_10", PARAMS)
     assert parallel_defect(conn, cps.j) == []
     assert parallel_defect(conn, cps.e) == []
-    e_theta = rotate_product(cps, 2)  # the circle point (3/5, 4/5)
+    e_theta = rotate_product(cps.j, cps.e, 2)  # the circle point (3/5, 4/5)
     assert parallel_defect(conn, e_theta) == []
 
 

@@ -4,18 +4,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cpslie.catalog import load_catalog, witness_structure
 from cpslie.connection import cp_connection, curvature
 from cpslie.hypercomplex import LiftError, lift_cps
 from cpslie.lie import LieAlgebra
 from cpslie.linalg import QMatrix, basis_vec
 from cpslie.structures import assemble_cps
-from examples import heisenberg_complex_examples, is_abelian_complex
-
-
-def _explicit_row9_witnesses():
-    row = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,13,14)")
-    return {w.name: w for w in row.witnesses if w.family == "Explicit"}
+from examples import SPLIT_E, heisenberg_complex_examples, is_abelian_complex, split_cps
 
 
 def hat(i):
@@ -32,8 +26,7 @@ def is_abelian_hypercomplex(h):
 
 
 def test_lift_reproduces_flat_structure_table():
-    w = _explicit_row9_witnesses()["split-flat"]
-    _, cps = witness_structure(w)
+    _, cps = split_cps("split-flat")
     h = lift_cps(cps)
     assert h.algebra.dim == 12
     # I1 e1 = hat e1, I1 e2 = -hat e2, paired signs on (e3,e4), (e5,e6)
@@ -47,16 +40,14 @@ def test_lift_reproduces_flat_structure_table():
 
 
 def test_lift_reproduces_nonflat_structure_table():
-    w = _explicit_row9_witnesses()["split-nonflat"]
-    _, cps = witness_structure(w)
+    _, cps = split_cps("split-nonflat")
     h = lift_cps(cps)
     for i, sign in ((0, 1), (3, 1), (5, 1), (1, -1), (2, -1), (4, -1)):
         assert h.j1.col(i) == tuple(Q(sign) * x for x in hat(i))
 
 
 def test_lift_bracket_table_matches_doubling_rules():
-    w = _explicit_row9_witnesses()["split-flat"]
-    _, cps = witness_structure(w)
+    _, cps = split_cps("split-flat")
     ghat = lift_cps(cps).algebra
     # twelve displayed relations of the doubled algebra
     expected = {
@@ -73,8 +64,7 @@ def test_lift_bracket_table_matches_doubling_rules():
 
 
 def test_lift_quaternion_relations_fail_loudly():
-    w = _explicit_row9_witnesses()["split-flat"]
-    _, cps = witness_structure(w)
+    _, cps = split_cps("split-flat")
     h = lift_cps(cps)
     minus_ident = QMatrix.identity(12).scale(-1)
     assert h.j1 @ h.j1 == minus_ident
@@ -85,7 +75,7 @@ def test_lift_quaternion_relations_fail_loudly():
 
 
 def test_lift_forms_j3_once(monkeypatch):
-    _, cps = witness_structure(_explicit_row9_witnesses()["split-flat"])
+    _, cps = split_cps("split-flat")
     products = []
     matmul = QMatrix.__matmul__
     monkeypatch.setattr(QMatrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b))
@@ -104,10 +94,9 @@ def test_lift_of_trivial_cps_on_r2():
 
 
 def test_obata_flat_iff_base_flat_on_explicit_pair():
-    ws = _explicit_row9_witnesses()
     verdicts = {}
-    for name, w in ws.items():
-        _, cps = witness_structure(w)
+    for name in SPLIT_E:
+        _, cps = split_cps(name)
         h = lift_cps(cps)
         rep = curvature(h.connection)
         base_rep = curvature(cp_connection(cps))
@@ -124,8 +113,7 @@ def test_abelian_lift_of_abelian_cps():
 
 
 def test_nonabelian_lift_of_nonabelian_cps():
-    w = _explicit_row9_witnesses()["split-flat"]
-    _, cps = witness_structure(w)
+    _, cps = split_cps("split-flat")
     h = lift_cps(cps)
     assert not is_abelian_hypercomplex(h)
 
@@ -133,8 +121,7 @@ def test_nonabelian_lift_of_nonabelian_cps():
 def test_lift_cps_rejects_a_broken_record():
     """A CPS record built without `assemble_cps` is checked by `lift_cps`:
     E = J squares to +Id in J1 and commutes with J2; a doubled E fails J1^2."""
-    w = _explicit_row9_witnesses()["split-flat"]
-    _, cps = witness_structure(w)
+    _, cps = split_cps("split-flat")
     with pytest.raises(LiftError, match="anticommute"):
         lift_cps(cps._replace(e=cps.j))
     with pytest.raises(LiftError, match="J1_square"):

@@ -170,7 +170,7 @@ def test_eigenspaces_rotation_family_at_theta_zero():
 
 def test_rotation_by_one_swaps_to_diagonal_split():
     g, cps = heisenberg_complex_examples()[0]
-    e2 = rotate_product(cps, 1)
+    e2 = rotate_product(cps.j, cps.e, 1)
     assert e2 == cps.j @ cps.e
     rotated = assemble_cps(g, cps.j, e2)
     plus, minus = rotated.plus, rotated.minus
@@ -246,15 +246,15 @@ def test_eigen_conditions_match_subspace_reference(pair):
 
 def test_rotate_product_formulas():
     g, cps = heisenberg_complex_examples()[0]
-    assert rotate_product(cps, 1) == cps.j @ cps.e
-    assert rotate_product(cps, 2) == cps.e.scale(Q(3, 5)) + (cps.j @ cps.e).scale(Q(4, 5))
-    assert rotate_product(cps, 0) == cps.e.scale(-1)
+    assert rotate_product(cps.j, cps.e, 1) == cps.j @ cps.e
+    assert rotate_product(cps.j, cps.e, 2) == cps.e.scale(Q(3, 5)) + (cps.j @ cps.e).scale(Q(4, 5))
+    assert rotate_product(cps.j, cps.e, 0) == cps.e.scale(-1)
 
 
 def test_rotate_product_rational_angle():
     # the circle point (p, q) = (3/5, 4/5) is c = q / (1 - p) = 2
     g, cps = heisenberg_complex_examples()[0]
-    e2 = rotate_product(cps, Q(4, 5) / (1 - Q(3, 5)))
+    e2 = rotate_product(cps.j, cps.e, Q(4, 5) / (1 - Q(3, 5)))
     assert e2 == cps.e.scale(Q(3, 5)) + (cps.j @ cps.e).scale(Q(4, 5))
     assert product_integrability_defect(g, e2) == []
 
@@ -423,7 +423,7 @@ def test_rotation_eigenspaces_in_h3x2_normal_form():
             _, cps = witness_structure(w)
             nf, c = _normal_form_h3x2(cps)
             assert nf.j.col(2) == tuple(c * x for x in basis_vec(6, 5))
-            rotated = assemble_cps(nf.algebra, nf.j, rotate_product(nf, c))
+            rotated = assemble_cps(nf.algebra, nf.j, rotate_product(nf.j, nf.e, c))
             plus, minus = rotated.plus, rotated.minus
             expected_plus = Subspace.from_spanning(
                 [(c, 0, 0, 1, 0, 0), (0, c, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)], 6
