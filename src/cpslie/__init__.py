@@ -19,7 +19,6 @@ from .connection import (
     cp_connection,
     curvature,
     lsa_is_complete,
-    parallel_defect,
     restrict_to_lsa,
     ricci_via_trace_identity,
     torsion_defect,

@@ -166,9 +166,10 @@ def family_connection(family: str) -> Connection:
     """The cp connection of the family's standard pair, with `Poly` entries.
 
     `build_family` over the family's variables runs what every instance
-    runs: Jacobi and every CPS axiom, integrability as torsion-freeness
-    and nabla J = nabla E = 0 in `assemble_cps`.  Each zero test is a
-    polynomial identity; a failed one raises FamilyError.
+    runs: Jacobi and every CPS axiom, integrability as the connection
+    being torsion-free, which with the construction proves J and E
+    parallel, in `assemble_cps`.  Each zero test is a polynomial
+    identity; a failed one raises FamilyError.
     """
     try:
         return build_family(family, _family_variables(family))[1].connection

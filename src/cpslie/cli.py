@@ -108,7 +108,7 @@ def _check_structure(cps: CPS, seed: int):
 
 
 def _connection_report(cps: CPS, seed: int):
-    # assemble_cps certified the connection torsion-free with J and E parallel
+    # assemble_cps certified the connection torsion-free, which with the construction proves J and E parallel
     rep = curvature(cps.connection)
     cert = connection_is_complete_certificate(rep)
     payload = {

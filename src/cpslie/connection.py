@@ -24,7 +24,6 @@ from .linalg import (
     block_columns,
     is_nilpotent_matrix,
     reshaped,
-    right_product,
     swapped,
 )
 
@@ -101,12 +100,6 @@ def torsion_defect(conn: Connection) -> list[tuple[int, int, Vector]]:
     """Pairs where nabla_x y - nabla_y x != [x, y]."""
     d = _skew(conn.tensor.side) - conn.algebra.structure.side
     return [(i, j, v) for i, j, v in block_columns(d) if j > i]
-
-
-def parallel_defect(conn: Connection, a: QMatrix) -> list[tuple[int, int, Vector]]:
-    """Pairs where nabla_x (A y) != A nabla_x y."""
-    side = conn.tensor.side
-    return block_columns(right_product(side, a) - a @ side)
 
 
 def _commutator_defects(t: SparseTensor, bracket: QMatrix) -> dict:

@@ -37,9 +37,15 @@ def lift_cps(cps: CPS) -> HypercomplexStructure:
     their hatted copies; J2 acts as J on both copies.  This is the only
     validation of a lift: it checks the three squares and J2 J1 = -J3, then
     extends the cp connection blockwise (nabla_x y^ = nabla_{x^} y =
-    (nabla_x y)^, nabla_{x^} y^ = -nabla_x y) to the Obata connection, whose
-    torsion-freeness and parallel triple prove J1, J2 and J3 integrable, as
-    in `assemble_cps`.  Any failure raises LiftError with its codes.
+    (nabla_x y)^, nabla_{x^} y^ = -nabla_x y) to the Obata connection.
+
+    The triple is parallel by construction.  The double commutes with the
+    hat map: each of its slices is diag(M, M) or [[0, -M], [M, 0]] for a
+    slice M of the cp connection.  M commutes with J and E (see
+    `assemble_cps`), so each slice commutes with J1 = [[0, -E], [E, 0]],
+    J2 = diag(J, J) and J3 = J1 J2, and the Obata connection being
+    torsion-free proves J1, J2 and J3 integrable.  Any failure raises
+    LiftError with its codes.
     """
     n = cps.algebra.dim
     zero = QMatrix.zeros(n, n)

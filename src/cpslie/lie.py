@@ -195,10 +195,6 @@ def center(g: LieAlgebra) -> Subspace:
     return kernel(reshaped(swapped(g.structure.side), g.dim**2))
 
 
-def is_ideal(g: LieAlgebra, v: Subspace) -> bool:
-    return v.contains_subspace(bracket_subspaces(g, v, Subspace.full(g.dim)))
-
-
 class ThreeDimType(str, Enum):
     ABELIAN3 = "Abelian3"
     HEISENBERG3 = "Heisenberg3"

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .connection import CertificateError, Connection, parallel_defect, torsion_defect
-from .lie import LieAlgebra, ThreeDimType, center, is_ideal, iso_type_3d
+from .connection import CertificateError, Connection, torsion_defect
+from .lie import LieAlgebra, ThreeDimType, center, iso_type_3d
 from .linalg import (
     Q,
     QMatrix,
@@ -108,9 +108,9 @@ def _integrability_failures(g: LieAlgebra, named) -> list[str]:
 
 
 def _certified_failures(conn: Connection, named) -> list[str]:
-    """[] if `conn` is torsion-free with each A of `named` parallel, which proves A integrable;
+    """[] if `conn`, built with each A of `named` parallel, is torsion-free, which proves A integrable;
     else `_integrability_failures`, or CertificateError if no A has a defect."""
-    if not (torsion_defect(conn) or any(parallel_defect(conn, a) for _, a, _ in named)):
+    if not torsion_defect(conn):
         return []
     failures = _integrability_failures(conn.algebra, named)
     if not failures:
@@ -140,17 +140,25 @@ def assemble_cps(g: LieAlgebra, j: Endo, e: Endo) -> CPS:
     which is 1/4 ([x,y] - [Ex,Ey] - E[Ex,y] + E[x,Ey]) for all x, y.  As
     J anticommutes with E, J pi- = pi+ J, so the other two terms are
     -J W(x, J y), and nabla_x y = W(x, y) - J W(x, J y): six products.
-    Four more check that J and E are parallel, and a skew sum that nabla
-    is torsion-free.  These exact zero tests prove N_J = N_E = 0: by
-    [u, v] = nabla_u v - nabla_v u and nabla_u (A v) = A nabla_u v,
+
+    J and E are parallel by construction, for any bilinear bracket.
+    W(x, .) = pi- ad(pi+ x) pi- + pi+ ad(pi- x) pi+ maps each eigenspace
+    of E into itself, and so does J W(x, J .), since J swaps them; so
+    nabla_x commutes with E.  And with J^2 = -Id,
+
+        nabla_x (J y) = W(x, J y) + J W(x, y) = J nabla_x y.
+
+    So a skew sum that nabla is torsion-free is the only check, and that
+    exact zero test proves N_J = N_E = 0: by [u, v] = nabla_u v - nabla_v u
+    and nabla_u (A v) = A nabla_u v,
 
         N_A(x, y) = [Ax, Ay] - A[Ax, y] - A[x, Ay] + A^2 [x, y]
                   = (A nabla_{Ax} y - A nabla_{Ay} x) - (A nabla_{Ax} y - A^2 nabla_y x)
                     - (A^2 nabla_x y - A nabla_{Ay} x) + (A^2 nabla_x y - A^2 nabla_y x) = 0,
 
     and N_A is A times the `_integrability_defect` of A.  The defects run
-    only when a check fails, to name J or E; if neither has one, the
-    connection and the defects disagree: CertificateError.
+    only when the torsion check fails, to name J or E; if neither has one,
+    the connection and the defects disagree: CertificateError.
     """
     n = g.dim
     shaped = (j.rows, j.cols, e.rows, e.cols) == (n,) * 4
@@ -212,18 +220,14 @@ def ascending_series(g: LieAlgebra, j: Endo) -> list[Subspace]:
 
 
 def find_central_invariant_ideal(cps: CPS) -> Subspace | None:
-    """Largest J- and E-invariant subspace of the center, if dim >= 2."""
+    """Largest J- and E-invariant subspace of the center, if dim >= 2; central, so an ideal."""
     w = center(cps.algebra)
     while True:
         nxt = intersect(w, intersect(preimage(cps.j, w), preimage(cps.e, w)))
         if nxt == w:
             break
         w = nxt
-    if w.dim >= 2:
-        if not is_ideal(cps.algebra, w):
-            raise StructureError("central_ideal", "a J- and E-invariant central subspace must be an ideal")
-        return w
-    return None
+    return w if w.dim >= 2 else None
 
 
 def endo_from_json(data) -> Endo:

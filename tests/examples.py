@@ -1,13 +1,13 @@
 """Test-only fixtures: example structures and checks that no command uses.
 
 The Heisenberg examples, the paper's split pairs on (0,0,0,12,13,14),
-the Heisenberg x Heisenberg constant, the abelian check and the failure
-codes of `assemble_cps` live here rather than in the package, since only
-the tests read them.
+the Heisenberg x Heisenberg constant, the abelian check, the failure
+codes of `assemble_cps` and the per-index parallelism check live here
+rather than in the package, since only the tests read them.
 """
 
 from cpslie.lie import LieAlgebra, ThreeDimType
-from cpslie.linalg import Q, QMatrix, Subspace, basis_vec, q, right_product, swapped, vec, vec_is_zero, vec_neg
+from cpslie.linalg import Q, QMatrix, Subspace, basis_vec, q, right_product, swapped, vec, vec_is_zero, vec_neg, vec_sub
 from cpslie.salamon import parse_salamon
 from cpslie.structures import CPS, Endo, StructureError, _integrability_defect, _require, assemble_cps, double_type
 
@@ -36,6 +36,24 @@ def validate_cps(g: LieAlgebra, j: Endo, e: Endo) -> list[str]:
     except StructureError as exc:
         return exc.failures
     return []
+
+
+def ref_parallel_defect(conn, a):
+    """Pairs (i, j) where nabla_{e_i} (A e_j) != A nabla_{e_i} e_j, with the difference.
+
+    `assemble_cps` and `lift_cps` check no parallelism: their connections
+    are parallel by construction.  This is the independent check of the
+    paper's claim, one nabla_{e_i} at a time.
+    """
+    out = []
+    for i in range(conn.algebra.dim):
+        na = conn.nabla(i) @ a
+        an = a @ conn.nabla(i)
+        for jdx in range(conn.algebra.dim):
+            d = vec_sub(na.col(jdx), an.col(jdx))
+            if not vec_is_zero(d):
+                out.append((i, jdx, d))
+    return out
 
 
 def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:

@@ -28,7 +28,6 @@ from cpslie.connection import (
     exact_polynomial_geodesic_certificate,
     lsa_defects,
     lsa_is_complete,
-    parallel_defect,
     restrict_to_lsa,
     ricci_via_trace_identity,
     torsion_defect,
@@ -44,7 +43,7 @@ from cpslie.structures import (
     rotate_product,
 )
 from cpslie.linalg import map_subspace
-from examples import SPLIT_E, split_cps
+from examples import SPLIT_E, ref_parallel_defect, split_cps
 from geodesic_reference import taylor_least_degree
 
 FLAT_ONLY = {
@@ -133,8 +132,8 @@ def test_criterion_03_nilpotent_complex_structures():
 def test_criterion_04_connection_identities():
     for entry, w, g, cps, conn in all_connections():
         assert torsion_defect(conn) == []
-        assert parallel_defect(conn, cps.j) == []
-        assert parallel_defect(conn, cps.e) == []
+        assert ref_parallel_defect(conn, cps.j) == []
+        assert ref_parallel_defect(conn, cps.e) == []
         rep = curvature(conn)
         assert rep.traceless
         assert rep.is_ricci_flat

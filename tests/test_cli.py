@@ -737,19 +737,19 @@ def nonflat_cps_file(tmp_path):
     return _cps_json(tmp_path / "nonflat.json", g, cps)
 
 
-# Work per command: (squarings, curvature, torsion_defect, parallel_defect)
-# calls.  A squaring is a product of J, E or a lifted J1, J2, J3 with itself:
+# Work per command: (squarings, curvature, torsion_defect) calls.  A
+# squaring is a product of J, E or a lifted J1, J2, J3 with itself:
 # `assemble_cps` squares J and E once and `lift_cps` each Jk once.
-# Torsion and parallelism are checked once per connection, where
-# `assemble_cps` and `lift_cps` build it: that certifies integrability, so
-# no integrability defect runs on valid input.  The one extra torsion check
+# Torsion is checked once per connection, where `assemble_cps` and
+# `lift_cps` build it parallel: that certifies integrability, so no
+# integrability defect runs on valid input.  The one extra torsion check
 # of connection-report guards the exact completeness certificate and runs
 # only on a flat connection.
 WORK = {
-    "check-structure": (2, 0, 1, 2),
-    "connection-report": (2, 1, 1, 2),
-    "hypercomplex": (5, 2, 2, 5),
-    "geodesic": (2, 0, 1, 2),
+    "check-structure": (2, 0, 1),
+    "connection-report": (2, 1, 1),
+    "hypercomplex": (5, 2, 2),
+    "geodesic": (2, 0, 1),
 }
 
 
@@ -771,7 +771,7 @@ def test_each_identity_is_checked_once(capsys, monkeypatch, request, command, fl
     h = lift_cps(assemble_cps(_algebra_from_data(data["algebra"]), j, e))
     squared = {j, e, h.j1, h.j2, h.j3}
 
-    counts = dict.fromkeys(("squarings", "curvature", "torsion_defect", "parallel_defect"), 0)
+    counts = dict.fromkeys(("squarings", "curvature", "torsion_defect"), 0)
     matmul = QMatrix.__matmul__
 
     def counted_matmul(a, b):
@@ -780,7 +780,7 @@ def test_each_identity_is_checked_once(capsys, monkeypatch, request, command, fl
         return matmul(a, b)
 
     monkeypatch.setattr(QMatrix, "__matmul__", counted_matmul)
-    for name in ("curvature", "torsion_defect", "parallel_defect"):
+    for name in ("curvature", "torsion_defect"):
         real = getattr(connection, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
@@ -793,15 +793,10 @@ def test_each_identity_is_checked_once(capsys, monkeypatch, request, command, fl
 
     code, _ = run_cli(capsys, command, "--cps", path)
     assert code == 0
-    squarings, curvatures, torsions, parallels = WORK[command]
+    squarings, curvatures, torsions = WORK[command]
     if command == "connection-report" and flat:
         torsions += 1
-    assert counts == {
-        "squarings": squarings,
-        "curvature": curvatures,
-        "torsion_defect": torsions,
-        "parallel_defect": parallels,
-    }
+    assert counts == {"squarings": squarings, "curvature": curvatures, "torsion_defect": torsions}
 
 
 @pytest.fixture

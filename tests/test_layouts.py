@@ -23,7 +23,6 @@ from cpslie.connection import (
     cp_connection,
     curvature,
     lsa_defects,
-    parallel_defect,
     ricci_via_trace_identity,
     torsion_defect,
 )
@@ -41,11 +40,10 @@ from cpslie.linalg import (
     right_product,
     swapped,
     transposed_blocks,
-    vec_is_zero,
     vec_sub,
 )
 from cpslie.structures import _integrability_defect, assemble_cps
-from examples import is_abelian_complex, validate_cps
+from examples import is_abelian_complex, ref_parallel_defect, validate_cps
 from table_helper import tensor_from_table
 
 WITNESSES = [(entry.salamon, w) for entry in load_catalog() for w in entry.witnesses]
@@ -64,18 +62,6 @@ def ref_integrability_defect(g, a, sign):
         d = a @ ad_i - ad_ai - ad_i @ a - (a @ ad_ai @ a).scale(sign)
         if not d.is_zero():
             out.extend((i, b, d.col(b)) for b in range(i + 1, n) if any(r[b] for r in d.num))
-    return out
-
-
-def ref_parallel_defect(conn, a):
-    out = []
-    for i in range(conn.algebra.dim):
-        na = conn.nabla(i) @ a
-        an = a @ conn.nabla(i)
-        for jdx in range(conn.algebra.dim):
-            d = vec_sub(na.col(jdx), an.col(jdx))
-            if not vec_is_zero(d):
-                out.append((i, jdx, d))
     return out
 
 
@@ -168,10 +154,8 @@ def assert_curvature(conn):
     return rep
 
 
-def assert_connection_identities(conn, endos):
+def assert_connection_identities(conn):
     assert_curvature(conn)
-    for a in endos:
-        assert parallel_defect(conn, a) == ref_parallel_defect(conn, a)
     assert lsa_defects(conn)["left_symmetry"] == ref_left_symmetry(conn)
     if not torsion_defect(conn):
         assert ricci_via_trace_identity(conn) == ref_ricci_via_trace_identity(conn)
@@ -185,14 +169,14 @@ def dense_conjugator(rng, n):
             return p
 
 
-def planted_j(j, g=None):
-    """J with one entry moved by 1: no longer a complex structure.  Given the
-    algebra, the first such entry in row order that breaks integrability."""
+def planted_j(j, g):
+    """J with one entry moved by 1, no longer a complex structure: the first
+    such entry in row order that breaks integrability on `g`."""
     for k in range(j.rows * j.cols):
         rows = [list(r) for r in j.entries]
         rows[k // j.cols][k % j.cols] += 1
         bad = QMatrix(rows)
-        if g is None or ref_integrability_defect(g, bad, 1):
+        if ref_integrability_defect(g, bad, 1):
             return bad
     return bad
 
@@ -221,17 +205,17 @@ def test_batched_identities_equal_the_references(salamon, witness):
         structure = assemble_cps(alg, j, e)
         conn = cp_connection(structure)
         assert conn == ref_cp_connection(structure)
-        assert_connection_identities(conn, (j, e, j @ e))
-        # planted faults: a perturbed J, a non-parallel endomorphism, a
-        # connection with torsion and curvature
+        assert ref_parallel_defect(conn, j) == ref_parallel_defect(conn, e) == []
+        assert_connection_identities(conn)
+        # planted faults: a perturbed J, a connection with torsion,
+        # curvature and no parallel J
         bad_j = planted_j(j, alg)
         defects = _integrability_defect(alg, bad_j, 1)
         assert defects == ref_integrability_defect(alg, bad_j, 1)
         assert defects or alg.is_abelian()
         bad_conn = random_connection(alg, rng)
         assert not assert_curvature(bad_conn).is_flat
-        assert parallel_defect(bad_conn, j) == ref_parallel_defect(bad_conn, j) != []
-        assert parallel_defect(conn, bad_j) == ref_parallel_defect(conn, bad_j)
+        assert ref_parallel_defect(bad_conn, j) != []
         assert lsa_defects(bad_conn)["left_symmetry"] == ref_left_symmetry(bad_conn) != []
 
 
@@ -241,7 +225,8 @@ def test_lifted_identities_equal_the_references(salamon, witness):
     h = lift_cps(cps)
     for a in (h.j1, h.j2, h.j3):
         assert _integrability_defect(h.algebra, a, 1) == ref_integrability_defect(h.algebra, a, 1)
-    assert_connection_identities(h.connection, (h.j1, h.j2, h.j3, planted_j(h.j1)))
+        assert ref_parallel_defect(h.connection, a) == []
+    assert_connection_identities(h.connection)
 
 
 def test_dense_lift_identities_equal_the_references():
@@ -253,7 +238,7 @@ def test_dense_lift_identities_equal_the_references():
     moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
     h = lift_cps(moved)
     assert _integrability_defect(h.algebra, h.j3, 1) == ref_integrability_defect(h.algebra, h.j3, 1)
-    assert_connection_identities(h.connection, (h.j1, planted_j(h.j2)))
+    assert_connection_identities(h.connection)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
@@ -295,15 +280,16 @@ def test_work_per_identity_does_not_grow_with_the_dimension(monkeypatch):
     conn = cp_connection(cps)
     h = lift_cps(cps)
     obata = h.connection
-    small = (count(curvature, conn), count(_integrability_defect, g, cps.j, 1), count(parallel_defect, conn, cps.j))
-    large = (count(curvature, obata), count(_integrability_defect, h.algebra, h.j1, 1), count(parallel_defect, obata, h.j1))
-    assert small == large == (1, 3, 2)
+    small = (count(curvature, conn), count(_integrability_defect, g, cps.j, 1))
+    large = (count(curvature, obata), count(_integrability_defect, h.algebra, h.j1, 1))
+    assert small == large == (1, 3)
 
 
 def test_cp_connection_is_ten_products(monkeypatch):
-    """Six products build the connection and four check that J and E are parallel,
-    all inside `assemble_cps`, after two squarings and two for JE = -EJ;
-    `cp_connection` takes none.  On a witness and on a family's Poly CPS alike."""
+    """Six products build the connection inside `assemble_cps`, after two squarings
+    and two for JE = -EJ: ten in all, with no parallelism check, since J and E
+    are parallel by construction.  `cp_connection` takes none.  On a witness and
+    on a family's Poly CPS alike."""
     calls = []
     product = QMatrix.__matmul__
     monkeypatch.setattr(QMatrix, "__matmul__", lambda a, b: calls.append(1) or product(a, b))
@@ -311,7 +297,7 @@ def test_cp_connection_is_ten_products(monkeypatch):
     for _, cps in (witness_structure(witness), build_family("H3R_10", _family_variables("H3R_10"))):
         calls.clear()
         again = assemble_cps(cps.algebra, cps.j, cps.e)
-        assert len(calls) == 4 + 10
+        assert len(calls) == 4 + 6
         calls.clear()
         assert cp_connection(again) == cp_connection(cps)
         assert calls == []
@@ -333,8 +319,8 @@ def keeping(rng, a, sign):
 def test_connection_certificate_agrees_with_the_defects():
     """P^-1 J P and P^-1 E P keep J^2 = -Id, E^2 = Id and JE = -EJ, but mostly
     not integrability.  For seeded dense P, and for P that keep E or J, the
-    codes of `validate_cps`, which tests torsion and parallelism of the cp
-    connection, are those of the two integrability defects; on valid draws
+    codes of `validate_cps`, which tests the torsion of the cp connection,
+    are those of the two integrability defects; on valid draws
     the carried connection is the reference's."""
     seen = set()
     for k, (salamon, witness) in enumerate(WITNESSES):

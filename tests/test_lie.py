@@ -11,10 +11,10 @@ from cpslie.lie import (
     ThreeDimType,
     algebra_from_json,
     algebra_to_json,
+    bracket_subspaces,
     center,
     change_basis,
     complexify_realified,
-    is_ideal,
     is_nilpotent,
     iso_type_3d,
     jacobi_defect,
@@ -28,6 +28,11 @@ from table_helper import tensor_from_table
 E = lambda i: basis_vec(6, i)  # noqa: E731
 
 H3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})  # [e1,e2] = e3
+
+
+def is_ideal(g, v):
+    """[v, g] lies in v."""
+    return v.contains_subspace(bracket_subspaces(g, v, Subspace.full(g.dim)))
 
 
 def test_bracket_worked_example():

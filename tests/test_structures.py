@@ -1,12 +1,13 @@
 """Complex and product structures, rotations, series, invariant ideals."""
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpslie.catalog import eight_dim_example, load_catalog, witness_structure
+from cpslie.catalog import _standard_cps, eight_dim_example, load_catalog, witness_structure
 from cpslie.connection import cp_connection
 from cpslie.lie import LieAlgebra, ThreeDimType, center
 from cpslie.linalg import QMatrix, Subspace, basis_vec, intersect, kernel, map_subspace, rank
@@ -202,6 +203,41 @@ def test_assemble_cps_rejects_commuting_pair():
     with pytest.raises(StructureError):
         assemble_cps(g, j_commuting, e)
     assert validate_cps(g, j, e) == []
+
+
+def _slices(t):
+    return [t.slice_matrix(basis_vec(t.dim, i)) for i in range(t.dim)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_cp_connection_is_parallel_on_every_basis_bracket(monkeypatch, m):
+    """J and E are parallel by construction, so `assemble_cps` checks torsion only.
+
+    nabla is linear in the bracket and natural under a change of basis, and
+    every (J, E) with J^2 = -Id, E^2 = Id and JE = -EJ is conjugate to the
+    standard pair.  So parallelism for every input follows from it on each
+    single-coefficient bracket [e_i, e_j] = e_l at the standard pair:
+    nabla commutes with J and E, and its Obata double with J1, J2 and J3
+    formed as in `lift_cps`.  These brackets need not satisfy Jacobi nor
+    the pair be integrable, so the torsion certificate is switched off.
+    """
+    monkeypatch.setattr("cpslie.structures._certified_failures", lambda conn, named: [])
+    n = 2 * m
+    j, e = _standard_cps(m)
+    zero = QMatrix.zeros(n, n)
+    j1 = QMatrix.block([[zero, e.scale(-1)], [e, zero]])
+    j2 = QMatrix.diag_blocks(j, j)
+    lifted = (j1, j2, j1 @ j2)
+    failed = []
+    for i, k in combinations(range(n), 2):
+        for l in range(n):
+            g = LieAlgebra.from_brackets(n, {(i, k): {l: 1}}, check=False)
+            t = assemble_cps(g, j, e).connection.tensor
+            pairs = [(s, a) for s in _slices(t) for a in (j, e)]
+            pairs += [(s, a) for s in _slices(t.realified_double()) for a in lifted]
+            if any(s @ a != a @ s for s, a in pairs):
+                failed.append((i, k, l))
+    assert failed == []
 
 
 def eigen_failures_by_subspaces(j, e):
