@@ -20,6 +20,7 @@ from .linalg import (
     SparseTensor,
     Vector,
     _matrix,
+    _product_rows,
     basis_vec,
     block_columns,
     is_nilpotent_matrix,
@@ -104,23 +105,21 @@ def torsion_defect(conn: Connection) -> list[tuple[int, int, Vector]]:
 
 def _commutator_defects(t: SparseTensor, bracket: QMatrix) -> dict:
     """{(i, j): [M_i, M_j] - M_b for i < j}, over the slices M of t and b the
-    column i*n + j of `bracket` (side by side); one product gives every M_i M_j."""
+    column i*n + j of `bracket` (side by side), in two products: one gives
+    every M_i M_j, the other every M_b, read row by row."""
     n, side = t.dim, t.side
     flat = swapped(side)  # row k is M_k read row by row
-    prod = reshaped(flat, n * n) @ side  # block (i, j) is M_i M_j
-    den = lcm(prod.den, side.den * bracket.den)
-    f, h = den // prod.den, den // (side.den * bracket.den)
-    rows = [prod.num[s:s + n] for s in range(0, n * n, n)]
+    prod = _product_rows(reshaped(flat, n * n).num, side)  # block (i, j) is M_i M_j
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mbs = _product_rows([[r[i * n + j] for r in bracket.num] for i, j in pairs], flat)
+    den = lcm(side.den, bracket.den) * side.den  # over side.den**2 and bracket.den * side.den
+    f, h = den // side.den**2, den // (bracket.den * side.den)
     out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            ij = chain.from_iterable(r[j * n:(j + 1) * n] for r in rows[i])
-            ji = chain.from_iterable(r[i * n:(i + 1) * n] for r in rows[j])
-            d = [f * (a - b) for a, b in zip(ij, ji)]
-            for k, row in enumerate(bracket.num):
-                if c := h * row[i * n + j]:
-                    d = [x - c * y for x, y in zip(d, flat.num[k])]
-            out[i, j] = _matrix([d[s:s + n] for s in range(0, n * n, n)], den, n)
+    for (i, j), mb in zip(pairs, mbs):
+        ij = chain.from_iterable(r[j * n:(j + 1) * n] for r in prod[i * n:(i + 1) * n])
+        ji = chain.from_iterable(r[i * n:(i + 1) * n] for r in prod[j * n:(j + 1) * n])
+        d = [f * (a - b) - h * c for a, b, c in zip(ij, ji, mb)]
+        out[i, j] = _matrix([d[s:s + n] for s in range(0, n * n, n)], den, n)
     return out
 
 

@@ -18,7 +18,9 @@ slot by slot with `struct`.  That is exact while sum_k |a_k| * max |B|
 sparser row, a row over that bound, or a Poly on either side keeps the
 loop that adds one row of B per nonzero a_k: on the sparse rows of the
 catalog's products the loop is faster, and Python ints cannot overflow
-there.
+there.  Canonical form is taken where a QMatrix is built: `_product_rows`
+returns a product's raw integer rows, and those never leave the kernel
+that reads them.
 
 A SparseTensor holds an n x n table of rational n-vectors (structure
 constants, connection coefficients) the same way: its n slice matrices
@@ -195,6 +197,28 @@ def _matrix(num, den: int, cols: int) -> "QMatrix":
     return m
 
 
+def _product_rows(num: Sequence[Sequence], b: "QMatrix") -> list:
+    """The integer rows of num times b.num, not in canonical form: packed
+    where that is exact, else the zero-skipping loop (see the module doc)."""
+    zero = [0] * b.cols
+    out = []
+    packed = None
+    zeros_below = b.rows - _PACK_MIN_TERMS  # a row with fewer zeros packs
+    for r in num:
+        if r.count(0) < zeros_below:
+            if packed is None:
+                packed = _PackedRows.of(b)
+            if packed and packed.fits(r):
+                out.append(packed.times(r))
+                continue
+        acc = zero
+        for a, brow in zip(r, b.num):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
 class QMatrix:
     """Immutable rational matrix in canonical integer form (see the module doc)."""
 
@@ -318,23 +342,7 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        zero = [0] * other.cols
-        num = []
-        packed = None
-        zeros_below = self.cols - _PACK_MIN_TERMS  # a row with fewer zeros packs
-        for r in self.num:
-            if r.count(0) < zeros_below:
-                if packed is None:
-                    packed = _PackedRows.of(other)
-                if packed and packed.fits(r):
-                    num.append(packed.times(r))
-                    continue
-            acc = zero
-            for a, brow in zip(r, other.num):
-                if a:
-                    acc = [x + a * y for x, y in zip(acc, brow)]
-            num.append(acc)
-        return _matrix(num, self.den * other.den, other.cols)
+        return _matrix(_product_rows(self.num, other), self.den * other.den, other.cols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector."""

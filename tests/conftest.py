@@ -16,3 +16,14 @@ def workloads():
         return importlib.import_module("workloads")
     finally:
         sys.path.pop(0)
+
+
+@pytest.fixture
+def packed_rows(monkeypatch):
+    """The number of product rows that took the packed path so far."""
+    from cpslie import linalg
+
+    rows = []
+    times = linalg._PackedRows.times
+    monkeypatch.setattr(linalg._PackedRows, "times", lambda self, a: rows.append(1) or times(self, a))
+    return rows

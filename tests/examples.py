@@ -2,12 +2,26 @@
 
 The Heisenberg examples, the paper's split pairs on (0,0,0,12,13,14),
 the Heisenberg x Heisenberg constant, the abelian check, the failure
-codes of `assemble_cps` and the per-index parallelism check live here
-rather than in the package, since only the tests read them.
+codes of `assemble_cps`, the per-index parallelism check and the seeded
+dense basis changes live here rather than in the package, since only the
+tests read them.
 """
 
 from cpslie.lie import LieAlgebra, ThreeDimType
-from cpslie.linalg import Q, QMatrix, Subspace, basis_vec, q, right_product, swapped, vec, vec_is_zero, vec_neg, vec_sub
+from cpslie.linalg import (
+    Q,
+    QMatrix,
+    Subspace,
+    basis_vec,
+    q,
+    rank,
+    right_product,
+    swapped,
+    vec,
+    vec_is_zero,
+    vec_neg,
+    vec_sub,
+)
 from cpslie.salamon import parse_salamon
 from cpslie.structures import CPS, Endo, StructureError, _integrability_defect, _require, assemble_cps, double_type
 
@@ -54,6 +68,14 @@ def ref_parallel_defect(conn, a):
             if not vec_is_zero(d):
                 out.append((i, jdx, d))
     return out
+
+
+def dense_conjugator(rng, n):
+    """A random invertible P with every entry nonzero."""
+    while True:
+        p = QMatrix([[Q(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+        if rank(p) == n:
+            return p
 
 
 def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:

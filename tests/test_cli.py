@@ -605,6 +605,40 @@ def test_nonflat_default_json_is_pinned(capsys, nonflat_cps_file, command):
     assert hashlib.sha256(out.encode()).hexdigest() == NONFLAT_GOLDEN[command], out
 
 
+@pytest.fixture
+def dense_cps_file(tmp_path):
+    """The split-nonflat witness conjugated by a seeded dense P: J, E and every
+    off-diagonal bracket column dense, so the products take their packed rows."""
+    import random
+
+    from cpslie.catalog import load_catalog, witness_structure
+    from cpslie.lie import change_basis
+    from cpslie.structures import assemble_cps
+    from examples import dense_conjugator
+
+    witness = next(w for e in load_catalog() for w in e.witnesses if w.name == "split-nonflat")
+    g, cps = witness_structure(witness)
+    p = dense_conjugator(random.Random(0), g.dim)
+    pinv = p.inverse()
+    moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
+    return _cps_json(tmp_path / "dense.json", moved.algebra, moved)
+
+
+# The same on the dense fixture; connection-report prints every nonzero
+# curvature entry and hypercomplex the 12-dimensional curvature verdicts.
+DENSE_GOLDEN = {
+    "connection-report": "19525e4da2468f0b3efc0ff1c4e5abedc519e8d716b44ef94b6737594bc79add",
+    "hypercomplex": "1fe526a4eed62dfca8bf7a583ab5b9fa3bf609529f1f9d4089b81b06e6257549",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DENSE_GOLDEN))
+def test_dense_default_json_is_pinned(capsys, dense_cps_file, command):
+    code, out = run_cli(capsys, command, "--cps", dense_cps_file)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DENSE_GOLDEN[command], out
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_default_json_is_pinned(capsys, tmp_path, cps_file, case):
     command = case.removesuffix("-invalid")

@@ -151,15 +151,6 @@ def int_rows(rows, cols, bits):
     return st.lists(row, min_size=rows, max_size=rows)
 
 
-@pytest.fixture
-def packed_rows(monkeypatch):
-    """The number of product rows that took the packed path so far."""
-    rows = []
-    times = linalg._PackedRows.times
-    monkeypatch.setattr(linalg._PackedRows, "times", lambda self, a: rows.append(1) or times(self, a))
-    return rows
-
-
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_int_matmul_matches_reference(data):

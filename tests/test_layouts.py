@@ -16,7 +16,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cpslie.catalog import FAMILY_PARAMS, _family_variables, build_family, load_catalog, witness_structure
+from cpslie import connection, linalg
+from cpslie.catalog import (
+    FAMILY_PARAMS,
+    _family_variables,
+    build_family,
+    family_connection,
+    load_catalog,
+    witness_structure,
+)
 from cpslie.connection import (
     CertificateError,
     Connection,
@@ -43,7 +51,7 @@ from cpslie.linalg import (
     vec_sub,
 )
 from cpslie.structures import _integrability_defect, assemble_cps
-from examples import is_abelian_complex, ref_parallel_defect, validate_cps
+from examples import dense_conjugator, is_abelian_complex, ref_parallel_defect, validate_cps
 from table_helper import tensor_from_table
 
 WITNESSES = [(entry.salamon, w) for entry in load_catalog() for w in entry.witnesses]
@@ -77,12 +85,13 @@ def ref_curvature(conn):
             nabla_ij = conn.tensor.slice_matrix(g.bracket(e(i), e(jdx)))
             r[(i, jdx)] = nablas[i] @ nablas[jdx] - nablas[jdx] @ nablas[i] - nabla_ij
     # ric(e_i, e_j) = sum_z (R(e_z, e_i) e_j)_z
+    # read through `entries`, which keeps a Poly entry (a family's layouts) a Poly
     ricci = QMatrix(
-        [[sum((r[z, i] if z < i else r[i, z].scale(-1)).entry(z, j) for z in range(n) if z != i) for j in range(n)]
+        [[sum((r[z, i] if z < i else r[i, z].scale(-1)).entries[z][j] for z in range(n) if z != i) for j in range(n)]
          for i in range(n)]
     )
     flat = all(m.is_zero() for m in r.values())
-    return r, ricci, flat, ricci.is_zero(), all(m.trace() == 0 for m in nablas)
+    return r, ricci, flat, ricci.is_zero(), all(sum(m.entries[k][k] for k in range(n)) == 0 for m in nablas)
 
 
 def ref_cp_connection(cps):
@@ -159,14 +168,6 @@ def assert_connection_identities(conn):
     assert lsa_defects(conn)["left_symmetry"] == ref_left_symmetry(conn)
     if not torsion_defect(conn):
         assert ricci_via_trace_identity(conn) == ref_ricci_via_trace_identity(conn)
-
-
-def dense_conjugator(rng, n):
-    """A random invertible P with every entry nonzero."""
-    while True:
-        p = QMatrix([[Q(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
-        if rank(p) == n:
-            return p
 
 
 def planted_j(j, g):
@@ -248,6 +249,28 @@ def test_family_cp_connection_equals_the_reference(family):
     assert cp_connection(cps) == ref_cp_connection(cps)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_family_curvature_equals_the_reference(packed_rows, family):
+    """The curvature kernel on a family's Poly connection, where every row takes the loop."""
+    assert_curvature(family_connection(family))
+    assert packed_rows == []
+
+
+def test_curvature_beyond_the_packed_slots_equals_the_reference(packed_rows):
+    """A witness conjugated by diag(10^30, 1, ..., 1), and its lift: every
+    integer entry bound is at least 2^63, so no product packs its rows."""
+    salamon, witness = next((s, w) for s, w in WITNESSES if w.name == "split-nonflat")
+    g, cps = witness_structure(witness)
+    p = QMatrix.diag_blocks(QMatrix([[10**30]]), QMatrix.identity(g.dim - 1))
+    pinv = p.inverse()
+    moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
+    for conn in (moved.connection, lift_cps(moved).connection):
+        assert max(abs(x) for r in conn.tensor.side.num for x in r) >= 2**63
+        packed_rows.clear()
+        assert not assert_curvature(conn).is_flat
+        assert packed_rows == []
+
+
 def test_layout_recuts_match_the_slices():
     rng = random.Random(7)
     n = 4
@@ -265,10 +288,15 @@ def test_layout_recuts_match_the_slices():
 
 
 def test_work_per_identity_does_not_grow_with_the_dimension(monkeypatch):
-    """Each identity is a fixed number of products, on a 6-dim witness and on its 12-dim lift alike."""
+    """Each identity is a fixed number of products, on a 6-dim witness and on its 12-dim lift alike.
+
+    Every product runs the one row loop, `linalg._product_rows`: a QMatrix
+    product through `__matmul__`, the curvature kernel directly."""
     calls = []
-    product = QMatrix.__matmul__
-    monkeypatch.setattr(QMatrix, "__matmul__", lambda a, b: calls.append(1) or product(a, b))
+    product = linalg._product_rows
+    spy = lambda a, b: calls.append(1) or product(a, b)  # noqa: E731
+    monkeypatch.setattr(linalg, "_product_rows", spy)
+    monkeypatch.setattr(connection, "_product_rows", spy)
 
     def count(f, *args):
         calls.clear()
@@ -282,7 +310,7 @@ def test_work_per_identity_does_not_grow_with_the_dimension(monkeypatch):
     obata = h.connection
     small = (count(curvature, conn), count(_integrability_defect, g, cps.j, 1))
     large = (count(curvature, obata), count(_integrability_defect, h.algebra, h.j1, 1))
-    assert small == large == (1, 3)
+    assert small == large == (2, 3)
 
 
 def test_cp_connection_is_ten_products(monkeypatch):
