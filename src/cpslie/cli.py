@@ -129,6 +129,7 @@ def _verify_catalog(_, seed: int):
 
 
 def _hypercomplex(cps: CPS, seed: int):
+    # assemble_cps certified the CPS, which proves the lift quaternionic and its connection torsion-free (see lift_cps)
     h = lift_cps(cps)
     base_rep = curvature(cps.connection)
     ob_rep = curvature(h.connection)

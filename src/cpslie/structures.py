@@ -42,10 +42,10 @@ class StructureError(ValueError):
 
 
 def square_failures(a: Endo, sign: int, name: str) -> list[str]:
-    """[] if A^2 = -sign * Id, else the one failure code: "{name}_square", or
-    "{name}_identity" for a product structure (sign -1) equal to +/-Id."""
+    """[] if the square matrix A has A^2 = -sign * Id, else the one failure code: "{name}_square",
+    or "{name}_identity" for a product structure (sign -1) equal to +/-Id."""
     ident = QMatrix.identity(a.rows)
-    if not a.is_square() or (a @ a) != ident.scale(-sign):
+    if (a @ a) != ident.scale(-sign):
         return [f"{name}_square"]
     if sign < 0 and (a == ident or a == ident.scale(-1)):
         return [f"{name}_identity"]
@@ -55,8 +55,10 @@ def square_failures(a: Endo, sign: int, name: str) -> list[str]:
 _REQUIRED = {"J_square": "J^2 = -Id fails", "E_square": "E^2 = Id fails", "E_identity": "E = +/-Id is excluded"}
 
 
-def _require(a: Endo, sign: int, name: str):
-    """Raise StructureError naming the failure of `square_failures`, if any."""
+def _require(g: LieAlgebra, a: Endo, sign: int, name: str):
+    """Raise StructureError: "shape" unless A is g.dim x g.dim, else the failure of `square_failures`, if any."""
+    if (a.rows, a.cols) != (g.dim, g.dim):
+        raise StructureError("shape", f"{name} is {a.rows} x {a.cols}, not {g.dim} x {g.dim}")
     failures = square_failures(a, sign, name)
     if failures:
         raise StructureError(failures[0], _REQUIRED[failures[0]])
@@ -81,13 +83,13 @@ def _integrability_defect(g: LieAlgebra, a: Endo, sign: int) -> list[tuple[int, 
 
 def complex_integrability_defect(g: LieAlgebra, j: Endo) -> list[tuple[int, int, Vector]]:
     """Pairs violating J[x,y] = [Jx,y] + [x,Jy] + J[Jx,Jy]."""
-    _require(j, 1, "J")
+    _require(g, j, 1, "J")
     return _integrability_defect(g, j, 1)
 
 
 def product_integrability_defect(g: LieAlgebra, e: Endo) -> list[tuple[int, int, Vector]]:
     """Pairs violating E[x,y] = [Ex,y] + [x,Ey] - E[Ex,Ey]."""
-    _require(e, -1, "E")
+    _require(g, e, -1, "E")
     return _integrability_defect(g, e, -1)
 
 
@@ -105,18 +107,6 @@ class CPS(NamedTuple):
 def _integrability_failures(g: LieAlgebra, named) -> list[str]:
     """"{name}_integrability" for each (name, A, sign) of `named` whose A has a defect."""
     return [f"{name}_integrability" for name, a, sign in named if _integrability_defect(g, a, sign)]
-
-
-def _certified_failures(conn: Connection, named) -> list[str]:
-    """[] if `conn`, built with each A of `named` parallel, is torsion-free, which proves A integrable;
-    else `_integrability_failures`, or CertificateError if no A has a defect."""
-    if not torsion_defect(conn):
-        return []
-    failures = _integrability_failures(conn.algebra, named)
-    if not failures:
-        names = ", ".join(name for name, _, _ in named)
-        raise CertificateError(f"the connection fails its checks, but {names} are integrable")
-    return failures
 
 
 def assemble_cps(g: LieAlgebra, j: Endo, e: Endo) -> CPS:
@@ -171,9 +161,11 @@ def assemble_cps(g: LieAlgebra, j: Endo, e: Endo) -> CPS:
             s, se = g.structure.side, swapped(g.ad_columns(e))
             w = (s - right_product(se, e) - e @ (se - right_product(s, e))).scale(Q(1, 4))
             conn = Connection(g, SparseTensor(w - j @ right_product(w, j)))
-            failures = _certified_failures(conn, named)
-            if not failures:
+            if not torsion_defect(conn):
                 return CPS(g, j, e, kernel(e - ident), kernel(e + ident), conn)
+            failures = _integrability_failures(g, named)
+            if not failures:
+                raise CertificateError("the cp connection has torsion, but J and E are integrable")
         else:
             unequal = e.trace() != 0
             failures = ["anticommute", *_integrability_failures(g, named)] + ["eigen_dim"] * unequal

@@ -2,9 +2,9 @@
 
 The Heisenberg examples, the paper's split pairs on (0,0,0,12,13,14),
 the Heisenberg x Heisenberg constant, the abelian check, the failure
-codes of `assemble_cps`, the per-index parallelism check and the seeded
-dense basis changes live here rather than in the package, since only the
-tests read them.
+codes of `assemble_cps`, the per-index parallelism check, the quaternion
+relations of a lift and the seeded dense basis changes live here rather
+than in the package, since only the tests read them.
 """
 
 from cpslie.lie import LieAlgebra, ThreeDimType
@@ -70,6 +70,15 @@ def ref_parallel_defect(conn, a):
     return out
 
 
+def is_quaternion_triple(j1, j2, j3) -> bool:
+    """J1^2 = J2^2 = J3^2 = -Id, J1 J2 = J3 and J2 J1 = -J3.
+
+    `lift_cps` checks none of these: they follow from the CPS axioms.
+    """
+    minus_ident = QMatrix.identity(j1.rows).scale(-1)
+    return all(a @ a == minus_ident for a in (j1, j2, j3)) and j1 @ j2 == j3 and j2 @ j1 == j3.scale(-1)
+
+
 def dense_conjugator(rng, n):
     """A random invertible P with every entry nonzero."""
     while True:
@@ -80,7 +89,7 @@ def dense_conjugator(rng, n):
 
 def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:
     """[Jx, Jy] = [x, y] on all basis pairs (implies integrability)."""
-    _require(j, 1, "J")
+    _require(g, j, 1, "J")
     if right_product(g.ad_columns(j), j) != swapped(g.structure.side):
         return False
     if _integrability_defect(g, j, 1):

@@ -2,10 +2,8 @@
 
 from fractions import Fraction as Q
 
-import pytest
-
 from cpslie.connection import cp_connection, curvature
-from cpslie.hypercomplex import LiftError, lift_cps
+from cpslie.hypercomplex import lift_cps
 from cpslie.lie import LieAlgebra
 from cpslie.linalg import QMatrix, basis_vec
 from cpslie.structures import assemble_cps
@@ -117,12 +115,3 @@ def test_nonabelian_lift_of_nonabelian_cps():
     h = lift_cps(cps)
     assert not is_abelian_hypercomplex(h)
 
-
-def test_lift_cps_rejects_a_broken_record():
-    """A CPS record built without `assemble_cps` is checked by `lift_cps`:
-    E = J squares to +Id in J1 and commutes with J2; a doubled E fails J1^2."""
-    _, cps = split_cps("split-flat")
-    with pytest.raises(LiftError, match="anticommute"):
-        lift_cps(cps._replace(e=cps.j))
-    with pytest.raises(LiftError, match="J1_square"):
-        lift_cps(cps._replace(e=cps.e.scale(2)))

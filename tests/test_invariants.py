@@ -4,9 +4,12 @@ An `assert` statement vanishes under `python -O`, so a check written as
 one would silently stop running; none may exist in the package source.
 Nor may the package skip a constructor's validation with `check=False`,
 or build a validated record anywhere but in the function that validates it.
+Every exception class the package defines is raised somewhere in it, so
+a failure path whose check was removed does not leave its class behind.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import cpslie
@@ -68,3 +71,23 @@ def test_validated_records_are_built_only_where_they_are_validated():
         "_replace": set(),
         "_make": set(),
     }
+
+
+def test_every_package_exception_is_raised_in_the_package():
+    """A class deriving from an exception is raised by name somewhere in the package."""
+    defined, raised = {}, set()
+    for path, node in package_nodes():
+        if isinstance(node, ast.ClassDef):
+            defined[node.name] = (path.name, [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases])
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return name in defined and any(map(is_exception, defined[name][1]))
+
+    unraised = sorted(f"{defined[name][0]}:{name}" for name in defined if is_exception(name) and name not in raised)
+    assert unraised == []

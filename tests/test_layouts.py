@@ -51,7 +51,7 @@ from cpslie.linalg import (
     vec_sub,
 )
 from cpslie.structures import _integrability_defect, assemble_cps
-from examples import dense_conjugator, is_abelian_complex, ref_parallel_defect, validate_cps
+from examples import dense_conjugator, is_abelian_complex, is_quaternion_triple, ref_parallel_defect, validate_cps
 from table_helper import tensor_from_table
 
 WITNESSES = [(entry.salamon, w) for entry in load_catalog() for w in entry.witnesses]
@@ -220,10 +220,18 @@ def test_batched_identities_equal_the_references(salamon, witness):
         assert lsa_defects(bad_conn)["left_symmetry"] == ref_left_symmetry(bad_conn) != []
 
 
+def assert_lift_relations(h):
+    """What `lift_cps` does not check, since the CPS certificate proves it: the
+    Obata connection is torsion-free and (J1, J2, J3) is a quaternion triple."""
+    assert torsion_defect(h.connection) == []
+    assert is_quaternion_triple(h.j1, h.j2, h.j3)
+
+
 @pytest.mark.parametrize("salamon, witness", WITNESSES, ids=IDS)
 def test_lifted_identities_equal_the_references(salamon, witness):
     g, cps = witness_structure(witness)
     h = lift_cps(cps)
+    assert_lift_relations(h)
     for a in (h.j1, h.j2, h.j3):
         assert _integrability_defect(h.algebra, a, 1) == ref_integrability_defect(h.algebra, a, 1)
         assert ref_parallel_defect(h.connection, a) == []
@@ -238,6 +246,7 @@ def test_dense_lift_identities_equal_the_references():
     pinv = p.inverse()
     moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
     h = lift_cps(moved)
+    assert_lift_relations(h)
     assert _integrability_defect(h.algebra, h.j3, 1) == ref_integrability_defect(h.algebra, h.j3, 1)
     assert_connection_identities(h.connection)
 
@@ -385,13 +394,14 @@ def test_valid_structures_and_lifts_run_no_integrability_defect(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("build", ["assemble_cps", "lift_cps"])
+@pytest.mark.parametrize("build", ["assemble_cps"])
 def test_a_negated_connection_contradicts_the_defects(monkeypatch, build):
-    """A sign bug in a connection builder fails the torsion check while every
-    structure is integrable: CertificateError, not a failure code."""
+    """A sign bug in the cp connection builder fails the torsion check while
+    J and E are integrable: CertificateError, not a failure code.  (`lift_cps`
+    checks nothing; `test_lifted_identities_equal_the_references` catches
+    a sign bug there.)"""
     salamon, witness = next((s, w) for s, w in WITNESSES if w.name == "split-nonflat")
     g, cps = witness_structure(witness)
-    module = "structures" if build == "assemble_cps" else "hypercomplex"
-    monkeypatch.setattr(f"cpslie.{module}.Connection", lambda alg, t: Connection(alg, SparseTensor(t.side.scale(-1))))
+    monkeypatch.setattr("cpslie.structures.Connection", lambda alg, t: Connection(alg, SparseTensor(t.side.scale(-1))))
     with pytest.raises(CertificateError, match="integrable"):
-        assemble_cps(g, cps.j, cps.e) if build == "assemble_cps" else lift_cps(cps)
+        assemble_cps(g, cps.j, cps.e)

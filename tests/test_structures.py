@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpslie.catalog import _standard_cps, eight_dim_example, load_catalog, witness_structure
-from cpslie.connection import cp_connection
+from cpslie.connection import _skew, cp_connection
 from cpslie.lie import LieAlgebra, ThreeDimType, center
-from cpslie.linalg import QMatrix, Subspace, basis_vec, intersect, kernel, map_subspace, rank
+from cpslie.linalg import QMatrix, SparseTensor, Subspace, basis_vec, intersect, kernel, map_subspace, rank
 from cpslie.salamon import parse_salamon
 from cpslie.structures import (
     StructureError,
@@ -23,7 +23,7 @@ from cpslie.structures import (
     rotate_product,
 )
 from cpslie.linalg import is_nilpotent_matrix
-from examples import h3x2_constant, heisenberg_complex_examples, is_abelian_complex, validate_cps
+from examples import h3x2_constant, heisenberg_complex_examples, is_abelian_complex, is_quaternion_triple, validate_cps
 
 E6 = lambda i: basis_vec(6, i)  # noqa: E731
 
@@ -101,19 +101,25 @@ def test_product_integrability_rejects_identity():
 
 R4 = LieAlgebra.abelian(4)
 I4 = QMatrix.identity(4)
+G6 = parse_salamon("(0,0,0,12,13,23)")
 
 
 @pytest.mark.parametrize(
     "guard, a, message",
     [
         (lambda a: complex_integrability_defect(R4, a), I4, "J_square: J^2 = -Id fails"),
-        (lambda a: is_abelian_complex(R4, a), QMatrix.zeros(4, 3), "J_square: J^2 = -Id fails"),
+        (lambda a: is_abelian_complex(R4, a), QMatrix.zeros(4, 3), "shape: J is 4 x 3, not 4 x 4"),
         (lambda a: product_integrability_defect(R4, a), I4.scale(2), "E_square: E^2 = Id fails"),
         (lambda a: product_integrability_defect(R4, a), I4, "E_identity: E = +/-Id is excluded"),
+        # a 4 x 4 pair on a 6-dimensional algebra, which `assemble_cps` also calls "shape"
+        (lambda a: complex_integrability_defect(G6, a), _standard_cps(2)[0], "shape: J is 4 x 4, not 6 x 6"),
+        (lambda a: product_integrability_defect(G6, a), _standard_cps(2)[1], "shape: E is 4 x 4, not 6 x 6"),
+        (lambda a: ascending_series(G6, a), _standard_cps(2)[0], "shape: J is 4 x 4, not 6 x 6"),
     ],
-    ids=["complex", "abelian_non_square", "product", "product_identity"],
+    ids=["complex", "abelian_non_square", "product", "product_identity", "complex_size", "product_size", "series_size"],
 )
 def test_public_guards_raise_the_square_failure(guard, a, message):
+    """The first failed requirement on the endomorphism: its shape, then its square."""
     with pytest.raises(StructureError) as exc:
         guard(a)
     assert str(exc.value) == message
@@ -211,31 +217,38 @@ def _slices(t):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_the_cp_connection_is_parallel_on_every_basis_bracket(monkeypatch, m):
-    """J and E are parallel by construction, so `assemble_cps` checks torsion only.
+    """J and E are parallel by construction, so `assemble_cps` checks torsion
+    only, and `lift_cps` checks nothing.
 
     nabla is linear in the bracket and natural under a change of basis, and
     every (J, E) with J^2 = -Id, E^2 = Id and JE = -EJ is conjugate to the
     standard pair.  So parallelism for every input follows from it on each
     single-coefficient bracket [e_i, e_j] = e_l at the standard pair:
-    nabla commutes with J and E, and its Obata double with J1, J2 and J3
-    formed as in `lift_cps`.  These brackets need not satisfy Jacobi nor
-    the pair be integrable, so the torsion certificate is switched off.
+    nabla commutes with J and E, and its Obata double D nabla with J1, J2
+    and J3 formed as in `lift_cps`.  The torsion layout of the double is the
+    double of the base torsion layout, skew(D nabla) - D(bracket) =
+    D(skew(nabla) - bracket), so a torsion-free base has a torsion-free
+    lift.  These brackets need not satisfy Jacobi nor the pair be
+    integrable, so the torsion certificate is switched off.
     """
-    monkeypatch.setattr("cpslie.structures._certified_failures", lambda conn, named: [])
+    monkeypatch.setattr("cpslie.structures.torsion_defect", lambda conn: [])
     n = 2 * m
     j, e = _standard_cps(m)
     zero = QMatrix.zeros(n, n)
     j1 = QMatrix.block([[zero, e.scale(-1)], [e, zero]])
     j2 = QMatrix.diag_blocks(j, j)
     lifted = (j1, j2, j1 @ j2)
+    assert is_quaternion_triple(*lifted)
     failed = []
     for i, k in combinations(range(n), 2):
         for l in range(n):
             g = LieAlgebra.from_brackets(n, {(i, k): {l: 1}}, check=False)
             t = assemble_cps(g, j, e).connection.tensor
+            double, bracket = t.realified_double(), g.structure
             pairs = [(s, a) for s in _slices(t) for a in (j, e)]
-            pairs += [(s, a) for s in _slices(t.realified_double()) for a in lifted]
-            if any(s @ a != a @ s for s, a in pairs):
+            pairs += [(s, a) for s in _slices(double) for a in lifted]
+            torsion = SparseTensor(_skew(t.side) - bracket.side).realified_double().side
+            if any(s @ a != a @ s for s, a in pairs) or _skew(double.side) - bracket.realified_double().side != torsion:
                 failed.append((i, k, l))
     assert failed == []
 
