@@ -266,27 +266,12 @@ class CompletenessReport(NamedTuple):
 # {a in N^n : |a| = N}, the principal lattice of order N on the simplex, is
 # unisolvent for polynomials of degree <= N, so a homogeneous polynomial of
 # degree <= N that vanishes on it is zero.  The polynomial certificate tries
-# degrees 2, 3, ... up to GEODESIC_MAX_DEGREE, and stops before a grid of more
-# than GEODESIC_POINT_BUDGET points: the 8-dimensional example needs degree
-# 4, on 19,448 points.
+# degrees d = 2, 3, ... up to GEODESIC_MAX_DEGREE on grids of order d + 2, and
+# stops before a grid of more than GEODESIC_POINT_BUDGET points: the
+# 8-dimensional example needs degree 4, on 1,716 points.  Degree 2 fits the
+# budget through n = 24, degree 4 through n = 13.
 GEODESIC_MAX_DEGREE = 4
 GEODESIC_POINT_BUDGET = 20_000
-
-
-def _symmetrized(conn: Connection) -> tuple[list, list]:
-    """The nonzero C[ij] of C = 2 den B, as (i, j, ((k, C[ij][k]), ...)): every
-    pair, and the pairs i <= j with the entries off the diagonal doubled."""
-    n, side = conn.algebra.dim, conn.tensor.side
-    cols = list(zip(*side.num))  # column i*n + j holds den * nabla_{e_i} e_j
-    full = []
-    for i in range(n):
-        for j in range(n):
-            col = tuple((k, a + b) for k, (a, b) in enumerate(zip(cols[i * n + j], cols[j * n + i])) if a + b)
-            if col:
-                full.append((i, j, col))
-    # C is symmetric, so C(x,x) needs only the pairs i <= j, doubled off the diagonal
-    sym = [(i, j, col if i == j else tuple((k, 2 * c) for k, c in col)) for i, j, col in full if i <= j]
-    return full, sym
 
 
 def _grid(n: int, order: int) -> list[list[int]]:
@@ -298,83 +283,77 @@ def _grid(n: int, order: int) -> list[list[int]]:
     return [list(c) for c in zip(*points)]
 
 
-def _on_grid(pairs, x, y, scale=1) -> list[list[int]]:
-    """scale * sum_ij x_i y_j C[ij] at every grid point at once.
+def _on_grid(terms, ys) -> list[list[int]]:
+    """y_{k+1} = sum_i binom(k,i) N(y_i, y_{k-i}) at every grid point at once, for ys = [y_0, ..., y_k].
 
-    x, y and the result hold one list of values over the points per
-    coordinate; `pairs` lists (i, j, ((k, C[ij][k]), ...)) for the nonzero C[ij].
+    Each y_i, and the result, holds one list of values over the points per
+    coordinate; `terms` is the `SparseTensor.terms` of N = den * nabla.
     """
-    live_x, live_y = [any(u) for u in x], [any(v) for v in y]
-    out = [None] * len(x)
-    for i, j, col in pairs:
-        if live_x[i] and live_y[j]:
-            uv = [a * b for a, b in zip(x[i], y[j])]
-            for k, c in col:
-                c *= scale
-                acc = out[k]
-                out[k] = [c * p for p in uv] if acc is None else [s + c * p for s, p in zip(acc, uv)]
-    zero = [0] * len(x[0])
+    k, out = len(ys) - 1, [None] * len(ys[0])
+    for i in range(k + 1):
+        x, y, b = ys[i], ys[k - i], comb(k, i)
+        live = [any(v) for v in y]
+        for u, row in zip(x, terms):
+            if any(u):
+                for j, col in row:
+                    if live[j]:
+                        uv = [p * q for p, q in zip(u, y[j])]
+                        for m, c in col:
+                            c *= b
+                            acc = out[m]
+                            out[m] = [c * p for p in uv] if acc is None else [s + c * p for s, p in zip(acc, uv)]
+    zero = [0] * len(ys[0][0])
     return [zero if o is None else o for o in out]
 
 
-def _least_degree(full, sym, n: int, d: int) -> int | None:
-    """The least degree of every geodesic if it is at most d, proven on the
-    order-(2d+2) grid; None as soon as one of y_{d+1}, ..., y_{2d+1} does
-    not vanish there.
-
-    The y_k here are (-1)^k times those of the recursion, which drops its
-    sign: y_{k+1} = sum_i binom(k,i) C(y_i, y_{k-i}).  C is symmetric, so
-    the terms i and k - i are equal: C runs once per pair, through `sym` on
-    the middle term, and not at all on a vanishing factor.
-    """
-    ys, zero = [_grid(n, 2 * d + 2)], [False]  # zero[k] tells whether y_k vanishes
-    for k in range(2 * d + 1):
-        y = None
-        for i in range(k // 2 + 1):
-            if zero[i] or zero[k - i]:
-                continue
-            middle = 2 * i == k
-            term = _on_grid(sym if middle else full, ys[i], ys[k - i], comb(k, i) * (1 if middle else 2))
-            y = term if y is None else [[s + t for s, t in zip(r, q)] for r, q in zip(y, term)]
-        vanishes = y is None or not any(chain.from_iterable(y))
-        if k >= d and not vanishes:
-            return None
-        ys.append(y)
-        zero.append(vanishes)
-    return next(e for e in range(d + 1) if all(zero[e + 1:2 * e + 2]))
+def _least_degree(terms, n: int, d: int) -> int | None:
+    """The least degree of every geodesic if it is at most d: the first k
+    whose y_{k+1} vanishes on the order-(d+2) grid; None if y_{d+1} does not."""
+    ys = [_grid(n, d + 2)]
+    for k in range(d + 1):
+        ys.append(_on_grid(terms, ys))
+        if not any(chain.from_iterable(ys[-1])):
+            return k
+    return None
 
 
 def _grid_size(n: int, d: int) -> dict:
-    return {"order": 2 * d + 2, "points": comb(n + 2 * d + 1, 2 * d + 2)}
+    return {"order": d + 2, "points": comb(n + d + 1, d + 2)}
 
 
 def exact_polynomial_geodesic_certificate(conn: Connection) -> CompletenessReport:
     """Prove in integers that every geodesic is a polynomial in t, and find its least degree.
 
-    With B(x,y) = (nabla_x y + nabla_y x)/2 the body velocity of a geodesic
-    solves x' = -B(x,x).  With D = 2 den and C = D B, an integer tensor,
-    its Taylor coefficients are x_k = y_k / (D^k k!) with y_0 = x(0) and
-    y_{k+1} = -sum_i binom(k,i) C(y_i, y_{k-i}); y_k is homogeneous of
-    degree k + 1 in x(0).  Every geodesic has degree <= d exactly when
-    y_{d+1}, ..., y_{2d+1} vanish: every term of a later y_k has a factor
-    of index above d.  They are evaluated on the order-(2d+2) grid, which
-    proves the vanishing, for d = 2, 3, ..., GEODESIC_MAX_DEGREE; the first
-    that passes also holds the least degree, since degree <= e < d is the
-    same test on fewer coefficients.  A degree whose grid has more than
-    GEODESIC_POINT_BUDGET points is not tried, and `degree_reached` is the
-    last degree tried (null if none was).  A false verdict means no
-    certificate up to that degree, not a proof of incompleteness.  The
-    scalars are ints for an instance and Polys for a family's connection
+    The body velocity of a geodesic solves x' = F(x) = -B(x,x), with
+    B(x,y) = (nabla_x y + nabla_y x)/2, so B(x,x) = nabla_x x.  With
+    N = den nabla, the integer numerators of the connection tensor, its
+    Taylor coefficients are x_k = (-1)^k y_k / (den^k k!) with y_0 = x(0)
+    and y_{k+1} = sum_i binom(k,i) N(y_i, y_{k-i}); y_k is homogeneous of
+    degree k + 1 in x(0).
+
+    Every geodesic has degree <= d exactly when y_{d+1} vanishes
+    identically.  Let G_k be the k-th time derivative as a function of the
+    start, x^(k) = G_k(x), so G_{k+1} = DG_k F.  If G_{d+1} is zero, so is
+    its derivative, hence G_{d+2} and every later G_k.  y_{d+1} has degree
+    d + 2, so the order-(d+2) grid proves it zero, and it decides the
+    earlier y_k, of lower degree, too.  The least degree is the first k
+    whose y_{k+1} vanishes there; the y_j before it are nonzero.
+
+    This runs for d = 2, 3, ..., GEODESIC_MAX_DEGREE and stops at the first
+    d that passes.  A degree whose grid has more than GEODESIC_POINT_BUDGET
+    points is not tried, and `degree_reached` is the last degree tried
+    (null if none was).  A false verdict means no certificate up to that
+    degree, not a proof of incompleteness.  The scalars are ints for an
+    instance and Polys for a family's connection
     (`catalog.family_connection`), where the zero tests are identities in
     the parameters.
     """
-    full, sym = _symmetrized(conn)
     n, degree, reached = conn.algebra.dim, None, None
     for d in range(2, GEODESIC_MAX_DEGREE + 1):
         if _grid_size(n, d)["points"] > GEODESIC_POINT_BUDGET:
             break
         reached = d
-        if (degree := _least_degree(full, sym, n, d)) is not None:
+        if (degree := _least_degree(conn.tensor.terms, n, d)) is not None:
             break
     return CompletenessReport(
         method="exact-polynomial-geodesic",
@@ -382,10 +361,13 @@ def exact_polynomial_geodesic_certificate(conn: Connection) -> CompletenessRepor
         details={
             "equation": "x' = -B(x,x), B(x,y) = (nabla_x y + nabla_y x)/2",
             "recursion": (
-                "x(t) = sum_k y_k t^k / (D^k k!), D = 2 den, C = D B:"
-                " y_0 = x(0), y_(k+1) = -sum_i binom(k,i) C(y_i, y_(k-i))"
+                "x(t) = sum_k (-1)^k y_k t^k / (den^k k!), N = den nabla:"
+                " y_0 = x(0), y_(k+1) = sum_i binom(k,i) N(y_i, y_(k-i))"
             ),
-            "criterion": "degree <= d iff y_(d+1), ..., y_(2d+1) vanish on the order-(2d+2) grid",
+            "criterion": (
+                "degree <= d iff y_(d+1) vanishes on the order-(d+2) grid;"
+                " the least degree is the first k with y_(k+1) = 0 there"
+            ),
             "degree": degree,
             "degree_reached": reached,
             "max_degree": GEODESIC_MAX_DEGREE,

@@ -33,9 +33,8 @@ from cpslie.catalog import (
     witness_structure,
 )
 from cpslie.connection import (
+    GEODESIC_MAX_DEGREE,
     Connection,
-    _least_degree,
-    _symmetrized,
     cp_connection,
     curvature,
     exact_polynomial_geodesic_certificate,
@@ -626,7 +625,7 @@ def test_planted_bracket_fails_the_certificate(monkeypatch, family, pair, value,
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
 def test_every_family_member_has_quadratic_geodesics(family):
-    # the recursion over Poly scalars proves y_3 = y_4 = y_5 = 0 identically
+    # the recursion over Poly scalars proves y_3 = 0 identically
     # in the parameters, for every member of the family at once: the R4
     # families' geodesics are linear in t, the H3R families' quadratic
     conn = family_connection(family)
@@ -634,12 +633,14 @@ def test_every_family_member_has_quadratic_geodesics(family):
     assert report.verdict and report.details["degree_reached"] == 2
     assert report.details["degree"] == (2 if family.startswith("H3R") else 1)
 
-    # nabla_{e1} e1 += (first parameter) e1 breaks degree 2 (only degree 2
-    # runs here: the higher ones over Poly scalars take seconds)
+    # nabla_{e1} e1 += (first parameter) e1 breaks every degree up to the
+    # cap: the full search over Poly scalars finds no certificate
     side = [list(r) for r in conn.tensor.side.num]
     side[0][0] += Poly.var(FAMILY_PARAMS[family], FAMILY_PARAMS[family][0])
     planted = Connection(conn.algebra, SparseTensor(_matrix(side, 1, 36)))
-    assert _least_degree(*_symmetrized(planted), 6, 2) is None
+    report = exact_polynomial_geodesic_certificate(planted)
+    assert report.verdict is False
+    assert (report.details["degree"], report.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
 
 
 def test_family_connection_specializes_to_every_instance():

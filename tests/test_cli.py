@@ -97,7 +97,7 @@ def test_geodesic_command(capsys, cps_file):
     data = json.loads(out)
     assert data["method"] == "exact-polynomial-geodesic" and data["verdict"]
     assert (data["details"]["degree"], data["details"]["degree_reached"]) == (2, 2)
-    assert data["details"]["grid"] == {"order": 6, "points": 462}
+    assert data["details"]["grid"] == {"order": 4, "points": 126}
 
 
 def test_hypercomplex_command(capsys, cps_file):
@@ -431,50 +431,90 @@ def test_geodesic_command_fails_closed_on_blow_up(capsys, affine_line_cps_file):
     assert (data["details"]["degree"], data["details"]["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
 
 
-@pytest.fixture
-def oversized_cps_file(tmp_path):
-    """The non-flat h3r3 witness of (0,0,0,12,14,24) times an abelian R^8 with
-    the standard CPS: 14-dimensional, non-flat, with quadratic geodesics."""
-    from cpslie.catalog import load_catalog, witness_structure
-    from cpslie.lie import algebra_to_json
+def _direct_sum_cps_file(path, *parts):
+    """The direct sum of CPSs (g, J, E), brackets shifted and J, E block diagonal, as a CPS file."""
+    from cpslie.lie import LieAlgebra, algebra_to_json
     from cpslie.linalg import QMatrix
 
-    entry = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,14,24)")
-    g, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
-    j = QMatrix.diag_blocks(*[QMatrix([[0, -1], [1, 0]])] * 4)
-    e = QMatrix.diag_blocks(*[QMatrix([[1, 0], [0, -1]])] * 4)
-    path = tmp_path / "oversized.json"
-    path.write_text(
-        json.dumps(
-            {
-                "algebra": {"dim": 14, "brackets": algebra_to_json(g)["brackets"]},
-                "J": {"matrix": QMatrix.diag_blocks(cps.j, j).to_json()},
-                "E": {"matrix": QMatrix.diag_blocks(cps.e, e).to_json()},
-            }
-        )
-    )
+    brackets, offset = {}, 0
+    for g, _, _ in parts:
+        for (i, j), row in g.brackets().items():
+            brackets[i + offset, j + offset] = {k + offset: c for k, c in row.items()}
+        offset += g.dim
+    g = LieAlgebra.from_brackets(offset, brackets)
+    j, e = (QMatrix.diag_blocks(*[part[m] for part in parts]) for m in (1, 2))
+    path.write_text(json.dumps({"algebra": algebra_to_json(g), "J": {"matrix": j.to_json()}, "E": {"matrix": e.to_json()}}))
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["connection-report", "geodesic"])
-def test_geodesic_command_stops_at_the_point_budget(capsys, monkeypatch, oversized_cps_file, command):
-    """Even the degree-2 grid has 27,132 points in dimension 14, over the
-    budget, so no degree is tried: no certificate, and no grid is built.
-    connection-report runs the same search on a non-flat connection."""
+def _h3r3():
+    """The non-flat h3r3 witness of (0,0,0,12,14,24), as (g, J, E)."""
+    from cpslie.catalog import load_catalog, witness_structure
+
+    entry = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,14,24)")
+    g, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
+    return g, cps.j, cps.e
+
+
+@pytest.fixture
+def h3r3_times_r8_file(tmp_path):
+    """h3r3 times an abelian R^8 with the standard CPS: 14-dimensional,
+    non-flat, with quadratic geodesics."""
+    from cpslie.lie import LieAlgebra
+    from cpslie.linalg import QMatrix
+
+    j = QMatrix.diag_blocks(*[QMatrix([[0, -1], [1, 0]])] * 4)
+    e = QMatrix.diag_blocks(*[QMatrix([[1, 0], [0, -1]])] * 4)
+    return _direct_sum_cps_file(tmp_path / "h3r3_r8.json", _h3r3(), (LieAlgebra.abelian(8), j, e))
+
+
+@pytest.fixture
+def h3r3_times_eight_dim_file(tmp_path):
+    """h3r3 times the 8-dimensional example: 14-dimensional, non-flat, and
+    the geodesics of the second factor are quartic."""
+    from cpslie.catalog import eight_dim_example
+
+    g, cps = eight_dim_example()
+    return _direct_sum_cps_file(tmp_path / "h3r3_eight.json", _h3r3(), (g, cps.j, cps.e))
+
+
+def _geodesic_search(capsys, monkeypatch, command, path):
+    """Exit code, the geodesic payload and the orders of the grids built, for `command` on `path`."""
     from cpslie import connection
 
-    built = []
-    monkeypatch.setattr(connection, "_grid", lambda n, order: built.append(order))
-    code, out = run_cli(capsys, command, "--cps", oversized_cps_file)
-    assert built == []
-    assert code == 1
+    built, grid = [], connection._grid
+    monkeypatch.setattr(connection, "_grid", lambda n, order: built.append(order) or grid(n, order))
+    code, out = run_cli(capsys, command, "--cps", path)
     data = _strict_json(out)
     if command == "connection-report":
         assert data["flat"] is False
         data = data["completeness"]
-    assert data["method"] == "exact-polynomial-geodesic" and data["verdict"] is False
-    assert (data["details"]["degree"], data["details"]["degree_reached"]) == (None, None)
-    assert data["details"]["grid"] is None
+    assert data["method"] == "exact-polynomial-geodesic"
+    return code, data, built
+
+
+@pytest.mark.parametrize("command", ["connection-report", "geodesic"])
+def test_geodesic_command_certifies_dimension_fourteen(capsys, monkeypatch, h3r3_times_r8_file, command):
+    """The degree-2 grid has 2,380 points in dimension 14, under the budget,
+    and proves the quadratic geodesics there; connection-report runs the same
+    search on a non-flat connection."""
+    code, data, built = _geodesic_search(capsys, monkeypatch, command, h3r3_times_r8_file)
+    assert (code, built) == (0, [4])
+    assert data["verdict"] is True
+    assert (data["details"]["degree"], data["details"]["degree_reached"]) == (2, 2)
+    assert data["details"]["grid"] == {"order": 4, "points": 2380}
+
+
+@pytest.mark.parametrize("command", ["connection-report", "geodesic"])
+def test_geodesic_command_stops_at_the_point_budget(capsys, monkeypatch, h3r3_times_eight_dim_file, command):
+    """In dimension 14 the degree-4 grid has 27,132 points, over the budget:
+    the quartic geodesics fail degrees 2 and 3, and the search stops there
+    with no certificate (exit 1), never building the order-6 grid."""
+    code, data, built = _geodesic_search(capsys, monkeypatch, command, h3r3_times_eight_dim_file)
+    assert (code, built) == (1, [4, 5])
+    assert data["verdict"] is False
+    assert (data["details"]["degree"], data["details"]["degree_reached"]) == (None, 3)
+    assert data["details"]["grid"] == {"order": 5, "points": 8568}
 
 
 def _modules_loaded_by(*argvs):
@@ -579,7 +619,7 @@ GOLDEN = {
     "check-structure": "66d247a0b0e7fafa75034f513b78183e7aef6f3f4e89010e612ac355000ca27f",
     "connection-report": "5546e13c48a57ef5ce4e78d02ce9e542154bfb7b34d89c55c3d9d5a50c4964b6",
     "hypercomplex": "d90d97b82f9b36e376c88192841481afa52134d91ace79d24a1616670c928c34",
-    "geodesic": "ff4f4b6ae5e2796783504794d693974ae6b99ab1640baee30ff7e2049036e0fb",
+    "geodesic": "1005f7ca92b2444781970ee80f818a387de754f23b7b44235065a655eba92e9d",
     "check-structure-invalid": "3850b19bc4ae78010c05e743bae158f8d158aef9e386e5d1dc7116ee08630d83",
     "connection-report-invalid": INVALID_CPS,
     "hypercomplex-invalid": INVALID_CPS,
@@ -591,9 +631,9 @@ GOLDEN = {
 # branches of connection-report, hypercomplex and geodesic.
 NONFLAT_GOLDEN = {
     "check-structure": "c0fd8b238d286a8c39fa165f77a063432aacdbd13e6052d7c27f2e584855494d",
-    "connection-report": "ff394da02464142eee32f47154334653f8e2844a2b242f59da1a30f3eb920da0",
+    "connection-report": "fcf8329a6b8e56a814f49187b3f3a610d666bcf9b0c4a8bf31bbbbf583bb5cb1",
     "hypercomplex": "15e96d7f3eb12086197d97257fc7f6bec0a6fe3bef5ce5e33ee6f466f512eb56",
-    "geodesic": "ff4f4b6ae5e2796783504794d693974ae6b99ab1640baee30ff7e2049036e0fb",
+    "geodesic": "1005f7ca92b2444781970ee80f818a387de754f23b7b44235065a655eba92e9d",
 }
 
 
@@ -626,7 +666,7 @@ def dense_cps_file(tmp_path):
 # The same on the dense fixture; connection-report prints every nonzero
 # curvature entry and hypercomplex the 12-dimensional curvature verdicts.
 DENSE_GOLDEN = {
-    "connection-report": "19525e4da2468f0b3efc0ff1c4e5abedc519e8d716b44ef94b6737594bc79add",
+    "connection-report": "5dfdff1d41fae02b4b28eece8d4db6776a560146bd281d732681539f76c14fd8",
     "hypercomplex": "1fe526a4eed62dfca8bf7a583ab5b9fa3bf609529f1f9d4089b81b06e6257549",
 }
 

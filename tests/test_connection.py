@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations_with_replacement
 from fractions import Fraction as Q
 
 import pytest
@@ -16,9 +17,12 @@ from cpslie.catalog import (
 )
 from cpslie.connection import (
     GEODESIC_MAX_DEGREE,
+    GEODESIC_POINT_BUDGET,
     Connection,
     LSAProduct,
     TorsionError,
+    _grid,
+    _grid_size,
     connection_is_complete_certificate,
     cp_connection,
     curvature,
@@ -29,12 +33,13 @@ from cpslie.connection import (
     ricci_via_trace_identity,
     torsion_defect,
 )
-from cpslie.lie import LieAlgebra, ThreeDimType, center, lower_central_series
+from cpslie.hypercomplex import lift_cps
+from cpslie.lie import LieAlgebra, ThreeDimType, center, complexify_realified, lower_central_series
 from cpslie.linalg import QMatrix, basis_vec, rank, vec, vec_sub
 from cpslie.salamon import parse_salamon
 from cpslie.structures import assemble_cps, rotate_product
 from examples import heisenberg_complex_examples, ref_parallel_defect
-from geodesic_reference import taylor_least_degree
+from geodesic_reference import taylor_least_degree, taylor_vanishing
 from table_helper import tensor_from_table
 
 PARAMS = {"A": 2, "B": 3, "C": 5, "D": 7, "E": 11, "F": 13}
@@ -457,7 +462,7 @@ def test_exact_and_numeric_completeness_agree_on_witnesses():
         cert = connection_is_complete_certificate(curvature(conn))
         assert cert.method == "exact-polynomial-geodesic" and cert.verdict is True
         assert cert.details["degree"] == taylor_least_degree(conn, seed=11) == 2
-        assert cert.details["grid"] == {"order": 6, "points": 462}
+        assert cert.details["grid"] == {"order": 4, "points": 126}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -511,7 +516,7 @@ def test_exact_and_numeric_completeness_agree_on_controls(make):
     poly = exact_polynomial_geodesic_certificate(conn)
     assert poly.verdict is False and taylor_least_degree(conn) is None
     assert (poly.details["degree"], poly.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
-    assert poly.details["grid"] == {"order": 2 * GEODESIC_MAX_DEGREE + 2, "points": 66}
+    assert poly.details["grid"] == {"order": GEODESIC_MAX_DEGREE + 2, "points": 28}
 
 
 def test_one_entry_perturbation_fails_the_exact_certificate():
@@ -531,7 +536,7 @@ def test_one_entry_perturbation_fails_the_exact_certificate():
     assert poly.method == "exact-polynomial-geodesic" and poly.verdict is False
     assert taylor_least_degree(perturbed) is None
     assert (poly.details["degree"], poly.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
-    assert poly.details["grid"] == {"order": 2 * GEODESIC_MAX_DEGREE + 2, "points": 3003}
+    assert poly.details["grid"] == {"order": GEODESIC_MAX_DEGREE + 2, "points": 462}
     assert connection_is_complete_certificate(curvature(perturbed)) == poly
 
 
@@ -562,7 +567,7 @@ def test_least_degree_agrees_with_the_taylor_reference():
     assert len(tensors) == 7
     for conn in tensors:
         cert = exact_polynomial_geodesic_certificate(conn)
-        assert cert.verdict and cert.details["grid"] == {"order": 6, "points": 462}
+        assert cert.verdict and cert.details["grid"] == {"order": 4, "points": 126}
         assert cert.details["degree"] == taylor_least_degree(conn) == 2
 
 
@@ -581,25 +586,113 @@ def test_fried_and_eight_dim_geodesics_have_degree_four(name):
     assert cert.verdict is True
     assert (cert.details["degree"], cert.details["degree_reached"]) == (4, 4)
     n = conn.algebra.dim
-    assert cert.details["grid"] == {"order": 10, "points": math.comb(n + 9, 10)}
+    assert cert.details["grid"] == {"order": 6, "points": math.comb(n + 5, 6)}
     assert taylor_least_degree(conn) == 4
 
 
-def test_polynomial_certificate_stops_at_the_point_budget():
-    """The 8-dimensional example plus an abelian R^4 still has quartic
-    geodesics, but at dimension 12 the grid of degree 3 has 75,582 points,
-    over the budget: degree 2 fails on 12,376 points, and the search stops
-    there with no certificate.
-    (At dimension 14 even degree 2 is over the budget; `test_cli` runs it.)"""
-    from cpslie.connection import GEODESIC_POINT_BUDGET
-
+def padded_eight_dim(n):
+    """The 8-dimensional example plus an abelian R^(n-8), connection padded by zeros: quartic geodesics."""
     eight = quartic_examples()["eight_dim"]
     e = lambda i: basis_vec(8, i)  # noqa: E731
-    n, pad = 12, (0,) * 4
+    pad = (0,) * (n - 8)
     gamma = [[tuple(eight.apply(e(i), e(j))) + pad if max(i, j) < 8 else (0,) * n for j in range(n)] for i in range(n)]
-    conn = Connection(LieAlgebra.from_brackets(n, eight.algebra.brackets()), tensor_from_table(gamma))
-    cert = exact_polynomial_geodesic_certificate(conn)
-    assert cert.verdict is False
-    assert (cert.details["degree"], cert.details["degree_reached"]) == (None, 2)
+    return Connection(LieAlgebra.from_brackets(n, eight.algebra.brackets()), tensor_from_table(gamma))
+
+
+def test_polynomial_certificate_reaches_degree_four_in_dimension_twelve():
+    """At dimension 12 the degree-4 grid has 12,376 points, under the budget."""
+    cert = exact_polynomial_geodesic_certificate(padded_eight_dim(12))
+    assert cert.verdict is True
+    assert (cert.details["degree"], cert.details["degree_reached"]) == (4, 4)
     assert cert.details["grid"] == {"order": 6, "points": 12376}
-    assert math.comb(n + 7, 8) > GEODESIC_POINT_BUDGET == cert.details["point_budget"]
+
+
+def test_polynomial_certificate_stops_at_the_point_budget(monkeypatch):
+    """At dimension 14 the grid of degree 4 has 27,132 points, over the
+    budget: degrees 2 and 3 fail on 2,380 and 8,568 points, and the search
+    stops there with no certificate, never building the order-6 grid."""
+    from cpslie import connection
+
+    built, grid = [], connection._grid
+    monkeypatch.setattr(connection, "_grid", lambda n, order: built.append(order) or grid(n, order))
+    n = 14
+    cert = exact_polynomial_geodesic_certificate(padded_eight_dim(n))
+    assert built == [4, 5]
+    assert cert.verdict is False
+    assert (cert.details["degree"], cert.details["degree_reached"]) == (None, 3)
+    assert cert.details["grid"] == {"order": 5, "points": 8568}
+    assert math.comb(n + 5, 6) > GEODESIC_POINT_BUDGET == cert.details["point_budget"]
+
+
+def test_no_degree_is_tried_from_dimension_25(monkeypatch):
+    """The realified double of the padded example in dimension 13 has
+    dimension 26: even the degree-2 grid, 23,751 points, is over the budget,
+    so no degree is tried and no grid is built."""
+    from cpslie import connection
+
+    built = []
+    monkeypatch.setattr(connection, "_grid", lambda n, order: built.append(order))
+    base = padded_eight_dim(13)
+    double = Connection(complexify_realified(base.algebra), base.tensor.realified_double())
+    cert = exact_polynomial_geodesic_certificate(double)
+    assert built == []
+    assert cert.verdict is False
+    assert (cert.details["degree"], cert.details["degree_reached"], cert.details["grid"]) == (None, None, None)
+    assert _grid_size(26, 2)["points"] == 23751 > GEODESIC_POINT_BUDGET
+
+
+def test_degree_two_is_tried_on_every_input_the_cli_accepts():
+    """The CLI reads no algebra over MAX_DIM, and the degree-2 grid fits the
+    budget through dimension 24; degree 4 fits through dimension 13."""
+    from cpslie.lie import MAX_DIM
+
+    assert _grid_size(MAX_DIM, 2)["points"] <= GEODESIC_POINT_BUDGET
+    assert _grid_size(24, 2)["points"] <= GEODESIC_POINT_BUDGET < _grid_size(25, 2)["points"]
+    assert _grid_size(13, 4)["points"] <= GEODESIC_POINT_BUDGET < _grid_size(14, 4)["points"]
+
+
+def test_principal_lattice_is_unisolvent_for_each_degree():
+    """The proof step of the certificate: on the order-N grid the degree-m
+    monomials, m <= N, are independent, so a homogeneous polynomial of degree
+    m that vanishes there is zero; the order-(N-1) grid is too small for degree N."""
+
+    def monomials(n, order, m):
+        points = list(zip(*_grid(n, order)))
+        assert len(points) == math.comb(n + order - 1, order)
+        return QMatrix([[math.prod(p[i] for i in e) for e in combinations_with_replacement(range(n), m)] for p in points])
+
+    for n, top in [*((n, top) for n in range(2, 5) for top in range(2, 7)), (6, 4)]:
+        for m in range(top + 1):
+            full = monomials(n, top, m)
+            assert rank(full) == full.cols, (n, top, m)
+        coarse = monomials(n, top - 1, top)
+        assert rank(coarse) < coarse.cols, (n, top)
+
+
+def test_certificate_evaluates_on_the_grid_it_reports(monkeypatch):
+    """A 6-dimensional connection of degree 2 is proven on the order-4 grid
+    alone, which is the grid its report names."""
+    from cpslie import connection
+
+    built, grid = [], connection._grid
+    monkeypatch.setattr(connection, "_grid", lambda n, order: built.append(order) or grid(n, order))
+    _, cps = nonflat_witness_structures()[0]
+    cert = exact_polynomial_geodesic_certificate(cp_connection(cps))
+    assert built == [4]
+    assert (cert.details["degree"], cert.details["grid"]) == (2, {"order": 4, "points": 126})
+
+
+def test_taylor_coefficients_stay_zero_after_the_first_zero():
+    """The lemma behind the certificate, read off the reference: once a
+    Taylor coefficient vanishes at the seeded starts, every later one up to
+    v_9 does, on each non-flat cp tensor and its Obata lift, the quartic
+    examples and the zero connection.  On the Obata lifts the certificate's
+    degree is the reference's."""
+    tensors = {cp_connection(cps): cps for _, cps in nonflat_witness_structures()}
+    lifts = [lift_cps(cps).connection for cps in tensors.values()]
+    zero = Connection(LieAlgebra.abelian(3), tensor_from_table([[(0, 0, 0)] * 3] * 3))
+    for conn in [*tensors, *lifts, *quartic_examples().values(), zero]:
+        vanishes = taylor_vanishing(conn)
+        assert not vanishes[0] and all(vanishes[vanishes.index(True):]), vanishes
+    for conn in lifts:
+        assert exact_polynomial_geodesic_certificate(conn).details["degree"] == taylor_least_degree(conn) == 2
