@@ -315,24 +315,18 @@ def witness_structure(w: Witness) -> tuple[LieAlgebra, CPS]:
     return g, cps
 
 
-class WitnessReport(NamedTuple):
-    name: str
-    stages: Checks
-
-    @property
-    def passed(self) -> bool:
-        return self.stages.passed
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "stages": self.stages.to_json("stage")}
+def _staged(head: dict, stages: Checks) -> dict:
+    """A report whose verdict is its stages: `head`, "passed" and the stage list."""
+    return {**head, "passed": stages.passed, "stages": stages.to_json("stage")}
 
 
-def verify_witness(entry: CatalogEntry, w: Witness, parse=parse_salamon) -> WitnessReport:
-    """Replays the witness certificate against the row, stage by stage; tuples are read with `parse`."""
+def verify_witness(entry: CatalogEntry, w: Witness, parse=parse_salamon) -> dict:
+    """Replays the witness certificate against the row, stage by stage; tuples are read with `parse`.
+    Returns the witness's JSON report: its "name", "passed" and the stages."""
     stage = Checks()
     g, cps = _build_witness(w, stage)
     if g is None:
-        return WitnessReport(w.name, stage)
+        return _staged({"name": w.name}, stage)
 
     try:
         moved = change_basis(g, w.basis_change)
@@ -357,7 +351,7 @@ def verify_witness(entry: CatalogEntry, w: Witness, parse=parse_salamon) -> Witn
     else:
         stage("double_type", False, "no CPS to inspect")
         stage("flatness", False, "no CPS to inspect")
-    return WitnessReport(w.name, stage)
+    return _staged({"name": w.name}, stage)
 
 
 def _equations(spec: dict, names) -> list[tuple[Poly, Poly]]:
@@ -428,37 +422,9 @@ def slice_flatness_check(w: Witness, expect_flat: bool, proofs: dict | None = No
     return True, "slice consistent"
 
 
-class RowReport(NamedTuple):
-    salamon: str
-    admits: tuple[bool, bool, bool]
-    flat_class: str
-    obstruction: str | None
-    witness_reports: tuple[WitnessReport, ...]
-    checks: Checks
-
-    @property
-    def passed(self) -> bool:
-        return self.witnesses_verified and self.checks.passed
-
-    @property
-    def witnesses_verified(self) -> bool:
-        return all(r.passed for r in self.witness_reports)
-
-    def to_json(self) -> dict:
-        return {
-            "salamon": self.salamon,
-            "admits": dict(zip(COLUMN_LABELS, self.admits)),
-            "flat_class": self.flat_class,
-            "obstruction": self.obstruction,
-            "witnesses_verified": self.witnesses_verified,
-            "passed": self.passed,
-            "witnesses": [r.to_json() for r in self.witness_reports],
-            "checks": self.checks.to_json("check"),
-        }
-
-
-def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> RowReport:
-    """Check a row's cells and flat class; `proofs` as in `slice_flatness_check`."""
+def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> dict:
+    """Check a row's cells and flat class; `proofs` as in `slice_flatness_check`.  Returns the row's
+    JSON report, which passes iff its witness reports ("witnesses_verified") and its own checks do."""
     proofs = {} if proofs is None else proofs
     parse = cache(parse_salamon)  # algebras are immutable: the row's witnesses share one parse
     reports = [verify_witness(entry, w, parse) for w in entry.witnesses]
@@ -470,7 +436,7 @@ def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> RowReport:
         if flag:
             check(
                 f"admits_{col}",
-                any(r.passed for _, r in matching),
+                any(r["passed"] for _, r in matching),
                 "no verified witness of this double type" if not matching else "",
             )
         else:
@@ -486,56 +452,37 @@ def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> RowReport:
     elif entry.flat_class == "Both":
         check(
             "flat_class",
-            any(r.passed for _, r in flats) and any(r.passed for _, r in nonflats),
+            any(r["passed"] for _, r in flats) and any(r["passed"] for _, r in nonflats),
         )
     else:
         check("flat_class", False, f"unexpected class {entry.flat_class}")
     if entry.flat_class in ("FlatOnly", "NonFlatOnly"):
         for w in entry.witnesses:
             check(f"slice_{w.name}", *slice_flatness_check(w, entry.flat_class == "FlatOnly", proofs))
-    return RowReport(entry.salamon, entry.admits, entry.flat_class, entry.obstruction, tuple(reports), check)
+    verified = all(r["passed"] for r in reports)
+    return {
+        "salamon": entry.salamon,
+        "admits": dict(zip(COLUMN_LABELS, entry.admits)),
+        "flat_class": entry.flat_class,
+        "obstruction": entry.obstruction,
+        "witnesses_verified": verified,
+        "passed": verified and check.passed,
+        "witnesses": reports,
+        "checks": check.to_json("check"),
+    }
 
 
-class TableReport(NamedTuple):
-    rows: tuple[RowReport, ...]
-    excluded: tuple["NonexistenceReport", ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows) and all(r.passed for r in self.excluded)
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "rows": [r.to_json() for r in self.rows],
-            "excluded": [r.to_json() for r in self.excluded],
-        }
-
-
-def verify_table(seed: int = 0) -> TableReport:
-    """Verify all fifteen admitting rows and the three excluded algebras."""
+def verify_table(seed: int = 0) -> dict:
+    """Verify all fifteen admitting rows and the three excluded algebras: the `verify-catalog` JSON."""
     proofs: dict = {}  # family certificates, proven once per pass
-    rows = tuple(verify_row(entry, proofs) for entry in table_rows())
-    excluded = tuple(nonexistence_report(entry.salamon, seed=seed) for entry in excluded_entries())
-    return TableReport(rows, excluded)
+    rows = [verify_row(entry, proofs) for entry in table_rows()]
+    excluded = [nonexistence_report(entry.salamon, seed=seed) for entry in excluded_entries()]
+    return {"passed": all(r["passed"] for r in rows + excluded), "rows": rows, "excluded": excluded}
 
 
-class NonexistenceReport(NamedTuple):
-    salamon: str
-    kind: str
-    stages: Checks
-
-    @property
-    def passed(self) -> bool:
-        return self.stages.passed
-
-    def to_json(self) -> dict:
-        stages = self.stages.to_json("stage")
-        return {"salamon": self.salamon, "kind": self.kind, "passed": self.passed, "stages": stages}
-
-
-def nonexistence_report(salamon: str, seed: int = 0) -> NonexistenceReport:
-    """The nonexistence certificate of one of the three excluded algebras."""
+def nonexistence_report(salamon: str, seed: int = 0) -> dict:
+    """The nonexistence certificate of one of the three excluded algebras: the `nonexistence` JSON,
+    with the algebra's "salamon", the obstruction "kind", "passed" and the stages."""
     normalized = "".join(salamon.split())
     if normalized not in EXCLUDED:
         raise ValueError(f"{salamon!r} is not one of the excluded algebras")
@@ -546,11 +493,11 @@ def nonexistence_report(salamon: str, seed: int = 0) -> NonexistenceReport:
         stage = Checks()
         stage("center_dimension", z.dim == 1, f"center has dimension {z.dim}")
         stage("obstruction_raised", z.dim < 2)
-        return NonexistenceReport(normalized, "CenterTooSmall", stage)
+        return _staged({"salamon": normalized, "kind": "CenterTooSmall"}, stage)
     return _encoded_proof_report(g, normalized, seed)
 
 
-def _encoded_proof_report(g: LieAlgebra, salamon: str, seed: int) -> NonexistenceReport:
+def _encoded_proof_report(g: LieAlgebra, salamon: str, seed: int) -> dict:
     stage = Checks()
     n = g.dim
     e = [basis_vec(n, i) for i in range(n)]
@@ -599,7 +546,7 @@ def _encoded_proof_report(g: LieAlgebra, salamon: str, seed: int) -> Nonexistenc
         "g-, but a J-invariant u inside g- satisfies u = J u within J g- = g+, "
         "forcing u = 0 and contradicting dim u = 2",
     )
-    return NonexistenceReport(salamon, "EncodedProof", stage)
+    return _staged({"salamon": salamon, "kind": "EncodedProof"}, stage)
 
 
 FRIED_NABLA = (

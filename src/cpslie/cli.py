@@ -49,7 +49,9 @@ def _load_algebra_spec(text: str) -> LieAlgebra:
 
 def _algebra_from_data(data) -> LieAlgebra:
     if "salamon" in data:
-        return parse_salamon(data["salamon"])
+        if not isinstance(text := data["salamon"], str):
+            raise ValueError("'salamon' must be a tuple string such as \"(0,0,0,0,0,12)\"")
+        return parse_salamon(text)
     return algebra_from_json(data)
 
 
@@ -118,14 +120,14 @@ def _connection_report(cps: CPS, seed: int):
         "ricci_flat": rep.is_ricci_flat,
         "traceless": rep.traceless,
         "curvature_nonzero_entries": rep.nonzero_entries(),
-        "completeness": cert.to_json(),
+        "completeness": cert,
     }
-    return payload, rep.is_ricci_flat and rep.traceless and cert.verdict
+    return payload, rep.is_ricci_flat and rep.traceless and cert["verdict"]
 
 
 def _verify_catalog(_, seed: int):
     report = verify_table(seed=seed)
-    return report.to_json(), report.passed
+    return report, report["passed"]
 
 
 def _hypercomplex(cps: CPS, seed: int):
@@ -147,12 +149,12 @@ def _hypercomplex(cps: CPS, seed: int):
 
 def _geodesic(cps: CPS, seed: int):
     cert = exact_polynomial_geodesic_certificate(cps.connection)
-    return cert.to_json(), cert.verdict
+    return cert, cert["verdict"]
 
 
 def _nonexistence(salamon: str, seed: int):
     report = nonexistence_report(salamon, seed=seed)
-    return report.to_json(), report.passed
+    return report, report["passed"]
 
 
 class Command(NamedTuple):

@@ -254,15 +254,6 @@ def lsa_is_complete(p: Connection) -> bool:
     return complete
 
 
-class CompletenessReport(NamedTuple):
-    method: str  # "segal-trace" or "exact-polynomial-geodesic"
-    verdict: bool
-    details: dict
-
-    def to_json(self) -> dict:
-        return {"method": self.method, "verdict": self.verdict, "details": self.details}
-
-
 # {a in N^n : |a| = N}, the principal lattice of order N on the simplex, is
 # unisolvent for polynomials of degree <= N, so a homogeneous polynomial of
 # degree <= N that vanishes on it is zero.  The polynomial certificate tries
@@ -321,7 +312,7 @@ def _grid_size(n: int, d: int) -> dict:
     return {"order": d + 2, "points": comb(n + d + 1, d + 2)}
 
 
-def exact_polynomial_geodesic_certificate(conn: Connection) -> CompletenessReport:
+def exact_polynomial_geodesic_certificate(conn: Connection) -> dict:
     """Prove in integers that every geodesic is a polynomial in t, and find its least degree.
 
     The body velocity of a geodesic solves x' = F(x) = -B(x,x), with
@@ -346,7 +337,8 @@ def exact_polynomial_geodesic_certificate(conn: Connection) -> CompletenessRepor
     degree, not a proof of incompleteness.  The scalars are ints for an
     instance and Polys for a family's connection
     (`catalog.family_connection`), where the zero tests are identities in
-    the parameters.
+    the parameters.  Returns the `geodesic` JSON: "method", "verdict" and
+    the "details" of the search.
     """
     n, degree, reached = conn.algebra.dim, None, None
     for d in range(2, GEODESIC_MAX_DEGREE + 1):
@@ -355,10 +347,10 @@ def exact_polynomial_geodesic_certificate(conn: Connection) -> CompletenessRepor
         reached = d
         if (degree := _least_degree(conn.tensor.terms, n, d)) is not None:
             break
-    return CompletenessReport(
-        method="exact-polynomial-geodesic",
-        verdict=degree is not None,
-        details={
+    return {
+        "method": "exact-polynomial-geodesic",
+        "verdict": degree is not None,
+        "details": {
             "equation": "x' = -B(x,x), B(x,y) = (nabla_x y + nabla_y x)/2",
             "recursion": (
                 "x(t) = sum_k (-1)^k y_k t^k / (den^k k!), N = den nabla:"
@@ -374,11 +366,12 @@ def exact_polynomial_geodesic_certificate(conn: Connection) -> CompletenessRepor
             "point_budget": GEODESIC_POINT_BUDGET,
             "grid": None if reached is None else _grid_size(n, reached),
         },
-    )
+    }
 
 
-def connection_is_complete_certificate(rep: CurvatureReport) -> CompletenessReport:
-    """Completeness certificate for the connection of a curvature report.
+def connection_is_complete_certificate(rep: CurvatureReport) -> dict:
+    """Completeness certificate for the connection of a curvature report,
+    as the JSON that `connection-report` embeds under "completeness".
 
     Both branches are exact.  Flat torsion-free connections get the trace
     argument (they are LSA structures); every other connection gets
@@ -388,11 +381,6 @@ def connection_is_complete_certificate(rep: CurvatureReport) -> CompletenessRepo
     conn = rep.connection
     if rep.is_flat and not torsion_defect(conn):
         verdict = lsa_is_complete(conn)
-        return CompletenessReport(
-            method="segal-trace",
-            verdict=verdict,
-            details={"right_mult_traces_zero": True, "right_mult_nilpotent": True}
-            if verdict
-            else {},
-        )
+        details = {"right_mult_traces_zero": True, "right_mult_nilpotent": True} if verdict else {}
+        return {"method": "segal-trace", "verdict": verdict, "details": details}
     return exact_polynomial_geodesic_certificate(conn)

@@ -102,12 +102,12 @@ def all_connections():
 @criterion(1, "classification table reproduced by verified witnesses")
 def test_criterion_01_table():
     report = verify_table()
-    assert len(report.rows) == 15
-    for row in report.rows:
-        assert row.passed, row.to_json()
-    assert len(report.excluded) == 3
-    for ex in report.excluded:
-        assert ex.passed, ex.to_json()
+    assert len(report["rows"]) == 15
+    for row in report["rows"]:
+        assert row["passed"], row
+    assert len(report["excluded"]) == 3
+    for ex in report["excluded"]:
+        assert ex["passed"], ex
 
 
 @criterion(2, "2-dimensional J,E-invariant central ideal on every witness")
@@ -239,10 +239,10 @@ def test_criterion_07_completeness():
             continue
         seen.add(conn.tensor)
         cert = connection_is_complete_certificate(rep)
-        assert cert.method == "exact-polynomial-geodesic" and cert.verdict, (entry.salamon, w.name)
-        assert cert.details["degree"] <= 2, (entry.salamon, w.name, cert.details)
+        assert cert["method"] == "exact-polynomial-geodesic" and cert["verdict"], (entry.salamon, w.name)
+        assert cert["details"]["degree"] <= 2, (entry.salamon, w.name, cert["details"])
         poly = exact_polynomial_geodesic_certificate(conn)
-        assert poly.verdict and poly.details["degree"] == 2, (entry.salamon, w.name, poly.details)
+        assert poly["verdict"] and poly["details"]["degree"] == 2, (entry.salamon, w.name, poly["details"])
         assert taylor_least_degree(conn) == 2, (entry.salamon, w.name)
     assert len(seen) == 7
     # flat connections carry the exact trace certificate

@@ -181,7 +181,7 @@ def test_verify_witness_row4_pair():
     assert family_flatness_value("H3R_00", flat.params) == 0
     for w in (nonflat, flat):
         report = verify_witness(row, w)
-        assert report.passed, report.to_json()
+        assert report["passed"], report
 
 
 def test_verify_row_parses_its_tuple_once(monkeypatch):
@@ -191,15 +191,15 @@ def test_verify_row_parses_its_tuple_once(monkeypatch):
     parse = catalog.parse_salamon
     monkeypatch.setattr(catalog, "parse_salamon", lambda text: calls.append(text) or parse(text))
     rows = table_rows()
-    assert all(verify_row(entry).passed for entry in rows)
+    assert all(verify_row(entry)["passed"] for entry in rows)
     assert sorted(calls) == sorted(entry.salamon for entry in rows)
 
     # a row tuple that does not parse fails each witness's basis change, and raises nothing
     entry = _row("(0,0,0,0,12,14+25)")
     bad = entry._replace(salamon="(0,0,1x)")
-    for report in verify_row(bad).witness_reports:
-        stages = {name: (ok, detail) for name, ok, detail in report.stages}
-        assert not stages["basis_change"][0] and stages["basis_change"][1], report.to_json()
+    for report in verify_row(bad)["witnesses"]:
+        stages = {s["stage"]: (s["ok"], s["detail"]) for s in report["stages"]}
+        assert not stages["basis_change"][0] and stages["basis_change"][1], report
 
 
 def test_verify_witness_rejects_singular_basis_change():
@@ -207,9 +207,9 @@ def test_verify_witness_rejects_singular_basis_change():
     w = row.witnesses[0]
     broken = w._replace(basis_change=QMatrix.zeros(6, 6))
     report = verify_witness(row, broken)
-    stages = dict((s, ok) for s, ok, _ in report.stages)
+    stages = {s["stage"]: s["ok"] for s in report["stages"]}
     assert not stages["basis_change"]
-    assert not report.passed
+    assert not report["passed"]
 
 
 def test_witness_build_failures_name_their_stage(monkeypatch):
@@ -220,7 +220,7 @@ def test_witness_build_failures_name_their_stage(monkeypatch):
 
     broken = w._replace(family="Nope")
     report = verify_witness(row, broken)
-    assert [(s, ok) for s, ok, _ in report.stages] == [("build", False)]
+    assert [(s["stage"], s["ok"]) for s in report["stages"]] == [("build", False)]
     with pytest.raises(ValueError, match="fails build"):
         witness_structure(broken)
 
@@ -228,7 +228,7 @@ def test_witness_build_failures_name_their_stage(monkeypatch):
         return e.scale(2)
 
     monkeypatch.setattr(catalog, "rotate_product", no_product)
-    stages = {s: (ok, d) for s, ok, d in verify_witness(row, w).stages}
+    stages = {s["stage"]: (s["ok"], s["detail"]) for s in verify_witness(row, w)["stages"]}
     assert stages["build"] == (True, "")
     assert stages["cps_valid"] == (False, "E_square")
     assert stages["flatness"] == (False, "no CPS to inspect")
@@ -243,7 +243,7 @@ def test_verify_table_assembles_each_witness_once(monkeypatch):
     calls = []
     assemble = catalog.assemble_cps
     monkeypatch.setattr(catalog, "assemble_cps", lambda *args: calls.append(args) or assemble(*args))
-    assert verify_table().passed
+    assert verify_table()["passed"]
     assert sum(len(entry.witnesses) for entry in table_rows()) == 35
     assert len(calls) == 38
 
@@ -278,11 +278,46 @@ def test_catalog_data_file_has_only_keys_the_loader_reads():
 
 def test_verify_table_passes():
     report = verify_table()
-    assert report.passed
-    assert len(report.rows) == 15
-    assert len(report.excluded) == 3
-    payload = report.to_json()
-    assert payload["passed"] is True
+    assert report["passed"] is True
+    assert len(report["rows"]) == 15
+    assert len(report["excluded"]) == 3
+
+
+def _assert_passed_is_the_conjunction(node):
+    """Every "passed" in a report tree is the conjunction of its own checks and its children's "passed";
+    returns the tree's reports, each before its children."""
+    children = node.get("rows", []) + node.get("excluded", []) + node.get("witnesses", [])
+    nodes = [node]
+    for child in children:
+        nodes += _assert_passed_is_the_conjunction(child)
+    own = node.get("stages", []) + node.get("checks", [])
+    assert node["passed"] is (all(c["ok"] for c in own) and all(c["passed"] for c in children)), node
+    if "witnesses_verified" in node:
+        assert node["witnesses_verified"] is all(w["passed"] for w in node["witnesses"]), node
+    return nodes
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_table_passed_is_the_conjunction_of_its_tree(monkeypatch, seed):
+    import types
+
+    import cpslie.catalog as catalog
+
+    nodes = _assert_passed_is_the_conjunction(verify_table(seed))
+    assert len(nodes) == 1 + 15 + 35 + 3 and all(n["passed"] for n in nodes)
+
+    # a singular basis change fails one witness, and through it alone its
+    # row (the row's other witnesses keep every check of its own passing)
+    # and the table; a center of the wrong dimension fails every
+    # nonexistence report
+    entry = _row("(0,0,0,12,13,14)")
+    broken = entry._replace(witnesses=(entry.witnesses[0]._replace(basis_change=QMatrix.zeros(6, 6)),) + entry.witnesses[1:])
+    rows = [broken if row.salamon == entry.salamon else row for row in table_rows()]
+    monkeypatch.setattr(catalog, "table_rows", lambda: rows)
+    monkeypatch.setattr(catalog, "center", lambda g: types.SimpleNamespace(dim=5))
+    failed = [n for n in _assert_passed_is_the_conjunction(verify_table(seed)) if not n["passed"]]
+    assert [n.get("name", n.get("salamon")) for n in failed] == [None, entry.salamon, entry.witnesses[0].name, *EXCLUDED]
+    assert all(c["ok"] for c in failed[1]["checks"]) and not failed[1]["witnesses_verified"]
 
 
 def test_rotated_witnesses_share_connection_with_base():
@@ -359,13 +394,13 @@ def test_central_invariant_ideal_property():
 def test_nonexistence_center_too_small():
     for s in EXCLUDED[:2]:
         rep = nonexistence_report(s)
-        assert rep.kind == "CenterTooSmall" and rep.passed
+        assert rep["kind"] == "CenterTooSmall" and rep["passed"]
 
 
 def test_nonexistence_encoded_proof():
     rep = nonexistence_report(EXCLUDED[2])
-    assert rep.kind == "EncodedProof" and rep.passed
-    assert [s for s, _, _ in rep.stages] == [
+    assert rep["kind"] == "EncodedProof" and rep["passed"]
+    assert [s["stage"] for s in rep["stages"]] == [
         "plus_side_dimension_overflow",
         "generic_pair_forces_center",
         "central_ideal_contradiction",
@@ -396,7 +431,8 @@ def sampled_pair_stage(g, seed):
         if kernel(restricted) != expected:
             ok, detail = False, f"kernel not {{y3=y4=0}} at sample {samples}"
             break
-    return "generic_pair_forces_center", ok, detail or f"200 seeded samples (seed={seed}) all force y3=y4=0"
+    detail = detail or f"200 seeded samples (seed={seed}) all force y3=y4=0"
+    return {"stage": "generic_pair_forces_center", "ok": ok, "detail": detail}
 
 
 def test_encoded_proof_pair_stage_matches_sampled_reference():
@@ -422,9 +458,9 @@ def test_encoded_proof_pair_stage_matches_sampled_reference():
     ]
     for algebra, ok, word in cases:
         for seed in (0, 7):
-            stages = _encoded_proof_report(algebra, EXCLUDED[2], seed).stages
+            stages = _encoded_proof_report(algebra, EXCLUDED[2], seed)["stages"]
             assert stages[1] == sampled_pair_stage(algebra, seed)
-            assert stages[1][1] is ok and word in stages[1][2]
+            assert stages[1]["ok"] is ok and word in stages[1]["detail"]
 
 
 def test_nonexistence_rejects_other_algebras():
@@ -468,7 +504,7 @@ def _row(salamon):
 
 
 def _slice_checks(report):
-    return {c: (ok, d) for c, ok, d in report.checks if c.startswith("slice_")}
+    return {c["check"]: (c["ok"], c["detail"]) for c in report["checks"] if c["check"].startswith("slice_")}
 
 
 @pytest.mark.parametrize("family", ["H3R_00", "H3R_10", "R4_00", "R4_10"])
@@ -530,7 +566,7 @@ def test_witness_without_slices_fails_its_row():
         entry = _row(salamon)
         w = entry.witnesses[0]
         report = verify_row(entry._replace(witnesses=(w._replace(slices=()),) + entry.witnesses[1:]))
-        assert not report.passed, salamon
+        assert not report["passed"], salamon
         assert _slice_checks(report)[f"slice_{w.name}"] == (False, "no slice recorded")
 
 
@@ -550,8 +586,8 @@ def test_planted_wrong_flat_class_fails_the_row():
     for salamon, planted in (("(0,0,0,12,13,23)", "NonFlatOnly"), ("(0,0,0,12,14,24)", "FlatOnly")):
         entry = _row(salamon)._replace(flat_class=planted, nonflat_argument="planted")
         report = verify_row(entry)
-        assert not report.passed
-        checks = {c: ok for c, ok, _ in report.checks}
+        assert not report["passed"]
+        checks = {c["check"]: c["ok"] for c in report["checks"]}
         assert not checks["flat_class"]
         assert not any(ok for ok, _ in _slice_checks(report).values())
 
@@ -568,7 +604,7 @@ def test_planted_nonflat_slice_fails_a_flatonly_row():
     ):
         moved = w._replace(slices=slices)
         report = verify_row(entry._replace(witnesses=(moved,) + entry.witnesses[1:]))
-        assert not report.passed
+        assert not report["passed"]
         ok, got = _slice_checks(report)[f"slice_{w.name}"]
         assert not ok and got.startswith(detail), got
 
@@ -593,7 +629,7 @@ def test_planted_wrong_closed_form_fails_the_row(monkeypatch, family, salamon, p
     with pytest.raises(FamilyError, match="closed form"):
         prove_family_flatness(family)
     report = verify_row(_row(salamon))
-    assert not report.passed
+    assert not report["passed"]
     for ok, detail in _slice_checks(report).values():
         assert not ok and detail.startswith(f"{family}: closed form"), detail
 
@@ -630,8 +666,8 @@ def test_every_family_member_has_quadratic_geodesics(family):
     # families' geodesics are linear in t, the H3R families' quadratic
     conn = family_connection(family)
     report = exact_polynomial_geodesic_certificate(conn)
-    assert report.verdict and report.details["degree_reached"] == 2
-    assert report.details["degree"] == (2 if family.startswith("H3R") else 1)
+    assert report["verdict"] and report["details"]["degree_reached"] == 2
+    assert report["details"]["degree"] == (2 if family.startswith("H3R") else 1)
 
     # nabla_{e1} e1 += (first parameter) e1 breaks every degree up to the
     # cap: the full search over Poly scalars finds no certificate
@@ -639,8 +675,8 @@ def test_every_family_member_has_quadratic_geodesics(family):
     side[0][0] += Poly.var(FAMILY_PARAMS[family], FAMILY_PARAMS[family][0])
     planted = Connection(conn.algebra, SparseTensor(_matrix(side, 1, 36)))
     report = exact_polynomial_geodesic_certificate(planted)
-    assert report.verdict is False
-    assert (report.details["degree"], report.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
+    assert report["verdict"] is False
+    assert (report["details"]["degree"], report["details"]["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
 
 
 def test_family_connection_specializes_to_every_instance():

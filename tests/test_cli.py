@@ -348,6 +348,32 @@ def test_deeply_nested_json_gives_json_error(capsys, tmp_path, cps_file, flag):
     assert "nested too deeply" in _strict_json(lines[0])["error"]
 
 
+@pytest.mark.parametrize(
+    "value", [[["(", "0"]], [5], ["(0,0)"], {"a": 1}, 5, None], ids=["nested_list", "int_list", "list", "dict", "int", "null"]
+)
+@pytest.mark.parametrize("flag", ["--cps", "--algebra"])
+def test_non_string_salamon_gives_json_error(capsys, tmp_path, cps_file, flag, value):
+    """A "salamon" that is not a string is named as the field at fault, with no parse position."""
+    data = json.loads(Path(cps_file).read_text())
+    if flag == "--cps":
+        data["algebra"] = {"salamon": value}
+        argv = []
+    else:
+        algebra = tmp_path / "algebra.json"
+        algebra.write_text(json.dumps({"salamon": value}))
+        argv = ["--algebra", str(algebra)]
+    path = tmp_path / "cps.json"
+    path.write_text(json.dumps(data))
+    code = main(["check-structure", *argv, "--cps", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    error = _strict_json(lines[0])
+    assert set(error) == {"error"} and error["error"].startswith("'salamon' must be a tuple string")
+
+
 @pytest.mark.parametrize("where", ["tuple", "algebra_file"])
 def test_dimension_over_the_maximum_gives_json_error(capsys, tmp_path, cps_file, where):
     """A 10,000-entry tuple and a claimed dimension of 10^9 are refused before
@@ -708,6 +734,40 @@ def test_catalog_json_matches_the_benchmark_digests(capsys, workloads, seed):
         code, out = run_cli(capsys, *argv, "--seed", str(seed))
         assert code == 0
         assert workloads.normalized_digest(out, seed) == digest, argv
+
+
+def _printed(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_catalog_reports_are_the_printed_json(capsys, seed):
+    """verify_table and nonexistence_report return the payload their commands print, byte for byte."""
+    from cpslie.catalog import EXCLUDED, nonexistence_report, verify_table
+
+    cases = [(("verify-catalog",), verify_table(seed))]
+    cases += [(("nonexistence", salamon), nonexistence_report(salamon, seed=seed)) for salamon in EXCLUDED]
+    for argv, report in cases:
+        code, out = run_cli(capsys, *argv, "--seed", str(seed))
+        assert (code, out) == (0, _printed(report)), argv
+
+
+def test_completeness_certificates_are_the_printed_json(capsys, cps_file, nonflat_cps_file):
+    """The geodesic certificate is the `geodesic` output, and the completeness certificate
+    is what `connection-report` prints under "completeness", on the flat and non-flat fixtures."""
+    from cpslie.cli import _load_cps
+    from cpslie.connection import connection_is_complete_certificate, curvature, exact_polynomial_geodesic_certificate
+
+    methods = []
+    for path in (cps_file, nonflat_cps_file):
+        conn = _load_cps(build_parser("geodesic").parse_args(["geodesic", "--cps", path])).connection
+        code, out = run_cli(capsys, "geodesic", "--cps", path)
+        assert (code, out) == (0, _printed(exact_polynomial_geodesic_certificate(conn)))
+        cert = connection_is_complete_certificate(curvature(conn))
+        code, out = run_cli(capsys, "connection-report", "--cps", path)
+        assert code == 0 and _printed(json.loads(out)["completeness"]) == _printed(cert)
+        methods.append(cert["method"])
+    assert methods == ["segal-trace", "exact-polynomial-geodesic"]
 
 
 @pytest.mark.parametrize(

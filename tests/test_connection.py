@@ -223,7 +223,7 @@ def test_flat_connection_with_torsion_gets_the_exact_geodesic_certificate():
     zero_conn = Connection(h3, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))
     cert = connection_is_complete_certificate(curvature(zero_conn))
     # the zero connection's geodesics are straight lines
-    assert cert.method == "exact-polynomial-geodesic" and cert.verdict and cert.details["degree"] <= 2
+    assert cert["method"] == "exact-polynomial-geodesic" and cert["verdict"] and cert["details"]["degree"] <= 2
 
 
 def test_abelian_cps_on_two_step_algebras_is_flat():
@@ -306,19 +306,19 @@ def test_completeness_certificates_by_case():
     # flat quotient-R4 witness: exact trace argument
     _, cps = build_family("R4_10", {"A1": 1, "C2": 2})
     cert = connection_is_complete_certificate(curvature(cp_connection(cps)))
-    assert cert.method == "segal-trace" and cert.verdict
+    assert cert["method"] == "segal-trace" and cert["verdict"]
 
     # non-flat (110) witness: exact quadratic geodesics, and the Taylor reference agrees
     _, cps = build_family("H3R_10", {"A": 1, "F": 1})
     conn = cp_connection(cps)
     cert = connection_is_complete_certificate(curvature(conn))
-    assert cert.method == "exact-polynomial-geodesic" and cert.verdict and cert.details["degree"] <= 2
-    assert taylor_least_degree(conn) == cert.details["degree"]
+    assert cert["method"] == "exact-polynomial-geodesic" and cert["verdict"] and cert["details"]["degree"] <= 2
+    assert taylor_least_degree(conn) == cert["details"]["degree"]
 
     # flat (100) slice AF = CE: exact certificate again
     _, cps = build_family("H3R_00", {"A": 2, "F": 3, "C": 2, "E": 3})
     cert = connection_is_complete_certificate(curvature(cp_connection(cps)))
-    assert cert.method == "segal-trace" and cert.verdict
+    assert cert["method"] == "segal-trace" and cert["verdict"]
 
 
 def test_geodesic_vector_field_matches_displayed_system():
@@ -460,9 +460,9 @@ def test_exact_and_numeric_completeness_agree_on_witnesses():
     for _, cps in structures:
         conn = cp_connection(cps)
         cert = connection_is_complete_certificate(curvature(conn))
-        assert cert.method == "exact-polynomial-geodesic" and cert.verdict is True
-        assert cert.details["degree"] == taylor_least_degree(conn, seed=11) == 2
-        assert cert.details["grid"] == {"order": 4, "points": 126}
+        assert cert["method"] == "exact-polynomial-geodesic" and cert["verdict"] is True
+        assert cert["details"]["degree"] == taylor_least_degree(conn, seed=11) == 2
+        assert cert["details"]["grid"] == {"order": 4, "points": 126}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -514,9 +514,9 @@ def test_exact_and_numeric_completeness_agree_on_controls(make):
     # circles are not polynomials, and x1 = 1/(t + 1/x1(0)) is not either:
     # no degree up to the cap passes, on the grid or at the numeric starts
     poly = exact_polynomial_geodesic_certificate(conn)
-    assert poly.verdict is False and taylor_least_degree(conn) is None
-    assert (poly.details["degree"], poly.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
-    assert poly.details["grid"] == {"order": GEODESIC_MAX_DEGREE + 2, "points": 28}
+    assert poly["verdict"] is False and taylor_least_degree(conn) is None
+    assert (poly["details"]["degree"], poly["details"]["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
+    assert poly["details"]["grid"] == {"order": GEODESIC_MAX_DEGREE + 2, "points": 28}
 
 
 def test_one_entry_perturbation_fails_the_exact_certificate():
@@ -524,7 +524,7 @@ def test_one_entry_perturbation_fails_the_exact_certificate():
     _, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
     conn = cp_connection(cps)
     cert = connection_is_complete_certificate(curvature(conn))
-    assert cert.method == "exact-polynomial-geodesic" and cert.details["degree"] == taylor_least_degree(conn) == 2
+    assert cert["method"] == "exact-polynomial-geodesic" and cert["details"]["degree"] == taylor_least_degree(conn) == 2
     # nabla_{e1} e2 gains an e2 component
     e = lambda i: basis_vec(6, i)  # noqa: E731
     gamma = [[conn.apply(e(i), e(j)) for j in range(6)] for i in range(6)]
@@ -533,10 +533,10 @@ def test_one_entry_perturbation_fails_the_exact_certificate():
     # no degree up to the cap passes, on the grid or at the numeric starts,
     # and connection-report reports that search
     poly = exact_polynomial_geodesic_certificate(perturbed)
-    assert poly.method == "exact-polynomial-geodesic" and poly.verdict is False
+    assert poly["method"] == "exact-polynomial-geodesic" and poly["verdict"] is False
     assert taylor_least_degree(perturbed) is None
-    assert (poly.details["degree"], poly.details["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
-    assert poly.details["grid"] == {"order": GEODESIC_MAX_DEGREE + 2, "points": 462}
+    assert (poly["details"]["degree"], poly["details"]["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
+    assert poly["details"]["grid"] == {"order": GEODESIC_MAX_DEGREE + 2, "points": 462}
     assert connection_is_complete_certificate(curvature(perturbed)) == poly
 
 
@@ -557,7 +557,7 @@ def test_exact_certificate_is_invariant_under_dense_basis_changes():
             conj = assemble_cps(change_basis(g, p), p_inv @ cps.j @ p, p_inv @ cps.e @ p)
             conn = cp_connection(conj)
             assert conn != cp_connection(cps)
-            assert exact_polynomial_geodesic_certificate(conn).details["degree"] == 2
+            assert exact_polynomial_geodesic_certificate(conn)["details"]["degree"] == 2
 
 
 def test_least_degree_agrees_with_the_taylor_reference():
@@ -567,8 +567,8 @@ def test_least_degree_agrees_with_the_taylor_reference():
     assert len(tensors) == 7
     for conn in tensors:
         cert = exact_polynomial_geodesic_certificate(conn)
-        assert cert.verdict and cert.details["grid"] == {"order": 4, "points": 126}
-        assert cert.details["degree"] == taylor_least_degree(conn) == 2
+        assert cert["verdict"] and cert["details"]["grid"] == {"order": 4, "points": 126}
+        assert cert["details"]["degree"] == taylor_least_degree(conn) == 2
 
 
 def quartic_examples():
@@ -583,10 +583,10 @@ def test_fried_and_eight_dim_geodesics_have_degree_four(name):
     that a degree-2 polynomial fit, once the `geodesic` command, rejected."""
     conn = quartic_examples()[name]
     cert = exact_polynomial_geodesic_certificate(conn)
-    assert cert.verdict is True
-    assert (cert.details["degree"], cert.details["degree_reached"]) == (4, 4)
+    assert cert["verdict"] is True
+    assert (cert["details"]["degree"], cert["details"]["degree_reached"]) == (4, 4)
     n = conn.algebra.dim
-    assert cert.details["grid"] == {"order": 6, "points": math.comb(n + 5, 6)}
+    assert cert["details"]["grid"] == {"order": 6, "points": math.comb(n + 5, 6)}
     assert taylor_least_degree(conn) == 4
 
 
@@ -602,9 +602,9 @@ def padded_eight_dim(n):
 def test_polynomial_certificate_reaches_degree_four_in_dimension_twelve():
     """At dimension 12 the degree-4 grid has 12,376 points, under the budget."""
     cert = exact_polynomial_geodesic_certificate(padded_eight_dim(12))
-    assert cert.verdict is True
-    assert (cert.details["degree"], cert.details["degree_reached"]) == (4, 4)
-    assert cert.details["grid"] == {"order": 6, "points": 12376}
+    assert cert["verdict"] is True
+    assert (cert["details"]["degree"], cert["details"]["degree_reached"]) == (4, 4)
+    assert cert["details"]["grid"] == {"order": 6, "points": 12376}
 
 
 def test_polynomial_certificate_stops_at_the_point_budget(monkeypatch):
@@ -618,10 +618,10 @@ def test_polynomial_certificate_stops_at_the_point_budget(monkeypatch):
     n = 14
     cert = exact_polynomial_geodesic_certificate(padded_eight_dim(n))
     assert built == [4, 5]
-    assert cert.verdict is False
-    assert (cert.details["degree"], cert.details["degree_reached"]) == (None, 3)
-    assert cert.details["grid"] == {"order": 5, "points": 8568}
-    assert math.comb(n + 5, 6) > GEODESIC_POINT_BUDGET == cert.details["point_budget"]
+    assert cert["verdict"] is False
+    assert (cert["details"]["degree"], cert["details"]["degree_reached"]) == (None, 3)
+    assert cert["details"]["grid"] == {"order": 5, "points": 8568}
+    assert math.comb(n + 5, 6) > GEODESIC_POINT_BUDGET == cert["details"]["point_budget"]
 
 
 def test_no_degree_is_tried_from_dimension_25(monkeypatch):
@@ -636,8 +636,8 @@ def test_no_degree_is_tried_from_dimension_25(monkeypatch):
     double = Connection(complexify_realified(base.algebra), base.tensor.realified_double())
     cert = exact_polynomial_geodesic_certificate(double)
     assert built == []
-    assert cert.verdict is False
-    assert (cert.details["degree"], cert.details["degree_reached"], cert.details["grid"]) == (None, None, None)
+    assert cert["verdict"] is False
+    assert (cert["details"]["degree"], cert["details"]["degree_reached"], cert["details"]["grid"]) == (None, None, None)
     assert _grid_size(26, 2)["points"] == 23751 > GEODESIC_POINT_BUDGET
 
 
@@ -679,7 +679,7 @@ def test_certificate_evaluates_on_the_grid_it_reports(monkeypatch):
     _, cps = nonflat_witness_structures()[0]
     cert = exact_polynomial_geodesic_certificate(cp_connection(cps))
     assert built == [4]
-    assert (cert.details["degree"], cert.details["grid"]) == (2, {"order": 4, "points": 126})
+    assert (cert["details"]["degree"], cert["details"]["grid"]) == (2, {"order": 4, "points": 126})
 
 
 def test_taylor_coefficients_stay_zero_after_the_first_zero():
@@ -695,4 +695,4 @@ def test_taylor_coefficients_stay_zero_after_the_first_zero():
         vanishes = taylor_vanishing(conn)
         assert not vanishes[0] and all(vanishes[vanishes.index(True):]), vanishes
     for conn in lifts:
-        assert exact_polynomial_geodesic_certificate(conn).details["degree"] == taylor_least_degree(conn) == 2
+        assert exact_polynomial_geodesic_certificate(conn)["details"]["degree"] == taylor_least_degree(conn) == 2

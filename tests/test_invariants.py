@@ -6,6 +6,8 @@ Nor may the package skip a constructor's validation with `check=False`,
 or build a validated record anywhere but in the function that validates it.
 Every exception class the package defines is raised somewhere in it, so
 a failure path whose check was removed does not leave its class behind.
+A report is the payload dict its command prints: only the matrix, subspace
+and check-list classes serialize themselves.
 """
 
 import ast
@@ -91,3 +93,14 @@ def test_every_package_exception_is_raised_in_the_package():
 
     unraised = sorted(f"{defined[name][0]}:{name}" for name in defined if is_exception(name) and name not in raised)
     assert unraised == []
+
+
+def test_only_the_value_classes_define_to_json():
+    """No record class writes its report's shape a second time in a `to_json`."""
+    found = {
+        node.name
+        for _, node in package_nodes()
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "to_json" for item in node.body)
+    }
+    assert found == {"QMatrix", "Subspace", "Checks"}
