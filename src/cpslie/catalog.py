@@ -55,13 +55,6 @@ COLUMN_TYPES = (
     frozenset({ThreeDimType.HEISENBERG3}),
 )
 
-EXCLUDED = (
-    "(0,0,0,12,23,14-35)",
-    "(0,0,12,13,23,14+25)",
-    "(0,0,0,12,13+42,14+23)",
-)
-
-
 class FamilyError(ValueError):
     pass
 
@@ -482,19 +475,25 @@ def verify_table(seed: int = 0) -> dict:
 
 def nonexistence_report(salamon: str, seed: int = 0) -> dict:
     """The nonexistence certificate of one of the three excluded algebras: the `nonexistence` JSON,
-    with the algebra's "salamon", the obstruction "kind", "passed" and the stages."""
+    with the algebra's "salamon", the obstruction "kind", "passed" and the stages.
+
+    The certificate replayed is the one the catalog stores as the entry's
+    obstruction; a kind with no certificate raises ValueError naming it."""
     normalized = "".join(salamon.split())
-    if normalized not in EXCLUDED:
+    entry = next((e for e in excluded_entries() if e.salamon == normalized), None)
+    if entry is None:
         raise ValueError(f"{salamon!r} is not one of the excluded algebras")
     g = parse_salamon(normalized)
-    if normalized != EXCLUDED[2]:
+    if entry.obstruction == "CenterTooSmall":
         # every CPS has a 2-dimensional J,E-invariant central ideal
         z = center(g)
         stage = Checks()
         stage("center_dimension", z.dim == 1, f"center has dimension {z.dim}")
         stage("obstruction_raised", z.dim < 2)
         return _staged({"salamon": normalized, "kind": "CenterTooSmall"}, stage)
-    return _encoded_proof_report(g, normalized, seed)
+    if entry.obstruction == "EncodedProof":
+        return _encoded_proof_report(g, normalized, seed)
+    raise ValueError(f"{normalized}: unknown obstruction kind {entry.obstruction!r}")
 
 
 def _encoded_proof_report(g: LieAlgebra, salamon: str, seed: int) -> dict:

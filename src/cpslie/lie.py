@@ -19,7 +19,6 @@ from .linalg import (
     _matrix,
     _scaled,
     _unscaled,
-    basis_vec,
     kernel,
     q,
     reshaped,
@@ -53,9 +52,10 @@ class LieAlgebra:
 
     __slots__ = ("dim", "structure")
 
-    def __init__(self, structure: SparseTensor, check: bool = True):
+    def __init__(self, structure: SparseTensor):
         """Column i*n + j of `structure.side` holds [e_i, e_j]; `from_brackets`
-        builds the algebra from a bracket description instead."""
+        builds the algebra from a bracket description instead.  Antisymmetry
+        and the Jacobi identity are checked on every layout."""
         pairs = [dict(row) for row in structure.terms]
         for i, row in enumerate(pairs):
             for j, w in row.items():
@@ -63,18 +63,15 @@ class LieAlgebra:
                     raise ValueError(f"antisymmetry fails on pair ({i},{j})")
         object.__setattr__(self, "dim", structure.dim)
         object.__setattr__(self, "structure", structure)
-        if check:
-            defects = jacobi_defect(self)
-            if defects:
-                raise JacobiError(defects)
+        defects = jacobi_defect(self)
+        if defects:
+            raise JacobiError(defects)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
     @classmethod
-    def from_brackets(
-        cls, dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]], check: bool = True
-    ) -> "LieAlgebra":
+    def from_brackets(cls, dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]]) -> "LieAlgebra":
         """Build from a sparse {(i, j): {k: coeff}} description, i < j; `brackets` reads it back.
 
         The only way from such a description into the side-by-side layout:
@@ -100,11 +97,7 @@ class LieAlgebra:
         side = [[0] * n * n for _ in range(n)]  # column i*n + j holds [e_i, e_j]
         for (k, ij, ji), x in zip(cells, nums):
             side[k][ij], side[k][ji] = x, -x
-        return cls(SparseTensor(_matrix(side, den, n * n)), check=check)
-
-    @classmethod
-    def abelian(cls, dim: int) -> "LieAlgebra":
-        return cls.from_brackets(dim, {})
+        return cls(SparseTensor(_matrix(side, den, n * n)))
 
     def brackets(self) -> dict[tuple[int, int], dict[int, Q]]:
         """{(i, j): {k: coeff}} for every i < j and nonzero coeff, in index
@@ -118,10 +111,6 @@ class LieAlgebra:
         """Bilinear antisymmetric product from the structure constants."""
         return self.structure.contract(x, y)
 
-    def ad(self, i: int) -> QMatrix:
-        """Matrix of ad(e_i): y -> [e_i, y]."""
-        return self.structure.slice_matrix(basis_vec(self.dim, i))
-
     def ad_vector(self, x: Sequence) -> QMatrix:
         return self.structure.slice_matrix(x)
 
@@ -129,9 +118,6 @@ class LieAlgebra:
         """Row i is ad(A e_i) read row by row: one product on the flat layout,
         whose row k is ad(e_k)."""
         return a.transpose() @ swapped(self.structure.side)
-
-    def is_abelian(self) -> bool:
-        return not any(self.structure.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LieAlgebra) and self.structure == other.structure

@@ -81,14 +81,6 @@ def vec(entries) -> Vector:
     return tuple(q(e) for e in entries)
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_neg(v: Vector) -> Vector:
-    return tuple(-a for a in v)
-
-
 def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
@@ -605,9 +597,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
     def basis_vectors(self) -> tuple[Vector, ...]:
         return self.basis.entries
 
@@ -630,9 +619,6 @@ class Subspace:
         if len(w) != self.ambient_dim or not self.contains(w):
             raise ValueError("vector not in subspace")
         return tuple(w[p] for p in self.pivots)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.num)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.basis == other.basis
@@ -664,13 +650,6 @@ def kernel(m: QMatrix) -> Subspace:
                 v[p] = -r[f] * (scale // r[p])
         gens.append(v)
     return Subspace.from_spanning(gens, m.cols)
-
-
-def map_subspace(m: QMatrix, v: Subspace) -> Subspace:
-    """Image of a subspace under a linear map."""
-    if m.cols != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.from_spanning((v.basis @ m.transpose()).num, m.rows)
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:

@@ -162,42 +162,3 @@ def differential(g: LieAlgebra) -> list[dict[tuple[int, int], Q]]:
             out[k][pair] = -c
     return out
 
-
-def d_squared_is_zero(g: LieAlgebra) -> bool:
-    """Check d^2 = 0 on the dual basis via formal form arithmetic.
-
-    Independent of jacobi_defect: works on wedge coefficients only.
-    """
-    d1 = differential(g)
-
-    def wedge21(two: dict[tuple[int, int], Q], c: int, sign: Q):
-        # (e^a ^ e^b) ^ e^c, accumulated into a 3-form dict
-        out: dict[tuple[int, int, int], Q] = {}
-        for (a, b), coeff in two.items():
-            if c == a or c == b:
-                continue
-            idx = sorted((a, b, c))
-            perm = (a, b, c)
-            # parity of sorting the triple
-            swaps = sum(
-                1
-                for x in range(3)
-                for y in range(x + 1, 3)
-                if perm[x] > perm[y]
-            )
-            s = coeff * sign * (-1 if swaps % 2 else 1)
-            key = tuple(idx)
-            out[key] = out.get(key, Q(0)) + s
-        return out
-
-    for k in range(g.dim):
-        total: dict[tuple[int, int, int], Q] = {}
-        for (i, j), coeff in d1[k].items():
-            # d(e^i ^ e^j) = d e^i ^ e^j - e^i ^ d e^j
-            for key, s in wedge21(d1[i], j, coeff).items():
-                total[key] = total.get(key, Q(0)) + s
-            for key, s in wedge21(d1[j], i, -coeff).items():
-                total[key] = total.get(key, Q(0)) + s
-        if any(v != 0 for v in total.values()):
-            return False
-    return True

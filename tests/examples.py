@@ -3,14 +3,17 @@
 The Heisenberg examples, the paper's split pairs on (0,0,0,12,13,14),
 the Heisenberg x Heisenberg constant, the abelian check, the failure
 codes of `assemble_cps`, the per-index parallelism check, the quaternion
-relations of a lift and the seeded dense basis changes live here rather
-than in the package, since only the tests read them.
+relations of a lift, the seeded dense basis changes, the unchecked
+bracket layout `NotLie`, the d^2 = 0 reference for the Jacobi identity
+and the vector difference and subspace image the references share live
+here rather than in the package, since only the tests read them.
 """
 
 from cpslie.lie import LieAlgebra, ThreeDimType
 from cpslie.linalg import (
     Q,
     QMatrix,
+    SparseTensor,
     Subspace,
     basis_vec,
     q,
@@ -19,10 +22,8 @@ from cpslie.linalg import (
     swapped,
     vec,
     vec_is_zero,
-    vec_neg,
-    vec_sub,
 )
-from cpslie.salamon import parse_salamon
+from cpslie.salamon import differential, parse_salamon
 from cpslie.structures import CPS, Endo, StructureError, _integrability_defect, _require, assemble_cps, double_type
 
 
@@ -35,6 +36,70 @@ SPLIT_E = {
     name: QMatrix([[sign if i == k else 0 for k in range(6)] for i, sign in enumerate(signs)])
     for name, signs in (("split-flat", (1, -1, 1, -1, 1, -1)), ("split-nonflat", (1, -1, -1, 1, -1, 1)))
 }
+
+
+class NotLie(LieAlgebra):
+    """A bracket layout stored without the antisymmetry and Jacobi checks.
+
+    Every `LieAlgebra` checks its layout, so the tests that plant a
+    bracket violating the Jacobi identity build it as this fake;
+    `NotLie.from_brackets` reads the same description.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, structure: SparseTensor):
+        object.__setattr__(self, "dim", structure.dim)
+        object.__setattr__(self, "structure", structure)
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def image(m: QMatrix, v: Subspace) -> Subspace:
+    """M V, canonical form."""
+    return Subspace.from_spanning([m.apply(x) for x in v.basis_vectors()], m.rows)
+
+
+def d_squared_is_zero(g: LieAlgebra) -> bool:
+    """Check d^2 = 0 on the dual basis via formal form arithmetic.
+
+    Independent of jacobi_defect: works on wedge coefficients only.
+    """
+    d1 = differential(g)
+
+    def wedge21(two: dict[tuple[int, int], Q], c: int, sign: Q):
+        # (e^a ^ e^b) ^ e^c, accumulated into a 3-form dict
+        out: dict[tuple[int, int, int], Q] = {}
+        for (a, b), coeff in two.items():
+            if c == a or c == b:
+                continue
+            idx = sorted((a, b, c))
+            perm = (a, b, c)
+            # parity of sorting the triple
+            swaps = sum(
+                1
+                for x in range(3)
+                for y in range(x + 1, 3)
+                if perm[x] > perm[y]
+            )
+            s = coeff * sign * (-1 if swaps % 2 else 1)
+            key = tuple(idx)
+            out[key] = out.get(key, Q(0)) + s
+        return out
+
+    for k in range(g.dim):
+        total: dict[tuple[int, int, int], Q] = {}
+        for (i, j), coeff in d1[k].items():
+            # d(e^i ^ e^j) = d e^i ^ e^j - e^i ^ d e^j
+            for key, s in wedge21(d1[i], j, coeff).items():
+                total[key] = total.get(key, Q(0)) + s
+            for key, s in wedge21(d1[j], i, -coeff).items():
+                total[key] = total.get(key, Q(0)) + s
+        if any(v != 0 for v in total.values()):
+            return False
+    return True
 
 
 def split_cps(name: str) -> tuple[LieAlgebra, CPS]:
@@ -61,10 +126,9 @@ def ref_parallel_defect(conn, a):
     """
     out = []
     for i in range(conn.algebra.dim):
-        na = conn.nabla(i) @ a
-        an = a @ conn.nabla(i)
+        diff = conn.nabla(i) @ a - a @ conn.nabla(i)
         for jdx in range(conn.algebra.dim):
-            d = vec_sub(na.col(jdx), an.col(jdx))
+            d = diff.col(jdx)
             if not vec_is_zero(d):
                 out.append((i, jdx, d))
     return out
@@ -150,8 +214,9 @@ def heisenberg_complex_examples():
     """
     g = parse_salamon("(0,0,0,0,13+42,14+23)")
     e = [basis_vec(6, i) for i in range(6)]
+    minus_e = [tuple(-x for x in v) for v in e]
 
-    j1 = QMatrix.from_cols([e[2], e[3], vec_neg(e[0]), vec_neg(e[1]), e[5], vec_neg(e[4])])
+    j1 = QMatrix.from_cols([e[2], e[3], minus_e[0], minus_e[1], e[5], minus_e[4]])
     cps1 = cps_from_split(g, j1, [e[0], e[1], e[4]], [e[2], e[3], e[5]])
 
     # J e1 = e2 - e4, J e2 = -(e1 + e3); squares to -Id
@@ -162,7 +227,7 @@ def heisenberg_complex_examples():
             vec(( 0, 0, 0, 1, 0, 0)),
             vec(( 0, 0, -1, 0, 0, 0)),
             e[5],
-            vec_neg(e[4]),
+            minus_e[4],
         ]
     )
     plus2 = [e[0], e[1], e[4]]

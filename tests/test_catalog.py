@@ -10,7 +10,6 @@ import pytest
 from cpslie.catalog import (
     COLUMN_LABELS,
     CatalogEntry,
-    EXCLUDED,
     FAMILY_PARAMS,
     FRIED_NABLA,
     FamilyError,
@@ -19,6 +18,7 @@ from cpslie.catalog import (
     _family_variables,
     build_family,
     eight_dim_example,
+    excluded_entries,
     family_connection,
     family_data,
     family_flatness_value,
@@ -43,7 +43,7 @@ from cpslie.connection import (
 )
 from cpslie.lie import LieAlgebra, ThreeDimType, center, change_basis, iso_type_3d
 from cpslie.hypercomplex import lift_cps
-from cpslie.linalg import QMatrix, SparseTensor, Subspace, _matrix, basis_vec, kernel, map_subspace, vec
+from cpslie.linalg import QMatrix, SparseTensor, Subspace, _matrix, basis_vec, kernel, vec
 from cpslie.poly import Poly
 from cpslie.salamon import parse_salamon
 from cpslie.structures import (
@@ -53,7 +53,9 @@ from cpslie.structures import (
     find_central_invariant_ideal,
     rotate_product,
 )
-from examples import SPLIT_E, SPLIT_J, SPLIT_ROW, h3x2_constant, heisenberg_complex_examples
+from examples import SPLIT_E, SPLIT_J, SPLIT_ROW, NotLie, h3x2_constant, heisenberg_complex_examples, image
+
+EXCLUDED = tuple(entry.salamon for entry in excluded_entries())
 
 TABLE = {
     "(0,0,0,0,0,0)": (True, False, False),
@@ -453,14 +455,36 @@ def test_encoded_proof_pair_stage_matches_sampled_reference():
     cases = [
         (g, True, ""),
         (LieAlgebra.from_brackets(6, wrong_det), False, "determinant"),
-        (LieAlgebra.from_brackets(6, {**brackets, (0, 4): {5: 1}}, check=False), False, "kernel"),
-        (LieAlgebra.from_brackets(6, {**brackets, (0, 5): {4: 1}}, check=False), False, "kernel"),
+        (NotLie.from_brackets(6, {**brackets, (0, 4): {5: 1}}), False, "kernel"),
+        (NotLie.from_brackets(6, {**brackets, (0, 5): {4: 1}}), False, "kernel"),
     ]
     for algebra, ok, word in cases:
         for seed in (0, 7):
             stages = _encoded_proof_report(algebra, EXCLUDED[2], seed)["stages"]
             assert stages[1] == sampled_pair_stage(algebra, seed)
             assert stages[1]["ok"] is ok and word in stages[1]["detail"]
+
+
+def test_nonexistence_replays_the_stored_obstruction(monkeypatch):
+    """The certificate replayed is the catalog's stored obstruction: with the
+    kinds swapped, every nonexistence report names the stored kind and fails,
+    and so does the table; a kind with no certificate is an error naming it."""
+    import cpslie.catalog as catalog
+
+    rows = catalog.load_catalog()
+    swap = {"CenterTooSmall": "EncodedProof", "EncodedProof": "CenterTooSmall"}
+    swapped = [row._replace(obstruction=swap[row.obstruction]) if row.flat_class == "NoCPS" else row for row in rows]
+    monkeypatch.setattr(catalog, "load_catalog", lambda: swapped)
+    for entry in excluded_entries():
+        report = nonexistence_report(entry.salamon)
+        assert report["kind"] == entry.obstruction and not report["passed"]
+    assert not verify_table()["passed"]
+
+    planted = [row._replace(obstruction="Planted") if row.flat_class == "NoCPS" else row for row in rows]
+    monkeypatch.setattr(catalog, "load_catalog", lambda: planted)
+    for salamon in EXCLUDED:
+        with pytest.raises(ValueError, match="unknown obstruction kind 'Planted'"):
+            nonexistence_report(salamon)
 
 
 def test_nonexistence_rejects_other_algebras():
@@ -703,7 +727,7 @@ def test_family_criteria_hold_as_identities(family):
     assert not any(any(g.bracket(e[c], x)) for c in (2, 5) for x in e)
     assert cps.j.col(2) == e[5]
     u = Subspace.from_spanning([e[2], e[5]], 6)
-    assert map_subspace(cps.j, u) == u and map_subspace(cps.e, u) == u
+    assert image(cps.j, u) == u and image(cps.e, u) == u
     # 04: the cp connection is Ricci-flat and traceless
     conn = cp_connection(cps)
     rep = curvature(conn)

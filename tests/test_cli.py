@@ -118,6 +118,16 @@ def test_nonexistence_command(capsys):
     assert code == 1
 
 
+def test_unknown_stored_obstruction_gives_json_error(capsys, monkeypatch):
+    import cpslie.catalog as catalog
+
+    rows = [row._replace(obstruction="Planted") if row.flat_class == "NoCPS" else row for row in catalog.load_catalog()]
+    monkeypatch.setattr(catalog, "load_catalog", lambda: rows)
+    for argv in (("nonexistence", "(0,0,0,12,23,14-35)"), ("verify-catalog",)):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1 and "unknown obstruction kind 'Planted'" in json.loads(out)["error"], argv
+
+
 @pytest.mark.parametrize("spacing", [" ", "\t", "\n", " \t\n "])
 def test_nonexistence_ignores_whitespace_as_parse_does(capsys, spacing):
     canonical = "(0,0,0,12,23,14-35)"
@@ -180,7 +190,7 @@ def test_cps_commands_accept_a_dimension_other_than_six(capsys, tmp_path, exampl
     if example == "eight_dim":
         g, cps = eight_dim_example()
     else:
-        g = LieAlgebra.abelian(2)
+        g = LieAlgebra.from_brackets(2, {})
         cps = assemble_cps(g, QMatrix([[0, -1], [1, 0]]), QMatrix([[1, 0], [0, -1]]))
     code, out = run_cli(capsys, command, "--cps", _cps_json(tmp_path / "cps.json", g, cps))
     assert code == 0, out
@@ -491,7 +501,7 @@ def h3r3_times_r8_file(tmp_path):
 
     j = QMatrix.diag_blocks(*[QMatrix([[0, -1], [1, 0]])] * 4)
     e = QMatrix.diag_blocks(*[QMatrix([[1, 0], [0, -1]])] * 4)
-    return _direct_sum_cps_file(tmp_path / "h3r3_r8.json", _h3r3(), (LieAlgebra.abelian(8), j, e))
+    return _direct_sum_cps_file(tmp_path / "h3r3_r8.json", _h3r3(), (LieAlgebra.from_brackets(8, {}), j, e))
 
 
 @pytest.fixture
@@ -743,10 +753,10 @@ def _printed(payload):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_catalog_reports_are_the_printed_json(capsys, seed):
     """verify_table and nonexistence_report return the payload their commands print, byte for byte."""
-    from cpslie.catalog import EXCLUDED, nonexistence_report, verify_table
+    from cpslie.catalog import excluded_entries, nonexistence_report, verify_table
 
     cases = [(("verify-catalog",), verify_table(seed))]
-    cases += [(("nonexistence", salamon), nonexistence_report(salamon, seed=seed)) for salamon in EXCLUDED]
+    cases += [(("nonexistence", e.salamon), nonexistence_report(e.salamon, seed=seed)) for e in excluded_entries()]
     for argv, report in cases:
         code, out = run_cli(capsys, *argv, "--seed", str(seed))
         assert (code, out) == (0, _printed(report)), argv

@@ -35,10 +35,10 @@ from cpslie.connection import (
 )
 from cpslie.hypercomplex import lift_cps
 from cpslie.lie import LieAlgebra, ThreeDimType, center, complexify_realified, lower_central_series
-from cpslie.linalg import QMatrix, basis_vec, rank, vec, vec_sub
+from cpslie.linalg import QMatrix, basis_vec, rank, vec
 from cpslie.salamon import parse_salamon
 from cpslie.structures import assemble_cps, rotate_product
-from examples import heisenberg_complex_examples, ref_parallel_defect
+from examples import heisenberg_complex_examples, ref_parallel_defect, vec_sub
 from geodesic_reference import taylor_least_degree, taylor_vanishing
 from table_helper import tensor_from_table
 
@@ -90,7 +90,7 @@ def test_family_connection_single_entry_example():
 
 
 def test_abelian_cps_has_zero_connection():
-    g = LieAlgebra.abelian(6)
+    g = LieAlgebra.from_brackets(6, {})
     z = QMatrix.zeros(3, 3)
     i3 = QMatrix.identity(3)
     j = QMatrix.block([[z, i3.scale(-1)], [i3, z]])
@@ -123,7 +123,7 @@ def test_torsion_defect_examples():
     zero_conn = Connection(h3, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))
     assert torsion_defect(zero_conn)
 
-    ab = LieAlgebra.abelian(3)
+    ab = LieAlgebra.from_brackets(3, {})
     assert torsion_defect(Connection(ab, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))) == []
 
 
@@ -297,7 +297,7 @@ def test_fried_lsa_table():
 
 def test_lsa_completeness_counterexample():
     # x . y = x on a 1-dimensional algebra: right multiplication is the identity
-    one = LieAlgebra.abelian(1)
+    one = LieAlgebra.from_brackets(1, {})
     p = LSAProduct(one, tensor_from_table([[(1,)]]))
     assert not lsa_is_complete(p)
 
@@ -353,7 +353,7 @@ def test_ricci_against_brute_force_on_nonvanishing_example():
     # generically neither flat nor Ricci-flat; the direct trace definition
     # is the oracle here
     rng = random.Random(13)
-    g = LieAlgebra.abelian(4)
+    g = LieAlgebra.from_brackets(4, {})
     gamma = [[None] * 4 for _ in range(4)]
     for i in range(4):
         for jdx in range(i, 4):
@@ -377,7 +377,7 @@ def test_ricci_against_brute_force_on_nonvanishing_example():
 
 
 def test_lsa_constructor_rejects_non_left_symmetric_product():
-    g = LieAlgebra.abelian(2)
+    g = LieAlgebra.from_brackets(2, {})
     z = (Q(0), Q(0))
     gamma = [[(0, 1), (1, 0)], [(1, 0), z]]  # symmetric, so torsion-free
     with pytest.raises(ValueError, match="left-symmetric"):
@@ -409,7 +409,7 @@ def lsa_defects_by_products(p):
 
 def test_lsa_defects_match_product_reference():
     rng = random.Random(2006)
-    algebras = [LieAlgebra.abelian(3), parse_salamon("(0,0,12)"), parse_salamon("(0,0,12,13)")]
+    algebras = [LieAlgebra.from_brackets(3, {}), parse_salamon("(0,0,12)"), parse_salamon("(0,0,12,13)")]
 
     def entry():
         return Q(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.2 else Q(0)
@@ -498,14 +498,14 @@ def circle_connection():
     gamma = [[(0, 0, 0)] * 3 for _ in range(3)]
     gamma[1][2] = gamma[2][1] = (half, 0, 0)
     gamma[0][2] = gamma[2][0] = (0, -half, 0)
-    return Connection(LieAlgebra.abelian(3), tensor_from_table(gamma))
+    return Connection(LieAlgebra.from_brackets(3, {}), tensor_from_table(gamma))
 
 
 def blow_up_connection():
     """Gamma_11 = e_1 on the abelian R^3: x1' = -x1^2 blows up in finite time."""
     gamma = [[(0, 0, 0)] * 3 for _ in range(3)]
     gamma[0][0] = (1, 0, 0)
-    return Connection(LieAlgebra.abelian(3), tensor_from_table(gamma))
+    return Connection(LieAlgebra.from_brackets(3, {}), tensor_from_table(gamma))
 
 
 @pytest.mark.parametrize("make", [circle_connection, blow_up_connection], ids=["circles", "blow_up"])
@@ -690,7 +690,7 @@ def test_taylor_coefficients_stay_zero_after_the_first_zero():
     degree is the reference's."""
     tensors = {cp_connection(cps): cps for _, cps in nonflat_witness_structures()}
     lifts = [lift_cps(cps).connection for cps in tensors.values()]
-    zero = Connection(LieAlgebra.abelian(3), tensor_from_table([[(0, 0, 0)] * 3] * 3))
+    zero = Connection(LieAlgebra.from_brackets(3, {}), tensor_from_table([[(0, 0, 0)] * 3] * 3))
     for conn in [*tensors, *lifts, *quartic_examples().values(), zero]:
         vanishes = taylor_vanishing(conn)
         assert not vanishes[0] and all(vanishes[vanishes.index(True):]), vanishes

@@ -82,12 +82,12 @@ def test_lift_forms_j3_once(monkeypatch):
 
 
 def test_lift_of_trivial_cps_on_r2():
-    g = LieAlgebra.abelian(2)
+    g = LieAlgebra.from_brackets(2, {})
     j = QMatrix([[0, -1], [1, 0]])
     e = QMatrix([[1, 0], [0, -1]])
     cps = assemble_cps(g, j, e)
     h = lift_cps(cps)
-    assert h.algebra.dim == 4 and h.algebra.is_abelian()
+    assert h.algebra == LieAlgebra.from_brackets(4, {})
     assert is_abelian_hypercomplex(h)
 
 

@@ -48,10 +48,16 @@ from cpslie.linalg import (
     right_product,
     swapped,
     transposed_blocks,
-    vec_sub,
 )
 from cpslie.structures import _integrability_defect, assemble_cps
-from examples import dense_conjugator, is_abelian_complex, is_quaternion_triple, ref_parallel_defect, validate_cps
+from examples import (
+    dense_conjugator,
+    is_abelian_complex,
+    is_quaternion_triple,
+    ref_parallel_defect,
+    validate_cps,
+    vec_sub,
+)
 from table_helper import tensor_from_table
 
 WITNESSES = [(entry.salamon, w) for entry in load_catalog() for w in entry.witnesses]
@@ -65,7 +71,7 @@ def ref_integrability_defect(g, a, sign):
     out = []
     n = g.dim
     for i in range(n):
-        ad_i = g.ad(i)
+        ad_i = g.ad_vector(basis_vec(n, i))
         ad_ai = g.ad_vector(a.col(i))
         d = a @ ad_i - ad_ai - ad_i @ a - (a @ ad_ai @ a).scale(sign)
         if not d.is_zero():
@@ -115,13 +121,14 @@ def ref_change_basis(g, p):
 
 
 def ref_is_abelian(g, j):
-    return all(g.ad_vector(j.col(i)) @ j == g.ad(i) for i in range(g.dim))
+    return all(g.ad_vector(j.col(i)) @ j == g.ad_vector(basis_vec(g.dim, i)) for i in range(g.dim))
 
 
 def ref_ricci_via_trace_identity(conn):
     g = conn.algebra
     traces = tuple(conn.nabla(i).trace() for i in range(g.dim))
-    return QMatrix([g.ad(i).transpose().apply(traces) for i in range(g.dim)], cols=g.dim).scale(Q(1, 4))
+    rows = [g.ad_vector(basis_vec(g.dim, i)).transpose().apply(traces) for i in range(g.dim)]
+    return QMatrix(rows, cols=g.dim).scale(Q(1, 4))
 
 
 def ref_left_symmetry(p):
@@ -140,7 +147,7 @@ def ref_left_symmetry(p):
 def ref_center(g):
     out = Subspace.full(g.dim)
     for i in range(g.dim):
-        out = intersect(out, kernel(g.ad(i)))
+        out = intersect(out, kernel(g.ad_vector(basis_vec(g.dim, i))))
     return out
 
 
@@ -213,7 +220,7 @@ def test_batched_identities_equal_the_references(salamon, witness):
         bad_j = planted_j(j, alg)
         defects = _integrability_defect(alg, bad_j, 1)
         assert defects == ref_integrability_defect(alg, bad_j, 1)
-        assert defects or alg.is_abelian()
+        assert defects or alg == LieAlgebra.from_brackets(alg.dim, {})
         bad_conn = random_connection(alg, rng)
         assert not assert_curvature(bad_conn).is_flat
         assert ref_parallel_defect(bad_conn, j) != []

@@ -11,6 +11,7 @@ from cpslie.linalg import (
     QMatrix,
     SparseTensor,
     Subspace,
+    basis_vec,
     intersect,
     is_nilpotent_matrix,
     kernel,
@@ -45,7 +46,7 @@ def test_kernel_of_ad_e1_on_h3_r3():
     from cpslie.salamon import parse_salamon
 
     g = parse_salamon("(0,0,0,0,0,12)")
-    k = kernel(g.ad(0))
+    k = kernel(g.ad_vector(basis_vec(6, 0)))
     expected = Subspace.from_spanning(
         [
             (1, 0, 0, 0, 0, 0),

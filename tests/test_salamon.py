@@ -42,7 +42,7 @@ def test_parse_worked_example():
 
 
 def test_parse_abelian():
-    assert parse_salamon("(0,0,0,0,0,0)") == LieAlgebra.abelian(6)
+    assert parse_salamon("(0,0,0,0,0,0)") == LieAlgebra.from_brackets(6, {})
 
 
 def test_parse_minus_term():
@@ -118,7 +118,7 @@ def test_jacobi_error_names_triples_one_based():
 
 
 def test_emit_abelian_and_h3():
-    assert emit_salamon(LieAlgebra.abelian(6)) == "(0,0,0,0,0,0)"
+    assert emit_salamon(LieAlgebra.from_brackets(6, {})) == "(0,0,0,0,0,0)"
     h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: -1}})  # [e1,e2] = -e3
     assert emit_salamon(h3) == "(0,0,12)"
 
