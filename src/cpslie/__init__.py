@@ -3,7 +3,6 @@
 from .catalog import (
     build_family,
     eight_dim_example,
-    family_flatness_value,
     fried_example,
     load_catalog,
     nonexistence_report,

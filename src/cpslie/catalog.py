@@ -23,6 +23,7 @@ from .lie import (
     ThreeDimType,
     center,
     change_basis,
+    iso_type_3d,
     semidirect_product,
 )
 from .linalg import Q, QMatrix, SparseTensor, Subspace, basis_vec, q, vec
@@ -32,7 +33,6 @@ from .structures import (
     Endo,
     StructureError,
     assemble_cps,
-    double_type,
     rotate_product,
 )
 
@@ -110,18 +110,21 @@ def _family_point(family: str, params) -> dict:
     return {name: x if getattr(x, "names", None) == names else q(x) for name, x in values}
 
 
-def family_data(family: str, params) -> tuple[LieAlgebra, Endo, Endo]:
-    """Algebra and the standard J, E of a bracket family, at a rational point or over its variables."""
+def family_data(family: str, params, rotation: Q | None = None) -> tuple[LieAlgebra, Endo, Endo]:
+    """Algebra and the standard J, E of a bracket family, at a rational point or over its variables;
+    E rotated by `rotate_product` if a `rotation` is given."""
     p = _family_point(family, params)
     # A*A: Poly has no **; over the variables the sum is never the zero polynomial
     if family in ("H3R_00", "H3R_10") and p["A"] * p["A"] + p["C"] * p["C"] == 0:
         raise FamilyError("side condition A^2 + C^2 != 0 violated")
-    return (LieAlgebra.from_brackets(6, _family_brackets(family, p)), *_standard_cps(3))
+    j, e = _standard_cps(3)
+    e = e if rotation is None else rotate_product(j, e, rotation)
+    return LieAlgebra.from_brackets(6, _family_brackets(family, p)), j, e
 
 
-def build_family(family: str, params) -> tuple[LieAlgebra, CPS]:
+def build_family(family: str, params, rotation: Q | None = None) -> tuple[LieAlgebra, CPS]:
     """Build a family instance, or the family over `_family_variables`, and its (re-verified) CPS."""
-    g, j, e = family_data(family, params)
+    g, j, e = family_data(family, params, rotation)
     return g, assemble_cps(g, j, e)
 
 
@@ -149,33 +152,13 @@ def flatness_closed_form(family: str) -> Poly:
     return Poly(FAMILY_PARAMS[family])  # the quotient-R4 families are flat throughout
 
 
-def family_flatness_value(family: str, params) -> Q:
-    """The closed form at one parameter point (absent parameters are 0)."""
-    point = _family_point(family, params)
-    return flatness_closed_form(family).subs(point).value()
-
-
-def family_connection(family: str) -> Connection:
-    """The cp connection of the family's standard pair, with `Poly` entries.
-
-    `build_family` over the family's variables runs what every instance
-    runs: Jacobi and every CPS axiom, integrability as the connection
-    being torsion-free, which with the construction proves J and E
-    parallel, in `assemble_cps`.  Each zero test is a polynomial
-    identity; a failed one raises FamilyError.
-    """
-    try:
-        return build_family(family, _family_variables(family))[1].connection
-    except ValueError as exc:
-        raise FamilyError(f"{family}: {exc}") from exc
-
-
-def prove_family_flatness(family: str) -> Poly:
+def prove_family_flatness(family: str, connection: Connection) -> Poly:
     """Certify the flatness closed form of a family as polynomial identities.
 
-    The torsion-free connection with J and E parallel is unique, so the
-    `curvature` of `family_connection` (Poly scalars; ints for an instance)
-    is that of every instance, and none needs building.  Every nonzero
+    `connection` is the cp connection of the family's certificate over
+    its variables (`build_family` on `_family_variables`, Poly scalars).
+    The torsion-free connection with J and E parallel is unique, so its
+    `curvature` is that of every instance, and none needs building.  Every nonzero
     curvature entry must be a constant times the closed form, and one a
     nonzero constant unless the form is zero: the curvature vanishes
     exactly where the form does.  Returns the closed form; a failed
@@ -186,7 +169,7 @@ def prove_family_flatness(family: str) -> Poly:
     form = flatness_closed_form(family)
     zero = Poly(form.names)  # an entry no parameter reached is an int; zero + x is a Poly
     curved = False
-    for (i, j), m in curvature(family_connection(family)).r.items():
+    for (i, j), m in curvature(connection).r.items():
         for x in chain.from_iterable(m.num):
             if x and (not form or (zero + x).multiple_of(form) is None):
                 where = f"R({BASIS[i]}, {BASIS[j]})"
@@ -274,38 +257,40 @@ class Checks(list):
         return [{key: name, "ok": ok, "detail": detail} for name, ok, detail in self]
 
 
-def _build_witness(w: Witness, checks: Checks) -> tuple[LieAlgebra | None, CPS | None]:
-    """The family algebra and the CPS the witness claims: the family's standard
-    pair, with E rotated if a rotation is recorded.
-
-    Records the "build" and "cps_valid" checks and stops at the first
-    that fails; what it could not build is None.
-    """
-    try:
-        g, j, e = family_data(w.family, w.params)
-        if w.rotation is not None:
-            e = rotate_product(j, e, w.rotation)
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        checks("build", False, str(exc))
-        return None, None
-    checks("build", True)
-    try:
-        cps = assemble_cps(g, j, e)
-    except StructureError as exc:
-        checks("cps_valid", False, ",".join(exc.failures))
-        return g, None
-    checks("cps_valid", True)
-    return g, cps
-
-
 def witness_structure(w: Witness) -> tuple[LieAlgebra, CPS]:
-    """Algebra plus the CPS the witness claims (rotation applied if any)."""
-    checks = Checks()
-    g, cps = _build_witness(w, checks)
-    if not checks.passed:
-        name, _, detail = checks[-1]
-        raise ValueError(f"witness {w.name!r} fails {name}: {detail}")
-    return g, cps
+    """Algebra plus the CPS the witness claims (rotation applied if any), built and validated at its point."""
+    try:
+        g, j, e = family_data(w.family, w.params, w.rotation)
+    except Exception as exc:  # noqa: BLE001 - re-raised with the witness and stage
+        raise ValueError(f"witness {w.name!r} fails build: {exc}") from exc
+    try:
+        return g, assemble_cps(g, j, e)
+    except StructureError as exc:
+        raise ValueError(f"witness {w.name!r} fails cps_valid: {','.join(exc.failures)}") from exc
+
+
+def _proven(proofs: dict, key, prove):
+    """What `prove()` returns, or the ValueError it raises, computed once per catalog pass and kept in `proofs`."""
+    if key not in proofs:
+        try:
+            proofs[key] = prove()
+        except ValueError as exc:
+            proofs[key] = exc
+    return proofs[key]
+
+
+def _certificate(proofs: dict, family: str, rotation: Q | None = None) -> CPS | ValueError:
+    """The family's CPS over its variables, E rotated if a rotation is given: `build_family` proves
+    Jacobi, every CPS axiom and zero torsion as identities, so at every point of the family."""
+    return _proven(proofs, (family, rotation), lambda: build_family(family, _family_variables(family), rotation)[1])
+
+
+def _closed_form(proofs: dict, family: str) -> Poly | ValueError:
+    """`prove_family_flatness` on the connection of the family's unrotated certificate."""
+    cert = _certificate(proofs, family)
+    if not isinstance(cert, CPS):
+        return FamilyError(f"{family}: {cert}")
+    return _proven(proofs, family, lambda: prove_family_flatness(family, cert.connection))
 
 
 def _staged(head: dict, stages: Checks) -> dict:
@@ -313,13 +298,31 @@ def _staged(head: dict, stages: Checks) -> dict:
     return {**head, "passed": stages.passed, "stages": stages.to_json("stage")}
 
 
-def verify_witness(entry: CatalogEntry, w: Witness, parse=parse_salamon) -> dict:
+def verify_witness(entry: CatalogEntry, w: Witness, parse, proofs: dict) -> dict:
     """Replays the witness certificate against the row, stage by stage; tuples are read with `parse`.
-    Returns the witness's JSON report: its "name", "passed" and the stages."""
+    Returns the witness's JSON report: its "name", "passed" and the stages.
+
+    "build" (with the side condition) and "basis_change" run at the
+    witness's point.  "cps_valid", "double_type" and "flatness" specialize
+    what its family proves over its variables, once per pass in `proofs`
+    (as in `slice_flatness_check`): the certificate of its family and
+    rotation, whose eigenspaces of E (constant over the family) are typed
+    in the algebra at the point, and the closed form of
+    `prove_family_flatness` at the point, which vanishes exactly where the
+    curvature does.  A rotated certificate shares that curvature only if
+    its connection is the unrotated one (criterion 08 at c = 1); any other
+    connection fails "flatness".
+    """
     stage = Checks()
-    g, cps = _build_witness(w, stage)
-    if g is None:
+    try:
+        g, _, _ = family_data(w.family, w.params, w.rotation)
+    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        stage("build", False, str(exc))
         return _staged({"name": w.name}, stage)
+    stage("build", True)
+    cert = _certificate(proofs, w.family, w.rotation)
+    valid = isinstance(cert, CPS)
+    stage("cps_valid", valid, "" if valid else ",".join(getattr(cert, "failures", [str(cert)])))
 
     try:
         moved = change_basis(g, w.basis_change)
@@ -328,22 +331,20 @@ def verify_witness(entry: CatalogEntry, w: Witness, parse=parse_salamon) -> dict
     except Exception as exc:  # noqa: BLE001
         stage("basis_change", False, str(exc))
 
-    if cps is not None:
-        types = double_type(cps)
-        stage(
-            "double_type",
-            types == w.double_type,
-            f"found ({types[0].value},{types[1].value})",
-        )
-        rep = curvature(cps.connection)
-        stage(
-            "flatness",
-            rep.is_flat == w.flat,
-            f"curvature {'vanishes' if rep.is_flat else 'does not vanish'}",
-        )
-    else:
+    if not valid:
         stage("double_type", False, "no CPS to inspect")
         stage("flatness", False, "no CPS to inspect")
+        return _staged({"name": w.name}, stage)
+    types = iso_type_3d(g, cert.plus), iso_type_3d(g, cert.minus)
+    stage("double_type", types == w.double_type, f"found ({types[0].value},{types[1].value})")
+    form = _closed_form(proofs, w.family)
+    if isinstance(form, ValueError):
+        stage("flatness", False, str(form))
+    elif cert.connection.tensor != _certificate(proofs, w.family).connection.tensor:
+        stage("flatness", False, "the rotated connection is not the family's")
+    else:
+        flat = form.subs(_family_point(w.family, w.params)).value() == 0
+        stage("flatness", flat == w.flat, f"curvature {'vanishes' if flat else 'does not vanish'}")
     return _staged({"name": w.name}, stage)
 
 
@@ -385,26 +386,20 @@ def _never_vanishes(value: Poly, nonzero) -> bool:
     )
 
 
-def slice_flatness_check(w: Witness, expect_flat: bool, proofs: dict | None = None) -> tuple[bool, str]:
+def slice_flatness_check(w: Witness, expect_flat: bool, proofs: dict) -> tuple[bool, str]:
     """Restrict the family's certified flatness closed form to the witness's slices.
 
     expect_flat=True demands the form restrict to the zero polynomial on
     every recorded slice; False demands it restrict to a nonzero constant
     times a product of the slice's `nonzero` parameters, so it never
     vanishes there.  The witness's own parameters must lie on a slice.
-    A witness with no slice fails.  `proofs` caches `prove_family_flatness`
-    per family for one catalog pass.
+    A witness with no slice fails.  `proofs` keeps the family certificates
+    and closed forms of one catalog pass.
     """
     if not w.slices:
         return False, "no slice recorded"
-    proofs = {} if proofs is None else proofs
-    if w.family not in proofs:
-        try:
-            proofs[w.family] = prove_family_flatness(w.family)
-        except FamilyError as exc:
-            proofs[w.family] = exc
-    form = proofs[w.family]
-    if isinstance(form, FamilyError):
+    form = _closed_form(proofs, w.family)
+    if isinstance(form, ValueError):
         return False, str(form)
     if not any(_on_slice(w.params, spec, form.names) for spec in w.slices):
         return False, "witness parameters lie on no recorded slice"
@@ -415,12 +410,11 @@ def slice_flatness_check(w: Witness, expect_flat: bool, proofs: dict | None = No
     return True, "slice consistent"
 
 
-def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> dict:
+def verify_row(entry: CatalogEntry, proofs: dict) -> dict:
     """Check a row's cells and flat class; `proofs` as in `slice_flatness_check`.  Returns the row's
     JSON report, which passes iff its witness reports ("witnesses_verified") and its own checks do."""
-    proofs = {} if proofs is None else proofs
     parse = cache(parse_salamon)  # algebras are immutable: the row's witnesses share one parse
-    reports = [verify_witness(entry, w, parse) for w in entry.witnesses]
+    reports = [verify_witness(entry, w, parse, proofs) for w in entry.witnesses]
     check = Checks()
     pairs = list(zip(entry.witnesses, reports))
     for idx, flag in enumerate(entry.admits):
@@ -467,7 +461,7 @@ def verify_row(entry: CatalogEntry, proofs: dict | None = None) -> dict:
 
 def verify_table(seed: int = 0) -> dict:
     """Verify all fifteen admitting rows and the three excluded algebras: the `verify-catalog` JSON."""
-    proofs: dict = {}  # family certificates, proven once per pass
+    proofs: dict = {}  # family certificates and closed forms, proven once per pass
     rows = [verify_row(entry, proofs) for entry in table_rows()]
     excluded = [nonexistence_report(entry.salamon, seed=seed) for entry in excluded_entries()]
     return {"passed": all(r["passed"] for r in rows + excluded), "rows": rows, "excluded": excluded}

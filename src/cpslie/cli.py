@@ -63,6 +63,9 @@ def _load_cps(args) -> CPS:
     failure list.
     """
     data = _read_json(args.cps)
+    if not isinstance(data, dict):
+        raise ValueError("the CPS file must hold a JSON object with entries 'J' and 'E'")
+    entry = "algebra"  # the entry being read, which a TypeError names
     try:
         if args.algebra is not None:
             algebra = _load_algebra_spec(args.algebra)
@@ -70,12 +73,14 @@ def _load_cps(args) -> CPS:
             algebra = _algebra_from_data(data["algebra"])
         else:
             raise ValueError("the CPS file has no algebra and none was given via --algebra")
+        entry = "J"
         j = endo_from_json(data["J"])
+        entry = "E"
         e = endo_from_json(data["E"])
     except KeyError as exc:
         raise ValueError(f"missing entry {exc.args[0]!r} in the input") from None
     except TypeError as exc:
-        raise ValueError(f"malformed input: {exc}") from None
+        raise ValueError(f"malformed input in {entry!r}: {exc}") from None
     return assemble_cps(algebra, j, e)
 
 

@@ -335,8 +335,8 @@ def exact_polynomial_geodesic_certificate(conn: Connection) -> dict:
     points is not tried, and `degree_reached` is the last degree tried
     (null if none was).  A false verdict means no certificate up to that
     degree, not a proof of incompleteness.  The scalars are ints for an
-    instance and Polys for a family's connection
-    (`catalog.family_connection`), where the zero tests are identities in
+    instance and Polys for a family's connection (`catalog.build_family`
+    on `_family_variables`), where the zero tests are identities in
     the parameters.  Returns the `geodesic` JSON: "method", "verdict" and
     the "details" of the search.
     """

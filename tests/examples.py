@@ -3,12 +3,14 @@
 The Heisenberg examples, the paper's split pairs on (0,0,0,12,13,14),
 the Heisenberg x Heisenberg constant, the abelian check, the failure
 codes of `assemble_cps`, the per-index parallelism check, the quaternion
-relations of a lift, the seeded dense basis changes, the unchecked
-bracket layout `NotLie`, the d^2 = 0 reference for the Jacobi identity
-and the vector difference and subspace image the references share live
-here rather than in the package, since only the tests read them.
+relations of a lift, the seeded dense basis changes, a family's flatness
+closed form at one point, the unchecked bracket layout `NotLie`, the
+d^2 = 0 reference for the Jacobi identity and the vector difference and
+subspace image the references share live here rather than in the
+package, since only the tests read them.
 """
 
+from cpslie.catalog import _family_point, flatness_closed_form
 from cpslie.lie import LieAlgebra, ThreeDimType
 from cpslie.linalg import (
     Q,
@@ -60,6 +62,11 @@ def vec_sub(u, v):
 def image(m: QMatrix, v: Subspace) -> Subspace:
     """M V, canonical form."""
     return Subspace.from_spanning([m.apply(x) for x in v.basis_vectors()], m.rows)
+
+
+def family_flatness_value(family: str, params) -> Q:
+    """The flatness closed form at one parameter point (absent parameters are 0)."""
+    return flatness_closed_form(family).subs(_family_point(family, params)).value()
 
 
 def d_squared_is_zero(g: LieAlgebra) -> bool:

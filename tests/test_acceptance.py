@@ -14,7 +14,6 @@ from cpslie.catalog import (
     build_family,
     excluded_entries,
     eight_dim_example,
-    family_flatness_value,
     fried_example,
     table_rows,
     verify_table,
@@ -42,7 +41,7 @@ from cpslie.structures import (
     find_central_invariant_ideal,
     rotate_product,
 )
-from examples import SPLIT_E, image, ref_parallel_defect, split_cps
+from examples import SPLIT_E, family_flatness_value, image, ref_parallel_defect, split_cps
 from geodesic_reference import taylor_least_degree
 
 FLAT_ONLY = {

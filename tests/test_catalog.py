@@ -19,9 +19,7 @@ from cpslie.catalog import (
     build_family,
     eight_dim_example,
     excluded_entries,
-    family_connection,
     family_data,
-    family_flatness_value,
     flatness_closed_form,
     fried_example,
     nonexistence_report,
@@ -53,7 +51,16 @@ from cpslie.structures import (
     find_central_invariant_ideal,
     rotate_product,
 )
-from examples import SPLIT_E, SPLIT_J, SPLIT_ROW, NotLie, h3x2_constant, heisenberg_complex_examples, image
+from examples import (
+    SPLIT_E,
+    SPLIT_J,
+    SPLIT_ROW,
+    NotLie,
+    family_flatness_value,
+    h3x2_constant,
+    heisenberg_complex_examples,
+    image,
+)
 
 EXCLUDED = tuple(entry.salamon for entry in excluded_entries())
 
@@ -182,7 +189,7 @@ def test_verify_witness_row4_pair():
     assert family_flatness_value("H3R_00", nonflat.params) != 0
     assert family_flatness_value("H3R_00", flat.params) == 0
     for w in (nonflat, flat):
-        report = verify_witness(row, w)
+        report = verify_witness(row, w, parse_salamon, {})
         assert report["passed"], report
 
 
@@ -193,13 +200,13 @@ def test_verify_row_parses_its_tuple_once(monkeypatch):
     parse = catalog.parse_salamon
     monkeypatch.setattr(catalog, "parse_salamon", lambda text: calls.append(text) or parse(text))
     rows = table_rows()
-    assert all(verify_row(entry)["passed"] for entry in rows)
+    assert all(verify_row(entry, {})["passed"] for entry in rows)
     assert sorted(calls) == sorted(entry.salamon for entry in rows)
 
     # a row tuple that does not parse fails each witness's basis change, and raises nothing
     entry = _row("(0,0,0,0,12,14+25)")
     bad = entry._replace(salamon="(0,0,1x)")
-    for report in verify_row(bad)["witnesses"]:
+    for report in verify_row(bad, {})["witnesses"]:
         stages = {s["stage"]: (s["ok"], s["detail"]) for s in report["stages"]}
         assert not stages["basis_change"][0] and stages["basis_change"][1], report
 
@@ -208,7 +215,7 @@ def test_verify_witness_rejects_singular_basis_change():
     row = next(e for e in table_rows() if e.salamon == "(0,0,0,0,0,12)")
     w = row.witnesses[0]
     broken = w._replace(basis_change=QMatrix.zeros(6, 6))
-    report = verify_witness(row, broken)
+    report = verify_witness(row, broken, parse_salamon, {})
     stages = {s["stage"]: s["ok"] for s in report["stages"]}
     assert not stages["basis_change"]
     assert not report["passed"]
@@ -221,7 +228,7 @@ def test_witness_build_failures_name_their_stage(monkeypatch):
     w = next(w for w in row.witnesses if w.rotation is not None)
 
     broken = w._replace(family="Nope")
-    report = verify_witness(row, broken)
+    report = verify_witness(row, broken, parse_salamon, {})
     assert [(s["stage"], s["ok"]) for s in report["stages"]] == [("build", False)]
     with pytest.raises(ValueError, match="fails build"):
         witness_structure(broken)
@@ -230,7 +237,7 @@ def test_witness_build_failures_name_their_stage(monkeypatch):
         return e.scale(2)
 
     monkeypatch.setattr(catalog, "rotate_product", no_product)
-    stages = {s["stage"]: (s["ok"], s["detail"]) for s in verify_witness(row, w)["stages"]}
+    stages = {s["stage"]: (s["ok"], s["detail"]) for s in verify_witness(row, w, parse_salamon, {})["stages"]}
     assert stages["build"] == (True, "")
     assert stages["cps_valid"] == (False, "E_square")
     assert stages["flatness"] == (False, "no CPS to inspect")
@@ -238,16 +245,136 @@ def test_witness_build_failures_name_their_stage(monkeypatch):
         witness_structure(w)
 
 
-def test_verify_table_assembles_each_witness_once(monkeypatch):
+def test_verify_table_assembles_each_family_pair_once(monkeypatch):
     import cpslie.catalog as catalog
 
-    # one assemble_cps per witness, its rotation included, and one per family proof
-    calls = []
-    assemble = catalog.assemble_cps
-    monkeypatch.setattr(catalog, "assemble_cps", lambda *args: calls.append(args) or assemble(*args))
-    assert verify_table()["passed"]
-    assert sum(len(entry.witnesses) for entry in table_rows()) == 35
-    assert len(calls) == 38
+    # one assemble_cps per (family, rotation) the witnesses use and one
+    # curvature per family, all over the family's variables; a second pass
+    # repeats every count, so nothing is kept from one pass to the next
+    calls = {"assemble_cps": [], "curvature": []}
+    for name, log in calls.items():
+        real = getattr(catalog, name)
+        monkeypatch.setattr(catalog, name, lambda *args, log=log, real=real: log.append(args) or real(*args))
+    pairs = {(w.family, w.rotation) for entry in table_rows() for w in entry.witnesses}
+    assert len(pairs) == 6 and sum(len(entry.witnesses) for entry in table_rows()) == 35
+    for passes in (1, 2):
+        assert verify_table()["passed"]
+        assert (len(calls["assemble_cps"]), len(calls["curvature"])) == (6 * passes, 4 * passes)
+    for g, *_ in calls["assemble_cps"]:
+        assert any(isinstance(x, Poly) for r in g.structure.side.num for x in r), "a rational instance was assembled"
+
+
+def _stages(report):
+    return {s["stage"]: (s["ok"], s["detail"]) for s in report["stages"]}
+
+
+# F on the flatness locus of each H3R family (A != 0): A F = C E and A (2F + 1) = 2 C E
+FLAT_F = {"H3R_00": lambda p: p["C"] * p["E"] / p["A"], "H3R_10": lambda p: (2 * p["C"] * p["E"] / p["A"] - 1) / 2}
+
+
+def _family_points(rng, family, rotation):
+    """Seeded rational points of one (family, rotation) pair as witnesses: two off and two on the flat locus."""
+    names = FAMILY_PARAMS[family]
+    for k in range(4):
+        params = {name: Q(rng.randint(-3, 3), rng.randint(1, 3)) for name in names}
+        if family.startswith("H3R"):
+            params["A"] = Q(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+            if k % 2:
+                params["F"] = FLAT_F[family](params)
+        yield Witness(f"{family}-{rotation}-{k}", family, params, QMatrix.identity(6), None, None, rotation)
+
+
+def test_family_verdicts_match_the_direct_computation():
+    """cps_valid, double_type and flatness, specialized from the family
+    certificates of one pass, equal `assemble_cps`, the double type and
+    `curvature` computed at the point: on every witness and on seeded
+    points of every (family, rotation) pair, flat and non-flat."""
+    rng = random.Random(32)
+    witnesses = [(entry, w) for entry in table_rows() for w in entry.witnesses]
+    pairs = sorted({(w.family, w.rotation) for _, w in witnesses}, key=str)
+    assert len(pairs) == 6
+    entry = table_rows()[0]
+    points = [(entry, w) for family, c in pairs for w in _family_points(rng, family, c)]
+    proofs, flats = {}, {pair: set() for pair in pairs}
+    for entry, w in witnesses + points:
+        g, cps = witness_structure(w)
+        types, flat = double_type(cps), curvature(cps.connection).is_flat
+        stages = _stages(verify_witness(entry, w._replace(double_type=types, flat=flat), parse_salamon, proofs))
+        assert stages["cps_valid"] == (True, ""), w
+        assert stages["double_type"] == (True, f"found ({types[0].value},{types[1].value})"), w
+        assert stages["flatness"] == (True, f"curvature {'vanishes' if flat else 'does not vanish'}"), w
+        assert (types, flat) == (w.double_type, w.flat) or w.flat is None, w.name
+        flats[w.family, w.rotation].add(flat)
+    assert flats == {pair: {True, False} if pair[0].startswith("H3R") else {True} for pair in pairs}
+
+
+def test_a_flipped_flat_flag_fails_its_witness():
+    proofs = {}
+    for entry in table_rows():
+        for w in entry.witnesses:
+            report = verify_witness(entry, w._replace(flat=not w.flat), parse_salamon, proofs)
+            assert not report["passed"], w.name
+            assert [s for s, (ok, _) in _stages(report).items() if not ok] == ["flatness"], w.name
+
+
+def test_a_point_off_the_side_condition_fails_build():
+    for entry in table_rows():
+        for w in entry.witnesses:
+            if w.family.startswith("H3R"):
+                broken = w._replace(params={**w.params, "A": Q(0), "C": Q(0)})
+                report = verify_witness(entry, broken, parse_salamon, {})
+                assert report["stages"] == [
+                    {"stage": "build", "ok": False, "detail": "side condition A^2 + C^2 != 0 violated"}
+                ], w.name
+
+
+@pytest.mark.parametrize("family", ["R4_00", "R4_10", "H3R_00", "H3R_10"])
+def test_a_non_integrable_term_fails_every_witness_of_its_family(monkeypatch, family):
+    import cpslie.catalog as catalog
+
+    # [e1, e2] += f3: f3 is central, so Jacobi holds, but neither J nor E
+    # is integrable, so no torsion-free connection has them parallel
+    true_brackets = catalog._family_brackets
+
+    def broken(f, p):
+        br = true_brackets(f, p)
+        if f == family:
+            br[(0, 1)] = {**br.get((0, 1), {}), 5: 1}
+        return br
+
+    monkeypatch.setattr(catalog, "_family_brackets", broken)
+    report = verify_table()
+    assert not report["passed"]
+    seen = 0
+    for entry, row in zip(table_rows(), report["rows"]):
+        for w, r in zip(entry.witnesses, row["witnesses"]):
+            ok, detail = _stages(r)["cps_valid"]
+            assert ok == (w.family != family), w.name
+            assert ok or detail == "J_integrability,E_integrability", detail
+            seen += w.family == family
+    assert seen
+
+
+def test_a_rotation_that_moves_the_connection_fails_closed(monkeypatch):
+    import cpslie.catalog as catalog
+
+    # E' = P E P^-1 with P complex linear (PJ = JP) and not an automorphism:
+    # on H3R_10 a valid CPS whose connection is not the family's, on R4_10
+    # no CPS at all; either way no rotated witness passes
+    p = QMatrix([[1, 0, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0], [0, 0, 1, 0, 0, 0],
+                 [0, 0, 0, 1, 0, 0], [1, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, 1]])
+    monkeypatch.setattr(catalog, "rotate_product", lambda j, e, c: p @ e @ p.inverse())
+    expected = {"H3R_10": ("flatness", "the rotated connection is not the family's"), "R4_10": ("cps_valid", "E_integrability")}
+    seen = set()
+    for entry, row in zip(table_rows(), verify_table()["rows"]):
+        for w, r in zip(entry.witnesses, row["witnesses"]):
+            if w.rotation is None:
+                assert r["passed"], w.name
+                continue
+            name, detail = expected[w.family]
+            assert not r["passed"] and _stages(r)[name] == (False, detail), (w.family, r)
+            seen.add(w.family)
+    assert seen == set(expected)
 
 
 def test_split_witnesses_are_the_split_pairs_on_the_row():
@@ -533,7 +660,7 @@ def _slice_checks(report):
 
 @pytest.mark.parametrize("family", ["H3R_00", "H3R_10", "R4_00", "R4_10"])
 def test_family_flatness_is_proven(family):
-    form = prove_family_flatness(family)
+    form = prove_family_flatness(family, build_family(family, _family_variables(family))[1].connection)
     assert form == flatness_closed_form(family)
     assert form.is_zero() == family.startswith("R4")
 
@@ -545,10 +672,10 @@ def test_slice_check_builds_no_instance(monkeypatch):
     built = []
 
     def only_variables(name, real):
-        def wrapped(family, params):
+        def wrapped(family, params, *rotation):
             assert params and all(isinstance(x, Poly) for x in params.values()), f"{name} built an instance"
             built.append((name, family))
-            return real(family, params)
+            return real(family, params, *rotation)
 
         monkeypatch.setattr(catalog, name, wrapped)
 
@@ -579,9 +706,11 @@ def test_slice_check_builds_no_instance(monkeypatch):
             if w.slices:
                 ok, detail = catalog.slice_flatness_check(w, w.flat, proofs)
                 assert (ok, detail) == (True, "slice consistent"), (entry.salamon, w.name)
-    assert set(proofs) == {"H3R_10", "R4_00", "R4_10"}
-    assert sorted(connections) == sorted(FAMILY_PARAMS[f] for f in proofs)
-    assert sorted(built) == sorted((name, f) for f in proofs for name in ("build_family", "family_data"))
+    # each family's closed form and the unrotated certificate it is proven on
+    forms = {"H3R_10", "R4_00", "R4_10"}
+    assert set(proofs) == forms | {(f, None) for f in forms}
+    assert sorted(connections) == sorted(FAMILY_PARAMS[f] for f in forms)
+    assert sorted(built) == sorted((name, f) for f in forms for name in ("build_family", "family_data"))
 
 
 def test_witness_without_slices_fails_its_row():
@@ -589,7 +718,7 @@ def test_witness_without_slices_fails_its_row():
     for salamon in ("(0,0,0,0,0,0)", "(0,0,0,12,14,24)"):
         entry = _row(salamon)
         w = entry.witnesses[0]
-        report = verify_row(entry._replace(witnesses=(w._replace(slices=()),) + entry.witnesses[1:]))
+        report = verify_row(entry._replace(witnesses=(w._replace(slices=()),) + entry.witnesses[1:]), {})
         assert not report["passed"], salamon
         assert _slice_checks(report)[f"slice_{w.name}"] == (False, "no slice recorded")
 
@@ -600,7 +729,7 @@ def test_second_realizing_slice_reduces_to_A():
     w = _row("(0,0,0,12,13,24)").witnesses[0]
     first, second = w.slices
     assert second["equations"] == ["C*E = A*F"]
-    form = prove_family_flatness("H3R_10")
+    form = prove_family_flatness("H3R_10", build_family("H3R_10", _family_variables("H3R_10"))[1].connection)
     c, e = (Poly.var(form.names, n) for n in "CE")
     assert catalog._restrict(form, first) == -2 * c * e
     assert catalog._restrict(form, second) == Poly.var(form.names, "A")
@@ -609,7 +738,7 @@ def test_second_realizing_slice_reduces_to_A():
 def test_planted_wrong_flat_class_fails_the_row():
     for salamon, planted in (("(0,0,0,12,13,23)", "NonFlatOnly"), ("(0,0,0,12,14,24)", "FlatOnly")):
         entry = _row(salamon)._replace(flat_class=planted, nonflat_argument="planted")
-        report = verify_row(entry)
+        report = verify_row(entry, {})
         assert not report["passed"]
         checks = {c["check"]: c["ok"] for c in report["checks"]}
         assert not checks["flat_class"]
@@ -627,7 +756,7 @@ def test_planted_nonflat_slice_fails_a_flatonly_row():
         ((planted,), "witness parameters lie on no recorded slice"),
     ):
         moved = w._replace(slices=slices)
-        report = verify_row(entry._replace(witnesses=(moved,) + entry.witnesses[1:]))
+        report = verify_row(entry._replace(witnesses=(moved,) + entry.witnesses[1:]), {})
         assert not report["passed"]
         ok, got = _slice_checks(report)[f"slice_{w.name}"]
         assert not ok and got.startswith(detail), got
@@ -651,8 +780,8 @@ def test_planted_wrong_closed_form_fails_the_row(monkeypatch, family, salamon, p
 
     monkeypatch.setattr(catalog, "flatness_closed_form", wrong)
     with pytest.raises(FamilyError, match="closed form"):
-        prove_family_flatness(family)
-    report = verify_row(_row(salamon))
+        prove_family_flatness(family, build_family(family, _family_variables(family))[1].connection)
+    report = verify_row(_row(salamon), {})
     assert not report["passed"]
     for ok, detail in _slice_checks(report).values():
         assert not ok and detail.startswith(f"{family}: closed form"), detail
@@ -679,8 +808,8 @@ def test_planted_bracket_fails_the_certificate(monkeypatch, family, pair, value,
         return br
 
     monkeypatch.setattr(catalog, "_family_brackets", broken)
-    with pytest.raises(FamilyError, match=failure):
-        prove_family_flatness(family)
+    with pytest.raises(ValueError, match=failure):
+        build_family(family, _family_variables(family))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
@@ -688,7 +817,7 @@ def test_every_family_member_has_quadratic_geodesics(family):
     # the recursion over Poly scalars proves y_3 = 0 identically
     # in the parameters, for every member of the family at once: the R4
     # families' geodesics are linear in t, the H3R families' quadratic
-    conn = family_connection(family)
+    conn = build_family(family, _family_variables(family))[1].connection
     report = exact_polynomial_geodesic_certificate(conn)
     assert report["verdict"] and report["details"]["degree_reached"] == 2
     assert report["details"]["degree"] == (2 if family.startswith("H3R") else 1)
@@ -705,7 +834,7 @@ def test_every_family_member_has_quadratic_geodesics(family):
 
 def test_family_connection_specializes_to_every_instance():
     # the Poly connection at a witness's parameters is the witness family's cp connection
-    connections = {f: family_connection(f) for f in FAMILY_PARAMS}
+    connections = {f: build_family(f, _family_variables(f))[1].connection for f in FAMILY_PARAMS}
     checked = 0
     for entry in table_rows():
         for w in entry.witnesses:

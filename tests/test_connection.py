@@ -10,7 +10,6 @@ import pytest
 from cpslie.catalog import (
     build_family,
     eight_dim_example,
-    family_flatness_value,
     fried_example,
     load_catalog,
     witness_structure,
@@ -38,7 +37,7 @@ from cpslie.lie import LieAlgebra, ThreeDimType, center, complexify_realified, l
 from cpslie.linalg import QMatrix, basis_vec, rank, vec
 from cpslie.salamon import parse_salamon
 from cpslie.structures import assemble_cps, rotate_product
-from examples import heisenberg_complex_examples, ref_parallel_defect, vec_sub
+from examples import family_flatness_value, heisenberg_complex_examples, ref_parallel_defect, vec_sub
 from geodesic_reference import taylor_least_degree, taylor_vanishing
 from table_helper import tensor_from_table
 

@@ -14,6 +14,7 @@ import io
 import json
 import warnings
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -111,16 +112,23 @@ def _no_constant(token):
     raise ValueError(f"bare {token} in the output")
 
 
+ENTRIES = tuple(f"malformed input in {entry!r}: " for entry in ("algebra", "J", "E"))
+
+
 def run(argv):
     """(exit code, the one JSON document on stdout) of `cli.main`; fails on a
-    warning, on anything on stderr and on any other exit code."""
+    warning, on anything on stderr, on any other exit code and on a
+    "malformed input" error that names no entry of the input."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
     assert err.getvalue() == "", argv
     assert code in (0, 1), argv
-    return code, json.loads(out.getvalue(), parse_constant=_no_constant)
+    payload = json.loads(out.getvalue(), parse_constant=_no_constant)
+    error = payload.get("error", "") if isinstance(payload, dict) else ""
+    assert not error.startswith("malformed input") or error.startswith(ENTRIES), error
+    return code, payload
 
 
 def _write(path, doc):
@@ -133,6 +141,21 @@ def test_the_base_inputs_are_valid(tmp_path):
     algebra = _write(tmp_path / "algebra.json", ALGEBRA)
     for command in CPS_COMMANDS:
         assert run([command, "--cps", cps])[0] == run([command, "--cps", cps, "--algebra", algebra])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({**CPS, "algebra": None}, "malformed input in 'algebra': "),
+        ({**CPS, "J": [1, 2]}, "malformed input in 'J': "),
+        ({**CPS, "E": None}, "malformed input in 'E': "),
+        ([CPS], "the CPS file must hold a JSON object with entries 'J' and 'E'"),
+    ],
+    ids=["algebra", "J", "E", "not-an-object"],
+)
+def test_malformed_input_names_its_entry(tmp_path, doc, error):
+    code, payload = run(["check-structure", "--cps", _write(tmp_path / "cps.json", doc)])
+    assert code == 1 and payload["error"].startswith(error), payload
 
 
 @SETTINGS

@@ -33,7 +33,6 @@ ALLOWLIST = {
     "eight_dim_example": "item 1",
     "rank": "item 2",
     "product_integrability_defect": "item 10",
-    "family_flatness_value": "item 16",
 }
 
 

@@ -21,7 +21,6 @@ from cpslie.catalog import (
     FAMILY_PARAMS,
     _family_variables,
     build_family,
-    family_connection,
     load_catalog,
     witness_structure,
 )
@@ -268,7 +267,7 @@ def test_family_cp_connection_equals_the_reference(family):
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
 def test_family_curvature_equals_the_reference(packed_rows, family):
     """The curvature kernel on a family's Poly connection, where every row takes the loop."""
-    assert_curvature(family_connection(family))
+    assert_curvature(build_family(family, _family_variables(family))[1].connection)
     assert packed_rows == []
 
 
