@@ -34,15 +34,13 @@ from .lie import (
     lower_central_series,
     semidirect_product,
 )
-from .linalg import QMatrix, Subspace, intersect, is_nilpotent_matrix, kernel, preimage, rank
+from .linalg import QMatrix, Subspace, is_nilpotent_matrix, kernel, rank
 from .salamon import emit_salamon, parse_salamon
 from .structures import (
     CPS,
     ascending_series,
     assemble_cps,
-    complex_integrability_defect,
     find_central_invariant_ideal,
-    product_integrability_defect,
     rotate_product,
 )
 

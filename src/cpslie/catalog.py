@@ -315,7 +315,7 @@ def verify_witness(entry: CatalogEntry, w: Witness, parse, proofs: dict) -> dict
     """
     stage = Checks()
     try:
-        g, _, _ = family_data(w.family, w.params, w.rotation)
+        g, _, _ = family_data(w.family, w.params)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         stage("build", False, str(exc))
         return _staged({"name": w.name}, stage)

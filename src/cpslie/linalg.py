@@ -651,21 +651,3 @@ def kernel(m: QMatrix) -> Subspace:
         gens.append(v)
     return Subspace.from_spanning(gens, m.cols)
 
-
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Canonical basis of the intersection: the kernel of the stacked annihilators."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return kernel(QMatrix.block([[annihilator(u).basis], [annihilator(v).basis]]))
-
-
-def annihilator(v: Subspace) -> Subspace:
-    """Functionals (as coordinate rows) vanishing on the subspace."""
-    return kernel(v.basis)
-
-
-def preimage(m: QMatrix, v: Subspace) -> Subspace:
-    """{x : Mx in V}, canonical form."""
-    if m.rows != v.ambient_dim:
-        raise ValueError("matrix size does not match ambient dimension")
-    return kernel(annihilator(v).basis @ m)

@@ -174,7 +174,8 @@ class Poly:
         for e, c in self.terms.items():
             c = Fraction(c)
             for i, v in idx.items():
-                c *= v ** e[i]
+                if e[i]:
+                    c *= v ** e[i]
             key = tuple(0 if i in idx else k for i, k in enumerate(e))
             out[key] = out.get(key, 0) + c
         den = lcm(*(c.denominator for c in out.values())) if out else 1

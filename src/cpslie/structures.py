@@ -10,18 +10,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .connection import CertificateError, Connection, torsion_defect
-from .lie import LieAlgebra, ThreeDimType, center, iso_type_3d
+from .lie import LieAlgebra, ThreeDimType, iso_type_3d
 from .linalg import (
     Q,
     QMatrix,
     SparseTensor,
     Subspace,
     Vector,
-    annihilator,
     block_columns,
-    intersect,
     kernel,
-    preimage,
     q,
     reshaped,
     right_product,
@@ -52,18 +49,6 @@ def square_failures(a: Endo, sign: int, name: str) -> list[str]:
     return []
 
 
-_REQUIRED = {"J_square": "J^2 = -Id fails", "E_square": "E^2 = Id fails", "E_identity": "E = +/-Id is excluded"}
-
-
-def _require(g: LieAlgebra, a: Endo, sign: int, name: str):
-    """Raise StructureError: "shape" unless A is g.dim x g.dim, else the failure of `square_failures`, if any."""
-    if (a.rows, a.cols) != (g.dim, g.dim):
-        raise StructureError("shape", f"{name} is {a.rows} x {a.cols}, not {g.dim} x {g.dim}")
-    failures = square_failures(a, sign, name)
-    if failures:
-        raise StructureError(failures[0], _REQUIRED[failures[0]])
-
-
 def _integrability_defect(g: LieAlgebra, a: Endo, sign: int) -> list[tuple[int, int, Vector]]:
     """Pairs violating A[x,y] = [Ax,y] + [x,Ay] + sign * A[Ax,Ay].
 
@@ -79,18 +64,6 @@ def _integrability_defect(g: LieAlgebra, a: Endo, sign: int) -> list[tuple[int, 
     d = a @ (g.structure.side - swapped(right_product(ad_a, a)).scale(sign))
     d = d + swapped(transposed_blocks(ad_a) - ad_a)
     return [(i, b, v) for i, b, v in block_columns(d) if b > i]
-
-
-def complex_integrability_defect(g: LieAlgebra, j: Endo) -> list[tuple[int, int, Vector]]:
-    """Pairs violating J[x,y] = [Jx,y] + [x,Jy] + J[Jx,Jy]."""
-    _require(g, j, 1, "J")
-    return _integrability_defect(g, j, 1)
-
-
-def product_integrability_defect(g: LieAlgebra, e: Endo) -> list[tuple[int, int, Vector]]:
-    """Pairs violating E[x,y] = [Ex,y] + [x,Ey] - E[Ex,Ey]."""
-    _require(g, e, -1, "E")
-    return _integrability_defect(g, e, -1)
 
 
 class CPS(NamedTuple):
@@ -189,15 +162,15 @@ def rotate_product(j: Endo, e: Endo, c) -> Endo:
     return e.scale((c * c - 1) / denom) + (j @ e).scale(2 * c / denom)
 
 
-def ascending_series(g: LieAlgebra, j: Endo) -> list[Subspace]:
-    """a_0 = 0, a_t = {x : [x,g] and [Jx,g] land in a_(t-1)}, until stable."""
-    if complex_integrability_defect(g, j):
-        raise StructureError("J_integrability", "J is not a complex structure")
+def ascending_series(cps: CPS) -> list[Subspace]:
+    """a_0 = 0, a_t = {x : [x,g] and [Jx,g] land in a_(t-1)}, until stable: the CFGU series of
+    the complex structure J of a CPS, which `assemble_cps` has proven integrable."""
+    g, j = cps.algebra, cps.j
     n = g.dim
     series = [Subspace.zero(n)]
     while True:
         prev = series[-1]
-        ann = annihilator(prev)
+        ann = kernel(prev.basis)  # the functionals vanishing on prev
         if ann.is_zero():
             # previous term is everything; the chain is stable
             break
@@ -212,13 +185,16 @@ def ascending_series(g: LieAlgebra, j: Endo) -> list[Subspace]:
 
 
 def find_central_invariant_ideal(cps: CPS) -> Subspace | None:
-    """Largest J- and E-invariant subspace of the center, if dim >= 2; central, so an ideal."""
-    w = center(cps.algebra)
-    while True:
-        nxt = intersect(w, intersect(preimage(cps.j, w), preimage(cps.e, w)))
-        if nxt == w:
-            break
-        w = nxt
+    """Largest J- and E-invariant subspace of the center, if dim >= 2; central, so an ideal.
+
+    J and E generate the group {+/-Id, +/-J, +/-E, +/-JE}, so that subspace
+    is {x : Ax in z for A = Id, J, E, JE}: with S the stacked ad(e_k), whose
+    kernel is the center z, it is the kernel of [S; SJ; SE; SJE].
+    """
+    n = cps.algebra.dim
+    s = reshaped(swapped(cps.algebra.structure.side), n * n)
+    sj = s @ cps.j
+    w = kernel(QMatrix.block([[s], [sj], [s @ cps.e], [sj @ cps.e]]))
     return w if w.dim >= 2 else None
 
 

@@ -5,19 +5,21 @@ the Heisenberg x Heisenberg constant, the abelian check, the failure
 codes of `assemble_cps`, the per-index parallelism check, the quaternion
 relations of a lift, the seeded dense basis changes, a family's flatness
 closed form at one point, the unchecked bracket layout `NotLie`, the
-d^2 = 0 reference for the Jacobi identity and the vector difference and
-subspace image the references share live here rather than in the
-package, since only the tests read them.
+d^2 = 0 reference for the Jacobi identity, the fixed-point reference
+for the central invariant ideal, and the vector difference and the
+subspace image, intersection and preimage the references share live
+here rather than in the package, since only the tests read them.
 """
 
 from cpslie.catalog import _family_point, flatness_closed_form
-from cpslie.lie import LieAlgebra, ThreeDimType
+from cpslie.lie import LieAlgebra, ThreeDimType, center
 from cpslie.linalg import (
     Q,
     QMatrix,
     SparseTensor,
     Subspace,
     basis_vec,
+    kernel,
     q,
     rank,
     right_product,
@@ -26,7 +28,7 @@ from cpslie.linalg import (
     vec_is_zero,
 )
 from cpslie.salamon import differential, parse_salamon
-from cpslie.structures import CPS, Endo, StructureError, _integrability_defect, _require, assemble_cps, double_type
+from cpslie.structures import CPS, Endo, StructureError, _integrability_defect, assemble_cps, double_type
 
 
 # The paper's two split pairs on (0,0,0,12,13,14), in the row basis:
@@ -62,6 +64,32 @@ def vec_sub(u, v):
 def image(m: QMatrix, v: Subspace) -> Subspace:
     """M V, canonical form."""
     return Subspace.from_spanning([m.apply(x) for x in v.basis_vectors()], m.rows)
+
+
+def intersect(u: Subspace, v: Subspace) -> Subspace:
+    """U and V intersected, canonical form: the kernel of the stacked annihilators."""
+    if u.ambient_dim != v.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return kernel(QMatrix.block([[kernel(u.basis).basis], [kernel(v.basis).basis]]))
+
+
+def preimage(m: QMatrix, v: Subspace) -> Subspace:
+    """{x : Mx in V}, canonical form."""
+    if m.rows != v.ambient_dim:
+        raise ValueError("matrix size does not match ambient dimension")
+    return kernel(kernel(v.basis).basis @ m)
+
+
+def ref_central_invariant_ideal(cps: CPS) -> Subspace | None:
+    """The reference for `find_central_invariant_ideal`: from the center, intersect
+    w with its preimages under J and E until w is stable."""
+    w = center(cps.algebra)
+    while True:
+        nxt = intersect(w, intersect(preimage(cps.j, w), preimage(cps.e, w)))
+        if nxt == w:
+            break
+        w = nxt
+    return w if w.dim >= 2 else None
 
 
 def family_flatness_value(family: str, params) -> Q:
@@ -159,8 +187,14 @@ def dense_conjugator(rng, n):
 
 
 def is_abelian_complex(g: LieAlgebra, j: Endo) -> bool:
-    """[Jx, Jy] = [x, y] on all basis pairs (implies integrability)."""
-    _require(g, j, 1, "J")
+    """[Jx, Jy] = [x, y] on all basis pairs (implies integrability).
+
+    J must be a g.dim x g.dim matrix with J^2 = -Id: StructureError "shape"
+    or "J_square" otherwise."""
+    if (j.rows, j.cols) != (g.dim, g.dim):
+        raise StructureError("shape", f"J is {j.rows} x {j.cols}, not {g.dim} x {g.dim}")
+    if j @ j != QMatrix.identity(g.dim).scale(-1):
+        raise StructureError("J_square", "J^2 = -Id fails")
     if right_product(g.ad_columns(j), j) != swapped(g.structure.side):
         return False
     if _integrability_defect(g, j, 1):

@@ -631,7 +631,7 @@ def test_fried_example_values():
 def test_eight_dim_example_properties():
     g, cps = eight_dim_example()
     assert center(g).dim == 1
-    assert ascending_series(g, cps.j)[-1].is_zero()
+    assert ascending_series(cps)[-1].is_zero()
     assert find_central_invariant_ideal(cps) is None
 
 

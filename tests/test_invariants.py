@@ -3,7 +3,7 @@
 An `assert` statement vanishes under `python -O`, so a check written as
 one would silently stop running; none may exist in the package source.
 Nor may the package build a validated record anywhere but in the
-function that validates it.
+function that validates it, or check a CPS axiom anywhere else.
 Every exception class the package defines is raised somewhere in it, so
 a failure path whose check was removed does not leave its class behind.
 A report is the payload dict its command prints: only the matrix, subspace
@@ -32,7 +32,6 @@ ALLOWLIST = {
     "ricci_via_trace_identity": "item 1",
     "eight_dim_example": "item 1",
     "rank": "item 2",
-    "product_integrability_defect": "item 10",
 }
 
 
@@ -78,6 +77,21 @@ def test_validated_records_are_built_only_where_they_are_validated():
         "HypercomplexStructure": {("hypercomplex.py", "lift_cps")},
         "_replace": set(),
         "_make": set(),
+    }
+
+
+def test_the_cps_axioms_are_checked_only_in_assemble_cps():
+    """One validation path: the square checks and the integrability failures
+    run only in `assemble_cps`, and the defect only inside those failures.
+    Every other reader of J and E takes the `CPS` that `assemble_cps` built."""
+    checks = {"square_failures": set(), "_integrability_failures": set(), "_integrability_defect": set()}
+    for file_name, owner, name in calls_by_function():
+        if name in checks:
+            checks[name].add((file_name, owner))
+    assert checks == {
+        "square_failures": {("structures.py", "assemble_cps")},
+        "_integrability_failures": {("structures.py", "assemble_cps")},
+        "_integrability_defect": {("structures.py", "_integrability_failures")},
     }
 
 

@@ -40,7 +40,6 @@ from cpslie.linalg import (
     SparseTensor,
     Subspace,
     basis_vec,
-    intersect,
     kernel,
     rank,
     reshaped,
@@ -51,6 +50,7 @@ from cpslie.linalg import (
 from cpslie.structures import _integrability_defect, assemble_cps
 from examples import (
     dense_conjugator,
+    intersect,
     is_abelian_complex,
     is_quaternion_triple,
     ref_parallel_defect,

@@ -12,13 +12,12 @@ from cpslie.linalg import (
     SparseTensor,
     Subspace,
     basis_vec,
-    intersect,
     is_nilpotent_matrix,
     kernel,
-    preimage,
     q,
     rank,
 )
+from examples import intersect, preimage
 
 # ----------------------------------------------------------------------
 # examples
@@ -79,6 +78,10 @@ def test_tensor_layout_must_be_n_by_n_squared():
     assert SparseTensor(QMatrix.zeros(3, 9)).dim == 3
     with pytest.raises(ValueError, match="n x n"):
         SparseTensor(QMatrix.zeros(3, 8))
+
+
+# `intersect` and `preimage` are the test helpers of examples.py, on which
+# the references for the center and the central invariant ideal rest
 
 
 def test_intersect_examples():

@@ -1,5 +1,6 @@
 """Complex and product structures, rotations, series, invariant ideals."""
 
+import random
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -9,27 +10,29 @@ from hypothesis import strategies as st
 
 from cpslie.catalog import _standard_cps, eight_dim_example, load_catalog, witness_structure
 from cpslie.connection import _skew, cp_connection
-from cpslie.lie import LieAlgebra, ThreeDimType, center
-from cpslie.linalg import QMatrix, SparseTensor, Subspace, basis_vec, intersect, kernel, rank
+from cpslie.lie import LieAlgebra, ThreeDimType, center, change_basis
+from cpslie.linalg import QMatrix, SparseTensor, Subspace, basis_vec, kernel, rank
 from cpslie.salamon import parse_salamon
 from cpslie.structures import (
     StructureError,
+    _integrability_defect,
     ascending_series,
     assemble_cps,
-    complex_integrability_defect,
     double_type,
     find_central_invariant_ideal,
-    product_integrability_defect,
     rotate_product,
 )
 from cpslie.linalg import is_nilpotent_matrix
 from examples import (
     NotLie,
+    dense_conjugator,
     h3x2_constant,
     heisenberg_complex_examples,
     image,
+    intersect,
     is_abelian_complex,
     is_quaternion_triple,
+    ref_central_invariant_ideal,
     validate_cps,
 )
 
@@ -42,14 +45,32 @@ def block_j(n):
     return QMatrix.block([[z, i.scale(-1)], [i, z]])
 
 
+def abelian_cps():
+    """The CPS (block J, diagonal E) on the abelian algebra R^6."""
+    e = QMatrix.diag_blocks(QMatrix.identity(3), QMatrix.identity(3).scale(-1))
+    return assemble_cps(LieAlgebra.from_brackets(6, {}), block_j(3), e)
+
+
+def dense_conjugate(cps, rng):
+    """(P, the CPS in the basis of the columns of a seeded dense P): the algebra
+    through `change_basis`, J and E conjugated to P^-1 J P and P^-1 E P."""
+    p = dense_conjugator(rng, cps.algebra.dim)
+    pinv = p.inverse()
+    return p, assemble_cps(change_basis(cps.algebra, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
+
+
+def witness_cps():
+    return [witness_structure(w)[1] for entry in load_catalog() for w in entry.witnesses]
+
+
 def test_complex_integrability_on_abelian():
     g = LieAlgebra.from_brackets(6, {})
-    assert complex_integrability_defect(g, block_j(3)) == []
+    assert _integrability_defect(g, block_j(3), 1) == []
 
 
 def test_complex_integrability_heisenberg_example():
     g, cps = heisenberg_complex_examples()[0]
-    assert complex_integrability_defect(g, cps.j) == []
+    assert _integrability_defect(g, cps.j, 1) == []
 
 
 def test_remark_complex_structure_is_abelian():
@@ -59,7 +80,7 @@ def test_remark_complex_structure_is_abelian():
     j = QMatrix.from_cols(
         [E6(1), tuple(-x for x in E6(0)), tuple(-x for x in E6(3)), E6(2), E6(5), tuple(-x for x in E6(4))]
     )
-    assert complex_integrability_defect(g, j) == []
+    assert _integrability_defect(g, j, 1) == []
     assert is_abelian_complex(g, j)
 
 
@@ -70,15 +91,15 @@ def test_half_bracket_complex_structure_on_complex_heisenberg():
     j = QMatrix.from_cols(
         [E6(1), tuple(-x for x in E6(0)), E6(3), tuple(-x for x in E6(2)), E6(5), tuple(-x for x in E6(4))]
     )
-    assert complex_integrability_defect(g, j) == []
+    assert _integrability_defect(g, j, 1) == []
     for a in range(6):
         for b in range(6):
             assert j.apply(g.bracket(E6(a), E6(b))) == g.bracket(j.col(a), E6(b))
 
 
 def test_complex_integrability_requires_almost_complex():
-    with pytest.raises(StructureError, match="J_square"):
-        complex_integrability_defect(LieAlgebra.from_brackets(4, {}), QMatrix.identity(4))
+    # `assemble_cps` stops at a failed square: no integrability code follows it
+    assert validate_cps(LieAlgebra.from_brackets(4, {}), QMatrix.identity(4), _standard_cps(2)[1]) == ["J_square"]
 
 
 def test_complex_integrability_detects_failure():
@@ -87,7 +108,7 @@ def test_complex_integrability_detects_failure():
     j = QMatrix.from_cols(
         [E6(2), E6(3), tuple(-x for x in E6(0)), tuple(-x for x in E6(1)), E6(5), tuple(-x for x in E6(4))]
     )
-    defects = complex_integrability_defect(g, j)
+    defects = _integrability_defect(g, j, 1)
     assert (0, 1) in [(a, b) for a, b, _ in defects]
 
 
@@ -95,16 +116,15 @@ def test_product_integrability_detects_failure():
     # eigenspaces that are not subalgebras produce a defect
     g = parse_salamon("(0,0,0,0,0,12)")
     e = QMatrix.diag_blocks(QMatrix.identity(3), QMatrix.identity(3).scale(-1))
-    defects = product_integrability_defect(g, e)
+    defects = _integrability_defect(g, e, -1)
     assert (0, 1) in [(a, b) for a, b, _ in defects]
 
 
 def test_product_integrability_rejects_identity():
     g = LieAlgebra.from_brackets(4, {})
-    with pytest.raises(StructureError, match="E_identity"):
-        product_integrability_defect(g, QMatrix.identity(4))
-    with pytest.raises(StructureError, match="E_identity"):
-        product_integrability_defect(g, QMatrix.identity(4).scale(-1))
+    j = _standard_cps(2)[0]
+    assert validate_cps(g, j, QMatrix.identity(4)) == ["E_identity"]
+    assert validate_cps(g, j, QMatrix.identity(4).scale(-1)) == ["E_identity"]
 
 
 R4 = LieAlgebra.from_brackets(4, {})
@@ -115,19 +135,17 @@ G6 = parse_salamon("(0,0,0,12,13,23)")
 @pytest.mark.parametrize(
     "guard, a, message",
     [
-        (lambda a: complex_integrability_defect(R4, a), I4, "J_square: J^2 = -Id fails"),
+        (lambda a: is_abelian_complex(R4, a), I4, "J_square: J^2 = -Id fails"),
         (lambda a: is_abelian_complex(R4, a), QMatrix.zeros(4, 3), "shape: J is 4 x 3, not 4 x 4"),
-        (lambda a: product_integrability_defect(R4, a), I4.scale(2), "E_square: E^2 = Id fails"),
-        (lambda a: product_integrability_defect(R4, a), I4, "E_identity: E = +/-Id is excluded"),
-        # a 4 x 4 pair on a 6-dimensional algebra, which `assemble_cps` also calls "shape"
-        (lambda a: complex_integrability_defect(G6, a), _standard_cps(2)[0], "shape: J is 4 x 4, not 6 x 6"),
-        (lambda a: product_integrability_defect(G6, a), _standard_cps(2)[1], "shape: E is 4 x 4, not 6 x 6"),
-        (lambda a: ascending_series(G6, a), _standard_cps(2)[0], "shape: J is 4 x 4, not 6 x 6"),
+        # a 4 x 4 J on a 6-dimensional algebra, which `assemble_cps` also calls "shape"
+        (lambda a: is_abelian_complex(G6, a), _standard_cps(2)[0], "shape: J is 4 x 4, not 6 x 6"),
     ],
-    ids=["complex", "abelian_non_square", "product", "product_identity", "complex_size", "product_size", "series_size"],
+    ids=["complex", "abelian_non_square", "complex_size"],
 )
 def test_public_guards_raise_the_square_failure(guard, a, message):
-    """The first failed requirement on the endomorphism: its shape, then its square."""
+    """The first failed requirement on the endomorphism: its shape, then its square.
+    The guard is the abelian check of the tests; the ascending series and the
+    central ideal take a CPS, which `assemble_cps` has validated."""
     with pytest.raises(StructureError) as exc:
         guard(a)
     assert str(exc.value) == message
@@ -142,7 +160,7 @@ def test_paracomplex_structure_on_excluded_algebra():
     s = QMatrix.from_cols([tuple(Q(x) for x in v) for v in plus + minus])
     d = QMatrix.diag_blocks(QMatrix.identity(3), QMatrix.identity(3).scale(-1))
     e = s @ d @ s.inverse()
-    assert product_integrability_defect(g, e) == []
+    assert _integrability_defect(g, e, -1) == []
 
 
 def test_product_integrability_split_sum():
@@ -152,7 +170,7 @@ def test_product_integrability_split_sum():
     minus = [E6(2), E6(3), E6(4)]
     s = QMatrix.from_cols(plus + minus)
     d = QMatrix.diag_blocks(QMatrix.identity(3), QMatrix.identity(3).scale(-1))
-    assert product_integrability_defect(g, s @ d @ s.inverse()) == []
+    assert _integrability_defect(g, s @ d @ s.inverse(), -1) == []
 
 
 def test_is_abelian_complex_examples():
@@ -313,18 +331,17 @@ def test_rotate_product_rational_angle():
     g, cps = heisenberg_complex_examples()[0]
     e2 = rotate_product(cps.j, cps.e, Q(4, 5) / (1 - Q(3, 5)))
     assert e2 == cps.e.scale(Q(3, 5)) + (cps.j @ cps.e).scale(Q(4, 5))
-    assert product_integrability_defect(g, e2) == []
+    assert _integrability_defect(g, e2, -1) == []
 
 
 def test_ascending_series_abelian():
-    g = LieAlgebra.from_brackets(6, {})
-    series = ascending_series(g, block_j(3))
+    series = ascending_series(abelian_cps())
     assert [s.dim for s in series] == [0, 6]
 
 
 def test_ascending_series_eight_dim_stalls_at_zero():
-    g, cps = eight_dim_example()
-    series = ascending_series(g, cps.j)
+    _, cps = eight_dim_example()
+    series = ascending_series(cps)
     assert series[-1].is_zero()
 
 
@@ -332,7 +349,7 @@ def test_ascending_series_witnesses_reach_full():
     for entry in load_catalog():
         for w in entry.witnesses[:1]:
             g, cps = witness_structure(w)
-            assert ascending_series(g, cps.j)[-1] == Subspace.full(g.dim)
+            assert ascending_series(cps)[-1] == Subspace.full(g.dim)
 
 
 def test_find_central_invariant_ideal_examples():
@@ -340,10 +357,7 @@ def test_find_central_invariant_ideal_examples():
     u = find_central_invariant_ideal(cps)
     assert u == Subspace.from_spanning([E6(4), E6(5)], 6)
 
-    abelian = LieAlgebra.from_brackets(6, {})
-    e = QMatrix.diag_blocks(QMatrix.identity(3), QMatrix.identity(3).scale(-1))
-    cps_ab = assemble_cps(abelian, block_j(3), e)
-    assert find_central_invariant_ideal(cps_ab) == Subspace.full(6)
+    assert find_central_invariant_ideal(abelian_cps()) == Subspace.full(6)
 
     g8, cps8 = eight_dim_example()
     assert find_central_invariant_ideal(cps8) is None
@@ -358,6 +372,33 @@ def test_find_central_invariant_ideal_invariances():
             assert all(map(center(g).contains, u.basis_vectors()))
             assert image(cps.j, u) == u
             assert image(cps.e, u) == u
+
+
+def test_central_ideal_equals_the_fixed_point_reference():
+    """The one kernel equals the loop that intersects the center with its
+    preimages under J and E until it is stable: on every witness, a seeded
+    dense conjugate of each, the Heisenberg examples, the abelian CPS (the
+    whole space) and the 8-dimensional example (None)."""
+    rng = random.Random(0)
+    witnesses = witness_cps()
+    cases = witnesses + [dense_conjugate(cps, rng)[1] for cps in witnesses]
+    cases += [cps for _, cps in heisenberg_complex_examples()] + [abelian_cps(), eight_dim_example()[1]]
+    ideals = [find_central_invariant_ideal(cps) for cps in cases]
+    assert ideals == [ref_central_invariant_ideal(cps) for cps in cases]
+    assert len(cases) == 75
+    assert ideals[-2:] == [Subspace.full(6), None]
+
+
+def test_central_ideal_and_series_move_with_a_dense_change_of_basis():
+    """In the basis of the columns of P, the central ideal and every term of
+    the ascending series are P^-1 applied to the original ones."""
+    rng = random.Random(1)
+    for cps in witness_cps():
+        p, moved = dense_conjugate(cps, rng)
+        pinv = p.inverse()
+        assert find_central_invariant_ideal(moved) == image(pinv, find_central_invariant_ideal(cps))
+        series = ascending_series(cps)
+        assert ascending_series(moved) == [image(pinv, a) for a in series]
 
 
 def test_abelian_center_splitting_lemma():
