@@ -124,7 +124,14 @@ def _connection_report(cps: CPS, seed: int):
         "flat": rep.is_flat,
         "ricci_flat": rep.is_ricci_flat,
         "traceless": rep.traceless,
-        "curvature_nonzero_entries": rep.nonzero_entries(),
+        # R(e_x, e_y) e_z has component `value` along e_w, for x < y
+        "curvature_nonzero_entries": [
+            {"x": i + 1, "y": j + 1, "z": k + 1, "w": l + 1, "value": str(m.entry(l, k))}
+            for (i, j), m in sorted(rep.r.items())
+            for k in range(m.cols)
+            for l in range(m.rows)
+            if m.num[l][k]
+        ],
         "completeness": cert,
     }
     return payload, rep.is_ricci_flat and rep.traceless and cert["verdict"]

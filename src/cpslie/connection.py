@@ -131,15 +131,6 @@ class CurvatureReport(NamedTuple):
     is_ricci_flat: bool
     traceless: bool
 
-    def nonzero_entries(self):
-        out = []
-        for (i, j), m in sorted(self.r.items()):
-            for k in range(m.cols):
-                for l in range(m.rows):
-                    if m.num[l][k]:
-                        out.append({"x": i + 1, "y": j + 1, "z": k + 1, "w": l + 1, "value": str(m.entry(l, k))})
-        return out
-
 
 def curvature(conn: Connection) -> CurvatureReport:
     """R(x,y) = [nabla_x, nabla_y] - nabla_[x,y], plus Ricci and flags."""
@@ -187,33 +178,21 @@ def ricci_via_trace_identity(conn: Connection) -> QMatrix:
 
 
 class LSAProduct(Connection):
-    """A Connection whose constructor also checks the left-symmetric algebra axioms."""
+    """A Connection checked torsion-free and flat, so x . y = nabla_x y is left-symmetric.
+
+    Torsion-freeness is x.y - y.x = [x, y]; given it, the left-symmetry
+    defect on (e_i, e_j) is [L_i, L_j] - L_[e_i, e_j], the curvature
+    R(e_i, e_j).
+    """
 
     __slots__ = ()
 
     def __init__(self, algebra: LieAlgebra, tensor: SparseTensor):
         super().__init__(algebra, tensor)
-        bad = lsa_defects(self)
-        if bad["left_symmetry"] or bad["compatibility"]:
-            raise ValueError(f"not a left-symmetric product: {bad}")
-
-
-def lsa_defects(p: Connection) -> dict:
-    """Left-symmetry and bracket-compatibility defects on basis triples/pairs.
-
-    (x.y).z - x.(y.z) = (y.x).z - y.(x.z) fails on (e_i, e_j, e_k) iff
-    column k of [L_i, L_j] - L_(e_i.e_j - e_j.e_i) is nonzero; the
-    matrix changes sign when i and j swap.  Compatibility,
-    x.y - y.x = [x, y], is torsion-freeness.
-    """
-    n = p.algebra.dim
-    bad_cols = {}
-    # column i*n + j of the skew layout is e_i . e_j - e_j . e_i
-    for (i, jdx), d in _commutator_defects(p.tensor, _skew(p.tensor.side)).items():
-        bad_cols[i, jdx] = bad_cols[jdx, i] = [k for k in range(n) if any(r[k] for r in d.num)]
-    left = [(i, jdx, k) for i in range(n) for jdx in range(n) for k in bad_cols.get((i, jdx), ())]
-    compat = [(i, jdx) for i, jdx, _ in torsion_defect(p)]
-    return {"left_symmetry": left, "compatibility": compat}
+        if torsion_defect(self):
+            raise ValueError("not a left-symmetric product: the torsion is nonzero")
+        if not curvature(self).is_flat:
+            raise ValueError("not a left-symmetric product: the curvature is nonzero")
 
 
 def restrict_to_lsa(cps: CPS, side: str) -> LSAProduct:

@@ -29,9 +29,10 @@ the same denominator.  Bilinear contraction and slice matrices run on
 those integers; an identity over all n slices runs as a few products
 on the side-by-side layout and its re-cuts.
 
-Subspaces are kept in reduced row-echelon form with unit pivots so that
-equal subspaces compare (and hash) identically; the row reduction itself
-is fraction free.
+A Subspace's constructor brings whatever spanning rows it is given to
+reduced row-echelon form with unit pivots, so equal subspaces compare (and
+hash) identically however they were spanned; the row reduction itself is
+fraction free.
 
 Outside input enters the integer form through `_scaled`, which reads
 ints and Fractions directly and sends everything else through `q`: that
@@ -554,15 +555,16 @@ def is_nilpotent_matrix(m: QMatrix) -> bool:
 
 
 class Subspace:
-    """Linear subspace of Q^n held as a canonical RREF row basis."""
+    """The row space of any spanning rows, held as its canonical RREF row basis."""
 
     __slots__ = ("basis", "pivots")
 
     def __init__(self, basis: QMatrix):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(
-            self, "pivots", tuple(next(j for j, x in enumerate(r) if x) for r in basis.num)
-        )
+        reduced, pivots = _rref(basis.num, basis.cols)
+        den = lcm(*[r[p] for r, p in zip(reduced, pivots)])
+        num = [[x * (den // r[p]) for x in r] for r, p in zip(reduced, pivots)]
+        object.__setattr__(self, "basis", _matrix(num, den, basis.cols))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -573,10 +575,7 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        reduced, pivots = _rref(rows, ambient_dim)
-        den = lcm(*[r[p] for r, p in zip(reduced, pivots)])
-        num = [[x * (den // r[p]) for x in r] for r, p in zip(reduced, pivots)]
-        return cls(_matrix(num, den, ambient_dim))
+        return cls(_matrix(rows, 1, ambient_dim))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":

@@ -25,7 +25,6 @@ from cpslie.connection import (
     cp_connection,
     curvature,
     exact_polynomial_geodesic_certificate,
-    lsa_defects,
     lsa_is_complete,
     restrict_to_lsa,
     ricci_via_trace_identity,
@@ -222,8 +221,8 @@ def test_criterion_07_completeness():
     for entry, w, g, cps in all_witnesses():
         for side in ("plus", "minus"):
             p = restrict_to_lsa(cps, side)
-            bad = lsa_defects(p)
-            assert bad == {"left_symmetry": [], "compatibility": []}
+            assert isinstance(p, LSAProduct)
+            assert torsion_defect(p) == [] and curvature(p).is_flat
             assert lsa_is_complete(p), (entry.salamon, w.name, side)
             lefts = all(is_nilpotent_matrix(p.nabla(i)) for i in range(3))
             rights = all(is_nilpotent_matrix(p.right_mult(i)) for i in range(3))
@@ -311,7 +310,8 @@ def test_criterion_09_hypercomplex():
 @criterion(10, "the Fried product and the 8-dimensional example")
 def test_criterion_10_examples():
     n4, lsa = fried_example()
-    assert lsa_defects(lsa) == {"left_symmetry": [], "compatibility": []}
+    assert isinstance(lsa, LSAProduct)
+    assert torsion_defect(lsa) == [] and curvature(lsa).is_flat
     assert lsa_is_complete(lsa)
     assert not lsa.nabla(3).is_zero()
     g8, cps8 = eight_dim_example()

@@ -26,7 +26,6 @@ from cpslie.connection import (
     cp_connection,
     curvature,
     exact_polynomial_geodesic_certificate,
-    lsa_defects,
     lsa_is_complete,
     restrict_to_lsa,
     ricci_via_trace_identity,
@@ -239,8 +238,11 @@ def test_abelian_cps_on_two_step_algebras_is_flat():
 def test_restrict_to_lsa_abelian_side_is_trivial():
     g, cps = build_family("R4_00", {"A1": 1, "D2": 1})
     p = restrict_to_lsa(cps, "minus")
-    # abelian eigenspace of an abelian CPS on this family: product vanishes
-    assert lsa_defects(p) == {"left_symmetry": [], "compatibility": []}
+    # abelian eigenspace of an abelian CPS on this family: the product is
+    # commutative (torsion-free over a zero bracket), flat and complete, not zero
+    assert isinstance(p, LSAProduct) and p.algebra.structure.side.is_zero()
+    assert torsion_defect(p) == [] and curvature(p).is_flat
+    assert lsa_is_complete(p) and not p.nabla(0).is_zero()
 
 
 def test_restrict_to_lsa_heisenberg_side_kills_center():
@@ -379,10 +381,14 @@ def test_lsa_constructor_rejects_non_left_symmetric_product():
     g = LieAlgebra.from_brackets(2, {})
     z = (Q(0), Q(0))
     gamma = [[(0, 1), (1, 0)], [(1, 0), z]]  # symmetric, so torsion-free
-    with pytest.raises(ValueError, match="left-symmetric"):
+    with pytest.raises(ValueError, match="not a left-symmetric product: the curvature"):
         LSAProduct(g, tensor_from_table(gamma))
     p = Connection(g, tensor_from_table(gamma))
-    assert lsa_defects(p)["left_symmetry"]
+    assert torsion_defect(p) == [] and not curvature(p).is_flat
+    skew = [[z, (1, 0)], [z, z]]  # e_0 . e_1 - e_1 . e_0 = e_0 on an abelian algebra
+    with pytest.raises(ValueError, match="not a left-symmetric product: the torsion"):
+        LSAProduct(g, tensor_from_table(skew))
+    assert torsion_defect(Connection(g, tensor_from_table(skew)))
 
 
 def lsa_defects_by_products(p):
@@ -406,14 +412,17 @@ def lsa_defects_by_products(p):
     return {"left_symmetry": left, "compatibility": compat}
 
 
-def test_lsa_defects_match_product_reference():
+def test_lsa_product_accepts_exactly_what_the_product_reference_accepts():
+    """`LSAProduct` checks torsion and flatness; the reference checks the LSA
+    axioms product by product.  One accepts exactly when the other does, and
+    a rejection names the torsion when compatibility fails."""
     rng = random.Random(2006)
     algebras = [LieAlgebra.from_brackets(3, {}), parse_salamon("(0,0,12)"), parse_salamon("(0,0,12,13)")]
 
     def entry():
         return Q(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.2 else Q(0)
 
-    seen = set()
+    seen, accepted = set(), 0
     for trial in range(120):
         g = algebras[trial % len(algebras)]
         n = g.dim
@@ -423,15 +432,26 @@ def test_lsa_defects_match_product_reference():
             for i in range(n):
                 for jdx in range(i + 1, n):
                     gamma[jdx][i] = list(vec_sub(gamma[i][jdx], g.bracket(basis_vec(n, i), basis_vec(n, jdx))))
-        p = Connection(g, tensor_from_table(gamma))
-        expected = lsa_defects_by_products(p)
-        assert lsa_defects(p) == expected
+        expected = lsa_defects_by_products(Connection(g, tensor_from_table(gamma)))
         seen.add((bool(expected["compatibility"]), bool(expected["left_symmetry"])))
+        if expected == {"left_symmetry": [], "compatibility": []}:
+            LSAProduct(g, tensor_from_table(gamma))
+            accepted += 1
+        else:
+            stage = "torsion" if expected["compatibility"] else "curvature"
+            with pytest.raises(ValueError, match=f"not a left-symmetric product: the {stage}"):
+                LSAProduct(g, tensor_from_table(gamma))
     # both outcomes of each axiom occur among the random connections
     assert {c for c, _ in seen} == {l for _, l in seen} == {False, True}
-    lsas = [fried_example()[1]] + [restrict_to_lsa(cps, "plus") for _, cps in heisenberg_complex_examples()]
+    assert 0 < accepted < 120
+    # the constructor accepts every LSA the package builds, and so does the reference
+    lsas = [fried_example()[1]]
+    cases = [cps for _, cps in heisenberg_complex_examples()]
+    cases += [witness_structure(w)[1] for entry in load_catalog() for w in entry.witnesses]
+    lsas += [restrict_to_lsa(cps, side) for cps in cases for side in ("plus", "minus")]
     for p in lsas:
-        assert lsa_defects(p) == lsa_defects_by_products(p) == {"left_symmetry": [], "compatibility": []}
+        assert isinstance(p, LSAProduct)
+        assert lsa_defects_by_products(p) == {"left_symmetry": [], "compatibility": []}
 
 
 def test_left_right_nilpotency_equivalence():

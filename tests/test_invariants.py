@@ -3,7 +3,8 @@
 An `assert` statement vanishes under `python -O`, so a check written as
 one would silently stop running; none may exist in the package source.
 Nor may the package build a validated record anywhere but in the
-function that validates it, or check a CPS axiom anywhere else.
+function that validates it, check a CPS axiom anywhere else, or check
+an LSA other than as a flat torsion-free connection.
 Every exception class the package defines is raised somewhere in it, so
 a failure path whose check was removed does not leave its class behind.
 A report is the payload dict its command prints: only the matrix, subspace
@@ -93,6 +94,18 @@ def test_the_cps_axioms_are_checked_only_in_assemble_cps():
         "_integrability_failures": {("structures.py", "assemble_cps")},
         "_integrability_defect": {("structures.py", "_integrability_failures")},
     }
+
+
+def test_an_lsa_is_checked_as_a_flat_torsion_free_connection():
+    """One validation path: `LSAProduct.__init__` runs the connection's own
+    torsion and curvature checks, and the commutator kernel has the one
+    caller `curvature`, so no second left-symmetry kernel exists."""
+    callers = {"_commutator_defects": set(), "torsion_defect": set(), "curvature": set()}
+    for file_name, owner, name in calls_by_function():
+        if name in callers:
+            callers[name].add((file_name, owner))
+    assert callers["_commutator_defects"] == {("connection.py", "curvature")}
+    assert ("connection.py", "__init__") in callers["torsion_defect"] & callers["curvature"]
 
 
 def test_every_package_exception_is_raised_in_the_package():

@@ -29,7 +29,6 @@ from cpslie.connection import (
     Connection,
     cp_connection,
     curvature,
-    lsa_defects,
     ricci_via_trace_identity,
     torsion_defect,
 )
@@ -55,7 +54,6 @@ from examples import (
     is_quaternion_triple,
     ref_parallel_defect,
     validate_cps,
-    vec_sub,
 )
 from table_helper import tensor_from_table
 
@@ -130,19 +128,6 @@ def ref_ricci_via_trace_identity(conn):
     return QMatrix(rows, cols=g.dim).scale(Q(1, 4))
 
 
-def ref_left_symmetry(p):
-    n = p.algebra.dim
-    lefts = [p.nabla(i) for i in range(n)]
-    e = lambda i: basis_vec(n, i)  # noqa: E731
-    bad_cols = {}
-    for i in range(n):
-        for jdx in range(i + 1, n):
-            skew = vec_sub(p.apply(e(i), e(jdx)), p.apply(e(jdx), e(i)))
-            d = lefts[i] @ lefts[jdx] - lefts[jdx] @ lefts[i] - p.tensor.slice_matrix(skew)
-            bad_cols[i, jdx] = bad_cols[jdx, i] = [k for k in range(n) if any(r[k] for r in d.num)]
-    return [(i, jdx, k) for i in range(n) for jdx in range(n) for k in bad_cols.get((i, jdx), ())]
-
-
 def ref_center(g):
     out = Subspace.full(g.dim)
     for i in range(g.dim):
@@ -171,7 +156,6 @@ def assert_curvature(conn):
 
 def assert_connection_identities(conn):
     assert_curvature(conn)
-    assert lsa_defects(conn)["left_symmetry"] == ref_left_symmetry(conn)
     if not torsion_defect(conn):
         assert ricci_via_trace_identity(conn) == ref_ricci_via_trace_identity(conn)
 
@@ -223,7 +207,6 @@ def test_batched_identities_equal_the_references(salamon, witness):
         bad_conn = random_connection(alg, rng)
         assert not assert_curvature(bad_conn).is_flat
         assert ref_parallel_defect(bad_conn, j) != []
-        assert lsa_defects(bad_conn)["left_symmetry"] == ref_left_symmetry(bad_conn) != []
 
 
 def assert_lift_relations(h):

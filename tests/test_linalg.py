@@ -281,3 +281,29 @@ def test_subspace_canonical_representation():
         assert u == v
         assert hash(u) == hash(v)
         assert u.basis.entries == v.basis.entries
+
+
+def test_subspace_constructor_is_canonical_for_any_spanning_rows():
+    """`Subspace(QMatrix(rows))` is the subspace `from_spanning` gives, with the
+    same hash, whatever spanning rows it gets: zero, scaled and repeated ones too."""
+    rng = random.Random(34)
+    for trial in range(60):
+        n = rng.randint(1, 5)
+        base = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        scale = Q(rng.choice((-2, 3, 5)), rng.randint(1, 4))
+        extras = [[Q(0)] * n, [scale * x for x in rng.choice(base)], rng.choice(base)]
+        rows = base + extras[: trial % 4]
+        rng.shuffle(rows)
+        u, v = Subspace(QMatrix(rows)), Subspace.from_spanning(rows, n)
+        assert u == v == Subspace(QMatrix(base))
+        assert hash(u) == hash(v) == hash(Subspace(QMatrix(base)))
+        assert (u.basis.entries, u.pivots) == (v.basis.entries, v.pivots)
+
+
+def test_subspace_constructor_reads_zero_and_scaled_rows():
+    for n in (1, 2, 4):
+        for k in (1, 2):
+            assert Subspace(QMatrix([[0] * n] * k)) == Subspace.zero(n)
+    assert Subspace(QMatrix([[0, 0]])).dim == 0
+    assert Subspace(QMatrix([[2, 0]])) == Subspace.from_spanning([[1, 0]], 2)
+    assert Subspace(QMatrix([[0, 3], [2, 4], [1, 2]])) == Subspace.full(2)
