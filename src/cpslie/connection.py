@@ -21,7 +21,6 @@ from .linalg import (
     Vector,
     _matrix,
     _product_rows,
-    basis_vec,
     block_columns,
     is_nilpotent_matrix,
     reshaped,
@@ -44,7 +43,7 @@ class Connection:
     """nabla_{e_i} e_j as a coordinate vector, held in column i*n + j of a SparseTensor's layout.
 
     A flat torsion-free connection is a left-symmetric product
-    x . y = nabla_x y; `apply`, `nabla` and `right_mult` give that view.
+    x . y = nabla_x y; `apply`, `nablas` and `right_mult` give that view.
     """
 
     __slots__ = ("algebra", "tensor")
@@ -58,12 +57,8 @@ class Connection:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def nabla(self, i: int) -> QMatrix:
-        """Matrix of nabla_{e_i} (columns are images of basis vectors)."""
-        return self.tensor.slice_matrix(basis_vec(self.algebra.dim, i))
-
     def nablas(self) -> list[QMatrix]:
-        """Every nabla_{e_i}, cut from the flat layout."""
+        """Every nabla_{e_i} (columns are images of basis vectors), cut from the flat layout."""
         n, den = self.algebra.dim, self.tensor.den
         return [_matrix([r[s:s + n] for s in range(0, n * n, n)], den, n) for r in swapped(self.tensor.side).num]
 

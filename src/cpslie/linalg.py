@@ -29,10 +29,12 @@ the same denominator.  Bilinear contraction and slice matrices run on
 those integers; an identity over all n slices runs as a few products
 on the side-by-side layout and its re-cuts.
 
-A Subspace's constructor brings whatever spanning rows it is given to
-reduced row-echelon form with unit pivots, so equal subspaces compare (and
-hash) identically however they were spanned; the row reduction itself is
-fraction free.
+The one elimination, `_rref`, is fraction free and returns the canonical
+reduced row-echelon form: the rows over one denominator, each holding it
+at its pivot.  A Subspace's constructor takes those rows as its basis,
+whatever spanning rows it is given, so equal subspaces compare (and hash)
+identically however they were spanned; `kernel` and `inverse` read the
+same form.
 
 Outside input enters the integer form through `_scaled`, which reads
 ints and Fractions directly and sends everything else through `q`: that
@@ -181,7 +183,11 @@ def _matrix(num, den: int, cols: int) -> "QMatrix":
         if g > 1:
             num = [[x // g for x in r] for r in num]
             den //= g
-    m = object.__new__(QMatrix)
+    return _fill(object.__new__(QMatrix), num, den, cols)
+
+
+def _fill(m: "QMatrix", num, den: int, cols: int) -> "QMatrix":
+    """m with the fields of the canonical rows num over den: the one place a QMatrix is set."""
     object.__setattr__(m, "num", tuple(map(tuple, num)))
     object.__setattr__(m, "den", den)
     object.__setattr__(m, "rows", len(num))
@@ -217,24 +223,16 @@ class QMatrix:
 
     __slots__ = ("rows", "cols", "num", "den", "_entries")
 
-    def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
+    def __init__(self, entries: Iterable[Iterable]):
+        """The matrix with rows `entries`; `zeros(0, cols)` builds one with no rows."""
         rows = [tuple(r) for r in entries]
+        if not rows:
+            raise ValueError("empty matrix: no row gives the column count")
+        ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged matrix")
         flat, den = _scaled([x for r in rows for x in r])
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged matrix")
-            if cols is not None and cols != ncols:
-                raise ValueError("cols mismatch")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            ncols = cols
-        object.__setattr__(self, "num", tuple(tuple(flat[r * ncols:(r + 1) * ncols]) for r in range(len(rows))))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "_entries", None)
+        _fill(self, [flat[r * ncols:(r + 1) * ncols] for r in range(len(rows))], den, ncols)
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
@@ -356,14 +354,12 @@ class QMatrix:
         if not self.is_square():
             raise SingularMatrixError("only square matrices can be inverted")
         n = self.rows
-        # (num / den)^-1 = den * num^-1; reduce [num | Id] to [diag(p) | X]
+        # (num / den)^-1 = den * num^-1; reduce [num | Id] to [d·Id | d·num^-1] over d
         aug = [list(r) + [int(j == i) for j in range(n)] for i, r in enumerate(self.num)]
-        reduced, pivots = _rref(aug, n)
+        reduced, d, pivots = _rref(aug, n)
         if pivots != list(range(n)):
             raise SingularMatrixError("singular matrix")
-        den = lcm(*[r[i] for i, r in enumerate(reduced)])
-        num = [[self.den * (den // r[i]) * x for x in r[n:]] for i, r in enumerate(reduced)]
-        return _matrix(num, den, n)
+        return _matrix([[self.den * x for x in r[n:]] for r in reduced], d, n)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in r] for r in self.entries]
@@ -499,13 +495,13 @@ def block_columns(m: QMatrix) -> list[tuple[int, int, Vector]]:
     return [(i, j, _unscaled(cols[i * n + j], m.den)) for i in range(n) for j in range(n) if any(cols[i * n + j])]
 
 
-def _rref(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free reduced row echelon form of integer rows.
+def _rref(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[list[int]], int, list[int]]:
+    """Fraction-free reduced row echelon form of integer rows, in canonical form.
 
     Pivots are searched in the first `cols` columns; row operations act on
-    whole rows.  Returns the nonzero rows, each primitive with a positive
-    pivot entry, and the pivot columns: row r divided by its pivot entry
-    is row r of the usual RREF with unit pivots.
+    whole rows.  Returns (rows, den, pivots): the nonzero rows over one
+    positive denominator den, each holding den at its own pivot column and 0
+    at the others, so rows / den is the usual RREF with unit pivots.
     """
     mat = [list(r) for r in rows]
     pivots: list[int] = []
@@ -527,18 +523,13 @@ def _rref(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]
         r += 1
         if r == len(mat):
             break
-    out = []
-    for row, c in zip(mat[:r], pivots):
-        g = gcd(*row)
-        if row[c] < 0:
-            g = -g
-        out.append([x // g for x in row])
-    return out, pivots
+    den = lcm(*[row[c] for row, c in zip(mat, pivots)])  # positive, so the scaling fixes each sign
+    return [[x * (den // row[c]) for x in row] for row, c in zip(mat, pivots)], den, pivots
 
 
 def rank(m: QMatrix) -> int:
     """Row rank over the rationals."""
-    return len(_rref(m.num, m.cols)[1])
+    return len(_rref(m.num, m.cols)[2])
 
 
 def is_nilpotent_matrix(m: QMatrix) -> bool:
@@ -560,10 +551,8 @@ class Subspace:
     __slots__ = ("basis", "pivots")
 
     def __init__(self, basis: QMatrix):
-        reduced, pivots = _rref(basis.num, basis.cols)
-        den = lcm(*[r[p] for r, p in zip(reduced, pivots)])
-        num = [[x * (den // r[p]) for x in r] for r, p in zip(reduced, pivots)]
-        object.__setattr__(self, "basis", _matrix(num, den, basis.cols))
+        reduced, den, pivots = _rref(basis.num, basis.cols)
+        object.__setattr__(self, "basis", _matrix(reduced, den, basis.cols))
         object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
@@ -634,19 +623,13 @@ class Subspace:
 
 def kernel(m: QMatrix) -> Subspace:
     """Canonical basis of the null space; dim kernel + rank = cols."""
-    reduced, pivots = _rref(m.num, m.cols)
-    pivot_set = set(pivots)
+    reduced, den, pivots = _rref(m.num, m.cols)
     gens = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        # x_f = scale, x_p = -row[f] / row[p] * scale for each pivot row
-        scale = lcm(*[r[p] for r, p in zip(reduced, pivots) if r[f]])
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        # x_f = 1 and x_p = -row[f] / den on each pivot row p, all times den
         v = [0] * m.cols
-        v[f] = scale
+        v[f] = den
         for r, p in zip(reduced, pivots):
-            if r[f]:
-                v[p] = -r[f] * (scale // r[p])
+            v[p] = -r[f]
         gens.append(v)
     return Subspace.from_spanning(gens, m.cols)
-

@@ -159,9 +159,9 @@ def ref_parallel_defect(conn, a):
     are parallel by construction.  This is the independent check of the
     paper's claim, one nabla_{e_i} at a time.
     """
-    out = []
+    out, nablas = [], conn.nablas()
     for i in range(conn.algebra.dim):
-        diff = conn.nabla(i) @ a - a @ conn.nabla(i)
+        diff = nablas[i] @ a - a @ nablas[i]
         for jdx in range(conn.algebra.dim):
             d = diff.col(jdx)
             if not vec_is_zero(d):

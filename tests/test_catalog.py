@@ -508,7 +508,7 @@ def test_heisenberg_side_lsa_complete_with_central_kernel():
                 m = QMatrix.zeros(3, 3)
                 for i, c in enumerate(zv):
                     if c != 0:
-                        m = m + p.nabla(i).scale(c)
+                        m = m + p.nablas()[i].scale(c)
                 assert m.is_zero()
 
 
@@ -550,7 +550,7 @@ def sampled_pair_stage(g, seed):
             continue
         samples += 1
         adx = g.ad_vector(x)
-        restricted = QMatrix([[adx.entry(r, c) for c in range(2, 6)] for r in range(g.dim)], cols=4)
+        restricted = QMatrix([[adx.entry(r, c) for c in range(2, 6)] for r in range(g.dim)])
         block = QMatrix([[restricted.entry(4, 0), restricted.entry(4, 1)],
                          [restricted.entry(5, 0), restricted.entry(5, 1)]])
         det = block.entry(0, 0) * block.entry(1, 1) - block.entry(0, 1) * block.entry(1, 0)
@@ -625,7 +625,7 @@ def test_fried_example_values():
     assert lsa.apply(basis_vec(4, 0), basis_vec(4, 1)) == (0, 0, 1, 0)
     assert lsa_is_complete(lsa)
     for i, rows in enumerate(FRIED_NABLA):
-        assert lsa.nabla(i) == QMatrix(rows)
+        assert lsa.nablas()[i] == QMatrix(rows)
 
 
 def test_eight_dim_example_properties():

@@ -50,7 +50,7 @@ def family_connection(family, params):
 
 def x_block(conn, i):
     """The 3x3 matrix X with nabla_{e_i} = diag(X, X) in the family bases."""
-    m = conn.nabla(i)
+    m = conn.nablas()[i]
     plus = [[m.entry(r, c) for c in range(3)] for r in range(3)]
     minus = [[m.entry(3 + r, 3 + c) for c in range(3)] for r in range(3)]
     assert plus == minus, "nabla_z must act identically on both eigenspace bases"
@@ -67,7 +67,7 @@ def test_family_100_connection_matrices():
     assert x_block(conn, 1) == QMatrix([[0, 0, 0], [0, 0, 0], [f, 0, 0]])
     assert x_block(conn, 3) == QMatrix([[0, 0, 0], [-a, 0, 0], [-b, -e, 0]])
     assert x_block(conn, 4) == QMatrix([[0, 0, 0], [0, 0, 0], [-e, 0, 0]])
-    assert conn.nabla(2).is_zero() and conn.nabla(5).is_zero()
+    assert conn.nablas()[2].is_zero() and conn.nablas()[5].is_zero()
 
 
 def test_family_110_connection_matrices():
@@ -77,7 +77,7 @@ def test_family_110_connection_matrices():
     assert x_block(conn, 1) == QMatrix([[0, 0, 0], [0, 0, 0], [f, 0, 0]])
     assert x_block(conn, 3) == QMatrix([[0, 0, 0], [-a, 0, 0], [-b, -e, 0]])
     assert x_block(conn, 4) == QMatrix([[0, 0, 0], [0, 0, 0], [-e, 0, 0]])
-    assert conn.nabla(2).is_zero() and conn.nabla(5).is_zero()
+    assert conn.nablas()[2].is_zero() and conn.nablas()[5].is_zero()
 
 
 def test_family_connection_single_entry_example():
@@ -94,7 +94,7 @@ def test_abelian_cps_has_zero_connection():
     j = QMatrix.block([[z, i3.scale(-1)], [i3, z]])
     e = QMatrix.diag_blocks(i3, i3.scale(-1))
     conn = cp_connection(assemble_cps(g, j, e))
-    assert all(conn.nabla(i).is_zero() for i in range(6))
+    assert all(m.is_zero() for m in conn.nablas())
 
 
 def test_r4_connections_land_in_central_ideal():
@@ -110,7 +110,7 @@ def test_r4_connections_land_in_central_ideal():
             for jdx in range(6):
                 w = conn.apply(basis_vec(6, i), basis_vec(6, jdx))
                 assert all(w[k] == 0 for k in range(6) if k not in u_coords)
-        assert conn.nabla(2).is_zero() and conn.nabla(5).is_zero()
+        assert conn.nablas()[2].is_zero() and conn.nablas()[5].is_zero()
 
 
 def test_torsion_defect_examples():
@@ -242,7 +242,7 @@ def test_restrict_to_lsa_abelian_side_is_trivial():
     # commutative (torsion-free over a zero bracket), flat and complete, not zero
     assert isinstance(p, LSAProduct) and p.algebra.structure.side.is_zero()
     assert torsion_defect(p) == [] and curvature(p).is_flat
-    assert lsa_is_complete(p) and not p.nabla(0).is_zero()
+    assert lsa_is_complete(p) and not p.nablas()[0].is_zero()
 
 
 def test_restrict_to_lsa_heisenberg_side_kills_center():
@@ -255,7 +255,7 @@ def test_restrict_to_lsa_heisenberg_side_kills_center():
         m = QMatrix.zeros(3, 3)
         for i, c in enumerate(zv):
             if c != 0:
-                m = m + p.nabla(i).scale(c)
+                m = m + p.nablas()[i].scale(c)
         assert m.is_zero()
     assert lsa_is_complete(p)
 
@@ -293,7 +293,7 @@ def test_fried_lsa_table():
             )
             assert lhs == n4.bracket(e(i), e(jdx))
     assert lsa_is_complete(lsa)
-    assert not lsa.nabla(3).is_zero()
+    assert not lsa.nablas()[3].is_zero()
 
 
 def test_lsa_completeness_counterexample():
@@ -367,7 +367,7 @@ def test_ricci_against_brute_force_on_nonvanishing_example():
     assert not rep.is_flat and not rep.is_ricci_flat
 
     def r_operator(a, b):
-        na, nb = conn.nabla(a), conn.nabla(b)
+        na, nb = conn.nablas()[a], conn.nablas()[b]
         return na @ nb - nb @ na  # brackets vanish on an abelian algebra
 
     for i in range(4):
@@ -463,7 +463,7 @@ def test_left_right_nilpotency_equivalence():
             _, cps = witness_structure(w)
             for side in ("plus", "minus"):
                 p = restrict_to_lsa(cps, side)
-                left = all(is_nilpotent_matrix(p.nabla(i)) for i in range(3))
+                left = all(map(is_nilpotent_matrix, p.nablas()))
                 right = all(is_nilpotent_matrix(p.right_mult(i)) for i in range(3))
                 assert left and right and lsa_is_complete(p)
 

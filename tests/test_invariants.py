@@ -5,6 +5,7 @@ one would silently stop running; none may exist in the package source.
 Nor may the package build a validated record anywhere but in the
 function that validates it, check a CPS axiom anywhere else, or check
 an LSA other than as a flat torsion-free connection.
+The one elimination, `_rref`, is the one place its rows are normalized.
 Every exception class the package defines is raised somewhere in it, so
 a failure path whose check was removed does not leave its class behind.
 A report is the payload dict its command prints: only the matrix, subspace
@@ -15,6 +16,7 @@ the CLI, from the benchmark's imports or from a short allowlist.
 
 import ast
 import builtins
+import pkgutil
 import textwrap
 from pathlib import Path
 
@@ -108,6 +110,15 @@ def test_an_lsa_is_checked_as_a_flat_torsion_free_connection():
     assert ("connection.py", "__init__") in callers["torsion_defect"] & callers["curvature"]
 
 
+def test_the_elimination_normalizes_once():
+    """One normalization per elimination: `_rref` returns the canonical
+    unit-pivot rows, and its readers (`Subspace`, `kernel`, `inverse`, `rank`)
+    take no gcd or lcm of their own; the other callers bring sums, blocks and
+    outside input to one denominator."""
+    owners = {owner for file_name, owner, name in calls_by_function() if file_name == "linalg.py" and name in ("gcd", "lcm")}
+    assert owners == {"_scaled", "_matrix", "block", "_combine", "_rref"}
+
+
 def test_every_package_exception_is_raised_in_the_package():
     """A class deriving from an exception is raised by name somewhere in the package."""
     defined, raised = {}, set()
@@ -143,76 +154,113 @@ def _is_definition(node) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 
 
-def _identifiers(node) -> set[str]:
-    """Every `Name` and `Attribute` identifier in `node`, outside nested definitions."""
-    out, todo = set(), [node]
+def _references(node) -> tuple[set[str], set[str]]:
+    """(bare names loaded, attribute names loaded) in `node`, outside nested definitions."""
+    names, attributes, todo = set(), set(), [node]
     while todo:
         for child in ast.iter_child_nodes(todo.pop()):
             if _is_definition(child):
                 continue
-            if isinstance(child, ast.Name):
-                out.add(child.id)
-            elif isinstance(child, ast.Attribute):
-                out.add(child.attr)
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                names.add(child.id)
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                attributes.add(child.attr)
             todo.append(child)
+    return names, attributes
+
+
+def _outside_bases(tree, node) -> list:
+    """The classes from outside the package that class `node` names as bases,
+    resolved through the absolute imports of its module or the builtins."""
+    imports = {}
+    for imp in ast.walk(tree):
+        if isinstance(imp, ast.Import):
+            imports.update((a.asname or a.name, a.name) for a in imp.names)
+        elif isinstance(imp, ast.ImportFrom) and not imp.level:
+            imports.update((a.asname or a.name, f"{imp.module}.{a.name}") for a in imp.names)
+    out = []
+    for base in node.bases:
+        head, _, rest = ast.unparse(base).partition(".")
+        dotted = imports.get(head, f"builtins.{head}") + (f".{rest}" if rest else "")
+        try:
+            out.append(pkgutil.resolve_name(dotted))
+        except (ImportError, AttributeError, ValueError):  # a class of the package
+            pass
     return out
 
 
 def definitions(sources):
-    """({"module.qualname": (name, identifiers, class)}, identifiers of module-level code).
+    """({"module.qualname": (name, references, class, overrides)}, references of module-level code).
 
     Every function and class counts, nested ones too; a definition's
-    identifiers include its decorators, defaults and bases, and `class` is
-    the qualified name of the class a method belongs to, else None.
+    references include its decorators, defaults and bases, `class` is the
+    qualified name of the class a method belongs to, else None, and
+    `overrides` tells whether the method overrides one of a base class from
+    outside the package, which that class's own code calls.
     """
-    defs, module_level = {}, set()
+    defs, module_level = {}, (set(), set())
 
-    def visit(node, prefix, owner):
+    def visit(tree, node, prefix, owner, outside):
         for child in ast.iter_child_nodes(node):
             if _is_definition(child):
                 key = f"{prefix}.{child.name}"
-                defs[key] = (child.name, _identifiers(child), owner)
-                visit(child, key, key if isinstance(child, ast.ClassDef) else None)
+                overrides = any(hasattr(base, child.name) for base in outside)
+                defs[key] = (child.name, _references(child), owner, overrides)
+                is_class = isinstance(child, ast.ClassDef)
+                visit(tree, child, key, key if is_class else None, _outside_bases(tree, child) if is_class else [])
 
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
-        module_level |= _identifiers(tree)
-        visit(tree, path.stem, None)
+        names, attributes = _references(tree)
+        module_level[0].update(names)
+        module_level[1].update(attributes)
+        visit(tree, tree, path.stem, None, [])
     return defs, module_level
 
 
 def unreached(sources, roots, allowlist):
     """(definitions in `sources` that nothing reaches, stale allowlist entries), both sorted.
 
-    A call graph by name: an identifier reaches every definition of that
-    name, in any module or class, which reaches more than the real calls
-    do.  Reaching starts from module-level code and the names in `roots`
-    and `allowlist`; a class brings its dunder methods.  An allowlist entry
-    is stale when no definition has its name or when the other roots and
-    entries already reach it.
+    A call graph by reference: a bare name that is loaded reaches every
+    function and class of that name, in any module, but no method; an
+    attribute that is loaded (`x.name`) reaches every definition of that
+    name, methods too; a name that is stored reaches nothing.  A class
+    brings its dunder methods and its overrides of methods of a base class
+    from outside the package.  Reaching starts from module-level code and
+    the names in `roots` and `allowlist`, each of which reaches every
+    definition of that name.  An allowlist entry is stale when no
+    definition has its name or when the other roots and entries already
+    reach it.
     """
-    defs, module_level = definitions(sources)
-    by_name, dunders = {}, {}
-    for key, (name, _, owner) in defs.items():
+    defs, (module_names, module_attributes) = definitions(sources)
+    by_name, functions, brought = {}, {}, {}
+    for key, (name, _, owner, overrides) in defs.items():
         by_name.setdefault(name, []).append(key)
-        if owner and name.startswith("__") and name.endswith("__"):
-            dunders.setdefault(owner, []).append(key)
+        if owner is None:
+            functions.setdefault(name, []).append(key)
+        elif overrides or name.startswith("__") and name.endswith("__"):
+            brought.setdefault(owner, []).append(key)
 
-    def reach(names):
-        reached, todo = set(), [key for name in names for key in by_name.get(name, ())]
+    def targets(names, attributes):
+        return [key for name in names for key in functions.get(name, ())] + [
+            key for name in attributes for key in by_name.get(name, ())
+        ]
+
+    def reach(root_names):
+        reached = set()
+        todo = targets(module_names, module_attributes) + [key for name in root_names for key in by_name.get(name, ())]
         while todo:
             key = todo.pop()
             if key not in reached:
                 reached.add(key)
-                todo += [k for name in defs[key][1] for k in by_name.get(name, ())] + dunders.get(key, [])
+                todo += targets(*defs[key][1]) + brought.get(key, [])
         return reached
 
-    start = module_level | set(roots)
-    reached = reach(start | set(allowlist))
+    reached = reach(set(roots) | set(allowlist))
     stale = [
         name
         for name in allowlist
-        if name not in by_name or set(by_name[name]) <= reach(start | set(allowlist) - {name})
+        if name not in by_name or set(by_name[name]) <= reach(set(roots) | set(allowlist) - {name})
     ]
     return sorted(set(defs) - reached), sorted(stale)
 
@@ -236,18 +284,23 @@ def test_every_definition_is_reached_from_a_command():
     (`witness_structure`, `cp_connection`, `load_catalog`) fails here, in
     tier-1, and not only when the benchmark runs."""
     roots = {"main"} | bench_imports(BENCH)
-    defined = {name for name, _, _ in definitions(SOURCES)[0].values()}
+    defined = {name for name, _, _, _ in definitions(SOURCES)[0].values()}
     assert sorted(roots - defined) == []
     assert unreached(SOURCES, roots, ALLOWLIST) == ([], [])
 
 
 def test_the_reachability_guard_reports_planted_faults(tmp_path):
     """An unreached function or method is reported; so is an allowlist entry
-    that names nothing or that the roots already reach."""
+    that names nothing or that the roots already reach.  A local variable
+    named like a method does not reach it; a method that argparse calls, as
+    an override of its own, is reached."""
     source = tmp_path / "mod.py"
     source.write_text(textwrap.dedent('''
+        import argparse
+
         def main():
-            return helper()
+            unused = helper()  # a local named like the method Box.unused
+            return unused, Parser()
 
         def helper():
             return Box()
@@ -261,7 +314,14 @@ def test_the_reachability_guard_reports_planted_faults(tmp_path):
 
             def unused(self):
                 pass
+
+        class Parser(argparse.ArgumentParser):
+            def error(self, message):
+                raise ValueError(message)
+
+            def fresh(self):
+                pass
     '''))
-    assert unreached([source], {"main"}, {}) == (["mod.Box.unused", "mod.orphan"], [])
+    assert unreached([source], {"main"}, {}) == (["mod.Box.unused", "mod.Parser.fresh", "mod.orphan"], [])
     allowlist = {"orphan": "", "helper": "", "gone": ""}
-    assert unreached([source], {"main"}, allowlist) == (["mod.Box.unused"], ["gone", "helper"])
+    assert unreached([source], {"main"}, allowlist) == (["mod.Box.unused", "mod.Parser.fresh"], ["gone", "helper"])

@@ -179,8 +179,8 @@ def test_rows_at_the_slot_bound(packed_rows, row, bound, packed):
 
 @pytest.mark.parametrize("a, b", [((0, 3), (3, 4)), ((2, 0), (0, 3)), ((2, 3), (3, 0))], ids=["rows", "inner", "cols"])
 def test_empty_products(a, b):
-    left = QMatrix([[1, 2, 3][: a[1]] for _ in range(a[0])], cols=a[1])
-    right = QMatrix([[1, -1, 2, 5][: b[1]] for _ in range(b[0])], cols=b[1])
+    left = QMatrix([[1, 2, 3][: a[1]]] * a[0]) if a[0] else QMatrix.zeros(0, a[1])
+    right = QMatrix([[1, -1, 2, 5][: b[1]]] * b[0]) if b[0] else QMatrix.zeros(0, b[1])
     m = left @ right
     assert (m.rows, m.cols) == (a[0], b[1])
     assert m == QMatrix.zeros(a[0], b[1])

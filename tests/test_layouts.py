@@ -80,8 +80,8 @@ def ref_curvature(conn):
     """(r, ricci, is_flat, is_ricci_flat, traceless)."""
     g = conn.algebra
     n = g.dim
-    nablas = [conn.nabla(i) for i in range(n)]
     e = lambda i: basis_vec(n, i)  # noqa: E731
+    nablas = [conn.tensor.slice_matrix(e(i)) for i in range(n)]
     r = {}
     for i in range(n):
         for jdx in range(i + 1, n):
@@ -123,9 +123,9 @@ def ref_is_abelian(g, j):
 
 def ref_ricci_via_trace_identity(conn):
     g = conn.algebra
-    traces = tuple(conn.nabla(i).trace() for i in range(g.dim))
+    traces = tuple(conn.tensor.slice_matrix(basis_vec(g.dim, i)).trace() for i in range(g.dim))
     rows = [g.ad_vector(basis_vec(g.dim, i)).transpose().apply(traces) for i in range(g.dim)]
-    return QMatrix(rows, cols=g.dim).scale(Q(1, 4))
+    return QMatrix(rows).scale(Q(1, 4))
 
 
 def ref_center(g):

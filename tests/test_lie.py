@@ -68,13 +68,13 @@ def test_jacobi_defect_empty_on_catalog():
     from cpslie.catalog import load_catalog
 
     for entry in load_catalog():
-        assert jacobi_defect(parse_salamon(entry.salamon)) == []
-    assert jacobi_defect(LieAlgebra.from_brackets(5, {})) == []
+        assert jacobi_defect(parse_salamon(entry.salamon).structure) == []
+    assert jacobi_defect(LieAlgebra.from_brackets(5, {}).structure) == []
 
 
 def test_jacobi_defect_detects_failure():
     # [e1,e2] = e3, [e1,e3] = e1 is not a Lie bracket
-    bad = NotLie.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
+    bad = NotLie.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: 1}}).structure
     assert jacobi_defect(bad)
     with pytest.raises(ValueError):
         LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
@@ -192,7 +192,7 @@ def test_semidirect_fried_center():
 
     g, _ = eight_dim_example()
     assert g.dim == 8
-    assert jacobi_defect(g) == []
+    assert jacobi_defect(g.structure) == []
     z = center(g)
     assert z.dim == 1
     assert z == Subspace.from_spanning([(0, 0, 0, 0, 1, 0, 0, 0)], 8)
@@ -234,9 +234,9 @@ def test_double_satisfies_jacobi_exactly_when_the_algebra_does():
             while rank(p) < 6:
                 p = QMatrix([[rng.choice((-2, -1, 1, 2)) for _ in range(6)] for _ in range(6)])
             for h in (g, change_basis(g, p)):
-                assert jacobi_defect(complexify_realified(h)) == [], w.name
+                assert jacobi_defect(complexify_realified(h).structure) == [], w.name
     bad = NotLie.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
-    assert jacobi_defect(bad)
+    assert jacobi_defect(bad.structure)
     with pytest.raises(JacobiError):
         complexify_realified(bad)
 
@@ -301,7 +301,7 @@ def test_d_squared_matches_jacobi_on_random_tables():
                 continue
             brackets.setdefault((i, j), {})[k] = Q(rng.randint(-2, 2))
         g = NotLie.from_brackets(5, brackets)
-        assert d_squared_is_zero(g) == (jacobi_defect(g) == [])
+        assert d_squared_is_zero(g) == (jacobi_defect(g.structure) == [])
         agree += 1
     assert agree == 200
 
@@ -312,6 +312,40 @@ def test_json_round_trip():
     assert algebra_from_json(data) == g
     assert data["dim"] == 6
     assert {"i": 1, "j": 2, "coeffs": {"4": "-1"}} in data["brackets"]
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ({"i": 0, "j": 2, "coeffs": {}}, "bracket pair (0,2) must satisfy 1 <= i < j <= dim"),
+        ({"i": 2, "j": 2, "coeffs": {}}, "bracket pair (2,2) must satisfy 1 <= i < j <= dim"),
+        ({"i": 1, "j": 7, "coeffs": {}}, "bracket pair (1,7) must satisfy 1 <= i < j <= dim"),
+        ({"i": 3, "j": 1, "coeffs": {}}, "bracket pair (3,1) must satisfy 1 <= i < j <= dim"),
+        ({"i": 1, "j": 2, "coeffs": {"7": "1"}}, "coefficient index 7 of pair (1,2) must satisfy 1 <= k <= dim"),
+        ({"i": 1, "j": 2, "coeffs": {"0": "1"}}, "coefficient index 0 of pair (1,2) must satisfy 1 <= k <= dim"),
+    ],
+)
+def test_an_index_out_of_range_is_named_1_based_by_from_brackets(item, message):
+    """`from_brackets` alone checks the ranges, and names the pair and the
+    index 1-based, as the JSON gives them; a 0-based description gets the
+    same message."""
+    with pytest.raises(ValueError) as exc:
+        algebra_from_json({"dim": 6, "brackets": [item]})
+    assert str(exc.value) == message
+    pair = (item["i"] - 1, item["j"] - 1)
+    with pytest.raises(ValueError) as exc:
+        LieAlgebra.from_brackets(6, {pair: {int(k) - 1: 1 for k in item["coeffs"]}})
+    assert str(exc.value) == message
+
+
+def test_json_shape_faults_come_before_range_faults():
+    """The JSON reader checks every item's shape first, then `from_brackets`
+    the dimension and the ranges."""
+    out_of_range = {"i": 0, "j": 2, "coeffs": {}}
+    with pytest.raises(ValueError, match="^dimension -2 is negative$"):
+        algebra_from_json({"dim": -2, "brackets": [out_of_range]})
+    with pytest.raises(ValueError, match="^coeffs of pair"):
+        algebra_from_json({"dim": 6, "brackets": [out_of_range, {"i": 1, "j": 2, "coeffs": []}]})
 
 
 def _round_trip_cases():

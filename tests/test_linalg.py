@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from cpslie.linalg import (
     QMatrix,
+    SingularMatrixError,
     SparseTensor,
     Subspace,
+    _rref,
     basis_vec,
     is_nilpotent_matrix,
     kernel,
@@ -69,7 +71,7 @@ def test_nilpotency_fried_matrix_cubes_to_zero():
     from cpslie.catalog import fried_example
 
     _, lsa = fried_example()
-    m = lsa.nabla(0)
+    m = lsa.nablas()[0]
     assert (m @ m @ m).is_zero()  # independent of the squaring route
     assert is_nilpotent_matrix(m)
 
@@ -307,3 +309,86 @@ def test_subspace_constructor_reads_zero_and_scaled_rows():
     assert Subspace(QMatrix([[0, 0]])).dim == 0
     assert Subspace(QMatrix([[2, 0]])) == Subspace.from_spanning([[1, 0]], 2)
     assert Subspace(QMatrix([[0, 3], [2, 4], [1, 2]])) == Subspace.full(2)
+
+
+# ----------------------------------------------------------------------
+# the elimination's contract: `_rref` returns the canonical RREF, rows over
+# one denominator, and `Subspace`, `kernel` and `inverse` read it as it is
+
+
+def ref_rref(rows, cols):
+    """(nonzero rows, pivots) of the usual RREF with unit pivots, over Fractions."""
+    mat = [[Q(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                mat[i] = [x - row[c] * y for x, y in zip(row, mat[r])]
+        pivots.append(c)
+    return mat[: len(pivots)], pivots
+
+
+def elimination_cases(seed, count):
+    """Seeded integer rows with a common factor per row, negative pivots,
+    a zero row and a repeated row."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        cols = rng.randint(1, 6)
+        rows = [[rng.choice((-4, -2, 3, 6)) * rng.randint(-3, 3) for _ in range(cols)] for _ in range(rng.randint(1, 5))]
+        rows += [[0] * cols, list(rng.choice(rows))]
+        rng.shuffle(rows)
+        yield rows, cols
+
+
+def test_rref_rows_hold_den_at_their_pivot():
+    for rows, cols in elimination_cases(35, 200):
+        reduced, den, pivots = _rref(rows, cols)
+        assert den > 0 and len(reduced) == len(pivots)
+        for r, p in zip(reduced, pivots):
+            assert [r[c] for c in pivots] == [den if c == p else 0 for c in pivots]
+        ref, ref_pivots = ref_rref(rows, cols)
+        assert pivots == ref_pivots
+        assert [[Q(x, den) for x in r] for r in reduced] == ref
+
+
+def test_subspace_and_kernel_match_the_fraction_rref():
+    for rows, cols in elimination_cases(36, 200):
+        m = QMatrix(rows)
+        ref, pivots = ref_rref(rows, cols)
+        u = Subspace(m)
+        assert (u.basis.entries, u.pivots) == (tuple(map(tuple, ref)), tuple(pivots))
+        # the null space: x_f = 1 on one free column f, x_p = -ref[p][f] on the pivots
+        gens = []
+        for f in (c for c in range(cols) if c not in pivots):
+            v = [Q(c == f) for c in range(cols)]
+            for r, p in zip(ref, pivots):
+                v[p] = -r[f]
+            gens.append(v)
+        k = kernel(m)
+        ref_k, ref_k_pivots = ref_rref(gens, cols)
+        assert (k.basis.entries, k.pivots) == (tuple(map(tuple, ref_k)), tuple(ref_k_pivots))
+        assert all(not any(m.apply(v)) for v in k.basis_vectors())
+
+
+def test_inverse_matches_the_fraction_rref():
+    rng = random.Random(37)
+    inverted = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        entries = [[Q(rng.choice((-4, -2, 3, 6)) * rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        m = QMatrix(entries)
+        ref, pivots = ref_rref([r + [Q(i == j) for j in range(n)] for i, r in enumerate(entries)], n)
+        if pivots != list(range(n)):
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+            continue
+        inverted += 1
+        assert m.inverse() == QMatrix([r[n:] for r in ref])
+        assert m @ m.inverse() == QMatrix.identity(n)
+    assert inverted > 50
