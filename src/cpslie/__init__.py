@@ -31,10 +31,9 @@ from .lie import (
     complexify_realified,
     iso_type_3d,
     jacobi_defect,
-    lower_central_series,
     semidirect_product,
 )
-from .linalg import QMatrix, Subspace, is_nilpotent_matrix, kernel, rank
+from .linalg import QMatrix, Subspace, kernel, rank
 from .salamon import emit_salamon, parse_salamon
 from .structures import (
     CPS,

@@ -32,10 +32,17 @@ def _unique_keys(pairs) -> dict:
     return out
 
 
+def _json_integer(literal: str) -> int:
+    try:
+        return int(literal)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        raise ValueError(f"JSON integer of {len(literal)} characters has too many digits") from None
+
+
 def _read_json(path: str):
     with open(path) as fh:
         try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_int=_json_integer)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
@@ -117,7 +124,7 @@ def _check_structure(cps: CPS, seed: int):
 def _connection_report(cps: CPS, seed: int):
     # assemble_cps certified the connection torsion-free, which with the construction proves J and E parallel
     rep = curvature(cps.connection)
-    cert = connection_is_complete_certificate(rep)
+    cert = connection_is_complete_certificate(cps, rep.is_flat)
     payload = {
         "torsion_free": True,
         "parallel": {"J": True, "E": True},

@@ -13,7 +13,7 @@ from itertools import chain, combinations_with_replacement
 from math import comb, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from .lie import LieAlgebra, is_nilpotent
+from .lie import LieAlgebra
 from .linalg import (
     Q,
     QMatrix,
@@ -22,7 +22,6 @@ from .linalg import (
     _matrix,
     _product_rows,
     block_columns,
-    is_nilpotent_matrix,
     reshaped,
     swapped,
 )
@@ -43,7 +42,7 @@ class Connection:
     """nabla_{e_i} e_j as a coordinate vector, held in column i*n + j of a SparseTensor's layout.
 
     A flat torsion-free connection is a left-symmetric product
-    x . y = nabla_x y; `apply`, `nablas` and `right_mult` give that view.
+    x . y = nabla_x y; `apply` and `nablas` give that view.
     """
 
     __slots__ = ("algebra", "tensor")
@@ -64,11 +63,6 @@ class Connection:
 
     def apply(self, x, y) -> Vector:
         return self.tensor.contract(x, y)
-
-    def right_mult(self, j: int) -> QMatrix:
-        """Matrix of x -> x . e_j: columns j, n + j, 2n + j, ... of the side-by-side layout."""
-        side = self.tensor.side
-        return _matrix([r[j::self.algebra.dim] for r in side.num], side.den, self.algebra.dim)
 
     def __eq__(self, other):
         return (
@@ -119,7 +113,6 @@ def _commutator_defects(t: SparseTensor, bracket: QMatrix) -> dict:
 
 
 class CurvatureReport(NamedTuple):
-    connection: Connection
     r: dict  # {(i, j): QMatrix} for i < j; R(e_j, e_i) = -R(e_i, e_j)
     ricci: QMatrix
     is_flat: bool
@@ -146,7 +139,6 @@ def curvature(conn: Connection) -> CurvatureReport:
         ricci_rows.append(acc)
     ricci = _matrix(ricci_rows, den, n)
     return CurvatureReport(
-        connection=conn,
         r=r,
         ricci=ricci,
         is_flat=is_flat,
@@ -207,25 +199,14 @@ def restrict_to_lsa(cps: CPS, side: str) -> LSAProduct:
 
 
 def lsa_is_complete(p: Connection) -> bool:
-    """Completeness via the right-multiplication trace criterion.
+    """Completeness of an LSA by the right-multiplication trace criterion.
 
-    All right multiplications are nilpotent iff tr(y -> y.x) = 0 for
-    all x, which is linear and hence decidable on the basis.  Basis
-    nilpotency is cross-checked, and on nilpotent algebras so is the
-    left-multiplication characterization.
+    Theorem (Helmstetter; Segal): an LSA is complete iff every right
+    multiplication R_x : y -> y . x is nilpotent, iff tr R_x = 0 for all x;
+    by linearity the basis decides it, tr R_{e_j} = sum_l (e_l . e_j)_l.
     """
-    n = p.algebra.dim
-    rights = [p.right_mult(j) for j in range(n)]
-    complete = all(r.trace() == 0 for r in rights)
-    basis_right_nilpotent = all(is_nilpotent_matrix(r) for r in rights)
-    if basis_right_nilpotent != complete:
-        raise CertificateError("trace and nilpotency certificates disagree")
-    if complete and is_nilpotent(p.algebra):
-        if not all(is_nilpotent_matrix(m) for m in p.nablas()):
-            raise CertificateError(
-                "complete LSA on a nilpotent algebra with non-nilpotent left multiplication"
-            )
-    return complete
+    n, num = p.algebra.dim, p.tensor.side.num
+    return not any(sum(num[l][l * n + j] for l in range(n)) for j in range(n))
 
 
 # {a in N^n : |a| = N}, the principal lattice of order N on the simplex, is
@@ -343,18 +324,16 @@ def exact_polynomial_geodesic_certificate(conn: Connection) -> dict:
     }
 
 
-def connection_is_complete_certificate(rep: CurvatureReport) -> dict:
-    """Completeness certificate for the connection of a curvature report,
-    as the JSON that `connection-report` embeds under "completeness".
+def connection_is_complete_certificate(cps: CPS, is_flat: bool) -> dict:
+    """The "completeness" JSON of `connection-report` for a CPS whose cp connection has `is_flat`.
 
-    Both branches are exact.  Flat torsion-free connections get the trace
-    argument (they are LSA structures); every other connection gets
-    `exact_polynomial_geodesic_certificate`, the `geodesic` command's
-    search under the point budget.
+    `assemble_cps` certified the connection torsion-free, so a flat one is an
+    LSA and gets the exact trace criterion of `lsa_is_complete`, whose theorem
+    makes every right multiplication nilpotent when it holds; any other gets
+    the exact `exact_polynomial_geodesic_certificate`, the `geodesic` payload.
     """
-    conn = rep.connection
-    if rep.is_flat and not torsion_defect(conn):
-        verdict = lsa_is_complete(conn)
+    if is_flat:
+        verdict = lsa_is_complete(cps.connection)
         details = {"right_mult_traces_zero": True, "right_mult_nilpotent": True} if verdict else {}
         return {"method": "segal-trace", "verdict": verdict, "details": details}
-    return exact_polynomial_geodesic_certificate(conn)
+    return exact_polynomial_geodesic_certificate(cps.connection)

@@ -154,28 +154,6 @@ def jacobi_defect(t: SparseTensor) -> list[tuple[int, int, int, Vector]]:
     return out
 
 
-def bracket_subspaces(g: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """Span of [u_i, v_j] over basis vectors of the two subspaces."""
-    gens = [g.bracket(x, y) for x in u.basis_vectors() for y in v.basis_vectors()]
-    return Subspace.from_spanning(gens, g.dim)
-
-
-def lower_central_series(g: LieAlgebra) -> list[Subspace]:
-    """Terms g^0 = g, g^k = [g^(k-1), g] until stable."""
-    full = Subspace.full(g.dim)
-    series = [full]
-    while True:
-        nxt = bracket_subspaces(g, series[-1], full)
-        if nxt == series[-1]:
-            break
-        series.append(nxt)
-    return series
-
-
-def is_nilpotent(g: LieAlgebra) -> bool:
-    return lower_central_series(g)[-1].is_zero()
-
-
 def center(g: LieAlgebra) -> Subspace:
     """Intersection of the kernels of ad(e_i) over the basis: the kernel of
     the stacked [ad(e_0); ...; ad(e_{n-1})]."""
@@ -282,6 +260,8 @@ def algebra_from_json(data: Mapping) -> LieAlgebra:
         for k, v in item["coeffs"].items():
             if not (isinstance(k, str) and _INDEX_KEY.fullmatch(k)):
                 raise ValueError(f"coefficient index {k!r} of pair ({i},{j}) must be a decimal integer like \"4\"")
+            if len(k) > len(str(MAX_DIM)):
+                raise ValueError(f"coefficient index of pair ({i},{j}) has {len(k)} digits, over the maximum dimension {MAX_DIM}")
             coeffs[int(k) - 1] = q(v)
         brackets[(i - 1, j - 1)] = coeffs
     return LieAlgebra.from_brackets(dim, brackets)

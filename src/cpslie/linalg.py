@@ -75,6 +75,8 @@ def q(x) -> Q:
             return Q(int(num), int(den or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
+        except ValueError:  # more digits than int() reads, sys.get_int_max_str_digits()
+            raise ValueError(f"rational literal of {len(x)} characters has too many digits") from None
     if isinstance(x, int) and not isinstance(x, bool):
         return Q(x)
     raise TypeError(f"not a rational scalar: {x!r}")
@@ -532,19 +534,6 @@ def rank(m: QMatrix) -> int:
     return len(_rref(m.num, m.cols)[2])
 
 
-def is_nilpotent_matrix(m: QMatrix) -> bool:
-    """True iff M**n = 0; tested by repeated squaring up to exponent >= n."""
-    if not m.is_square():
-        raise ValueError("nilpotency is only defined for square matrices")
-    n = m.rows
-    power = m
-    e = 1
-    while e < n:
-        power = power @ power
-        e *= 2
-    return power.is_zero()
-
-
 class Subspace:
     """The row space of any spanning rows, held as its canonical RREF row basis."""
 
@@ -569,10 +558,6 @@ class Subspace:
     @classmethod
     def zero(cls, n: int) -> "Subspace":
         return cls(QMatrix.zeros(0, n))
-
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(QMatrix.identity(n))
 
     @property
     def ambient_dim(self) -> int:

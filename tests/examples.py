@@ -6,9 +6,13 @@ codes of `assemble_cps`, the per-index parallelism check, the quaternion
 relations of a lift, the seeded dense basis changes, a family's flatness
 closed form at one point, the unchecked bracket layout `NotLie`, the
 d^2 = 0 reference for the Jacobi identity, the fixed-point reference
-for the central invariant ideal, and the vector difference and the
-subspace image, intersection and preimage the references share live
-here rather than in the package, since only the tests read them.
+for the central invariant ideal, the vector difference and the
+subspace image, intersection and preimage the references share, and
+the nilpotency checks (of a matrix, by repeated squaring, and of an
+algebra, by its lower central series) and the right multiplications
+of a connection that cross-check the trace criterion of
+`lsa_is_complete` live here rather than in the package, since only
+the tests read them.
 """
 
 from cpslie.catalog import _family_point, flatness_closed_form
@@ -18,6 +22,7 @@ from cpslie.linalg import (
     QMatrix,
     SparseTensor,
     Subspace,
+    _matrix,
     basis_vec,
     kernel,
     q,
@@ -78,6 +83,47 @@ def preimage(m: QMatrix, v: Subspace) -> Subspace:
     if m.rows != v.ambient_dim:
         raise ValueError("matrix size does not match ambient dimension")
     return kernel(kernel(v.basis).basis @ m)
+
+
+def is_nilpotent_matrix(m: QMatrix) -> bool:
+    """True iff M**n = 0; tested by repeated squaring up to exponent >= n."""
+    if not m.is_square():
+        raise ValueError("nilpotency is only defined for square matrices")
+    n = m.rows
+    power = m
+    e = 1
+    while e < n:
+        power = power @ power
+        e *= 2
+    return power.is_zero()
+
+
+def bracket_subspaces(g: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
+    """Span of [u_i, v_j] over basis vectors of the two subspaces."""
+    gens = [g.bracket(x, y) for x in u.basis_vectors() for y in v.basis_vectors()]
+    return Subspace.from_spanning(gens, g.dim)
+
+
+def lower_central_series(g: LieAlgebra) -> list[Subspace]:
+    """Terms g^0 = g, g^k = [g^(k-1), g] until stable."""
+    full = Subspace(QMatrix.identity(g.dim))
+    series = [full]
+    while True:
+        nxt = bracket_subspaces(g, series[-1], full)
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    return series
+
+
+def is_nilpotent(g: LieAlgebra) -> bool:
+    return lower_central_series(g)[-1].is_zero()
+
+
+def right_mult(conn, j: int) -> QMatrix:
+    """Matrix of x -> x . e_j = nabla_x e_j: columns j, n + j, 2n + j, ... of the side-by-side layout."""
+    side, n = conn.tensor.side, conn.algebra.dim
+    return _matrix([r[j::n] for r in side.num], side.den, n)
 
 
 def ref_central_invariant_ideal(cps: CPS) -> Subspace | None:

@@ -32,7 +32,7 @@ from cpslie.connection import (
 )
 from cpslie.hypercomplex import lift_cps
 from cpslie.lie import center, jacobi_defect
-from cpslie.linalg import Subspace, basis_vec, is_nilpotent_matrix, vec
+from cpslie.linalg import QMatrix, Subspace, basis_vec, vec
 from cpslie.salamon import emit_salamon, parse_salamon
 from cpslie.structures import (
     ascending_series,
@@ -40,7 +40,7 @@ from cpslie.structures import (
     find_central_invariant_ideal,
     rotate_product,
 )
-from examples import SPLIT_E, family_flatness_value, image, ref_parallel_defect, split_cps
+from examples import SPLIT_E, family_flatness_value, image, is_nilpotent_matrix, ref_parallel_defect, right_mult, split_cps
 from geodesic_reference import taylor_least_degree
 
 FLAT_ONLY = {
@@ -120,7 +120,7 @@ def test_criterion_02_central_ideal():
 @criterion(3, "every witness J is nilpotent; the 8-dim example J is not")
 def test_criterion_03_nilpotent_complex_structures():
     for entry, w, g, cps in all_witnesses():
-        assert ascending_series(cps)[-1] == Subspace.full(g.dim), (entry.salamon, w.name)
+        assert ascending_series(cps)[-1] == Subspace(QMatrix.identity(g.dim)), (entry.salamon, w.name)
     _, cps8 = eight_dim_example()
     assert ascending_series(cps8)[-1].is_zero()
 
@@ -225,7 +225,7 @@ def test_criterion_07_completeness():
             assert torsion_defect(p) == [] and curvature(p).is_flat
             assert lsa_is_complete(p), (entry.salamon, w.name, side)
             lefts = all(map(is_nilpotent_matrix, p.nablas()))
-            rights = all(is_nilpotent_matrix(p.right_mult(i)) for i in range(3))
+            rights = all(is_nilpotent_matrix(right_mult(p, i)) for i in range(3))
             assert lefts == rights is True
     # exact geodesic certificates, once per distinct non-flat connection
     # tensor, and the Taylor coefficients of the test-side reference agree
@@ -235,7 +235,7 @@ def test_criterion_07_completeness():
         if rep.is_flat or conn.tensor in seen:
             continue
         seen.add(conn.tensor)
-        cert = connection_is_complete_certificate(rep)
+        cert = connection_is_complete_certificate(cps, rep.is_flat)
         assert cert["method"] == "exact-polynomial-geodesic" and cert["verdict"], (entry.salamon, w.name)
         assert cert["details"]["degree"] <= 2, (entry.salamon, w.name, cert["details"])
         poly = exact_polynomial_geodesic_certificate(conn)
@@ -247,7 +247,8 @@ def test_criterion_07_completeness():
         if not curvature(conn).is_flat:
             continue
         p = LSAProduct(conn.algebra, conn.tensor)
-        assert all(p.right_mult(j).trace() == 0 for j in range(6))
+        assert all(right_mult(p, j).trace() == 0 for j in range(6))
+        assert connection_is_complete_certificate(cps, True)["verdict"]
 
 
 CIRCLE_CONSTANTS = (Q(1), Q(2), Q(3), Q(1, 2), Q(-1), Q(-2), Q(5), Q(2, 3), Q(-1, 3), Q(7))

@@ -467,6 +467,15 @@ def test_geodesic_command_fails_closed_on_blow_up(capsys, affine_line_cps_file):
     assert (data["details"]["degree"], data["details"]["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
 
 
+def test_connection_report_on_a_flat_incomplete_connection(capsys, affine_line_cps_file):
+    """The cp connection of aff(R) is flat and tr R_{e1} = 1: the trace
+    criterion gives a false verdict with no details, and the command exits 1."""
+    code, out = run_cli(capsys, "connection-report", "--cps", affine_line_cps_file)
+    data = _strict_json(out)
+    assert code == 1 and data["flat"] is True
+    assert data["completeness"] == {"method": "segal-trace", "verdict": False, "details": {}}
+
+
 def _direct_sum_cps_file(path, *parts):
     """The direct sum of CPSs (g, J, E), brackets shifted and J, E block diagonal, as a CPS file."""
     from cpslie.lie import LieAlgebra, algebra_to_json
@@ -770,10 +779,10 @@ def test_completeness_certificates_are_the_printed_json(capsys, cps_file, nonfla
 
     methods = []
     for path in (cps_file, nonflat_cps_file):
-        conn = _load_cps(build_parser("geodesic").parse_args(["geodesic", "--cps", path])).connection
+        cps = _load_cps(build_parser("geodesic").parse_args(["geodesic", "--cps", path]))
         code, out = run_cli(capsys, "geodesic", "--cps", path)
-        assert (code, out) == (0, _printed(exact_polynomial_geodesic_certificate(conn)))
-        cert = connection_is_complete_certificate(curvature(conn))
+        assert (code, out) == (0, _printed(exact_polynomial_geodesic_certificate(cps.connection)))
+        cert = connection_is_complete_certificate(cps, curvature(cps.connection).is_flat)
         code, out = run_cli(capsys, "connection-report", "--cps", path)
         assert code == 0 and _printed(json.loads(out)["completeness"]) == _printed(cert)
         methods.append(cert["method"])
@@ -782,13 +791,8 @@ def test_completeness_certificates_are_the_printed_json(capsys, cps_file, nonfla
 
 @pytest.mark.parametrize(
     "command, target, stub",
-    [
-        ("connection-report", "cpslie.structures.torsion_defect", lambda conn: [(0, 1, (0,) * 6)]),
-        # the flat fixture's right multiplications have zero trace, so the
-        # completeness certificates of lsa_is_complete disagree
-        ("connection-report", "cpslie.connection.is_nilpotent_matrix", lambda m: False),
-    ],
-    ids=["cp_connection", "lsa_is_complete"],
+    [("connection-report", "cpslie.structures.torsion_defect", lambda conn: [(0, 1, (0,) * 6)])],
+    ids=["cp_connection"],
 )
 def test_failed_construction_check_gives_json_error(capsys, cps_file, monkeypatch, command, target, stub):
     monkeypatch.setattr(target, stub)
@@ -879,9 +883,8 @@ def nonflat_cps_file(tmp_path):
 # integrability, so no integrability defect runs on valid input.
 # `lift_cps` is a construction that checks nothing: the CPS certificate
 # proves the lift (see its docstring), so `hypercomplex` squares no Jk and
-# checks no torsion of the Obata connection.  The one extra torsion check
-# of connection-report guards the exact completeness certificate and runs
-# only on a flat connection.
+# checks no torsion of the Obata connection, and connection-report's
+# completeness certificate takes the certified connection as it is.
 WORK = {
     "check-structure": (2, 0, 1),
     "connection-report": (2, 1, 1),
@@ -931,8 +934,6 @@ def test_each_identity_is_checked_once(capsys, monkeypatch, request, command, fl
     code, _ = run_cli(capsys, command, "--cps", path)
     assert code == 0
     squarings, curvatures, torsions = WORK[command]
-    if command == "connection-report" and flat:
-        torsions += 1
     assert counts == {"squarings": squarings, "curvature": curvatures, "torsion_defect": torsions}
 
 

@@ -32,11 +32,20 @@ from cpslie.connection import (
     torsion_defect,
 )
 from cpslie.hypercomplex import lift_cps
-from cpslie.lie import LieAlgebra, ThreeDimType, center, complexify_realified, lower_central_series
+from cpslie.lie import LieAlgebra, ThreeDimType, center, complexify_realified
 from cpslie.linalg import QMatrix, basis_vec, rank, vec
 from cpslie.salamon import parse_salamon
 from cpslie.structures import assemble_cps, rotate_product
-from examples import family_flatness_value, heisenberg_complex_examples, ref_parallel_defect, vec_sub
+from examples import (
+    family_flatness_value,
+    heisenberg_complex_examples,
+    is_nilpotent,
+    is_nilpotent_matrix,
+    lower_central_series,
+    ref_parallel_defect,
+    right_mult,
+    vec_sub,
+)
 from geodesic_reference import taylor_least_degree, taylor_vanishing
 from table_helper import tensor_from_table
 
@@ -215,11 +224,10 @@ def test_curvature_still_computed_with_torsion():
     assert rep.is_flat and torsion_defect(zero_conn)
 
 
-def test_flat_connection_with_torsion_gets_the_exact_geodesic_certificate():
-    # a flat connection is an LSA only when torsion-free, so the trace branch is guarded
+def test_the_flat_zero_connection_with_torsion_has_polynomial_geodesics():
     h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
     zero_conn = Connection(h3, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))
-    cert = connection_is_complete_certificate(curvature(zero_conn))
+    cert = exact_polynomial_geodesic_certificate(zero_conn)
     # the zero connection's geodesics are straight lines
     assert cert["method"] == "exact-polynomial-geodesic" and cert["verdict"] and cert["details"]["degree"] <= 2
 
@@ -306,19 +314,19 @@ def test_lsa_completeness_counterexample():
 def test_completeness_certificates_by_case():
     # flat quotient-R4 witness: exact trace argument
     _, cps = build_family("R4_10", {"A1": 1, "C2": 2})
-    cert = connection_is_complete_certificate(curvature(cp_connection(cps)))
+    cert = connection_is_complete_certificate(cps, curvature(cp_connection(cps)).is_flat)
     assert cert["method"] == "segal-trace" and cert["verdict"]
 
     # non-flat (110) witness: exact quadratic geodesics, and the Taylor reference agrees
     _, cps = build_family("H3R_10", {"A": 1, "F": 1})
     conn = cp_connection(cps)
-    cert = connection_is_complete_certificate(curvature(conn))
+    cert = connection_is_complete_certificate(cps, curvature(conn).is_flat)
     assert cert["method"] == "exact-polynomial-geodesic" and cert["verdict"] and cert["details"]["degree"] <= 2
     assert taylor_least_degree(conn) == cert["details"]["degree"]
 
     # flat (100) slice AF = CE: exact certificate again
     _, cps = build_family("H3R_00", {"A": 2, "F": 3, "C": 2, "E": 3})
-    cert = connection_is_complete_certificate(curvature(cp_connection(cps)))
+    cert = connection_is_complete_certificate(cps, curvature(cp_connection(cps)).is_flat)
     assert cert["method"] == "segal-trace" and cert["verdict"]
 
 
@@ -455,17 +463,36 @@ def test_lsa_product_accepts_exactly_what_the_product_reference_accepts():
 
 
 def test_left_right_nilpotency_equivalence():
-    # Kim/Segal cross-check on the induced eigenspace products
-    from cpslie.linalg import is_nilpotent_matrix
-
-    for entry in load_catalog():
-        for w in entry.witnesses[:2]:
-            _, cps = witness_structure(w)
-            for side in ("plus", "minus"):
-                p = restrict_to_lsa(cps, side)
-                left = all(map(is_nilpotent_matrix, p.nablas()))
-                right = all(is_nilpotent_matrix(p.right_mult(i)) for i in range(3))
-                assert left and right and lsa_is_complete(p)
+    """The trace criterion of `lsa_is_complete` against the other two
+    characterizations (Kim; Segal), on every LSA the package builds or
+    carries: the products on both sides of every witness, the 6-dimensional
+    cp connection of every flat witness and the Fried product; and on two
+    LSAs on the non-unimodular aff(R), where tr R_j and tr L_j differ: the
+    complete e1 . e2 = e2 and the incomplete cp connection.  Completeness is
+    basis right nilpotency, it makes the left multiplications nilpotent on a
+    nilpotent algebra, and by torsion-freeness tr R_j = tr L_j - tr ad(e_j)."""
+    structures = [witness_structure(w) for entry in load_catalog() for w in entry.witnesses]
+    lsas = [restrict_to_lsa(cps, side) for _, cps in structures for side in ("plus", "minus")]
+    flat = [cps.connection for _, cps in structures if curvature(cps.connection).is_flat]
+    # aff(R), [e1, e2] = e2; its CPS is J = [[0, -1], [1, 0]], E = diag(1, -1)
+    g = LieAlgebra.from_brackets(2, {(0, 1): {1: 1}})
+    cps = assemble_cps(g, QMatrix([[0, -1], [1, 0]]), QMatrix([[1, 0], [0, -1]]))
+    aff = [LSAProduct(g, tensor_from_table([[(0, 0), (0, 1)], [(0, 0), (0, 0)]])), cps.connection]
+    assert flat and curvature(aff[1]).is_flat and torsion_defect(aff[1]) == []
+    verdicts = []
+    for p in lsas + flat + [fried_example()[1]] + aff:
+        n, lefts = p.algebra.dim, p.nablas()
+        rights = [right_mult(p, j) for j in range(n)]
+        complete = lsa_is_complete(p)
+        assert complete == all(map(is_nilpotent_matrix, rights))
+        if complete and is_nilpotent(p.algebra):
+            assert all(map(is_nilpotent_matrix, lefts))
+        for j in range(n):
+            ad = p.algebra.structure.slice_matrix(basis_vec(n, j))
+            assert rights[j].trace() == lefts[j].trace() - ad.trace()
+        verdicts.append(complete)
+    assert verdicts == [True] * (len(verdicts) - 1) + [False]
+    assert [right_mult(p, 0).trace() for p in aff] == [0, 1] and aff[0].nablas()[0].trace() == 1
 
 
 def nonflat_witness_structures():
@@ -478,7 +505,7 @@ def test_exact_and_numeric_completeness_agree_on_witnesses():
     assert len({cp_connection(cps) for _, cps in structures}) == 7
     for _, cps in structures:
         conn = cp_connection(cps)
-        cert = connection_is_complete_certificate(curvature(conn))
+        cert = connection_is_complete_certificate(cps, curvature(conn).is_flat)
         assert cert["method"] == "exact-polynomial-geodesic" and cert["verdict"] is True
         assert cert["details"]["degree"] == taylor_least_degree(conn, seed=11) == 2
         assert cert["details"]["grid"] == {"order": 4, "points": 126}
@@ -542,7 +569,7 @@ def test_one_entry_perturbation_fails_the_exact_certificate():
     entry = next(e for e in load_catalog() if e.salamon == "(0,0,0,12,14,24)")
     _, cps = witness_structure(next(w for w in entry.witnesses if w.name == "h3r3"))
     conn = cp_connection(cps)
-    cert = connection_is_complete_certificate(curvature(conn))
+    cert = connection_is_complete_certificate(cps, curvature(conn).is_flat)
     assert cert["method"] == "exact-polynomial-geodesic" and cert["details"]["degree"] == taylor_least_degree(conn) == 2
     # nabla_{e1} e2 gains an e2 component
     e = lambda i: basis_vec(6, i)  # noqa: E731
@@ -550,13 +577,14 @@ def test_one_entry_perturbation_fails_the_exact_certificate():
     gamma[0][1] = tuple(c + (k == 1) for k, c in enumerate(gamma[0][1]))
     perturbed = Connection(conn.algebra, tensor_from_table(gamma))
     # no degree up to the cap passes, on the grid or at the numeric starts,
-    # and connection-report reports that search
+    # and connection-report's certificate, given the perturbed connection in
+    # place of the certified one, reports that search
     poly = exact_polynomial_geodesic_certificate(perturbed)
     assert poly["method"] == "exact-polynomial-geodesic" and poly["verdict"] is False
     assert taylor_least_degree(perturbed) is None
     assert (poly["details"]["degree"], poly["details"]["degree_reached"]) == (None, GEODESIC_MAX_DEGREE)
     assert poly["details"]["grid"] == {"order": GEODESIC_MAX_DEGREE + 2, "points": 462}
-    assert connection_is_complete_certificate(curvature(perturbed)) == poly
+    assert connection_is_complete_certificate(cps._replace(connection=perturbed), curvature(perturbed).is_flat) == poly
 
 
 def test_exact_certificate_is_invariant_under_dense_basis_changes():

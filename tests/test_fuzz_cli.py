@@ -56,13 +56,18 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 
-KEYS = st.sampled_from(["dim", "brackets", "i", "j", "coeffs", "matrix", "salamon", "algebra", "J", "E", "1", "4"])
+# more digits than int() reads (4300 by default): as an object key, as a
+# string, and, through the placeholder LONG_INT, as a bare JSON integer
+LONG = "1" * 5000
+LONG_INT = "<bare JSON integer LONG>"
+
+KEYS = st.sampled_from(["dim", "brackets", "i", "j", "coeffs", "matrix", "salamon", "algebra", "J", "E", "1", "4", LONG])
 LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 20),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "nan", "1e999", "", ROW, "(0,0,12)", "04", "x"]),
+    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "nan", "1e999", "", ROW, "(0,0,12)", "04", "x", LONG, LONG_INT]),
     st.text(max_size=4),
 )
 VALUES = st.recursive(
@@ -132,7 +137,7 @@ def run(argv):
 
 
 def _write(path, doc):
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace(json.dumps(LONG_INT), LONG))
     return str(path)
 
 
@@ -156,6 +161,29 @@ def test_the_base_inputs_are_valid(tmp_path):
 def test_malformed_input_names_its_entry(tmp_path, doc, error):
     code, payload = run(["check-structure", "--cps", _write(tmp_path / "cps.json", doc)])
     assert code == 1 and payload["error"].startswith(error), payload
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        (
+            {**CPS, "algebra": {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {LONG: "1"}}]}},
+            "coefficient index of pair (1,2) has 5000 digits, over the maximum dimension 16",
+        ),
+        (
+            {**CPS, "algebra": {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": LONG}}]}},
+            "rational literal of 5000 characters has too many digits",
+        ),
+        ({**CPS, "J": {"matrix": [[LONG] * 6] * 6}}, "rational literal of 5000 characters has too many digits"),
+        ({**CPS, "algebra": {**ALGEBRA, "dim": LONG_INT}}, "JSON integer of 5000 characters has too many digits"),
+    ],
+    ids=["index-key", "coefficient", "matrix-entry", "dim"],
+)
+def test_an_oversized_number_gets_a_short_error_of_its_own(tmp_path, doc, error):
+    """A number of more digits than int() reads gets the package's message,
+    which does not quote it, not Python's integer-conversion limit."""
+    code, payload = run(["check-structure", "--cps", _write(tmp_path / "cps.json", doc)])
+    assert (code, payload) == (1, {"error": error})
 
 
 @SETTINGS

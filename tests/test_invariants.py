@@ -3,8 +3,9 @@
 An `assert` statement vanishes under `python -O`, so a check written as
 one would silently stop running; none may exist in the package source.
 Nor may the package build a validated record anywhere but in the
-function that validates it, check a CPS axiom anywhere else, or check
-an LSA other than as a flat torsion-free connection.
+function that validates it, check a CPS axiom anywhere else, check
+an LSA other than as a flat torsion-free connection, or certify
+completeness of an LSA other than by the trace criterion.
 The one elimination, `_rref`, is the one place its rows are normalized.
 Every exception class the package defines is raised somewhere in it, so
 a failure path whose check was removed does not leave its class behind.
@@ -108,6 +109,30 @@ def test_an_lsa_is_checked_as_a_flat_torsion_free_connection():
             callers[name].add((file_name, owner))
     assert callers["_commutator_defects"] == {("connection.py", "curvature")}
     assert ("connection.py", "__init__") in callers["torsion_defect"] & callers["curvature"]
+
+
+def test_completeness_has_one_certificate_and_torsion_one_check_per_connection():
+    """The trace criterion is the one completeness certificate of an LSA: no
+    definition, call or import of the package is named `is_nilpotent*`, and a
+    curvature report carries no connection to check again.  Torsion is
+    checked where a connection is certified (`assemble_cps`, `LSAProduct`)
+    and where the Ricci trace identity needs it, nowhere else."""
+    from cpslie.connection import CurvatureReport
+
+    callers = {(file_name, owner) for file_name, owner, name in calls_by_function() if name == "torsion_defect"}
+    assert callers == {
+        ("structures.py", "assemble_cps"),
+        ("connection.py", "__init__"),
+        ("connection.py", "ricci_via_trace_identity"),
+    }
+    names = [
+        (path.name, node.lineno, name)
+        for path, node in package_nodes()
+        for name in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))
+        if isinstance(name, str) and name.startswith("is_nilpotent")
+    ]
+    assert names == []
+    assert "connection" not in CurvatureReport._fields
 
 
 def test_the_elimination_normalizes_once():

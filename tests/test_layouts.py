@@ -129,7 +129,7 @@ def ref_ricci_via_trace_identity(conn):
 
 
 def ref_center(g):
-    out = Subspace.full(g.dim)
+    out = Subspace(QMatrix.identity(g.dim))
     for i in range(g.dim):
         out = intersect(out, kernel(g.ad_vector(basis_vec(g.dim, i))))
     return out

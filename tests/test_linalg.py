@@ -14,12 +14,11 @@ from cpslie.linalg import (
     Subspace,
     _rref,
     basis_vec,
-    is_nilpotent_matrix,
     kernel,
     q,
     rank,
 )
-from examples import intersect, preimage
+from examples import intersect, is_nilpotent_matrix, preimage
 
 # ----------------------------------------------------------------------
 # examples
@@ -39,7 +38,7 @@ def test_rank_family_connection_matrix():
 
 def test_kernel_identity_and_zero():
     assert kernel(QMatrix.identity(4)).is_zero()
-    assert kernel(QMatrix.zeros(3, 3)) == Subspace.full(3)
+    assert kernel(QMatrix.zeros(3, 3)) == Subspace(QMatrix.identity(3))
 
 
 def test_kernel_of_ad_e1_on_h3_r3():
@@ -100,7 +99,7 @@ def test_intersect_examples():
 
 
 def test_intersect_full_and_zero():
-    full, zero = Subspace.full(3), Subspace.zero(3)
+    full, zero = Subspace(QMatrix.identity(3)), Subspace.zero(3)
     assert intersect(full, full) == full
     assert intersect(full, zero) == zero
     assert intersect(zero, full) == zero
@@ -110,7 +109,7 @@ def test_intersect_full_and_zero():
 def test_block_of_zero_row_blocks_keeps_its_columns():
     m = QMatrix.block([[QMatrix.zeros(0, 2), QMatrix.zeros(0, 3)], [QMatrix.zeros(0, 2), QMatrix.zeros(0, 3)]])
     assert (m.rows, m.cols) == (0, 5)
-    assert kernel(m) == Subspace.full(5)
+    assert kernel(m) == Subspace(QMatrix.identity(5))
 
 
 def test_block_rejects_blocks_of_different_heights_in_one_block_row():
@@ -164,8 +163,8 @@ def test_q_reports_a_zero_denominator(text):
 
 
 def test_intersect_dimension_mismatch():
-    u = Subspace.full(3)
-    v = Subspace.full(4)
+    u = Subspace(QMatrix.identity(3))
+    v = Subspace(QMatrix.identity(4))
     with pytest.raises(ValueError):
         intersect(u, v)
 
@@ -173,7 +172,7 @@ def test_intersect_dimension_mismatch():
 def test_preimage_examples():
     v = Subspace.from_spanning([(1, 2, 0), (0, 0, 1)], 3)
     assert preimage(QMatrix.identity(3), v) == v
-    assert preimage(QMatrix.zeros(3, 3), v) == Subspace.full(3)
+    assert preimage(QMatrix.zeros(3, 3), v) == Subspace(QMatrix.identity(3))
 
     rot = QMatrix([[0, -1], [1, 0]])
     x_axis = Subspace.from_spanning([(1, 0)], 2)
@@ -183,7 +182,7 @@ def test_preimage_examples():
 
 def test_preimage_size_mismatch():
     with pytest.raises(ValueError):
-        preimage(QMatrix.identity(2), Subspace.full(3))
+        preimage(QMatrix.identity(2), Subspace(QMatrix.identity(3)))
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +307,7 @@ def test_subspace_constructor_reads_zero_and_scaled_rows():
             assert Subspace(QMatrix([[0] * n] * k)) == Subspace.zero(n)
     assert Subspace(QMatrix([[0, 0]])).dim == 0
     assert Subspace(QMatrix([[2, 0]])) == Subspace.from_spanning([[1, 0]], 2)
-    assert Subspace(QMatrix([[0, 3], [2, 4], [1, 2]])) == Subspace.full(2)
+    assert Subspace(QMatrix([[0, 3], [2, 4], [1, 2]])) == Subspace(QMatrix.identity(2))
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpslie.lie import LieAlgebra, is_nilpotent
+from cpslie.lie import LieAlgebra
 from cpslie.linalg import basis_vec, vec
 from cpslie.salamon import SalamonError, emit_salamon, parse_salamon
+from examples import is_nilpotent
 
 E = lambda i: basis_vec(6, i)  # noqa: E731
 
