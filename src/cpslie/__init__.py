@@ -2,8 +2,6 @@
 
 from .catalog import (
     build_family,
-    eight_dim_example,
-    fried_example,
     load_catalog,
     nonexistence_report,
     verify_table,
@@ -13,13 +11,10 @@ from .catalog import (
 from .connection import (
     Connection,
     CurvatureReport,
-    LSAProduct,
     connection_is_complete_certificate,
     cp_connection,
     curvature,
     lsa_is_complete,
-    restrict_to_lsa,
-    ricci_via_trace_identity,
     torsion_defect,
 )
 from .hypercomplex import HypercomplexStructure, lift_cps
@@ -31,15 +26,12 @@ from .lie import (
     complexify_realified,
     iso_type_3d,
     jacobi_defect,
-    semidirect_product,
 )
-from .linalg import QMatrix, Subspace, kernel, rank
+from .linalg import QMatrix, Subspace, kernel
 from .salamon import emit_salamon, parse_salamon
 from .structures import (
     CPS,
-    ascending_series,
     assemble_cps,
-    find_central_invariant_ideal,
     rotate_product,
 )
 

@@ -17,16 +17,15 @@ from functools import cache
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
-from .connection import Connection, LSAProduct, curvature
+from .connection import Connection, curvature
 from .lie import (
     LieAlgebra,
     ThreeDimType,
     center,
     change_basis,
     iso_type_3d,
-    semidirect_product,
 )
-from .linalg import Q, QMatrix, SparseTensor, Subspace, basis_vec, q, vec
+from .linalg import Q, QMatrix, Subspace, _shown, basis_vec, q, vec
 from .salamon import parse_salamon
 from .structures import (
     CPS,
@@ -206,7 +205,7 @@ def _witness_from_json(data: dict) -> Witness:
         name=data["name"],
         family=data["family"],
         params={k: q(v) for k, v in data.get("params", {}).items()},
-        basis_change=QMatrix.from_json(data["basis_change"]),
+        basis_change=QMatrix.from_json(data["basis_change"], "basis_change"),
         double_type=(ThreeDimType(data["double_type"][0]), ThreeDimType(data["double_type"][1])),
         flat=bool(data["flat"]),
         rotation=rotation,
@@ -476,7 +475,7 @@ def nonexistence_report(salamon: str, seed: int = 0) -> dict:
     normalized = "".join(salamon.split())
     entry = next((e for e in excluded_entries() if e.salamon == normalized), None)
     if entry is None:
-        raise ValueError(f"{salamon!r} is not one of the excluded algebras")
+        raise ValueError(f"{_shown(salamon)} is not one of the excluded algebras")
     g = parse_salamon(normalized)
     if entry.obstruction == "CenterTooSmall":
         # every CPS has a 2-dimensional J,E-invariant central ideal
@@ -540,27 +539,4 @@ def _encoded_proof_report(g: LieAlgebra, salamon: str, seed: int) -> dict:
         "forcing u = 0 and contradicting dim u = 2",
     )
     return _staged({"salamon": salamon, "kind": "EncodedProof"}, stage)
-
-
-FRIED_NABLA = (
-    ((0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
-    ((0, 0, 0, -1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
-    ((0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
-    ((0, -1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
-)
-
-
-def fried_example():
-    """The complete left-symmetric structure on the filiform algebra n4."""
-    n4 = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
-    # row k of the side layout is row k of every nabla_i, side by side
-    side = QMatrix([[x for nabla in FRIED_NABLA for x in nabla[k]] for k in range(4)])
-    return n4, LSAProduct(n4, SparseTensor(side))  # axioms re-verified by the constructor
-
-
-def eight_dim_example():
-    """n4 acting on itself by the Fried product: an 8-dimensional CPS."""
-    n4, lsa = fried_example()
-    g = semidirect_product(n4, lsa.nablas())
-    return g, assemble_cps(g, *_standard_cps(4))
 

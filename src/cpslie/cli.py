@@ -18,6 +18,7 @@ from .connection import (
 )
 from .hypercomplex import lift_cps
 from .lie import LieAlgebra, algebra_from_json, algebra_to_json
+from .linalg import _shown
 from .salamon import SalamonError, emit_salamon, parse_salamon
 from .structures import CPS, StructureError, assemble_cps, double_type, endo_from_json
 
@@ -27,7 +28,7 @@ def _unique_keys(pairs) -> dict:
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"key {key!r} appears twice in one JSON object")
+            raise ValueError(f"key {_shown(key)} appears twice in one JSON object")
         out[key] = value
     return out
 
@@ -81,9 +82,9 @@ def _load_cps(args) -> CPS:
         else:
             raise ValueError("the CPS file has no algebra and none was given via --algebra")
         entry = "J"
-        j = endo_from_json(data["J"])
+        j = endo_from_json(data["J"], "J")
         entry = "E"
-        e = endo_from_json(data["E"])
+        e = endo_from_json(data["E"], "E")
     except KeyError as exc:
         raise ValueError(f"missing entry {exc.args[0]!r} in the input") from None
     except TypeError as exc:
@@ -205,6 +206,14 @@ COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """`int`, for --seed; argparse's own message would quote a long value in full."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises on a usage error, so `main` reports it as JSON; subparsers inherit this."""
 
@@ -227,7 +236,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             p.add_argument("--algebra", help="tuple string or JSON algebra file")
             p.add_argument("--cps", required=True, help="JSON file with J and E matrices")
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help=(
+        p.add_argument("--seed", type=_seed, default=0, help=(
             "seed of the sampled checks; only verify-catalog and nonexistence read it,"
             " the other commands accept it and ignore it"
         ))
@@ -249,7 +258,10 @@ def main(argv=None) -> int:
             subject = getattr(args, cmd.subject) if cmd.subject else None
         return _emit(args, *cmd.run(subject, args.seed))
     except (SalamonError, ValueError, OSError) as exc:
-        error = {"error": str(exc)}
+        message = str(exc)
+        if isinstance(exc, OSError) and isinstance(exc.filename, str):  # str(exc) quotes the whole path
+            message = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
+        error = {"error": message}
         if isinstance(exc, SalamonError):
             error["position"] = exc.position
         sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")

@@ -1,10 +1,9 @@
 """The torsion-free connection of a CPS and everything derived from it.
 
-The connection, curvature, Ricci form and the induced left-symmetric
-products are all exact rational tensors, and so is every completeness
-certificate: the trace argument for flat connections and the integer
-grid proofs that every geodesic is a polynomial in time.  The package
-has no floating point.
+The connection, its torsion, curvature and Ricci form are exact rational
+tensors, and so is every completeness certificate: the trace argument
+for flat connections and the integer grid proofs that every geodesic is
+a polynomial in time.  The package has no floating point.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .lie import LieAlgebra
 from .linalg import (
-    Q,
     QMatrix,
     SparseTensor,
     Vector,
@@ -30,10 +28,6 @@ if TYPE_CHECKING:
     from .structures import CPS
 
 
-class TorsionError(ValueError):
-    pass
-
-
 class CertificateError(ValueError):
     """Two exact certificates of the same property disagree."""
 
@@ -41,8 +35,9 @@ class CertificateError(ValueError):
 class Connection:
     """nabla_{e_i} e_j as a coordinate vector, held in column i*n + j of a SparseTensor's layout.
 
-    A flat torsion-free connection is a left-symmetric product
-    x . y = nabla_x y; `apply` and `nablas` give that view.
+    A connection with no `torsion_defect` and a flat `curvature` is a
+    left-symmetric algebra (LSA), x . y = nabla_x y = `tensor.contract(x, y)`:
+    the package checks the LSA axioms only as those two.
     """
 
     __slots__ = ("algebra", "tensor")
@@ -55,14 +50,6 @@ class Connection:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def nablas(self) -> list[QMatrix]:
-        """Every nabla_{e_i} (columns are images of basis vectors), cut from the flat layout."""
-        n, den = self.algebra.dim, self.tensor.den
-        return [_matrix([r[s:s + n] for s in range(0, n * n, n)], den, n) for r in swapped(self.tensor.side).num]
-
-    def apply(self, x, y) -> Vector:
-        return self.tensor.contract(x, y)
 
     def __eq__(self, other):
         return (
@@ -151,51 +138,6 @@ def _traces(t: SparseTensor) -> QMatrix:
     """The row (tr M_0, ..., tr M_{n-1}) over the slices M_i of t."""
     n, side = t.dim, t.side
     return _matrix([[sum(side.num[l][i * n + l] for l in range(n)) for i in range(n)]], side.den, n)
-
-
-def ricci_via_trace_identity(conn: Connection) -> QMatrix:
-    """ric(x,y) = (1/4) tr nabla_{[x,y]} for torsion-free connections
-    with skew-symmetric Ricci (the cp connections of this package)."""
-    if torsion_defect(conn):
-        raise TorsionError("the trace identity needs a torsion-free connection")
-    g = conn.algebra
-    n = g.dim
-    # entry (i, j) is t . [e_i, e_j] / 4: entry i*n + j of t^T [ad(e_0) | ...] / 4
-    return reshaped(_traces(conn.tensor).scale(Q(1, 4)) @ g.structure.side, n)
-
-
-class LSAProduct(Connection):
-    """A Connection checked torsion-free and flat, so x . y = nabla_x y is left-symmetric.
-
-    Torsion-freeness is x.y - y.x = [x, y]; given it, the left-symmetry
-    defect on (e_i, e_j) is [L_i, L_j] - L_[e_i, e_j], the curvature
-    R(e_i, e_j).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, algebra: LieAlgebra, tensor: SparseTensor):
-        super().__init__(algebra, tensor)
-        if torsion_defect(self):
-            raise ValueError("not a left-symmetric product: the torsion is nonzero")
-        if not curvature(self).is_flat:
-            raise ValueError("not a left-symmetric product: the curvature is nonzero")
-
-
-def restrict_to_lsa(cps: CPS, side: str) -> LSAProduct:
-    """The flat LSA induced on one eigenspace subalgebra by the cp connection."""
-    if side not in ("plus", "minus"):
-        raise ValueError("side must be 'plus' or 'minus'")
-    sub = cps.plus if side == "plus" else cps.minus
-    conn = cps.connection
-    g, basis, m = cps.algebra, sub.basis_vectors(), sub.dim
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    little = LieAlgebra.from_brackets(
-        m, {(a, b): dict(enumerate(sub.coordinates(g.bracket(basis[a], basis[b])))) for a, b in pairs}
-    )
-    # column a*m + b holds the coordinates of basis[a] . basis[b]
-    products = [sub.coordinates(conn.apply(x, y)) for x in basis for y in basis]
-    return LSAProduct(little, SparseTensor(QMatrix.from_cols(products)))
 
 
 def lsa_is_complete(p: Connection) -> bool:

@@ -18,6 +18,7 @@ from .linalg import (
     Vector,
     _matrix,
     _scaled,
+    _shown,
     _unscaled,
     kernel,
     q,
@@ -81,13 +82,13 @@ class LieAlgebra:
         allocated; a pair or index out of range is named 1-based, as in JSON.
         """
         if dim < 0:
-            raise ValueError(f"dimension {dim} is negative")
+            raise ValueError(f"dimension {_shown(dim)} is negative")
         if dim > MAX_DIM:
-            raise ValueError(f"dimension {dim} is over the maximum of {MAX_DIM}")
+            raise ValueError(f"dimension {_shown(dim)} is over the maximum of {MAX_DIM}")
         n, cells, coeffs = dim, [], []
         for (i, j), row in brackets.items():
             if not 0 <= i < j < n:
-                raise ValueError(f"bracket pair ({i + 1},{j + 1}) must satisfy 1 <= i < j <= dim")
+                raise ValueError(f"bracket pair ({_shown(i + 1)},{_shown(j + 1)}) must satisfy 1 <= i < j <= dim")
             for k, c in row.items():
                 if not 0 <= k < n:
                     raise ValueError(f"coefficient index {k + 1} of pair ({i + 1},{j + 1}) must satisfy 1 <= k <= dim")
@@ -189,27 +190,6 @@ def iso_type_3d(g: LieAlgebra, v: Subspace) -> ThreeDimType:
     return ThreeDimType.OTHER
 
 
-def semidirect_product(h: LieAlgebra, action: Sequence[QMatrix]) -> LieAlgebra:
-    """h acting on an abelian V = Q^s by rho(e_i) = action[i]:
-    [(x,u),(y,v)] = ([x,y], rho(x)v - rho(y)u).
-
-    Only the shapes are checked here.  The Jacobi identity of the result
-    on (e_i, e_j, v) is rho([e_i,e_j]) = [rho(e_i), rho(e_j)], so the
-    construction raises JacobiError exactly when rho is not a representation.
-    """
-    m = h.dim
-    s = action[0].rows if action else 0
-    if len(action) != m or any(a.rows != s or a.cols != s for a in action):
-        raise ValueError("one s x s action matrix per basis vector of h required")
-    brackets = h.brackets()
-    for i in range(m):
-        for j in range(s):
-            coeffs = {m + k: c for k, c in enumerate(action[i].col(j)) if c != 0}
-            if coeffs:
-                brackets[(i, m + j)] = coeffs
-    return LieAlgebra.from_brackets(m + s, brackets)
-
-
 def complexify_realified(g: LieAlgebra) -> LieAlgebra:
     """Complexification viewed as a real algebra on {e_i} + {hat e_i}.
 
@@ -238,7 +218,7 @@ def algebra_to_json(g: LieAlgebra) -> dict:
 
 def _json_int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an integer, not {x!r}")
+        raise ValueError(f"{what} must be an integer, not {_shown(x)}")
     return x
 
 
@@ -252,16 +232,17 @@ def algebra_from_json(data: Mapping) -> LieAlgebra:
     brackets: dict[tuple[int, int], dict[int, Q]] = {}
     for item in data.get("brackets", []):
         i, j = _json_int(item["i"], "i"), _json_int(item["j"], "j")
+        pair = f"pair ({_shown(i)},{_shown(j)})"
         if (i - 1, j - 1) in brackets:
-            raise ValueError(f"bracket pair ({i},{j}) is given twice")
+            raise ValueError(f"bracket {pair} is given twice")
         if not isinstance(item["coeffs"], dict):
-            raise ValueError(f"coeffs of pair ({i},{j}) must be an object mapping indices to values")
+            raise ValueError(f"coeffs of {pair} must be an object mapping indices to values")
         coeffs = {}
         for k, v in item["coeffs"].items():
             if not (isinstance(k, str) and _INDEX_KEY.fullmatch(k)):
-                raise ValueError(f"coefficient index {k!r} of pair ({i},{j}) must be a decimal integer like \"4\"")
+                raise ValueError(f"coefficient index {_shown(k)} of {pair} must be a decimal integer like \"4\"")
             if len(k) > len(str(MAX_DIM)):
-                raise ValueError(f"coefficient index of pair ({i},{j}) has {len(k)} digits, over the maximum dimension {MAX_DIM}")
-            coeffs[int(k) - 1] = q(v)
+                raise ValueError(f"coefficient index of {pair} has {len(k)} digits, over the maximum dimension {MAX_DIM}")
+            coeffs[int(k) - 1] = q(v, f"coefficient {k} of {pair}")
         brackets[(i - 1, j - 1)] = coeffs
     return LieAlgebra.from_brackets(dim, brackets)

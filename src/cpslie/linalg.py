@@ -62,24 +62,44 @@ _ZERO = Q(0)
 # digits only: the eight bytes "1e999999" would cost minutes of big-integer work
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
+# An error message quotes input whose ASCII form has at most this many
+# characters; JSON escapes every other character, so this bounds its bytes.
+_SHOWN_CHARS = 64
 
-def q(x) -> Q:
-    """Coerce an int, a string "p" or "p/q" of decimal digits, or a Fraction to Fraction."""
+
+def _shown(x) -> str:
+    """repr(x) if its ASCII form is short, else the start of that form and the length of x."""
+    shown = ascii(x)
+    if len(shown) <= _SHOWN_CHARS:
+        return repr(x)
+    return f"{shown[:_SHOWN_CHARS]}... ({len(x) if isinstance(x, str) else len(shown)} characters)"
+
+
+def _at(where: str, x: str) -> str:
+    """"where: " if the message on literal x cannot quote it in full, else ""."""
+    return f"{where}: " if where and len(ascii(x)) > _SHOWN_CHARS else ""
+
+
+def q(x, where: str = "") -> Q:
+    """Coerce an int, a string "p" or "p/q" of decimal digits, or a Fraction to Fraction.
+
+    `where` names the entry read; a message that cannot quote a long
+    literal in full, or one of more digits than `int` reads, starts with it."""
     if isinstance(x, Q):
         return x
     if isinstance(x, str):
         if not _RATIONAL.fullmatch(x):
-            raise ValueError(f"not a rational literal (an integer or p/q): {x!r}")
+            raise ValueError(f"{_at(where, x)}not a rational literal (an integer or p/q): {_shown(x)}")
         num, _, den = x.partition("/")  # ASCII digits only, so int() reads what matched
         try:
             return Q(int(num), int(den or 1))
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
+            raise ValueError(f"{_at(where, x)}zero denominator in {_shown(x)}") from None
         except ValueError:  # more digits than int() reads, sys.get_int_max_str_digits()
-            raise ValueError(f"rational literal of {len(x)} characters has too many digits") from None
+            raise ValueError(f"{_at(where, x)}rational literal of {len(x)} characters has too many digits") from None
     if isinstance(x, int) and not isinstance(x, bool):
         return Q(x)
-    raise TypeError(f"not a rational scalar: {x!r}")
+    raise TypeError(f"not a rational scalar: {_shown(x)}")
 
 
 def vec(entries) -> Vector:
@@ -255,11 +275,6 @@ class QMatrix:
         return _matrix([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @classmethod
-    def from_cols(cls, cols: Sequence[Vector]) -> "QMatrix":
-        n = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(n)])
-
-    @classmethod
     def diag_blocks(cls, *blocks: "QMatrix") -> "QMatrix":
         return cls.block(
             [[b if k == r else cls.zeros(blocks[r].rows, b.cols) for k, b in enumerate(blocks)]
@@ -283,9 +298,6 @@ class QMatrix:
 
     def entry(self, i: int, j: int) -> Q:
         return Q(self.num[i][j], self.den)
-
-    def col(self, j: int) -> Vector:
-        return _unscaled([r[j] for r in self.num], self.den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -367,10 +379,11 @@ class QMatrix:
         return [[str(x) for x in r] for r in self.entries]
 
     @classmethod
-    def from_json(cls, data) -> "QMatrix":
+    def from_json(cls, data, name: str) -> "QMatrix":
+        """The matrix with the JSON rows `data`; a message names an entry as "entry (row,col) of `name`", 1-based."""
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise TypeError("a JSON matrix must be a list of row lists")
-        return cls(data)
+        return cls([[q(x, f"entry ({r},{c}) of {name}") for c, x in enumerate(row, 1)] for r, row in enumerate(data, 1)])
 
 
 class SparseTensor:
@@ -529,11 +542,6 @@ def _rref(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[list[int]], in
     return [[x * (den // row[c]) for x in row] for row, c in zip(mat, pivots)], den, pivots
 
 
-def rank(m: QMatrix) -> int:
-    """Row rank over the rationals."""
-    return len(_rref(m.num, m.cols)[2])
-
-
 class Subspace:
     """The row space of any spanning rows, held as its canonical RREF row basis."""
 
@@ -554,10 +562,6 @@ class Subspace:
             if len(r) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
         return cls(_matrix(rows, 1, ambient_dim))
-
-    @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(QMatrix.zeros(0, n))
 
     @property
     def ambient_dim(self) -> int:
@@ -585,13 +589,6 @@ class Subspace:
             if f:
                 residual = [a - f * b for a, b in zip(residual, row)]
         return not any(residual)
-
-    def coordinates(self, v: Sequence) -> Vector:
-        """Coefficients of v in the RREF basis; raises if v is outside."""
-        w = vec(v)
-        if len(w) != self.ambient_dim or not self.contains(w):
-            raise ValueError("vector not in subspace")
-        return tuple(w[p] for p in self.pivots)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.basis == other.basis

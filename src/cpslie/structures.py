@@ -20,7 +20,6 @@ from .linalg import (
     block_columns,
     kernel,
     q,
-    reshaped,
     right_product,
     swapped,
     transposed_blocks,
@@ -162,41 +161,5 @@ def rotate_product(j: Endo, e: Endo, c) -> Endo:
     return e.scale((c * c - 1) / denom) + (j @ e).scale(2 * c / denom)
 
 
-def ascending_series(cps: CPS) -> list[Subspace]:
-    """a_0 = 0, a_t = {x : [x,g] and [Jx,g] land in a_(t-1)}, until stable: the CFGU series of
-    the complex structure J of a CPS, which `assemble_cps` has proven integrable."""
-    g, j = cps.algebra, cps.j
-    n = g.dim
-    series = [Subspace.zero(n)]
-    while True:
-        prev = series[-1]
-        ann = kernel(prev.basis)  # the functionals vanishing on prev
-        if ann.is_zero():
-            # previous term is everything; the chain is stable
-            break
-        # ann [x, e_j] = 0 and ann [Jx, e_j] = 0 for every j: row (a, j) of
-        # ann_ad is row a of ann ad(e_j)
-        ann_ad = reshaped(ann.basis @ g.structure.side, ann.dim * n)
-        nxt = kernel(QMatrix.block([[ann_ad], [ann_ad @ j]]))
-        if nxt == prev:
-            break
-        series.append(nxt)
-    return series
-
-
-def find_central_invariant_ideal(cps: CPS) -> Subspace | None:
-    """Largest J- and E-invariant subspace of the center, if dim >= 2; central, so an ideal.
-
-    J and E generate the group {+/-Id, +/-J, +/-E, +/-JE}, so that subspace
-    is {x : Ax in z for A = Id, J, E, JE}: with S the stacked ad(e_k), whose
-    kernel is the center z, it is the kernel of [S; SJ; SE; SJE].
-    """
-    n = cps.algebra.dim
-    s = reshaped(swapped(cps.algebra.structure.side), n * n)
-    sj = s @ cps.j
-    w = kernel(QMatrix.block([[s], [sj], [s @ cps.e], [sj @ cps.e]]))
-    return w if w.dim >= 2 else None
-
-
-def endo_from_json(data) -> Endo:
-    return QMatrix.from_json(data["matrix"])
+def endo_from_json(data, name: str) -> Endo:
+    return QMatrix.from_json(data["matrix"], name)

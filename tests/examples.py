@@ -1,21 +1,21 @@
 """Test-only fixtures: example structures and checks that no command uses.
 
-The Heisenberg examples, the paper's split pairs on (0,0,0,12,13,14),
-the Heisenberg x Heisenberg constant, the abelian check, the failure
-codes of `assemble_cps`, the per-index parallelism check, the quaternion
-relations of a lift, the seeded dense basis changes, a family's flatness
-closed form at one point, the unchecked bracket layout `NotLie`, the
-d^2 = 0 reference for the Jacobi identity, the fixed-point reference
-for the central invariant ideal, the vector difference and the
-subspace image, intersection and preimage the references share, and
-the nilpotency checks (of a matrix, by repeated squaring, and of an
-algebra, by its lower central series) and the right multiplications
-of a connection that cross-check the trace criterion of
-`lsa_is_complete` live here rather than in the package, since only
-the tests read them.
+The package holds only what its commands run, so what only the tests read
+lives here: the paper's split pairs on (0,0,0,12,13,14), three CPS on the
+realified complex Heisenberg algebra with their Heisenberg x Heisenberg
+constant, Fried's complete LSA on n4 and the 8-dimensional CPS built from
+it by `semidirect_product`, seeded dense basis changes, a family's flatness
+at one point; the claims no command reports yet (`ascending_series`,
+`find_central_invariant_ideal`, `ricci_via_trace_identity`, the LSAs of
+`restrict_to_lsa`) with their references; independent checks of what the
+package proves by construction (failure codes, parallelism, quaternion
+relations, d^2 = 0, the unchecked layout `NotLie`, the nilpotency checks
+behind the trace criterion of `lsa_is_complete`); and the accessors `rank`,
+`from_cols`, `col`, `nablas` and `coordinates`.
 """
 
-from cpslie.catalog import _family_point, flatness_closed_form
+from cpslie.catalog import _family_point, _standard_cps, flatness_closed_form
+from cpslie.connection import Connection, _traces
 from cpslie.lie import LieAlgebra, ThreeDimType, center
 from cpslie.linalg import (
     Q,
@@ -23,10 +23,11 @@ from cpslie.linalg import (
     SparseTensor,
     Subspace,
     _matrix,
+    _rref,
     basis_vec,
     kernel,
     q,
-    rank,
+    reshaped,
     right_product,
     swapped,
     vec,
@@ -34,6 +35,34 @@ from cpslie.linalg import (
 )
 from cpslie.salamon import differential, parse_salamon
 from cpslie.structures import CPS, Endo, StructureError, _integrability_defect, assemble_cps, double_type
+
+
+def rank(m: QMatrix) -> int:
+    """Row rank over the rationals: the number of pivots of the one elimination."""
+    return len(_rref(m.num, m.cols)[2])
+
+
+def from_cols(cols) -> QMatrix:
+    """The matrix whose columns are the vectors `cols`."""
+    return QMatrix(zip(*cols))
+
+
+def col(m: QMatrix, j: int):
+    """Column j of M as a Fraction vector."""
+    return tuple(r[j] for r in m.entries)
+
+
+def nablas(conn) -> list[QMatrix]:
+    """Every nabla_{e_i}, the slice i of the connection tensor (columns are images of basis vectors)."""
+    return [conn.tensor.slice_matrix(basis_vec(conn.algebra.dim, i)) for i in range(conn.algebra.dim)]
+
+
+def coordinates(sub: Subspace, v):
+    """Coefficients of v in the RREF basis of `sub`; raises if v is outside."""
+    w = vec(v)
+    if len(w) != sub.ambient_dim or not sub.contains(w):
+        raise ValueError("vector not in subspace")
+    return tuple(w[p] for p in sub.pivots)
 
 
 # The paper's two split pairs on (0,0,0,12,13,14), in the row basis:
@@ -205,11 +234,11 @@ def ref_parallel_defect(conn, a):
     are parallel by construction.  This is the independent check of the
     paper's claim, one nabla_{e_i} at a time.
     """
-    out, nablas = [], conn.nablas()
-    for i in range(conn.algebra.dim):
-        diff = nablas[i] @ a - a @ nablas[i]
+    out = []
+    for i, m in enumerate(nablas(conn)):
+        diff = m @ a - a @ m
         for jdx in range(conn.algebra.dim):
-            d = diff.col(jdx)
+            d = col(diff, jdx)
             if not vec_is_zero(d):
                 out.append((i, jdx, d))
     return out
@@ -254,7 +283,7 @@ def cps_from_split(g: LieAlgebra, j: Endo, plus_vectors, minus_vectors) -> CPS:
     cols = [list(v) for v in plus_vectors] + [list(v) for v in minus_vectors]
     if len(cols) != n:
         raise ValueError("splitting must cover the whole space")
-    s = QMatrix.from_cols([tuple(q(x) for x in c) for c in cols])
+    s = from_cols([tuple(q(x) for x in c) for c in cols])
     d = QMatrix.diag_blocks(
         QMatrix.identity(len(plus_vectors)),
         QMatrix.identity(len(minus_vectors)).scale(-1),
@@ -303,11 +332,11 @@ def heisenberg_complex_examples():
     e = [basis_vec(6, i) for i in range(6)]
     minus_e = [tuple(-x for x in v) for v in e]
 
-    j1 = QMatrix.from_cols([e[2], e[3], minus_e[0], minus_e[1], e[5], minus_e[4]])
+    j1 = from_cols([e[2], e[3], minus_e[0], minus_e[1], e[5], minus_e[4]])
     cps1 = cps_from_split(g, j1, [e[0], e[1], e[4]], [e[2], e[3], e[5]])
 
     # J e1 = e2 - e4, J e2 = -(e1 + e3); squares to -Id
-    j2 = QMatrix.from_cols(
+    j2 = from_cols(
         [
             vec(( 0, 1, 0, -1, 0, 0)),
             vec((-1, 0, -1, 0, 0, 0)),
@@ -325,3 +354,105 @@ def heisenberg_complex_examples():
     minus3 = [vec((-1, 1, -1, 0, 0, 0)), vec((1, 1, 0, -1, 0, 0)), vec((0, 0, 0, 0, 1, 1))]
     cps3 = cps_from_split(g, j2, plus3, minus3)
     return [(g, cps1), (g, cps2), (g, cps3)]
+
+
+def ascending_series(cps: CPS) -> list[Subspace]:
+    """a_0 = 0, a_t = {x : [x,g] and [Jx,g] land in a_(t-1)}, until stable: the CFGU series of
+    the complex structure J of a CPS, which `assemble_cps` has proven integrable."""
+    g, j = cps.algebra, cps.j
+    n = g.dim
+    series = [Subspace(QMatrix.zeros(0, n))]
+    while True:
+        prev = series[-1]
+        ann = kernel(prev.basis)  # the functionals vanishing on prev
+        if ann.is_zero():
+            # previous term is everything; the chain is stable
+            break
+        # ann [x, e_j] = 0 and ann [Jx, e_j] = 0 for every j: row (a, j) of
+        # ann_ad is row a of ann ad(e_j)
+        ann_ad = reshaped(ann.basis @ g.structure.side, ann.dim * n)
+        nxt = kernel(QMatrix.block([[ann_ad], [ann_ad @ j]]))
+        if nxt == prev:
+            break
+        series.append(nxt)
+    return series
+
+
+def find_central_invariant_ideal(cps: CPS) -> Subspace | None:
+    """Largest J- and E-invariant subspace of the center, if dim >= 2; central, so an ideal.
+
+    J and E generate the group {+/-Id, +/-J, +/-E, +/-JE}, so that subspace
+    is {x : Ax in z for A = Id, J, E, JE}: with S the stacked ad(e_k), whose
+    kernel is the center z, it is the kernel of [S; SJ; SE; SJE].
+    """
+    n = cps.algebra.dim
+    s = reshaped(swapped(cps.algebra.structure.side), n * n)
+    sj = s @ cps.j
+    w = kernel(QMatrix.block([[s], [sj], [s @ cps.e], [sj @ cps.e]]))
+    return w if w.dim >= 2 else None
+
+
+def ricci_via_trace_identity(conn) -> QMatrix:
+    """ric(x,y) = (1/4) tr nabla_{[x,y]}, for a torsion-free connection with
+    skew-symmetric Ricci form, such as the cp connection of a CPS."""
+    # entry (i, j) is t . [e_i, e_j] / 4: entry i*n + j of t^T [ad(e_0) | ...] / 4
+    return reshaped(_traces(conn.tensor).scale(Q(1, 4)) @ conn.algebra.structure.side, conn.algebra.dim)
+
+
+def restrict_to_lsa(cps: CPS, side: str) -> Connection:
+    """The LSA that the cp connection induces on the eigenspace subalgebra g+ ("plus") or g- ("minus"),
+    as a connection on it: column a*m + b of its layout holds the coordinates of basis[a] . basis[b]."""
+    if side not in ("plus", "minus"):
+        raise ValueError("side must be 'plus' or 'minus'")
+    sub = cps.plus if side == "plus" else cps.minus
+    g, basis, m = cps.algebra, sub.basis_vectors(), sub.dim
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    little = LieAlgebra.from_brackets(
+        m, {(a, b): dict(enumerate(coordinates(sub, g.bracket(basis[a], basis[b])))) for a, b in pairs}
+    )
+    products = [coordinates(sub, cps.connection.tensor.contract(x, y)) for x in basis for y in basis]
+    return Connection(little, SparseTensor(from_cols(products)))
+
+
+def semidirect_product(h: LieAlgebra, action) -> LieAlgebra:
+    """h acting on an abelian V = Q^s by rho(e_i) = action[i]:
+    [(x,u),(y,v)] = ([x,y], rho(x)v - rho(y)u).
+
+    Only the shapes are checked here.  The Jacobi identity of the result
+    on (e_i, e_j, v) is rho([e_i,e_j]) = [rho(e_i), rho(e_j)], so the
+    construction raises JacobiError exactly when rho is not a representation.
+    """
+    m = h.dim
+    s = action[0].rows if action else 0
+    if len(action) != m or any(a.rows != s or a.cols != s for a in action):
+        raise ValueError("one s x s action matrix per basis vector of h required")
+    brackets = h.brackets()
+    for i in range(m):
+        for j in range(s):
+            coeffs = {m + k: c for k, c in enumerate(col(action[i], j)) if c != 0}
+            if coeffs:
+                brackets[(i, m + j)] = coeffs
+    return LieAlgebra.from_brackets(m + s, brackets)
+
+
+FRIED_NABLA = (
+    ((0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+    ((0, 0, 0, -1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, -1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+)
+
+
+def fried_example() -> tuple[LieAlgebra, Connection]:
+    """The complete left-symmetric structure on the filiform algebra n4, nabla_{e_i} = FRIED_NABLA[i]."""
+    n4 = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    # row k of the side layout is row k of every nabla_i, side by side
+    side = QMatrix([[x for nabla in FRIED_NABLA for x in nabla[k]] for k in range(4)])
+    return n4, Connection(n4, SparseTensor(side))
+
+
+def eight_dim_example() -> tuple[LieAlgebra, CPS]:
+    """n4 acting on itself by the Fried product: an 8-dimensional CPS."""
+    n4, lsa = fried_example()
+    g = semidirect_product(n4, nablas(lsa))
+    return g, assemble_cps(g, *_standard_cps(4))

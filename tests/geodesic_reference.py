@@ -3,7 +3,7 @@
 The certificate in `cpslie.connection` proves the least degree of the
 geodesics on a simplex grid, in integers scaled by den.  This reference
 reads the same degree off the Fraction Taylor coefficients at a few
-seeded rational starts, through `Connection.apply` only.
+seeded rational starts, through the contraction `conn.tensor.contract` only.
 """
 
 import random
@@ -25,7 +25,7 @@ def taylor_vanishing(conn: Connection, seed: int = 0, starts: int = 3) -> list[b
     for _ in range(starts):
         v = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))]
         for k in range(TOP):
-            terms = [conn.apply(v[i], v[k - i]) for i in range(k + 1)]
+            terms = [conn.tensor.contract(v[i], v[k - i]) for i in range(k + 1)]
             v.append(tuple(-sum(c) / (k + 1) for c in zip(*terms)))
         vanishes = [z and not any(vk) for z, vk in zip(vanishes, v)]
     return vanishes

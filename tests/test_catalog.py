@@ -11,17 +11,14 @@ from cpslie.catalog import (
     COLUMN_LABELS,
     CatalogEntry,
     FAMILY_PARAMS,
-    FRIED_NABLA,
     FamilyError,
     Witness,
     _encoded_proof_report,
     _family_variables,
     build_family,
-    eight_dim_example,
     excluded_entries,
     family_data,
     flatness_closed_form,
-    fried_example,
     nonexistence_report,
     prove_family_flatness,
     table_rows,
@@ -37,29 +34,32 @@ from cpslie.connection import (
     curvature,
     exact_polynomial_geodesic_certificate,
     lsa_is_complete,
-    restrict_to_lsa,
+    torsion_defect,
 )
 from cpslie.lie import LieAlgebra, ThreeDimType, center, change_basis, iso_type_3d
 from cpslie.hypercomplex import lift_cps
 from cpslie.linalg import QMatrix, SparseTensor, Subspace, _matrix, basis_vec, kernel, vec
 from cpslie.poly import Poly
 from cpslie.salamon import parse_salamon
-from cpslie.structures import (
-    ascending_series,
-    assemble_cps,
-    double_type,
-    find_central_invariant_ideal,
-    rotate_product,
-)
+from cpslie.structures import assemble_cps, double_type, rotate_product
 from examples import (
     SPLIT_E,
     SPLIT_J,
     SPLIT_ROW,
+    FRIED_NABLA,
     NotLie,
+    ascending_series,
+    col,
+    eight_dim_example,
     family_flatness_value,
+    find_central_invariant_ideal,
+    fried_example,
+    from_cols,
     h3x2_constant,
     heisenberg_complex_examples,
     image,
+    nablas,
+    restrict_to_lsa,
 )
 
 EXCLUDED = tuple(entry.salamon for entry in excluded_entries())
@@ -113,17 +113,17 @@ def test_build_family_reductions_to_named_algebras():
     # E=F=0 with A=1: the product of the Heisenberg algebra with R^3
     g, _, _ = family_data("H3R_00", {"A": 1})
     e = [basis_vec(6, i) for i in range(6)]
-    p = QMatrix.from_cols([e[0], e[3], e[2], e[4], e[5], tuple(-x for x in e[1])])
+    p = from_cols([e[0], e[3], e[2], e[4], e[5], tuple(-x for x in e[1])])
     assert change_basis(g, p) == parse_salamon("(0,0,0,0,0,12)")
 
     # (110) with C=1 and everything else zero
     g, _, _ = family_data("H3R_10", {"C": 1})
-    p = QMatrix.from_cols([tuple(-x for x in e[0]), e[3], e[1], e[4], e[2], e[5]])
+    p = from_cols([tuple(-x for x in e[0]), e[3], e[1], e[4], e[2], e[5]])
     assert change_basis(g, p) == parse_salamon("(0,0,0,12,13,14)")
 
     # (110) with E=0, F=-1, A=0
     g, _, _ = family_data("H3R_10", {"C": 1, "F": -1})
-    p = QMatrix.from_cols(
+    p = from_cols(
         [e[0], e[1], e[3], tuple(-x for x in e[2]), tuple(-x for x in e[4]), e[5]]
     )
     assert change_basis(g, p) == parse_salamon("(0,0,0,12,13,23)")
@@ -508,7 +508,7 @@ def test_heisenberg_side_lsa_complete_with_central_kernel():
                 m = QMatrix.zeros(3, 3)
                 for i, c in enumerate(zv):
                     if c != 0:
-                        m = m + p.nablas()[i].scale(c)
+                        m = m + nablas(p)[i].scale(c)
                 assert m.is_zero()
 
 
@@ -621,11 +621,12 @@ def test_nonexistence_rejects_other_algebras():
 
 def test_fried_example_values():
     n4, lsa = fried_example()
-    assert lsa.apply(basis_vec(4, 1), basis_vec(4, 3)) == (-1, 0, 0, 0)
-    assert lsa.apply(basis_vec(4, 0), basis_vec(4, 1)) == (0, 0, 1, 0)
+    assert lsa.tensor.contract(basis_vec(4, 1), basis_vec(4, 3)) == (-1, 0, 0, 0)
+    assert lsa.tensor.contract(basis_vec(4, 0), basis_vec(4, 1)) == (0, 0, 1, 0)
+    assert torsion_defect(lsa) == [] and curvature(lsa).is_flat
     assert lsa_is_complete(lsa)
     for i, rows in enumerate(FRIED_NABLA):
-        assert lsa.nablas()[i] == QMatrix(rows)
+        assert nablas(lsa)[i] == QMatrix(rows)
 
 
 def test_eight_dim_example_properties():
@@ -854,7 +855,7 @@ def test_family_criteria_hold_as_identities(family):
     e = [basis_vec(6, i) for i in range(6)]
     # 02: span(e3, f3) is central, J e3 = f3, and it is J- and E-invariant
     assert not any(any(g.bracket(e[c], x)) for c in (2, 5) for x in e)
-    assert cps.j.col(2) == e[5]
+    assert col(cps.j, 2) == e[5]
     u = Subspace.from_spanning([e[2], e[5]], 6)
     assert image(cps.j, u) == u and image(cps.e, u) == u
     # 04: the cp connection is Ricci-flat and traceless

@@ -182,7 +182,7 @@ def test_cps_commands_accept_a_dimension_other_than_six(capsys, tmp_path, exampl
     """A valid CPS on the 8-dimensional example or on R^2 passes every --cps
     command; check-structure reports no double type, which is defined for
     two 3-dimensional eigenspaces only."""
-    from cpslie.catalog import eight_dim_example
+    from examples import eight_dim_example
     from cpslie.lie import LieAlgebra
     from cpslie.linalg import QMatrix
     from cpslie.structures import assemble_cps
@@ -517,7 +517,7 @@ def h3r3_times_r8_file(tmp_path):
 def h3r3_times_eight_dim_file(tmp_path):
     """h3r3 times the 8-dimensional example: 14-dimensional, non-flat, and
     the geodesics of the second factor are quartic."""
-    from cpslie.catalog import eight_dim_example
+    from examples import eight_dim_example
 
     g, cps = eight_dim_example()
     return _direct_sum_cps_file(tmp_path / "h3r3_eight.json", _h3r3(), (g, cps.j, cps.e))
@@ -907,7 +907,7 @@ def test_each_identity_is_checked_once(capsys, monkeypatch, request, command, fl
     path = request.getfixturevalue("cps_file" if flat else "nonflat_cps_file")
     with open(path) as fh:
         data = json.load(fh)
-    j, e = (QMatrix.from_json(data[k]["matrix"]) for k in "JE")
+    j, e = (QMatrix.from_json(data[k]["matrix"], k) for k in "JE")
     h = lift_cps(assemble_cps(_algebra_from_data(data["algebra"]), j, e))
     squared = {j, e, h.j1, h.j2, h.j3}
 

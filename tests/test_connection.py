@@ -7,19 +7,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cpslie.catalog import (
-    build_family,
-    eight_dim_example,
-    fried_example,
-    load_catalog,
-    witness_structure,
-)
+from cpslie.catalog import build_family, load_catalog, witness_structure
 from cpslie.connection import (
     GEODESIC_MAX_DEGREE,
     GEODESIC_POINT_BUDGET,
     Connection,
-    LSAProduct,
-    TorsionError,
     _grid,
     _grid_size,
     connection_is_complete_certificate,
@@ -27,22 +19,27 @@ from cpslie.connection import (
     curvature,
     exact_polynomial_geodesic_certificate,
     lsa_is_complete,
-    restrict_to_lsa,
-    ricci_via_trace_identity,
     torsion_defect,
 )
 from cpslie.hypercomplex import lift_cps
 from cpslie.lie import LieAlgebra, ThreeDimType, center, complexify_realified
-from cpslie.linalg import QMatrix, basis_vec, rank, vec
+from cpslie.linalg import QMatrix, basis_vec, vec
 from cpslie.salamon import parse_salamon
 from cpslie.structures import assemble_cps, rotate_product
 from examples import (
+    coordinates,
+    eight_dim_example,
     family_flatness_value,
+    fried_example,
     heisenberg_complex_examples,
     is_nilpotent,
     is_nilpotent_matrix,
     lower_central_series,
+    nablas,
+    rank,
     ref_parallel_defect,
+    restrict_to_lsa,
+    ricci_via_trace_identity,
     right_mult,
     vec_sub,
 )
@@ -59,7 +56,7 @@ def family_connection(family, params):
 
 def x_block(conn, i):
     """The 3x3 matrix X with nabla_{e_i} = diag(X, X) in the family bases."""
-    m = conn.nablas()[i]
+    m = nablas(conn)[i]
     plus = [[m.entry(r, c) for c in range(3)] for r in range(3)]
     minus = [[m.entry(3 + r, 3 + c) for c in range(3)] for r in range(3)]
     assert plus == minus, "nabla_z must act identically on both eigenspace bases"
@@ -76,7 +73,7 @@ def test_family_100_connection_matrices():
     assert x_block(conn, 1) == QMatrix([[0, 0, 0], [0, 0, 0], [f, 0, 0]])
     assert x_block(conn, 3) == QMatrix([[0, 0, 0], [-a, 0, 0], [-b, -e, 0]])
     assert x_block(conn, 4) == QMatrix([[0, 0, 0], [0, 0, 0], [-e, 0, 0]])
-    assert conn.nablas()[2].is_zero() and conn.nablas()[5].is_zero()
+    assert nablas(conn)[2].is_zero() and nablas(conn)[5].is_zero()
 
 
 def test_family_110_connection_matrices():
@@ -86,7 +83,7 @@ def test_family_110_connection_matrices():
     assert x_block(conn, 1) == QMatrix([[0, 0, 0], [0, 0, 0], [f, 0, 0]])
     assert x_block(conn, 3) == QMatrix([[0, 0, 0], [-a, 0, 0], [-b, -e, 0]])
     assert x_block(conn, 4) == QMatrix([[0, 0, 0], [0, 0, 0], [-e, 0, 0]])
-    assert conn.nablas()[2].is_zero() and conn.nablas()[5].is_zero()
+    assert nablas(conn)[2].is_zero() and nablas(conn)[5].is_zero()
 
 
 def test_family_connection_single_entry_example():
@@ -103,7 +100,7 @@ def test_abelian_cps_has_zero_connection():
     j = QMatrix.block([[z, i3.scale(-1)], [i3, z]])
     e = QMatrix.diag_blocks(i3, i3.scale(-1))
     conn = cp_connection(assemble_cps(g, j, e))
-    assert all(m.is_zero() for m in conn.nablas())
+    assert all(m.is_zero() for m in nablas(conn))
 
 
 def test_r4_connections_land_in_central_ideal():
@@ -117,9 +114,9 @@ def test_r4_connections_land_in_central_ideal():
         u_coords = {2, 5}
         for i in range(6):
             for jdx in range(6):
-                w = conn.apply(basis_vec(6, i), basis_vec(6, jdx))
+                w = conn.tensor.contract(basis_vec(6, i), basis_vec(6, jdx))
                 assert all(w[k] == 0 for k in range(6) if k not in u_coords)
-        assert conn.nablas()[2].is_zero() and conn.nablas()[5].is_zero()
+        assert nablas(conn)[2].is_zero() and nablas(conn)[5].is_zero()
 
 
 def test_torsion_defect_examples():
@@ -210,13 +207,6 @@ def test_ricci_vanishes_and_matches_trace_identity():
         assert ricci_via_trace_identity(conn) == rep.ricci
 
 
-def test_ricci_trace_identity_rejects_torsion():
-    h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
-    zero_conn = Connection(h3, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))
-    with pytest.raises(TorsionError):
-        ricci_via_trace_identity(zero_conn)
-
-
 def test_curvature_still_computed_with_torsion():
     h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
     zero_conn = Connection(h3, tensor_from_table([[(0, 0, 0)] * 3 for _ in range(3)]))
@@ -248,9 +238,9 @@ def test_restrict_to_lsa_abelian_side_is_trivial():
     p = restrict_to_lsa(cps, "minus")
     # abelian eigenspace of an abelian CPS on this family: the product is
     # commutative (torsion-free over a zero bracket), flat and complete, not zero
-    assert isinstance(p, LSAProduct) and p.algebra.structure.side.is_zero()
+    assert p.algebra.structure.side.is_zero()
     assert torsion_defect(p) == [] and curvature(p).is_flat
-    assert lsa_is_complete(p) and not p.nablas()[0].is_zero()
+    assert lsa_is_complete(p) and not nablas(p)[0].is_zero()
 
 
 def test_restrict_to_lsa_heisenberg_side_kills_center():
@@ -263,7 +253,7 @@ def test_restrict_to_lsa_heisenberg_side_kills_center():
         m = QMatrix.zeros(3, 3)
         for i, c in enumerate(zv):
             if c != 0:
-                m = m + p.nablas()[i].scale(c)
+                m = m + nablas(p)[i].scale(c)
         assert m.is_zero()
     assert lsa_is_complete(p)
 
@@ -282,32 +272,33 @@ def test_restrict_to_lsa_matches_per_pair_coordinates():
                 for a in range(m):
                     for b in range(m):
                         ea, eb = basis_vec(m, a), basis_vec(m, b)
-                        assert p.algebra.bracket(ea, eb) == sub.coordinates(g.bracket(basis[a], basis[b]))
-                        assert p.apply(ea, eb) == sub.coordinates(conn.apply(basis[a], basis[b]))
+                        assert p.algebra.bracket(ea, eb) == coordinates(sub, g.bracket(basis[a], basis[b]))
+                        assert p.tensor.contract(ea, eb) == coordinates(sub, conn.tensor.contract(basis[a], basis[b]))
 
 
 def test_fried_lsa_table():
     n4, lsa = fried_example()
     e = lambda i: basis_vec(4, i)  # noqa: E731
-    assert lsa.apply(e(1), e(3)) == vec((-1, 0, 0, 0))
-    assert lsa.apply(e(0), e(1)) == vec((0, 0, 1, 0))
+    assert lsa.tensor.contract(e(1), e(3)) == vec((-1, 0, 0, 0))
+    assert lsa.tensor.contract(e(0), e(1)) == vec((0, 0, 1, 0))
     for i in range(4):
         for jdx in range(4):
             lhs = vec(
                 tuple(
                     x - y
-                    for x, y in zip(lsa.apply(e(i), e(jdx)), lsa.apply(e(jdx), e(i)))
+                    for x, y in zip(lsa.tensor.contract(e(i), e(jdx)), lsa.tensor.contract(e(jdx), e(i)))
                 )
             )
             assert lhs == n4.bracket(e(i), e(jdx))
     assert lsa_is_complete(lsa)
-    assert not lsa.nablas()[3].is_zero()
+    assert not nablas(lsa)[3].is_zero()
 
 
 def test_lsa_completeness_counterexample():
     # x . y = x on a 1-dimensional algebra: right multiplication is the identity
     one = LieAlgebra.from_brackets(1, {})
-    p = LSAProduct(one, tensor_from_table([[(1,)]]))
+    p = Connection(one, tensor_from_table([[(1,)]]))
+    assert torsion_defect(p) == [] and curvature(p).is_flat
     assert not lsa_is_complete(p)
 
 
@@ -343,7 +334,7 @@ def test_geodesic_vector_field_matches_displayed_system():
     for _ in range(8):
         a1, a2, a3, b1, b2, b3 = (Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6))
         x = vec((a1, a2, a3, b1, b2, b3))
-        rhs = tuple(-t for t in conn.apply(x, x))
+        rhs = tuple(-t for t in conn.tensor.contract(x, x))
         expected = vec(
             (
                 0,
@@ -375,7 +366,7 @@ def test_ricci_against_brute_force_on_nonvanishing_example():
     assert not rep.is_flat and not rep.is_ricci_flat
 
     def r_operator(a, b):
-        na, nb = conn.nablas()[a], conn.nablas()[b]
+        na, nb = nablas(conn)[a], nablas(conn)[b]
         return na @ nb - nb @ na  # brackets vanish on an abelian algebra
 
     for i in range(4):
@@ -385,52 +376,44 @@ def test_ricci_against_brute_force_on_nonvanishing_example():
             assert rep.ricci.entry(i, jdx) == oracle
 
 
-def test_lsa_constructor_rejects_non_left_symmetric_product():
-    g = LieAlgebra.from_brackets(2, {})
-    z = (Q(0), Q(0))
-    gamma = [[(0, 1), (1, 0)], [(1, 0), z]]  # symmetric, so torsion-free
-    with pytest.raises(ValueError, match="not a left-symmetric product: the curvature"):
-        LSAProduct(g, tensor_from_table(gamma))
-    p = Connection(g, tensor_from_table(gamma))
-    assert torsion_defect(p) == [] and not curvature(p).is_flat
-    skew = [[z, (1, 0)], [z, z]]  # e_0 . e_1 - e_1 . e_0 = e_0 on an abelian algebra
-    with pytest.raises(ValueError, match="not a left-symmetric product: the torsion"):
-        LSAProduct(g, tensor_from_table(skew))
-    assert torsion_defect(Connection(g, tensor_from_table(skew)))
-
-
 def lsa_defects_by_products(p):
     """Reference: the LSA axioms evaluated product by product on basis triples."""
-    n = p.algebra.dim
+    n, dot = p.algebra.dim, p.tensor.contract
     e = [basis_vec(n, i) for i in range(n)]
     left = []
     for i in range(n):
         for jdx in range(n):
             for k in range(n):
-                lhs = vec_sub(p.apply(e[i], p.apply(e[jdx], e[k])), p.apply(p.apply(e[i], e[jdx]), e[k]))
-                rhs = vec_sub(p.apply(e[jdx], p.apply(e[i], e[k])), p.apply(p.apply(e[jdx], e[i]), e[k]))
+                lhs = vec_sub(dot(e[i], dot(e[jdx], e[k])), dot(dot(e[i], e[jdx]), e[k]))
+                rhs = vec_sub(dot(e[jdx], dot(e[i], e[k])), dot(dot(e[jdx], e[i]), e[k]))
                 if lhs != rhs:
                     left.append((i, jdx, k))
     compat = [
         (i, jdx)
         for i in range(n)
         for jdx in range(i + 1, n)
-        if vec_sub(p.apply(e[i], e[jdx]), p.apply(e[jdx], e[i])) != p.algebra.bracket(e[i], e[jdx])
+        if vec_sub(dot(e[i], e[jdx]), dot(e[jdx], e[i])) != p.algebra.bracket(e[i], e[jdx])
     ]
     return {"left_symmetry": left, "compatibility": compat}
 
 
 def test_lsa_product_accepts_exactly_what_the_product_reference_accepts():
-    """`LSAProduct` checks torsion and flatness; the reference checks the LSA
-    axioms product by product.  One accepts exactly when the other does, and
-    a rejection names the torsion when compatibility fails."""
+    """An LSA is checked as a connection with no `torsion_defect` and a flat
+    `curvature`; the reference checks the LSA axioms product by product.  The
+    torsion is zero exactly when compatibility holds, and then the curvature
+    is flat exactly when left symmetry holds."""
     rng = random.Random(2006)
     algebras = [LieAlgebra.from_brackets(3, {}), parse_salamon("(0,0,12)"), parse_salamon("(0,0,12,13)")]
 
     def entry():
         return Q(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.2 else Q(0)
 
-    seen, accepted = set(), 0
+    # two planted products on an abelian plane: a symmetric one, torsion-free
+    # but not flat, and e_0 . e_1 = e_0 alone, which has torsion
+    plane, z = LieAlgebra.from_brackets(2, {}), (0, 0)
+    conns = [Connection(plane, tensor_from_table([[(0, 1), (1, 0)], [(1, 0), z]]))]
+    conns.append(Connection(plane, tensor_from_table([[z, (1, 0)], [z, z]])))
+    assert torsion_defect(conns[0]) == [] and not curvature(conns[0]).is_flat and torsion_defect(conns[1])
     for trial in range(120):
         g = algebras[trial % len(algebras)]
         n = g.dim
@@ -440,25 +423,26 @@ def test_lsa_product_accepts_exactly_what_the_product_reference_accepts():
             for i in range(n):
                 for jdx in range(i + 1, n):
                     gamma[jdx][i] = list(vec_sub(gamma[i][jdx], g.bracket(basis_vec(n, i), basis_vec(n, jdx))))
-        expected = lsa_defects_by_products(Connection(g, tensor_from_table(gamma)))
+        conns.append(Connection(g, tensor_from_table(gamma)))
+    seen, accepted = set(), 0
+    for conn in conns:
+        expected = lsa_defects_by_products(conn)
         seen.add((bool(expected["compatibility"]), bool(expected["left_symmetry"])))
-        if expected == {"left_symmetry": [], "compatibility": []}:
-            LSAProduct(g, tensor_from_table(gamma))
-            accepted += 1
-        else:
-            stage = "torsion" if expected["compatibility"] else "curvature"
-            with pytest.raises(ValueError, match=f"not a left-symmetric product: the {stage}"):
-                LSAProduct(g, tensor_from_table(gamma))
+        torsion_free = torsion_defect(conn) == []
+        assert torsion_free == (expected["compatibility"] == [])
+        if torsion_free:
+            assert curvature(conn).is_flat == (expected["left_symmetry"] == [])
+        accepted += expected == {"left_symmetry": [], "compatibility": []}
     # both outcomes of each axiom occur among the random connections
     assert {c for c, _ in seen} == {l for _, l in seen} == {False, True}
     assert 0 < accepted < 120
-    # the constructor accepts every LSA the package builds, and so does the reference
+    # every LSA the package builds or carries passes both checks, and the reference
     lsas = [fried_example()[1]]
     cases = [cps for _, cps in heisenberg_complex_examples()]
     cases += [witness_structure(w)[1] for entry in load_catalog() for w in entry.witnesses]
     lsas += [restrict_to_lsa(cps, side) for cps in cases for side in ("plus", "minus")]
     for p in lsas:
-        assert isinstance(p, LSAProduct)
+        assert torsion_defect(p) == [] and curvature(p).is_flat
         assert lsa_defects_by_products(p) == {"left_symmetry": [], "compatibility": []}
 
 
@@ -477,11 +461,11 @@ def test_left_right_nilpotency_equivalence():
     # aff(R), [e1, e2] = e2; its CPS is J = [[0, -1], [1, 0]], E = diag(1, -1)
     g = LieAlgebra.from_brackets(2, {(0, 1): {1: 1}})
     cps = assemble_cps(g, QMatrix([[0, -1], [1, 0]]), QMatrix([[1, 0], [0, -1]]))
-    aff = [LSAProduct(g, tensor_from_table([[(0, 0), (0, 1)], [(0, 0), (0, 0)]])), cps.connection]
-    assert flat and curvature(aff[1]).is_flat and torsion_defect(aff[1]) == []
+    aff = [Connection(g, tensor_from_table([[(0, 0), (0, 1)], [(0, 0), (0, 0)]])), cps.connection]
+    assert flat and all(torsion_defect(p) == [] and curvature(p).is_flat for p in aff)
     verdicts = []
     for p in lsas + flat + [fried_example()[1]] + aff:
-        n, lefts = p.algebra.dim, p.nablas()
+        n, lefts = p.algebra.dim, nablas(p)
         rights = [right_mult(p, j) for j in range(n)]
         complete = lsa_is_complete(p)
         assert complete == all(map(is_nilpotent_matrix, rights))
@@ -492,7 +476,7 @@ def test_left_right_nilpotency_equivalence():
             assert rights[j].trace() == lefts[j].trace() - ad.trace()
         verdicts.append(complete)
     assert verdicts == [True] * (len(verdicts) - 1) + [False]
-    assert [right_mult(p, 0).trace() for p in aff] == [0, 1] and aff[0].nablas()[0].trace() == 1
+    assert [right_mult(p, 0).trace() for p in aff] == [0, 1] and nablas(aff[0])[0].trace() == 1
 
 
 def nonflat_witness_structures():
@@ -532,7 +516,7 @@ def test_exact_and_numeric_completeness_agree_on_benchmark_inputs(capsys, tmp_pa
         assert completeness == json.loads(capsys.readouterr().out)
         with open(command.argv[command.argv.index("--cps") + 1]) as fh:
             data = json.load(fh)
-        cps = assemble_cps(algebra_from_json(data["algebra"]), endo_from_json(data["J"]), endo_from_json(data["E"]))
+        cps = assemble_cps(algebra_from_json(data["algebra"]), endo_from_json(data["J"], "J"), endo_from_json(data["E"], "E"))
         assert completeness["verdict"] is True
         assert completeness["details"]["degree"] == taylor_least_degree(cp_connection(cps), seed=seed) == 2
 
@@ -573,7 +557,7 @@ def test_one_entry_perturbation_fails_the_exact_certificate():
     assert cert["method"] == "exact-polynomial-geodesic" and cert["details"]["degree"] == taylor_least_degree(conn) == 2
     # nabla_{e1} e2 gains an e2 component
     e = lambda i: basis_vec(6, i)  # noqa: E731
-    gamma = [[conn.apply(e(i), e(j)) for j in range(6)] for i in range(6)]
+    gamma = [[conn.tensor.contract(e(i), e(j)) for j in range(6)] for i in range(6)]
     gamma[0][1] = tuple(c + (k == 1) for k, c in enumerate(gamma[0][1]))
     perturbed = Connection(conn.algebra, tensor_from_table(gamma))
     # no degree up to the cap passes, on the grid or at the numeric starts,
@@ -642,7 +626,7 @@ def padded_eight_dim(n):
     eight = quartic_examples()["eight_dim"]
     e = lambda i: basis_vec(8, i)  # noqa: E731
     pad = (0,) * (n - 8)
-    gamma = [[tuple(eight.apply(e(i), e(j))) + pad if max(i, j) < 8 else (0,) * n for j in range(n)] for i in range(n)]
+    gamma = [[tuple(eight.tensor.contract(e(i), e(j))) + pad if max(i, j) < 8 else (0,) * n for j in range(n)] for i in range(n)]
     return Connection(LieAlgebra.from_brackets(n, eight.algebra.brackets()), tensor_from_table(gamma))
 
 

@@ -2,10 +2,13 @@
 
 Each example runs `cli.main` in-process on a mutated input: a valid
 `--cps` file with one to three subtrees replaced or deleted, an
-`--algebra` JSON file mutated the same way, or a tuple string.  Every
-run prints exactly one JSON document on stdout, nothing on stderr, and
-exits 0 or 1.  The examples are derandomized and their number bounded,
-so the suite is reproducible and the fuzzer costs a few seconds.
+`--algebra` JSON file mutated the same way, a tuple string or a seed.
+Keys, literals, tuple strings and seeds of up to 5,000 characters are
+among them.  Every run prints exactly one JSON document on stdout,
+nothing on stderr, and exits 0 or 1; an error is one line of less than
+512 bytes, which quotes a long input only up to a fixed length.  The
+examples are derandomized and their number bounded, so the suite is
+reproducible and the fuzzer costs a few seconds.
 """
 
 import contextlib
@@ -60,15 +63,32 @@ SETTINGS = settings(
 # string, and, through the placeholder LONG_INT, as a bare JSON integer
 LONG = "1" * 5000
 LONG_INT = "<bare JSON integer LONG>"
+# a JSON integer that int() reads, but that a message must not quote in full
+BIG = int("1" * 4000)
 
-KEYS = st.sampled_from(["dim", "brackets", "i", "j", "coeffs", "matrix", "salamon", "algebra", "J", "E", "1", "4", LONG])
+
+def long_strings(pieces):
+    """Strings of up to 5,000 characters: a short piece repeated, so that long ones are common."""
+    return st.builds(lambda piece, count: (piece * count)[:5000], pieces, st.integers(1, 5000))
+
+
+LONG_TEXT = long_strings(
+    st.one_of(st.sampled_from(["1", "x", "1/", "0,", "\\", '"', "\U0001f600"]), st.text(min_size=1, max_size=3))
+)
+
+KEYS = st.one_of(
+    st.sampled_from(["dim", "brackets", "i", "j", "coeffs", "matrix", "salamon", "algebra", "J", "E", "1", "4", LONG]),
+    LONG_TEXT,
+)
 LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 20),
+    st.just(BIG),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(["0", "1", "-1", "1/2", "1/0", "nan", "1e999", "", ROW, "(0,0,12)", "04", "x", LONG, LONG_INT]),
     st.text(max_size=4),
+    LONG_TEXT,
 )
 VALUES = st.recursive(
     LEAVES,
@@ -83,7 +103,10 @@ TUPLES = st.one_of(
     st.lists(st.sampled_from(["0", "12", "13", "14+23", "-24", "42", "12+12", "99"]), min_size=1, max_size=8).map(
         lambda entries: "(" + ",".join(entries) + ")"
     ),
+    long_strings(st.sampled_from(["0,", "12+", "1", " ", "(", "(0,0,12)"])).map(lambda text: "(" + text[:4999]),
+    long_strings(st.text(alphabet="()0123456789,+- ", min_size=1, max_size=3)),
 )
+SEEDS = st.one_of(st.integers(-(10**6), 10**6).map(str), LONG_TEXT, long_strings(st.sampled_from(["1", "9", "-1"])))
 
 
 def _paths(doc, path=()):
@@ -122,16 +145,20 @@ ENTRIES = tuple(f"malformed input in {entry!r}: " for entry in ("algebra", "J", 
 
 def run(argv):
     """(exit code, the one JSON document on stdout) of `cli.main`; fails on a
-    warning, on anything on stderr, on any other exit code and on a
-    "malformed input" error that names no entry of the input."""
+    warning, on anything on stderr, on any other exit code, on an error
+    that is not one line of less than 512 bytes and on a "malformed input"
+    error that names no entry of the input."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
     assert err.getvalue() == "", argv
     assert code in (0, 1), argv
-    payload = json.loads(out.getvalue(), parse_constant=_no_constant)
+    text = out.getvalue()
+    payload = json.loads(text, parse_constant=_no_constant)
     error = payload.get("error", "") if isinstance(payload, dict) else ""
+    if error and set(payload) <= {"error", "position"}:
+        assert text.count("\n") == 1 and len(text.encode()) < 512, text[:600]
     assert not error.startswith("malformed input") or error.startswith(ENTRIES), error
     return code, payload
 
@@ -172,18 +199,54 @@ def test_malformed_input_names_its_entry(tmp_path, doc, error):
         ),
         (
             {**CPS, "algebra": {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": LONG}}]}},
-            "rational literal of 5000 characters has too many digits",
+            "coefficient 4 of pair (1,2): rational literal of 5000 characters has too many digits",
         ),
-        ({**CPS, "J": {"matrix": [[LONG] * 6] * 6}}, "rational literal of 5000 characters has too many digits"),
+        ({**CPS, "J": {"matrix": [[LONG] * 6] * 6}}, "entry (1,1) of J: rational literal of 5000 characters has too many digits"),
         ({**CPS, "algebra": {**ALGEBRA, "dim": LONG_INT}}, "JSON integer of 5000 characters has too many digits"),
     ],
     ids=["index-key", "coefficient", "matrix-entry", "dim"],
 )
 def test_an_oversized_number_gets_a_short_error_of_its_own(tmp_path, doc, error):
     """A number of more digits than int() reads gets the package's message,
-    which does not quote it, not Python's integer-conversion limit."""
+    which does not quote it, not Python's integer-conversion limit; the
+    message of a coefficient names its pair and index, and that of a
+    matrix entry names the matrix and the entry."""
     code, payload = run(["check-structure", "--cps", _write(tmp_path / "cps.json", doc)])
     assert (code, payload) == (1, {"error": error})
+
+
+LONG_X = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, cps, named",
+    [
+        (["parse", ROW, "--seed", LONG], None, "argument --seed: invalid int value: '1111"),
+        (["nonexistence", LONG_X], None, "... (5000 characters) is not one of the excluded algebras"),
+        (
+            ["check-structure", "--cps"],
+            json.dumps({**CPS, "algebra": {"dim": 6, "brackets": [{"i": 1, "j": 2, "coeffs": {LONG_X: "1"}}]}}),
+            "... (5000 characters) of pair (1,2) must be a decimal integer",
+        ),
+        (
+            ["check-structure", "--cps"],
+            json.dumps({**CPS, "J": {"matrix": [[LONG_X] * 6] * 6}}),
+            "entry (1,1) of J: not a rational literal (an integer or p/q): 'xxxx",
+        ),
+        (["check-structure", "--cps"], '{"%s": 1, "%s": 2}' % (LONG_X, LONG_X), "... (5000 characters) appears twice"),
+    ],
+    ids=["seed", "tuple-string", "index-key", "matrix-entry", "duplicate-key"],
+)
+def test_a_long_input_gets_one_short_error_line(tmp_path, argv, cps, named):
+    """An input of 5,000 characters is quoted only up to a fixed length, so
+    its error is one JSON line of less than 512 bytes (`run` checks that),
+    and the line says where the input is."""
+    if cps is not None:
+        path = tmp_path / "cps.json"
+        path.write_text(cps)
+        argv = argv + [str(path)]
+    code, payload = run(argv)
+    assert code == 1 and named in payload["error"], payload
 
 
 @SETTINGS
@@ -206,3 +269,9 @@ def test_tuple_string(tmp_path, text, command):
         run([command, "--cps", _write(tmp_path / "cps.json", CPS), "--algebra", text])
     else:
         run([command, text])
+
+
+@SETTINGS
+@given(seed=SEEDS, command=st.sampled_from(SALAMON_COMMANDS))
+def test_seed(seed, command):
+    run([command, ROW, "--seed", seed])

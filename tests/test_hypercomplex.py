@@ -7,7 +7,7 @@ from cpslie.hypercomplex import lift_cps
 from cpslie.lie import LieAlgebra
 from cpslie.linalg import QMatrix, basis_vec
 from cpslie.structures import assemble_cps
-from examples import SPLIT_E, heisenberg_complex_examples, is_abelian_complex, split_cps
+from examples import SPLIT_E, col, heisenberg_complex_examples, is_abelian_complex, split_cps
 
 
 def hat(i):
@@ -29,19 +29,19 @@ def test_lift_reproduces_flat_structure_table():
     assert h.algebra.dim == 12
     # I1 e1 = hat e1, I1 e2 = -hat e2, paired signs on (e3,e4), (e5,e6)
     for i, sign in ((0, 1), (1, -1), (2, 1), (3, -1), (4, 1), (5, -1)):
-        assert h.j1.col(i) == tuple(Q(sign) * x for x in hat(i))
+        assert col(h.j1, i) == tuple(Q(sign) * x for x in hat(i))
     # J acts the same on both copies: J e1 = -e2, J hat e1 = -hat e2
-    assert h.j2.col(0) == tuple(-x for x in plain(1))
-    assert h.j2.col(6) == tuple(-x for x in hat(1))
-    assert h.j2.col(2) == tuple(-x for x in plain(3))
-    assert h.j2.col(4) == tuple(-x for x in plain(5))
+    assert col(h.j2, 0) == tuple(-x for x in plain(1))
+    assert col(h.j2, 6) == tuple(-x for x in hat(1))
+    assert col(h.j2, 2) == tuple(-x for x in plain(3))
+    assert col(h.j2, 4) == tuple(-x for x in plain(5))
 
 
 def test_lift_reproduces_nonflat_structure_table():
     _, cps = split_cps("split-nonflat")
     h = lift_cps(cps)
     for i, sign in ((0, 1), (3, 1), (5, 1), (1, -1), (2, -1), (4, -1)):
-        assert h.j1.col(i) == tuple(Q(sign) * x for x in hat(i))
+        assert col(h.j1, i) == tuple(Q(sign) * x for x in hat(i))
 
 
 def test_lift_bracket_table_matches_doubling_rules():

@@ -11,32 +11,22 @@ Every exception class the package defines is raised somewhere in it, so
 a failure path whose check was removed does not leave its class behind.
 A report is the payload dict its command prints: only the matrix, subspace
 and check-list classes serialize themselves.
-The package is what its commands run: every definition is reached from
-the CLI, from the benchmark's imports or from a short allowlist.
+The package is what its commands run: every definition, and every name
+it exports, is reached from the CLI, from the benchmark's imports or from
+the methods the benchmark's tracer wraps.
 """
 
 import ast
 import builtins
 import pkgutil
 import textwrap
+import types
 from pathlib import Path
 
 import cpslie
 
 SOURCES = sorted(Path(cpslie.__file__).parent.glob("*.py"))
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-# Definitions no command reaches yet, each kept for the ROADMAP item that
-# will reach it from a command.  An entry goes once something else reaches
-# it or it no longer exists.
-ALLOWLIST = {
-    "restrict_to_lsa": "item 1",
-    "ascending_series": "item 1",
-    "find_central_invariant_ideal": "item 1",
-    "ricci_via_trace_identity": "item 1",
-    "eight_dim_example": "item 1",
-    "rank": "item 2",
-}
 
 
 def package_nodes():
@@ -100,31 +90,29 @@ def test_the_cps_axioms_are_checked_only_in_assemble_cps():
 
 
 def test_an_lsa_is_checked_as_a_flat_torsion_free_connection():
-    """One validation path: `LSAProduct.__init__` runs the connection's own
-    torsion and curvature checks, and the commutator kernel has the one
-    caller `curvature`, so no second left-symmetry kernel exists."""
-    callers = {"_commutator_defects": set(), "torsion_defect": set(), "curvature": set()}
-    for file_name, owner, name in calls_by_function():
-        if name in callers:
-            callers[name].add((file_name, owner))
-    assert callers["_commutator_defects"] == {("connection.py", "curvature")}
-    assert ("connection.py", "__init__") in callers["torsion_defect"] & callers["curvature"]
+    """One validation path: an LSA is a `Connection` with no `torsion_defect`
+    and a flat `curvature`, with no class of its own, and the commutator
+    kernel has the one caller `curvature`, so no second left-symmetry kernel
+    exists."""
+    callers = {(file_name, owner) for file_name, owner, name in calls_by_function() if name == "_commutator_defects"}
+    assert callers == {("connection.py", "curvature")}
+    subclasses = [
+        node.name
+        for _, node in package_nodes()
+        if isinstance(node, ast.ClassDef) and "Connection" in {getattr(b, "id", None) for b in node.bases}
+    ]
+    assert subclasses == []
 
 
 def test_completeness_has_one_certificate_and_torsion_one_check_per_connection():
     """The trace criterion is the one completeness certificate of an LSA: no
     definition, call or import of the package is named `is_nilpotent*`, and a
     curvature report carries no connection to check again.  Torsion is
-    checked where a connection is certified (`assemble_cps`, `LSAProduct`)
-    and where the Ricci trace identity needs it, nowhere else."""
+    checked once, where the cp connection is certified: in `assemble_cps`."""
     from cpslie.connection import CurvatureReport
 
     callers = {(file_name, owner) for file_name, owner, name in calls_by_function() if name == "torsion_defect"}
-    assert callers == {
-        ("structures.py", "assemble_cps"),
-        ("connection.py", "__init__"),
-        ("connection.py", "ricci_via_trace_identity"),
-    }
+    assert callers == {("structures.py", "assemble_cps")}
     names = [
         (path.name, node.lineno, name)
         for path, node in package_nodes()
@@ -137,8 +125,8 @@ def test_completeness_has_one_certificate_and_torsion_one_check_per_connection()
 
 def test_the_elimination_normalizes_once():
     """One normalization per elimination: `_rref` returns the canonical
-    unit-pivot rows, and its readers (`Subspace`, `kernel`, `inverse`, `rank`)
-    take no gcd or lcm of their own; the other callers bring sums, blocks and
+    unit-pivot rows, and its readers (`Subspace`, `kernel`, `inverse`) take
+    no gcd or lcm of their own; the other callers bring sums, blocks and
     outside input to one denominator."""
     owners = {owner for file_name, owner, name in calls_by_function() if file_name == "linalg.py" and name in ("gcd", "lcm")}
     assert owners == {"_scaled", "_matrix", "block", "_combine", "_rref"}
@@ -243,19 +231,19 @@ def definitions(sources):
     return defs, module_level
 
 
-def unreached(sources, roots, allowlist):
-    """(definitions in `sources` that nothing reaches, stale allowlist entries), both sorted.
+def reachability(sources, roots, methods=()):
+    """(every definition in `sources`, by key, the keys reached, the sorted roots that name nothing).
 
     A call graph by reference: a bare name that is loaded reaches every
     function and class of that name, in any module, but no method; an
     attribute that is loaded (`x.name`) reaches every definition of that
     name, methods too; a name that is stored reaches nothing.  A class
     brings its dunder methods and its overrides of methods of a base class
-    from outside the package.  Reaching starts from module-level code and
-    the names in `roots` and `allowlist`, each of which reaches every
-    definition of that name.  An allowlist entry is stale when no
-    definition has its name or when the other roots and entries already
-    reach it.
+    from outside the package.  Reaching starts from module-level code, from
+    the names in `roots`, each of which reaches every definition of that
+    name, and from the (module, class, method) triples in `methods`, each
+    of which reaches the one method with the key "module.class.method".  A
+    root names nothing when no definition has its name or its key.
     """
     defs, (module_names, module_attributes) = definitions(sources)
     by_name, functions, brought = {}, {}, {}
@@ -271,23 +259,28 @@ def unreached(sources, roots, allowlist):
             key for name in attributes for key in by_name.get(name, ())
         ]
 
-    def reach(root_names):
-        reached = set()
-        todo = targets(module_names, module_attributes) + [key for name in root_names for key in by_name.get(name, ())]
-        while todo:
-            key = todo.pop()
-            if key not in reached:
-                reached.add(key)
-                todo += targets(*defs[key][1]) + brought.get(key, [])
-        return reached
+    method_keys = {".".join(triple) for triple in methods}
+    root_keys = [key for name in roots for key in by_name.get(name, ())] + sorted(method_keys & set(defs))
+    reached, todo = set(), targets(module_names, module_attributes) + root_keys
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo += targets(*defs[key][1]) + brought.get(key, [])
+    missing = sorted({name for name in roots if name not in by_name} | method_keys - set(defs))
+    return defs, reached, missing
 
-    reached = reach(set(roots) | set(allowlist))
-    stale = [
-        name
-        for name in allowlist
-        if name not in by_name or set(by_name[name]) <= reach(set(roots) | set(allowlist) - {name})
-    ]
-    return sorted(set(defs) - reached), sorted(stale)
+
+def unreached(sources, roots, methods=()):
+    """(definitions in `sources` that nothing reaches, roots that name nothing), both sorted."""
+    defs, reached, missing = reachability(sources, roots, methods)
+    return sorted(set(defs) - reached), missing
+
+
+def unreached_exports(sources, roots, methods, exports):
+    """The names in `exports` that no reached module-level definition of `sources` has, sorted."""
+    _, reached, _ = reachability(sources, roots, methods)
+    return sorted(set(exports) - {key.partition(".")[2] for key in reached if key.count(".") == 1})
 
 
 def bench_imports(bench):
@@ -301,52 +294,93 @@ def bench_imports(bench):
     }
 
 
+def bench_methods(bench):
+    """The (layer, class, method) triples of `METHODS` in `bench/spans.py`, which its tracer wraps by name."""
+    tree = ast.parse((bench / "spans.py").read_text())
+    return {
+        triple
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "METHODS" for t in node.targets)
+        for triple in ast.literal_eval(node.value)
+    }
+
+
+ROOTS = {"main"} | bench_imports(BENCH)
+METHODS = bench_methods(BENCH)
+
+
 def test_every_definition_is_reached_from_a_command():
     """Every function, method and class of the package is reached from
     `cli.main` and module-level code (`cli.COMMANDS`), from a name that the
-    benchmark scripts import, or from `ALLOWLIST`.  Since the benchmark's
-    imports are roots, each must name a definition: deleting one of them
-    (`witness_structure`, `cp_connection`, `load_catalog`) fails here, in
-    tier-1, and not only when the benchmark runs."""
-    roots = {"main"} | bench_imports(BENCH)
-    defined = {name for name, _, _, _ in definitions(SOURCES)[0].values()}
-    assert sorted(roots - defined) == []
-    assert unreached(SOURCES, roots, ALLOWLIST) == ([], [])
+    benchmark scripts import, or from a method that the benchmark's tracer
+    wraps.  Since those are roots, each must name a definition: deleting one
+    of them (`witness_structure`, `cp_connection`, `load_catalog`,
+    `QMatrix.apply`) fails here, in tier-1, and not only when the benchmark
+    runs."""
+    assert METHODS >= {("linalg", "QMatrix", "apply"), ("lie", "LieAlgebra", "bracket")}
+    assert unreached(SOURCES, ROOTS, METHODS) == ([], [])
+
+
+def test_every_export_is_reached_from_a_command():
+    """Each name that `cpslie` exports, its modules aside, is a module-level
+    definition of the package that the roots reach."""
+    exports = {name for name in cpslie.__all__ if not isinstance(getattr(cpslie, name), types.ModuleType)}
+    assert {"assemble_cps", "QMatrix", "verify_table"} <= exports
+    assert unreached_exports(SOURCES, ROOTS, METHODS, exports) == []
+
+
+PLANTED = textwrap.dedent('''
+    import argparse
+
+    def main():
+        unused = helper()  # a local named like the method Box.unused
+        return unused, Parser()
+
+    def helper():
+        return Box()
+
+    def orphan():
+        return 1
+
+    class Box:
+        def __init__(self):
+            pass
+
+        def unused(self):
+            pass
+
+        def wrapped(self):
+            pass
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
+
+        def fresh(self):
+            pass
+''')
 
 
 def test_the_reachability_guard_reports_planted_faults(tmp_path):
-    """An unreached function or method is reported; so is an allowlist entry
-    that names nothing or that the roots already reach.  A local variable
-    named like a method does not reach it; a method that argparse calls, as
-    an override of its own, is reached."""
+    """An unreached function or method is reported; so is a root name or a
+    method triple that names nothing.  A local variable named like a method
+    does not reach it; a method that argparse calls, as an override of its
+    own, is reached; a method triple reaches its method and nothing else."""
     source = tmp_path / "mod.py"
-    source.write_text(textwrap.dedent('''
-        import argparse
+    source.write_text(PLANTED)
+    assert unreached([source], {"main"}) == (
+        ["mod.Box.unused", "mod.Box.wrapped", "mod.Parser.fresh", "mod.orphan"], []
+    )
+    methods = {("mod", "Box", "wrapped"), ("mod", "Box", "gone")}
+    assert unreached([source], {"main", "orphan", "missing"}, methods) == (
+        ["mod.Box.unused", "mod.Parser.fresh"], ["missing", "mod.Box.gone"]
+    )
 
-        def main():
-            unused = helper()  # a local named like the method Box.unused
-            return unused, Parser()
 
-        def helper():
-            return Box()
-
-        def orphan():
-            return 1
-
-        class Box:
-            def __init__(self):
-                pass
-
-            def unused(self):
-                pass
-
-        class Parser(argparse.ArgumentParser):
-            def error(self, message):
-                raise ValueError(message)
-
-            def fresh(self):
-                pass
-    '''))
-    assert unreached([source], {"main"}, {}) == (["mod.Box.unused", "mod.Parser.fresh", "mod.orphan"], [])
-    allowlist = {"orphan": "", "helper": "", "gone": ""}
-    assert unreached([source], {"main"}, allowlist) == (["mod.Box.unused", "mod.Parser.fresh"], ["gone", "helper"])
+def test_the_export_guard_reports_planted_faults(tmp_path):
+    """An exported name whose definition nothing reaches, or that names no
+    module-level definition (a method, a stale name), is reported."""
+    source = tmp_path / "mod.py"
+    source.write_text(PLANTED)
+    exports = {"main", "helper", "Box", "Parser", "orphan", "unused", "gone"}
+    assert unreached_exports([source], {"main"}, (), exports) == ["gone", "orphan", "unused"]

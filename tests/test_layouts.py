@@ -29,7 +29,6 @@ from cpslie.connection import (
     Connection,
     cp_connection,
     curvature,
-    ricci_via_trace_identity,
     torsion_defect,
 )
 from cpslie.hypercomplex import lift_cps
@@ -40,7 +39,6 @@ from cpslie.linalg import (
     Subspace,
     basis_vec,
     kernel,
-    rank,
     reshaped,
     right_product,
     swapped,
@@ -48,11 +46,14 @@ from cpslie.linalg import (
 )
 from cpslie.structures import _integrability_defect, assemble_cps
 from examples import (
+    col,
     dense_conjugator,
     intersect,
     is_abelian_complex,
     is_quaternion_triple,
+    rank,
     ref_parallel_defect,
+    ricci_via_trace_identity,
     validate_cps,
 )
 from table_helper import tensor_from_table
@@ -69,10 +70,10 @@ def ref_integrability_defect(g, a, sign):
     n = g.dim
     for i in range(n):
         ad_i = g.ad_vector(basis_vec(n, i))
-        ad_ai = g.ad_vector(a.col(i))
+        ad_ai = g.ad_vector(col(a, i))
         d = a @ ad_i - ad_ai - ad_i @ a - (a @ ad_ai @ a).scale(sign)
         if not d.is_zero():
-            out.extend((i, b, d.col(b)) for b in range(i + 1, n) if any(r[b] for r in d.num))
+            out.extend((i, b, col(d, b)) for b in range(i + 1, n) if any(r[b] for r in d.num))
     return out
 
 
@@ -105,20 +106,20 @@ def ref_cp_connection(cps):
     lm, rm = -(pim @ j), j @ pim
     nablas = []
     for i in range(g.dim):
-        ap = g.ad_vector(pip.col(i))
-        am = g.ad_vector(pim.col(i))
+        ap = g.ad_vector(col(pip, i))
+        am = g.ad_vector(col(pim, i))
         nablas.append(lp @ ap @ rp + pim @ ap @ pim + lm @ am @ rm + pip @ am @ pip)
-    return Connection(g, tensor_from_table([[m.col(jdx) for jdx in range(g.dim)] for m in nablas]))
+    return Connection(g, tensor_from_table([[col(m, jdx) for jdx in range(g.dim)] for m in nablas]))
 
 
 def ref_change_basis(g, p):
     pinv = p.inverse()
-    slices = [pinv @ g.ad_vector(p.col(i)) @ p for i in range(g.dim)]
-    return LieAlgebra(tensor_from_table([[m.col(jdx) for jdx in range(g.dim)] for m in slices]))
+    slices = [pinv @ g.ad_vector(col(p, i)) @ p for i in range(g.dim)]
+    return LieAlgebra(tensor_from_table([[col(m, jdx) for jdx in range(g.dim)] for m in slices]))
 
 
 def ref_is_abelian(g, j):
-    return all(g.ad_vector(j.col(i)) @ j == g.ad_vector(basis_vec(g.dim, i)) for i in range(g.dim))
+    return all(g.ad_vector(col(j, i)) @ j == g.ad_vector(basis_vec(g.dim, i)) for i in range(g.dim))
 
 
 def ref_ricci_via_trace_identity(conn):

@@ -16,11 +16,20 @@ from cpslie.lie import (
     complexify_realified,
     iso_type_3d,
     jacobi_defect,
+)
+from cpslie.linalg import QMatrix, SparseTensor, Subspace, basis_vec, vec
+from cpslie.salamon import parse_salamon
+from examples import (
+    NotLie,
+    bracket_subspaces,
+    d_squared_is_zero,
+    eight_dim_example,
+    from_cols,
+    is_nilpotent,
+    lower_central_series,
+    rank,
     semidirect_product,
 )
-from cpslie.linalg import QMatrix, SparseTensor, Subspace, basis_vec, rank, vec
-from cpslie.salamon import parse_salamon
-from examples import NotLie, bracket_subspaces, d_squared_is_zero, is_nilpotent, lower_central_series
 from table_helper import tensor_from_table
 
 E = lambda i: basis_vec(6, i)  # noqa: E731
@@ -185,8 +194,6 @@ def test_semidirect_checks_action_shapes(action):
 
 
 def test_semidirect_fried_center():
-    from cpslie.catalog import eight_dim_example
-
     g, _ = eight_dim_example()
     assert g.dim == 8
     assert jacobi_defect(g.structure) == []
@@ -242,7 +249,7 @@ def test_change_basis_identity_and_swap():
     g = parse_salamon("(0,0,0,12,13,24)")
     assert change_basis(g, QMatrix.identity(6)) == g
 
-    swap = QMatrix.from_cols([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
+    swap = from_cols([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
     swapped = change_basis(H3, swap)
     assert swapped.bracket((1, 0, 0), (0, 1, 0)) == vec((0, 0, -1))
 
@@ -266,7 +273,7 @@ def test_change_basis_family_reduction():
     v4 = vec((0, 0, 0, 0, a, 0))
     v5 = tuple(a * x for x in (0, a, b, 0, c, d))
     v6 = tuple(-a * a * x for x in (0, 0, e, 0, 0, f))
-    p = QMatrix.from_cols([v1, v2, v3, v4, v5, v6])
+    p = from_cols([v1, v2, v3, v4, v5, v6])
     assert change_basis(g, p) == parse_salamon("(0,0,0,0,12,14+25)")
 
 

@@ -16,9 +16,8 @@ from cpslie.linalg import (
     basis_vec,
     kernel,
     q,
-    rank,
 )
-from examples import intersect, is_nilpotent_matrix, preimage
+from examples import fried_example, intersect, is_nilpotent_matrix, nablas, preimage, rank
 
 # ----------------------------------------------------------------------
 # examples
@@ -67,10 +66,8 @@ def test_nilpotency_examples():
 
 
 def test_nilpotency_fried_matrix_cubes_to_zero():
-    from cpslie.catalog import fried_example
-
     _, lsa = fried_example()
-    m = lsa.nablas()[0]
+    m = nablas(lsa)[0]
     assert (m @ m @ m).is_zero()  # independent of the squaring route
     assert is_nilpotent_matrix(m)
 
@@ -99,7 +96,7 @@ def test_intersect_examples():
 
 
 def test_intersect_full_and_zero():
-    full, zero = Subspace(QMatrix.identity(3)), Subspace.zero(3)
+    full, zero = Subspace(QMatrix.identity(3)), Subspace(QMatrix.zeros(0, 3))
     assert intersect(full, full) == full
     assert intersect(full, zero) == zero
     assert intersect(zero, full) == zero
@@ -304,7 +301,7 @@ def test_subspace_constructor_is_canonical_for_any_spanning_rows():
 def test_subspace_constructor_reads_zero_and_scaled_rows():
     for n in (1, 2, 4):
         for k in (1, 2):
-            assert Subspace(QMatrix([[0] * n] * k)) == Subspace.zero(n)
+            assert Subspace(QMatrix([[0] * n] * k)) == Subspace(QMatrix.zeros(0, n))
     assert Subspace(QMatrix([[0, 0]])).dim == 0
     assert Subspace(QMatrix([[2, 0]])) == Subspace.from_spanning([[1, 0]], 2)
     assert Subspace(QMatrix([[0, 3], [2, 4], [1, 2]])) == Subspace(QMatrix.identity(2))

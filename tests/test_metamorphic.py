@@ -18,9 +18,9 @@ from cpslie.catalog import load_catalog, witness_structure
 from cpslie.connection import cp_connection, curvature
 from cpslie.hypercomplex import lift_cps
 from cpslie.lie import ThreeDimType, change_basis
-from cpslie.linalg import QMatrix, rank
+from cpslie.linalg import QMatrix
 from cpslie.structures import assemble_cps, double_type
-from examples import h3x2_constant, validate_cps
+from examples import h3x2_constant, rank, validate_cps
 
 WITNESSES = [(entry.salamon, w) for entry in load_catalog() for w in entry.witnesses]
 H3XH3 = (ThreeDimType.HEISENBERG3, ThreeDimType.HEISENBERG3)

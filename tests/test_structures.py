@@ -8,23 +8,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpslie.catalog import _standard_cps, eight_dim_example, load_catalog, witness_structure
+from cpslie.catalog import _standard_cps, load_catalog, witness_structure
 from cpslie.connection import _skew, cp_connection
 from cpslie.lie import LieAlgebra, ThreeDimType, center, change_basis
-from cpslie.linalg import QMatrix, SparseTensor, Subspace, basis_vec, kernel, rank
+from cpslie.linalg import QMatrix, SparseTensor, Subspace, basis_vec, kernel
 from cpslie.salamon import parse_salamon
 from cpslie.structures import (
     StructureError,
     _integrability_defect,
-    ascending_series,
     assemble_cps,
     double_type,
-    find_central_invariant_ideal,
     rotate_product,
 )
 from examples import (
     NotLie,
+    ascending_series,
+    col,
+    coordinates,
     dense_conjugator,
+    eight_dim_example,
+    find_central_invariant_ideal,
+    from_cols,
     h3x2_constant,
     heisenberg_complex_examples,
     image,
@@ -32,6 +36,7 @@ from examples import (
     is_abelian_complex,
     is_nilpotent_matrix,
     is_quaternion_triple,
+    rank,
     ref_central_invariant_ideal,
     validate_cps,
 )
@@ -77,7 +82,7 @@ def test_remark_complex_structure_is_abelian():
     # the excluded algebra still has an (abelian) complex structure with
     # J e1 = e2, J e3 = -e4, J e5 = e6
     g = parse_salamon("(0,0,0,12,13+42,14+23)")
-    j = QMatrix.from_cols(
+    j = from_cols(
         [E6(1), tuple(-x for x in E6(0)), tuple(-x for x in E6(3)), E6(2), E6(5), tuple(-x for x in E6(4))]
     )
     assert _integrability_defect(g, j, 1) == []
@@ -88,13 +93,13 @@ def test_half_bracket_complex_structure_on_complex_heisenberg():
     # J e1 = e2, J e3 = e4, J e5 = e6 satisfies J[x,y] = [Jx,y]; such a J
     # can never belong to a CPS on a non-abelian algebra
     g = parse_salamon("(0,0,0,0,13+42,14+23)")
-    j = QMatrix.from_cols(
+    j = from_cols(
         [E6(1), tuple(-x for x in E6(0)), E6(3), tuple(-x for x in E6(2)), E6(5), tuple(-x for x in E6(4))]
     )
     assert _integrability_defect(g, j, 1) == []
     for a in range(6):
         for b in range(6):
-            assert j.apply(g.bracket(E6(a), E6(b))) == g.bracket(j.col(a), E6(b))
+            assert j.apply(g.bracket(E6(a), E6(b))) == g.bracket(col(j, a), E6(b))
 
 
 def test_complex_integrability_requires_almost_complex():
@@ -105,7 +110,7 @@ def test_complex_integrability_requires_almost_complex():
 def test_complex_integrability_detects_failure():
     # on h3 x R^3, the pairing e1<->e3, e2<->e4 misses the bracket [e1,e2]
     g = parse_salamon("(0,0,0,0,0,12)")
-    j = QMatrix.from_cols(
+    j = from_cols(
         [E6(2), E6(3), tuple(-x for x in E6(0)), tuple(-x for x in E6(1)), E6(5), tuple(-x for x in E6(4))]
     )
     defects = _integrability_defect(g, j, 1)
@@ -157,7 +162,7 @@ def test_paracomplex_structure_on_excluded_algebra():
     g = parse_salamon("(0,0,0,12,13+42,14+23)")
     plus = [E6(0), E6(2), E6(4)]
     minus = [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), E6(5)]
-    s = QMatrix.from_cols([tuple(Q(x) for x in v) for v in plus + minus])
+    s = from_cols([tuple(Q(x) for x in v) for v in plus + minus])
     d = QMatrix.diag_blocks(QMatrix.identity(3), QMatrix.identity(3).scale(-1))
     e = s @ d @ s.inverse()
     assert _integrability_defect(g, e, -1) == []
@@ -168,7 +173,7 @@ def test_product_integrability_split_sum():
     g = parse_salamon("(0,0,0,0,0,12)")
     plus = [E6(0), E6(1), E6(5)]
     minus = [E6(2), E6(3), E6(4)]
-    s = QMatrix.from_cols(plus + minus)
+    s = from_cols(plus + minus)
     d = QMatrix.diag_blocks(QMatrix.identity(3), QMatrix.identity(3).scale(-1))
     assert _integrability_defect(g, s @ d @ s.inverse(), -1) == []
 
@@ -178,7 +183,7 @@ def test_is_abelian_complex_examples():
     g, cps = heisenberg_complex_examples()[0]
     assert is_abelian_complex(g, cps.j)
     g2 = parse_salamon("(0,0,0,12,13,14)")
-    j = QMatrix.from_cols(
+    j = from_cols(
         [tuple(-x for x in E6(1)), E6(0), tuple(-x for x in E6(3)), E6(2), tuple(-x for x in E6(5)), E6(4)]
     )
     assert not is_abelian_complex(g2, j)
@@ -425,7 +430,7 @@ def test_abelian_center_splitting_lemma():
 def restricted_nabla(conn, x, side):
     """nabla_x on the subspace `side`, in its basis: rho(x) for x in g+ and
     side g-, mu(x') for x' in g- and side g+."""
-    return QMatrix.from_cols([side.coordinates(conn.apply(x, b)) for b in side.basis_vectors()])
+    return from_cols([coordinates(side, conn.tensor.contract(x, b)) for b in side.basis_vectors()])
 
 
 def test_rho_mu_nilpotency_lemma():
@@ -450,11 +455,11 @@ def test_rho_iterates_as_projected_ad_powers():
                 rho = restricted_nabla(conn, x, cps.minus)
                 for xp in cps.minus.basis_vectors():
                     iterate = xp
-                    coords = cps.minus.coordinates(xp)
+                    coords = coordinates(cps.minus, xp)
                     for _ in range(3):
                         iterate = g.bracket(x, iterate)
                         coords = rho.apply(coords)
-                        expected = cps.minus.coordinates(pim.apply(iterate))
+                        expected = coordinates(cps.minus, pim.apply(iterate))
                         assert coords == expected
 
 
@@ -497,7 +502,7 @@ def _normal_form_h3x2(cps):
     e3 = g.bracket(e1, e2)
     f1, f2 = cps.j.apply(e1), cps.j.apply(e2)
     f3 = g.bracket(f1, f2)
-    p = QMatrix.from_cols([e1, e2, e3, f1, f2, f3])
+    p = from_cols([e1, e2, e3, f1, f2, f3])
     g2 = change_basis(g, p)
     pinv = p.inverse()
     j2 = pinv @ cps.j @ p
@@ -520,7 +525,7 @@ def test_rotation_eigenspaces_in_h3x2_normal_form():
                 continue
             _, cps = witness_structure(w)
             nf, c = _normal_form_h3x2(cps)
-            assert nf.j.col(2) == tuple(c * x for x in basis_vec(6, 5))
+            assert col(nf.j, 2) == tuple(c * x for x in basis_vec(6, 5))
             rotated = assemble_cps(nf.algebra, nf.j, rotate_product(nf.j, nf.e, c))
             plus, minus = rotated.plus, rotated.minus
             expected_plus = Subspace.from_spanning(
