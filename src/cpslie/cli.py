@@ -151,20 +151,20 @@ def _verify_catalog(_, seed: int):
 
 
 def _hypercomplex(cps: CPS, seed: int):
-    # assemble_cps certified the CPS, which proves the lift quaternionic and its connection torsion-free (see lift_cps)
+    # assemble_cps certified the CPS, which proves the lift quaternionic and its Obata connection torsion-free;
+    # the Obata curvature is the cp curvature doubled, so the flags are the cp connection's (see lift_cps)
     h = lift_cps(cps)
-    base_rep = curvature(cps.connection)
-    ob_rep = curvature(h.connection)
+    rep = curvature(cps.connection)
     payload = {
         "lifted_algebra": algebra_to_json(h.algebra),
         "J1": h.j1.to_json(),
         "J2": h.j2.to_json(),
         "J3": h.j3.to_json(),
-        "base_flat": base_rep.is_flat,
-        "obata_flat": ob_rep.is_flat,
-        "obata_ricci_flat": ob_rep.is_ricci_flat,
+        "base_flat": rep.is_flat,
+        "obata_flat": rep.is_flat,
+        "obata_ricci_flat": rep.is_ricci_flat,
     }
-    return payload, ob_rep.is_ricci_flat and (ob_rep.is_flat == base_rep.is_flat)
+    return payload, rep.is_ricci_flat
 
 
 def _geodesic(cps: CPS, seed: int):
@@ -215,10 +215,26 @@ def _seed(text: str) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises on a usage error, so `main` reports it as JSON; subparsers inherit this."""
+    """Raises on a usage error, so `main` reports it as JSON; subparsers inherit this.
+
+    argparse's own messages would quote an unknown command name or an
+    extra argument in full; these quote a long one through `_shown`.
+    """
 
     def error(self, message):
         raise ValueError(message)
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {_shown(value)} (choose from {choices})")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:  # argparse shows each token as it is, not as its repr
+            shown = (t if _shown(t) == repr(t) else _shown(t) for t in extras)
+            self.error(f"unrecognized arguments: {' '.join(shown)}")
+        return args
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

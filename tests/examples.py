@@ -9,14 +9,15 @@ at one point; the claims no command reports yet (`ascending_series`,
 `find_central_invariant_ideal`, `ricci_via_trace_identity`, the LSAs of
 `restrict_to_lsa`) with their references; independent checks of what the
 package proves by construction (failure codes, parallelism, quaternion
-relations, d^2 = 0, the unchecked layout `NotLie`, the nilpotency checks
-behind the trace criterion of `lsa_is_complete`); and the accessors `rank`,
-`from_cols`, `col`, `nablas` and `coordinates`.
+relations, the Obata connection `obata_connection`, d^2 = 0, the unchecked
+layout `NotLie`, the nilpotency checks behind the trace criterion of
+`lsa_is_complete`); and the accessors `rank`, `from_cols`, `col`, `nablas`
+and `coordinates`.
 """
 
 from cpslie.catalog import _family_point, _standard_cps, flatness_closed_form
 from cpslie.connection import Connection, _traces
-from cpslie.lie import LieAlgebra, ThreeDimType, center
+from cpslie.lie import LieAlgebra, ThreeDimType, center, complexify_realified
 from cpslie.linalg import (
     Q,
     QMatrix,
@@ -242,6 +243,16 @@ def ref_parallel_defect(conn, a):
             if not vec_is_zero(d):
                 out.append((i, jdx, d))
     return out
+
+
+def obata_connection(conn: Connection) -> Connection:
+    """The double of `conn` on the doubled algebra: for a cp connection, the
+    Obata connection of `lift_cps`.
+
+    No command builds it: its curvature is the curvature of `conn` doubled
+    (see `lift_cps`), which the tests check against it.
+    """
+    return Connection(complexify_realified(conn.algebra), conn.tensor.realified_double())
 
 
 def is_quaternion_triple(j1, j2, j3) -> bool:

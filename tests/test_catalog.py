@@ -37,7 +37,6 @@ from cpslie.connection import (
     torsion_defect,
 )
 from cpslie.lie import LieAlgebra, ThreeDimType, center, change_basis, iso_type_3d
-from cpslie.hypercomplex import lift_cps
 from cpslie.linalg import QMatrix, SparseTensor, Subspace, _matrix, basis_vec, kernel, vec
 from cpslie.poly import Poly
 from cpslie.salamon import parse_salamon
@@ -59,6 +58,7 @@ from examples import (
     heisenberg_complex_examples,
     image,
     nablas,
+    obata_connection,
     restrict_to_lsa,
 )
 
@@ -864,7 +864,7 @@ def test_family_criteria_hold_as_identities(family):
     assert rep.is_ricci_flat and rep.traceless
     # 09: the Obata connection is Ricci-flat, and every nonzero curvature
     # entry is a constant times the flatness closed form of the cp connection
-    obata = curvature(lift_cps(cps).connection)
+    obata = curvature(obata_connection(cps.connection))
     assert obata.is_ricci_flat
     form = flatness_closed_form(family)
     entries = [x for m in obata.r.values() for r in m.num for x in r if x]

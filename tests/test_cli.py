@@ -709,7 +709,8 @@ def dense_cps_file(tmp_path):
 
 
 # The same on the dense fixture; connection-report prints every nonzero
-# curvature entry and hypercomplex the 12-dimensional curvature verdicts.
+# curvature entry and hypercomplex the Obata verdicts, which it reads off
+# the cp curvature.
 DENSE_GOLDEN = {
     "connection-report": "5dfdff1d41fae02b4b28eece8d4db6776a560146bd281d732681539f76c14fd8",
     "hypercomplex": "1fe526a4eed62dfca8bf7a583ab5b9fa3bf609529f1f9d4089b81b06e6257549",
@@ -883,12 +884,14 @@ def nonflat_cps_file(tmp_path):
 # integrability, so no integrability defect runs on valid input.
 # `lift_cps` is a construction that checks nothing: the CPS certificate
 # proves the lift (see its docstring), so `hypercomplex` squares no Jk and
-# checks no torsion of the Obata connection, and connection-report's
-# completeness certificate takes the certified connection as it is.
+# checks no torsion of the Obata connection.  Nor does it build that
+# connection: the Obata curvature is the cp curvature doubled, so its one
+# curvature is the cp connection's.  connection-report's completeness
+# certificate takes the certified connection as it is.
 WORK = {
     "check-structure": (2, 0, 1),
     "connection-report": (2, 1, 1),
-    "hypercomplex": (2, 2, 1),
+    "hypercomplex": (2, 1, 1),
     "geodesic": (2, 0, 1),
 }
 

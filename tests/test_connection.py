@@ -21,8 +21,7 @@ from cpslie.connection import (
     lsa_is_complete,
     torsion_defect,
 )
-from cpslie.hypercomplex import lift_cps
-from cpslie.lie import LieAlgebra, ThreeDimType, center, complexify_realified
+from cpslie.lie import LieAlgebra, ThreeDimType, center
 from cpslie.linalg import QMatrix, basis_vec, vec
 from cpslie.salamon import parse_salamon
 from cpslie.structures import assemble_cps, rotate_product
@@ -36,6 +35,7 @@ from examples import (
     is_nilpotent_matrix,
     lower_central_series,
     nablas,
+    obata_connection,
     rank,
     ref_parallel_defect,
     restrict_to_lsa,
@@ -664,8 +664,7 @@ def test_no_degree_is_tried_from_dimension_25(monkeypatch):
     built = []
     monkeypatch.setattr(connection, "_grid", lambda n, order: built.append(order))
     base = padded_eight_dim(13)
-    double = Connection(complexify_realified(base.algebra), base.tensor.realified_double())
-    cert = exact_polynomial_geodesic_certificate(double)
+    cert = exact_polynomial_geodesic_certificate(obata_connection(base))
     assert built == []
     assert cert["verdict"] is False
     assert (cert["details"]["degree"], cert["details"]["degree_reached"], cert["details"]["grid"]) == (None, None, None)
@@ -720,7 +719,7 @@ def test_taylor_coefficients_stay_zero_after_the_first_zero():
     examples and the zero connection.  On the Obata lifts the certificate's
     degree is the reference's."""
     tensors = {cp_connection(cps): cps for _, cps in nonflat_witness_structures()}
-    lifts = [lift_cps(cps).connection for cps in tensors.values()]
+    lifts = [obata_connection(conn) for conn in tensors]
     zero = Connection(LieAlgebra.from_brackets(3, {}), tensor_from_table([[(0, 0, 0)] * 3] * 3))
     for conn in [*tensors, *lifts, *quartic_examples().values(), zero]:
         vanishes = taylor_vanishing(conn)

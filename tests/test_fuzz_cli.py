@@ -1,8 +1,9 @@
 """A seeded fuzzer of the command-line input: no input gives a traceback.
 
 Each example runs `cli.main` in-process on a mutated input: a valid
-`--cps` file with one to three subtrees replaced or deleted, an
-`--algebra` JSON file mutated the same way, a tuple string or a seed.
+`--cps` file with one to three subtrees replaced or deleted, or with
+values that the reader parses replaced by literals of 5,000 characters,
+an `--algebra` JSON file mutated the same way, a tuple string or a seed.
 Keys, literals, tuple strings and seeds of up to 5,000 characters are
 among them.  Every run prints exactly one JSON document on stdout,
 nothing on stderr, and exits 0 or 1; an error is one line of less than
@@ -106,7 +107,21 @@ TUPLES = st.one_of(
     long_strings(st.sampled_from(["0,", "12+", "1", " ", "(", "(0,0,12)"])).map(lambda text: "(" + text[:4999]),
     long_strings(st.text(alphabet="()0123456789,+- ", min_size=1, max_size=3)),
 )
+# literals of exactly 5,000 characters, to put where a value is parsed
+LONG_LITERALS = st.one_of(
+    st.sampled_from([LONG, LONG_INT]),
+    st.builds(
+        lambda piece: (piece * 5000)[:5000],
+        st.one_of(st.sampled_from(["x", "1/", "-1/0", "0,", '"']), st.text(min_size=1, max_size=3)),
+    ),
+)
 SEEDS = st.one_of(st.integers(-(10**6), 10**6).map(str), LONG_TEXT, long_strings(st.sampled_from(["1", "9", "-1"])))
+
+
+def _subtree(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 def _paths(doc, path=()):
@@ -119,20 +134,27 @@ def _paths(doc, path=()):
 
 @st.composite
 def mutations(draw, doc):
-    """`doc` with one to three subtrees replaced by random JSON or deleted."""
+    """`doc` with one to three subtrees replaced by random JSON or deleted,
+    or leaves replaced by a literal of 5,000 characters.  A leaf of the base
+    documents is a value the reader parses: a J or E entry, a bracket
+    coefficient, an index, the dimension or the tuple string."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_paths(doc))))
+        mutation = draw(st.sampled_from(["delete", "replace", "long-leaf"]))
+        paths = list(_paths(doc))
+        if mutation == "long-leaf":
+            paths = [path for path in paths if path and not isinstance(_subtree(doc, path), (dict, list))]
+            if not paths:
+                continue
+        path = draw(st.sampled_from(paths))
         if not path:
             doc = draw(VALUES)
             continue
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if draw(st.booleans()):
+        parent = _subtree(doc, path[:-1])
+        if mutation == "delete":
             del parent[path[-1]]
         else:
-            parent[path[-1]] = draw(VALUES)
+            parent[path[-1]] = draw(LONG_LITERALS if mutation == "long-leaf" else VALUES)
     return doc
 
 
@@ -234,8 +256,10 @@ LONG_X = "x" * 5000
             "entry (1,1) of J: not a rational literal (an integer or p/q): 'xxxx",
         ),
         (["check-structure", "--cps"], '{"%s": 1, "%s": 2}' % (LONG_X, LONG_X), "... (5000 characters) appears twice"),
+        ([LONG_X], None, "invalid choice: 'xxxx"),
+        (["parse", ROW, LONG_X], None, "unrecognized arguments: 'xxxx"),
     ],
-    ids=["seed", "tuple-string", "index-key", "matrix-entry", "duplicate-key"],
+    ids=["seed", "tuple-string", "index-key", "matrix-entry", "duplicate-key", "command", "extra-argument"],
 )
 def test_a_long_input_gets_one_short_error_line(tmp_path, argv, cps, named):
     """An input of 5,000 characters is quoted only up to a fixed length, so
@@ -247,6 +271,21 @@ def test_a_long_input_gets_one_short_error_line(tmp_path, argv, cps, named):
         argv = argv + [str(path)]
     code, payload = run(argv)
     assert code == 1 and named in payload["error"], payload
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus"], ["\u00e9" * 3], ["parse", ROW, "zz", "\u00e9"], ["parse", ROW, "--cps", "x", "-q"]],
+    ids=["command", "non-ascii-command", "extra-arguments", "extra-options"],
+)
+def test_a_short_usage_error_keeps_the_argparse_message(monkeypatch, argv):
+    """Quoting long tokens through `_shown` leaves argparse's own message on short ones, byte for byte."""
+    from cpslie import cli
+
+    ours = run(argv)
+    monkeypatch.delattr(cli._ArgumentParser, "_check_value")
+    monkeypatch.delattr(cli._ArgumentParser, "parse_args")
+    assert ours[0] == 1 and run(argv) == ours
 
 
 @SETTINGS

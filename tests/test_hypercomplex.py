@@ -1,13 +1,29 @@
 """Hypercomplex lifts and the extended (Obata) connection."""
 
+import random
 from fractions import Fraction as Q
+from itertools import combinations
 
-from cpslie.connection import cp_connection, curvature
+import pytest
+
+from cpslie.catalog import load_catalog, witness_structure
+from cpslie.connection import Connection, cp_connection, curvature, torsion_defect
 from cpslie.hypercomplex import lift_cps
-from cpslie.lie import LieAlgebra
+from cpslie.lie import LieAlgebra, change_basis
 from cpslie.linalg import QMatrix, basis_vec
 from cpslie.structures import assemble_cps
-from examples import SPLIT_E, col, heisenberg_complex_examples, is_abelian_complex, split_cps
+from examples import (
+    SPLIT_E,
+    col,
+    dense_conjugator,
+    heisenberg_complex_examples,
+    is_abelian_complex,
+    obata_connection,
+    split_cps,
+)
+from table_helper import tensor_from_table
+
+WITNESSES = [(entry.salamon, w) for entry in load_catalog() for w in entry.witnesses]
 
 
 def hat(i):
@@ -95,8 +111,7 @@ def test_obata_flat_iff_base_flat_on_explicit_pair():
     verdicts = {}
     for name in SPLIT_E:
         _, cps = split_cps(name)
-        h = lift_cps(cps)
-        rep = curvature(h.connection)
+        rep = curvature(obata_connection(cps.connection))
         base_rep = curvature(cp_connection(cps))
         assert rep.is_flat == base_rep.is_flat
         assert rep.is_ricci_flat
@@ -115,3 +130,65 @@ def test_nonabelian_lift_of_nonabelian_cps():
     h = lift_cps(cps)
     assert not is_abelian_hypercomplex(h)
 
+
+
+def doubled_curvature(rep, n):
+    """The curvature of the double of a connection with curvature `rep`, read
+    off `rep` by the identity in `lift_cps`'s docstring: R(e_i, e_j) is
+    diag(R, R), [[0, -R], [R, 0]] or -diag(R, R) as none, one or both of
+    the two basis vectors are hatted, for R = R(e_i, e_j) of the base."""
+    zero = QMatrix.zeros(n, n)
+
+    def base(i, j):
+        return rep.r[i, j] if i < j else rep.r[j, i].scale(-1) if i > j else zero
+
+    def doubled(m, hats):
+        if hats == 1:
+            return QMatrix.block([[zero, m.scale(-1)], [m, zero]])
+        m = m.scale(-1) if hats == 2 else m
+        return QMatrix.diag_blocks(m, m)
+
+    return {(a, b): doubled(base(a % n, b % n), (a >= n) + (b >= n)) for a, b in combinations(range(2 * n), 2)}
+
+
+def assert_the_double_curves_as_doubled(conn):
+    """The 12-dimensional curvature that `hypercomplex` does not compute:
+    entry by entry the base curvature doubled, Ric = diag(2 Ric, -2 Ric),
+    and the same flat, Ricci-flat and traceless flags as the base."""
+    base, double = curvature(conn), curvature(obata_connection(conn))
+    assert double.r == doubled_curvature(base, conn.algebra.dim)
+    assert double.ricci == QMatrix.diag_blocks(base.ricci.scale(2), base.ricci.scale(-2))
+    assert (double.is_flat, double.is_ricci_flat, double.traceless) == (base.is_flat, base.is_ricci_flat, base.traceless)
+    return base
+
+
+@pytest.mark.parametrize("salamon, witness", WITNESSES, ids=[f"{s}-{w.name}" for s, w in WITNESSES])
+def test_obata_curvature_is_the_cp_curvature_doubled(salamon, witness):
+    _, cps = witness_structure(witness)
+    rep = assert_the_double_curves_as_doubled(cps.connection)
+    assert (rep.is_flat, rep.is_ricci_flat) == (witness.flat, True)
+
+
+def test_obata_curvature_is_doubled_on_the_dense_conjugate():
+    """The lift of one dense conjugate of split-nonflat, where no entry of the 12-dim curvature is zero by layout."""
+    witness = next(w for _, w in WITNESSES if w.name == "split-nonflat")
+    g, cps = witness_structure(witness)
+    p = dense_conjugator(random.Random(0), g.dim)
+    pinv = p.inverse()
+    moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
+    rep = assert_the_double_curves_as_doubled(moved.connection)
+    assert (rep.is_flat, rep.is_ricci_flat) == (False, True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_doubling_identity_does_not_rest_on_the_cps(seed):
+    """Seeded random connections on catalog algebras, with torsion and a
+    nonzero Ricci form: the identity is one of doubling alone."""
+    rng = random.Random(seed)
+    g, _ = witness_structure(rng.choice(WITNESSES)[1])
+    n = g.dim
+    table = [[[Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    conn = Connection(g, tensor_from_table(table))
+    assert torsion_defect(conn)
+    rep = assert_the_double_curves_as_doubled(conn)
+    assert not rep.is_flat and not rep.is_ricci_flat

@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 
 from cpslie.catalog import load_catalog, witness_structure
 from cpslie.connection import Connection, curvature
-from cpslie.hypercomplex import lift_cps
 from cpslie.lie import LieAlgebra, change_basis
 from cpslie.linalg import QMatrix, SingularMatrixError, SparseTensor, basis_vec
 from cpslie.poly import Poly
 from cpslie.structures import assemble_cps
-from examples import NotLie, col, from_cols, rank
+from examples import NotLie, col, from_cols, obata_connection, rank
 from table_helper import tensor_from_table
 
 # ----------------------------------------------------------------------
@@ -206,7 +205,7 @@ def test_the_dense_lift_packs_its_product_rows(packed_rows):
             break
     pinv = p.inverse()
     moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
-    obata = lift_cps(moved).connection
+    obata = obata_connection(moved.connection)
     packed_rows.clear()
     curvature(obata)
     assert len(packed_rows) > 100

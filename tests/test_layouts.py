@@ -51,6 +51,7 @@ from examples import (
     intersect,
     is_abelian_complex,
     is_quaternion_triple,
+    obata_connection,
     rank,
     ref_parallel_defect,
     ricci_via_trace_identity,
@@ -210,22 +211,23 @@ def test_batched_identities_equal_the_references(salamon, witness):
         assert ref_parallel_defect(bad_conn, j) != []
 
 
-def assert_lift_relations(h):
+def assert_lift_relations(h, obata):
     """What `lift_cps` does not check, since the CPS certificate proves it: the
     Obata connection is torsion-free and (J1, J2, J3) is a quaternion triple."""
-    assert torsion_defect(h.connection) == []
+    assert obata.algebra == h.algebra
+    assert torsion_defect(obata) == []
     assert is_quaternion_triple(h.j1, h.j2, h.j3)
 
 
 @pytest.mark.parametrize("salamon, witness", WITNESSES, ids=IDS)
 def test_lifted_identities_equal_the_references(salamon, witness):
     g, cps = witness_structure(witness)
-    h = lift_cps(cps)
-    assert_lift_relations(h)
+    h, obata = lift_cps(cps), obata_connection(cps.connection)
+    assert_lift_relations(h, obata)
     for a in (h.j1, h.j2, h.j3):
         assert _integrability_defect(h.algebra, a, 1) == ref_integrability_defect(h.algebra, a, 1)
-        assert ref_parallel_defect(h.connection, a) == []
-    assert_connection_identities(h.connection)
+        assert ref_parallel_defect(obata, a) == []
+    assert_connection_identities(obata)
 
 
 def test_dense_lift_identities_equal_the_references():
@@ -235,10 +237,10 @@ def test_dense_lift_identities_equal_the_references():
     p = dense_conjugator(random.Random(0), g.dim)
     pinv = p.inverse()
     moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
-    h = lift_cps(moved)
-    assert_lift_relations(h)
+    h, obata = lift_cps(moved), obata_connection(moved.connection)
+    assert_lift_relations(h, obata)
     assert _integrability_defect(h.algebra, h.j3, 1) == ref_integrability_defect(h.algebra, h.j3, 1)
-    assert_connection_identities(h.connection)
+    assert_connection_identities(obata)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
@@ -263,7 +265,7 @@ def test_curvature_beyond_the_packed_slots_equals_the_reference(packed_rows):
     p = QMatrix.diag_blocks(QMatrix([[10**30]]), QMatrix.identity(g.dim - 1))
     pinv = p.inverse()
     moved = assemble_cps(change_basis(g, p), pinv @ cps.j @ p, pinv @ cps.e @ p)
-    for conn in (moved.connection, lift_cps(moved).connection):
+    for conn in (moved.connection, obata_connection(moved.connection)):
         assert max(abs(x) for r in conn.tensor.side.num for x in r) >= 2**63
         packed_rows.clear()
         assert not assert_curvature(conn).is_flat
@@ -305,8 +307,7 @@ def test_work_per_identity_does_not_grow_with_the_dimension(monkeypatch):
     salamon, witness = next((s, w) for s, w in WITNESSES if w.name == "split-nonflat")
     g, cps = witness_structure(witness)
     conn = cp_connection(cps)
-    h = lift_cps(cps)
-    obata = h.connection
+    h, obata = lift_cps(cps), obata_connection(conn)
     small = (count(curvature, conn), count(_integrability_defect, g, cps.j, 1))
     large = (count(curvature, obata), count(_integrability_defect, h.algebra, h.j1, 1))
     assert small == large == (2, 3)

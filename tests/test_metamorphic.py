@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 from cpslie.catalog import load_catalog, witness_structure
 from cpslie.connection import cp_connection, curvature
-from cpslie.hypercomplex import lift_cps
 from cpslie.lie import ThreeDimType, change_basis
 from cpslie.linalg import QMatrix
 from cpslie.structures import assemble_cps, double_type
-from examples import h3x2_constant, rank, validate_cps
+from examples import h3x2_constant, obata_connection, rank, validate_cps
 
 WITNESSES = [(entry.salamon, w) for entry in load_catalog() for w in entry.witnesses]
 H3XH3 = (ThreeDimType.HEISENBERG3, ThreeDimType.HEISENBERG3)
@@ -45,7 +44,7 @@ def invariants(g, j, e, lift=False):
     constant = h3x2_constant(cps) if types == H3XH3 else None
     out = (types, rep.is_flat, rep.is_ricci_flat, constant, validate_cps(g, j, j @ e))
     if lift:
-        lifted = curvature(lift_cps(cps).connection)
+        lifted = curvature(obata_connection(conn))
         out += ((lifted.is_flat, lifted.is_ricci_flat),)
     return out
 
