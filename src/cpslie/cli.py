@@ -206,35 +206,11 @@ COMMANDS = {
 }
 
 
-def _seed(text: str) -> int:
-    """`int`, for --seed; argparse's own message would quote a long value in full."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
-
-
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises on a usage error, so `main` reports it as JSON; subparsers inherit this.
-
-    argparse's own messages would quote an unknown command name or an
-    extra argument in full; these quote a long one through `_shown`.
-    """
+    """Raises on a usage error, so `main` reports it as JSON; subparsers inherit this."""
 
     def error(self, message):
         raise ValueError(message)
-
-    def _check_value(self, action, value):
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(action, f"invalid choice: {_shown(value)} (choose from {choices})")
-
-    def parse_args(self, args=None, namespace=None):
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:  # argparse shows each token as it is, not as its repr
-            shown = (t if _shown(t) == repr(t) else _shown(t) for t in extras)
-            self.error(f"unrecognized arguments: {' '.join(shown)}")
-        return args
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -252,11 +228,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             p.add_argument("--algebra", help="tuple string or JSON algebra file")
             p.add_argument("--cps", required=True, help="JSON file with J and E matrices")
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--seed", type=_seed, default=0, help=(
+        p.add_argument("--seed", type=int, default=0, help=(
             "seed of the sampled checks; only verify-catalog and nonexistence read it,"
             " the other commands accept it and ignore it"
         ))
     return parser
+
+
+def _bounded(message: str, argv) -> str:
+    """`message` with each long part of `argv` it quotes shortened through `_shown`, longest first: argparse
+    quotes a token, or of an option token the value after "=" or what follows its stacked -h flags."""
+    parts = [*argv, *(x for t in argv if t.startswith("-") for x in (t.partition("=")[2], t[1:].lstrip("h")))]
+    shortened = ""  # a shortened part keeps 63 of its characters, in which no shorter part is shortened again
+    for p in sorted(dict.fromkeys(p for p in parts if _shown(p) != repr(p)), key=len, reverse=True):
+        if p not in shortened:
+            message, shortened = message.replace(repr(p), _shown(p)).replace(p, _shown(p)), shortened + _shown(p)
+    return message
 
 
 def main(argv=None) -> int:
@@ -274,10 +261,7 @@ def main(argv=None) -> int:
             subject = getattr(args, cmd.subject) if cmd.subject else None
         return _emit(args, *cmd.run(subject, args.seed))
     except (SalamonError, ValueError, OSError) as exc:
-        message = str(exc)
-        if isinstance(exc, OSError) and isinstance(exc.filename, str):  # str(exc) quotes the whole path
-            message = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
-        error = {"error": message}
+        error = {"error": _bounded(str(exc), argv)}
         if isinstance(exc, SalamonError):
             error["position"] = exc.position
         sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")

@@ -848,11 +848,33 @@ def test_family_connection_specializes_to_every_instance():
     assert checked == 35
 
 
+# the flag a1 = span(e3, f3) ⊂ a2 = span(e2, e3, f2, f3) ⊂ a3 = g, as the least l
+# with the basis vector e1, e2, e3, f1, f2, f3 in a_l
+FLAG_LEVEL = (3, 2, 1, 3, 2, 1)
+
+
+def _respects_flag(structure: SparseTensor) -> bool:
+    """[a_l, g] ⊆ a_(l-1), read off the support: every term e_k of every [e_i, e_j] lies a level below e_i."""
+    return all(FLAG_LEVEL[k] < FLAG_LEVEL[i] for i, row in enumerate(structure.terms) for _, w in row for k, _ in w)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
 def test_family_criteria_hold_as_identities(family):
-    """Criteria 02, 04 and 09 on the family over its own variables, so at every member at once."""
+    """Criteria 02, 03, 04, 08 and 09 on the family over its own variables, so at every member at once."""
     g, cps = build_family(family, _family_variables(family))
+    rotated_g, rotated = build_family(family, _family_variables(family), 1)
     e = [basis_vec(6, i) for i in range(6)]
+    # 03: the flag is J-invariant, with and without the c = 1 rotation of E, and [a_l, g] ⊆ a_(l-1),
+    # so the ascending series of J contains it term by term and reaches g: J is nilpotent
+    assert rotated.j == cps.j and rotated.e != cps.e
+    assert all(FLAG_LEVEL[k] == FLAG_LEVEL[i] for i in range(6) for k, x in enumerate(col(cps.j, i)) if x)
+    assert _respects_flag(g.structure) and _respects_flag(rotated_g.structure)
+    # an e1 term of [e3, e1], planted on the layout, where no LieAlgebra checks it, breaks the flag
+    side = [list(r) for r in g.structure.side.num]
+    side[0][2 * 6] += g.structure.den
+    assert not _respects_flag(SparseTensor(_matrix(side, g.structure.den, 36)))
+    # 08: the rotation leaves the cp connection as it is
+    assert rotated.connection.tensor == cps.connection.tensor
     # 02: span(e3, f3) is central, J e3 = f3, and it is J- and E-invariant
     assert not any(any(g.bracket(e[c], x)) for c in (2, 5) for x in e)
     assert col(cps.j, 2) == e[5]

@@ -3,13 +3,14 @@
 Each example runs `cli.main` in-process on a mutated input: a valid
 `--cps` file with one to three subtrees replaced or deleted, or with
 values that the reader parses replaced by literals of 5,000 characters,
-an `--algebra` JSON file mutated the same way, a tuple string or a seed.
-Keys, literals, tuple strings and seeds of up to 5,000 characters are
-among them.  Every run prints exactly one JSON document on stdout,
-nothing on stderr, and exits 0 or 1; an error is one line of less than
-512 bytes, which quotes a long input only up to a fixed length.  The
-examples are derandomized and their number bounded, so the suite is
-reproducible and the fuzzer costs a few seconds.
+an `--algebra` JSON file mutated the same way, a tuple string, a seed,
+or a whole command line of options, their abbreviations and values.
+Keys, literals, tuple strings, seeds and values of up to 5,000
+characters are among them.  Every run prints exactly one JSON document
+on stdout, nothing on stderr, and exits 0 or 1; an error is one line of
+less than 512 bytes, which quotes a long input only up to a fixed
+length.  The examples are derandomized and their number bounded, so the
+suite is reproducible and the fuzzer costs a few seconds.
 """
 
 import contextlib
@@ -17,12 +18,13 @@ import copy
 import io
 import json
 import warnings
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cpslie.cli import main
+from cpslie.cli import COMMANDS, main
 
 CPS_COMMANDS = ["check-structure", "connection-report", "hypercomplex", "geodesic"]
 SALAMON_COMMANDS = ["parse", "nonexistence"]
@@ -258,15 +260,30 @@ LONG_X = "x" * 5000
         (["check-structure", "--cps"], '{"%s": 1, "%s": 2}' % (LONG_X, LONG_X), "... (5000 characters) appears twice"),
         ([LONG_X], None, "invalid choice: 'xxxx"),
         (["parse", ROW, LONG_X], None, "unrecognized arguments: 'xxxx"),
+        (["parse", ROW, "--=" + LONG_X], None, "ambiguous option: '--=xxxx"),
+        (["parse", ROW, "--help=" + LONG_X], None, "argument -h/--help: ignored explicit argument 'xxxx"),
+        (["parse", ROW, "-hh" + LONG_X], None, "argument -h/--help: ignored explicit argument 'xxxx"),
+        (["parse", ROW, "--seed=" + LONG], None, "argument --seed: invalid int value: '1111"),
+        (["check-structure", "--cps", LONG_X], None, "File name too long: 'xxxx"),
+        (["check-structure", "--cps"], "[" * 100_000, " characters): JSON nested too deeply"),
+        # shortened once, though the 63 characters it keeps are also a long part of it
+        (["parse", ROW, "-" * 64], None, "unrecognized arguments: '%s... (64 characters)" % ("-" * 63)),
     ],
-    ids=["seed", "tuple-string", "index-key", "matrix-entry", "duplicate-key", "command", "extra-argument"],
+    ids=[
+        "seed", "tuple-string", "index-key", "matrix-entry", "duplicate-key", "command", "extra-argument",
+        "ambiguous-option", "help-value", "stacked-help-flags", "seed-equals", "cps-path", "deep-json",
+        "option-of-64",
+    ],
 )
 def test_a_long_input_gets_one_short_error_line(tmp_path, argv, cps, named):
     """An input of 5,000 characters is quoted only up to a fixed length, so
     its error is one JSON line of less than 512 bytes (`run` checks that),
-    and the line says where the input is."""
+    and the line says where the input is.  The file lies in a directory
+    whose path is longer than that length, so a message quoting the path
+    quotes it shortened."""
     if cps is not None:
-        path = tmp_path / "cps.json"
+        path = tmp_path / ("d" * 64) / "cps.json"
+        path.parent.mkdir()
         path.write_text(cps)
         argv = argv + [str(path)]
     code, payload = run(argv)
@@ -275,16 +292,29 @@ def test_a_long_input_gets_one_short_error_line(tmp_path, argv, cps, named):
 
 @pytest.mark.parametrize(
     "argv",
-    [["bogus"], ["\u00e9" * 3], ["parse", ROW, "zz", "\u00e9"], ["parse", ROW, "--cps", "x", "-q"]],
-    ids=["command", "non-ascii-command", "extra-arguments", "extra-options"],
+    [
+        ["bogus"],
+        ["\u00e9" * 3],
+        ["parse", ROW, "zz", "\u00e9"],
+        ["parse", ROW, "--cps", "x", "-q"],
+        ["parse", ROW, "--seed", "x"],
+        ["parse", ROW, "--seed=x"],
+        ["parse", ROW, "--bogus=1"],
+        ["check-structure", "--cps", "missing.json"],
+    ],
+    ids=[
+        "command", "non-ascii-command", "extra-arguments", "extra-options",
+        "seed", "seed-equals", "unknown-option-value", "cps-path",
+    ],
 )
-def test_a_short_usage_error_keeps_the_argparse_message(monkeypatch, argv):
-    """Quoting long tokens through `_shown` leaves argparse's own message on short ones, byte for byte."""
+def test_a_short_usage_error_keeps_the_argparse_message(tmp_path, monkeypatch, argv):
+    """Quoting long tokens through `_shown` leaves the message on short ones, byte for byte:
+    argparse's own, or Python's for a file that cannot be opened."""
     from cpslie import cli
 
+    monkeypatch.chdir(tmp_path)
     ours = run(argv)
-    monkeypatch.delattr(cli._ArgumentParser, "_check_value")
-    monkeypatch.delattr(cli._ArgumentParser, "parse_args")
+    monkeypatch.setattr(cli, "_bounded", lambda message, argv: message)
     assert ours[0] == 1 and run(argv) == ours
 
 
@@ -314,3 +344,46 @@ def test_tuple_string(tmp_path, text, command):
 @given(seed=SEEDS, command=st.sampled_from(SALAMON_COMMANDS))
 def test_seed(seed, command):
     run([command, ROW, "--seed", seed])
+
+
+LONG_VALUES = st.builds(lambda piece: (piece * 5000)[:5000], st.text(min_size=1, max_size=3))
+# a token that argparse could read as a request for help (-h, -hh, --h, --he, ...)
+# or as a long option is drawn only as one of ARGUMENTS, none of which asks for help
+FREE = st.one_of(
+    st.sampled_from(["cps.json", "missing.json", ROW, "(0,0,12)", "0", "-1", ""]),
+    st.text(max_size=4),
+    LONG_TEXT,
+    TUPLES,
+    SEEDS,
+    LONG_VALUES,
+).filter(lambda token: not token.startswith(("-h", "--")))
+# an --out value names a directory or is longer than a path can be, so no run writes a file
+OUT = st.one_of(st.just("."), LONG_VALUES)
+OPTIONS = ["--algebra", "--cps", "--out", "--seed", "--bogus", "--help"]
+# every prefix of an option joined with "=value", "-" and the ambiguous "--" among them;
+# the value is long half the time, since argparse quotes it; those that name --out take an --out value
+OUT_PREFIXES = ["--o", "--ou", "--out"]
+PREFIXES = sorted({option[:k] for option in OPTIONS for k in range(1, len(option) + 1)} - set(OUT_PREFIXES))
+ARGUMENTS = st.one_of(
+    st.tuples(st.sampled_from(["--algebra", "--cps", "--seed", "--bogus"]), FREE),
+    st.tuples(st.just("--out"), OUT),
+    st.builds(lambda prefix, value: (f"{prefix}={value}",), st.sampled_from(PREFIXES), st.one_of(LONG_VALUES, FREE)),
+    st.builds(lambda prefix, value: (f"{prefix}={value}",), st.sampled_from(OUT_PREFIXES), OUT),
+    st.just(("--",)),
+    st.tuples(FREE),
+)
+ARGVS = st.builds(
+    lambda first, rest: [first, *chain.from_iterable(rest)],
+    st.sampled_from([*sorted(COMMANDS), None]).flatmap(lambda name: FREE if name is None else st.just(name)),
+    st.lists(ARGUMENTS, max_size=6),
+)
+
+
+@SETTINGS
+@given(argv=ARGVS)
+def test_command_line(tmp_path, monkeypatch, argv):
+    """Whole command lines: a command name or junk, then options, abbreviations
+    of them joined with a value, "--" and values of up to 5,000 characters."""
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "cps.json", CPS)
+    run(argv)
